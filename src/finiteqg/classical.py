@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgElement, BlockAlgebra, LinMap, as_tolerance, tensor
+from .core import (AlgElement, BlockAlgebra, LinMap, Tolerance,
+                   as_tolerance, tensor)
 from .haar import HaarState
 from .hopf import HopfData
 from .orbits import ActionMap, OrbitPartition, relation
@@ -53,11 +54,15 @@ def permutation_magic(H: HopfData, action_table) -> MagicAction:
 
 @dataclass
 class MagicReport:
-    residuals: dict
+    """Residuals of the magic-matrix axioms, judged at the tolerance
+    ``verify_magic`` was called with."""
 
-    def failures(self, tol=None):
-        tol = as_tolerance(tol)
-        return [k for k, v in self.residuals.items() if not tol.is_zero(v)]
+    residuals: dict
+    tol: Tolerance
+
+    def failures(self):
+        return [k for k, v in self.residuals.items()
+                if not self.tol.is_zero(v)]
 
     @property
     def passed(self) -> bool:
@@ -97,7 +102,7 @@ def verify_magic(M: MagicAction, tol=None) -> MagicReport:
             res["counit"] = max(res["counit"],
                                 abs(eps - (1.0 if i == j else 0.0)))
         res["row_sum"] = max(res["row_sum"], (row_sum - A.one()).norm())
-    return MagicReport(res)
+    return MagicReport(res, tol)
 
 
 def action_from_magic(M: MagicAction, grouping=None) -> ActionMap:

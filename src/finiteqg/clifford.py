@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Algebra, LinMap, DEFAULT_SEED, as_tolerance,
+from .core import (Algebra, LinMap, DEFAULT_SEED, Tolerance, as_tolerance,
                    nullspace, orthonormal_rows, distance_to_span, tensor)
 from .duality import DiscreteQG, mult_unitary, tensor_mult
 from .hopf import HopfData, verify_hopf
@@ -226,11 +226,12 @@ class ConstancyReport:
     mults_constant: bool
     markov_residual: float
     constants: dict          # (row, class index) -> c with c * m = mult
+    tol: Tolerance
 
     @property
     def passed(self) -> bool:
         return (self.dims_constant and self.mults_constant
-                and as_tolerance(None).is_zero(self.markov_residual))
+                and self.tol.is_zero(self.markov_residual))
 
 
 def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
@@ -267,7 +268,7 @@ def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
                         tr = complex(np.trace(B.block_matrices(f.coeffs)[k]))
                         want = c * n if a == b else 0.0
                         worst = max(worst, abs(tr - want))
-    return ConstancyReport(dims_ok, mult_ok, worst, constants)
+    return ConstancyReport(dims_ok, mult_ok, worst, constants, tol)
 
 
 @dataclass

@@ -13,14 +13,21 @@ Everything downstream works with three kinds of algebras:
   product of linear maps is literally ``np.kron``.
 
 Elements are immutable coefficient vectors over the algebra's basis.
-Operator norms are computed through a faithful representation: the block
-representation for block algebras, the left regular representation
-otherwise.  Zero tests are relative: ``norm <= eps * (1 + scale)``.
+Operator norms are exact C*-norms of a faithful representation.  For a
+block algebra, and for a tensor product whose factors are all block
+algebras, the norm is the largest 2-norm over the (Kronecker) blocks,
+taken stack by stack per block size, so no large matrix is ever built;
+with only 1 x 1 blocks it is max |x|.  Any other algebra uses its dense
+representation (the left regular one for structure-constant algebras,
+Kronecker products of the factors' for tensor products), and there an
+all-zero coefficient vector has norm 0.0 without building the matrix.
+Products and representations of tensor products are contracted one leg
+at a time, never forming x (x) y.  Zero tests are relative:
+``norm <= eps * (1 + scale)``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from string import ascii_lowercase
 
 import numpy as np
 
@@ -102,6 +109,8 @@ class Algebra:
         return np.einsum("kab,k->ab", self.rep_tensor, x)
 
     def norm_coeffs(self, x) -> float:
+        if not np.any(x):
+            return 0.0
         return float(np.linalg.norm(self.rep_coeffs(x), 2))
 
     # -- element constructors ----------------------------------------------
@@ -181,6 +190,7 @@ class BlockAlgebra(Algebra):
         self.name = name
         self._mul_tensor = None
         self._rep_tensor = None
+        self._gathers = None
 
     # structure tensor is only materialized when a generic consumer asks
     @property
@@ -271,7 +281,9 @@ class BlockAlgebra(Algebra):
         return self._rep_tensor
 
     def norm_coeffs(self, x) -> float:
-        return max(float(np.linalg.norm(b, 2)) for b in self.block_matrices(x))
+        if self._gathers is None:
+            self._gathers = _block_gathers((self,))
+        return _blockwise_norm(x, self._gathers)
 
     def __repr__(self):
         label = self.name or "BlockAlgebra"
@@ -302,7 +314,7 @@ class TensorAlgebra(Algebra):
         self.name = name
         self._unit = None
         self._star = None
-        self._mul_einsum = None
+        self._gathers = None
 
     @property
     def unit_coeffs(self):
@@ -345,17 +357,17 @@ class TensorAlgebra(Algebra):
         return tuple(dims)
 
     def mul_coeffs(self, x, y):
-        k = len(self.factors)
-        X = x.reshape(self.factor_dims)
-        Y = y.reshape(self.factor_dims)
-        if self._mul_einsum is None:
-            ps = ascii_lowercase[:k]
-            qs = ascii_lowercase[k:2 * k]
-            rs = ascii_lowercase[2 * k:3 * k]
-            terms = ",".join(f"{r}{p}{q}" for r, p, q in zip(rs, ps, qs))
-            self._mul_einsum = f"{ps},{qs},{terms}->{rs}"
-        mts = [f.mul_tensor for f in self.factors]
-        return np.einsum(self._mul_einsum, X, Y, *mts, optimize=True).reshape(-1)
+        # leg by leg, so x (x) y is never formed: after leg l the axes of
+        # z are (p_{l+1}, ..., r_0, ..., r_l, q_{l+1}, ...), and leg l+1
+        # contracts p_{l+1}, q_{l+1} against its factor's m[r, p, q]
+        m = len(self.factors)
+        z = np.tensordot(x.reshape(self.factor_dims),
+                         self.factors[0].mul_tensor, ([0], [1]))
+        z = np.tensordot(z, y.reshape(self.factor_dims), ([m], [0]))
+        for f in self.factors[1:]:
+            z = np.tensordot(z, f.mul_tensor, ([0, m], [1, 2]))
+            z = np.moveaxis(z, -1, m - 1)
+        return z.reshape(-1)
 
     def star_coeffs(self, x):
         return self.star_matrix @ np.conj(x)
@@ -365,19 +377,25 @@ class TensorAlgebra(Algebra):
         return int(np.prod([f.rep_dim for f in self.factors]))
 
     def rep_coeffs(self, x):
-        k = len(self.factors)
-        X = x.reshape(self.factor_dims)
-        ps = ascii_lowercase[:k]
-        rows = ascii_lowercase[k:2 * k]
-        cols = ascii_lowercase[2 * k:3 * k]
-        terms = ",".join(f"{p}{a}{b}" for p, a, b in zip(ps, rows, cols))
-        out = np.einsum(f"{ps},{terms}->{rows}{cols}",
-                        X, *[f.rep_tensor for f in self.factors],
-                        optimize=True)
+        # leg by leg; the axes end as (a_0, b_0, ..., a_{m-1}, b_{m-1})
+        z = x.reshape(self.factor_dims)
+        for f in self.factors:
+            z = np.tensordot(z, f.rep_tensor, ([0], [0]))
+        m = len(self.factors)
+        z = z.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)))
         r = self.rep_dim
-        return out.reshape(r, r)
+        return z.reshape(r, r)
 
     def norm_coeffs(self, x) -> float:
+        if self._gathers is None:
+            self._gathers = (
+                _block_gathers(self.factors)
+                if all(isinstance(f, BlockAlgebra) for f in self.factors)
+                else ())
+        if self._gathers:
+            return _blockwise_norm(x, self._gathers)
+        if not np.any(x):
+            return 0.0
         return float(np.linalg.norm(self.rep_coeffs(x), 2))
 
     # -- leg manipulation ---------------------------------------------------
@@ -414,6 +432,39 @@ class TensorAlgebra(Algebra):
 
     def __repr__(self):
         return "<Tensor " + " x ".join(repr(f) for f in self.factors) + ">"
+
+
+def _block_gathers(factors):
+    """Index stacks cutting the coefficients of a tensor product of block
+    algebras into its Kronecker blocks, one (count, N, N) stack per block
+    size N.  The (k_1, ..., k_m) block has entry ((i_1, ...), (j_1, ...))
+    at the Kronecker index of the matrix units e^{(k_l)}_{i_l j_l}, so
+    every coefficient is gathered exactly once."""
+    stacks = {1: np.zeros((1, 1, 1), dtype=np.intp)}
+    for f in factors:
+        own = {}
+        for k, n in enumerate(f.block_dims):
+            own.setdefault(n, []).append(
+                int(f.offsets[k]) + np.arange(n * n).reshape(n, n))
+        grown = {}
+        for size, s in stacks.items():
+            for n, blocks in own.items():
+                b = np.stack(blocks)
+                g = s[:, None, :, None, :, None] * f.dim \
+                    + b[None, :, None, :, None, :]
+                grown.setdefault(size * n, []).append(
+                    g.reshape(-1, size * n, size * n))
+        stacks = {size: np.concatenate(gs) for size, gs in grown.items()}
+    return tuple(stacks.values())
+
+
+def _blockwise_norm(x, gathers) -> float:
+    """Largest 2-norm over the blocks named by ``_block_gathers``; NaN
+    propagates instead of losing a max comparison."""
+    return float(np.max([
+        np.abs(x[g]).max() if g.shape[-1] == 1
+        else np.linalg.norm(x[g], 2, axis=(-2, -1)).max()
+        for g in gathers]))
 
 
 def tensor(*algebras) -> TensorAlgebra:
@@ -570,7 +621,8 @@ def nullspace(matrix, tol=None):
     """Orthonormal basis (rows) of the kernel of a matrix."""
     tol = as_tolerance(tol)
     m = np.asarray(matrix, dtype=complex)
-    u, s, vh = np.linalg.svd(m, full_matrices=True)
+    # a tall or square matrix already yields the full vh in reduced form
+    _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
     cut = tol.eps * max(1.0, s[0] if s.size else 1.0)
     rank = int(np.sum(s > cut))
     # rows of vh are bra-vectors; the kernel is spanned by their conjugates

@@ -36,6 +36,15 @@ class SchemaError(ValueError):
     pass
 
 
+def _index(value, bound: int, what: str) -> int:
+    """A file index checked against range(bound); a negative one would
+    otherwise wrap around silently."""
+    i = int(value)
+    if not 0 <= i < bound:
+        raise SchemaError(f"{what} index {i} outside 0..{bound - 1}")
+    return i
+
+
 def _entries(matrix, row_major_pairs=False):
     out = []
     m = np.asarray(matrix)
@@ -78,13 +87,15 @@ def hopf_from_dict(data: dict, tol=None, verify: bool = True) -> HopfData:
         d = A.dim
         delta = np.zeros((d * d, d), dtype=complex)
         for k, i, j, re, im in data["delta"]:
-            delta[int(i) * d + int(j), int(k)] += complex(re, im)
+            delta[_index(i, d, "delta") * d + _index(j, d, "delta"),
+                  _index(k, d, "delta")] += complex(re, im)
         counit = np.zeros(d, dtype=complex)
         for k, re, im in data["counit"]:
-            counit[int(k)] += complex(re, im)
+            counit[_index(k, d, "counit")] += complex(re, im)
         antipode = np.zeros((d, d), dtype=complex)
         for i, k, re, im in data["antipode"]:
-            antipode[int(i), int(k)] += complex(re, im)
+            antipode[_index(i, d, "antipode"),
+                     _index(k, d, "antipode")] += complex(re, im)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed hopf data: {exc}") from exc
     H = HopfData(A, LinMap(A, tensor(A, A), delta), counit,
@@ -126,7 +137,8 @@ def subgroup_from_dict(data: dict, dim: int):
         rows = max(int(b) for b, *_ in data[kind]) + 1
         m = np.zeros((rows, dim), dtype=complex)
         for b, k, re, im in data[kind]:
-            m[int(b), int(k)] += complex(re, im)
+            m[_index(b, rows, "row"), _index(k, dim, "column")] \
+                += complex(re, im)
     except (TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed subgroup data: {exc}") from exc
     return kind, m
@@ -157,8 +169,10 @@ def magic_from_dict(data: dict, H: HopfData) -> MagicAction:
         mats = [[np.zeros(H.dim, dtype=complex) for _ in range(n)]
                 for _ in range(n)]
         for i, j, coeffs in data["u"]:
+            row, col = _index(i, n, "point"), _index(j, n, "point")
             for k, re, im in coeffs:
-                mats[int(i)][int(j)][int(k)] += complex(re, im)
+                mats[row][col][_index(k, H.dim, "coefficient")] \
+                    += complex(re, im)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed magic data: {exc}") from exc
     u = [[AlgElement(H.algebra, mats[i][j]) for j in range(n)]

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, LinMap,
-                   DEFAULT_SEED, as_tolerance, nullspace,
+                   DEFAULT_SEED, Tolerance, as_tolerance, nullspace,
                    distance_to_span, tensor)
 from .duality import DiscreteQG, mult_unitary
 from .hopf import HopfData, verify_hopf
@@ -491,12 +491,12 @@ class CentralSupportReport:
     class_sum_residual: float
     orthogonality_residual: float
     supports_match_relation: bool
+    tol: Tolerance
 
     @property
     def passed(self) -> bool:
-        tol = as_tolerance(None)
-        return (tol.is_zero(self.class_sum_residual)
-                and tol.is_zero(self.orthogonality_residual)
+        return (self.tol.is_zero(self.class_sum_residual)
+                and self.tol.is_zero(self.orthogonality_residual)
                 and self.supports_match_relation)
 
 
@@ -537,7 +537,8 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
                 worst_orth = max(worst_orth, (zs[i] * zs[j]).norm())
             if (supports[i] == supports[j]) != bool(same or i == j):
                 match = False
-    return CentralSupportReport(supports, zs, worst_sum, worst_orth, match)
+    return CentralSupportReport(supports, zs, worst_sum, worst_orth, match,
+                                tol)
 
 
 def ergodicity(alpha: ActionMap, tol=None):

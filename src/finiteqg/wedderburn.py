@@ -23,7 +23,7 @@ from math import isqrt
 import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, LinMap, Tolerance,
-                   DEFAULT_SEED, as_tolerance, orthonormal_rows)
+                   DEFAULT_SEED, as_tolerance, nullspace, orthonormal_rows)
 
 # relative eigenvalue gap used to form spectral clusters
 CLUSTER_GAP = 1e-6
@@ -170,17 +170,12 @@ class _MatrixSpan:
 
     def center_basis(self):
         """Orthonormal coefficient rows of {z in span : [z, span] = 0}."""
-        s = self.dim
         rows = []
         for b in self.basis:
             block = np.stack([(bi @ b - b @ bi).reshape(-1)
                               for bi in self.basis], axis=1)
             rows.append(block)
-        m = np.vstack(rows)
-        u, sv, vh = np.linalg.svd(m)
-        cut = self.tol.eps * max(1.0, sv[0] if sv.size else 1.0)
-        rank = int(np.sum(sv > cut))
-        return vh[rank:].conj()
+        return nullspace(np.vstack(rows), self.tol)
 
     def random_selfadjoint(self, rng):
         c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)

@@ -104,3 +104,13 @@ def test_non_magic_rejected(kp8_block):
     u = [[A.random_element(rng) for _ in range(2)] for _ in range(2)]
     M = MagicAction(kp8_block, 2, u)
     assert not verify_magic(M).passed
+
+
+def test_magic_report_uses_callers_tolerance(z3_magic):
+    u = [row[:] for row in z3_magic.u]
+    u[0][0] = u[0][0] + z3_magic.hopf.algebra.element(1e-7 * np.eye(3)[1])
+    M = MagicAction(z3_magic.hopf, 3, u)
+    assert not verify_magic(M).passed
+    rep = verify_magic(M, 1e-5)
+    assert rep.passed and rep.failures() == []
+    rep.raise_for_failure()

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from finiteqg import groups
 from finiteqg.clifford import (NormalityError, kac_constancy_check,
                                normality_defect, quotient_subgroup,
                                restriction_table, vergnioux_relation)
-from finiteqg.core import distance_to_span, orthonormal_rows
+from finiteqg.core import Tolerance, distance_to_span, orthonormal_rows
 from finiteqg.duality import block_presentation, dualize, mult_unitary
 from finiteqg.hopf import group_algebra
 from finiteqg.orbits import (full_subgroup, homogeneous_action,
@@ -115,6 +117,18 @@ def test_constancy_s3_a3(dual_cs3, a3_space, a3_partition):
     pair_ci = next(ci for ci, c in enumerate(a3_partition.classes)
                    if len(c) == 2)
     assert abs(rep.constants[(2, pair_ci)] - 1.0) < 1e-12
+
+
+def test_constancy_decision_uses_callers_tolerance(dual_cs3, a3_space,
+                                                   a3_partition):
+    T = restriction_table(dual_cs3, a3_space, a3_partition)
+    loose = kac_constancy_check(dual_cs3, a3_space, T, a3_partition,
+                                Tolerance(1e-6))
+    assert loose.tol == Tolerance(1e-6)
+    # a Markov residual of 1e-7 passes at 1e-6, not at the default 1e-9
+    assert replace(loose, markov_residual=1e-7).passed
+    default = kac_constancy_check(dual_cs3, a3_space, T, a3_partition)
+    assert not replace(default, markov_residual=1e-7).passed
 
 
 def test_constancy_all_shipped_instances(dual_cs3, a3_morphism, dual_kp8,

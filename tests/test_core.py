@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finiteqg.core import (BlockAlgebra, LinMap, Tolerance, is_zero, kron,
-                           mul, tensor)
+                           mul, nullspace, tensor)
 from finiteqg.hopf import group_algebra
 from finiteqg import groups
 
@@ -166,3 +166,80 @@ def test_verified_axiom_residual_element_is_zero():
     residual = acc - complex(H.counit @ x.coeffs) * H.algebra.one()
     assert is_zero(residual, Tolerance(1e-9), scale=x.norm())
     assert not is_zero(acc + H.algebra.one(), Tolerance(1e-9))
+
+
+def _kron_rep(T, x):
+    """Reference representation of a tensor element: the sum over basis
+    tuples of the Kronecker products of the factors' matrices."""
+    out = 0.0
+    for idx in np.ndindex(*T.factor_dims):
+        mat = np.ones((1, 1))
+        for f, p in zip(T.factors, idx):
+            mat = np.kron(mat, f.rep_tensor[p])
+        out = out + x[np.ravel_multi_index(idx, T.factor_dims)] * mat
+    return out
+
+
+@pytest.mark.parametrize("dims", [
+    [[1, 2, 3], [2, 1]],
+    [[3, 1], [1, 2], [2, 1]],
+])
+def test_blockwise_tensor_norm_matches_dense_rep(dims):
+    T = tensor(*[BlockAlgebra(d) for d in dims])
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        x = T.random_element(rng).coeffs
+        want = np.linalg.norm(_kron_rep(T, x), 2)
+        assert np.allclose(T.rep_coeffs(x), _kron_rep(T, x), atol=1e-13)
+        assert abs(T.norm_coeffs(x) - want) <= 1e-12 * want
+        assert abs(T.norm_coeffs(x) - np.linalg.norm(T.rep_coeffs(x), 2)) \
+            <= 1e-12 * want
+
+
+def test_zero_vector_has_norm_zero_on_every_algebra_kind():
+    G = group_algebra(groups.symmetric(3)).algebra
+    B = BlockAlgebra([1, 2])
+    for alg in (G, B, tensor(B, B), tensor(G, G), tensor(B, G)):
+        assert alg.norm_coeffs(np.zeros(alg.dim, dtype=complex)) == 0.0
+
+
+def test_blockwise_norm_propagates_nan():
+    C = BlockAlgebra([1, 1, 1])
+    x = np.array([1.0, np.nan, 0.0])
+    assert np.isnan(C.norm_coeffs(x))
+    assert np.isnan(tensor(C, C).norm_coeffs(np.kron(x, x)))
+
+
+def test_legwise_product_matches_einsum_block_times_generic():
+    B = BlockAlgebra([1, 2])
+    G = group_algebra(groups.cyclic(3)).algebra
+    T = tensor(B, G)
+    rng = np.random.default_rng(13)
+    x, y = (T.random_element(rng).coeffs for _ in range(2))
+    want = np.einsum("ab,cd,eac,fbd->ef", x.reshape(T.factor_dims),
+                     y.reshape(T.factor_dims), B.mul_tensor, G.mul_tensor)
+    assert np.allclose(T.mul_coeffs(x, y), want.reshape(-1), atol=1e-13)
+
+
+def test_legwise_product_matches_einsum_three_legs():
+    A, C = BlockAlgebra([2]), BlockAlgebra([1, 1])
+    G = group_algebra(groups.cyclic(2)).algebra
+    T = tensor(A, G, C)
+    rng = np.random.default_rng(14)
+    x, y = (T.random_element(rng).coeffs for _ in range(2))
+    want = np.einsum("abc,def,gad,hbe,icf->ghi", x.reshape(T.factor_dims),
+                     y.reshape(T.factor_dims),
+                     A.mul_tensor, G.mul_tensor, C.mul_tensor)
+    assert np.allclose(T.mul_coeffs(x, y), want.reshape(-1), atol=1e-13)
+
+
+@pytest.mark.parametrize("shape, rank", [((3, 5), 3), ((2, 6), 1),
+                                         ((6, 4), 2), ((4, 4), 4)])
+def test_nullspace_of_wide_and_tall_matrices(shape, rank):
+    rng = np.random.default_rng(15)
+    m = (rng.standard_normal((shape[0], rank))
+         @ rng.standard_normal((rank, shape[1]))).astype(complex)
+    k = nullspace(m)
+    assert k.shape == (shape[1] - rank, shape[1])
+    assert np.allclose(k @ k.conj().T, np.eye(k.shape[0]), atol=1e-12)
+    assert np.abs(m @ k.T).max(initial=0.0) <= 1e-12 * np.linalg.norm(m, 2)

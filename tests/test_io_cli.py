@@ -156,3 +156,63 @@ def test_cli_tolerance_flag(capsys):
     # an absurdly tight tolerance makes honest rounding fail
     rc = cli.main(["haar", "kp8.json", "--tol", "1e-17"])
     assert rc == 1
+
+
+def _perturbed_z3_cycle(tmp_path, data_dir):
+    data = json.loads((data_dir / "z3_cycle.json").read_text())
+    data["u"][0][2][0][1] += 1e-7
+    p = tmp_path / "z3_cycle_perturbed.json"
+    p.write_text(json.dumps(data))
+    return p
+
+
+def test_cli_classical_orbits_honours_tolerance(tmp_path, data_dir, capsys):
+    magic = str(_perturbed_z3_cycle(tmp_path, data_dir))
+    assert cli.main(["classical-orbits", "z3_function_algebra.json",
+                     magic]) == 1
+    assert cli.main(["classical-orbits", "z3_function_algebra.json",
+                     magic, "--tol", "1e-5"]) == 0
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("entry", [[-1, 0, 1.0, 0.0], [0, -6, 1.0, 0.0],
+                                   [0, 6, 1.0, 0.0]])
+def test_subgroup_index_out_of_range(tmp_path, capsys, entry):
+    p = tmp_path / "sub.json"
+    p.write_text(json.dumps({"pi": [[0, 0, 1.0, 0.0], entry]}))
+    with pytest.raises(SchemaError):
+        load_subgroup(p, 6)
+    assert cli.main(["orbits", "s3_function_algebra.json", str(p)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("entry", [[-1, 0, [[0, 1.0, 0.0]]],
+                                   [0, 3, [[0, 1.0, 0.0]]],
+                                   [0, 0, [[-3, 1.0, 0.0]]],
+                                   [0, 0, [[3, 1.0, 0.0]]]])
+def test_magic_index_out_of_range(tmp_path, data_dir, capsys, entry):
+    data = json.loads((data_dir / "z3_cycle.json").read_text())
+    data["u"].append(entry)
+    p = tmp_path / "magic.json"
+    p.write_text(json.dumps(data))
+    H = function_algebra(groups.cyclic(3))
+    with pytest.raises(SchemaError):
+        load_magic(p, H)
+    assert cli.main(["classical-orbits", "z3_function_algebra.json",
+                     str(p)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("key, entry", [("delta", [0, 0, 2, 1.0, 0.0]),
+                                        ("delta", [0, -1, 0, 1.0, 0.0]),
+                                        ("counit", [-2, 1.0, 0.0]),
+                                        ("antipode", [0, 2, 1.0, 0.0])])
+def test_hopf_index_out_of_range(tmp_path, capsys, key, entry):
+    data = hopf_to_dict(function_algebra(groups.cyclic(2)))
+    data[key].append(entry)
+    p = tmp_path / "hopf.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(SchemaError):
+        load_hopf(p)
+    assert cli.main(["verify", str(p)]) == 2
+    capsys.readouterr()

@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from finiteqg import groups
 from finiteqg.classical import action_from_magic, permutation_magic
-from finiteqg.core import BlockAlgebra, LinMap, tensor
+from finiteqg.core import BlockAlgebra, LinMap, Tolerance, tensor
 from finiteqg.core import distance_to_span, orthonormal_rows
 from finiteqg.duality import mult_unitary
 from finiteqg.hopf import function_algebra
@@ -93,6 +95,19 @@ def test_a3_central_supports(dual_cs3, a3_space, a3_partition):
         + a3_space.block_unit_in_dual(pair[1])
     for i in pair:
         assert (rep.central_supports[i] - s).norm() <= 1e-9
+
+
+def test_central_support_decision_uses_callers_tolerance(
+        dual_cs3, a3_space, a3_partition):
+    loose = central_supports(dual_cs3, a3_space, a3_partition,
+                             Tolerance(1e-6))
+    assert loose.tol == Tolerance(1e-6)
+    # residuals of 1e-7 pass at 1e-6, not at the default 1e-9
+    for field in ("class_sum_residual", "orthogonality_residual"):
+        assert replace(loose, **{field: 1e-7}).passed
+    default = central_supports(dual_cs3, a3_space, a3_partition)
+    for field in ("class_sum_residual", "orthogonality_residual"):
+        assert not replace(default, **{field: 1e-7}).passed
 
 
 def test_flip_grouped_relation_not_transitive():
