@@ -19,7 +19,7 @@ import numpy as np
 from . import classical, clifford, io, orbits
 from .core import DEFAULT_SEED, Tolerance
 from .duality import dualize, mult_unitary
-from .haar import HaarError, haar_state
+from .haar import GRAM_MIN_EIG, HaarError, haar_state
 from .hopf import HopfAxiomError, verify_hopf
 from .wedderburn import WedderburnError
 
@@ -117,7 +117,7 @@ def cmd_haar(args, run: Run, tol):
     h = haar_state(H, tol)
     run.check("haar_system_residual", h.residual)
     run.check("gram_positive", 0.0,
-              passed=h.min_gram_eigenvalue() > 1e-12)
+              passed=h.min_gram_eigenvalue() > GRAM_MIN_EIG)
     run.result("haar_vector", _complex_list(h.vector))
     run.result("gram_min_eigenvalue", h.min_gram_eigenvalue())
 
@@ -253,8 +253,10 @@ def main(argv=None) -> int:
             orbits.MorphismError, clifford.NormalityError,
             ValueError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
-        run.emit(args.json_path)
-        return 1
+        # the aborted command is a failed check of its own, so the report
+        # and the exit code agree
+        run.flag(type(exc).__name__, False)
+        return run.emit(args.json_path)
     return run.emit(args.json_path)
 
 

@@ -13,16 +13,24 @@ Everything downstream works with three kinds of algebras:
   product of linear maps is literally ``np.kron``.
 
 Elements are immutable coefficient vectors over the algebra's basis.
-Operator norms are exact C*-norms of a faithful representation.  For a
-block algebra, and for a tensor product whose factors are all block
-algebras, the norm is the largest 2-norm over the (Kronecker) blocks,
-taken stack by stack per block size, so no large matrix is ever built;
-with only 1 x 1 blocks it is max |x|.  Any other algebra uses its dense
-representation (the left regular one for structure-constant algebras,
-Kronecker products of the factors' for tensor products), and there an
-all-zero coefficient vector has norm 0.0 without building the matrix.
-Products and representations of tensor products are contracted one leg
-at a time, never forming x (x) y.  Zero tests are relative:
+The coefficient kernels ``mul_coeffs``, ``star_coeffs``, ``rep_coeffs``
+and ``norm_coeffs`` also take stacks: inputs of shape ``(..., dim)``
+broadcast against each other, and ``norm_coeffs`` of a stack is the
+largest norm over its rows, so an axiom check over many basis pairs is
+one call per stack.  Operator norms are exact C*-norms of a faithful
+representation.  A block algebra, and a tensor product whose factors are
+all block algebras, cuts its coefficients into (Kronecker) blocks through
+one set of index stacks (``_block_gathers``), grouped by block size N.
+Products and norms share that path: the product is a stacked N x N
+matrix product per size (elementwise when N = 1), the norm is the largest
+2-norm over the blocks (max |x| when N = 1), so no large matrix is ever
+built.  Any other algebra multiplies through its structure constants,
+contracting a tensor product one leg at a time and never forming
+x (x) y, and takes norms in its dense representation (the left regular
+one for structure-constant algebras, Kronecker products of the factors'
+for tensor products).  Every norm skips all-zero rows without building a
+matrix.  A NaN coefficient never yields a finite norm: it gives NaN in a
+1 x 1 block and a ``LinAlgError`` from any SVD.  Zero tests are relative:
 ``norm <= eps * (1 + scale)``.
 """
 from __future__ import annotations
@@ -34,6 +42,9 @@ import numpy as np
 DEFAULT_EPS = 1e-9
 # 0xC11FF04D; fits in 32 bits so it seeds every numpy generator.
 DEFAULT_SEED = 0xC11FF04D
+# dense norms of a stack build at most this many representation entries
+# at a time (16 MB), whatever the stack's length
+_DENSE_STACK_ENTRIES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -98,20 +109,26 @@ class Algebra:
                 self.mul_tensor.transpose(1, 0, 2))
         return self._rep_tensor
 
-    # -- coefficient-level operations --------------------------------------
+    def _block_stacks(self):
+        """Index stacks of the block path; empty for a generic algebra."""
+        return ()
+
+    # -- coefficient-level operations (stacks broadcast over ...) ---------
     def mul_coeffs(self, x, y):
-        return np.einsum("kpq,p,q->k", self.mul_tensor, x, y)
+        # x y = lambda(x) y in the left regular representation
+        return (self.rep_coeffs(x) @ np.asarray(y)[..., None])[..., 0]
 
     def star_coeffs(self, x):
-        return self.star_matrix @ np.conj(x)
+        return np.conj(x) @ self.star_matrix.T
 
     def rep_coeffs(self, x):
-        return np.einsum("kab,k->ab", self.rep_tensor, x)
+        x = np.asarray(x)
+        r = self.rep_dim
+        return (x @ self.rep_tensor.reshape(self.dim, r * r)).reshape(
+            x.shape[:-1] + (r, r))
 
     def norm_coeffs(self, x) -> float:
-        if not np.any(x):
-            return 0.0
-        return float(np.linalg.norm(self.rep_coeffs(x), 2))
+        return _max_norm(self, x)
 
     # -- element constructors ----------------------------------------------
     def element(self, coeffs) -> "AlgElement":
@@ -140,13 +157,10 @@ class Algebra:
         return 0.5 * (x + x.star())
 
     def is_commutative(self, tol=None) -> bool:
-        tol = as_tolerance(tol)
-        worst = 0.0
-        for p in range(self.dim):
-            for q in range(p + 1, self.dim):
-                d = self.mul_tensor[:, p, q] - self.mul_tensor[:, q, p]
-                worst = max(worst, self.norm_coeffs(d))
-        return tol.is_zero(worst)
+        m = self.mul_tensor
+        # row p * dim + q holds e_p e_q - e_q e_p
+        commutators = (m - m.transpose(0, 2, 1)).reshape(self.dim, -1).T
+        return as_tolerance(tol).is_zero(self.norm_coeffs(commutators))
 
     def __eq__(self, other):
         return self is other
@@ -191,6 +205,11 @@ class BlockAlgebra(Algebra):
         self._mul_tensor = None
         self._rep_tensor = None
         self._gathers = None
+
+    def _block_stacks(self):
+        if self._gathers is None:
+            self._gathers = _block_gathers((self,))
+        return self._gathers
 
     # structure tensor is only materialized when a generic consumer asks
     @property
@@ -247,19 +266,13 @@ class BlockAlgebra(Algebra):
         return self.basis_element(self.index(block, row, col))
 
     def mul_coeffs(self, x, y):
-        out = np.empty(self.dim, dtype=complex)
-        for k, n in enumerate(self.block_dims):
-            o = int(self.offsets[k])
-            xb = x[o:o + n * n].reshape(n, n)
-            yb = y[o:o + n * n].reshape(n, n)
-            out[o:o + n * n] = (xb @ yb).reshape(-1)
-        return out
+        return _blockwise_mul(x, y, self._block_stacks())
 
     def star_coeffs(self, x):
-        out = np.empty(self.dim, dtype=complex)
-        for k, n in enumerate(self.block_dims):
-            o = int(self.offsets[k])
-            out[o:o + n * n] = x[o:o + n * n].reshape(n, n).conj().T.reshape(-1)
+        x = np.asarray(x)
+        out = np.empty(x.shape, dtype=complex)
+        for g in self._block_stacks():
+            out[..., g] = np.conj(x.take(g.swapaxes(-1, -2), axis=-1))
         return out
 
     @property
@@ -281,9 +294,7 @@ class BlockAlgebra(Algebra):
         return self._rep_tensor
 
     def norm_coeffs(self, x) -> float:
-        if self._gathers is None:
-            self._gathers = _block_gathers((self,))
-        return _blockwise_norm(x, self._gathers)
+        return _max_norm(self, x)
 
     def __repr__(self):
         label = self.name or "BlockAlgebra"
@@ -356,47 +367,57 @@ class TensorAlgebra(Algebra):
             dims = [d * n for d in dims for n in f.block_dims]
         return tuple(dims)
 
+    def _block_stacks(self):
+        if self._gathers is None:
+            self._gathers = (
+                _block_gathers(self.factors)
+                if all(isinstance(f, BlockAlgebra) for f in self.factors)
+                else ())
+        return self._gathers
+
     def mul_coeffs(self, x, y):
-        # leg by leg, so x (x) y is never formed: after leg l the axes of
-        # z are (p_{l+1}, ..., r_0, ..., r_l, q_{l+1}, ...), and leg l+1
-        # contracts p_{l+1}, q_{l+1} against its factor's m[r, p, q]
-        m = len(self.factors)
-        z = np.tensordot(x.reshape(self.factor_dims),
-                         self.factors[0].mul_tensor, ([0], [1]))
-        z = np.tensordot(z, y.reshape(self.factor_dims), ([m], [0]))
+        gathers = self._block_stacks()
+        if gathers:
+            return _blockwise_mul(x, y, gathers)
+        x, y = np.broadcast_arrays(np.asarray(x), np.asarray(y))
+        lead, dims, m = x.shape[:-1], self.factor_dims, len(self.factors)
+        # leg by leg with a leading batch axis b, so x (x) y is never
+        # formed: after leg l the axes of z are (b, p_{l+1}, ..., r_0, ...,
+        # r_l, q_{l+1}, ...), and leg l+1 contracts p_{l+1}, q_{l+1}
+        # against its factor's m[r, p, q]
+        xs = x.reshape(-1, dims[0], self.dim // dims[0])
+        ys = y.reshape(xs.shape)
+        n, rest = xs.shape[0], xs.shape[2]
+        z = np.tensordot(xs, self.factors[0].mul_tensor, ([1], [1]))
+        z = np.matmul(z.reshape(n, rest * dims[0], dims[0]), ys)
+        z = z.reshape((n,) + dims[1:] + (dims[0],) + dims[1:])
         for f in self.factors[1:]:
-            z = np.tensordot(z, f.mul_tensor, ([0, m], [1, 2]))
-            z = np.moveaxis(z, -1, m - 1)
-        return z.reshape(-1)
+            z = np.tensordot(z, f.mul_tensor, ([1, m + 1], [1, 2]))
+            z = np.moveaxis(z, -1, m)
+        return z.reshape(lead + (self.dim,))
 
     def star_coeffs(self, x):
-        return self.star_matrix @ np.conj(x)
+        return np.conj(x) @ self.star_matrix.T
 
     @property
     def rep_dim(self) -> int:
         return int(np.prod([f.rep_dim for f in self.factors]))
 
     def rep_coeffs(self, x):
-        # leg by leg; the axes end as (a_0, b_0, ..., a_{m-1}, b_{m-1})
-        z = x.reshape(self.factor_dims)
+        # leg by leg after a batch axis; the axes end as
+        # (b, a_0, b_0, ..., a_{m-1}, b_{m-1})
+        x = np.asarray(x)
+        z = x.reshape((-1,) + self.factor_dims)
         for f in self.factors:
-            z = np.tensordot(z, f.rep_tensor, ([0], [0]))
+            z = np.tensordot(z, f.rep_tensor, ([1], [0]))
         m = len(self.factors)
-        z = z.transpose(list(range(0, 2 * m, 2)) + list(range(1, 2 * m, 2)))
+        z = z.transpose([0] + list(range(1, 2 * m + 1, 2))
+                        + list(range(2, 2 * m + 1, 2)))
         r = self.rep_dim
-        return z.reshape(r, r)
+        return z.reshape(x.shape[:-1] + (r, r))
 
     def norm_coeffs(self, x) -> float:
-        if self._gathers is None:
-            self._gathers = (
-                _block_gathers(self.factors)
-                if all(isinstance(f, BlockAlgebra) for f in self.factors)
-                else ())
-        if self._gathers:
-            return _blockwise_norm(x, self._gathers)
-        if not np.any(x):
-            return 0.0
-        return float(np.linalg.norm(self.rep_coeffs(x), 2))
+        return _max_norm(self, x)
 
     # -- leg manipulation ---------------------------------------------------
     def kron_coeffs(self, *vecs):
@@ -458,13 +479,45 @@ def _block_gathers(factors):
     return tuple(stacks.values())
 
 
-def _blockwise_norm(x, gathers) -> float:
-    """Largest 2-norm over the blocks named by ``_block_gathers``; NaN
+def _blockwise_mul(x, y, gathers):
+    """Products of coefficient stacks, block by block: ``out[..., g] =
+    x[..., g] @ y[..., g]`` for each index stack g of ``_block_gathers``,
+    elementwise when N = 1."""
+    x, y = np.asarray(x), np.asarray(y)
+    shape = (x.shape if x.shape == y.shape
+             else np.broadcast_shapes(x.shape, y.shape))
+    out = np.empty(shape, dtype=complex)
+    for g in gathers:
+        xg, yg = x.take(g, axis=-1), y.take(g, axis=-1)
+        out[..., g] = xg * yg if g.shape[-1] == 1 else xg @ yg
+    return out
+
+
+def _max_norm(alg, x) -> float:
+    """Largest operator norm over the rows of a coefficient stack.
+
+    All-zero rows are dropped first.  On the block path it is the largest
+    2-norm over the blocks named by ``_block_gathers``; otherwise the rows'
+    dense representations, a bounded number of entries at a time.  NaN
     propagates instead of losing a max comparison."""
-    return float(np.max([
-        np.abs(x[g]).max() if g.shape[-1] == 1
-        else np.linalg.norm(x[g], 2, axis=(-2, -1)).max()
-        for g in gathers]))
+    x = np.asarray(x)
+    rows = x.reshape(-1, x.shape[-1])
+    if len(rows) > 1:
+        rows = rows[rows.any(axis=1)]
+    if not rows.any():
+        return 0.0
+    gathers = alg._block_stacks()
+    if gathers:
+        norms = [np.abs(rows.take(g, axis=-1)).max() if g.shape[-1] == 1
+                 else np.linalg.norm(rows.take(g, axis=-1), 2,
+                                     axis=(-2, -1)).max()
+                 for g in gathers]
+    else:
+        step = max(1, _DENSE_STACK_ENTRIES // alg.rep_dim ** 2)
+        norms = [np.linalg.norm(alg.rep_coeffs(rows[i:i + step]), 2,
+                                axis=(-2, -1)).max()
+                 for i in range(0, len(rows), step)]
+    return float(np.max(norms))
 
 
 def tensor(*algebras) -> TensorAlgebra:
@@ -603,6 +656,20 @@ class LinMap:
 
 
 # -- shared numerical helpers ------------------------------------------------
+
+def multiplicative_residual(domain: Algebra, codomain: Algebra,
+                            matrix) -> float:
+    """Largest norm of f(e_p e_q) - f(e_p) f(e_q) over all basis pairs of
+    the domain, for the linear map f with the given matrix.  One stacked
+    call per p covers the pairs (p, q); rows of d = dim(domain) pairs keep
+    a generic tensor-square codomain's intermediates at d^4 entries."""
+    cols = np.asarray(matrix).T
+    eye = np.eye(domain.dim)
+    return float(np.max([
+        codomain.norm_coeffs(domain.mul_coeffs(eye[p], eye) @ cols
+                             - codomain.mul_coeffs(cols[p], cols))
+        for p in range(domain.dim)]))
+
 
 def orthonormal_rows(vectors, tol=None):
     """Orthonormal basis (rows) of the span of the given row vectors."""

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, LinMap, Tolerance,
-                   as_tolerance, tensor)
+                   as_tolerance, multiplicative_residual, tensor)
 from .groups import FiniteGroup
 
 
@@ -131,7 +131,9 @@ def verify_hopf(H: HopfData, tol=None) -> AxiomReport:
     """Check all Hopf *-algebra axioms numerically and report residuals.
 
     Map identities are compared in operator norm on coefficient space;
-    the homomorphism property of delta is checked on all basis pairs.
+    the homomorphism property of delta is checked on all basis pairs, one
+    stack of pairs per kernel call.  Composites with delta contract
+    ``DM.reshape(d, d, d)`` leg-wise instead of building ``np.kron``.
     """
     tol = as_tolerance(tol)
     A, T2 = H.algebra, H.square
@@ -145,13 +147,12 @@ def verify_hopf(H: HopfData, tol=None) -> AxiomReport:
     res["star_involutive"] = _op(
         A.star_matrix @ np.conj(A.star_matrix) - eye)
     sca["star_involutive"] = _op(A.star_matrix) ** 2
-    worst = 0.0
-    for p in range(d):
-        for q in range(d):
-            lhs = A.star_coeffs(A.mul_coeffs(eye[p], eye[q]))
-            rhs = A.mul_coeffs(A.star_matrix[:, q], A.star_matrix[:, p])
-            worst = max(worst, A.norm_coeffs(lhs - rhs))
-    res["star_antimultiplicative"] = worst
+    # row p * d + q of the stacks: (e_p e_q)* - e_q* e_p*
+    stars = A.star_matrix.T
+    lhs = A.star_coeffs(A.mul_coeffs(np.repeat(eye, d, 0),
+                                     np.tile(eye, (d, 1))))
+    rhs = A.mul_coeffs(np.tile(stars, (d, 1)), np.repeat(stars, d, 0))
+    res["star_antimultiplicative"] = A.norm_coeffs(lhs - rhs)
     sca["star_antimultiplicative"] = 1.0
 
     one2 = T2.kron_coeffs(A.unit_coeffs, A.unit_coeffs)
@@ -162,30 +163,30 @@ def verify_hopf(H: HopfData, tol=None) -> AxiomReport:
     res["delta_star"] = _op(DM @ A.star_matrix - T2.star_matrix @ np.conj(DM))
     sca["delta_star"] = _op(DM)
 
-    worst = 0.0
-    cols = [DM[:, k] for k in range(d)]
-    for p in range(d):
-        for q in range(d):
-            lhs = DM @ A.mul_coeffs(eye[p], eye[q])
-            rhs = T2.mul_coeffs(cols[p], cols[q])
-            worst = max(worst, T2.norm_coeffs(lhs - rhs))
-    res["delta_multiplicative"] = worst
+    res["delta_multiplicative"] = multiplicative_residual(A, T2, DM)
     sca["delta_multiplicative"] = _op(DM) ** 2
 
-    left = np.kron(DM, eye) @ DM   # (delta x id) delta
-    right = np.kron(eye, DM) @ DM  # (id x delta) delta
+    # D3[i, j, k] is the coefficient of e_i x e_j in delta(e_k); a map
+    # applied to its first leg acts on ``first``, one applied to its second
+    # leg broadcasts over i.  Composite legs: (delta x id) delta is
+    # (a, b, j; k), (id x delta) delta is (i, a, b; k).
+    D3 = DM.reshape(d, d, d)
+    first = DM.reshape(d, d * d)
+    left = (DM @ first).reshape(d ** 3, d)
+    right = (DM @ D3).reshape(d ** 3, d)
     res["coassociativity"] = _op(left - right)
     sca["coassociativity"] = _op(left)
 
-    eps_row = H.counit[None, :]
-    res["counit_left"] = _op(np.kron(eps_row, eye) @ DM - eye)
-    res["counit_right"] = _op(np.kron(eye, eps_row) @ DM - eye)
+    res["counit_left"] = _op((H.counit @ first).reshape(d, d) - eye)
+    res["counit_right"] = _op(H.counit @ D3 - eye)
     sca["counit_left"] = sca["counit_right"] = _op(DM)
 
     mm = H.multiplication_map().matrix
     target = np.outer(A.unit_coeffs, H.counit)
-    res["antipode_left"] = _op(mm @ np.kron(SM, eye) @ DM - target)
-    res["antipode_right"] = _op(mm @ np.kron(eye, SM) @ DM - target)
+    s_left = (SM @ first).reshape(d * d, d)   # (S x id) delta
+    s_right = (SM @ D3).reshape(d * d, d)     # (id x S) delta
+    res["antipode_left"] = _op(mm @ s_left - target)
+    res["antipode_right"] = _op(mm @ s_right - target)
     sca["antipode_left"] = sca["antipode_right"] = _op(mm) * _op(DM)
 
     res["antipode_involutive"] = _op(SM @ SM - eye)

@@ -20,6 +20,7 @@ magic.json: ``{"n": n, "u": [[i, j, [[k, re, im], ...]], ...]}``.
 """
 from __future__ import annotations
 
+import cmath
 import json
 from pathlib import Path
 
@@ -43,6 +44,15 @@ def _index(value, bound: int, what: str) -> int:
     if not 0 <= i < bound:
         raise SchemaError(f"{what} index {i} outside 0..{bound - 1}")
     return i
+
+
+def _value(re, im, what: str) -> complex:
+    """A file coefficient; NaN or infinity would only surface later as a
+    failed numeric check instead of as malformed input."""
+    c = complex(re, im)
+    if not cmath.isfinite(c):
+        raise SchemaError(f"{what} coefficient {c} is not finite")
+    return c
 
 
 def _entries(matrix, row_major_pairs=False):
@@ -88,14 +98,14 @@ def hopf_from_dict(data: dict, tol=None, verify: bool = True) -> HopfData:
         delta = np.zeros((d * d, d), dtype=complex)
         for k, i, j, re, im in data["delta"]:
             delta[_index(i, d, "delta") * d + _index(j, d, "delta"),
-                  _index(k, d, "delta")] += complex(re, im)
+                  _index(k, d, "delta")] += _value(re, im, "delta")
         counit = np.zeros(d, dtype=complex)
         for k, re, im in data["counit"]:
-            counit[_index(k, d, "counit")] += complex(re, im)
+            counit[_index(k, d, "counit")] += _value(re, im, "counit")
         antipode = np.zeros((d, d), dtype=complex)
         for i, k, re, im in data["antipode"]:
             antipode[_index(i, d, "antipode"),
-                     _index(k, d, "antipode")] += complex(re, im)
+                     _index(k, d, "antipode")] += _value(re, im, "antipode")
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed hopf data: {exc}") from exc
     H = HopfData(A, LinMap(A, tensor(A, A), delta), counit,
@@ -138,7 +148,7 @@ def subgroup_from_dict(data: dict, dim: int):
         m = np.zeros((rows, dim), dtype=complex)
         for b, k, re, im in data[kind]:
             m[_index(b, rows, "row"), _index(k, dim, "column")] \
-                += complex(re, im)
+                += _value(re, im, "subgroup")
     except (TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed subgroup data: {exc}") from exc
     return kind, m
@@ -172,7 +182,7 @@ def magic_from_dict(data: dict, H: HopfData) -> MagicAction:
             row, col = _index(i, n, "point"), _index(j, n, "point")
             for k, re, im in coeffs:
                 mats[row][col][_index(k, H.dim, "coefficient")] \
-                    += complex(re, im)
+                    += _value(re, im, "magic")
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed magic data: {exc}") from exc
     u = [[AlgElement(H.algebra, mats[i][j]) for j in range(n)]

@@ -26,7 +26,7 @@ import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, LinMap,
                    DEFAULT_SEED, Tolerance, as_tolerance, nullspace,
-                   distance_to_span, tensor)
+                   distance_to_span, multiplicative_residual, tensor)
 from .duality import DiscreteQG, mult_unitary
 from .hopf import HopfData, verify_hopf
 from .wedderburn import WedderburnData, central_support, decompose
@@ -312,21 +312,18 @@ class ActionMap:
         res = {}
         one_t = T.kron_coeffs(N.unit_coeffs, A.algebra.unit_coeffs)
         res["unital"] = T.norm_coeffs(am @ N.unit_coeffs - one_t)
-        worst = 0.0
-        eye = np.eye(d_n)
-        for p in range(d_n):
-            for q in range(d_n):
-                lhs = am @ N.mul_coeffs(eye[p], eye[q])
-                rhs = T.mul_coeffs(am[:, p], am[:, q])
-                worst = max(worst, T.norm_coeffs(lhs - rhs))
-        res["multiplicative"] = worst
+        res["multiplicative"] = multiplicative_residual(N, T, am)
         res["star"] = float(np.linalg.norm(
             am @ N.star_matrix - T.star_matrix @ np.conj(am), 2))
-        lhs = np.kron(am, np.eye(d_a)) @ am
-        rhs = np.kron(np.eye(d_n), A.delta.matrix) @ am
+        # A3[i, g, k] is the coefficient of e_i x a_g in alpha(e_k):
+        # (alpha x id) alpha acts on its first leg, (id x delta) alpha
+        # broadcasts over i
+        A3 = am.reshape(d_n, d_a, d_n)
+        lhs = (am @ am.reshape(d_n, d_a * d_n)).reshape(-1, d_n)
+        rhs = (A.delta.matrix @ A3).reshape(-1, d_n)
         res["coaction"] = float(np.linalg.norm(lhs - rhs, 2))
-        res["counit"] = float(np.linalg.norm(
-            np.kron(np.eye(d_n), A.counit[None, :]) @ am - np.eye(d_n), 2))
+        eye = np.eye(d_n)
+        res["counit"] = float(np.linalg.norm(A.counit @ A3 - eye, 2))
         s = np.linalg.svd(am, compute_uv=False)
         res["injectivity_defect"] = float(
             d_n - np.sum(s > tol.eps * max(1.0, s[0])))

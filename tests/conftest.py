@@ -53,18 +53,11 @@ def dual_kp8(kp8_block):
     return dualize(kp8_block)
 
 
-def sign_vector(s3):
-    out = np.ones(s3.order)
-    for idx, p in enumerate(s3.elements):
-        inv = sum(1 for a in range(3) for b in range(a + 1, 3) if p[a] > p[b])
-        if inv % 2:
-            out[idx] = -1.0
-    return out
-
-
 @pytest.fixture(scope="session")
 def a3_morphism(dual_cs3, s3):
-    rows = np.stack([np.ones(6), sign_vector(s3)])
+    sign = -np.ones(s3.order)
+    sign[groups.alternating_indices(s3)] = 1.0
+    rows = np.stack([np.ones(6), sign])
     return subgroup_from_dual_matrix(dual_cs3, rows)
 
 

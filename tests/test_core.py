@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finiteqg import core
 from finiteqg.core import (BlockAlgebra, LinMap, Tolerance, is_zero, kron,
                            mul, nullspace, tensor)
 from finiteqg.hopf import group_algebra
@@ -243,3 +244,87 @@ def test_nullspace_of_wide_and_tall_matrices(shape, rank):
     assert k.shape == (shape[1] - rank, shape[1])
     assert np.allclose(k @ k.conj().T, np.eye(k.shape[0]), atol=1e-12)
     assert np.abs(m @ k.T).max(initial=0.0) <= 1e-12 * np.linalg.norm(m, 2)
+
+
+def _structure_tensor(alg):
+    """Reference structure tensor; for a tensor product, the Kronecker
+    combination of the factors' tensors."""
+    if not hasattr(alg, "factors"):
+        return alg.mul_tensor
+    m = np.ones((1, 1, 1))
+    for f in alg.factors:
+        m = np.einsum("kpq,lrs->klprqs", m, f.mul_tensor)
+        m = m.reshape(m.shape[0] * m.shape[1], m.shape[2] * m.shape[3], -1)
+    return m
+
+
+def _dense_norm(alg, x):
+    """Reference operator norm of one coefficient row."""
+    if hasattr(alg, "factors"):
+        rep = _kron_rep(alg, x)
+    else:
+        rep = np.einsum("kab,k->ab", alg.rep_tensor, x)
+    return np.linalg.norm(rep, 2)
+
+
+STACK_ALGEBRAS = {
+    "block": lambda: BlockAlgebra([1, 2]),
+    "generic": lambda: group_algebra(groups.symmetric(3)).algebra,
+    "block x block": lambda: tensor(BlockAlgebra([1, 2]),
+                                    BlockAlgebra([2, 1, 1])),
+    "block x generic": lambda: tensor(
+        BlockAlgebra([1, 2]), group_algebra(groups.cyclic(3)).algebra),
+    "three legs": lambda: tensor(BlockAlgebra([2]),
+                                 group_algebra(groups.cyclic(2)).algebra,
+                                 BlockAlgebra([1, 1])),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_ALGEBRAS))
+def test_stacked_kernels_match_row_by_row_reference(kind, monkeypatch):
+    alg = STACK_ALGEBRAS[kind]()
+    rng = np.random.default_rng(16)
+    x, y = (np.stack([[alg.random_element(rng).coeffs for _ in range(3)]
+                      for _ in range(2)]) for _ in range(2))
+    m = _structure_tensor(alg)
+    prod = alg.mul_coeffs(x, y)
+    star = alg.star_coeffs(x)
+    assert prod.shape == star.shape == x.shape == (2, 3, alg.dim)
+    for i, j in np.ndindex(2, 3):
+        want = np.einsum("kpq,p,q->k", m, x[i, j], y[i, j])
+        assert np.allclose(prod[i, j], want, atol=1e-12)
+        assert np.allclose(star[i, j], alg.star_matrix @ np.conj(x[i, j]),
+                           atol=1e-13)
+    # a single vector broadcasts against a stack
+    left = alg.mul_coeffs(x[0, 0], y[1])
+    for j in range(3):
+        want = np.einsum("kpq,p,q->k", m, x[0, 0], y[1, j])
+        assert np.allclose(left[j], want, atol=1e-12)
+    norms = [_dense_norm(alg, row) for row in x.reshape(-1, alg.dim)]
+    assert abs(alg.norm_coeffs(x) - max(norms)) <= 1e-12 * max(norms)
+    assert abs(alg.norm_coeffs(x[1, 2]) - norms[-1]) <= 1e-12 * norms[-1]
+    # dense norms of a long stack are taken a bounded chunk at a time
+    monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", 1)
+    assert abs(alg.norm_coeffs(x) - max(norms)) <= 1e-12 * max(norms)
+
+
+@pytest.mark.parametrize("kind", sorted(STACK_ALGEBRAS))
+def test_stack_with_zero_and_nan_rows_behaves_like_single_rows(kind):
+    alg = STACK_ALGEBRAS[kind]()
+    x = alg.random_element(np.random.default_rng(17)).coeffs
+    zero = np.zeros(alg.dim, dtype=complex)
+    assert alg.norm_coeffs(np.stack([zero, zero])) == 0.0
+    assert alg.norm_coeffs(np.stack([zero, x, zero])) == alg.norm_coeffs(x)
+    for at in (0, -1):
+        bad = x.copy()
+        bad[at] = np.nan
+        # a NaN in a 1 x 1 block gives NaN, elsewhere the SVD raises
+        assert _norm_outcome(alg, np.stack([zero, x, bad])) \
+            == _norm_outcome(alg, bad) != "finite"
+
+
+def _norm_outcome(alg, x):
+    try:
+        return "nan" if np.isnan(alg.norm_coeffs(x)) else "finite"
+    except np.linalg.LinAlgError:
+        return "raises"

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from finiteqg import groups
-from finiteqg.hopf import (HopfAxiomError, function_algebra, group_algebra,
-                           group_like_elements, kac_paljutkin, verify_hopf)
+from finiteqg.core import Algebra, LinMap, tensor
+from finiteqg.hopf import (HopfAxiomError, HopfData, function_algebra,
+                           group_algebra, group_like_elements, kac_paljutkin,
+                           verify_hopf)
 from finiteqg.io import hopf_from_dict, hopf_to_dict
 from finiteqg.duality import block_presentation
 
@@ -96,3 +98,77 @@ def test_block_presentation_of_group_algebra(hopf_gs3):
     assert verify_hopf(HB).passed
     # counit block comes first
     assert abs(HB.counit[0] - 1.0) < 1e-12
+
+
+def _reference_residuals(H):
+    """The pair-based residuals of verify_hopf, one basis pair at a time
+    through explicit structure tensors and dense representations, and
+    the map identities through np.kron."""
+    A = H.algebra
+    d = H.dim
+    m, R = A.mul_tensor, A.rep_tensor
+    st, DM, SM = A.star_matrix, H.delta.matrix, H.antipode.matrix
+    eye = np.eye(d)
+
+    def mul(x, y):
+        return np.einsum("kpq,p,q->k", m, x, y)
+
+    def mul2(x, y):
+        return np.einsum("ij,kl,aik,bjl->ab", x.reshape(d, d),
+                         y.reshape(d, d), m, m).reshape(-1)
+
+    def norm(x):
+        return np.linalg.norm(np.einsum("k,kab->ab", x, R), 2)
+
+    def norm2(x):
+        rep = np.einsum("ij,iab,jce->acbe", x.reshape(d, d), R, R)
+        return np.linalg.norm(rep.reshape(len(R[0]) ** 2, -1), 2)
+
+    star_anti, delta_mult = 0.0, 0.0
+    for p in range(d):
+        for q in range(d):
+            diff = st @ np.conj(m[:, p, q]) - mul(st[:, q], st[:, p])
+            star_anti = max(star_anti, norm(diff))
+            diff = DM @ m[:, p, q] - mul2(DM[:, p], DM[:, q])
+            delta_mult = max(delta_mult, norm2(diff))
+    mm = m.reshape(d, d * d)
+    target = np.outer(A.unit_coeffs, H.counit)
+    op = lambda x: np.linalg.norm(x, 2)  # noqa: E731
+    return {
+        "star_antimultiplicative": star_anti,
+        "delta_multiplicative": delta_mult,
+        "coassociativity": op(np.kron(DM, eye) @ DM - np.kron(eye, DM) @ DM),
+        "counit_left": op(np.kron(H.counit[None, :], eye) @ DM - eye),
+        "counit_right": op(np.kron(eye, H.counit[None, :]) @ DM - eye),
+        "antipode_left": op(mm @ np.kron(SM, eye) @ DM - target),
+        "antipode_right": op(mm @ np.kron(eye, SM) @ DM - target),
+    }
+
+
+@pytest.mark.parametrize("which", ["kp8", "C[S3]", "kp8 dual"])
+def test_verify_hopf_matches_per_pair_reference(which, kp8, hopf_gs3,
+                                                dual_kp8):
+    H = {"kp8": kp8, "C[S3]": hopf_gs3,
+         "kp8 dual": dual_kp8.dual_hopf}[which]
+    got = verify_hopf(H).residuals
+    for name, want in _reference_residuals(H).items():
+        assert abs(got[name] - want) <= 1e-13, name
+
+
+def test_corrupted_last_pair_fails_pair_checks(hopf_gs3, kp8_block):
+    # the pair (d - 1, d - 1) is the last row of every stacked check
+    A, d = hopf_gs3.algebra, hopf_gs3.dim
+    m = A.mul_tensor.copy()
+    m[0, d - 1, d - 1] += 0.25j
+    A2 = Algebra(m, A.unit_coeffs, A.star_matrix)
+    H2 = HopfData(A2, LinMap(A2, tensor(A2, A2), hopf_gs3.delta.matrix),
+                  hopf_gs3.counit, LinMap(A2, A2, hopf_gs3.antipode.matrix))
+    bad = verify_hopf(H2).failures()
+    assert {"star_antimultiplicative", "delta_multiplicative"} <= set(bad)
+
+    B, d = kp8_block.algebra, kp8_block.dim
+    DM = kp8_block.delta.matrix.copy()
+    DM[d * d - 1, 0] += 0.25
+    H3 = HopfData(B, LinMap(B, tensor(B, B), DM), kp8_block.counit,
+                  kp8_block.antipode)
+    assert "coassociativity" in verify_hopf(H3).failures()

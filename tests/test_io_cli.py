@@ -3,6 +3,7 @@ import json
 import pytest
 
 from finiteqg import cli, groups
+from finiteqg.haar import HaarError
 from finiteqg.hopf import function_algebra
 from finiteqg.io import (SchemaError, hopf_equal, hopf_from_dict,
                          hopf_to_dict, load_hopf, load_magic, load_subgroup,
@@ -216,3 +217,59 @@ def test_hopf_index_out_of_range(tmp_path, capsys, key, entry):
         load_hopf(p)
     assert cli.main(["verify", str(p)]) == 2
     capsys.readouterr()
+
+
+NON_FINITE = ["NaN", "Infinity", "-Infinity"]
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_hopf_non_finite_coefficient(tmp_path, data_dir, capsys, value):
+    data = json.loads((data_dir / "z2_function_algebra.json").read_text())
+    data["counit"][0][1] = float(value)
+    p = tmp_path / "hopf.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(SchemaError):
+        load_hopf(p)
+    assert cli.main(["verify", str(p)]) == 2
+    assert "status" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_subgroup_non_finite_coefficient(tmp_path, capsys, value):
+    p = tmp_path / "sub.json"
+    p.write_text(json.dumps({"pi": [[0, 0, 1.0, 0.0],
+                                    [0, 1, 0.0, float(value)]]}))
+    with pytest.raises(SchemaError):
+        load_subgroup(p, 6)
+    assert cli.main(["orbits", "s3_function_algebra.json", str(p)]) == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("value", NON_FINITE)
+def test_magic_non_finite_coefficient(tmp_path, data_dir, capsys, value):
+    data = json.loads((data_dir / "z3_cycle.json").read_text())
+    data["u"][0][2][0][1] = float(value)
+    p = tmp_path / "magic.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(SchemaError):
+        load_magic(p, function_algebra(groups.cyclic(3)))
+    assert cli.main(["classical-orbits", "z3_function_algebra.json",
+                     str(p)]) == 2
+    capsys.readouterr()
+
+
+def test_cli_aborted_check_is_reported_as_failed(tmp_path, capsys,
+                                                 monkeypatch):
+    def not_faithful(*args, **kwargs):
+        raise HaarError("Haar state is not faithful (Gram not positive)")
+
+    monkeypatch.setattr(cli, "haar_state", not_faithful)
+    p = tmp_path / "report.json"
+    assert cli.main(["haar", "kp8.json", "--json", str(p)]) == 1
+    out = capsys.readouterr().out
+    assert "status: CHECKS FAILED" in out
+    assert "status: ok" not in out
+    checks = json.loads(p.read_text())["checks"]
+    assert checks[-1]["name"] == "HaarError"
+    assert not checks[-1]["passed"]
+    assert all(c["passed"] for c in checks[:-1])

@@ -204,3 +204,45 @@ def test_relation_matches_component_norms(a3_action, a3_partition):
         for j in range(m):
             nz = a3_action.component_norm(j, i) > 1e-6
             assert nz == bool(a3_partition.relation[j, i])
+
+
+def _action_reference(alpha):
+    """The residuals of ActionMap.verify, one basis pair at a time and
+    through np.kron."""
+    A, N = alpha.hopf, alpha.module
+    T, am = alpha.alpha.codomain, alpha.alpha.matrix
+    eye = np.eye(N.dim)
+    worst = 0.0
+    for p in range(N.dim):
+        for q in range(N.dim):
+            diff = (am @ N.mul_coeffs(eye[p], eye[q])
+                    - T.mul_coeffs(am[:, p], am[:, q]))
+            worst = max(worst, T.norm_coeffs(diff))
+    coaction = (np.kron(am, np.eye(A.dim)) @ am
+                - np.kron(eye, A.delta.matrix) @ am)
+    counit = np.kron(eye, A.counit[None, :]) @ am - eye
+    return {"multiplicative": worst,
+            "coaction": np.linalg.norm(coaction, 2),
+            "counit": np.linalg.norm(counit, 2)}
+
+
+def test_action_verify_matches_per_pair_reference(a3_action, hopf_cs3,
+                                                  kp8_block):
+    for alpha in (a3_action,
+                  ActionMap(hopf_cs3, hopf_cs3.algebra, hopf_cs3.delta, None),
+                  ActionMap(kp8_block, kp8_block.algebra, kp8_block.delta,
+                            None)):
+        got = alpha.verify()
+        for name, want in _action_reference(alpha).items():
+            assert abs(got[name] - want) <= 1e-13, name
+
+
+def test_action_verify_sees_the_last_pair(kp8_block):
+    # corrupt alpha(e_{d-1}), the last row of every stacked pair check
+    d = kp8_block.dim
+    am = kp8_block.delta.matrix.copy()
+    am[0, d - 1] += 0.25
+    N = kp8_block.algebra
+    alpha = ActionMap(kp8_block, N, LinMap(N, tensor(N, N), am), None)
+    with pytest.raises(ValueError, match="multiplicative"):
+        alpha.verify()

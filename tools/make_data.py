@@ -29,15 +29,6 @@ from finiteqg.wedderburn import decompose
 DATA = Path(__file__).resolve().parents[1] / "src" / "finiteqg" / "data"
 
 
-def sign_vector(s3):
-    out = np.ones(s3.order)
-    for idx, p in enumerate(s3.elements):
-        inv = sum(1 for a in range(3) for b in range(a + 1, 3) if p[a] > p[b])
-        if inv % 2:
-            out[idx] = -1.0
-    return out
-
-
 def write_hopf_files():
     save_hopf(function_algebra(groups.cyclic(2)), DATA / "z2_function_algebra.json")
     save_hopf(function_algebra(groups.cyclic(3)), DATA / "z3_function_algebra.json")
@@ -62,14 +53,16 @@ def write_s3_subgroups():
 
     # (S3/A3)^ inside the dual of S3: rows evaluate functionals on the
     # group-likes of C(S3), i.e. the constant 1 and the sign character.
-    rows = np.stack([np.ones(6), sign_vector(s3)])
+    a3 = groups.alternating_indices(s3)
+    sign = -np.ones(s3.order)
+    sign[a3] = 1.0
+    rows = np.stack([np.ones(6), sign])
     m = subgroup_from_dual_matrix(D, rows)
     assert m.normal and sorted(m.surviving) == [0, 1]
     save_subgroup(rows, DATA / "a3_quotient.json")
 
     # same subgroup through the normal-subgroup route: the restriction of
     # functions C(S3) -> C(A3)
-    a3 = groups.alternating_indices(s3)
     rho = np.zeros((3, 6))
     for b, g in enumerate(a3):
         rho[b, g] = 1.0
