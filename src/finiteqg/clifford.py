@@ -18,72 +18,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Algebra, LinMap, DEFAULT_SEED, Tolerance, as_tolerance,
-                   nullspace, orthonormal_rows, distance_to_span, tensor)
+from .core import (DEFAULT_SEED, Tolerance, as_tolerance, orthonormal_rows,
+                   distance_to_span, tensor)
 from .duality import DiscreteQG, mult_unitary, tensor_mult
-from .hopf import HopfData, verify_hopf
+from .hopf import HopfData
 from .orbits import (HomogeneousSpace, MorphismError, OrbitPartition,
-                     SubgroupMorphism, homogeneous_action,
-                     homogeneous_space, relation, subgroup_from_dual_matrix)
+                     SubgroupMorphism, _coinvariants, _relation_classes,
+                     homogeneous_action, homogeneous_space,
+                     quotient_by_kernel, relation, subgroup_from_dual_matrix)
 
 
 class NormalityError(ValueError):
     pass
-
-
-def hopf_quotient(H: HopfData, rho, tol=None):
-    """Derive and verify the quotient Hopf *-algebra of a surjection.
-
-    ``rho`` is an r x dim matrix on the basis of H; its kernel must be a
-    *-ideal killed by (rho x rho) delta.  Returns (codomain HopfData,
-    section matrix).
-    """
-    tol = as_tolerance(tol)
-    A = H.algebra
-    rho = np.asarray(rho, dtype=complex)
-    r = rho.shape[0]
-    if rho.shape != (r, A.dim):
-        raise MorphismError("surjection matrix has the wrong shape")
-    sv = np.linalg.svd(rho, compute_uv=False)
-    if int(np.sum(sv > tol.eps * max(1.0, sv[0]))) != r:
-        raise MorphismError("matrix is not surjective")
-    scale = float(max(1.0, np.linalg.norm(rho, 2))) ** 2
-
-    section = np.linalg.pinv(rho)
-    ker = nullspace(rho, tol)
-    checks = {}
-    if ker.shape[0]:
-        worst = 0.0
-        eye = np.eye(A.dim)
-        for k in ker:
-            for p in range(A.dim):
-                worst = max(worst,
-                            float(np.linalg.norm(rho @ A.mul_coeffs(k, eye[p]))),
-                            float(np.linalg.norm(rho @ A.mul_coeffs(eye[p], k))))
-        checks["kernel_ideal"] = worst
-        checks["kernel_star"] = float(
-            np.linalg.norm(rho @ A.star_matrix @ np.conj(ker.T), 2))
-        checks["kernel_coproduct"] = float(
-            np.linalg.norm(np.kron(rho, rho) @ H.delta.matrix @ ker.T, 2))
-        checks["kernel_counit"] = float(np.linalg.norm(H.counit @ ker.T))
-        checks["kernel_antipode"] = float(
-            np.linalg.norm(rho @ H.antipode.matrix @ ker.T, 2))
-    bad = {k: v for k, v in checks.items() if not tol.is_zero(v, scale)}
-    if bad:
-        raise MorphismError("matrix is not a Hopf *-surjection: "
-                            + ", ".join(f"{k}={v:.3e}" for k, v in bad.items()))
-
-    mul_q = np.einsum("rk,kab,ap,bq->rpq", rho, A.mul_tensor,
-                      section, section, optimize=True)
-    Aq = Algebra(mul_q, rho @ A.unit_coeffs,
-                 rho @ A.star_matrix @ np.conj(section), name="Pol(sub)")
-    delta_q = np.kron(rho, rho) @ H.delta.matrix @ section
-    quotient = HopfData(Aq, LinMap(Aq, tensor(Aq, Aq), delta_q),
-                        H.counit @ section,
-                        LinMap(Aq, Aq, rho @ H.antipode.matrix @ section),
-                        name="Pol(sub)")
-    verify_hopf(quotient, tol).raise_for_failure("Hopf quotient")
-    return quotient, section
 
 
 def _dual_embedding_blockcoords(D: DiscreteQG, rho) -> np.ndarray:
@@ -108,16 +54,11 @@ def normality_defect(D: DiscreteQG, rho, tol=None) -> float:
     B = D.dual_algebra
     V = orthonormal_rows(_dual_embedding_blockcoords(D, rho), tol)
     W = mult_unitary(D, tol).element
-    Wst = W.star()
     T = W.parent
-    worst = 0.0
-    for v in V:
-        y = T.mul_coeffs(T.mul_coeffs(W.coeffs, T.kron_coeffs(v, A.unit_coeffs)),
-                         Wst.coeffs)
-        Y = y.reshape(B.dim, A.dim)
-        for col in Y.T:
-            worst = max(worst, distance_to_span(V, col))
-    return worst
+    # row t of y is W (v_t x 1) W*; each of its Pol(G)-columns must lie in V
+    y = T.mul_coeffs(T.mul_coeffs(W.coeffs, np.kron(V, A.unit_coeffs)),
+                     W.star().coeffs)
+    return distance_to_span(V, y.reshape(-1, B.dim, A.dim).transpose(0, 2, 1))
 
 
 def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
@@ -129,32 +70,28 @@ def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
     {a : (id x rho) delta(a) = a x 1}.  Raises when H is not normal.
     """
     tol = as_tolerance(tol)
-    quotient, _ = hopf_quotient(H, rho, tol)
+    rho = np.asarray(rho, dtype=complex)
+    quotient = quotient_by_kernel(H, rho, tol)
     defect = normality_defect(D, rho, tol)
     if not tol.is_zero(defect):
         raise NormalityError(
             f"subgroup is not normal (conjugation defect {defect:.3e})")
 
     A = H.algebra
-    rho = np.asarray(rho, dtype=complex)
-    cond = (np.kron(np.eye(A.dim), rho) @ H.delta.matrix
-            - np.kron(np.eye(A.dim),
-                      quotient.algebra.unit_coeffs[:, None]))
-    K = nullspace(cond, tol)
-    if K.shape[0] * quotient.dim != A.dim:
+    K = _coinvariants(H, rho, "right", tol)
+    m = K.shape[0]
+    if m * quotient.dim != A.dim:
         raise MorphismError(
-            f"coinvariants have dimension {K.shape[0]}, expected "
+            f"coinvariants have dimension {m}, expected "
             f"{A.dim}/{quotient.dim}")
-    # the coinvariants must be a Hopf *-subalgebra
-    worst = 0.0
-    for v in K:
-        worst = max(worst, distance_to_span(K, A.star_coeffs(v)))
-        worst = max(worst, distance_to_span(K, H.antipode.matrix @ v))
-        for w in K:
-            worst = max(worst, distance_to_span(K, A.mul_coeffs(v, w)))
-    KK = orthonormal_rows(np.stack([np.kron(v, w) for v in K for w in K]), tol)
-    for v in K:
-        worst = max(worst, distance_to_span(KK, H.delta.matrix @ v))
+    # the coinvariants must be a Hopf *-subalgebra; K has orthonormal rows,
+    # so the rows of kron(K, K) are an orthonormal basis of K x K
+    worst = float(np.max([
+        distance_to_span(K, A.star_coeffs(K)),
+        distance_to_span(K, K @ H.antipode.matrix.T),
+        distance_to_span(K, A.mul_coeffs(np.repeat(K, m, 0),
+                                         np.tile(K, (m, 1)))),
+        distance_to_span(np.kron(K, K), K @ H.delta.matrix.T)]))
     if not tol.is_zero(worst):
         raise MorphismError(
             f"coinvariants fail to be a Hopf subalgebra (residual {worst:.3e})")
@@ -356,25 +293,5 @@ def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
         if tol.is_zero(T2.norm_coeffs(w), scale):
             ok = False
 
-    uf_classes = _bool_classes(support_rel)
     return VergniouxRelation(fusion_rel, witness_rel, support_rel,
-                             uf_classes, agree, ok)
-
-
-def _bool_classes(rel: np.ndarray):
-    n = rel.shape[0]
-    seen, classes = set(), []
-    sym = rel | rel.T
-    for i in range(n):
-        if i in seen:
-            continue
-        stack, cls = [i], set()
-        while stack:
-            a = stack.pop()
-            if a in cls:
-                continue
-            cls.add(a)
-            stack.extend(b for b in range(n) if sym[a, b] and b not in cls)
-        seen |= cls
-        classes.append(sorted(cls))
-    return sorted(classes)
+                             _relation_classes(support_rel), agree, ok)

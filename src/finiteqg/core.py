@@ -697,11 +697,15 @@ def nullspace(matrix, tol=None):
 
 
 def project_onto_rows(basis, v):
-    """Orthogonal projection of v onto the row span of an orthonormal basis."""
+    """Orthogonal projection of v, or of each row of a stack of vectors
+    (..., dim), onto the row span of an orthonormal basis."""
     if basis.shape[0] == 0:
         return np.zeros_like(v)
-    return basis.T @ (basis.conj() @ v)
+    return (v @ basis.conj().T) @ basis
 
 
 def distance_to_span(basis, v) -> float:
-    return float(np.linalg.norm(v - project_onto_rows(basis, v)))
+    """Distance of v from the row span of an orthonormal basis; for a
+    stack of vectors, the largest distance (NaN if any row gives NaN)."""
+    dist = np.linalg.norm(v - project_onto_rows(basis, v), axis=-1)
+    return float(np.max(dist, initial=0.0))

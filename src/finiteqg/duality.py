@@ -165,8 +165,14 @@ def dual_hopf_raw(H: HopfData) -> HopfData:
 def dualize(H: HopfData, tol=None, seed: int = DEFAULT_SEED) -> DiscreteQG:
     """Construct the dual discrete quantum group in canonical block form."""
     tol = as_tolerance(tol)
+    # The raw dual gets no verify_hopf of its own.  The block dual is the
+    # raw dual transported along the *-isomorphism C (decompose_abstract
+    # verifies C's matrix-unit relations, _transport_hopf the involution),
+    # and _transport_hopf verifies the block dual.  An axiom residual of
+    # one is that of the other up to factors of ||C|| and ||C^-1||, and
+    # cond(C) <= 2 on every shipped instance and on C(G), C[G] for Z4xZ4,
+    # Z12, S3xZ2 and S4.
     raw = dual_hopf_raw(H)
-    verify_hopf(raw, tol).raise_for_failure(raw.name)
     h_dual = haar_state(raw, tol)
     wd = decompose_abstract(raw.algebra, h_dual.gram, tol, seed)
     wd = _counit_block_first(wd, raw.counit)
@@ -239,7 +245,7 @@ def corep_of(D: DiscreteQG, label, tol=None):
     Ci = np.linalg.inv(D.block_to_dual)
     U = [[AlgElement(A, Ci[B.index(i, r, s), :]) for s in range(n)]
          for r in range(n)]
-    worst = 0.0
+    residuals = []
     for r in range(n):
         for s in range(n):
             row = sum((U[r][k] * U[s][k].star() for k in range(1, n)),
@@ -247,13 +253,16 @@ def corep_of(D: DiscreteQG, label, tol=None):
             col = sum((U[k][r].star() * U[k][s] for k in range(1, n)),
                       U[0][r].star() * U[0][s])
             target = A.one() if r == s else A.zero()
-            worst = max(worst, (row - target).norm(), (col - target).norm())
+            residuals += [(row - target).norm(), (col - target).norm()]
             dU = D.primal.delta_of(U[r][s])
             fused = None
             for k in range(n):
                 term_coeffs = np.kron(U[r][k].coeffs, U[k][s].coeffs)
                 fused = term_coeffs if fused is None else fused + term_coeffs
-            worst = max(worst, D.primal.square.norm_coeffs(dU.coeffs - fused))
+            residuals.append(
+                D.primal.square.norm_coeffs(dU.coeffs - fused))
+    # np.max keeps a NaN residual, where max() would drop it
+    worst = float(np.max(residuals))
     if not tol.is_zero(worst):
         raise ValueError(f"corepresentation checks fail at {worst:.3e}")
     return U

@@ -14,14 +14,20 @@ hopf.json::
 subgroup.json: ``{"pi": [[b, k, re, im], ...]}`` for a surjection from
 l^inf of the dual (raw dual-basis coordinates) onto the subgroup, or
 ``{"hopf_surjection": [[b, k, re, im], ...]}`` for a surjection
-Pol(G) -> Pol(H) feeding the normal-subgroup path.
+Pol(G) -> Pol(H) feeding the normal-subgroup path; a file holds exactly
+one of the two keys.
 
 magic.json: ``{"n": n, "u": [[i, j, [[k, re, im], ...]], ...]}``.
+
+Indices, block sizes and ``n`` are JSON integers; a float or a boolean
+in their place is refused rather than rounded, and so is a boolean in
+place of a coefficient.
 """
 from __future__ import annotations
 
 import cmath
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -37,10 +43,18 @@ class SchemaError(ValueError):
     pass
 
 
+def _integer(value, what: str) -> int:
+    """A file integer: int() would truncate 0.7 to 0, read true as 1 and
+    parse the string "3"."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise SchemaError(f"{what} {value!r} is not an integer")
+    return int(value)
+
+
 def _index(value, bound: int, what: str) -> int:
     """A file index checked against range(bound); a negative one would
     otherwise wrap around silently."""
-    i = int(value)
+    i = _integer(value, f"{what} index")
     if not 0 <= i < bound:
         raise SchemaError(f"{what} index {i} outside 0..{bound - 1}")
     return i
@@ -48,7 +62,11 @@ def _index(value, bound: int, what: str) -> int:
 
 def _value(re, im, what: str) -> complex:
     """A file coefficient; NaN or infinity would only surface later as a
-    failed numeric check instead of as malformed input."""
+    failed numeric check instead of as malformed input, and complex()
+    would read true as 1."""
+    if isinstance(re, bool) or isinstance(im, bool):
+        raise SchemaError(f"{what} coefficient [{re!r}, {im!r}] is not a "
+                          "pair of numbers")
     c = complex(re, im)
     if not cmath.isfinite(c):
         raise SchemaError(f"{what} coefficient {c} is not finite")
@@ -92,7 +110,9 @@ def hopf_to_dict(H: HopfData) -> dict:
 def hopf_from_dict(data: dict, tol=None, verify: bool = True) -> HopfData:
     tol = as_tolerance(tol)
     try:
-        blocks = [int(n) for n in data["blocks"]]
+        if not isinstance(data["blocks"], list):
+            raise SchemaError("blocks must be a list of block sizes")
+        blocks = [_integer(n, "block size") for n in data["blocks"]]
         A = BlockAlgebra(blocks, name=str(data.get("name", "")))
         d = A.dim
         delta = np.zeros((d * d, d), dtype=complex)
@@ -139,12 +159,13 @@ def save_subgroup(matrix, path, kind: str = "pi") -> None:
 def subgroup_from_dict(data: dict, dim: int):
     """Returns (kind, matrix); the column count is the referenced
     quantum group's dimension, rows are inferred."""
-    kind = "pi" if "pi" in data else (
-        "hopf_surjection" if "hopf_surjection" in data else None)
-    if kind is None:
-        raise SchemaError("subgroup file needs a 'pi' or 'hopf_surjection' key")
+    kinds = [k for k in ("pi", "hopf_surjection") if k in data]
+    if len(kinds) != 1:
+        raise SchemaError(
+            "subgroup file needs exactly one of 'pi' and 'hopf_surjection'")
+    kind = kinds[0]
     try:
-        rows = max(int(b) for b, *_ in data[kind]) + 1
+        rows = max(_integer(b, "row index") for b, *_ in data[kind]) + 1
         m = np.zeros((rows, dim), dtype=complex)
         for b, k, re, im in data[kind]:
             m[_index(b, rows, "row"), _index(k, dim, "column")] \
@@ -175,7 +196,7 @@ def save_magic(M: MagicAction, path) -> None:
 
 def magic_from_dict(data: dict, H: HopfData) -> MagicAction:
     try:
-        n = int(data["n"])
+        n = _integer(data["n"], "point count")
         mats = [[np.zeros(H.dim, dtype=complex) for _ in range(n)]
                 for _ in range(n)]
         for i, j, coeffs in data["u"]:

@@ -2,9 +2,14 @@
 
 Central objects:
 
+* ``quotient_by_kernel`` -- the quotient Hopf *-algebra of a surjection
+  whose kernel is a Hopf *-ideal.  It is the one quotient construction:
+  a quantum subgroup of the dual (a ``pi`` subgroup file) and a Hopf
+  *-surjection Pol(G) -> Pol(H) (a ``hopf_surjection`` file) both pass
+  through it;
 * ``SubgroupMorphism`` -- a surjection pi: l^inf(dual) -> l^inf(subgroup)
   intertwining the coproducts, together with its support projection and
-  the derived quotient Hopf structure;
+  its quotient Hopf structure;
 * ``HomogeneousSpace`` -- the coinvariant subalgebra
   {x : (pi x id) delta(x) = 1 x x} with its own block decomposition;
 * ``ActionMap`` -- a coaction N -> N x Pol(G) on a direct sum of matrix
@@ -36,6 +41,65 @@ class MorphismError(ValueError):
     pass
 
 
+def quotient_by_kernel(H: HopfData, rho, tol=None) -> HopfData:
+    """The quotient Hopf *-algebra of H by the kernel of the matrix rho.
+
+    ``rho`` is an r x dim(H) matrix on the basis of H.  It must be
+    surjective, and its kernel must be a Hopf *-ideal: a two-sided ideal
+    closed under the involution and the antipode, killed by the counit and
+    by (rho x rho) delta.  The quotient structure maps are read through
+    the section pinv(rho) and verified before they are returned.  Every
+    check is judged at eps * (1 + ||rho||^2).
+    """
+    tol = as_tolerance(tol)
+    A = H.algebra
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[1] != A.dim:
+        raise MorphismError("surjection matrix has the wrong shape")
+    r, d = rho.shape
+    sv = np.linalg.svd(rho, compute_uv=False)
+    if int(np.sum(sv > tol.eps * max(1.0, sv[0]))) != r:
+        raise MorphismError("matrix is not surjective")
+    scale = float(sv[0]) ** 2
+
+    section = np.linalg.pinv(rho)
+    pipi_delta = np.kron(rho, rho) @ H.delta.matrix
+    delta_q = pipi_delta @ section
+    checks = {"intertwines_coproduct": float(
+        np.linalg.norm(pipi_delta - delta_q @ rho, 2))}
+    ker = nullspace(rho, tol)
+    if ker.shape[0]:
+        # rows k e_p, then e_p k, for every kernel vector k and basis e_p
+        eye = np.tile(np.eye(d), (ker.shape[0], 1))
+        kk = np.repeat(ker, d, 0)
+        prods = A.mul_coeffs(np.concatenate([kk, eye]),
+                             np.concatenate([eye, kk]))
+        checks["kernel_ideal"] = float(
+            np.max(np.linalg.norm(prods @ rho.T, axis=1)))
+        checks["kernel_star"] = float(
+            np.linalg.norm(rho @ A.star_matrix @ np.conj(ker.T), 2))
+        checks["kernel_coproduct"] = float(
+            np.linalg.norm(pipi_delta @ ker.T, 2))
+        checks["kernel_counit"] = float(np.linalg.norm(H.counit @ ker.T))
+        checks["kernel_antipode"] = float(
+            np.linalg.norm(rho @ H.antipode.matrix @ ker.T, 2))
+    bad = {k: v for k, v in checks.items() if not tol.is_zero(v, scale)}
+    if bad:
+        raise MorphismError("matrix is not a Hopf *-surjection: "
+                            + ", ".join(f"{k}={v:.3e}" for k, v in bad.items()))
+
+    mul_q = np.einsum("rk,kab,ap,bq->rpq", rho, A.mul_tensor,
+                      section, section, optimize=True)
+    A_q = Algebra(mul_q, rho @ A.unit_coeffs,
+                  rho @ A.star_matrix @ np.conj(section), name="quotient")
+    quotient = HopfData(A_q, LinMap(A_q, tensor(A_q, A_q), delta_q),
+                        H.counit @ section,
+                        LinMap(A_q, A_q, rho @ H.antipode.matrix @ section),
+                        name="quotient")
+    verify_hopf(quotient, tol).raise_for_failure("Hopf quotient")
+    return quotient
+
+
 @dataclass
 class SubgroupMorphism:
     """A quantum subgroup of the discrete dual, given by the surjection pi.
@@ -43,7 +107,7 @@ class SubgroupMorphism:
     ``matrix`` maps block coordinates of l^inf(dual) onto the subgroup's
     coordinates; ``support`` is the central projection carrying the
     subgroup (the kernel of pi is its complementary ideal); ``codomain``
-    is the derived quotient Hopf structure, verified on construction;
+    is the quotient Hopf structure from ``quotient_by_kernel``;
     ``surviving`` lists the ambient blocks that pi keeps, which is also
     the embedding of the subgroup's irreducibles into the ambient ones.
     """
@@ -53,7 +117,6 @@ class SubgroupMorphism:
     support: AlgElement
     codomain: HopfData
     surviving: list
-    section: np.ndarray
     normal: bool
 
     @property
@@ -71,7 +134,9 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
 
     By default the matrix is given on the raw dual basis (the coordinates
     used by subgroup files); pass ``in_block_coords=True`` when the matrix
-    already acts on canonical block coordinates.
+    already acts on canonical block coordinates.  The kernel of pi must be
+    the sum of the blocks pi kills; the quotient structure and the Hopf
+    *-ideal checks come from ``quotient_by_kernel``.
     """
     tol = as_tolerance(tol)
     B = D.dual_algebra
@@ -80,9 +145,6 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
     r = pi.shape[0]
     if pi.shape != (r, B.dim):
         raise MorphismError("pi matrix has the wrong shape")
-    sv = np.linalg.svd(pi, compute_uv=False)
-    if int(np.sum(sv > tol.eps * max(1.0, sv[0]))) != r:
-        raise MorphismError("pi is not surjective")
 
     scale = float(np.linalg.norm(pi, 2))
     surviving = []
@@ -90,9 +152,6 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
         img = pi @ D.blocks.central_idempotents[i].coeffs
         if not tol.is_zero(float(np.linalg.norm(img)), scale):
             surviving.append(i)
-    support = D.blocks.central_idempotents[surviving[0]]
-    for i in surviving[1:]:
-        support = support + D.blocks.central_idempotents[i]
     corner_dim = sum(B.block_dims[i] ** 2 for i in surviving)
     if corner_dim != r:
         raise MorphismError(
@@ -108,49 +167,12 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
             raise MorphismError(
                 f"pi does not vanish on the complementary ideal ({worst:.3e})")
 
-    corner_idx = [k for k in range(B.dim) if B.unindex(k)[0] in surviving]
-    pc = pi[:, corner_idx]
-    section = np.zeros((B.dim, r), dtype=complex)
-    section[corner_idx, :] = np.linalg.inv(pc)
-
-    # quotient algebra structure through the section
-    mul_q = np.einsum("rk,kab,ap,bq->rpq", pi, B.mul_tensor,
-                      section, section, optimize=True)
-    unit_q = pi @ B.unit_coeffs
-    star_q = pi @ B.star_matrix @ np.conj(section)
-    A_q = Algebra(mul_q, unit_q, star_q, name="l8(sub)")
-
-    DM = D.dual_hopf.delta.matrix
-    pipi_delta = np.kron(pi, pi) @ DM
-    ker = nullspace(pi, tol)
-    checks = {}
-    if ker.shape[0]:
-        checks["coproduct_kills_kernel"] = float(
-            np.linalg.norm(pipi_delta @ ker.T, 2))
-        checks["counit_kills_kernel"] = float(
-            np.linalg.norm(D.dual_hopf.counit @ ker.T))
-        checks["antipode_preserves_kernel"] = float(
-            np.linalg.norm(pi @ D.dual_hopf.antipode.matrix @ ker.T, 2))
-    delta_q = pipi_delta @ section
-    counit_q = D.dual_hopf.counit @ section
-    antipode_q = pi @ D.dual_hopf.antipode.matrix @ section
-    checks["intertwines_coproduct"] = float(
-        np.linalg.norm(pipi_delta - delta_q @ pi, 2))
-    bad = {k: v for k, v in checks.items()
-           if not tol.is_zero(v, scale ** 2)}
-    if bad:
-        raise MorphismError(
-            "matrix is not a quantum subgroup morphism: "
-            + ", ".join(f"{k}={v:.3e}" for k, v in bad.items()))
-
-    codomain = HopfData(A_q, LinMap(A_q, tensor(A_q, A_q), delta_q),
-                        counit_q, LinMap(A_q, A_q, antipode_q),
-                        name="l8(sub)")
-    verify_hopf(codomain, tol).raise_for_failure("subgroup quotient")
-
-    normal = _is_normal(D, pi, unit_q, tol)
-    return SubgroupMorphism(D, pi, support, codomain, surviving, section,
-                            normal)
+    codomain = quotient_by_kernel(D.dual_hopf, pi, tol)
+    support = D.blocks.central_idempotents[surviving[0]]
+    for i in surviving[1:]:
+        support = support + D.blocks.central_idempotents[i]
+    normal = _is_normal(D.dual_hopf, pi, tol)
+    return SubgroupMorphism(D, pi, support, codomain, surviving, normal)
 
 
 def full_subgroup(D: DiscreteQG, tol=None) -> SubgroupMorphism:
@@ -174,29 +196,27 @@ def subgroup_from_group_likes(D: DiscreteQG, elements, tol=None):
     return subgroup_from_dual_matrix(D, rows, tol)
 
 
-def _coinvariants(D: DiscreteQG, pi, unit_q, side: str, tol):
-    B = D.dual_algebra
-    DM = D.dual_hopf.delta.matrix
-    eye = np.eye(B.dim)
+def _coinvariants(H: HopfData, rho, side: str, tol):
+    """Coinvariants of H under the surjection rho:
+    {x : (rho x id) delta(x) = 1 x x} on the left side,
+    {x : (id x rho) delta(x) = x x 1} on the right side."""
+    eye = np.eye(H.dim)
+    unit_q = (rho @ H.algebra.unit_coeffs)[:, None]
     if side == "left":
-        cond = np.kron(pi, eye) @ DM - np.kron(unit_q[:, None], eye)
+        cond = np.kron(rho, eye) @ H.delta.matrix - np.kron(unit_q, eye)
     else:
-        cond = np.kron(eye, pi) @ DM - np.kron(eye, unit_q[:, None])
+        cond = np.kron(eye, rho) @ H.delta.matrix - np.kron(eye, unit_q)
     return nullspace(cond, tol)
 
 
-def _is_normal(D: DiscreteQG, pi, unit_q, tol) -> bool:
+def _is_normal(H: HopfData, pi, tol) -> bool:
     """Normality of the subgroup: left and right coinvariants coincide."""
-    left = _coinvariants(D, pi, unit_q, "left", tol)
-    right = _coinvariants(D, pi, unit_q, "right", tol)
+    left = _coinvariants(H, pi, "left", tol)
+    right = _coinvariants(H, pi, "right", tol)
     if left.shape[0] != right.shape[0]:
         return False
-    worst = 0.0
-    for v in left:
-        worst = max(worst, distance_to_span(right, v))
-    for v in right:
-        worst = max(worst, distance_to_span(left, v))
-    return tol.is_zero(worst)
+    return tol.is_zero(float(np.max([distance_to_span(right, left),
+                                     distance_to_span(left, right)])))
 
 
 @dataclass
@@ -243,8 +263,7 @@ def homogeneous_space(D: DiscreteQG, m: SubgroupMorphism, tol=None,
                       seed: int = DEFAULT_SEED) -> HomogeneousSpace:
     """Solve {x : (pi x id) delta(x) = 1 x x} and decompose it."""
     tol = as_tolerance(tol)
-    basis = _coinvariants(D, m.matrix, m.codomain.algebra.unit_coeffs,
-                          "left", tol)
+    basis = _coinvariants(D.dual_hopf, m.matrix, "left", tol)
     if basis.shape[0] * m.rank != D.dual_algebra.dim:
         raise MorphismError(
             f"coinvariant dimension {basis.shape[0]} does not match "
@@ -405,6 +424,22 @@ class _UnionFind:
             self.parent[max(ri, rj)] = min(ri, rj)
 
 
+def _relation_classes(rel: np.ndarray) -> list:
+    """Classes of the equivalence relation generated by a boolean relation
+    matrix: union-find over rel | rel.T, each class and the list sorted."""
+    m = rel.shape[0]
+    sym = rel | rel.T
+    uf = _UnionFind(m)
+    for i in range(m):
+        for j in range(m):
+            if sym[i, j]:
+                uf.union(i, j)
+    roots = {}
+    for i in range(m):
+        roots.setdefault(uf.find(i), []).append(i)
+    return sorted(roots.values())
+
+
 def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
     """Compute the orbit relation of a verified action.
 
@@ -426,15 +461,7 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
     transitive = bool(np.all((sym.astype(int) @ sym.astype(int) > 0) <= sym))
     all_factors = all(len(g) == 1 for g in alpha.summands)
 
-    uf = _UnionFind(m)
-    for i in range(m):
-        for j in range(m):
-            if sym[i, j]:
-                uf.union(i, j)
-    roots = {}
-    for i in range(m):
-        roots.setdefault(uf.find(i), []).append(i)
-    classes = sorted(roots.values())
+    classes = _relation_classes(rel)
 
     T = alpha.alpha.codomain
     one_a = alpha.hopf.algebra.unit_coeffs

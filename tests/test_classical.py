@@ -5,6 +5,7 @@ from finiteqg import groups
 from finiteqg.classical import (MagicAction, action_from_magic,
                                 classical_orbits, haar_values,
                                 permutation_magic, verify_magic)
+from finiteqg.core import AlgElement
 from finiteqg.haar import haar_state
 from finiteqg.hopf import function_algebra
 from finiteqg.io import load_magic
@@ -114,3 +115,13 @@ def test_magic_report_uses_callers_tolerance(z3_magic):
     rep = verify_magic(M, 1e-5)
     assert rep.passed and rep.failures() == []
     rep.raise_for_failure()
+
+
+def test_nan_coefficient_fails_verify_magic(z3_magic):
+    u = [list(row) for row in z3_magic.u]
+    coeffs = u[2][2].coeffs.copy()
+    coeffs[0] = np.nan
+    u[2][2] = AlgElement(z3_magic.hopf.algebra, coeffs)
+    rep = verify_magic(MagicAction(z3_magic.hopf, 3, u))
+    assert not rep.passed
+    assert np.isnan(rep.residuals["projection"])

@@ -10,8 +10,9 @@ from finiteqg.clifford import (NormalityError, kac_constancy_check,
 from finiteqg.core import Tolerance, distance_to_span, orthonormal_rows
 from finiteqg.duality import block_presentation, dualize, mult_unitary
 from finiteqg.hopf import group_algebra
-from finiteqg.orbits import (full_subgroup, homogeneous_action,
-                             homogeneous_space, relation, trivial_subgroup)
+from finiteqg.orbits import (MorphismError, full_subgroup,
+                             homogeneous_action, homogeneous_space, relation,
+                             trivial_subgroup)
 
 
 def a3_restriction_oracle():
@@ -215,3 +216,52 @@ def test_nonnormal_classical_cosets(s3, hopf_gs3, data_dir):
     T = restriction_table(D, X, P)
     assert T.one_orbit_per_row and T.dimension_count_ok
     assert kac_constancy_check(D, X, T, P).passed
+
+
+# rank 1 onto a 2-dim codomain; and a kernel holding d_0 - d_1, whose
+# product with d_0 is d_0, which rho does not kill
+NOT_SURJECTIVE = np.ones((2, 6))
+KERNEL_NOT_IDEAL = np.array([[1.0, 1.0, 0, 0, 0, 0], [0, 0, 1.0, 0, 0, 0]])
+
+
+@pytest.mark.parametrize("rho", [NOT_SURJECTIVE, KERNEL_NOT_IDEAL],
+                         ids=["not_surjective", "kernel_not_ideal"])
+def test_hopf_surjection_must_be_a_hopf_surjection(hopf_cs3, dual_cs3, rho):
+    with pytest.raises(MorphismError):
+        quotient_subgroup(hopf_cs3, dual_cs3, rho)
+
+
+def _closure_classes(rel):
+    """Classes of the equivalence relation generated by rel, from its
+    reflexive, symmetric, transitive closure by repeated squaring."""
+    r = rel | rel.T | np.eye(rel.shape[0], dtype=bool)
+    while True:
+        nxt = (r.astype(int) @ r.astype(int)) > 0
+        if np.array_equal(nxt, r):
+            return sorted({tuple(int(i) for i in np.flatnonzero(row))
+                           for row in r})
+        r = nxt
+
+
+SUBGROUP_PAIRS = [("s3_function_algebra.json", "a3_quotient.json"),
+                  ("s3_function_algebra.json", "a3_normal_subgroup.json"),
+                  ("s3_function_algebra.json", "s3_full_subgroup.json"),
+                  ("s3_function_algebra.json", "s3_trivial_subgroup.json"),
+                  ("s3_group_algebra.json", "s3_z2_subgroup.json"),
+                  ("kp8.json", "kp8_subgroup.json")]
+
+
+def test_vergnioux_classes_are_closure_classes_on_shipped_pairs(data_dir):
+    from finiteqg.io import load_hopf, load_subgroup
+    from finiteqg.orbits import subgroup_from_dual_matrix
+    duals = {}
+    for hopf_file, sub_file in SUBGROUP_PAIRS:
+        if hopf_file not in duals:
+            H = load_hopf(data_dir / hopf_file)
+            duals[hopf_file] = H, dualize(H)
+        H, D = duals[hopf_file]
+        kind, matrix = load_subgroup(data_dir / sub_file, H.dim)
+        m = (subgroup_from_dual_matrix(D, matrix) if kind == "pi"
+             else quotient_subgroup(H, D, matrix))
+        V = vergnioux_relation(D, m)
+        assert [tuple(c) for c in V.classes] == _closure_classes(V.support)

@@ -1,6 +1,10 @@
-import numpy as np
+from dataclasses import replace
 
-from finiteqg import groups
+import numpy as np
+import pytest
+
+from finiteqg import duality, groups
+from finiteqg.core import LinMap
 from finiteqg.duality import (contragredient, corep_of, dualize,
                               mult_unitary, tensor_mult)
 from finiteqg.hopf import function_algebra, group_algebra
@@ -156,3 +160,26 @@ def test_dual_of_functions_s4_against_cayley_table():
     assert len(D.irr_dims) == _conjugacy_class_count(s4) == 5
     assert sum(n * n for n in D.irr_dims) == s4.order
     assert D.irr_dims.count(1) == s4.order // _commutator_subgroup_order(s4)
+
+
+@pytest.mark.parametrize("part", ["delta", "antipode"])
+def test_dualize_rejects_corrupted_raw_dual(monkeypatch, kp8_block, part):
+    # the raw dual is only verified after its transport to block form
+    raw_dual = duality.dual_hopf_raw
+
+    def corrupted(H):
+        raw = raw_dual(H)
+        m = getattr(raw, part)
+        return replace(raw, **{part: LinMap(m.domain, m.codomain,
+                                            2 * m.matrix)})
+
+    monkeypatch.setattr(duality, "dual_hopf_raw", corrupted)
+    with pytest.raises(ValueError):
+        dualize(kp8_block)
+
+
+def test_corep_of_propagates_nan(dual_cs3):
+    C = dual_cs3.block_to_dual.copy()
+    C[0, 0] = np.nan
+    with pytest.raises(ValueError, match="corepresentation"):
+        corep_of(replace(dual_cs3, block_to_dual=C), 2)

@@ -273,3 +273,82 @@ def test_cli_aborted_check_is_reported_as_failed(tmp_path, capsys,
     assert checks[-1]["name"] == "HaarError"
     assert not checks[-1]["passed"]
     assert all(c["passed"] for c in checks[:-1])
+
+
+# each edit makes a file that int() or complex() would silently reinterpret
+def _float_counit_index(data):
+    data["counit"][0][0] = 0.7          # read as index 0
+
+
+def _bool_delta_index(data):
+    entry = next(e for e in data["delta"] if e[1] == 1)
+    entry[1] = True                     # read as index 1
+
+
+def _string_blocks(data):
+    data["blocks"] = "11"               # read as blocks (1, 1)
+
+
+def _float_block(data):
+    data["blocks"] = [1.5, 1]           # read as blocks (1, 1)
+
+
+def _bool_coefficient(data):
+    data["counit"][0][1] = True         # read as 1.0
+
+
+@pytest.mark.parametrize("edit", [_float_counit_index, _bool_delta_index,
+                                  _string_blocks, _float_block,
+                                  _bool_coefficient])
+def test_hopf_file_is_not_reinterpreted(edit):
+    data = hopf_to_dict(function_algebra(groups.cyclic(2)))
+    edit(data)
+    with pytest.raises(SchemaError):
+        hopf_from_dict(data)
+
+
+@pytest.mark.parametrize("data", [
+    {"pi": [[0, 0.7, 1.0, 0.0], [1, 1, 1.0, 0.0]]},
+    {"pi": [[0, 0, 1.0, 0.0], [True, 1, 1.0, 0.0]]},
+    {"pi": [[0, 0, 1.0, 0.0]], "hopf_surjection": [[0, 0, 1.0, 0.0]]}],
+    ids=["float_index", "bool_index", "both_kinds"])
+def test_subgroup_file_is_not_reinterpreted(tmp_path, data):
+    p = tmp_path / "sub.json"
+    p.write_text(json.dumps(data))
+    with pytest.raises(SchemaError):
+        load_subgroup(p, 6)
+
+
+@pytest.mark.parametrize("edit", ["float_point", "bool_coefficient_index",
+                                  "float_count"])
+def test_magic_file_is_not_reinterpreted(data_dir, edit):
+    data = json.loads((data_dir / "z3_cycle.json").read_text())
+    if edit == "float_point":
+        data["u"][0][1] = 0.0
+    elif edit == "bool_coefficient_index":
+        data["u"][1][2][0][0] = True
+    else:
+        data["n"] = 3.0
+    with pytest.raises(SchemaError):
+        magic_from_dict(data, function_algebra(groups.cyclic(3)))
+
+
+def test_cli_reinterpretable_input_exit_two(tmp_path, data_dir, capsys):
+    hopf = hopf_to_dict(function_algebra(groups.cyclic(2)))
+    hopf["blocks"] = "11"
+    hopf_path = tmp_path / "hopf.json"
+    hopf_path.write_text(json.dumps(hopf))
+    sub_path = tmp_path / "sub.json"
+    sub_path.write_text(json.dumps(
+        json.loads((data_dir / "a3_quotient.json").read_text())
+        | json.loads((data_dir / "a3_normal_subgroup.json").read_text())))
+    magic = json.loads((data_dir / "z3_cycle.json").read_text())
+    magic["n"] = 3.0
+    magic_path = tmp_path / "magic.json"
+    magic_path.write_text(json.dumps(magic))
+    assert cli.main(["verify", str(hopf_path)]) == 2
+    assert cli.main(["orbits", "s3_function_algebra.json",
+                     str(sub_path)]) == 2
+    assert cli.main(["classical-orbits", "z3_function_algebra.json",
+                     str(magic_path)]) == 2
+    assert "status" not in capsys.readouterr().out

@@ -246,3 +246,32 @@ def test_action_verify_sees_the_last_pair(kp8_block):
     alpha = ActionMap(kp8_block, N, LinMap(N, tensor(N, N), am), None)
     with pytest.raises(ValueError, match="multiplicative"):
         alpha.verify()
+
+
+def _not_surjective_pi(D):
+    # two equal rows: rank 1 onto a 2-dim codomain
+    return np.stack([np.ones(6), np.ones(6)])
+
+
+def _pi_kernel_not_ideal(D):
+    # the trivial block and one off-diagonal matrix-unit coordinate of the
+    # 2-dim block, in raw dual coordinates: e_00 of that block lies in the
+    # kernel, and e_00 e_01 = e_01 does not
+    B = D.dual_algebra
+    rows = np.zeros((2, B.dim))
+    rows[0, B.index(0, 0, 0)] = rows[1, B.index(2, 0, 1)] = 1.0
+    return rows @ np.linalg.inv(D.block_to_dual)
+
+
+@pytest.mark.parametrize("craft", [_not_surjective_pi, _pi_kernel_not_ideal])
+def test_pi_must_be_a_hopf_surjection(dual_cs3, craft):
+    with pytest.raises(MorphismError):
+        subgroup_from_dual_matrix(dual_cs3, craft(dual_cs3))
+
+
+def test_pi_killing_every_central_idempotent_rejected(dual_cs3):
+    # no block survives, so there is no support projection to build
+    row = np.zeros((1, dual_cs3.dual_algebra.dim))
+    row[0, dual_cs3.dual_algebra.index(2, 0, 1)] = 1.0
+    with pytest.raises(MorphismError, match="full blocks"):
+        subgroup_from_dual_matrix(dual_cs3, row, in_block_coords=True)
