@@ -139,14 +139,16 @@ def classical_orbits(M: MagicAction, tol=None) -> ClassicalOrbits:
     alpha.verify(tol)
     P = relation(alpha, tol)
     A = M.hopf.algebra
-    worst = 0.0
+    res = []
     for cls in P.classes:
         for j in cls:
             col = A.zero()
             for i in cls:
                 col = col + M.u[i][j]
-            worst = max(worst, (col - A.one()).norm())
-    return ClassicalOrbits(P, worst, len(P.classes) == 1)
+            res.append((col - A.one()).norm())
+    # np.max keeps a NaN residual, where max() would drop it
+    return ClassicalOrbits(P, float(np.max(res, initial=0.0)),
+                           len(P.classes) == 1)
 
 
 @dataclass
@@ -165,7 +167,7 @@ def haar_values(M: MagicAction, h: HaarState, P: OrbitPartition,
                 tol=None) -> HaarValueReport:
     """Haar values of the magic entries: 1/|class| on a class, 0 off it."""
     vals = np.zeros((M.n, M.n))
-    on_res = off_res = 0.0
+    on_res, off_res = [], []
     class_of = {}
     for cls in P.classes:
         for i in cls:
@@ -173,10 +175,12 @@ def haar_values(M: MagicAction, h: HaarState, P: OrbitPartition,
     for i in range(M.n):
         for j in range(M.n):
             v = h(M.u[i][j])
-            off_res = max(off_res, abs(v.imag))
+            off_res.append(abs(v.imag))
             vals[i, j] = v.real
             if class_of[i] is class_of[j]:
-                on_res = max(on_res, abs(v.real - 1.0 / len(class_of[i])))
+                on_res.append(abs(v.real - 1.0 / len(class_of[i])))
             else:
-                off_res = max(off_res, abs(v.real))
-    return HaarValueReport(vals, on_res, off_res)
+                off_res.append(abs(v.real))
+    # np.max keeps a NaN residual, where max() would drop it
+    return HaarValueReport(vals, float(np.max(on_res, initial=0.0)),
+                           float(np.max(off_res, initial=0.0)))

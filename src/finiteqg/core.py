@@ -660,11 +660,17 @@ class LinMap:
 def multiplicative_residual(domain: Algebra, codomain: Algebra,
                             matrix) -> float:
     """Largest norm of f(e_p e_q) - f(e_p) f(e_q) over all basis pairs of
-    the domain, for the linear map f with the given matrix.  One stacked
-    call per p covers the pairs (p, q); rows of d = dim(domain) pairs keep
-    a generic tensor-square codomain's intermediates at d^4 entries."""
+    the domain, for the linear map f with the given matrix.  A codomain on
+    the block path takes all d^2 pairs (d = dim(domain)) in one stacked
+    call.  Otherwise one stacked call per p covers the pairs (p, q); rows
+    of d pairs keep a generic tensor-square codomain's intermediates at
+    d^4 entries."""
     cols = np.asarray(matrix).T
     eye = np.eye(domain.dim)
+    if codomain._block_stacks():
+        images = domain.mul_coeffs(eye[:, None], eye) @ cols   # (p, q, :)
+        return codomain.norm_coeffs(
+            images - codomain.mul_coeffs(cols[:, None], cols))
     return float(np.max([
         codomain.norm_coeffs(domain.mul_coeffs(eye[p], eye) @ cols
                              - codomain.mul_coeffs(cols[p], cols))

@@ -90,7 +90,9 @@ class HopfData:
 
 
 def _op(m) -> float:
-    return float(np.linalg.norm(m, 2))
+    """Operator norm; 0.0 for an all-zero matrix, with no SVD."""
+    m = np.asarray(m)
+    return float(np.linalg.norm(m, 2)) if m.any() else 0.0
 
 
 @dataclass
@@ -140,6 +142,7 @@ def verify_hopf(H: HopfData, tol=None) -> AxiomReport:
     d = A.dim
     DM = H.delta.matrix
     SM = H.antipode.matrix
+    op_dm = _op(DM)
     eye = np.eye(d)
     res, sca = {}, {}
 
@@ -161,10 +164,10 @@ def verify_hopf(H: HopfData, tol=None) -> AxiomReport:
 
     # delta(x*) = delta(x)*  <=>  D St = St_2 conj(D)
     res["delta_star"] = _op(DM @ A.star_matrix - T2.star_matrix @ np.conj(DM))
-    sca["delta_star"] = _op(DM)
+    sca["delta_star"] = op_dm
 
     res["delta_multiplicative"] = multiplicative_residual(A, T2, DM)
-    sca["delta_multiplicative"] = _op(DM) ** 2
+    sca["delta_multiplicative"] = op_dm ** 2
 
     # D3[i, j, k] is the coefficient of e_i x e_j in delta(e_k); a map
     # applied to its first leg acts on ``first``, one applied to its second
@@ -179,7 +182,7 @@ def verify_hopf(H: HopfData, tol=None) -> AxiomReport:
 
     res["counit_left"] = _op((H.counit @ first).reshape(d, d) - eye)
     res["counit_right"] = _op(H.counit @ D3 - eye)
-    sca["counit_left"] = sca["counit_right"] = _op(DM)
+    sca["counit_left"] = sca["counit_right"] = op_dm
 
     mm = H.multiplication_map().matrix
     target = np.outer(A.unit_coeffs, H.counit)
@@ -187,7 +190,7 @@ def verify_hopf(H: HopfData, tol=None) -> AxiomReport:
     s_right = (SM @ D3).reshape(d * d, d)     # (id x S) delta
     res["antipode_left"] = _op(mm @ s_left - target)
     res["antipode_right"] = _op(mm @ s_right - target)
-    sca["antipode_left"] = sca["antipode_right"] = _op(mm) * _op(DM)
+    sca["antipode_left"] = sca["antipode_right"] = _op(mm) * op_dm
 
     res["antipode_involutive"] = _op(SM @ SM - eye)
     sca["antipode_involutive"] = _op(SM) ** 2

@@ -197,6 +197,8 @@ def save_magic(M: MagicAction, path) -> None:
 def magic_from_dict(data: dict, H: HopfData) -> MagicAction:
     try:
         n = _integer(data["n"], "point count")
+        if n < 1:
+            raise SchemaError(f"point count {n} is not positive")
         mats = [[np.zeros(H.dim, dtype=complex) for _ in range(n)]
                 for _ in range(n)]
         for i, j, coeffs in data["u"]:

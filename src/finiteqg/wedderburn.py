@@ -9,11 +9,16 @@ representation for group-like bases, a GNS representation for abstract
 algebras with a given tracial Gram matrix); results are pulled back to
 ambient coefficients and re-verified against the ambient product.
 
-The splitting is randomized but seeded: spectral projections of seeded
-random self-adjoint central elements cut the algebra into corners, which
-are split further whenever a corner center stays bigger than one
-dimension.  Matrix units are built from one minimal projection per factor
-and polar-type couplings e11 * x * f.
+The splitting is randomized but seeded.  The centre Z is computed once,
+as the kernel of all commutators with the span.  Seeded random
+self-adjoint central elements are drawn until one has exactly dim Z
+spectral clusters; its spectral projections are then dim Z orthogonal
+central projections, so by counting they are the minimal ones.  One
+batched product p B p compresses the span into all factor corners at
+once.  Matrix units are built from one minimal projection per factor and
+polar-type couplings e11 * x * f.  The span's basis is one (m, r, r)
+array, so the closure check, the centre and the unit relations are a few
+stacked kernel calls per decomposition, not one per basis element.
 """
 from __future__ import annotations
 
@@ -23,7 +28,8 @@ from math import isqrt
 import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, LinMap, Tolerance,
-                   DEFAULT_SEED, as_tolerance, nullspace, orthonormal_rows)
+                   DEFAULT_SEED, as_tolerance, distance_to_span, nullspace,
+                   orthonormal_rows)
 
 # relative eigenvalue gap used to form spectral clusters
 CLUSTER_GAP = 1e-6
@@ -84,23 +90,26 @@ class WedderburnData:
         return out
 
     def verify(self, tol=None) -> float:
-        """Largest residual of the matrix-unit relations, ambient product."""
-        worst = 0.0
+        """Largest residual of the matrix-unit relations, ambient product.
+
+        Per block, one stacked call each covers e_ij* = e_ji, e_ij e_kl =
+        [j = k] e_il over all (i, j, k, l), and sum_i e_ii = p."""
+        A = self.ambient
+        worst = []
         for b, n in enumerate(self.block_dims):
-            mu = self.matrix_units[b]
-            ssum = None
-            for i in range(n):
-                ssum = mu[i][i] if ssum is None else ssum + mu[i][i]
-                for j in range(n):
-                    worst = max(worst, (mu[i][j].star() - mu[j][i]).norm())
-                    for k in range(n):
-                        for l in range(n):
-                            prod = mu[i][j] * mu[k][l]
-                            want = mu[i][l] if j == k else None
-                            diff = prod - want if want else prod
-                            worst = max(worst, diff.norm())
-            worst = max(worst, (ssum - self.central_idempotents[b]).norm())
-        return worst
+            U = np.array([[e.coeffs for e in row]
+                          for row in self.matrix_units[b]])   # (i, j, :)
+            worst.append(A.norm_coeffs(
+                A.star_coeffs(U) - U.transpose(1, 0, 2)))
+            prods = A.mul_coeffs(U[:, :, None, None], U)  # (i, j, k, l, :)
+            diag = np.arange(n)
+            prods[:, diag, diag] -= U[:, None]
+            worst.append(A.norm_coeffs(prods))
+            worst.append(A.norm_coeffs(
+                U[diag, diag].sum(axis=0)
+                - self.central_idempotents[b].coeffs))
+        # np.max keeps a NaN residual, where max() would drop it
+        return float(np.max(worst))
 
 
 def _cluster(values, tol: Tolerance):
@@ -129,16 +138,16 @@ def _members(vals, lo, hi, spread):
 
 
 class _MatrixSpan:
-    """A *-closed span of r x r matrices with its own unit."""
+    """A *-closed span of r x r matrices with its own unit.  ``basis`` is
+    an orthonormal basis as one (m, r, r) array; ``basis_flat`` is the
+    same as (m, r * r) rows."""
 
     def __init__(self, mats, unit, tol):
         self.tol = tol
-        flat = np.stack([m.reshape(-1) for m in mats])
-        basis_flat = orthonormal_rows(flat, tol)
-        r = mats[0].shape[0]
-        self.r = r
-        self.basis = [b.reshape(r, r) for b in basis_flat]
-        self.basis_flat = basis_flat
+        mats = np.asarray(mats)
+        self.r = mats.shape[-1]
+        self.basis_flat = orthonormal_rows(mats.reshape(len(mats), -1), tol)
+        self.basis = self.basis_flat.reshape(-1, self.r, self.r)
         self.unit = unit
 
     @property
@@ -151,41 +160,44 @@ class _MatrixSpan:
         return self.tol.is_zero(
             float(np.linalg.norm(v - proj)), float(np.linalg.norm(v)))
 
-    def check_closed(self):
-        worst = 0.0
-        for b in self.basis:
-            v = b.conj().T.reshape(-1)
-            proj = self.basis_flat.T @ (self.basis_flat.conj() @ v)
-            worst = max(worst, float(np.linalg.norm(v - proj)))
-        for b1 in self.basis:
-            for b2 in self.basis:
-                v = (b1 @ b2).reshape(-1)
-                proj = self.basis_flat.T @ (self.basis_flat.conj() @ v)
-                worst = max(worst, float(np.linalg.norm(v - proj)))
+    def _products(self):
+        """All products b_i b_j of basis matrices, indexed (i, j)."""
+        return self.basis[:, None] @ self.basis
+
+    def check_closed(self) -> float:
+        """Largest distance of an adjoint or a product of basis matrices
+        from the span; raises unless the span is a unital *-algebra."""
+        m = self.dim
+        adjoints = self.basis.conj().transpose(0, 2, 1).reshape(m, -1)
+        worst = distance_to_span(self.basis_flat, np.concatenate(
+            [adjoints, self._products().reshape(m * m, -1)]))
         if not self.tol.is_zero(worst):
             raise SpanNotClosedError(
                 f"span is not a *-closed algebra (residual {worst:.3e})")
         if not self.contains(self.unit):
             raise SpanNotClosedError("span does not contain its unit")
+        return worst
 
     def center_basis(self):
         """Orthonormal coefficient rows of {z in span : [z, span] = 0}."""
-        rows = []
-        for b in self.basis:
-            block = np.stack([(bi @ b - b @ bi).reshape(-1)
-                              for bi in self.basis], axis=1)
-            rows.append(block)
-        return nullspace(np.vstack(rows), self.tol)
+        prods = self._products()
+        # row (j, entry), column i: the entry of b_i b_j - b_j b_i
+        comm = prods - prods.transpose(1, 0, 2, 3)
+        return nullspace(comm.transpose(1, 2, 3, 0).reshape(-1, self.dim),
+                         self.tol)
 
     def random_selfadjoint(self, rng):
         c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        m = np.tensordot(c, np.stack(self.basis), axes=(0, 0))
+        m = np.tensordot(c, self.basis, axes=(0, 0))
         return 0.5 * (m + m.conj().T)
 
-    def compress(self, p):
-        """The corner p * span * p as a new _MatrixSpan with unit p."""
-        mats = [p @ b @ p for b in self.basis]
-        return _MatrixSpan(mats + [p], p, self.tol)
+    def compress(self, projections):
+        """The corners p * span * p, one new _MatrixSpan with unit p for
+        each p of a (k, r, r) stack of projections."""
+        ps = np.asarray(projections)
+        corners = ps[:, None] @ self.basis @ ps[:, None]
+        return [_MatrixSpan(np.concatenate([c, p[None]]), p, self.tol)
+                for c, p in zip(corners, ps)]
 
 
 def _spectral_projection_top(span: _MatrixSpan, y, rng, tol):
@@ -201,16 +213,16 @@ def _spectral_projection_top(span: _MatrixSpan, y, rng, tol):
 
 
 def _central_idempotents(span: _MatrixSpan, rng, tol):
-    """Minimal central idempotents, splitting recursively."""
+    """The corners cut out by the minimal central idempotents."""
     zc = span.center_basis()
-    if zc.shape[0] <= 1:
+    k = zc.shape[0]
+    if k <= 1:
         return [span]
     for _ in range(32):
         # complex coefficients: the Hermitian part of the complex span is
         # the full real space of self-adjoint central elements
-        c = rng.standard_normal(zc.shape[0]) \
-            + 1j * rng.standard_normal(zc.shape[0])
-        z = np.tensordot(c @ zc, np.stack(span.basis), axes=(0, 0))
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        z = np.tensordot(c @ zc, span.basis, axes=(0, 0))
         z = 0.5 * (z + z.conj().T)
         nz = float(np.linalg.norm(z, 2))
         if nz < 1e-6:
@@ -220,21 +232,23 @@ def _central_idempotents(span: _MatrixSpan, rng, tol):
         spread = max(1.0, float(np.abs(vals).max()))
         nonzero = vals > nz * 0.5
         clusters = _cluster(vals[nonzero], tol)
-        if len(clusters) >= 2:
+        # k orthogonal central projections in a k-dimensional centre are
+        # the minimal ones; fewer clusters means a degenerate draw
+        if len(clusters) == k:
             break
     else:
         raise WedderburnError(
-            "central element failed to split a corner with "
-            f"{zc.shape[0]}-dimensional center")
-    corners = []
+            "central elements failed to split a "
+            f"{k}-dimensional center into minimal projections")
+    projections = []
     for lo, hi in clusters:
         sel = _members(vals, lo, hi, spread) & nonzero
         v = vecs[:, sel]
         p = v @ v.conj().T
         if not span.contains(p):
             raise WedderburnError("spectral projection escaped the span")
-        corners.extend(_central_idempotents(span.compress(p), rng, tol))
-    return corners
+        projections.append(p)
+    return span.compress(np.stack(projections))
 
 
 def _minimal_projection(corner: _MatrixSpan, rng, tol):
@@ -248,7 +262,7 @@ def _minimal_projection(corner: _MatrixSpan, rng, tol):
         e = _spectral_projection_top(span, y, rng, tol)
         if not span.contains(e):
             raise WedderburnError("minimal projection escaped the span")
-        compressed = span.compress(e)
+        compressed, = span.compress(e[None])
         if compressed.dim == 1:
             return e
         span = compressed
@@ -307,6 +321,14 @@ def decompose_abstract(algebra: Algebra, gram, tol=None,
     h(e_p* e_q); the GNS representation it induces is a *-representation,
     which the plain left regular representation need not be.
     """
+    return _decompose_with_rep(
+        algebra, [np.eye(algebra.dim)[k] for k in range(algebra.dim)],
+        _gns_rep(algebra, gram), tol, seed)
+
+
+def _gns_rep(algebra: Algebra, gram):
+    """Per-basis-element matrices of the GNS representation of the state
+    with positive-definite Gram matrix ``gram``."""
     gram = np.asarray(gram, dtype=complex)
     vals, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
     if vals.min() <= 0:
@@ -314,10 +336,7 @@ def decompose_abstract(algebra: Algebra, gram, tol=None,
     gh = (vecs * np.sqrt(vals)) @ vecs.conj().T
     ghi = (vecs / np.sqrt(vals)) @ vecs.conj().T
     lam = algebra.mul_tensor.transpose(1, 0, 2)  # left regular
-    rep = np.einsum("ab,kbc,cd->kad", gh, lam, ghi, optimize=True)
-    return _decompose_with_rep(
-        algebra, [np.eye(algebra.dim)[k] for k in range(algebra.dim)],
-        rep, tol, seed)
+    return np.einsum("ab,kbc,cd->kad", gh, lam, ghi, optimize=True)
 
 
 def _decompose_with_rep(ambient, gen_coeffs, rep_tensor, tol, seed):
@@ -347,19 +366,26 @@ def _decompose_with_rep(ambient, gen_coeffs, rep_tensor, tol, seed):
     corners = _central_idempotents(span, rng, tol)
     rep_flat = rep_tensor.reshape(d, -1).T  # columns = flattened rep basis
 
-    def pull_back(m):
-        c, *_ = np.linalg.lstsq(rep_flat, m.reshape(-1), rcond=None)
-        res = float(np.linalg.norm(rep_flat @ c - m.reshape(-1)))
-        if not tol.is_zero(res, float(np.linalg.norm(m))):
-            raise WedderburnError("pull-back failed; representation not "
-                                  f"faithful enough (residual {res:.3e})")
-        return AlgElement(ambient, c)
+    def pull_back(mats):
+        """Ambient coefficient rows of a stack of represented elements:
+        one least-squares solve with a right-hand side per matrix."""
+        rhs = mats.reshape(len(mats), -1).T
+        c, *_ = np.linalg.lstsq(rep_flat, rhs, rcond=None)
+        res = np.linalg.norm(rep_flat @ c - rhs, axis=0)
+        ok = tol.is_zero(res, np.linalg.norm(rhs, axis=0))
+        if not np.all(ok):
+            raise WedderburnError(
+                "pull-back failed; representation not faithful enough "
+                f"(residual {np.max(res[~ok]):.3e})")
+        return c.T
 
     blocks = []
     for corner in corners:
         units_m = _factor_matrix_units(corner, rng, tol)
         n = len(units_m)
-        units = [[pull_back(units_m[i][j]) for j in range(n)] for i in range(n)]
+        coeffs = pull_back(np.stack([u for row in units_m for u in row]))
+        units = [[AlgElement(ambient, coeffs[i * n + j]) for j in range(n)]
+                 for i in range(n)]
         p = units[0][0]
         for i in range(1, n):
             p = p + units[i][i]

@@ -125,3 +125,31 @@ def test_nan_coefficient_fails_verify_magic(z3_magic):
     rep = verify_magic(MagicAction(z3_magic.hopf, 3, u))
     assert not rep.passed
     assert np.isnan(rep.residuals["projection"])
+
+
+def _with_nan(M, i, j):
+    u = [list(row) for row in M.u]
+    coeffs = u[i][j].coeffs.copy()
+    coeffs[0] = np.nan
+    u[i][j] = AlgElement(M.hopf.algebra, coeffs)
+    return MagicAction(M.hopf, M.n, u)
+
+
+def test_nan_entry_fails_haar_values(z3_magic):
+    P = classical_orbits(z3_magic).partition
+    h = haar_state(z3_magic.hopf)
+    hv = haar_values(_with_nan(z3_magic, 0, 1), h, P)
+    assert not hv.passed()
+    assert np.isnan(hv.off_class_residual) or np.isnan(hv.on_class_residual)
+
+
+def test_nan_entry_fails_counting_residual(z3_magic, monkeypatch):
+    # the coaction check and the relation's SVD would stop a NaN first;
+    # skip both so that it reaches the counting fold
+    from finiteqg import classical, orbits
+    P = classical_orbits(z3_magic).partition
+    monkeypatch.setattr(orbits.ActionMap, "verify",
+                        lambda self, tol=None: {})
+    monkeypatch.setattr(classical, "relation", lambda alpha, tol=None: P)
+    co = classical_orbits(_with_nan(z3_magic, 0, 1))
+    assert np.isnan(co.counting_residual)

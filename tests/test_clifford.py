@@ -265,3 +265,25 @@ def test_vergnioux_classes_are_closure_classes_on_shipped_pairs(data_dir):
              else quotient_subgroup(H, D, matrix))
         V = vergnioux_relation(D, m)
         assert [tuple(c) for c in V.classes] == _closure_classes(V.support)
+
+
+def test_seed_invariance_on_shipped_pairs(data_dir):
+    """Dual block dimensions, orbit classes and restriction tables do not
+    depend on the seed of the randomized Wedderburn splitting."""
+    from finiteqg.core import DEFAULT_SEED
+    from finiteqg.io import load_hopf, load_subgroup
+    from finiteqg.orbits import subgroup_from_dual_matrix
+    hopfs = {f: load_hopf(data_dir / f) for f, _ in SUBGROUP_PAIRS}
+    seen = {}
+    for seed in (DEFAULT_SEED, 1, 2, 12345):
+        duals = {f: dualize(H, seed=seed) for f, H in hopfs.items()}
+        for hopf_file, sub_file in SUBGROUP_PAIRS:
+            H, D = hopfs[hopf_file], duals[hopf_file]
+            kind, matrix = load_subgroup(data_dir / sub_file, H.dim)
+            m = (subgroup_from_dual_matrix(D, matrix) if kind == "pi"
+                 else quotient_subgroup(H, D, matrix))
+            X = homogeneous_space(D, m, seed=seed)
+            P = relation(homogeneous_action(D, X))
+            T = restriction_table(D, X, P)
+            got = (D.irr_dims, X.block_dims, P.classes, T.mult.tolist())
+            assert seen.setdefault((hopf_file, sub_file), got) == got, seed

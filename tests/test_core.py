@@ -328,3 +328,21 @@ def _norm_outcome(alg, x):
         return "nan" if np.isnan(alg.norm_coeffs(x)) else "finite"
     except np.linalg.LinAlgError:
         return "raises"
+
+
+def test_multiplicative_residual_all_pairs_sees_the_last_pair(kp8_block):
+    # a block codomain takes every pair in one call; only the pair
+    # (d - 1, d - 1) of the domain is corrupted
+    B, d = kp8_block.algebra, kp8_block.dim
+    T2, DM = tensor(B, B), kp8_block.delta.matrix
+    assert core.multiplicative_residual(B, T2, DM) <= 1e-12
+    m = B.mul_tensor.copy()
+    m[0, d - 1, d - 1] += 0.25
+    A2 = core.Algebra(m, B.unit_coeffs, B.star_matrix)
+    got = core.multiplicative_residual(A2, T2, DM)
+    eye, cols = np.eye(d), DM.T
+    per_p = max(T2.norm_coeffs(A2.mul_coeffs(eye[p], eye) @ cols
+                               - T2.mul_coeffs(cols[p], cols))
+                for p in range(d))
+    assert got > 0.1
+    assert abs(got - per_p) <= 1e-13

@@ -172,3 +172,17 @@ def test_corrupted_last_pair_fails_pair_checks(hopf_gs3, kp8_block):
     H3 = HopfData(B, LinMap(B, tensor(B, B), DM), kp8_block.counit,
                   kp8_block.antipode)
     assert "coassociativity" in verify_hopf(H3).failures()
+
+
+def test_operator_norm_of_zero_takes_no_svd(monkeypatch):
+    from finiteqg import hopf
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("SVD taken")
+
+    m = np.array([[3.0, 0.0], [4.0, 0.0]])
+    assert hopf._op(m) == 5.0
+    monkeypatch.setattr(np.linalg, "norm", no_svd)
+    assert hopf._op(np.zeros((4, 4), dtype=complex)) == 0.0
+    with pytest.raises(AssertionError):
+        hopf._op(m)

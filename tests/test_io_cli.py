@@ -352,3 +352,14 @@ def test_cli_reinterpretable_input_exit_two(tmp_path, data_dir, capsys):
     assert cli.main(["classical-orbits", "z3_function_algebra.json",
                      str(magic_path)]) == 2
     assert "status" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_magic_point_count_must_be_positive(tmp_path, capsys, n):
+    p = tmp_path / "magic.json"
+    p.write_text(json.dumps({"n": n, "u": []}))
+    with pytest.raises(SchemaError):
+        load_magic(p, function_algebra(groups.cyclic(2)))
+    assert cli.main(["classical-orbits", "z2_function_algebra.json",
+                     str(p)]) == 2
+    assert "status" not in capsys.readouterr().out

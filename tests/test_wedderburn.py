@@ -1,13 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from finiteqg import groups
-from finiteqg.core import BlockAlgebra
+from finiteqg.core import BlockAlgebra, nullspace
 from finiteqg.haar import haar_state
-from finiteqg.hopf import group_algebra
+from finiteqg.hopf import group_algebra, kac_paljutkin
 from finiteqg.core import Tolerance
 from finiteqg.wedderburn import (SpanNotClosedError, SpectralGapError,
-                                 _cluster, central_support, decompose,
+                                 _central_idempotents, _cluster, _gns_rep,
+                                 _MatrixSpan, central_support, decompose,
                                  decompose_abstract)
 
 
@@ -137,3 +140,133 @@ def test_cluster_refuses_ambiguous_gap():
     # comfortably separated values split fine
     lo_hi = _cluster([0.0, 0.5, 0.5 + 1e-9], Tolerance(1e-9))
     assert len(lo_hi) == 2
+
+
+# -- stacked kernels against per-element reference loops -------------------
+
+ABSTRACT = {"kp8": kac_paljutkin,
+            "C[S3]": lambda: group_algebra(groups.symmetric(3)),
+            "C[Q8]": lambda: group_algebra(groups.quaternion())}
+
+
+@pytest.fixture(scope="module", params=sorted(ABSTRACT))
+def abstract_case(request):
+    H = ABSTRACT[request.param]()
+    return H.algebra, haar_state(H).gram
+
+
+def _gns_span(algebra, gram):
+    rep = _gns_rep(algebra, gram)
+    unit = np.tensordot(algebra.unit_coeffs, rep, axes=(0, 0))
+    return _MatrixSpan(list(rep), unit, Tolerance())
+
+
+def _closure_reference(span):
+    """Largest distance from the span of an adjoint or a product of basis
+    matrices, one matrix at a time."""
+    P = span.basis_flat
+    worst = 0.0
+    for b in span.basis:
+        v = b.conj().T.reshape(-1)
+        worst = max(worst, np.linalg.norm(v - P.T @ (P.conj() @ v)))
+        for b2 in span.basis:
+            v = (b @ b2).reshape(-1)
+            worst = max(worst, np.linalg.norm(v - P.T @ (P.conj() @ v)))
+    return worst
+
+
+def _center_reference(span):
+    rows = [np.stack([(bi @ b - b @ bi).reshape(-1) for bi in span.basis],
+                     axis=1) for b in span.basis]
+    return nullspace(np.vstack(rows), span.tol)
+
+
+def _verify_reference(wd):
+    """Matrix-unit relations one element pair at a time."""
+    worst = 0.0
+    for b, n in enumerate(wd.block_dims):
+        mu = wd.matrix_units[b]
+        ssum = mu[0][0]
+        for i in range(1, n):
+            ssum = ssum + mu[i][i]
+        worst = max(worst, (ssum - wd.central_idempotents[b]).norm())
+        for i in range(n):
+            for j in range(n):
+                worst = max(worst, (mu[i][j].star() - mu[j][i]).norm())
+                for k in range(n):
+                    for l in range(n):
+                        diff = mu[i][j] * mu[k][l]
+                        if j == k:
+                            diff = diff - mu[i][l]
+                        worst = max(worst, diff.norm())
+    return worst
+
+
+def test_stacked_closure_and_center_match_reference(abstract_case):
+    span = _gns_span(*abstract_case)
+    assert abs(span.check_closed() - _closure_reference(span)) <= 1e-13
+    zc, ref = span.center_basis(), _center_reference(span)
+    assert zc.shape == ref.shape
+    # orthogonal projectors onto the centre, independent of its basis
+    assert np.abs(zc.T @ zc.conj() - ref.T @ ref.conj()).max() <= 1e-13
+
+
+def test_stacked_verify_matches_reference(abstract_case):
+    wd = decompose_abstract(*abstract_case)
+    got = wd.verify()
+    assert got <= 1e-9
+    assert abs(got - _verify_reference(wd)) <= 1e-13
+
+
+def test_corrupted_last_matrix_unit_fails_verify(kp8):
+    wd = decompose_abstract(kp8.algebra, haar_state(kp8).gram)
+    units = [[list(row) for row in block] for block in wd.matrix_units]
+    n = wd.block_dims[-1]
+    units[-1][n - 1][n - 1] = 1.001 * units[-1][n - 1][n - 1]
+    assert replace(wd, matrix_units=units).verify() > 1e-4
+
+
+def test_nan_basis_element_fails_check_closed(hopf_gs3):
+    span = _gns_span(hopf_gs3.algebra, haar_state(hopf_gs3).gram)
+    span.basis[-1, 0, 0] = np.nan     # a view: basis_flat changes too
+    # the closure residual itself is NaN, not only the unit check
+    with pytest.raises(SpanNotClosedError, match=r"\*-closed algebra"):
+        span.check_closed()
+
+
+class _ForcedFirstDraw:
+    """A generator whose first complex draw is fixed; later draws come
+    from a seeded numpy generator.  Records the size of every draw."""
+
+    def __init__(self, first, seed=5):
+        self.queue = [first.real, first.imag]
+        self.rng = np.random.default_rng(seed)
+        self.sizes = []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        if self.queue:
+            return self.queue.pop(0)
+        return self.rng.standard_normal(size)
+
+
+def test_degenerate_first_draw_is_retried():
+    A = BlockAlgebra([1, 1, 2])
+    rep = A.rep_tensor
+    span = _MatrixSpan(list(rep), np.eye(A.rep_dim), Tolerance())
+    zc = span.center_basis()
+    assert zc.shape[0] == 3
+    # the central element p_0 + p_1 has only two spectral clusters
+    target = np.tensordot((A.block_unit(0) + A.block_unit(1)).coeffs, rep,
+                          axes=(0, 0))
+    t = span.basis_flat.conj() @ target.reshape(-1)
+    c = t @ zc.conj().T
+    assert np.allclose(c @ zc, t)
+    rng = _ForcedFirstDraw(c)
+    corners = _central_idempotents(span, rng, Tolerance())
+    # one rejected top-level draw, then one accepted draw over the whole
+    # 3-dimensional centre (no draw inside a corner)
+    assert rng.sizes == [3, 3, 3, 3]
+    assert sorted(corner.dim for corner in corners) == [1, 1, 4]
+    total = sum(corner.unit for corner in corners)
+    assert np.abs(total - np.eye(A.rep_dim)).max() <= 1e-12
