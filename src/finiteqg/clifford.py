@@ -184,7 +184,7 @@ def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
                   for cls in partition.classes)
     mult_ok = True
     constants = {}
-    worst = 0.0
+    devs = []
     for k in range(len(D.irr_dims)):
         for ci, cls in enumerate(partition.classes):
             vals = {int(table.mult[k, i]) for i in cls}
@@ -204,8 +204,10 @@ def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
                         f = X.wd.matrix_units[i][a][b]
                         tr = complex(np.trace(B.block_matrices(f.coeffs)[k]))
                         want = c * n if a == b else 0.0
-                        worst = max(worst, abs(tr - want))
-    return ConstancyReport(dims_ok, mult_ok, worst, constants, tol)
+                        devs.append(abs(tr - want))
+    # np.max keeps a NaN residual, where max() would drop it
+    return ConstancyReport(dims_ok, mult_ok, float(np.max(devs, initial=0.0)),
+                           constants, tol)
 
 
 @dataclass

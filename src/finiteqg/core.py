@@ -23,15 +23,24 @@ all block algebras, cuts its coefficients into (Kronecker) blocks through
 one set of index stacks (``_block_gathers``), grouped by block size N.
 Products and norms share that path: the product is a stacked N x N
 matrix product per size (elementwise when N = 1), the norm is the largest
-2-norm over the blocks (max |x| when N = 1), so no large matrix is ever
-built.  Any other algebra multiplies through its structure constants,
-contracting a tensor product one leg at a time and never forming
-x (x) y, and takes norms in its dense representation (the left regular
-one for structure-constant algebras, Kronecker products of the factors'
-for tensor products).  Every norm skips all-zero rows without building a
-matrix.  A NaN coefficient never yields a finite norm: it gives NaN in a
-1 x 1 block and a ``LinAlgError`` from any SVD.  Zero tests are relative:
-``norm <= eps * (1 + scale)``.
+spectral norm over the blocks (max |x| when N = 1), so no large matrix is
+ever built.  Any other algebra multiplies through its structure
+constants, contracting a tensor product one leg at a time and never
+forming x (x) y, and takes norms in its dense representation (the left
+regular one for structure-constant algebras, Kronecker products of the
+factors' for tensor products).  Every norm skips all-zero rows without
+building a matrix.
+
+Every spectral norm, here and in the residuals and scales of the other
+modules, comes from ``opnorm``: the square root of the largest eigenvalue
+of a Gram matrix taken on the matrix's smaller side, after scaling by the
+largest entry.  A NaN or inf coefficient gives a NaN norm on every path,
+never a ``LinAlgError``.  SVDs are taken only where a rank is decided
+(``nullspace``, ``orthonormal_rows``, ``LinMap.rank``, the Haar nullity,
+the injectivity of a coaction), and for the spectral shifts inside the
+Wedderburn split, whose results the matrix units depend on; such an SVD
+of a matrix with a NaN raises ``LinAlgError``.  Zero tests
+are relative: ``norm <= eps * (1 + scale)``.
 """
 from __future__ import annotations
 
@@ -43,7 +52,8 @@ DEFAULT_EPS = 1e-9
 # 0xC11FF04D; fits in 32 bits so it seeds every numpy generator.
 DEFAULT_SEED = 0xC11FF04D
 # dense norms of a stack build at most this many representation entries
-# at a time (16 MB), whatever the stack's length
+# at a time (16 MB), whatever the stack's length; opnorm forms its Gram
+# matrices from slices of about this size
 _DENSE_STACK_ENTRIES = 1 << 20
 
 
@@ -493,13 +503,54 @@ def _blockwise_mul(x, y, gathers):
     return out
 
 
+def opnorm(stack):
+    """Spectral norm of each matrix in a ``(..., a, b)`` stack.
+
+    The norm of a matrix is s * sqrt(lambda_max(G)), where s is its
+    largest |entry| and G the Gram matrix of the matrix divided by s, taken
+    on its smaller side; the scaling keeps G clear of underflow and
+    overflow.  A matrix with a NaN or inf entry gives NaN, an all-zero
+    matrix 0.0, both without a decomposition.  Returns an array of shape
+    ``stack.shape[:-2]`` (a numpy float for a single matrix)."""
+    m = np.asarray(stack)
+    s = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    live = np.isfinite(s) & (s > 0)
+    if live.all():
+        return s * _unit_opnorm(m, s)
+    out = np.where(np.isfinite(s), 0.0, np.nan)
+    if live.any():
+        out[live] = s[live] * _unit_opnorm(m[live], s[live])
+    return out[()]
+
+
+def _unit_opnorm(m, s):
+    """sqrt(lambda_max) of the smaller Gram matrix of each m / s, whose
+    largest |entry| is 1, so that lambda_max >= 1.  The Gram matrix is
+    summed over slices of the longer side of at most about
+    ``_DENSE_STACK_ENTRIES`` entries, so no full-size scaled or conjugated
+    copy of the stack is held."""
+    s = s[..., None, None]
+    tall = m.shape[-2] >= m.shape[-1]
+    length = m.shape[-2] if tall else m.shape[-1]
+    step = max(1, _DENSE_STACK_ENTRIES // (m.size // length))
+    gram = None
+    for i in range(0, length, step):
+        x = (m[..., i:i + step, :] if tall else m[..., i:i + step]) / s
+        xh = x.conj().swapaxes(-1, -2)
+        if gram is None:
+            gram = xh @ x if tall else x @ xh
+        else:
+            gram += xh @ x if tall else x @ xh
+    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+
+
 def _max_norm(alg, x) -> float:
     """Largest operator norm over the rows of a coefficient stack.
 
     All-zero rows are dropped first.  On the block path it is the largest
-    2-norm over the blocks named by ``_block_gathers``; otherwise the rows'
-    dense representations, a bounded number of entries at a time.  NaN
-    propagates instead of losing a max comparison."""
+    ``opnorm`` over the blocks named by ``_block_gathers``; otherwise over
+    the rows' dense representations, a bounded number of entries at a
+    time.  NaN propagates instead of losing a max comparison."""
     x = np.asarray(x)
     rows = x.reshape(-1, x.shape[-1])
     if len(rows) > 1:
@@ -509,13 +560,11 @@ def _max_norm(alg, x) -> float:
     gathers = alg._block_stacks()
     if gathers:
         norms = [np.abs(rows.take(g, axis=-1)).max() if g.shape[-1] == 1
-                 else np.linalg.norm(rows.take(g, axis=-1), 2,
-                                     axis=(-2, -1)).max()
+                 else opnorm(rows.take(g, axis=-1)).max()
                  for g in gathers]
     else:
         step = max(1, _DENSE_STACK_ENTRIES // alg.rep_dim ** 2)
-        norms = [np.linalg.norm(alg.rep_coeffs(rows[i:i + step]), 2,
-                                axis=(-2, -1)).max()
+        norms = [opnorm(alg.rep_coeffs(rows[i:i + step])).max()
                  for i in range(0, len(rows), step)]
     return float(np.max(norms))
 
@@ -649,7 +698,7 @@ class LinMap:
         return int(np.sum(s > tol.eps * max(1.0, s[0])))
 
     def distance(self, other: "LinMap") -> float:
-        return float(np.linalg.norm(self.matrix - other.matrix, 2))
+        return float(opnorm(self.matrix - other.matrix))
 
     def __repr__(self):
         return f"LinMap({self.domain!r} -> {self.codomain!r})"

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, LinMap,
-                   DEFAULT_SEED, as_tolerance, tensor)
+                   DEFAULT_SEED, as_tolerance, opnorm, tensor)
 from .haar import haar_state
 from .hopf import HopfData, verify_hopf
 from .wedderburn import WedderburnData, decompose_abstract, reorder_blocks
@@ -104,7 +104,7 @@ def _transport_hopf(H: HopfData, phi: np.ndarray, B: BlockAlgebra,
     antipode = phi_i @ H.antipode.matrix @ phi
     # the transported involution must agree with B's blockwise adjoint
     st = phi_i @ H.algebra.star_matrix @ np.conj(phi)
-    st_res = float(np.linalg.norm(st - B.star_matrix, 2))
+    st_res = float(opnorm(st - B.star_matrix))
     if not tol.is_zero(st_res):
         raise ValueError(
             f"block transport breaks the involution (residual {st_res:.3e})")

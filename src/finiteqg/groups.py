@@ -27,19 +27,12 @@ class FiniteGroup:
 
     @property
     def identity(self) -> int:
-        n = self.order
-        for e in range(n):
-            if all(self.table[e, g] == g and self.table[g, e] == g
-                   for g in range(n)):
-                return e
-        raise ValueError("no identity")  # unreachable after validation
+        # the identity's row of the table is the identity permutation
+        row_is_id = (self.table == np.arange(self.order)).all(axis=1)
+        return int(np.flatnonzero(row_is_id)[0])
 
     def inverse(self, g: int) -> int:
-        e = self.identity
-        for h in range(self.order):
-            if self.table[g, h] == e:
-                return h
-        raise ValueError("no inverse")
+        return int(np.flatnonzero(self.table[g] == self.identity)[0])
 
     def index_of(self, element) -> int:
         return self.elements.index(element)
@@ -56,19 +49,19 @@ def check_group_table(table) -> None:
         raise ValueError("Cayley table must be square and non-empty")
     if t.min() < 0 or t.max() >= n:
         raise ValueError("Cayley table entries out of range")
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                if t[t[i, j], k] != t[i, t[j, k]]:
-                    raise ValueError("Cayley table is not associative")
-    idents = [e for e in range(n)
-              if all(t[e, g] == g and t[g, e] == g for g in range(n))]
+    # t[t][i, j, k] = t[t[i, j], k] and t[:, t][i, j, k] = t[i, t[j, k]]
+    if not np.array_equal(t[t], t[:, t]):
+        raise ValueError("Cayley table is not associative")
+    ar = np.arange(n)
+    idents = np.flatnonzero((t == ar).all(axis=1)
+                            & (t == ar[:, None]).all(axis=0))
     if len(idents) != 1:
         raise ValueError("Cayley table has no (unique) identity")
     e = idents[0]
-    for g in range(n):
-        if not any(t[g, h] == e and t[h, g] == e for h in range(n)):
-            raise ValueError(f"element {g} has no inverse")
+    has_inverse = ((t == e) & (t.T == e)).any(axis=1)
+    if not has_inverse.all():
+        g = int(np.flatnonzero(~has_inverse)[0])
+        raise ValueError(f"element {g} has no inverse")
 
 
 def cyclic(n: int) -> FiniteGroup:
@@ -151,11 +144,8 @@ def permutation_action(group: FiniteGroup, images) -> np.ndarray:
     points; validated to be a homomorphism: act[gh, x] = act[g, act[h, x]].
     """
     act = np.asarray(images, dtype=int)
-    n_points = act.shape[1]
-    for g in range(group.order):
-        for h in range(group.order):
-            gh = group.table[g, h]
-            for x in range(n_points):
-                if act[gh, x] != act[g, act[h, x]]:
-                    raise ValueError("images do not define a left action")
+    # own[gh, x] against own[g, own[h, x]], over all (g, h, x) at once
+    own = act[:group.order]
+    if not np.array_equal(own[group.table], own[:, own]):
+        raise ValueError("images do not define a left action")
     return act

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgElement, LinMap, as_tolerance
+from .core import AlgElement, LinMap, as_tolerance, opnorm
 from .hopf import HopfData
 
 # faithfulness threshold for the smallest Gram eigenvalue
@@ -114,8 +114,8 @@ def invariant_state_on_module(alpha: LinMap, h: HaarState, tol=None):
 
     lhs = np.kron(alpha.matrix, np.eye(d_a)) @ alpha.matrix
     rhs = np.kron(np.eye(d_n), H.delta.matrix) @ alpha.matrix
-    res = float(np.linalg.norm(lhs - rhs, 2))
-    if not tol.is_zero(res, float(np.linalg.norm(lhs, 2))):
+    res = float(opnorm(lhs - rhs))
+    if not tol.is_zero(res, float(opnorm(lhs))):
         raise ValueError(f"map is not a coaction (residual {res:.3e})")
 
     # E = (id x h) alpha, the averaging map onto the fixed-point algebra

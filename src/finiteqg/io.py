@@ -32,7 +32,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import AlgElement, BlockAlgebra, LinMap, as_tolerance, tensor
+from .core import (AlgElement, BlockAlgebra, LinMap, as_tolerance, opnorm,
+                   tensor)
 from .classical import MagicAction
 from .hopf import HopfData, verify_hopf
 
@@ -233,8 +234,7 @@ def hopf_equal(H1: HopfData, H2: HopfData, tol=None) -> bool:
     if getattr(H1.algebra, "block_dims", None) != getattr(
             H2.algebra, "block_dims", None):
         return False
-    return (tol.is_zero(float(np.linalg.norm(
-                H1.delta.matrix - H2.delta.matrix, 2)))
+    return (tol.is_zero(float(opnorm(H1.delta.matrix - H2.delta.matrix)))
             and tol.is_zero(float(np.linalg.norm(H1.counit - H2.counit)))
-            and tol.is_zero(float(np.linalg.norm(
-                H1.antipode.matrix - H2.antipode.matrix, 2))))
+            and tol.is_zero(float(
+                opnorm(H1.antipode.matrix - H2.antipode.matrix))))

@@ -31,7 +31,8 @@ import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, LinMap,
                    DEFAULT_SEED, Tolerance, as_tolerance, nullspace,
-                   distance_to_span, multiplicative_residual, tensor)
+                   distance_to_span, multiplicative_residual, opnorm,
+                   tensor)
 from .duality import DiscreteQG, mult_unitary
 from .hopf import HopfData, verify_hopf
 from .wedderburn import WedderburnData, central_support, decompose
@@ -66,7 +67,7 @@ def quotient_by_kernel(H: HopfData, rho, tol=None) -> HopfData:
     pipi_delta = np.kron(rho, rho) @ H.delta.matrix
     delta_q = pipi_delta @ section
     checks = {"intertwines_coproduct": float(
-        np.linalg.norm(pipi_delta - delta_q @ rho, 2))}
+        opnorm(pipi_delta - delta_q @ rho))}
     ker = nullspace(rho, tol)
     if ker.shape[0]:
         # rows k e_p, then e_p k, for every kernel vector k and basis e_p
@@ -77,12 +78,11 @@ def quotient_by_kernel(H: HopfData, rho, tol=None) -> HopfData:
         checks["kernel_ideal"] = float(
             np.max(np.linalg.norm(prods @ rho.T, axis=1)))
         checks["kernel_star"] = float(
-            np.linalg.norm(rho @ A.star_matrix @ np.conj(ker.T), 2))
-        checks["kernel_coproduct"] = float(
-            np.linalg.norm(pipi_delta @ ker.T, 2))
+            opnorm(rho @ A.star_matrix @ np.conj(ker.T)))
+        checks["kernel_coproduct"] = float(opnorm(pipi_delta @ ker.T))
         checks["kernel_counit"] = float(np.linalg.norm(H.counit @ ker.T))
         checks["kernel_antipode"] = float(
-            np.linalg.norm(rho @ H.antipode.matrix @ ker.T, 2))
+            opnorm(rho @ H.antipode.matrix @ ker.T))
     bad = {k: v for k, v in checks.items() if not tol.is_zero(v, scale)}
     if bad:
         raise MorphismError("matrix is not a Hopf *-surjection: "
@@ -146,7 +146,7 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
     if pi.shape != (r, B.dim):
         raise MorphismError("pi matrix has the wrong shape")
 
-    scale = float(np.linalg.norm(pi, 2))
+    scale = float(opnorm(pi))
     surviving = []
     for i in range(len(B.block_dims)):
         img = pi @ D.blocks.central_idempotents[i].coeffs
@@ -332,21 +332,21 @@ class ActionMap:
         one_t = T.kron_coeffs(N.unit_coeffs, A.algebra.unit_coeffs)
         res["unital"] = T.norm_coeffs(am @ N.unit_coeffs - one_t)
         res["multiplicative"] = multiplicative_residual(N, T, am)
-        res["star"] = float(np.linalg.norm(
-            am @ N.star_matrix - T.star_matrix @ np.conj(am), 2))
+        res["star"] = float(opnorm(
+            am @ N.star_matrix - T.star_matrix @ np.conj(am)))
         # A3[i, g, k] is the coefficient of e_i x a_g in alpha(e_k):
         # (alpha x id) alpha acts on its first leg, (id x delta) alpha
         # broadcasts over i
         A3 = am.reshape(d_n, d_a, d_n)
         lhs = (am @ am.reshape(d_n, d_a * d_n)).reshape(-1, d_n)
         rhs = (A.delta.matrix @ A3).reshape(-1, d_n)
-        res["coaction"] = float(np.linalg.norm(lhs - rhs, 2))
+        res["coaction"] = float(opnorm(lhs - rhs))
         eye = np.eye(d_n)
-        res["counit"] = float(np.linalg.norm(A.counit @ A3 - eye, 2))
+        res["counit"] = float(opnorm(A.counit @ A3 - eye))
         s = np.linalg.svd(am, compute_uv=False)
         res["injectivity_defect"] = float(
             d_n - np.sum(s > tol.eps * max(1.0, s[0])))
-        scale = 1.0 + float(np.linalg.norm(am, 2)) ** 2
+        scale = 1.0 + float(s[0]) ** 2
         bad = [k for k, v in res.items()
                if k != "injectivity_defect" and not tol.is_zero(v, scale)]
         if bad:
@@ -371,8 +371,8 @@ class ActionMap:
         big = np.kron(E, np.eye(self.hopf.dim))
         rhs = self.alpha.matrix @ E
         sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-        res = float(np.linalg.norm(big @ sol - rhs, 2))
-        if not tol.is_zero(res, float(np.linalg.norm(rhs, 2))):
+        res = float(opnorm(big @ sol - rhs))
+        if not tol.is_zero(res, float(opnorm(rhs))):
             raise ValueError("blocks do not carry an invariant corner "
                              f"(residual {res:.3e})")
         return ActionMap(self.hopf, sub,
@@ -449,7 +449,7 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
     """
     tol = as_tolerance(tol)
     m = alpha.size
-    scale = float(np.linalg.norm(alpha.alpha.matrix, 2))
+    scale = float(opnorm(alpha.alpha.matrix))
     rel = np.zeros((m, m), dtype=bool)
     for i in range(m):
         for j in range(m):
@@ -465,17 +465,18 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
 
     T = alpha.alpha.codomain
     one_a = alpha.hopf.algebra.unit_coeffs
-    projections, worst = [], 0.0
+    projections, devs = [], []
     for cls in classes:
         p = alpha.summand_projection(cls[0])
         for i in cls[1:]:
             p = p + alpha.summand_projection(i)
         projections.append(p)
         target = T.kron_coeffs(p.coeffs, one_a)
-        worst = max(worst,
-                    T.norm_coeffs(alpha.alpha.matrix @ p.coeffs - target))
+        devs.append(T.norm_coeffs(alpha.alpha.matrix @ p.coeffs - target))
+    # np.max keeps a NaN residual, where max() would drop it
     return OrbitPartition(rel, classes, projections, symmetric, reflexive,
-                          transitive, all_factors, worst)
+                          transitive, all_factors,
+                          float(np.max(devs, initial=0.0)))
 
 
 def homogeneous_action(D: DiscreteQG, X: HomogeneousSpace,
@@ -497,8 +498,8 @@ def homogeneous_action(D: DiscreteQG, X: HomogeneousSpace,
         y = T.mul_coeffs(T.mul_coeffs(W.coeffs, x_amb), Wst.coeffs)
         rhs[:, k] = y
     sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-    res = float(np.linalg.norm(big @ sol - rhs, 2))
-    if not tol.is_zero(res, float(np.linalg.norm(rhs, 2))):
+    res = float(opnorm(big @ sol - rhs))
+    if not tol.is_zero(res, float(opnorm(rhs))):
         raise ValueError(
             f"conjugation escapes the homogeneous space (residual {res:.3e})")
     alpha = ActionMap(D.primal, Xalg,
@@ -544,25 +545,27 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
             if not (p * one_i).is_zero(tol))
         supports.append(supp)
 
-    worst_sum = 0.0
+    sums = []
     for cls in P.classes:
         s = X.block_unit_in_dual(cls[0])
         for j in cls[1:]:
             s = s + X.block_unit_in_dual(j)
         for i in cls:
-            worst_sum = max(worst_sum, (zs[i] - s).norm())
+            sums.append((zs[i] - s).norm())
 
-    worst_orth = 0.0
+    orths = []
     match = True
     for i in range(m):
         for j in range(m):
             same = P.relation[i, j] or P.relation[j, i]
             if not same:
-                worst_orth = max(worst_orth, (zs[i] * zs[j]).norm())
+                orths.append((zs[i] * zs[j]).norm())
             if (supports[i] == supports[j]) != bool(same or i == j):
                 match = False
-    return CentralSupportReport(supports, zs, worst_sum, worst_orth, match,
-                                tol)
+    # np.max keeps a NaN residual, where max() would drop it
+    return CentralSupportReport(supports, zs,
+                                float(np.max(sums, initial=0.0)),
+                                float(np.max(orths, initial=0.0)), match, tol)
 
 
 def ergodicity(alpha: ActionMap, tol=None):

@@ -92,22 +92,26 @@ class WedderburnData:
     def verify(self, tol=None) -> float:
         """Largest residual of the matrix-unit relations, ambient product.
 
-        Per block, one stacked call each covers e_ij* = e_ji, e_ij e_kl =
-        [j = k] e_il over all (i, j, k, l), and sum_i e_ii = p."""
+        Per distinct block size n, one stacked call each covers e_ij* =
+        e_ji, e_ij e_kl = [j = k] e_il over all blocks of that size and all
+        (i, j, k, l), and sum_i e_ii = p."""
         A = self.ambient
         worst = []
-        for b, n in enumerate(self.block_dims):
-            U = np.array([[e.coeffs for e in row]
-                          for row in self.matrix_units[b]])   # (i, j, :)
+        for n in sorted(set(self.block_dims)):
+            blocks = [b for b, m in enumerate(self.block_dims) if m == n]
+            U = np.array([[[e.coeffs for e in row]
+                           for row in self.matrix_units[b]]
+                          for b in blocks])                  # (b, i, j, :)
             worst.append(A.norm_coeffs(
-                A.star_coeffs(U) - U.transpose(1, 0, 2)))
-            prods = A.mul_coeffs(U[:, :, None, None], U)  # (i, j, k, l, :)
+                A.star_coeffs(U) - U.swapaxes(1, 2)))
+            prods = A.mul_coeffs(U[:, :, :, None, None],
+                                 U[:, None, None])        # (b, i, j, k, l, :)
             diag = np.arange(n)
-            prods[:, diag, diag] -= U[:, None]
+            prods[:, :, diag, diag] -= U[:, :, None]
             worst.append(A.norm_coeffs(prods))
             worst.append(A.norm_coeffs(
-                U[diag, diag].sum(axis=0)
-                - self.central_idempotents[b].coeffs))
+                U[:, diag, diag].sum(axis=1)
+                - [self.central_idempotents[b].coeffs for b in blocks]))
         # np.max keeps a NaN residual, where max() would drop it
         return float(np.max(worst))
 

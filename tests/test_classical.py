@@ -153,3 +153,70 @@ def test_nan_entry_fails_counting_residual(z3_magic, monkeypatch):
     monkeypatch.setattr(classical, "relation", lambda alpha, tol=None: P)
     co = classical_orbits(_with_nan(z3_magic, 0, 1))
     assert np.isnan(co.counting_residual)
+
+
+def _verify_magic_reference(M):
+    """The magic-matrix residuals one entry (i, j) at a time."""
+    H, A = M.hopf, M.hopf.algebra
+    T2 = H.square
+    res = {"projection": 0.0, "selfadjoint": 0.0, "row_sum": 0.0,
+           "coproduct": 0.0, "counit": 0.0}
+    for i in range(M.n):
+        row_sum = A.zero()
+        for j in range(M.n):
+            x = M.u[i][j]
+            res["projection"] = max(res["projection"], (x * x - x).norm())
+            res["selfadjoint"] = max(res["selfadjoint"],
+                                     (x.star() - x).norm())
+            row_sum = row_sum + x
+            acc = sum(T2.kron_coeffs(M.u[i][k].coeffs, M.u[k][j].coeffs)
+                      for k in range(M.n))
+            res["coproduct"] = max(res["coproduct"], T2.norm_coeffs(
+                H.delta_of(x).coeffs - acc))
+            res["counit"] = max(res["counit"], abs(
+                H.counit_of(x) - (1.0 if i == j else 0.0)))
+        res["row_sum"] = max(res["row_sum"], (row_sum - A.one()).norm())
+    return res
+
+
+def _kp8_magic(kp8_block, data_dir):
+    return load_magic(data_dir / "kp8_magic4.json", kp8_block)
+
+
+def test_stacked_verify_magic_matches_per_entry_reference(
+        z3_magic, flip_magic, kp8_block, data_dir):
+    for M in (z3_magic, flip_magic, _kp8_magic(kp8_block, data_dir)):
+        got = verify_magic(M).residuals
+        want = _verify_magic_reference(M)
+        assert got.keys() == want.keys()
+        for k in want:
+            assert abs(got[k] - want[k]) <= 1e-13, k
+
+
+@pytest.mark.parametrize("rows_per_call", ["all", "one"])
+def test_corrupted_last_entry_fails_coproduct(rows_per_call, monkeypatch):
+    # point 2 is fixed, so u[2][2] enters no other entry's coproduct rule
+    # and only the last entry (n - 1, n - 1) can fail it
+    from finiteqg import classical
+    if rows_per_call == "one":
+        monkeypatch.setattr(classical, "_DENSE_STACK_ENTRIES", 1)
+    H = function_algebra(groups.cyclic(2))
+    M = permutation_magic(H, np.array([[0, 1, 2], [1, 0, 2]]))
+    assert verify_magic(M).passed
+    u = [list(row) for row in M.u]
+    u[2][2] = AlgElement(H.algebra, [1.0, 1.01])
+    rep = verify_magic(MagicAction(H, 3, u))
+    assert "coproduct" in rep.failures()
+
+
+def test_verify_magic_row_chunks_match_one_stack(kp8_block, data_dir,
+                                                 monkeypatch):
+    from finiteqg import classical
+    M = _kp8_magic(kp8_block, data_dir)
+    whole = verify_magic(M).residuals
+    # one row i of the coproduct stack per call
+    monkeypatch.setattr(classical, "_DENSE_STACK_ENTRIES", 1)
+    chunked = verify_magic(M).residuals
+    assert chunked.keys() == whole.keys()
+    for k in whole:
+        assert abs(chunked[k] - whole[k]) <= 1e-13, k

@@ -287,3 +287,17 @@ def test_seed_invariance_on_shipped_pairs(data_dir):
             T = restriction_table(D, X, P)
             got = (D.irr_dims, X.block_dims, P.classes, T.mult.tolist())
             assert seen.setdefault((hopf_file, sub_file), got) == got, seed
+
+
+def test_nan_matrix_unit_fails_constancy(dual_cs3, a3_space, a3_partition):
+    # a library caller hands in a homogeneous space whose last matrix unit
+    # is NaN; the Markov residual must report it, not drop it
+    T = restriction_table(dual_cs3, a3_space, a3_partition)
+    units = [[list(row) for row in block]
+             for block in a3_space.wd.matrix_units]
+    e = units[-1][-1][-1]
+    units[-1][-1][-1] = type(e)(e.parent, np.full(e.parent.dim, np.nan))
+    X = replace(a3_space, wd=replace(a3_space.wd, matrix_units=units))
+    rep = kac_constancy_check(dual_cs3, X, T, a3_partition)
+    assert np.isnan(rep.markov_residual)
+    assert not rep.passed

@@ -318,9 +318,9 @@ def test_stack_with_zero_and_nan_rows_behaves_like_single_rows(kind):
     for at in (0, -1):
         bad = x.copy()
         bad[at] = np.nan
-        # a NaN in a 1 x 1 block gives NaN, elsewhere the SVD raises
+        # a NaN gives NaN on every path, 1 x 1 blocks or not
         assert _norm_outcome(alg, np.stack([zero, x, bad])) \
-            == _norm_outcome(alg, bad) != "finite"
+            == _norm_outcome(alg, bad) == "nan"
 
 
 def _norm_outcome(alg, x):
@@ -346,3 +346,63 @@ def test_multiplicative_residual_all_pairs_sees_the_last_pair(kp8_block):
                 for p in range(d))
     assert got > 0.1
     assert abs(got - per_p) <= 1e-13
+
+
+# -- opnorm: Gram-eigenvalue spectral norms ----------------------------------
+
+@pytest.mark.parametrize("shape", [(6, 5, 5), (4, 9, 3), (4, 3, 9),
+                                   (3, 1, 4), (3, 4, 1), (64, 2)])
+@pytest.mark.parametrize("scale", [1.0, 1e-15, 1e-300, 1e200])
+def test_opnorm_matches_svd_norm_at_every_scale(shape, scale):
+    rng = np.random.default_rng(sum(shape))
+    real = rng.standard_normal(shape)
+    cplx = real + 1j * rng.standard_normal(shape)
+    for m in (real * scale, cplx * scale):
+        want = np.linalg.norm(m, 2, axis=(-2, -1))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            got = core.opnorm(m)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-13 * want)
+
+
+@pytest.mark.parametrize("shape", [(300, 7), (7, 300), (3, 40, 6),
+                                   (3, 6, 40), (30, 30)])
+def test_opnorm_sums_the_gram_matrix_over_slices(shape, monkeypatch):
+    rng = np.random.default_rng(sum(shape))
+    m = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    want = np.linalg.norm(m, 2, axis=(-2, -1))
+    whole = core.opnorm(m)
+    # slices of the longer side of at most 50 entries: 3 to 60 slices
+    monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", 50)
+    sliced = core.opnorm(m)
+    assert np.all(np.abs(sliced - want) <= 1e-13 * want)
+    assert np.all(np.abs(sliced - whole) <= 1e-13 * want)
+    m[..., -1, -1] = np.nan
+    assert np.all(np.isnan(core.opnorm(m)))
+
+
+def test_opnorm_of_nan_or_inf_is_nan_and_leaves_the_rest():
+    m = np.stack([np.eye(3), 2.0 * np.eye(3), np.zeros((3, 3)),
+                  np.eye(3)])
+    m[0, 2, 1] = np.nan
+    m[3, 0, 0] = np.inf
+    got = core.opnorm(m)
+    assert np.isnan(got[0]) and np.isnan(got[3])
+    assert got[1] == 2.0 and got[2] == 0.0
+    for bad in (np.nan, np.inf, -np.inf):
+        one = np.ones((2, 3), dtype=complex)
+        one[1, 2] = bad
+        assert np.isnan(core.opnorm(one))
+
+
+def test_every_norm_path_gives_nan_not_linalgerror():
+    G = group_algebra(groups.symmetric(3)).algebra
+    B = BlockAlgebra([1, 2])
+    for alg in (G, B, tensor(B, B), tensor(G, G), tensor(B, G)):
+        x = np.ones(alg.dim, dtype=complex)
+        x[-1] = np.nan
+        assert np.isnan(alg.norm_coeffs(x))
+    m = LinMap(B, B, np.eye(B.dim))
+    bad = np.eye(B.dim)
+    bad[0, 0] = np.nan
+    assert np.isnan(m.distance(LinMap(B, B, bad)))

@@ -275,3 +275,40 @@ def test_pi_killing_every_central_idempotent_rejected(dual_cs3):
     row[0, dual_cs3.dual_algebra.index(2, 0, 1)] = 1.0
     with pytest.raises(MorphismError, match="full blocks"):
         subgroup_from_dual_matrix(dual_cs3, row, in_block_coords=True)
+
+
+def test_nan_action_fails_invariance_residual(a3_action):
+    am = a3_action.alpha.matrix.copy()
+    am[0, 0] = np.nan
+    bad = ActionMap(a3_action.hopf, a3_action.module,
+                    LinMap(a3_action.alpha.domain, a3_action.alpha.codomain,
+                           am), a3_action.summands)
+    P = relation(bad)
+    assert np.isnan(P.invariance_residual)
+    assert not Tolerance().is_zero(P.invariance_residual)
+
+
+def _nan_ambient_idempotent(D):
+    """The dual with a NaN in its last minimal central idempotent, as a
+    library caller might build it."""
+    idem = list(D.blocks.central_idempotents)
+    bad = idem[-1].coeffs.copy()
+    bad[-1] = np.nan
+    idem[-1] = type(idem[-1])(idem[-1].parent, bad)
+    return replace(D, blocks=replace(D.blocks, central_idempotents=idem))
+
+
+def test_nan_central_support_fails_class_sum(dual_cs3, a3_space,
+                                             a3_partition):
+    rep = central_supports(_nan_ambient_idempotent(dual_cs3), a3_space,
+                           a3_partition)
+    assert np.isnan(rep.class_sum_residual)
+    assert not rep.passed
+
+
+def test_nan_central_support_fails_orthogonality(dual_cs3, a3_space,
+                                                 a3_partition):
+    rep = central_supports(_nan_ambient_idempotent(dual_cs3), a3_space,
+                           a3_partition)
+    assert np.isnan(rep.orthogonality_residual)
+    assert not rep.passed

@@ -270,3 +270,52 @@ def test_degenerate_first_draw_is_retried():
     assert sorted(corner.dim for corner in corners) == [1, 1, 4]
     total = sum(corner.unit for corner in corners)
     assert np.abs(total - np.eye(A.rep_dim)).max() <= 1e-12
+
+
+def _per_block_verify_reference(wd):
+    """Matrix-unit relations with three stacked calls per block."""
+    A = wd.ambient
+    worst = []
+    for b, n in enumerate(wd.block_dims):
+        U = np.array([[e.coeffs for e in row] for row in wd.matrix_units[b]])
+        worst.append(A.norm_coeffs(A.star_coeffs(U) - U.transpose(1, 0, 2)))
+        prods = A.mul_coeffs(U[:, :, None, None], U)
+        diag = np.arange(n)
+        prods[:, diag, diag] -= U[:, None]
+        worst.append(A.norm_coeffs(prods))
+        worst.append(A.norm_coeffs(U[diag, diag].sum(axis=0)
+                                   - wd.central_idempotents[b].coeffs))
+    return float(np.max(worst))
+
+
+def _count_norm_calls(monkeypatch, algebra):
+    calls = []
+    norm = algebra.norm_coeffs
+
+    def counted(x):
+        calls.append(1)
+        return norm(x)
+    monkeypatch.setattr(algebra, "norm_coeffs", counted)
+    return calls
+
+
+def test_verify_stacks_blocks_of_one_size(abstract_case, monkeypatch):
+    wd = decompose_abstract(*abstract_case)
+    ref = _per_block_verify_reference(wd)
+    calls = _count_norm_calls(monkeypatch, wd.ambient)
+    assert abs(wd.verify() - ref) <= 1e-13
+    assert len(calls) == 3 * len(set(wd.block_dims))
+
+
+def test_verify_of_many_one_dim_blocks_is_three_calls(monkeypatch):
+    H = group_algebra(groups.cyclic(6))
+    wd = decompose_abstract(H.algebra, haar_state(H).gram)
+    assert wd.block_dims == (1,) * 6
+    ref = _per_block_verify_reference(wd)
+    calls = _count_norm_calls(monkeypatch, wd.ambient)
+    assert abs(wd.verify() - ref) <= 1e-13
+    assert len(calls) == 3
+    # the last unit of the last block, stacked with five good blocks
+    units = [[list(row) for row in block] for block in wd.matrix_units]
+    units[-1][0][0] = 1.001 * units[-1][0][0]
+    assert replace(wd, matrix_units=units).verify() > 1e-4
