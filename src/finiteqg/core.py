@@ -34,13 +34,21 @@ building a matrix.
 Every spectral norm, here and in the residuals and scales of the other
 modules, comes from ``opnorm``: the square root of the largest eigenvalue
 of a Gram matrix taken on the matrix's smaller side, after scaling by the
-largest entry.  A NaN or inf coefficient gives a NaN norm on every path,
-never a ``LinAlgError``.  SVDs are taken only where a rank is decided
-(``nullspace``, ``orthonormal_rows``, ``LinMap.rank``, the Haar nullity,
-the injectivity of a coaction), and for the spectral shifts inside the
-Wedderburn split, whose results the matrix units depend on; such an SVD
-of a matrix with a NaN raises ``LinAlgError``.  Zero tests
-are relative: ``norm <= eps * (1 + scale)``.
+largest entry.  The largest norm of a stack (``_largest_opnorm``, on the
+block and the dense path alike) calls ``opnorm`` only on the matrices
+whose scale-safe Frobenius norm reaches a running lower bound on the
+maximum.  Its value is always a computed norm, and it is the exhaustive
+maximum bit for bit while each stack fits one of ``opnorm``'s Gram
+slices (``_DENSE_STACK_ENTRIES`` entries; a larger one may round
+differently in the last bits once pruned).  A NaN or inf coefficient
+gives a NaN norm on every path (inf on a 1 x 1 block), never a
+``LinAlgError``.  SVDs are taken only where a rank is decided
+(``nullspace``, ``orthonormal_rows``, the Haar nullity, the corner
+dimensions of the Wedderburn split, the injectivity of a coaction, the
+surjectivity of a quotient map), and for the spectral shifts inside the
+Wedderburn split, whose results the matrix units depend on;
+``nullspace`` or ``orthonormal_rows`` of a matrix with a NaN raises
+``LinAlgError``.  Zero tests are relative: ``norm <= eps * (1 + scale)``.
 """
 from __future__ import annotations
 
@@ -436,16 +444,6 @@ class TensorAlgebra(Algebra):
             out = np.kron(out, v)
         return out
 
-    def contract_leg(self, coeffs, leg: int, functional):
-        """Apply a linear functional to one leg, returning reduced coeffs."""
-        X = coeffs.reshape(self.factor_dims)
-        X = np.tensordot(X, np.asarray(functional, dtype=complex), ([leg], [0]))
-        return X.reshape(-1)
-
-    def swap_legs(self, coeffs, i: int, j: int):
-        X = coeffs.reshape(self.factor_dims)
-        return np.swapaxes(X, i, j).reshape(-1)
-
     def reduced(self, without_leg: int):
         """The tensor algebra (or single algebra) with one leg removed."""
         rest = [f for l, f in enumerate(self.factors) if l != without_leg]
@@ -548,9 +546,11 @@ def _max_norm(alg, x) -> float:
     """Largest operator norm over the rows of a coefficient stack.
 
     All-zero rows are dropped first.  On the block path it is the largest
-    ``opnorm`` over the blocks named by ``_block_gathers``; otherwise over
-    the rows' dense representations, a bounded number of entries at a
-    time.  NaN propagates instead of losing a max comparison."""
+    ``opnorm`` over the blocks named by ``_block_gathers`` (max |x| when
+    N = 1); otherwise over the rows' dense representations, a bounded
+    number of entries at a time.  Either way ``_largest_opnorm`` computes
+    only the norms that can be the largest.  NaN propagates instead of
+    losing a max comparison."""
     x = np.asarray(x)
     rows = x.reshape(-1, x.shape[-1])
     if len(rows) > 1:
@@ -559,14 +559,72 @@ def _max_norm(alg, x) -> float:
         return 0.0
     gathers = alg._block_stacks()
     if gathers:
-        norms = [np.abs(rows.take(g, axis=-1)).max() if g.shape[-1] == 1
-                 else opnorm(rows.take(g, axis=-1)).max()
-                 for g in gathers]
-    else:
-        step = max(1, _DENSE_STACK_ENTRIES // alg.rep_dim ** 2)
-        norms = [opnorm(alg.rep_coeffs(rows[i:i + step])).max()
-                 for i in range(0, len(rows), step)]
-    return float(np.max(norms))
+        best = np.max([np.abs(rows.take(g, axis=-1)).max()
+                       for g in gathers if g.shape[-1] == 1],
+                      initial=-np.inf)
+        return float(_largest_opnorm(
+            [rows.take(g, axis=-1) for g in gathers if g.shape[-1] > 1],
+            best))
+    step = max(1, _DENSE_STACK_ENTRIES // alg.rep_dim ** 2)
+    best = -np.inf
+    for i in range(0, len(rows), step):
+        best = _largest_opnorm([alg.rep_coeffs(rows[i:i + step])], best)
+    return float(best)
+
+
+# relative slack of the pruning test in _largest_opnorm: a Frobenius bound
+# and an opnorm of equal exact value may round a few ulps apart
+_PRUNE_GUARD = 1e-12
+
+
+def _largest_opnorm(stacks, best):
+    """max(best, largest ``opnorm`` over the matrices of the (..., a, b)
+    stacks), computing only the norms that can reach it.
+
+    Every matrix M with largest |entry| s has s <= ||M|| <= ||M||_F and
+    ||M||_F / sqrt(n) <= ||M|| (n its smaller side).  So the largest of
+    those lower bounds and ``best`` bounds the result from below; one
+    ``opnorm`` call per stack takes the matrices whose Frobenius norm
+    reaches that bound (less ``_PRUNE_GUARD``), and each computed norm
+    raises it for the next stack.  Every other matrix has a smaller norm
+    than one that is computed.  The result is always ``best`` or a
+    computed ``opnorm``; a NaN ``best`` or a non-finite entry gives NaN.
+    Only the matrices above the bound so far are kept between the
+    passes, never a copy of every stack."""
+    if np.isnan(best):
+        return np.nan
+    cands = []
+    lower = best
+    for m in stacks:
+        m = m.reshape((-1,) + m.shape[-2:])
+        bounds = _entry_and_frobenius(m)
+        if bounds is None:
+            return np.nan
+        s, fro = bounds
+        lower = max(lower, s.max(), (fro / np.sqrt(min(m.shape[-2:]))).max())
+        # the bound only rises, so a matrix below it now stays below it
+        keep = fro >= lower * (1.0 - _PRUNE_GUARD)
+        cands.append((fro[keep], m[keep]))
+    # the stack with the largest bound first, so its norms prune the rest
+    for fro, m in sorted(cands, key=lambda c: -c[0].max(initial=0.0)):
+        keep = fro >= lower * (1.0 - _PRUNE_GUARD)
+        if keep.any():
+            best = max(best, opnorm(m[keep]).max())
+            lower = max(lower, best)
+    return best
+
+
+def _entry_and_frobenius(m):
+    """Largest |entry| s and Frobenius norm, taken as s * ||M / s||_F so
+    that it neither overflows nor underflows, of each matrix of a
+    (k, a, b) stack (0 and 0 for a zero matrix); None if an entry is NaN
+    or inf."""
+    a = np.abs(m)
+    s = a.max(axis=(-2, -1))
+    if not np.isfinite(s).all():
+        return None
+    a /= np.where(s > 0, s, 1.0)[:, None, None]
+    return s, s * np.sqrt(np.einsum("kab,kab->k", a, a))
 
 
 def tensor(*algebras) -> TensorAlgebra:
@@ -689,13 +747,6 @@ class LinMap:
         return LinMap(tensor(self.domain, other.domain),
                       tensor(self.codomain, other.codomain),
                       np.kron(self.matrix, other.matrix))
-
-    def rank(self, tol=None) -> int:
-        tol = as_tolerance(tol)
-        s = np.linalg.svd(self.matrix, compute_uv=False)
-        if s.size == 0:
-            return 0
-        return int(np.sum(s > tol.eps * max(1.0, s[0])))
 
     def distance(self, other: "LinMap") -> float:
         return float(opnorm(self.matrix - other.matrix))

@@ -71,16 +71,6 @@ class DiscreteQG:
     def block_projection(self, i: int) -> AlgElement:
         return self.dual_algebra.block_unit(i)
 
-    def dual_to_block(self, dual_coords):
-        return np.linalg.solve(self.block_to_dual,
-                               np.asarray(dual_coords, dtype=complex))
-
-    def block_rep(self, label, x) -> np.ndarray:
-        """The block representation of l^inf(dual) at an element."""
-        i = label.index if isinstance(label, RepLabel) else int(label)
-        coeffs = x.coeffs if isinstance(x, AlgElement) else np.asarray(x)
-        return self.dual_algebra.block_matrices(coeffs)[i]
-
     def __repr__(self):
         return (f"DiscreteQG(dual of {self.primal.name or 'G'}, "
                 f"blocks={list(self.irr_dims)})")

@@ -35,7 +35,6 @@ class HopfData:
     antipode: LinMap
     name: str = ""
     _square: object = field(default=None, repr=False)
-    _cube: object = field(default=None, repr=False)
 
     def __post_init__(self):
         d = self.algebra.dim
@@ -54,12 +53,6 @@ class HopfData:
         if self._square is None:
             self._square = tensor(self.algebra, self.algebra)
         return self._square
-
-    @property
-    def cube(self):
-        if self._cube is None:
-            self._cube = tensor(self.algebra, self.algebra, self.algebra)
-        return self._cube
 
     def delta_of(self, x: AlgElement) -> AlgElement:
         return AlgElement(self.square, self.delta.matrix @ x.coeffs)

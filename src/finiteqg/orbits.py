@@ -58,6 +58,9 @@ def quotient_by_kernel(H: HopfData, rho, tol=None) -> HopfData:
     if rho.ndim != 2 or rho.shape[1] != A.dim:
         raise MorphismError("surjection matrix has the wrong shape")
     r, d = rho.shape
+    # the rank SVD below would raise LinAlgError on a NaN or inf
+    if not np.isfinite(rho).all():
+        raise MorphismError("surjection matrix is not finite")
     sv = np.linalg.svd(rho, compute_uv=False)
     if int(np.sum(sv > tol.eps * max(1.0, sv[0]))) != r:
         raise MorphismError("matrix is not surjective")
@@ -324,6 +327,32 @@ class ActionMap:
     def verify(self, tol=None) -> dict:
         """Residuals of the action axioms; raises on failure."""
         tol = as_tolerance(tol)
+        am = self.alpha.matrix
+        # the rank SVD below would raise LinAlgError on a NaN or inf, so
+        # a non-finite action fails first, with every residual it breaks
+        if not np.isfinite(am).all():
+            # an inf entry meets inf - inf and 0 * inf on the way to NaN
+            with np.errstate(invalid="ignore"):
+                res = self._residuals()
+            raise ValueError(
+                "not a coaction: the action matrix is not finite ("
+                + ", ".join(f"{k}={v:.3e}" for k, v in res.items()
+                            if not np.isfinite(v)) + ")")
+        res = self._residuals()
+        s = np.linalg.svd(am, compute_uv=False)
+        res["injectivity_defect"] = float(
+            self.module.dim - np.sum(s > tol.eps * max(1.0, s[0])))
+        scale = 1.0 + float(s[0]) ** 2
+        bad = [k for k, v in res.items()
+               if k != "injectivity_defect" and not tol.is_zero(v, scale)]
+        if bad:
+            raise ValueError("not a coaction: "
+                             + ", ".join(f"{k}={res[k]:.3e}" for k in bad))
+        return res
+
+    def _residuals(self) -> dict:
+        """Norms of the unit, product, involution, coaction and counit
+        defects of the action matrix."""
         A, N = self.hopf, self.module
         T = self.alpha.codomain
         am = self.alpha.matrix
@@ -341,17 +370,7 @@ class ActionMap:
         lhs = (am @ am.reshape(d_n, d_a * d_n)).reshape(-1, d_n)
         rhs = (A.delta.matrix @ A3).reshape(-1, d_n)
         res["coaction"] = float(opnorm(lhs - rhs))
-        eye = np.eye(d_n)
-        res["counit"] = float(opnorm(A.counit @ A3 - eye))
-        s = np.linalg.svd(am, compute_uv=False)
-        res["injectivity_defect"] = float(
-            d_n - np.sum(s > tol.eps * max(1.0, s[0])))
-        scale = 1.0 + float(s[0]) ** 2
-        bad = [k for k, v in res.items()
-               if k != "injectivity_defect" and not tol.is_zero(v, scale)]
-        if bad:
-            raise ValueError("not a coaction: "
-                             + ", ".join(f"{k}={res[k]:.3e}" for k in bad))
+        res["counit"] = float(opnorm(A.counit @ A3 - np.eye(d_n)))
         return res
 
     def restrict_to_blocks(self, blocks, tol=None) -> "ActionMap":

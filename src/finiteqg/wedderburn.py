@@ -15,10 +15,14 @@ self-adjoint central elements are drawn until one has exactly dim Z
 spectral clusters; its spectral projections are then dim Z orthogonal
 central projections, so by counting they are the minimal ones.  One
 batched product p B p compresses the span into all factor corners at
-once.  Matrix units are built from one minimal projection per factor and
-polar-type couplings e11 * x * f.  The span's basis is one (m, r, r)
-array, so the closure check, the centre and the unit relations are a few
-stacked kernel calls per decomposition, not one per basis element.
+once, and one batched singular-value call gives every corner's
+dimension; a corner's orthonormal basis is taken only when it is used,
+which a 1 x 1 corner never is.  Matrix units are built from one minimal
+projection per factor and polar-type couplings e11 * x * f; the units of
+all corners are pulled back to ambient coefficients with one
+least-squares solve.  The span's basis is one (m, r, r) array, so the
+closure check, the centre and the unit relations are a few stacked
+kernel calls per decomposition, not one per basis element.
 """
 from __future__ import annotations
 
@@ -143,30 +147,54 @@ def _members(vals, lo, hi, spread):
 
 class _MatrixSpan:
     """A *-closed span of r x r matrices with its own unit.  ``basis`` is
-    an orthonormal basis as one (m, r, r) array; ``basis_flat`` is the
-    same as (m, r * r) rows."""
+    an orthonormal basis as one (m, r, r) array, taken on first use;
+    ``basis_flat`` is the same as (m, r * r) rows.  A span built with a
+    known ``dim`` (a corner from ``compress``) answers ``dim`` without a
+    basis, and its basis must come out with that many rows."""
 
-    def __init__(self, mats, unit, tol):
+    def __init__(self, mats, unit, tol, dim=None):
         self.tol = tol
         mats = np.asarray(mats)
         self.r = mats.shape[-1]
-        self.basis_flat = orthonormal_rows(mats.reshape(len(mats), -1), tol)
-        self.basis = self.basis_flat.reshape(-1, self.r, self.r)
+        self._rows = mats.reshape(len(mats), -1)
+        self._dim = dim
+        self._basis_flat = None
+        self._prods = None
         self.unit = unit
 
     @property
+    def basis_flat(self):
+        if self._basis_flat is None:
+            basis = orthonormal_rows(self._rows, self.tol)
+            if self._dim is not None and len(basis) != self._dim:
+                raise WedderburnError(
+                    f"corner basis has {len(basis)} rows, but its singular "
+                    f"values give dimension {self._dim}")
+            self._basis_flat, self._rows = basis, None
+        return self._basis_flat
+
+    @property
+    def basis(self):
+        return self.basis_flat.reshape(-1, self.r, self.r)
+
+    @property
     def dim(self):
-        return len(self.basis)
+        return len(self.basis_flat) if self._dim is None else self._dim
 
     def contains(self, m) -> bool:
-        v = m.reshape(-1)
-        proj = self.basis_flat.T @ (self.basis_flat.conj() @ v)
-        return self.tol.is_zero(
-            float(np.linalg.norm(v - proj)), float(np.linalg.norm(v)))
+        """Whether m, or every matrix of a stack of them, lies in the span
+        (relative distance test)."""
+        v = m.reshape(-1, self.r * self.r)
+        proj = (v @ self.basis_flat.conj().T) @ self.basis_flat
+        return bool(np.all(self.tol.is_zero(
+            np.linalg.norm(v - proj, axis=-1), np.linalg.norm(v, axis=-1))))
 
     def _products(self):
-        """All products b_i b_j of basis matrices, indexed (i, j)."""
-        return self.basis[:, None] @ self.basis
+        """All products b_i b_j of basis matrices, indexed (i, j), formed
+        once for ``check_closed`` and ``center_basis``."""
+        if self._prods is None:
+            self._prods = self.basis[:, None] @ self.basis
+        return self._prods
 
     def check_closed(self) -> float:
         """Largest distance of an adjoint or a product of basis matrices
@@ -184,7 +212,7 @@ class _MatrixSpan:
 
     def center_basis(self):
         """Orthonormal coefficient rows of {z in span : [z, span] = 0}."""
-        prods = self._products()
+        prods, self._prods = self._products(), None
         # row (j, entry), column i: the entry of b_i b_j - b_j b_i
         comm = prods - prods.transpose(1, 0, 2, 3)
         return nullspace(comm.transpose(1, 2, 3, 0).reshape(-1, self.dim),
@@ -197,11 +225,18 @@ class _MatrixSpan:
 
     def compress(self, projections):
         """The corners p * span * p, one new _MatrixSpan with unit p for
-        each p of a (k, r, r) stack of projections."""
+        each p of a (k, r, r) stack of projections.  One batched call
+        takes the singular values of all k spanning sets; each corner's
+        dimension is their rank, and its basis is left until it is used."""
         ps = np.asarray(projections)
+        k, m = len(ps), self.dim
         corners = ps[:, None] @ self.basis @ ps[:, None]
-        return [_MatrixSpan(np.concatenate([c, p[None]]), p, self.tol)
-                for c, p in zip(corners, ps)]
+        mats = np.concatenate([corners, ps[:, None]], axis=1)
+        sv = np.linalg.svd(mats.reshape(k, m + 1, -1), compute_uv=False)
+        # the rank rule of orthonormal_rows
+        dims = np.sum(sv > self.tol.eps * np.maximum(1.0, sv[:, :1]), axis=1)
+        return [_MatrixSpan(c, p, self.tol, int(n))
+                for c, p, n in zip(mats, ps, dims)]
 
 
 def _spectral_projection_top(span: _MatrixSpan, y, rng, tol):
@@ -248,11 +283,11 @@ def _central_idempotents(span: _MatrixSpan, rng, tol):
     for lo, hi in clusters:
         sel = _members(vals, lo, hi, spread) & nonzero
         v = vecs[:, sel]
-        p = v @ v.conj().T
-        if not span.contains(p):
-            raise WedderburnError("spectral projection escaped the span")
-        projections.append(p)
-    return span.compress(np.stack(projections))
+        projections.append(v @ v.conj().T)
+    projections = np.stack(projections)
+    if not span.contains(projections):
+        raise WedderburnError("spectral projection escaped the span")
+    return span.compress(projections)
 
 
 def _minimal_projection(corner: _MatrixSpan, rng, tol):
@@ -383,13 +418,18 @@ def _decompose_with_rep(ambient, gen_coeffs, rep_tensor, tol, seed):
                 f"(residual {np.max(res[~ok]):.3e})")
         return c.T
 
+    # the units of every corner first, then one pull-back for all of them
+    corner_units = [_factor_matrix_units(corner, rng, tol)
+                    for corner in corners]
+    coeffs = pull_back(np.stack(
+        [u for units_m in corner_units for row in units_m for u in row]))
     blocks = []
-    for corner in corners:
-        units_m = _factor_matrix_units(corner, rng, tol)
+    start = 0
+    for units_m in corner_units:
         n = len(units_m)
-        coeffs = pull_back(np.stack([u for row in units_m for u in row]))
-        units = [[AlgElement(ambient, coeffs[i * n + j]) for j in range(n)]
-                 for i in range(n)]
+        units = [[AlgElement(ambient, coeffs[start + i * n + j])
+                  for j in range(n)] for i in range(n)]
+        start += n * n
         p = units[0][0]
         for i in range(1, n):
             p = p + units[i][i]

@@ -406,3 +406,167 @@ def test_every_norm_path_gives_nan_not_linalgerror():
     bad = np.eye(B.dim)
     bad[0, 0] = np.nan
     assert np.isnan(m.distance(LinMap(B, B, bad)))
+
+
+# -- pruned largest norm: _max_norm against opnorm of every block -------------
+
+def _exhaustive_max_norm(alg, x):
+    """The largest norm with ``opnorm`` taken on every block (every row's
+    dense representation off the block path): the value _max_norm must
+    return while computing fewer norms."""
+    x = np.asarray(x)
+    rows = x.reshape(-1, x.shape[-1])
+    rows = rows[rows.any(axis=1)]
+    if not len(rows):
+        return 0.0
+    gathers = alg._block_stacks()
+    if gathers:
+        norms = [np.abs(rows.take(g, axis=-1)).max() if g.shape[-1] == 1
+                 else core.opnorm(rows.take(g, axis=-1)).max()
+                 for g in gathers]
+    else:
+        step = max(1, core._DENSE_STACK_ENTRIES // alg.rep_dim ** 2)
+        norms = [core.opnorm(alg.rep_coeffs(rows[i:i + step])).max()
+                 for i in range(0, len(rows), step)]
+    return float(np.max(norms))
+
+
+def _assert_same_norm(alg, x):
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        got = alg.norm_coeffs(x)
+    want = _exhaustive_max_norm(alg, x)
+    assert got == want or (np.isnan(got) and np.isnan(want)), (got, want)
+
+
+PRUNE_ALGEBRAS = {
+    **STACK_ALGEBRAS,
+    "four block sizes": lambda: BlockAlgebra([1, 2, 2, 3, 4]),
+    "one-dim blocks": lambda: BlockAlgebra([1] * 6),
+    "one-dim x one-dim": lambda: tensor(BlockAlgebra([1] * 3),
+                                        BlockAlgebra([1] * 4)),
+}
+
+
+def _random_rows(alg, rng, count, scale=1.0):
+    return scale * np.stack([alg.random_element(rng).coeffs
+                             for _ in range(count)])
+
+
+@pytest.mark.parametrize("kind", sorted(PRUNE_ALGEBRAS))
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e200])
+def test_pruned_norm_equals_exhaustive_maximum(kind, scale):
+    alg = PRUNE_ALGEBRAS[kind]()
+    rng = np.random.default_rng(23)
+    for count in (1, 2, 7):
+        x = _random_rows(alg, rng, count, scale)
+        _assert_same_norm(alg, x)
+        # one row much larger than the rest, and one much smaller
+        x[0] *= 1e3
+        _assert_same_norm(alg, x)
+        x[0] *= 1e-6
+        _assert_same_norm(alg, x)
+
+
+def _unitary(rng, n):
+    q, _ = np.linalg.qr(rng.standard_normal((n, n))
+                        + 1j * rng.standard_normal((n, n)))
+    return q
+
+
+def _rank_one(rng, n, norm):
+    u = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    return norm * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-300, 1e200])
+def test_pruned_norm_on_flat_spectra_and_rank_one_ties(scale):
+    # a scaled unitary has ||M||_F / sqrt(n) = ||M||, a rank-one matrix
+    # ||M||_F = ||M||: with equal exact norms the bounds and the computed
+    # norms differ in the last bits, which the rounding guard absorbs
+    B = BlockAlgebra([1, 2, 3, 4])
+    rng = np.random.default_rng(29)
+    for _ in range(200):
+        c = scale * rng.uniform(0.5, 2.0)
+        rows = []
+        for _ in range(2):
+            mats = [np.array([[c * rng.uniform(0.1, 1.0)]])]
+            for n in (2, 3, 4):
+                mats.append(c * _unitary(rng, n) if rng.random() < 0.5
+                            else _rank_one(rng, n, c))
+            rows.append(B.from_block_matrices(mats).coeffs)
+        _assert_same_norm(B, rows[0])
+        _assert_same_norm(B, np.stack(rows))
+
+
+def test_pruned_norm_on_exact_ties():
+    B = BlockAlgebra([1, 2, 2, 3])
+    rng = np.random.default_rng(31)
+    m2 = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    m3 = np.zeros((3, 3), dtype=complex)
+    m3[:2, :2] = m2
+    top = core.opnorm(m2)
+    # the same block twice, the same block in two sizes, a 1 x 1 block
+    # equal to the norm, and the whole row repeated
+    x = B.from_block_matrices([np.array([[top]]), m2, m2, m3]).coeffs
+    for stack in (x, np.stack([x, x]), np.stack([x, 0.5 * x, x])):
+        _assert_same_norm(B, stack)
+    assert B.norm_coeffs(x) == top
+    eye = B.from_block_matrices([np.eye(1), 2 * np.eye(2), 2 * np.eye(2),
+                                 2 * np.eye(3)]).coeffs
+    assert B.norm_coeffs(eye) == 2.0
+    _assert_same_norm(B, eye)
+
+
+@pytest.mark.parametrize("kind", sorted(PRUNE_ALGEBRAS))
+def test_pruned_norm_with_zero_nan_and_inf_rows(kind):
+    alg = PRUNE_ALGEBRAS[kind]()
+    rng = np.random.default_rng(37)
+    x = _random_rows(alg, rng, 3)
+    zero = np.zeros((2, alg.dim), dtype=complex)
+    _assert_same_norm(alg, zero)
+    _assert_same_norm(alg, np.concatenate([zero[:1], x, zero]))
+    # a row that is zero on every block but one
+    sparse = np.zeros(alg.dim, dtype=complex)
+    sparse[-1] = 3.0
+    _assert_same_norm(alg, np.concatenate([x, sparse[None]]))
+    for bad in (np.nan, np.inf):
+        for at in (0, alg.dim - 1):
+            y = x.copy()
+            y[1, at] = bad
+            # off the block path the dense representation of an inf row
+            # meets 0 * inf in rep_coeffs, which warns
+            with np.errstate(invalid="ignore"):
+                got, want = alg.norm_coeffs(y), _exhaustive_max_norm(alg, y)
+            assert got == want or (np.isnan(got) and np.isnan(want))
+            assert not np.isfinite(got)
+
+
+@pytest.mark.parametrize("kind", sorted(PRUNE_ALGEBRAS))
+def test_pruned_norm_under_forced_dense_chunking(kind, monkeypatch):
+    alg = PRUNE_ALGEBRAS[kind]()
+    x = _random_rows(alg, np.random.default_rng(41), 5)
+    # one row per dense chunk, and opnorm's Gram matrices one row at a time
+    monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", 1)
+    _assert_same_norm(alg, x)
+    x[3] *= 50.0
+    _assert_same_norm(alg, x)
+
+
+def test_pruning_skips_blocks_that_cannot_hold_the_maximum(monkeypatch):
+    B = BlockAlgebra([1, 2, 2, 3])
+    rng = np.random.default_rng(43)
+    x = _random_rows(B, rng, 6)
+    x[2, B.index(3, 0, 0):] *= 1e3          # one 3 x 3 block dominates
+    want = _exhaustive_max_norm(B, x)
+    seen = []
+    opnorm = core.opnorm
+
+    def counted(m):
+        seen.append(len(m))
+        return opnorm(m)
+    monkeypatch.setattr(core, "opnorm", counted)
+    assert B.norm_coeffs(x) == want
+    # one call for the 3 x 3 blocks, on the dominant block alone; the
+    # 2 x 2 blocks are all below its largest entry and take no call
+    assert seen == [1]

@@ -11,8 +11,9 @@ from finiteqg.duality import mult_unitary
 from finiteqg.hopf import function_algebra
 from finiteqg.orbits import (ActionMap, MorphismError, central_supports,
                              ergodicity, full_subgroup, homogeneous_action,
-                             homogeneous_space, relation,
-                             subgroup_from_dual_matrix, trivial_subgroup)
+                             homogeneous_space, quotient_by_kernel,
+                             relation, subgroup_from_dual_matrix,
+                             trivial_subgroup)
 
 
 def test_full_subgroup_space_is_scalars(dual_cs3):
@@ -312,3 +313,24 @@ def test_nan_central_support_fails_orthogonality(dual_cs3, a3_space,
                            a3_partition)
     assert np.isnan(rep.orthogonality_residual)
     assert not rep.passed
+
+
+# -- a NaN or inf fails before a rank SVD could raise LinAlgError -----------
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_action_is_not_a_coaction(kp8_block, bad):
+    am = kp8_block.delta.matrix.copy()
+    am[0, kp8_block.dim - 1] = bad
+    N = kp8_block.algebra
+    alpha = ActionMap(kp8_block, N, LinMap(N, tensor(N, N), am), None)
+    with pytest.raises(ValueError, match="not a coaction: the action matrix "
+                                         "is not finite.*multiplicative=nan"):
+        alpha.verify()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_surjection_is_a_morphism_error(hopf_cs3, bad):
+    rho = np.eye(hopf_cs3.dim)[:2].astype(complex)
+    rho[1, -1] = bad
+    with pytest.raises(MorphismError, match="not finite"):
+        quotient_by_kernel(hopf_cs3, rho)

@@ -3,14 +3,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finiteqg import groups
-from finiteqg.core import BlockAlgebra, nullspace
+from finiteqg import groups, wedderburn
+from finiteqg.core import BlockAlgebra, nullspace, orthonormal_rows
+from finiteqg.duality import dual_hopf_raw
 from finiteqg.haar import haar_state
 from finiteqg.hopf import group_algebra, kac_paljutkin
+from finiteqg.io import load_hopf
 from finiteqg.core import Tolerance
 from finiteqg.wedderburn import (SpanNotClosedError, SpectralGapError,
-                                 _central_idempotents, _cluster, _gns_rep,
-                                 _MatrixSpan, central_support, decompose,
+                                 WedderburnError, _central_idempotents,
+                                 _cluster, _gns_rep, _MatrixSpan,
+                                 central_support, decompose,
                                  decompose_abstract)
 
 
@@ -319,3 +322,105 @@ def test_verify_of_many_one_dim_blocks_is_three_calls(monkeypatch):
     units = [[list(row) for row in block] for block in wd.matrix_units]
     units[-1][0][0] = 1.001 * units[-1][0][0]
     assert replace(wd, matrix_units=units).verify() > 1e-4
+
+
+# -- one factorization per decision: corner dimensions, stacked membership,
+#    one pull-back -----------------------------------------------------------
+
+def _shipped_abstract_cases(data_dir):
+    """(algebra, Gram matrix) of every shipped Hopf algebra and of its raw
+    dual: the two decompositions block_presentation and dualize make."""
+    for path in sorted(data_dir.glob("*_algebra.json")) + [
+            data_dir / "kp8.json"]:
+        H = load_hopf(path)
+        for K in (H, dual_hopf_raw(H)):
+            yield path.stem, K.algebra, haar_state(K).gram
+
+
+def test_corner_dimensions_from_singular_values_match_bases(data_dir,
+                                                            monkeypatch):
+    compress = _MatrixSpan.compress
+    seen = []
+
+    def checked(self, projections):
+        corners = compress(self, projections)
+        for c in corners:
+            seen.append((c.dim, len(orthonormal_rows(c._rows, c.tol))))
+        return corners
+    monkeypatch.setattr(_MatrixSpan, "compress", checked)
+    for _, algebra, gram in _shipped_abstract_cases(data_dir):
+        decompose_abstract(algebra, gram)
+    assert all(dim == rows for dim, rows in seen)
+    dims = {dim for dim, _ in seen}
+    assert 1 in dims and max(dims) > 1
+
+
+def test_corner_basis_must_match_its_dimension():
+    A = BlockAlgebra([1, 2])
+    span = _MatrixSpan(list(A.rep_tensor), np.eye(A.rep_dim), Tolerance())
+    p = np.diag([0.0, 1.0, 1.0]).astype(complex)
+    corner, = span.compress(p[None])
+    assert corner.dim == 4 and corner._basis_flat is None
+    corner._dim = 3          # as if the two rank rules had disagreed
+    with pytest.raises(WedderburnError, match="singular values give"):
+        corner.basis
+
+
+def _off_span(span, rng):
+    """A unit-norm matrix orthogonal to the span."""
+    v = rng.standard_normal(span.r ** 2) + 1j * rng.standard_normal(
+        span.r ** 2)
+    v = v - (v @ span.basis_flat.conj().T) @ span.basis_flat
+    return (v / np.linalg.norm(v)).reshape(span.r, span.r)
+
+
+@pytest.mark.parametrize("at", [0, -1])
+def test_stacked_membership_sees_one_projection_off_the_span(kp8, at):
+    span = _gns_span(kp8.algebra, haar_state(kp8).gram)
+    corners = _central_idempotents(span, np.random.default_rng(3),
+                                   Tolerance())
+    ps = np.stack([c.unit for c in corners])
+    assert len(ps) == 5 and span.contains(ps)
+    bad = ps.copy()
+    bad[at] += 1e-6 * _off_span(span, np.random.default_rng(4))
+    assert not span.contains(bad)
+
+
+def test_perturbed_spectral_projection_escapes_the_span(kp8, monkeypatch):
+    # drop one eigenvector from the first cluster with several: that one
+    # projection is no longer in the span, the others are
+    span = _gns_span(kp8.algebra, haar_state(kp8).gram)
+    members = wedderburn._members
+    dropped = []
+
+    def drop_one(vals, lo, hi, spread):
+        sel = members(vals, lo, hi, spread)
+        if not dropped and sel.sum() > 1:
+            sel[np.flatnonzero(sel)[-1]] = False
+            dropped.append(1)
+        return sel
+    monkeypatch.setattr(wedderburn, "_members", drop_one)
+    with pytest.raises(WedderburnError, match="escaped the span"):
+        _central_idempotents(span, np.random.default_rng(3), Tolerance())
+    assert dropped
+
+
+@pytest.mark.parametrize("which", [0, -1])
+def test_one_corrupted_unit_fails_the_single_pull_back(kp8, monkeypatch,
+                                                       which):
+    units_of = wedderburn._factor_matrix_units
+    built = []
+
+    def corrupt(corner, rng, tol):
+        units = units_of(corner, rng, tol)
+        built.append(units)
+        # corners are built in order; kp8 has five
+        if len(built) == (1 if which == 0 else 5):
+            off = np.zeros_like(units[-1][-1])
+            off[0, -1] = 1e-6
+            units[-1][-1] = units[-1][-1] + off
+        return units
+    monkeypatch.setattr(wedderburn, "_factor_matrix_units", corrupt)
+    with pytest.raises(WedderburnError, match="pull-back failed"):
+        decompose_abstract(kp8.algebra, haar_state(kp8).gram)
+    assert len(built) == 5
