@@ -8,11 +8,12 @@ Clifford type, and the fusion (Vergnioux) relation -- every claim checked
 numerically against a tolerance.
 """
 
-from .core import (AlgElement, Algebra, BlockAlgebra, LinMap, TensorAlgebra,
-                   Tolerance, DEFAULT_SEED, is_zero, kron, mul, norm, tensor)
+from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, Checks,
+                   LinMap, TensorAlgebra, Tolerance, DEFAULT_SEED, is_zero,
+                   kron, mul, norm, tensor)
 from .groups import FiniteGroup, cyclic, direct_product, quaternion, symmetric
-from .hopf import (AxiomReport, HopfAxiomError, HopfData, function_algebra,
-                   group_algebra, kac_paljutkin, verify_hopf)
+from .hopf import (HopfAxiomError, HopfData, function_algebra, group_algebra,
+                   kac_paljutkin, verify_hopf)
 from .haar import HaarState, haar_state, invariant_state_on_module
 from .wedderburn import (WedderburnData, WedderburnError, central_support,
                          decompose, decompose_abstract)

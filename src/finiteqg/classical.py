@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (_DENSE_STACK_ENTRIES, AlgElement, BlockAlgebra, LinMap,
-                   Tolerance, as_tolerance, tensor)
+from .core import (_DENSE_STACK_ENTRIES, AlgElement, BlockAlgebra, Checks,
+                   LinMap, as_tolerance, tensor)
 from .haar import HaarState
 from .hopf import HopfData
 from .orbits import ActionMap, OrbitPartition, relation
@@ -52,34 +52,9 @@ def permutation_magic(H: HopfData, action_table) -> MagicAction:
     return MagicAction(H, n, u)
 
 
-@dataclass
-class MagicReport:
-    """Residuals of the magic-matrix axioms, judged at the tolerance
-    ``verify_magic`` was called with."""
-
-    residuals: dict
-    tol: Tolerance
-
-    def failures(self):
-        return [k for k, v in self.residuals.items()
-                if not self.tol.is_zero(v)]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures()
-
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    def raise_for_failure(self, context="magic action"):
-        bad = self.failures()
-        if bad:
-            raise ValueError(f"{context} fails: " + ", ".join(
-                f"{k}={self.residuals[k]:.3e}" for k in bad))
-
-
-def verify_magic(M: MagicAction, tol=None) -> MagicReport:
-    """Check projections, row sums, the coproduct rule and the counit.
+def verify_magic(M: MagicAction, tol=None) -> Checks:
+    """Check projections, row sums, the coproduct rule and the counit,
+    each residual at scale 1.0.
 
     The n x n entries form one ``(i, j, dim)`` stack, so each residual is
     one kernel call over all entries; the coproduct rule, whose stack has
@@ -96,7 +71,7 @@ def verify_magic(M: MagicAction, tol=None) -> MagicReport:
         - np.einsum("ikp,kjq->ijpq", U[i:i + step], U).reshape(-1, n, d * d))
         for i in range(0, n, step)]
     # norm_coeffs and np.max keep a NaN residual
-    return MagicReport({
+    return Checks({
         "projection": A.norm_coeffs(A.mul_coeffs(U, U) - U),
         "selfadjoint": A.norm_coeffs(A.star_coeffs(U) - U),
         "row_sum": A.norm_coeffs(U.sum(axis=1) - A.unit_coeffs),

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_SEED, Tolerance, as_tolerance, orthonormal_rows,
-                   distance_to_span, tensor)
+from .core import (DEFAULT_SEED, CheckError, Tolerance, as_tolerance,
+                   orthonormal_rows, distance_to_span, tensor)
 from .duality import DiscreteQG, mult_unitary, tensor_mult
 from .hopf import HopfData
 from .orbits import (HomogeneousSpace, MorphismError, OrbitPartition,
@@ -28,7 +28,7 @@ from .orbits import (HomogeneousSpace, MorphismError, OrbitPartition,
                      quotient_by_kernel, relation, subgroup_from_dual_matrix)
 
 
-class NormalityError(ValueError):
+class NormalityError(CheckError):
     pass
 
 
@@ -139,7 +139,7 @@ def restriction_table(D: DiscreteQG, X: HomogeneousSpace,
             val = complex(np.trace(mats[k]))
             r = int(round(val.real))
             if abs(val - r) > 1e-6 or r < 0:
-                raise ValueError(
+                raise CheckError(
                     f"restriction multiplicity {val} is not an integer")
             mult[k, i] = r
 

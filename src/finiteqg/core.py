@@ -42,17 +42,23 @@ maximum bit for bit while each stack fits one of ``opnorm``'s Gram
 slices (``_DENSE_STACK_ENTRIES`` entries; a larger one may round
 differently in the last bits once pruned).  A NaN or inf coefficient
 gives a NaN norm on every path (inf on a 1 x 1 block), never a
-``LinAlgError``.  SVDs are taken only where a rank is decided
+``LinAlgError`` or a warning.  SVDs are taken only where a rank is decided
 (``nullspace``, ``orthonormal_rows``, the Haar nullity, the corner
-dimensions of the Wedderburn split, the injectivity of a coaction, the
-surjectivity of a quotient map), and for the spectral shifts inside the
-Wedderburn split, whose results the matrix units depend on;
-``nullspace`` or ``orthonormal_rows`` of a matrix with a NaN raises
-``LinAlgError``.  Zero tests are relative: ``norm <= eps * (1 + scale)``.
+dimensions of the Wedderburn split, the surjectivity of a quotient map),
+and for the spectral shifts inside the Wedderburn split, whose results
+the matrix units depend on.  Every rank is ``numerical_rank``: the number
+of singular values above eps * max(1, s_max).  ``nullspace`` or
+``orthonormal_rows`` of a matrix with a NaN raises ``LinAlgError``.
+
+Zero tests are relative: ``norm <= eps * (1 + scale)``.  A group of named
+checks is one ``Checks`` record (residuals, per-name scales, the
+tolerance), judged by that rule, where a NaN or inf residual and a
+non-finite scale fail; its ``raise_for_failure`` raises the producer's
+subclass of ``CheckError``, the base of every failed-check exception.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,6 +91,47 @@ def as_tolerance(tol) -> Tolerance:
     if isinstance(tol, Tolerance):
         return tol
     return Tolerance(float(tol))
+
+
+class CheckError(ValueError):
+    """A numeric check failed."""
+
+
+@dataclass
+class Checks:
+    """Named residuals judged at one tolerance.
+
+    The residual r of a check with scale s (``scales`` may omit a name,
+    whose scale is then 1.0) passes when r <= eps * (1 + s) and s is
+    finite, so a NaN or inf residual and a non-finite scale fail.
+    ``raise_for_failure`` raises ``error``, the class of the producer.
+    """
+
+    residuals: dict
+    tol: Tolerance
+    scales: dict = field(default_factory=dict)
+    error: type = CheckError
+
+    def failures(self):
+        return [k for k, r in self.residuals.items()
+                if not self._passes(r, self.scales.get(k, 1.0))]
+
+    def _passes(self, residual, scale) -> bool:
+        return bool(np.isfinite(scale) and self.tol.is_zero(residual, scale))
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures()
+
+    def max_residual(self) -> float:
+        # np.max keeps a NaN residual, where max() would drop it
+        return float(np.max(list(self.residuals.values()), initial=0.0))
+
+    def raise_for_failure(self, context: str):
+        bad = self.failures()
+        if bad:
+            detail = ", ".join(f"{k}={self.residuals[k]:.3e}" for k in bad)
+            raise self.error(f"{context}: {detail}")
 
 
 class Algebra:
@@ -565,6 +612,9 @@ def _max_norm(alg, x) -> float:
         return float(_largest_opnorm(
             [rows.take(g, axis=-1) for g in gathers if g.shape[-1] > 1],
             best))
+    # a representation of an inf coefficient would meet 0 * inf
+    if not np.isfinite(rows).all():
+        return np.nan
     step = max(1, _DENSE_STACK_ENTRIES // alg.rep_dim ** 2)
     best = -np.inf
     for i in range(0, len(rows), step):
@@ -777,29 +827,31 @@ def multiplicative_residual(domain: Algebra, codomain: Algebra,
         for p in range(domain.dim)]))
 
 
+def numerical_rank(singular_values, tol=None):
+    """The rank rule: the number of singular values s > eps * max(1, s_max)
+    over the last axis, each row sorted descending as ``svd`` returns it
+    (an int array over the leading axes; 0 for no singular values)."""
+    s = np.asarray(singular_values)
+    cut = as_tolerance(tol).eps * np.maximum(1.0, s[..., :1])
+    return np.sum(s > cut, axis=-1)
+
+
 def orthonormal_rows(vectors, tol=None):
     """Orthonormal basis (rows) of the span of the given row vectors."""
-    tol = as_tolerance(tol)
     m = np.asarray(vectors, dtype=complex)
     if m.ndim == 1:
         m = m[None, :]
-    u, s, vh = np.linalg.svd(m, full_matrices=False)
-    if s.size == 0:
-        return np.zeros((0, m.shape[1]), dtype=complex)
-    keep = s > tol.eps * max(1.0, s[0])
-    return vh[keep]
+    _, s, vh = np.linalg.svd(m, full_matrices=False)
+    return vh[:numerical_rank(s, tol)]
 
 
 def nullspace(matrix, tol=None):
     """Orthonormal basis (rows) of the kernel of a matrix."""
-    tol = as_tolerance(tol)
     m = np.asarray(matrix, dtype=complex)
     # a tall or square matrix already yields the full vh in reduced form
     _, s, vh = np.linalg.svd(m, full_matrices=m.shape[0] < m.shape[1])
-    cut = tol.eps * max(1.0, s[0] if s.size else 1.0)
-    rank = int(np.sum(s > cut))
     # rows of vh are bra-vectors; the kernel is spanned by their conjugates
-    return vh[rank:].conj()
+    return vh[numerical_rank(s, tol):].conj()
 
 
 def project_onto_rows(basis, v):

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (AlgElement, Algebra, BlockAlgebra, LinMap,
-                   DEFAULT_SEED, as_tolerance, opnorm, tensor)
+from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, Checks,
+                   LinMap, DEFAULT_SEED, as_tolerance, opnorm, tensor)
 from .haar import haar_state
 from .hopf import HopfData, verify_hopf
 from .wedderburn import WedderburnData, decompose_abstract, reorder_blocks
@@ -96,11 +96,11 @@ def _transport_hopf(H: HopfData, phi: np.ndarray, B: BlockAlgebra,
     st = phi_i @ H.algebra.star_matrix @ np.conj(phi)
     st_res = float(opnorm(st - B.star_matrix))
     if not tol.is_zero(st_res):
-        raise ValueError(
+        raise CheckError(
             f"block transport breaks the involution (residual {st_res:.3e})")
     out = HopfData(B, LinMap(B, tensor(B, B), delta), counit,
                    LinMap(B, B, antipode), name=name)
-    verify_hopf(out, tol).raise_for_failure(name)
+    verify_hopf(out, tol).raise_for_failure(f"{name} fails axiom check(s)")
     return out
 
 
@@ -109,7 +109,7 @@ def _counit_block_first(wd: WedderburnData, counit_values) -> WedderburnData:
             wd.central_idempotents]
     triv = int(np.argmax(vals))
     if not (abs(vals[triv] - 1.0) < 0.5 and wd.block_dims[triv] == 1):
-        raise ValueError("could not locate the counit block")
+        raise CheckError("could not locate the counit block")
     order = [triv] + [b for b in range(len(wd.block_dims)) if b != triv]
     return reorder_blocks(wd, order)
 
@@ -167,7 +167,7 @@ def dualize(H: HopfData, tol=None, seed: int = DEFAULT_SEED) -> DiscreteQG:
     wd = decompose_abstract(raw.algebra, h_dual.gram, tol, seed)
     wd = _counit_block_first(wd, raw.counit)
     if wd.total_dim != H.dim:
-        raise ValueError("dual block dimensions do not add up")  # unreachable
+        raise CheckError("dual block dimensions do not add up")  # unreachable
     C = wd.iso.matrix                      # dual coords of block basis
     B = wd.block_algebra
     dual_block = _transport_hopf(raw, C, B, raw.name + "@blocks", tol)
@@ -182,13 +182,10 @@ def dualize(H: HopfData, tol=None, seed: int = DEFAULT_SEED) -> DiscreteQG:
 
 @dataclass
 class MultUnitary:
-    """W = sum_k f_k x a_k in (dual blocks) x Pol(G), with residuals."""
+    """W = sum_k f_k x a_k in (dual blocks) x Pol(G), with its checks."""
 
     element: AlgElement
-    residuals: dict
-
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
+    checks: Checks
 
 
 def mult_unitary(D: DiscreteQG, tol=None) -> MultUnitary:
@@ -214,12 +211,8 @@ def mult_unitary(D: DiscreteQG, tol=None) -> MultUnitary:
     w13 = np.einsum("tl,k->tkl", Ci, A.unit_coeffs).reshape(-1)
     rhs = T3.mul_coeffs(w12, w13)
     res["comultiplication"] = T3.norm_coeffs(lhs - rhs)
-    out = MultUnitary(W, res)
-    bad = [k for k, v in res.items() if not tol.is_zero(v)]
-    if bad:
-        raise ValueError(
-            "multiplicative unitary fails: "
-            + ", ".join(f"{k}={res[k]:.3e}" for k in bad))
+    out = MultUnitary(W, Checks(res, tol))
+    out.checks.raise_for_failure("multiplicative unitary fails")
     D._w = (out, tol.eps)
     return out
 
@@ -254,7 +247,7 @@ def corep_of(D: DiscreteQG, label, tol=None):
     # np.max keeps a NaN residual, where max() would drop it
     worst = float(np.max(residuals))
     if not tol.is_zero(worst):
-        raise ValueError(f"corepresentation checks fail at {worst:.3e}")
+        raise CheckError(f"corepresentation checks fail at {worst:.3e}")
     return U
 
 
@@ -277,7 +270,7 @@ def tensor_mult(D: DiscreteQG, sigma, gamma, tol=None) -> np.ndarray:
                   for i in range(n_s) for j in range(n_g))
         r = int(round(val.real))
         if abs(val - r) > 1e-6 or r < 0:
-            raise ValueError(
+            raise CheckError(
                 f"fusion multiplicity {val} is not a non-negative integer")
         out[t] = r
     return out
@@ -301,8 +294,8 @@ def contragredient(D: DiscreteQG, label, tol=None) -> RepLabel:
         if np.linalg.norm(mat) > tol.eps * 10:
             # equivalent block: the central projection must act as identity
             if m != n or np.linalg.norm(mat - np.eye(n)) > 1e-6:
-                raise ValueError("contragredient block mismatch")
+                raise CheckError("contragredient block mismatch")
             hits.append(j)
     if len(hits) != 1:
-        raise ValueError(f"contragredient matched blocks {hits}")
+        raise CheckError(f"contragredient matched blocks {hits}")
     return RepLabel(hits[0], n)

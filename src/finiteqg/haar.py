@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AlgElement, LinMap, as_tolerance, opnorm
+from .core import (AlgElement, CheckError, LinMap, as_tolerance,
+                   numerical_rank, opnorm)
 from .hopf import HopfData
 
 # faithfulness threshold for the smallest Gram eigenvalue
@@ -42,7 +43,7 @@ class HaarState:
         return float(np.linalg.eigvalsh(self.gram).min())
 
 
-class HaarError(ValueError):
+class HaarError(CheckError):
     pass
 
 
@@ -68,8 +69,7 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
     hom = np.vstack([left, right])
     # uniqueness: the homogeneous invariance system must have a 1-dim kernel
     svals = np.linalg.svd(hom, compute_uv=False)
-    cut = tol.eps * max(1.0, svals[0])
-    nullity = int(np.sum(svals <= cut))
+    nullity = d - int(numerical_rank(svals, tol))
     if nullity != 1:
         raise HaarError(
             f"invariance system has {nullity}-dimensional solution space; "
@@ -116,7 +116,7 @@ def invariant_state_on_module(alpha: LinMap, h: HaarState, tol=None):
     rhs = np.kron(np.eye(d_n), H.delta.matrix) @ alpha.matrix
     res = float(opnorm(lhs - rhs))
     if not tol.is_zero(res, float(opnorm(lhs))):
-        raise ValueError(f"map is not a coaction (residual {res:.3e})")
+        raise CheckError(f"map is not a coaction (residual {res:.3e})")
 
     # E = (id x h) alpha, the averaging map onto the fixed-point algebra
     E = np.einsum("njk,j->nk",

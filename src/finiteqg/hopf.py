@@ -16,8 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (AlgElement, Algebra, BlockAlgebra, LinMap, Tolerance,
-                   as_tolerance, multiplicative_residual, opnorm, tensor)
+from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, Checks,
+                   LinMap, as_tolerance, multiplicative_residual, opnorm,
+                   tensor)
 from .groups import FiniteGroup
 
 
@@ -81,42 +82,13 @@ class HopfData:
         return f"HopfData({self.name or self.algebra!r}, dim={self.dim})"
 
 
-@dataclass
-class AxiomReport:
-    """Residuals of the Hopf *-algebra axioms, with per-check scales."""
-
-    residuals: dict
-    scales: dict
-    tol: Tolerance
-
-    def failures(self):
-        return [k for k, r in self.residuals.items()
-                if not self.tol.is_zero(r, self.scales.get(k, 1.0))]
-
-    @property
-    def passed(self) -> bool:
-        return not self.failures()
-
-    def max_residual(self) -> float:
-        return max(self.residuals.values())
-
-    def raise_for_failure(self, context: str = ""):
-        bad = self.failures()
-        if bad:
-            detail = ", ".join(f"{k}={self.residuals[k]:.3e}" for k in bad)
-            raise HopfAxiomError(
-                f"{context or 'Hopf data'} fails axiom check(s): {detail}",
-                self)
+class HopfAxiomError(CheckError):
+    pass
 
 
-class HopfAxiomError(ValueError):
-    def __init__(self, message, report: AxiomReport):
-        super().__init__(message)
-        self.report = report
-
-
-def verify_hopf(H: HopfData, tol=None) -> AxiomReport:
-    """Check all Hopf *-algebra axioms numerically and report residuals.
+def verify_hopf(H: HopfData, tol=None) -> Checks:
+    """Check all Hopf *-algebra axioms numerically: the residuals with
+    per-check scales, raising ``HopfAxiomError`` on demand.
 
     Map identities are compared in operator norm on coefficient space;
     the homomorphism property of delta is checked on all basis pairs, one
@@ -193,7 +165,7 @@ def verify_hopf(H: HopfData, tol=None) -> AxiomReport:
     res["antipode_star"] = antipode_star
     sca["antipode_star"] = op_s
 
-    return AxiomReport(res, sca, tol)
+    return Checks(res, tol, sca, HopfAxiomError)
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +191,7 @@ def function_algebra(group: FiniteGroup, tol=None) -> HopfData:
         S[group.inverse(g), g] = 1.0
     H = HopfData(A, LinMap(A, tensor(A, A), D), eps, LinMap(A, A, S),
                  name=f"C({group.name})")
-    verify_hopf(H, tol).raise_for_failure(H.name)
+    verify_hopf(H, tol).raise_for_failure(f"{H.name} fails axiom check(s)")
     return H
 
 
@@ -247,7 +219,7 @@ def group_algebra(group: FiniteGroup, tol=None) -> HopfData:
         D[g * n + g, g] = 1.0
     H = HopfData(A, LinMap(A, tensor(A, A), D), np.ones(n), LinMap(A, A, S),
                  name=f"C[{group.name}]")
-    verify_hopf(H, tol).raise_for_failure(H.name)
+    verify_hopf(H, tol).raise_for_failure(f"{H.name} fails axiom check(s)")
     return H
 
 
@@ -348,7 +320,8 @@ def kac_paljutkin(tol=None) -> HopfData:
 
     eps = np.ones(n, dtype=complex)
     H = HopfData(A, LinMap(A, T2, D), eps, LinMap(A, A, S), name="KP8")
-    verify_hopf(H, tol).raise_for_failure("KP8 construction")
+    verify_hopf(H, tol).raise_for_failure(
+        "KP8 construction fails axiom check(s)")
     if H.is_cocommutative(tol) or A.is_commutative(tol):
         raise AssertionError("KP8 construction degenerated")
     return H

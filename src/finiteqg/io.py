@@ -132,7 +132,8 @@ def hopf_from_dict(data: dict, tol=None, verify: bool = True) -> HopfData:
     H = HopfData(A, LinMap(A, tensor(A, A), delta), counit,
                  LinMap(A, A, antipode), name=str(data.get("name", "")))
     if verify:
-        verify_hopf(H, tol).raise_for_failure(H.name or "hopf file")
+        verify_hopf(H, tol).raise_for_failure(
+            f"{H.name or 'hopf file'} fails axiom check(s)")
     return H
 
 

@@ -29,16 +29,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AlgElement, Algebra, BlockAlgebra, LinMap,
-                   DEFAULT_SEED, Tolerance, as_tolerance, nullspace,
-                   distance_to_span, multiplicative_residual, opnorm,
-                   tensor)
+from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, Checks,
+                   LinMap, DEFAULT_SEED, Tolerance, as_tolerance, nullspace,
+                   numerical_rank, distance_to_span, multiplicative_residual,
+                   opnorm, tensor)
 from .duality import DiscreteQG, mult_unitary
 from .hopf import HopfData, verify_hopf
 from .wedderburn import WedderburnData, central_support, decompose
 
 
-class MorphismError(ValueError):
+class MorphismError(CheckError):
     pass
 
 
@@ -62,34 +62,34 @@ def quotient_by_kernel(H: HopfData, rho, tol=None) -> HopfData:
     if not np.isfinite(rho).all():
         raise MorphismError("surjection matrix is not finite")
     sv = np.linalg.svd(rho, compute_uv=False)
-    if int(np.sum(sv > tol.eps * max(1.0, sv[0]))) != r:
+    if numerical_rank(sv, tol) != r:
         raise MorphismError("matrix is not surjective")
-    scale = float(sv[0]) ** 2
 
     section = np.linalg.pinv(rho)
-    pipi_delta = np.kron(rho, rho) @ H.delta.matrix
-    delta_q = pipi_delta @ section
-    checks = {"intertwines_coproduct": float(
-        opnorm(pipi_delta - delta_q @ rho))}
-    ker = nullspace(rho, tol)
-    if ker.shape[0]:
-        # rows k e_p, then e_p k, for every kernel vector k and basis e_p
-        eye = np.tile(np.eye(d), (ker.shape[0], 1))
-        kk = np.repeat(ker, d, 0)
-        prods = A.mul_coeffs(np.concatenate([kk, eye]),
-                             np.concatenate([eye, kk]))
-        checks["kernel_ideal"] = float(
-            np.max(np.linalg.norm(prods @ rho.T, axis=1)))
-        checks["kernel_star"] = float(
-            opnorm(rho @ A.star_matrix @ np.conj(ker.T)))
-        checks["kernel_coproduct"] = float(opnorm(pipi_delta @ ker.T))
-        checks["kernel_counit"] = float(np.linalg.norm(H.counit @ ker.T))
-        checks["kernel_antipode"] = float(
-            opnorm(rho @ H.antipode.matrix @ ker.T))
-    bad = {k: v for k, v in checks.items() if not tol.is_zero(v, scale)}
-    if bad:
-        raise MorphismError("matrix is not a Hopf *-surjection: "
-                            + ", ".join(f"{k}={v:.3e}" for k, v in bad.items()))
+    # a huge rho overflows to an inf scale or residual, which fails below
+    with np.errstate(over="ignore", invalid="ignore"):
+        scale = np.square(sv[0])
+        pipi_delta = np.kron(rho, rho) @ H.delta.matrix
+        delta_q = pipi_delta @ section
+        res = {"intertwines_coproduct": float(
+            opnorm(pipi_delta - delta_q @ rho))}
+        ker = nullspace(rho, tol)
+        if ker.shape[0]:
+            # rows k e_p, then e_p k, for every kernel vector k and basis e_p
+            eye = np.tile(np.eye(d), (ker.shape[0], 1))
+            kk = np.repeat(ker, d, 0)
+            prods = A.mul_coeffs(np.concatenate([kk, eye]),
+                                 np.concatenate([eye, kk]))
+            res["kernel_ideal"] = float(
+                np.max(np.linalg.norm(prods @ rho.T, axis=1)))
+            res["kernel_star"] = float(
+                opnorm(rho @ A.star_matrix @ np.conj(ker.T)))
+            res["kernel_coproduct"] = float(opnorm(pipi_delta @ ker.T))
+            res["kernel_counit"] = float(np.linalg.norm(H.counit @ ker.T))
+            res["kernel_antipode"] = float(
+                opnorm(rho @ H.antipode.matrix @ ker.T))
+    checks = Checks(res, tol, dict.fromkeys(res, scale), MorphismError)
+    checks.raise_for_failure("matrix is not a Hopf *-surjection")
 
     mul_q = np.einsum("rk,kab,ap,bq->rpq", rho, A.mul_tensor,
                       section, section, optimize=True)
@@ -99,7 +99,8 @@ def quotient_by_kernel(H: HopfData, rho, tol=None) -> HopfData:
                         H.counit @ section,
                         LinMap(A_q, A_q, rho @ H.antipode.matrix @ section),
                         name="quotient")
-    verify_hopf(quotient, tol).raise_for_failure("Hopf quotient")
+    verify_hopf(quotient, tol).raise_for_failure(
+        "Hopf quotient fails axiom check(s)")
     return quotient
 
 
@@ -151,10 +152,12 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
 
     scale = float(opnorm(pi))
     surviving = []
-    for i in range(len(B.block_dims)):
-        img = pi @ D.blocks.central_idempotents[i].coeffs
-        if not tol.is_zero(float(np.linalg.norm(img)), scale):
-            surviving.append(i)
+    # an image too large for a float has the norm inf: its block survives
+    with np.errstate(over="ignore"):
+        for i in range(len(B.block_dims)):
+            img = pi @ D.blocks.central_idempotents[i].coeffs
+            if not tol.is_zero(float(np.linalg.norm(img)), scale):
+                surviving.append(i)
     corner_dim = sum(B.block_dims[i] ** 2 for i in surviving)
     if corner_dim != r:
         raise MorphismError(
@@ -324,54 +327,39 @@ class ActionMap:
         cut[rows, :] = Y[rows, :]
         return self.alpha.codomain.norm_coeffs(cut.reshape(-1))
 
-    def verify(self, tol=None) -> dict:
-        """Residuals of the action axioms; raises on failure."""
+    def verify(self, tol=None) -> Checks:
+        """The unit, product, involution, coaction and counit residuals of
+        the action matrix, each at the scale 1 + ||alpha||^2; raises on
+        failure.  Injectivity needs no check of its own: the counit
+        identity (id x eps) alpha = id implies it."""
         tol = as_tolerance(tol)
-        am = self.alpha.matrix
-        # the rank SVD below would raise LinAlgError on a NaN or inf, so
-        # a non-finite action fails first, with every residual it breaks
-        if not np.isfinite(am).all():
-            # an inf entry meets inf - inf and 0 * inf on the way to NaN
-            with np.errstate(invalid="ignore"):
-                res = self._residuals()
-            raise ValueError(
-                "not a coaction: the action matrix is not finite ("
-                + ", ".join(f"{k}={v:.3e}" for k, v in res.items()
-                            if not np.isfinite(v)) + ")")
-        res = self._residuals()
-        s = np.linalg.svd(am, compute_uv=False)
-        res["injectivity_defect"] = float(
-            self.module.dim - np.sum(s > tol.eps * max(1.0, s[0])))
-        scale = 1.0 + float(s[0]) ** 2
-        bad = [k for k, v in res.items()
-               if k != "injectivity_defect" and not tol.is_zero(v, scale)]
-        if bad:
-            raise ValueError("not a coaction: "
-                             + ", ".join(f"{k}={res[k]:.3e}" for k in bad))
-        return res
-
-    def _residuals(self) -> dict:
-        """Norms of the unit, product, involution, coaction and counit
-        defects of the action matrix."""
         A, N = self.hopf, self.module
         T = self.alpha.codomain
         am = self.alpha.matrix
         d_n, d_a = N.dim, A.dim
-        res = {}
-        one_t = T.kron_coeffs(N.unit_coeffs, A.algebra.unit_coeffs)
-        res["unital"] = T.norm_coeffs(am @ N.unit_coeffs - one_t)
-        res["multiplicative"] = multiplicative_residual(N, T, am)
-        res["star"] = float(opnorm(
-            am @ N.star_matrix - T.star_matrix @ np.conj(am)))
-        # A3[i, g, k] is the coefficient of e_i x a_g in alpha(e_k):
-        # (alpha x id) alpha acts on its first leg, (id x delta) alpha
-        # broadcasts over i
-        A3 = am.reshape(d_n, d_a, d_n)
-        lhs = (am @ am.reshape(d_n, d_a * d_n)).reshape(-1, d_n)
-        rhs = (A.delta.matrix @ A3).reshape(-1, d_n)
-        res["coaction"] = float(opnorm(lhs - rhs))
-        res["counit"] = float(opnorm(A.counit @ A3 - np.eye(d_n)))
-        return res
+        # a NaN, inf or huge action meets inf - inf, 0 * inf or overflow on
+        # its way to a NaN or inf residual or scale, which fails below
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = {}
+            one_t = T.kron_coeffs(N.unit_coeffs, A.algebra.unit_coeffs)
+            res["unital"] = T.norm_coeffs(am @ N.unit_coeffs - one_t)
+            res["multiplicative"] = multiplicative_residual(N, T, am)
+            res["star"] = float(opnorm(
+                am @ N.star_matrix - T.star_matrix @ np.conj(am)))
+            # A3[i, g, k] is the coefficient of e_i x a_g in alpha(e_k):
+            # (alpha x id) alpha acts on its first leg, (id x delta) alpha
+            # broadcasts over i
+            A3 = am.reshape(d_n, d_a, d_n)
+            lhs = (am @ am.reshape(d_n, d_a * d_n)).reshape(-1, d_n)
+            rhs = (A.delta.matrix @ A3).reshape(-1, d_n)
+            res["coaction"] = float(opnorm(lhs - rhs))
+            res["counit"] = float(opnorm(A.counit @ A3 - np.eye(d_n)))
+            scale = 1.0 + np.square(opnorm(am))
+        checks = Checks(res, tol, dict.fromkeys(res, scale))
+        checks.raise_for_failure(
+            "not a coaction" if np.isfinite(am).all()
+            else "not a coaction: the action matrix is not finite")
+        return checks
 
     def restrict_to_blocks(self, blocks, tol=None) -> "ActionMap":
         """The restriction of the action to an invariant corner sum of
@@ -392,7 +380,7 @@ class ActionMap:
         sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
         res = float(opnorm(big @ sol - rhs))
         if not tol.is_zero(res, float(opnorm(rhs))):
-            raise ValueError("blocks do not carry an invariant corner "
+            raise CheckError("blocks do not carry an invariant corner "
                              f"(residual {res:.3e})")
         return ActionMap(self.hopf, sub,
                          LinMap(sub, tensor(sub, self.hopf.algebra), sol),
@@ -427,43 +415,23 @@ class OrbitPartition:
         return f"OrbitPartition(classes={self.classes})"
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, i):
-        while self.parent[i] != i:
-            self.parent[i] = self.parent[self.parent[i]]
-            i = self.parent[i]
-        return i
-
-    def union(self, i, j):
-        ri, rj = self.find(i), self.find(j)
-        if ri != rj:
-            self.parent[max(ri, rj)] = min(ri, rj)
-
-
 def _relation_classes(rel: np.ndarray) -> list:
     """Classes of the equivalence relation generated by a boolean relation
-    matrix: union-find over rel | rel.T, each class and the list sorted."""
-    m = rel.shape[0]
-    sym = rel | rel.T
-    uf = _UnionFind(m)
-    for i in range(m):
-        for j in range(m):
-            if sym[i, j]:
-                uf.union(i, j)
-    roots = {}
-    for i in range(m):
-        roots.setdefault(uf.find(i), []).append(i)
-    return sorted(roots.values())
+    matrix: the distinct rows of the reachability closure of
+    rel | rel.T | I, found by squaring it until it stops changing; each
+    class and the list sorted."""
+    reach = rel | rel.T | np.eye(rel.shape[0], dtype=bool)
+    while not np.array_equal(step := reach @ reach, reach):
+        reach = step
+    return sorted(map(list, {tuple(np.flatnonzero(row).tolist())
+                             for row in reach}))
 
 
 def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
     """Compute the orbit relation of a verified action.
 
     relation[j, i] is true when the component alpha_{ji}(1_i) is non-zero;
-    classes come from union-find over the symmetrized matrix; transitivity
+    classes are those of the equivalence relation it generates; transitivity
     is asserted only when every summand is a single matrix block.
     """
     tol = as_tolerance(tol)
@@ -519,7 +487,7 @@ def homogeneous_action(D: DiscreteQG, X: HomogeneousSpace,
     sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
     res = float(opnorm(big @ sol - rhs))
     if not tol.is_zero(res, float(opnorm(rhs))):
-        raise ValueError(
+        raise CheckError(
             f"conjugation escapes the homogeneous space (residual {res:.3e})")
     alpha = ActionMap(D.primal, Xalg,
                       LinMap(Xalg, tensor(Xalg, A), sol),

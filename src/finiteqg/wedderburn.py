@@ -31,15 +31,15 @@ from math import isqrt
 
 import numpy as np
 
-from .core import (AlgElement, Algebra, BlockAlgebra, LinMap, Tolerance,
-                   DEFAULT_SEED, as_tolerance, distance_to_span, nullspace,
-                   orthonormal_rows)
+from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, LinMap,
+                   Tolerance, DEFAULT_SEED, as_tolerance, distance_to_span,
+                   nullspace, numerical_rank, orthonormal_rows)
 
 # relative eigenvalue gap used to form spectral clusters
 CLUSTER_GAP = 1e-6
 
 
-class WedderburnError(ValueError):
+class WedderburnError(CheckError):
     pass
 
 
@@ -233,8 +233,7 @@ class _MatrixSpan:
         corners = ps[:, None] @ self.basis @ ps[:, None]
         mats = np.concatenate([corners, ps[:, None]], axis=1)
         sv = np.linalg.svd(mats.reshape(k, m + 1, -1), compute_uv=False)
-        # the rank rule of orthonormal_rows
-        dims = np.sum(sv > self.tol.eps * np.maximum(1.0, sv[:, :1]), axis=1)
+        dims = numerical_rank(sv, self.tol)
         return [_MatrixSpan(c, p, self.tol, int(n))
                 for c, p, n in zip(mats, ps, dims)]
 
@@ -481,7 +480,7 @@ def central_support(ambient_data: WedderburnData, q: AlgElement,
     """
     tol = as_tolerance(tol)
     if not q.is_projection(tol):
-        raise ValueError("central_support expects a projection")
+        raise CheckError("central_support expects a projection")
     out = q.parent.zero()
     for p in ambient_data.central_idempotents:
         if not (p * q).is_zero(tol):

@@ -89,7 +89,7 @@ def test_criterion_4_multiplicative_unitary(hopf_cs3, hopf_gs3, kp8_block):
     fams = [function_algebra(groups.cyclic(2)), hopf_cs3,
             group_algebra(groups.cyclic(2)), hopf_gs3,
             group_algebra(groups.quaternion()), kp8_block]
-    worst = max(mult_unitary(dualize(H)).max_residual() for H in fams)
+    worst = max(mult_unitary(dualize(H)).checks.max_residual() for H in fams)
     _line(4, worst <= TOL,
           f"W unitary and (id x delta)W = W12 W13 on all examples "
           f"(worst {worst:.2e})")

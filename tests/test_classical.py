@@ -114,7 +114,7 @@ def test_magic_report_uses_callers_tolerance(z3_magic):
     assert not verify_magic(M).passed
     rep = verify_magic(M, 1e-5)
     assert rep.passed and rep.failures() == []
-    rep.raise_for_failure()
+    rep.raise_for_failure("magic action fails")
 
 
 def test_nan_coefficient_fails_verify_magic(z3_magic):

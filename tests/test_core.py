@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from finiteqg import core
-from finiteqg.core import (BlockAlgebra, LinMap, Tolerance, is_zero, kron,
-                           mul, nullspace, tensor)
+from finiteqg.core import (BlockAlgebra, CheckError, Checks, LinMap,
+                           Tolerance, is_zero, kron, mul, nullspace,
+                           numerical_rank, orthonormal_rows, tensor)
 from finiteqg.hopf import group_algebra
 from finiteqg import groups
 
@@ -570,3 +571,78 @@ def test_pruning_skips_blocks_that_cannot_hold_the_maximum(monkeypatch):
     # one call for the 3 x 3 blocks, on the dominant block alone; the
     # 2 x 2 blocks are all below its largest entry and take no call
     assert seen == [1]
+
+
+# -- the check record and the rank rule ---------------------------------------
+
+def test_checks_judge_each_residual_at_its_scale():
+    c = Checks({"a": 1.5e-9, "b": 1.5e-9, "c": 0.0}, Tolerance(1e-9),
+               {"a": 1.0})
+    # a: 1.5e-9 <= 1e-9 * (1 + 1.0); b and c take the scale 1.0 too
+    assert c.passed and c.failures() == []
+    c = Checks({"a": 2.5e-9, "b": 1e-8}, Tolerance(1e-9), {"b": 9.0})
+    assert c.failures() == ["a"] and not c.passed
+
+
+@pytest.mark.parametrize("residual, scale", [
+    (np.nan, 1.0), (np.inf, 1.0), (0.0, np.nan), (0.0, np.inf),
+    (np.inf, np.inf)])
+def test_checks_fail_a_non_finite_residual_or_scale(residual, scale):
+    c = Checks({"ok": 0.0, "bad": residual}, Tolerance(), {"bad": scale})
+    assert c.failures() == ["bad"] and not c.passed
+
+
+def test_checks_max_residual_keeps_nan():
+    # builtin max(1.0, nan) is 1.0: it keeps its first argument
+    assert np.isnan(
+        Checks({"a": 1.0, "b": np.nan}, Tolerance()).max_residual())
+    assert Checks({"a": 1.0, "b": 3.0}, Tolerance()).max_residual() == 3.0
+
+
+def test_checks_raise_their_producers_error_with_every_failure():
+    class ProducerError(CheckError):
+        pass
+
+    c = Checks({"a": 0.25, "b": 0.0, "c": np.nan}, Tolerance(), {},
+               ProducerError)
+    with pytest.raises(ProducerError,
+                       match=r"^thing fails: a=2\.500e-01, c=nan$"):
+        c.raise_for_failure("thing fails")
+    Checks({"a": 0.0}, Tolerance()).raise_for_failure("never raised")
+
+
+def test_numerical_rank_cut_is_relative_above_one():
+    tol = Tolerance(1e-9)
+    s = np.array([[4.0, 3.9e-9, 1e-10], [0.5, 1.1e-9, 0.9e-9],
+                  [0.0, 0.0, 0.0]])
+    # cuts 4e-9, 1e-9 (max(1, s_max) = 1) and 1e-9
+    assert numerical_rank(s, tol).tolist() == [1, 2, 0]
+    assert [int(numerical_rank(row, tol)) for row in s] == [1, 2, 0]
+    assert int(numerical_rank(np.zeros(0), tol)) == 0
+    assert numerical_rank(np.zeros((2, 0)), tol).tolist() == [0, 0]
+
+
+def test_rank_rule_is_shared_by_nullspace_and_orthonormal_rows():
+    rng = np.random.default_rng(47)
+    m = rng.standard_normal((5, 3)) @ rng.standard_normal((3, 7))
+    m[4] = 1e-11 * rng.standard_normal(7)   # below the cut
+    rank = int(numerical_rank(np.linalg.svd(m, compute_uv=False)))
+    assert rank == 3
+    assert len(orthonormal_rows(m)) == rank
+    assert len(nullspace(m)) == m.shape[1] - rank
+    assert orthonormal_rows(np.zeros((0, 4))).shape == (0, 4)
+
+
+@pytest.mark.parametrize("kind", sorted(PRUNE_ALGEBRAS))
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_norm_of_a_non_finite_row_warns_on_no_path(kind, bad):
+    alg = PRUNE_ALGEBRAS[kind]()
+    x = _random_rows(alg, np.random.default_rng(53), 3)
+    x[1, -1] = bad
+    with np.errstate(all="raise"):
+        got = [alg.norm_coeffs(x), alg.norm_coeffs(x[1])]
+    assert not np.isfinite(got).any()
+    if not alg._block_stacks():
+        # the dense path (C[S3], and C[Z3] as a tensor leg among them)
+        # returns NaN before it builds a representation
+        assert np.isnan(got).all()

@@ -52,7 +52,7 @@ def test_mult_unitary_residuals_all_examples(hopf_cs3, hopf_gs3, kp8_block):
     for H in [function_algebra(groups.cyclic(2)), hopf_cs3, hopf_gs3,
               kp8_block]:
         w = mult_unitary(dualize(H))
-        assert w.max_residual() <= 1e-9
+        assert w.checks.max_residual() <= 1e-9
 
 
 def test_corep_identity_and_unitarity(dual_cs3, dual_kp8):

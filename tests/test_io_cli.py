@@ -176,6 +176,19 @@ def test_cli_classical_orbits_honours_tolerance(tmp_path, data_dir, capsys):
     capsys.readouterr()
 
 
+def test_cli_failed_magic_check_aborts_as_check_error(tmp_path, data_dir,
+                                                      capsys):
+    magic = str(_perturbed_z3_cycle(tmp_path, data_dir))
+    p = tmp_path / "report.json"
+    assert cli.main(["classical-orbits", "z3_function_algebra.json", magic,
+                     "--json", str(p)]) == 1
+    assert "magic action fails: " in capsys.readouterr().err
+    checks = {c["name"]: c["passed"]
+              for c in json.loads(p.read_text())["checks"]}
+    assert checks["CheckError"] is False
+    assert not all(v for k, v in checks.items() if k.startswith("magic:"))
+
+
 @pytest.mark.parametrize("entry", [[-1, 0, 1.0, 0.0], [0, -6, 1.0, 0.0],
                                    [0, 6, 1.0, 0.0]])
 def test_subgroup_index_out_of_range(tmp_path, capsys, entry):
@@ -271,6 +284,48 @@ def test_cli_aborted_check_is_reported_as_failed(tmp_path, capsys,
     assert "status: ok" not in out
     checks = json.loads(p.read_text())["checks"]
     assert checks[-1]["name"] == "HaarError"
+    assert not checks[-1]["passed"]
+    assert all(c["passed"] for c in checks[:-1])
+
+
+def test_cli_lets_an_internal_value_error_through(monkeypatch, capsys):
+    # only SchemaError and CheckError are reported; anything else is a bug
+    def broken(*args, **kwargs):
+        raise ValueError("internal bug")
+
+    monkeypatch.setattr(cli, "haar_state", broken)
+    with pytest.raises(ValueError, match="internal bug"):
+        cli.main(["haar", "kp8.json"])
+    capsys.readouterr()
+
+
+def test_every_failed_check_error_is_a_check_error():
+    from finiteqg.clifford import NormalityError
+    from finiteqg.core import CheckError
+    from finiteqg.hopf import HopfAxiomError
+    from finiteqg.orbits import MorphismError
+    from finiteqg.wedderburn import WedderburnError
+    for cls in (HopfAxiomError, HaarError, WedderburnError, MorphismError,
+                NormalityError):
+        assert issubclass(cls, CheckError)
+    assert not issubclass(SchemaError, CheckError)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_cli_huge_subgroup_matrix_is_a_failed_morphism(tmp_path, data_dir,
+                                                       capsys):
+    data = json.loads((data_dir / "a3_quotient.json").read_text())
+    for entry in data["pi"]:
+        entry[2] *= 1e160
+        entry[3] *= 1e160
+    sub = tmp_path / "huge.json"
+    sub.write_text(json.dumps(data))
+    p = tmp_path / "report.json"
+    assert cli.main(["orbits", "s3_function_algebra.json", str(sub),
+                     "--json", str(p)]) == 1
+    assert "Hopf *-surjection" in capsys.readouterr().err
+    checks = json.loads(p.read_text())["checks"]
+    assert checks[-1]["name"] == "MorphismError"
     assert not checks[-1]["passed"]
     assert all(c["passed"] for c in checks[:-1])
 

@@ -5,15 +5,15 @@ import pytest
 
 from finiteqg import groups
 from finiteqg.classical import action_from_magic, permutation_magic
-from finiteqg.core import BlockAlgebra, LinMap, Tolerance, tensor
+from finiteqg.core import BlockAlgebra, CheckError, LinMap, Tolerance, tensor
 from finiteqg.core import distance_to_span, orthonormal_rows
 from finiteqg.duality import mult_unitary
 from finiteqg.hopf import function_algebra
-from finiteqg.orbits import (ActionMap, MorphismError, central_supports,
-                             ergodicity, full_subgroup, homogeneous_action,
-                             homogeneous_space, quotient_by_kernel,
-                             relation, subgroup_from_dual_matrix,
-                             trivial_subgroup)
+from finiteqg.orbits import (ActionMap, MorphismError, _relation_classes,
+                             central_supports, ergodicity, full_subgroup,
+                             homogeneous_action, homogeneous_space,
+                             quotient_by_kernel, relation,
+                             subgroup_from_dual_matrix, trivial_subgroup)
 
 
 def test_full_subgroup_space_is_scalars(dual_cs3):
@@ -235,7 +235,7 @@ def test_action_verify_matches_per_pair_reference(a3_action, hopf_cs3,
                             None)):
         got = alpha.verify()
         for name, want in _action_reference(alpha).items():
-            assert abs(got[name] - want) <= 1e-13, name
+            assert abs(got.residuals[name] - want) <= 1e-13, name
 
 
 def test_action_verify_sees_the_last_pair(kp8_block):
@@ -334,3 +334,81 @@ def test_non_finite_surjection_is_a_morphism_error(hopf_cs3, bad):
     rho[1, -1] = bad
     with pytest.raises(MorphismError, match="not finite"):
         quotient_by_kernel(hopf_cs3, rho)
+
+
+# -- a finite but huge action or surjection fails its checks -----------------
+
+def test_huge_action_fails_as_a_coaction_without_overflow(kp8_block):
+    # every residual and the scale 1 + ||alpha||^2 overflow; the parent
+    # squared ||alpha|| as a Python float and raised OverflowError
+    N = kp8_block.algebra
+    alpha = ActionMap(kp8_block, N,
+                      LinMap(N, tensor(N, N), 1e160 * kp8_block.delta.matrix),
+                      None)
+    with pytest.raises(CheckError, match="^not a coaction: unital="):
+        alpha.verify()
+
+
+def test_huge_surjection_fails_as_a_morphism_without_overflow(hopf_cs3, s3):
+    # restriction to A3 is a Hopf *-surjection; times 1e160 its checks and
+    # the scale ||rho||^2 overflow
+    rho = np.eye(hopf_cs3.dim)[groups.alternating_indices(s3)]
+    quotient_by_kernel(hopf_cs3, rho)
+    with pytest.raises(MorphismError, match="not a Hopf \\*-surjection"):
+        quotient_by_kernel(hopf_cs3, 1e160 * rho)
+
+
+def test_verify_returns_the_judged_record(kp8_block):
+    N = kp8_block.algebra
+    checks = ActionMap(kp8_block, N, kp8_block.delta, None).verify()
+    assert checks.passed
+    assert sorted(checks.residuals) == ["coaction", "counit", "multiplicative",
+                                        "star", "unital"]
+    scale = 1.0 + np.linalg.norm(kp8_block.delta.matrix, 2) ** 2
+    for name in checks.residuals:
+        assert abs(checks.scales[name] - scale) <= 1e-12 * scale
+
+
+# -- relation classes against a breadth-first search --------------------------
+
+def _bfs_classes(rel):
+    """Connected components of the undirected graph of a boolean matrix,
+    by breadth-first search; each component and the list sorted."""
+    m = len(rel)
+    seen, classes = set(), []
+    for start in range(m):
+        if start in seen:
+            continue
+        comp, queue = {start}, [start]
+        while queue:
+            i = queue.pop(0)
+            for j in range(m):
+                if (rel[i, j] or rel[j, i]) and j not in comp:
+                    comp.add(j)
+                    queue.append(j)
+        seen |= comp
+        classes.append(sorted(comp))
+    return sorted(classes)
+
+
+def test_relation_classes_match_breadth_first_search():
+    rng = np.random.default_rng(59)
+    for trial in range(300):
+        m = int(rng.integers(1, 13))
+        rel = rng.random((m, m)) < rng.uniform(0.0, 0.3)
+        if trial % 3 == 0:
+            # a one-way chain through a random order of the points, so
+            # that a class takes many squarings to close
+            order = rng.permutation(m)
+            rel[order[:-1], order[1:]] = True
+        got = _relation_classes(rel)
+        assert got == _bfs_classes(rel), rel.astype(int)
+        assert all(type(i) is int for c in got for i in c)
+
+
+def test_relation_classes_of_a_long_chain_are_one_class():
+    m = 17
+    rel = np.zeros((m, m), dtype=bool)
+    rel[np.arange(m - 1), np.arange(1, m)] = True
+    assert _relation_classes(rel) == [list(range(m))]
+    assert _relation_classes(np.zeros((3, 3), dtype=bool)) == [[0], [1], [2]]

@@ -113,7 +113,7 @@ def write_magic_files():
     act = np.array([[(g + x) % 3 for x in range(3)] for g in range(3)])
     groups.permutation_action(z3, act)
     M = permutation_magic(H3, act)
-    verify_magic(M).raise_for_failure()
+    verify_magic(M).raise_for_failure("Z3 cycle magic action fails")
     assert classical_orbits(M).ergodic
     save_magic(M, DATA / "z3_cycle.json")
 
@@ -122,7 +122,7 @@ def write_magic_files():
     act = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
     groups.permutation_action(z2, act)
     M = permutation_magic(H2, act)
-    verify_magic(M).raise_for_failure()
+    verify_magic(M).raise_for_failure("Z2 double flip magic action fails")
     assert [list(c) for c in classical_orbits(M).classes] == [[0, 1], [2, 3]]
     save_magic(M, DATA / "z2_double_flip.json")
 
@@ -147,7 +147,7 @@ def write_magic_files():
         for i in range(4):
             u[i][j] = AlgElement(A, U[i])
     M = MagicAction(KB, 4, u)
-    verify_magic(M).raise_for_failure("KP8 magic action")
+    verify_magic(M).raise_for_failure("KP8 magic action fails")
     orbits = classical_orbits(M)
     print(f"  kp8 magic: classes={orbits.classes} ergodic={orbits.ergodic}")
     save_magic(M, DATA / "kp8_magic4.json")
