@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, clifford, io, orbits
-from .core import DEFAULT_SEED, CheckError, Checks, Tolerance
+from .core import DEFAULT_SEED, GRAM_MIN_EIG, CheckError, Checks, Tolerance
 from .duality import dualize, mult_unitary
-from .haar import GRAM_MIN_EIG, haar_state
+from .haar import haar_state
 from .hopf import verify_hopf
 
 
@@ -221,6 +221,25 @@ COMMANDS = {
 }
 
 
+def _tolerance(text: str) -> Tolerance:
+    try:
+        return Tolerance(float(text))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, not {text!r}") from None
+
+
+def _seed(text: str) -> int:
+    try:
+        seed = int(text)
+    except ValueError:
+        seed = None
+    if seed is None or seed < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be a non-negative integer, not {text!r}")
+    return seed
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finiteqg",
@@ -231,15 +250,15 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         for pos in positionals:
             p.add_argument(pos)
-        p.add_argument("--tol", type=float, default=1e-9)
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED)
+        p.add_argument("--tol", type=_tolerance, default=Tolerance())
+        p.add_argument("--seed", type=_seed, default=DEFAULT_SEED)
         p.add_argument("--json", dest="json_path", default=None)
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    tol = Tolerance(args.tol)
+    tol = args.tol
     handler, positionals = COMMANDS[args.command]
     inputs = [getattr(args, p) for p in positionals]
     run = Run(args.command, inputs, tol, args.seed)

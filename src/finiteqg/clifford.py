@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_SEED, CheckError, Tolerance, as_tolerance,
-                   orthonormal_rows, distance_to_span, tensor)
+from .core import (DEFAULT_SEED, INTEGER_SLACK, CheckError, Tolerance,
+                   as_tolerance, orthonormal_rows, distance_to_span,
+                   pair_products, tensor)
 from .duality import DiscreteQG, mult_unitary, tensor_mult
 from .hopf import HopfData
 from .orbits import (HomogeneousSpace, MorphismError, OrbitPartition,
@@ -89,8 +90,7 @@ def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
     worst = float(np.max([
         distance_to_span(K, A.star_coeffs(K)),
         distance_to_span(K, K @ H.antipode.matrix.T),
-        distance_to_span(K, A.mul_coeffs(np.repeat(K, m, 0),
-                                         np.tile(K, (m, 1)))),
+        distance_to_span(K, pair_products(A, K, K)),
         distance_to_span(np.kron(K, K), K @ H.delta.matrix.T)]))
     if not tol.is_zero(worst):
         raise MorphismError(
@@ -124,7 +124,8 @@ def restriction_table(D: DiscreteQG, X: HomogeneousSpace,
                       tol=None) -> RestrictionTable:
     """Multiplicity of each homogeneous-space block inside each ambient
     irreducible: mult = trace of the ambient block at the space's first
-    diagonal matrix unit.  Values must round to integers within 1e-6."""
+    diagonal matrix unit.  Values must round to integers within
+    ``INTEGER_SLACK``."""
     tol = as_tolerance(tol)
     if partition is None:
         partition = relation(homogeneous_action(D, X, tol), tol)
@@ -138,7 +139,7 @@ def restriction_table(D: DiscreteQG, X: HomogeneousSpace,
         for k in range(n_rows):
             val = complex(np.trace(mats[k]))
             r = int(round(val.real))
-            if abs(val - r) > 1e-6 or r < 0:
+            if abs(val - r) > INTEGER_SLACK or r < 0:
                 raise CheckError(
                     f"restriction multiplicity {val} is not an integer")
             mult[k, i] = r

@@ -25,11 +25,14 @@ Products and norms share that path: the product is a stacked N x N
 matrix product per size (elementwise when N = 1), the norm is the largest
 spectral norm over the blocks (max |x| when N = 1), so no large matrix is
 ever built.  Any other algebra multiplies through its structure
-constants, contracting a tensor product one leg at a time and never
-forming x (x) y, and takes norms in its dense representation (the left
-regular one for structure-constant algebras, Kronecker products of the
-factors' for tensor products).  Every norm skips all-zero rows without
-building a matrix.
+constants and takes norms in its dense representation (the left regular
+one for structure-constant algebras, Kronecker products of the factors'
+for tensor products).  Paired stacks (``mul_coeffs``) contract a tensor
+product one leg at a time and never form x (x) y.  All pairs of two
+stacks (``pair_products``, entry [p, q] = x[p] y[q]) absorb leg 0 into x
+and leg 1 into y and then take every pair of a block of rows of x with
+one matrix product; the block path takes them blockwise.  Every norm
+skips all-zero rows without building a matrix.
 
 Every spectral norm, here and in the residuals and scales of the other
 modules, comes from ``opnorm``: the square root of the largest eigenvalue
@@ -70,6 +73,20 @@ DEFAULT_SEED = 0xC11FF04D
 # matrices from slices of about this size
 _DENSE_STACK_ENTRIES = 1 << 20
 
+# Fixed thresholds of decisions that the caller's tolerance does not set.
+# relative eigenvalue gap used to form spectral clusters
+CLUSTER_GAP = 1e-6
+# faithfulness threshold for the smallest Haar Gram eigenvalue
+GRAM_MIN_EIG = 1e-12
+# a multiplicity, the trace of a projection, counts as an integer this close
+INTEGER_SLACK = 1e-6
+# a block counts as the identity within this Frobenius distance of it
+IDENTITY_SLACK = 1e-6
+# a random self-adjoint draw whose spectral norm is below this is redrawn
+DEGENERATE_DRAW = 1e-6
+# a counit value, exactly 0 or 1, counts as 1 when within this of 1
+COUNIT_SPLIT = 0.5
+
 
 @dataclass(frozen=True)
 class Tolerance:
@@ -78,8 +95,9 @@ class Tolerance:
     eps: float = DEFAULT_EPS
 
     def __post_init__(self):
-        if not self.eps > 0:
-            raise ValueError("tolerance must be positive")
+        # also false for NaN
+        if not 0.0 < self.eps < np.inf:
+            raise ValueError("tolerance must be positive and finite")
 
     def is_zero(self, value: float, scale: float = 1.0) -> bool:
         return value <= self.eps * (1.0 + scale)
@@ -548,6 +566,76 @@ def _blockwise_mul(x, y, gathers):
     return out
 
 
+def pair_products(alg, x, y):
+    """Every product of a row of x with a row of y: entry [p, q] of the
+    ``(len(x), len(y), dim)`` result is x[p] y[q].
+
+    The work is done one block of rows of x at a time (``_pair_blocks``).
+    A block algebra, or a tensor product of block algebras, multiplies
+    block by block, exactly as ``_blockwise_mul(x[:, None], y)``.  A plain
+    structure-constant algebra and a two-leg tensor product with a generic
+    leg take all pairs of a block with one matrix product.  Any other
+    algebra raises ``ValueError``."""
+    x, y = np.asarray(x), np.asarray(y)
+    out = np.empty((len(x), len(y), alg.dim), dtype=complex)
+    for rows, block in _pair_blocks(alg, x, y):
+        out[rows] = block
+    return out
+
+
+def _pair_blocks(alg, x, y):
+    """Yield (rows, x[rows] y[q] for every q) over consecutive blocks of
+    rows of x (at least one row each).  A block holds about four arrays of
+    its result's size at once (the absorbed rows, the product and their
+    reorderings), so its result has at most about a quarter of
+    ``_DENSE_STACK_ENTRIES`` entries."""
+    if x.ndim != 2 or y.ndim != 2:
+        raise ValueError("pair products take two stacks of coefficient rows")
+    gathers = alg._block_stacks()
+    if gathers:
+        def products(rows):
+            return _blockwise_mul(rows[:, None], y, gathers)
+    else:
+        products = _generic_pair_products(alg, y)
+    step = max(1, _DENSE_STACK_ENTRIES // max(1, 4 * len(y) * alg.dim))
+    for i in range(0, len(x), step):
+        rows = slice(i, i + step)
+        yield rows, products(x[rows])
+
+
+def _generic_pair_products(alg, y):
+    """The all-pairs product against the fixed rows y, as a function of
+    the left rows, for a plain algebra (a tensor product with a trivial
+    second leg) or a two-leg tensor product A (x) B of dimensions (a, b).
+
+    x[p] y[q] has coefficient sum m_A[r, i, k] m_B[s, j, l] x[p, i, j]
+    y[q, k, l] at (r, s).  Leg 1 is absorbed into y once,
+    U[(q, s), (j, k)] = sum_l m_B[s, j, l] y[q, k, l]; leg 0 into each
+    block of x, S[(p, r), (j, k)] = sum_i m_A[r, i, k] x[p, i, j].  Then
+    S @ U^T holds every pair of the block: one matrix product of about
+    (rows a) (a b) (len(y) b) multiply-adds."""
+    if isinstance(alg, TensorAlgebra):
+        if len(alg.factors) != 2:
+            raise ValueError(
+                "pair products need a block algebra, a plain algebra or a "
+                f"two-leg tensor product, not {len(alg.factors)} legs")
+        (a, b), (ma, mb) = alg.factor_dims, (f.mul_tensor for f in alg.factors)
+    else:
+        a, b, ma, mb = alg.dim, 1, alg.mul_tensor, np.ones((1, 1, 1))
+    # (s j, l) @ (q; l, k) lands in the (q, s, j, k) layout, no copy
+    u = (mb.reshape(b * b, b) @ y.reshape(-1, a, b).transpose(0, 2, 1)
+         ).reshape(-1, b * a)
+
+    def products(x):
+        n = len(x)
+        s = np.tensordot(x.reshape(n, a, b), ma, ([1], [1]))  # (p, j, r, k)
+        s = s.transpose(0, 2, 1, 3).reshape(n * a, b * a)
+        # rows (p, r), columns (q, s), reordered to (p, q, r, s)
+        return (s @ u.T).reshape(n, a, -1, b).transpose(0, 2, 1, 3).reshape(
+            n, -1, a * b)
+    return products
+
+
 def opnorm(stack):
     """Spectral norm of each matrix in a ``(..., a, b)`` stack.
 
@@ -810,21 +898,17 @@ class LinMap:
 def multiplicative_residual(domain: Algebra, codomain: Algebra,
                             matrix) -> float:
     """Largest norm of f(e_p e_q) - f(e_p) f(e_q) over all basis pairs of
-    the domain, for the linear map f with the given matrix.  A codomain on
-    the block path takes all d^2 pairs (d = dim(domain)) in one stacked
-    call.  Otherwise one stacked call per p covers the pairs (p, q); rows
-    of d pairs keep a generic tensor-square codomain's intermediates at
-    d^4 entries."""
+    the domain, for the linear map f with the given matrix, NaN if any
+    norm is NaN.  The products f(e_p) f(e_q) come from ``pair_products``,
+    one block of rows p at a time, and each block's residuals take one
+    norm call; every pair is kept."""
     cols = np.asarray(matrix).T
     eye = np.eye(domain.dim)
-    if codomain._block_stacks():
-        images = domain.mul_coeffs(eye[:, None], eye) @ cols   # (p, q, :)
-        return codomain.norm_coeffs(
-            images - codomain.mul_coeffs(cols[:, None], cols))
-    return float(np.max([
-        codomain.norm_coeffs(domain.mul_coeffs(eye[p], eye) @ cols
-                             - codomain.mul_coeffs(cols[p], cols))
-        for p in range(domain.dim)]))
+    worst = [0.0]
+    for rows, prods in _pair_blocks(codomain, cols, cols):
+        images = domain.mul_coeffs(eye[rows, None], eye) @ cols  # (p, q, :)
+        worst.append(codomain.norm_coeffs(images - prods))
+    return float(np.max(worst))
 
 
 def numerical_rank(singular_values, tol=None):

@@ -18,7 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, Checks,
-                   LinMap, DEFAULT_SEED, as_tolerance, opnorm, tensor)
+                   LinMap, COUNIT_SPLIT, DEFAULT_SEED, IDENTITY_SLACK,
+                   INTEGER_SLACK, as_tolerance, opnorm, tensor)
 from .haar import haar_state
 from .hopf import HopfData, verify_hopf
 from .wedderburn import WedderburnData, decompose_abstract, reorder_blocks
@@ -108,7 +109,8 @@ def _counit_block_first(wd: WedderburnData, counit_values) -> WedderburnData:
     vals = [abs(complex(counit_values @ p.coeffs)) for p in
             wd.central_idempotents]
     triv = int(np.argmax(vals))
-    if not (abs(vals[triv] - 1.0) < 0.5 and wd.block_dims[triv] == 1):
+    if not (abs(vals[triv] - 1.0) < COUNIT_SPLIT
+            and wd.block_dims[triv] == 1):
         raise CheckError("could not locate the counit block")
     order = [triv] + [b for b in range(len(wd.block_dims)) if b != triv]
     return reorder_blocks(wd, order)
@@ -255,7 +257,7 @@ def tensor_mult(D: DiscreteQG, sigma, gamma, tol=None) -> np.ndarray:
     """Multiplicities of each irreducible inside sigma (x) gamma.
 
     mult(tau) = trace((sigma x gamma) delta_dual(e^tau_11)); values must
-    round to non-negative integers within 1e-6.
+    round to non-negative integers within ``INTEGER_SLACK``.
     """
     tol = as_tolerance(tol)
     B = D.dual_algebra
@@ -269,7 +271,7 @@ def tensor_mult(D: DiscreteQG, sigma, gamma, tol=None) -> np.ndarray:
         val = sum(col[B.index(si, i, i), B.index(gi, j, j)]
                   for i in range(n_s) for j in range(n_g))
         r = int(round(val.real))
-        if abs(val - r) > 1e-6 or r < 0:
+        if abs(val - r) > INTEGER_SLACK or r < 0:
             raise CheckError(
                 f"fusion multiplicity {val} is not a non-negative integer")
         out[t] = r
@@ -293,7 +295,7 @@ def contragredient(D: DiscreteQG, label, tol=None) -> RepLabel:
         mat = B.block_matrices(s_p)[i].T
         if np.linalg.norm(mat) > tol.eps * 10:
             # equivalent block: the central projection must act as identity
-            if m != n or np.linalg.norm(mat - np.eye(n)) > 1e-6:
+            if m != n or np.linalg.norm(mat - np.eye(n)) > IDENTITY_SLACK:
                 raise CheckError("contragredient block mismatch")
             hits.append(j)
     if len(hits) != 1:

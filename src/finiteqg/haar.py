@@ -13,12 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AlgElement, CheckError, LinMap, as_tolerance,
-                   numerical_rank, opnorm)
+from .core import (AlgElement, CheckError, GRAM_MIN_EIG, LinMap,
+                   as_tolerance, numerical_rank, opnorm)
 from .hopf import HopfData
-
-# faithfulness threshold for the smallest Gram eigenvalue
-GRAM_MIN_EIG = 1e-12
 
 
 @dataclass

@@ -32,7 +32,7 @@ import numpy as np
 from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, Checks,
                    LinMap, DEFAULT_SEED, Tolerance, as_tolerance, nullspace,
                    numerical_rank, distance_to_span, multiplicative_residual,
-                   opnorm, tensor)
+                   opnorm, pair_products, tensor)
 from .duality import DiscreteQG, mult_unitary
 from .hopf import HopfData, verify_hopf
 from .wedderburn import WedderburnData, central_support, decompose
@@ -75,13 +75,13 @@ def quotient_by_kernel(H: HopfData, rho, tol=None) -> HopfData:
             opnorm(pipi_delta - delta_q @ rho))}
         ker = nullspace(rho, tol)
         if ker.shape[0]:
-            # rows k e_p, then e_p k, for every kernel vector k and basis e_p
-            eye = np.tile(np.eye(d), (ker.shape[0], 1))
-            kk = np.repeat(ker, d, 0)
-            prods = A.mul_coeffs(np.concatenate([kk, eye]),
-                                 np.concatenate([eye, kk]))
+            # k e_p, then e_p k, for every kernel vector k and basis e_p
+            eye = np.eye(d)
+            prods = np.concatenate(
+                [pair_products(A, ker, eye),
+                 pair_products(A, eye, ker).swapaxes(0, 1)], axis=1)
             res["kernel_ideal"] = float(
-                np.max(np.linalg.norm(prods @ rho.T, axis=1)))
+                np.max(np.linalg.norm(prods @ rho.T, axis=-1)))
             res["kernel_star"] = float(
                 opnorm(rho @ A.star_matrix @ np.conj(ker.T)))
             res["kernel_coproduct"] = float(opnorm(pipi_delta @ ker.T))

@@ -32,11 +32,9 @@ from math import isqrt
 import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, LinMap,
-                   Tolerance, DEFAULT_SEED, as_tolerance, distance_to_span,
-                   nullspace, numerical_rank, orthonormal_rows)
-
-# relative eigenvalue gap used to form spectral clusters
-CLUSTER_GAP = 1e-6
+                   Tolerance, CLUSTER_GAP, DEFAULT_SEED, DEGENERATE_DRAW,
+                   as_tolerance, distance_to_span, nullspace, numerical_rank,
+                   orthonormal_rows)
 
 
 class WedderburnError(CheckError):
@@ -263,7 +261,7 @@ def _central_idempotents(span: _MatrixSpan, rng, tol):
         z = np.tensordot(c @ zc, span.basis, axes=(0, 0))
         z = 0.5 * (z + z.conj().T)
         nz = float(np.linalg.norm(z, 2))
-        if nz < 1e-6:
+        if nz < DEGENERATE_DRAW:
             continue
         shifted = z + 2.0 * nz * span.unit
         vals, vecs = np.linalg.eigh(shifted)
@@ -295,7 +293,7 @@ def _minimal_projection(corner: _MatrixSpan, rng, tol):
     while True:
         for _ in range(16):
             y = span.random_selfadjoint(rng)
-            if np.linalg.norm(y, 2) > 1e-6:
+            if np.linalg.norm(y, 2) > DEGENERATE_DRAW:
                 break
         e = _spectral_projection_top(span, y, rng, tol)
         if not span.contains(e):
@@ -360,7 +358,7 @@ def decompose_abstract(algebra: Algebra, gram, tol=None,
     which the plain left regular representation need not be.
     """
     return _decompose_with_rep(
-        algebra, [np.eye(algebra.dim)[k] for k in range(algebra.dim)],
+        algebra, list(np.eye(algebra.dim)),
         _gns_rep(algebra, gram), tol, seed)
 
 

@@ -5,7 +5,7 @@ from finiteqg import core
 from finiteqg.core import (BlockAlgebra, CheckError, Checks, LinMap,
                            Tolerance, is_zero, kron, mul, nullspace,
                            numerical_rank, orthonormal_rows, tensor)
-from finiteqg.hopf import group_algebra
+from finiteqg.hopf import group_algebra, kac_paljutkin
 from finiteqg import groups
 
 
@@ -77,6 +77,12 @@ def test_is_zero_relative():
     assert not is_zero(A.matrix_unit(0, 0, 0), tol)
     tiny = A.element(1e-12 * np.ones(4))
     assert is_zero(tiny, tol)
+
+
+@pytest.mark.parametrize("eps", [0.0, -1.0, np.nan, np.inf])
+def test_tolerance_must_be_positive_and_finite(eps):
+    with pytest.raises(ValueError, match="positive and finite"):
+        Tolerance(eps)
 
 
 def test_operator_norm_is_max_block_spectral():
@@ -347,6 +353,118 @@ def test_multiplicative_residual_all_pairs_sees_the_last_pair(kp8_block):
                 for p in range(d))
     assert got > 0.1
     assert abs(got - per_p) <= 1e-13
+
+
+# -- pair_products: every product x[p] y[q] -----------------------------------
+
+PAIR_ALGEBRAS = {
+    "block": lambda: BlockAlgebra([1, 2, 3]),
+    "block x block": lambda: tensor(BlockAlgebra([1, 2]),
+                                    BlockAlgebra([2, 1, 1])),
+    "C[S3]": lambda: group_algebra(groups.symmetric(3)).algebra,
+    "kp8": lambda: kac_paljutkin().algebra,
+    "generic x generic": lambda: tensor(
+        group_algebra(groups.symmetric(3)).algebra,
+        group_algebra(groups.cyclic(4)).algebra),
+    "block x generic": lambda: tensor(
+        BlockAlgebra([1, 2]), group_algebra(groups.cyclic(3)).algebra),
+}
+
+
+def _pair_stacks(alg, seed):
+    # complex and not dyadic, so a reordered sum rounds differently
+    rng = np.random.default_rng(seed)
+    x, y = ((rng.standard_normal((n, alg.dim))
+             + 1j * rng.standard_normal((n, alg.dim))) / 3.0 for n in (5, 7))
+    return x, y
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_ALGEBRAS))
+def test_pair_products_match_broadcast_products(kind):
+    alg = PAIR_ALGEBRAS[kind]()
+    x, y = _pair_stacks(alg, 61)
+    got = core.pair_products(alg, x, y)
+    want = alg.mul_coeffs(x[:, None], y)
+    assert got.shape == (5, 7, alg.dim)
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    if alg._block_stacks():
+        # the block path is _blockwise_mul itself
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("kind", sorted(PAIR_ALGEBRAS))
+def test_pair_products_in_many_blocks_equal_one_block(kind, monkeypatch):
+    alg = PAIR_ALGEBRAS[kind]()
+    x, y = _pair_stacks(alg, 67)
+    # one row of x per block: five blocks; taken first, so that no freed
+    # one-block result can stand in for a block that was never written
+    with monkeypatch.context() as m:
+        m.setattr(core, "_DENSE_STACK_ENTRIES", 1)
+        many = core.pair_products(alg, x, y)
+    assert np.array_equal(many, core.pair_products(alg, x, y))
+
+
+def test_pair_products_in_many_blocks_at_d24(monkeypatch):
+    H = group_algebra(groups.symmetric(4))
+    A, T2, DM = H.algebra, H.square, H.delta.matrix
+    x, y = _pair_stacks(A, 71)
+    one = [core.pair_products(A, x, y), core.pair_products(T2, DM.T, DM.T)]
+    assert core.multiplicative_residual(A, T2, DM) == 0.0
+    # a block per row of x and per row of DM.T
+    monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", 1)
+    many = [core.pair_products(A, x, y), core.pair_products(T2, DM.T, DM.T)]
+    assert all(np.array_equal(a, b) for a, b in zip(one, many))
+    assert core.multiplicative_residual(A, T2, DM) == 0.0
+
+
+def test_pair_products_refuse_other_shapes():
+    three = tensor(BlockAlgebra([2]), group_algebra(groups.cyclic(2)).algebra,
+                   BlockAlgebra([1, 1]))
+    x = np.ones((2, three.dim))
+    with pytest.raises(ValueError, match="3 legs"):
+        core.pair_products(three, x, x)
+    B = BlockAlgebra([1, 2])
+    with pytest.raises(ValueError, match="stacks"):
+        core.pair_products(B, np.ones(B.dim), np.ones((2, B.dim)))
+    # three block legs stay on the block path
+    blocks = tensor(BlockAlgebra([2]), BlockAlgebra([1, 1]), BlockAlgebra([2]))
+    x, y = _pair_stacks(blocks, 73)
+    assert np.array_equal(core.pair_products(blocks, x, y),
+                          blocks.mul_coeffs(x[:, None], y))
+
+
+@pytest.mark.parametrize("entries", [None, 1])
+def test_multiplicative_residual_sees_a_corrupted_generic_codomain(
+        entries, monkeypatch):
+    # only the codomain's product e_{d-1} e_{d-1} is corrupted, so only the
+    # pair (d - 1, d - 1) of delta(e_p) delta(e_q) = e_p e_q x e_p e_q is off
+    H = group_algebra(groups.symmetric(3))
+    A, d, DM = H.algebra, H.dim, H.delta.matrix
+    m = A.mul_tensor.copy()
+    m[0, d - 1, d - 1] += 0.25
+    A2 = core.Algebra(m, A.unit_coeffs, A.star_matrix)
+    T2 = tensor(A2, A2)
+    if entries is not None:
+        # one row p per block, so the pair sits in the last block alone
+        monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", entries)
+    got = core.multiplicative_residual(A, T2, DM)
+    eye, cols = np.eye(d), DM.T
+    per_p = max(T2.norm_coeffs(A.mul_coeffs(eye[p], eye) @ cols
+                               - T2.mul_coeffs(cols[p], cols))
+                for p in range(d))
+    assert got > 0.1
+    assert abs(got - per_p) <= 1e-13 * per_p
+    assert core.multiplicative_residual(A, tensor(A, A), DM) == 0.0
+
+
+@pytest.mark.parametrize("kind", ["block", "generic"])
+def test_multiplicative_residual_of_a_nan_row_is_nan(kind, kp8_block):
+    H = kp8_block if kind == "block" else group_algebra(groups.symmetric(3))
+    DM = H.delta.matrix.copy()
+    DM[:, 2] = np.nan
+    with np.errstate(all="raise"):
+        got = core.multiplicative_residual(H.algebra, H.square, DM)
+    assert np.isnan(got)
 
 
 # -- opnorm: Gram-eigenvalue spectral norms ----------------------------------

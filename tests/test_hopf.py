@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from finiteqg import groups
+from finiteqg import core, groups
 from finiteqg.core import Algebra, LinMap, tensor
 from finiteqg.hopf import (HopfAxiomError, HopfData, function_algebra,
                            group_algebra, group_like_elements, kac_paljutkin,
@@ -172,6 +172,14 @@ def test_corrupted_last_pair_fails_pair_checks(hopf_gs3, kp8_block):
     H3 = HopfData(B, LinMap(B, tensor(B, B), DM), kp8_block.counit,
                   kp8_block.antipode)
     assert "coassociativity" in verify_hopf(H3).failures()
+
+
+def test_corrupted_last_pair_alone_in_its_block_fails_pair_checks(
+        hopf_gs3, kp8_block, monkeypatch):
+    # one row per all-pairs block puts the pair (d - 1, d - 1) alone in
+    # the last block of both pair checks
+    monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", 1)
+    test_corrupted_last_pair_fails_pair_checks(hopf_gs3, kp8_block)
 
 
 def test_operator_norm_of_zero_takes_no_svd(monkeypatch):

@@ -159,6 +159,20 @@ def test_cli_tolerance_flag(capsys):
     assert rc == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["verify", "kp8.json", "--tol", "0"],
+    ["verify", "kp8.json", "--tol", "-1"],
+    ["verify", "kp8.json", "--tol", "nan"],
+    ["verify", "kp8.json", "--tol", "inf"],
+    ["dual", "q8_group_algebra.json", "--seed", "-1"],
+])
+def test_cli_malformed_tolerance_or_seed_exits_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert f"argument {argv[2]}: must be a" in capsys.readouterr().err
+
+
 def _perturbed_z3_cycle(tmp_path, data_dir):
     data = json.loads((data_dir / "z3_cycle.json").read_text())
     data["u"][0][2][0][1] += 1e-7
