@@ -31,8 +31,13 @@ for tensor products).  Paired stacks (``mul_coeffs``) contract a tensor
 product one leg at a time and never form x (x) y.  All pairs of two
 stacks (``pair_products``, entry [p, q] = x[p] y[q]) absorb leg 0 into x
 and leg 1 into y and then take every pair of a block of rows of x with
-one matrix product; the block path takes them blockwise.  Every norm
-skips all-zero rows without building a matrix.
+one matrix product; the block path takes them blockwise.  The all-pairs
+residual of a map into a block codomain (``multiplicative_residual``)
+never returns to the Kronecker layout: the images of the basis are
+gathered into the codomain's blocks once, and the products, the images
+of products and their differences are formed there and handed, block
+by block, to the same norm fold as ``_max_norm``.  Every norm call skips
+all-zero rows without building a matrix.
 
 Every spectral norm, here and in the residuals and scales of the other
 modules, comes from ``opnorm``: the square root of the largest eigenvalue
@@ -341,9 +346,10 @@ class BlockAlgebra(Algebra):
         return AlgElement(self, coeffs)
 
     def block_unit(self, k: int) -> "AlgElement":
-        mats = [np.eye(n) if j == k else np.zeros((n, n))
-                for j, n in enumerate(self.block_dims)]
-        return self.from_block_matrices(mats)
+        n = self.block_dims[k]
+        coeffs = np.zeros(self.dim, dtype=complex)
+        coeffs[int(self.offsets[k]) + np.arange(n) * (n + 1)] = 1.0
+        return AlgElement(self, coeffs)
 
     def matrix_unit(self, block: int, row: int, col: int) -> "AlgElement":
         return self.basis_element(self.index(block, row, col))
@@ -597,10 +603,16 @@ def _pair_blocks(alg, x, y):
             return _blockwise_mul(rows[:, None], y, gathers)
     else:
         products = _generic_pair_products(alg, y)
-    step = max(1, _DENSE_STACK_ENTRIES // max(1, 4 * len(y) * alg.dim))
-    for i in range(0, len(x), step):
-        rows = slice(i, i + step)
+    for rows in _pair_rows(alg, len(x), len(y)):
         yield rows, products(x[rows])
+
+
+def _pair_rows(alg, nx, ny):
+    """Consecutive slices of nx rows, each holding at most about a quarter
+    of ``_DENSE_STACK_ENTRIES`` entries of products against ny rows (and
+    at least one row)."""
+    step = max(1, _DENSE_STACK_ENTRIES // max(1, 4 * ny * alg.dim))
+    return [slice(i, i + step) for i in range(0, nx, step)]
 
 
 def _generic_pair_products(alg, y):
@@ -694,12 +706,7 @@ def _max_norm(alg, x) -> float:
         return 0.0
     gathers = alg._block_stacks()
     if gathers:
-        best = np.max([np.abs(rows.take(g, axis=-1)).max()
-                       for g in gathers if g.shape[-1] == 1],
-                      initial=-np.inf)
-        return float(_largest_opnorm(
-            [rows.take(g, axis=-1) for g in gathers if g.shape[-1] > 1],
-            best))
+        return _largest_block_norm([rows.take(g, axis=-1) for g in gathers])
     # a representation of an inf coefficient would meet 0 * inf
     if not np.isfinite(rows).all():
         return np.nan
@@ -708,6 +715,16 @@ def _max_norm(alg, x) -> float:
     for i in range(0, len(rows), step):
         best = _largest_opnorm([alg.rep_coeffs(rows[i:i + step])], best)
     return float(best)
+
+
+def _largest_block_norm(blocks) -> float:
+    """Largest spectral norm over stacks of (..., N, N) blocks, one stack
+    per block size: max |x| over the 1 x 1 stacks, then
+    ``_largest_opnorm`` over the others."""
+    best = np.max([np.abs(b).max() for b in blocks if b.shape[-1] == 1],
+                  initial=-np.inf)
+    return float(_largest_opnorm([b for b in blocks if b.shape[-1] > 1],
+                                 best))
 
 
 # relative slack of the pruning test in _largest_opnorm: a Frobenius bound
@@ -899,15 +916,34 @@ def multiplicative_residual(domain: Algebra, codomain: Algebra,
                             matrix) -> float:
     """Largest norm of f(e_p e_q) - f(e_p) f(e_q) over all basis pairs of
     the domain, for the linear map f with the given matrix, NaN if any
-    norm is NaN.  The products f(e_p) f(e_q) come from ``pair_products``,
-    one block of rows p at a time, and each block's residuals take one
-    norm call; every pair is kept."""
+    norm is NaN.  The work is done one block of rows p at a time
+    (``_pair_rows``), and every pair is kept.
+
+    A codomain with a block path gathers each f(e_p) into its blocks once;
+    the products f(e_p) f(e_q), the images f(e_p e_q) and their difference
+    are formed block by block, and the residual blocks go straight to the
+    norm fold of ``_max_norm``.  Any other codomain takes the products
+    from ``pair_products`` and one norm call per block of rows.  A NaN or
+    inf in the matrix gives NaN before any product, as the products would
+    (inf times 0), but without a floating-point warning."""
     cols = np.asarray(matrix).T
+    if not np.isfinite(cols).all():
+        return np.nan
     eye = np.eye(domain.dim)
+    gathers = codomain._block_stacks()
     worst = [0.0]
-    for rows, prods in _pair_blocks(codomain, cols, cols):
-        images = domain.mul_coeffs(eye[rows, None], eye) @ cols  # (p, q, :)
-        worst.append(codomain.norm_coeffs(images - prods))
+    if not gathers:
+        for rows, prods in _pair_blocks(codomain, cols, cols):
+            images = domain.mul_coeffs(eye[rows, None], eye) @ cols
+            worst.append(codomain.norm_coeffs(images - prods))
+        return float(np.max(worst))
+    blocks = [cols.take(g, axis=-1) for g in gathers]   # (d, count, N, N)
+    for rows in _pair_rows(codomain, len(cols), len(cols)):
+        table = domain.mul_coeffs(eye[rows, None], eye)  # (p, q, k)
+        worst.append(_largest_block_norm([
+            np.tensordot(table, b, 1)
+            - (b[rows, None] * b if b.shape[-1] == 1 else b[rows, None] @ b)
+            for b in blocks]))
     return float(np.max(worst))
 
 

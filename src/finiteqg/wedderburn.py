@@ -13,16 +13,20 @@ The splitting is randomized but seeded.  The centre Z is computed once,
 as the kernel of all commutators with the span.  Seeded random
 self-adjoint central elements are drawn until one has exactly dim Z
 spectral clusters; its spectral projections are then dim Z orthogonal
-central projections, so by counting they are the minimal ones.  One
-batched product p B p compresses the span into all factor corners at
-once, and one batched singular-value call gives every corner's
-dimension; a corner's orthonormal basis is taken only when it is used,
-which a 1 x 1 corner never is.  Matrix units are built from one minimal
-projection per factor and polar-type couplings e11 * x * f; the units of
-all corners are pulled back to ambient coefficients with one
-least-squares solve.  The span's basis is one (m, r, r) array, so the
-closure check, the centre and the unit relations are a few stacked
-kernel calls per decomposition, not one per basis element.
+central projections, so by counting they are the minimal ones.  Each
+corner p * span * p is cut by the isometry V (p = V V^H) of eigenvectors
+that the spectral decomposition already holds.  Its dimension is the
+numerical rank of {V^H b V} u {I_t}, which has the singular values of
+{p b p} u {p} on t^2 instead of r^2 entries, one batched singular-value
+call per distinct t.  The matrices p b p are formed only for corners of
+dimension > 1, and a corner's orthonormal basis is taken only when it
+is used, which a 1-dimensional corner never is.  Matrix units are built
+from one minimal projection per factor and polar-type couplings
+e11 * x * f; the units of all corners are pulled back to ambient
+coefficients with one least-squares solve.  The span's basis is one
+(m, r, r) array, so the closure check, the centre and the unit relations
+are a few stacked kernel calls per decomposition, not one per basis
+element.
 """
 from __future__ import annotations
 
@@ -221,31 +225,46 @@ class _MatrixSpan:
         m = np.tensordot(c, self.basis, axes=(0, 0))
         return 0.5 * (m + m.conj().T)
 
-    def compress(self, projections):
-        """The corners p * span * p, one new _MatrixSpan with unit p for
-        each p of a (k, r, r) stack of projections.  One batched call
-        takes the singular values of all k spanning sets; each corner's
-        dimension is their rank, and its basis is left until it is used."""
-        ps = np.asarray(projections)
-        k, m = len(ps), self.dim
-        corners = ps[:, None] @ self.basis @ ps[:, None]
-        mats = np.concatenate([corners, ps[:, None]], axis=1)
-        sv = np.linalg.svd(mats.reshape(k, m + 1, -1), compute_uv=False)
-        dims = numerical_rank(sv, self.tol)
-        return [_MatrixSpan(c, p, self.tol, int(n))
-                for c, p, n in zip(mats, ps, dims)]
+    def compress(self, isometries):
+        """The corners p * span * p, one new _MatrixSpan with unit
+        p = V V^H for each r x t isometry V of the list.  A corner's
+        dimension is the rank of {V^H b V} u {I_t} over the basis b: since
+        V is an isometry, its singular values are those of {p b p} u {p},
+        and it is a (m + 1) x t^2 stack, one batched singular-value call
+        per distinct t.  The matrices p b p are formed only for corners of
+        dimension > 1, whose basis is used; a 1-dimensional corner is
+        spanned by p."""
+        m = self.dim
+        dims = [0] * len(isometries)
+        by_t = {}
+        for i, v in enumerate(isometries):
+            by_t.setdefault(v.shape[1], []).append(i)
+        for t, idx in by_t.items():
+            vs = np.stack([isometries[i] for i in idx])[:, None]
+            small = vs.conj().swapaxes(-1, -2) @ self.basis @ vs
+            ones = np.broadcast_to(np.eye(t), (len(idx), 1, t, t))
+            sv = np.linalg.svd(np.concatenate([small, ones], axis=1).reshape(
+                len(idx), m + 1, -1), compute_uv=False)
+            for i, n in zip(idx, numerical_rank(sv, self.tol)):
+                dims[i] = int(n)
+        corners = []
+        for v, n in zip(isometries, dims):
+            p = v @ v.conj().T
+            mats = (p[None] if n == 1
+                    else np.concatenate([p @ self.basis @ p, p[None]]))
+            corners.append(_MatrixSpan(mats, p, self.tol, n))
+        return corners
 
 
 def _spectral_projection_top(span: _MatrixSpan, y, rng, tol):
-    """Projection onto the top eigenvalue cluster of a self-adjoint y."""
+    """Isometry onto the top eigenvalue cluster of a self-adjoint y: its
+    orthonormal eigenvectors as columns."""
     shifted = y + 2.0 * np.linalg.norm(y, 2) * span.unit
     vals, vecs = np.linalg.eigh(shifted)
     spread = max(1.0, float(np.abs(vals).max()))
     clusters = _cluster(vals[np.abs(vals) > CLUSTER_GAP * spread], tol)
     lo, hi = clusters[-1]
-    sel = _members(vals, lo, hi, spread)
-    v = vecs[:, sel]
-    return v @ v.conj().T
+    return vecs[:, _members(vals, lo, hi, spread)]
 
 
 def _central_idempotents(span: _MatrixSpan, rng, tol):
@@ -276,15 +295,12 @@ def _central_idempotents(span: _MatrixSpan, rng, tol):
         raise WedderburnError(
             "central elements failed to split a "
             f"{k}-dimensional center into minimal projections")
-    projections = []
-    for lo, hi in clusters:
-        sel = _members(vals, lo, hi, spread) & nonzero
-        v = vecs[:, sel]
-        projections.append(v @ v.conj().T)
-    projections = np.stack(projections)
-    if not span.contains(projections):
+    corners = span.compress(
+        [vecs[:, _members(vals, lo, hi, spread) & nonzero]
+         for lo, hi in clusters])
+    if not span.contains(np.stack([c.unit for c in corners])):
         raise WedderburnError("spectral projection escaped the span")
-    return span.compress(projections)
+    return corners
 
 
 def _minimal_projection(corner: _MatrixSpan, rng, tol):
@@ -295,10 +311,11 @@ def _minimal_projection(corner: _MatrixSpan, rng, tol):
             y = span.random_selfadjoint(rng)
             if np.linalg.norm(y, 2) > DEGENERATE_DRAW:
                 break
-        e = _spectral_projection_top(span, y, rng, tol)
+        compressed, = span.compress([_spectral_projection_top(
+            span, y, rng, tol)])
+        e = compressed.unit
         if not span.contains(e):
             raise WedderburnError("minimal projection escaped the span")
-        compressed, = span.compress(e[None])
         if compressed.dim == 1:
             return e
         span = compressed

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,8 @@ from finiteqg import core
 from finiteqg.core import (BlockAlgebra, CheckError, Checks, LinMap,
                            Tolerance, is_zero, kron, mul, nullspace,
                            numerical_rank, orthonormal_rows, tensor)
-from finiteqg.hopf import group_algebra, kac_paljutkin
+from finiteqg.duality import block_presentation, dualize
+from finiteqg.hopf import function_algebra, group_algebra, kac_paljutkin
 from finiteqg import groups
 
 
@@ -465,6 +468,103 @@ def test_multiplicative_residual_of_a_nan_row_is_nan(kind, kp8_block):
     with np.errstate(all="raise"):
         got = core.multiplicative_residual(H.algebra, H.square, DM)
     assert np.isnan(got)
+
+
+# -- multiplicative_residual on the block path: residuals in block coordinates
+
+def _kronecker_layout_residual(domain, codomain, matrix):
+    """The residual as formed in the Kronecker layout: every product from
+    pair_products, every image through the domain's product, one norm."""
+    cols = np.asarray(matrix).T
+    eye = np.eye(domain.dim)
+    images = domain.mul_coeffs(eye[:, None], eye) @ cols
+    return codomain.norm_coeffs(images - core.pair_products(codomain, cols,
+                                                            cols))
+
+
+@functools.lru_cache(maxsize=None)
+def _block_path_cases():
+    """(domain, codomain, matrix): Delta of C(G), of the block duals of
+    C(G) and C[G], of KP8 on its blocks, and a map into a tensor product
+    with mixed block sizes."""
+    s3, z4z2 = groups.symmetric(3), groups.direct_product(groups.cyclic(4),
+                                                          groups.cyclic(2))
+    hopfs = {"C(S3)": function_algebra(s3),
+             "C(Z4xZ2)": function_algebra(z4z2),
+             "dual C(S3)": dualize(function_algebra(s3)).dual_hopf,
+             "dual C[S3]": dualize(group_algebra(s3)).dual_hopf,
+             "dual C[Z4xZ2]": dualize(group_algebra(z4z2)).dual_hopf,
+             "kp8 blocks": block_presentation(kac_paljutkin())[0]}
+    cases = {k: (H.algebra, H.square, H.delta.matrix)
+             for k, H in hopfs.items()}
+    A = BlockAlgebra([1, 2])
+    T = tensor(A, BlockAlgebra([3, 1, 2]))
+    rng = np.random.default_rng(83)
+    cases["mixed blocks"] = (A, T, (rng.standard_normal((T.dim, A.dim))
+                                    + 1j * rng.standard_normal(
+                                        (T.dim, A.dim))) / 3.0)
+    return cases
+
+
+BLOCK_PATH_KINDS = ["C(S3)", "C(Z4xZ2)", "dual C(S3)", "dual C[S3]",
+                    "dual C[Z4xZ2]", "kp8 blocks", "mixed blocks"]
+
+
+@pytest.mark.parametrize("kind", BLOCK_PATH_KINDS)
+@pytest.mark.parametrize("noise", [0.0, 1e-7])
+def test_block_path_residual_equals_the_kronecker_layout_formula(kind,
+                                                                 noise):
+    domain, codomain, DM = _block_path_cases()[kind]
+    assert codomain._block_stacks()
+    rng = np.random.default_rng(89)
+    DM = DM + noise * (rng.standard_normal(DM.shape)
+                       + 1j * rng.standard_normal(DM.shape))
+    got = core.multiplicative_residual(domain, codomain, DM)
+    assert got == _kronecker_layout_residual(domain, codomain, DM)
+    if noise:
+        assert got > noise
+
+
+@pytest.mark.parametrize("kind", ["kp8 blocks", "dual C[Z4xZ2]",
+                                  "mixed blocks"])
+def test_block_path_residual_in_many_row_blocks(kind, monkeypatch):
+    domain, codomain, DM = _block_path_cases()[kind]
+    DM = DM.copy()
+    DM[-1, -1] += 0.25          # only pairs (p, q) with p or q = d - 1
+    one = core.multiplicative_residual(domain, codomain, DM)
+    assert len(core._pair_rows(codomain, len(DM.T), len(DM.T))) == 1
+    # one row p per block; opnorm's Gram slices still hold whole matrices
+    d = len(DM.T)
+    monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", 4 * d * codomain.dim)
+    assert len(core._pair_rows(codomain, d, d)) == d
+    assert core.multiplicative_residual(domain, codomain, DM) == one > 0.1
+
+
+@pytest.mark.parametrize("kind", ["block", "generic"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_multiplicative_residual_of_one_non_finite_entry_is_nan(kind, bad,
+                                                                kp8_block):
+    H = kp8_block if kind == "block" else group_algebra(groups.symmetric(3))
+    for at in [(0, 0), (-1, -1), (5, 3)]:
+        DM = H.delta.matrix.copy()
+        DM[at] = bad
+        with np.errstate(all="raise"):
+            got = core.multiplicative_residual(H.algebra, H.square, DM)
+        assert np.isnan(got)
+
+
+def test_block_unit_sets_the_block_diagonal():
+    A = BlockAlgebra([2, 1, 3, 1, 2])
+    for k, n in enumerate(A.block_dims):
+        # the unit of block k as block matrices: eye there, zeros elsewhere
+        want = A.from_block_matrices(
+            [np.eye(m) if j == k else np.zeros((m, m))
+             for j, m in enumerate(A.block_dims)])
+        got = A.block_unit(k)
+        assert got.coeffs.dtype == want.coeffs.dtype
+        assert np.array_equal(got.coeffs, want.coeffs)
+    assert np.array_equal(sum((A.block_unit(k) for k in range(1, 5)),
+                              A.block_unit(0)).coeffs, A.unit_coeffs)
 
 
 # -- opnorm: Gram-eigenvalue spectral norms ----------------------------------

@@ -1,13 +1,15 @@
+import functools
+
 import numpy as np
 import pytest
 
-from finiteqg import core, groups
+from finiteqg import core, groups, hopf
 from finiteqg.core import Algebra, LinMap, tensor
 from finiteqg.hopf import (HopfAxiomError, HopfData, function_algebra,
                            group_algebra, group_like_elements, kac_paljutkin,
                            verify_hopf)
 from finiteqg.io import hopf_from_dict, hopf_to_dict
-from finiteqg.duality import block_presentation
+from finiteqg.duality import block_presentation, dualize
 
 
 def test_function_algebra_z2_delta():
@@ -195,3 +197,103 @@ def test_operator_norm_of_zero_takes_no_svd(monkeypatch):
     assert opnorm(np.zeros((4, 4), dtype=complex)) == 0.0
     with pytest.raises(AssertionError):
         opnorm(m)
+
+
+# -- delta_star leg by leg, the coassociativity scale from a d x d Gram ----
+
+@functools.lru_cache(maxsize=None)
+def _hopf_cases():
+    s3, z12 = groups.symmetric(3), groups.cyclic(12)
+    return {"C(S3)": function_algebra(s3), "C[S3]": group_algebra(s3),
+            "C[Z12]": group_algebra(z12),
+            "dual C[S3]": dualize(group_algebra(s3)).dual_hopf,
+            "dual C(S3)": dualize(function_algebra(s3)).dual_hopf}
+
+
+def _kron_star(St, DM):
+    return np.kron(St, St) @ np.conj(DM)
+
+
+@pytest.mark.parametrize("kind", ["C(S3)", "C[S3]", "C[Z12]", "dual C(S3)",
+                                  "dual C[S3]"])
+def test_legwise_delta_star_is_the_kron_form_for_permutation_stars(kind):
+    H = _hopf_cases()[kind]
+    St = H.algebra.star_matrix
+    # a permutation matrix: every entry 0 or 1, one 1 per row and column
+    assert set(np.unique(St)) <= {0, 1}
+    assert (np.abs(St).sum(axis=0) == 1).all()
+    rng = np.random.default_rng(97)
+    noise = rng.standard_normal(H.delta.matrix.shape) + 1j * \
+        rng.standard_normal(H.delta.matrix.shape)
+    for DM in (H.delta.matrix, H.delta.matrix + noise / 3.0):
+        assert np.array_equal(hopf._square_star(St, DM), _kron_star(St, DM))
+    # the residual of a perturbed delta is the kron-form value bit for bit
+    K = HopfData(H.algebra, LinMap(H.algebra, H.square, DM), H.counit,
+                 H.antipode)
+    want = float(core.opnorm(DM @ St - _kron_star(St, DM)))
+    assert verify_hopf(K).residuals["delta_star"] == want > 0.1
+
+
+def test_legwise_delta_star_on_the_monomial_kp8_star(kp8):
+    St, DM = kp8.algebra.star_matrix, kp8.delta.matrix
+    # the monomial star of z has entries +-1/2: not a permutation
+    assert not set(np.unique(St)) <= {0, 1}
+    rng = np.random.default_rng(101)
+    for X in (DM, rng.standard_normal(DM.shape)
+              + 1j * rng.standard_normal(DM.shape)):
+        want = _kron_star(St, X)
+        got = hopf._square_star(St, X)
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+    # a complex matrix that is not symmetric, so the legs cannot be swapped
+    St = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    X = rng.standard_normal((25, 5)) + 1j * rng.standard_normal((25, 5))
+    want = _kron_star(St, X)
+    assert np.abs(hopf._square_star(St, X) - want).max() \
+        <= 1e-14 * np.abs(want).max()
+
+
+LADDER_GROUPS = {
+    "Z4xZ4": lambda: groups.direct_product(groups.cyclic(4), groups.cyclic(4)),
+    "Z2xZ4": lambda: groups.direct_product(groups.cyclic(2), groups.cyclic(4)),
+    "Z12": lambda: groups.cyclic(12),
+    "Q8": groups.quaternion,
+    "S3xZ2": lambda: groups.direct_product(groups.symmetric(3),
+                                           groups.cyclic(2)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LADDER_GROUPS))
+@pytest.mark.parametrize("ctor", [function_algebra, group_algebra])
+def test_coassociativity_scale_is_the_norm_of_the_composite(name, ctor):
+    H = ctor(LADDER_GROUPS[name]())
+    d, DM = H.dim, H.delta.matrix
+    left = (DM @ DM.reshape(d, d * d)).reshape(d ** 3, d)
+    want = float(core.opnorm(left))
+    got = verify_hopf(H).scales["coassociativity"]
+    assert abs(got - want) <= 1e-12 * want
+    # a scaled delta moves the scale quadratically, at any magnitude
+    for c in (1e-150, 1e150):
+        assert abs(hopf._composite_norm(c * DM) - c * c * want) \
+            <= 1e-12 * c * c * want
+    assert hopf._composite_norm(0.0 * DM) == 0.0
+
+
+def test_coassociativity_scale_of_a_complex_matrix():
+    rng = np.random.default_rng(103)
+    d = 5
+    DM = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
+    want = float(core.opnorm((DM @ DM.reshape(d, d * d)).reshape(d ** 3, d)))
+    assert abs(hopf._composite_norm(DM) - want) <= 1e-12 * want
+
+
+def test_a_nan_delta_fails_coassociativity(kp8_block):
+    H = kp8_block
+    DM = H.delta.matrix.copy()
+    DM[3, 2] = np.nan
+    K = HopfData(H.algebra, LinMap(H.algebra, H.square, DM), H.counit,
+                 H.antipode)
+    checks = verify_hopf(K)
+    assert np.isnan(checks.scales["coassociativity"])
+    assert np.isnan(checks.residuals["coassociativity"])
+    assert "coassociativity" in checks.failures()
+    assert "delta_multiplicative" in checks.failures()

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from finiteqg import groups, wedderburn
-from finiteqg.core import BlockAlgebra, nullspace, orthonormal_rows
+from finiteqg.core import (BlockAlgebra, nullspace, numerical_rank,
+                           orthonormal_rows)
 from finiteqg.duality import dual_hopf_raw
 from finiteqg.haar import haar_state
 from finiteqg.hopf import group_algebra, kac_paljutkin
@@ -342,8 +343,8 @@ def test_corner_dimensions_from_singular_values_match_bases(data_dir,
     compress = _MatrixSpan.compress
     seen = []
 
-    def checked(self, projections):
-        corners = compress(self, projections)
+    def checked(self, isometries):
+        corners = compress(self, isometries)
         for c in corners:
             seen.append((c.dim, len(orthonormal_rows(c._rows, c.tol))))
         return corners
@@ -358,12 +359,60 @@ def test_corner_dimensions_from_singular_values_match_bases(data_dir,
 def test_corner_basis_must_match_its_dimension():
     A = BlockAlgebra([1, 2])
     span = _MatrixSpan(list(A.rep_tensor), np.eye(A.rep_dim), Tolerance())
-    p = np.diag([0.0, 1.0, 1.0]).astype(complex)
-    corner, = span.compress(p[None])
+    # the isometry onto the last two coordinates: p = diag(0, 1, 1)
+    v = np.eye(3, dtype=complex)[:, 1:]
+    corner, = span.compress([v])
     assert corner.dim == 4 and corner._basis_flat is None
+    assert np.array_equal(corner.unit, np.diag([0.0, 1.0, 1.0]))
     corner._dim = 3          # as if the two rank rules had disagreed
     with pytest.raises(WedderburnError, match="singular values give"):
         corner.basis
+
+
+def _full_stack_rank(span, v):
+    """numerical_rank of {p b p} u {p}, p = v v^H, over the span's basis:
+    the r^2-entry stack the isometry's t^2-entry one stands in for."""
+    p = v @ v.conj().T
+    mats = np.concatenate([p @ span.basis @ p, p[None]])
+    return int(numerical_rank(np.linalg.svd(
+        mats.reshape(len(mats), -1), compute_uv=False), span.tol))
+
+
+def _unitary(r, rng):
+    q, _ = np.linalg.qr(rng.standard_normal((r, r))
+                        + 1j * rng.standard_normal((r, r)))
+    return q
+
+
+@pytest.mark.parametrize("dims", [[1, 2], [2, 2, 1], [1, 1, 3], [3, 2]])
+def test_isometry_ranks_equal_full_corner_ranks(dims):
+    # the block algebra conjugated by a random unitary u: its corners are
+    # cut by isometries onto sums of coordinate subspaces (central and
+    # sub-block corners) moved by u, and by random isometries
+    A = BlockAlgebra(dims)
+    rng = np.random.default_rng(sum(dims) * 101 + len(dims))
+    r = A.rep_dim
+    u = _unitary(r, rng)
+    span = _MatrixSpan(u @ A.rep_tensor @ u.conj().T, np.eye(r), Tolerance())
+    assert span.dim == A.dim
+    eye = np.eye(r, dtype=complex)
+    starts = np.cumsum([0] + list(dims))
+    isometries = [u @ eye[:, a:b] for a, b in zip(starts, starts[1:])]
+    isometries += [u @ eye[:, :k] for k in range(1, r + 1)]
+    isometries += [u @ eye[:, [0, -1]], u @ eye[:, 1::2]]
+    isometries += [_unitary(r, rng)[:, :k] for k in range(1, r + 1)]
+    corners = span.compress(isometries)
+    got = [c.dim for c in corners]
+    want = [_full_stack_rank(span, v) for v in isometries]
+    assert got == want
+    # central corners are the blocks; the identity's corner is the span
+    assert got[:len(dims)] == [n * n for n in dims]
+    assert got[len(dims) + r - 1] == got[-1] == A.dim
+    assert 1 in got
+    for c, v in zip(corners, isometries):
+        assert np.array_equal(c.unit, v @ v.conj().T)
+        if c.dim == 1:
+            assert c._rows.shape == (1, r * r)
 
 
 def _off_span(span, rng):
