@@ -188,6 +188,7 @@ def cmd_vergnioux(args, run: Run, tol):
     V = clifford.vergnioux_relation(D, m, tol, args.seed)
     run.flag("fusion_equals_support", V.agree)
     run.flag("support_projection_positivity", V.support_positivity_ok)
+    run.flag("orbit_classes_match_vergnioux", V.orbit_classes_match)
     run.result("fusion_route", V.fusion.astype(int).tolist())
     run.result("support_route", V.support.astype(int).tolist())
     run.result("classes", [list(map(int, c)) for c in V.classes])

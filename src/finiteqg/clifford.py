@@ -10,7 +10,12 @@ Two applications of the orbit machinery:
 * the fusion relation on irreducibles: sigma ~ tau when tau is contained
   in sigma (x) gamma for some irreducible gamma of the subgroup, which
   coincides with "sigma and tau hit a common block of the homogeneous
-  space".  Both routes are computed independently and compared entrywise.
+  space".  Both routes are computed independently and compared entrywise,
+  and its classes are checked against the orbit relation: the union of
+  the block supports over each orbit class is one fusion class.
+
+Normality means that the left and right coinvariants coincide, as
+``orbits.coinvariant_normality`` tests.
 """
 from __future__ import annotations
 
@@ -19,47 +24,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (DEFAULT_SEED, INTEGER_SLACK, CheckError, Tolerance,
-                   as_tolerance, orthonormal_rows, distance_to_span,
-                   pair_products, tensor)
-from .duality import DiscreteQG, mult_unitary, tensor_mult
+                   as_tolerance, distance_to_span, pair_products, tensor)
+from .duality import DiscreteQG, tensor_mult
 from .hopf import HopfData
-from .orbits import (HomogeneousSpace, MorphismError, OrbitPartition,
-                     SubgroupMorphism, _coinvariants, _relation_classes,
-                     homogeneous_action, homogeneous_space,
-                     quotient_by_kernel, relation, subgroup_from_dual_matrix)
-
-
-class NormalityError(CheckError):
-    pass
-
-
-def _dual_embedding_blockcoords(D: DiscreteQG, rho) -> np.ndarray:
-    """Rows spanning the image of the quotient's dual inside the dual.
-
-    The functional-side embedding f -> f . rho has raw dual coordinates
-    given by the rows of rho; convert them to block coordinates.
-    """
-    rho = np.asarray(rho, dtype=complex)
-    return np.linalg.solve(D.block_to_dual, rho.T).T
-
-
-def normality_defect(D: DiscreteQG, rho, tol=None) -> float:
-    """How far W conjugation moves the embedded dual of the quotient.
-
-    For a surjection rho: Pol(G) -> Pol(H), the subalgebra
-    V = rho^T(l^inf(H-dual)) inside l^inf(G-dual) must satisfy
-    W (V x 1) W* inside V x Pol(G) exactly when H is normal in G.
-    """
-    tol = as_tolerance(tol)
-    A = D.primal.algebra
-    B = D.dual_algebra
-    V = orthonormal_rows(_dual_embedding_blockcoords(D, rho), tol)
-    W = mult_unitary(D, tol).element
-    T = W.parent
-    # row t of y is W (v_t x 1) W*; each of its Pol(G)-columns must lie in V
-    y = T.mul_coeffs(T.mul_coeffs(W.coeffs, np.kron(V, A.unit_coeffs)),
-                     W.star().coeffs)
-    return distance_to_span(V, y.reshape(-1, B.dim, A.dim).transpose(0, 2, 1))
+# NormalityError is raised here, through the normality record
+from .orbits import (HomogeneousSpace, MorphismError, NormalityError,
+                     OrbitPartition, SubgroupMorphism, _relation_classes,
+                     coinvariant_normality, homogeneous_action,
+                     homogeneous_space, quotient_by_kernel, relation,
+                     subgroup_from_dual_matrix)
 
 
 def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
@@ -68,18 +41,16 @@ def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
     ``rho`` is a verified Hopf *-surjection Pol(G) -> Pol(H); the returned
     morphism is the restriction-of-functionals surjection from l^inf of
     the dual onto l^inf of the dual of the coinvariant subalgebra
-    {a : (id x rho) delta(a) = a x 1}.  Raises when H is not normal.
+    {a : (id x rho) delta(a) = a x 1}.  Raises ``NormalityError`` when H
+    is not normal, that is when these differ from the left coinvariants.
     """
     tol = as_tolerance(tol)
     rho = np.asarray(rho, dtype=complex)
     quotient = quotient_by_kernel(H, rho, tol)
-    defect = normality_defect(D, rho, tol)
-    if not tol.is_zero(defect):
-        raise NormalityError(
-            f"subgroup is not normal (conjugation defect {defect:.3e})")
+    _, K, normality = coinvariant_normality(H, rho, tol)
+    normality.raise_for_failure("subgroup is not normal")
 
     A = H.algebra
-    K = _coinvariants(H, rho, "right", tol)
     m = K.shape[0]
     if m * quotient.dim != A.dim:
         raise MorphismError(
@@ -109,10 +80,6 @@ class RestrictionTable:
     mult: np.ndarray
     one_orbit_per_row: bool
     dimension_count_ok: bool
-    normal_subgroup: bool
-
-    def row(self, kappa: int):
-        return self.mult[kappa]
 
     def __repr__(self):
         return (f"RestrictionTable({self.mult.tolist()}, "
@@ -152,7 +119,7 @@ def restriction_table(D: DiscreteQG, X: HomogeneousSpace,
         int(mult[k] @ np.array(X.block_dims)) == D.irr_dims[k]
         for k in range(n_rows))
     return RestrictionTable(list(D.irr_labels), list(X.block_dims), mult,
-                            one_orbit, dims_ok, X.morphism.normal)
+                            one_orbit, dims_ok)
 
 
 @dataclass
@@ -214,7 +181,8 @@ def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
 @dataclass
 class VergniouxRelation:
     """The subgroup-fusion relation on ambient irreducibles, computed by
-    the fusion route and the support route, with their agreement flag."""
+    the fusion route and the support route, with their agreement flag and
+    the link of its classes to the orbit classes."""
 
     fusion: np.ndarray
     witness: np.ndarray
@@ -222,10 +190,7 @@ class VergniouxRelation:
     classes: list
     agree: bool
     support_positivity_ok: bool   # delta(1_sub)(1_j x 1) != 0 for all j
-
-    @property
-    def relation(self) -> np.ndarray:
-        return self.support
+    orbit_classes_match: bool     # orbit classes' supports = classes
 
 
 def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
@@ -235,7 +200,9 @@ def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
     subgroup irreducible gamma has tau inside sigma (x) gamma, iff sigma
     and tau hit a common block of the homogeneous space.
 
-    All three routes are computed and compared entrywise.
+    All three routes are computed and compared entrywise.  The classes
+    must also be the orbit classes carried to the ambient side: the union
+    of the block supports over each class of the orbit relation.
     """
     tol = as_tolerance(tol)
     B = D.dual_algebra
@@ -245,12 +212,7 @@ def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
     P = relation(homogeneous_action(D, X, tol), tol)
 
     # support route
-    supports = []
-    for i in range(X.size):
-        one_i = X.block_unit_in_dual(i)
-        supports.append(frozenset(
-            k for k in range(n_irr)
-            if not (D.block_projection(k) * one_i).is_zero(tol)))
+    supports = X.block_supports(tol)
     support_rel = np.zeros((n_irr, n_irr), dtype=bool)
     for s in supports:
         for a in s:
@@ -258,9 +220,9 @@ def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
                 support_rel[a, b] = True
 
     # fusion route through the support projection of the subgroup
-    DM = D.dual_hopf.delta.matrix
+    delta_one = D.dual_hopf.delta.matrix @ m.support.coeffs
     SM = D.dual_hopf.antipode.matrix
-    y = (DM @ m.support.coeffs).reshape(B.dim, B.dim)
+    y = delta_one.reshape(B.dim, B.dim)
     z = y @ SM.T  # apply the antipode on the right leg
     scale = float(np.linalg.norm(z))
     fusion_rel = np.zeros((n_irr, n_irr), dtype=bool)
@@ -285,16 +247,18 @@ def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
 
     agree = bool(np.array_equal(fusion_rel, support_rel)
                  and np.array_equal(witness_rel, support_rel))
+    classes = _relation_classes(support_rel)
+    linked = sorted(sorted(frozenset().union(*(supports[i] for i in cls)))
+                    for cls in P.classes)
 
     # positivity of delta(1_sub) against every block of the space
     T2 = tensor(B, B)
     ok = True
     for j in range(X.size):
-        w = T2.mul_coeffs((DM @ m.support.coeffs),
-                          T2.kron_coeffs(X.block_unit_in_dual(j).coeffs,
-                                         B.unit_coeffs))
+        w = T2.mul_coeffs(delta_one, T2.kron_coeffs(
+            X.block_unit_in_dual(j).coeffs, B.unit_coeffs))
         if tol.is_zero(T2.norm_coeffs(w), scale):
             ok = False
 
-    return VergniouxRelation(fusion_rel, witness_rel, support_rel,
-                             _relation_classes(support_rel), agree, ok)
+    return VergniouxRelation(fusion_rel, witness_rel, support_rel, classes,
+                             agree, ok, linked == classes)

@@ -7,11 +7,18 @@ Central objects:
   a quantum subgroup of the dual (a ``pi`` subgroup file) and a Hopf
   *-surjection Pol(G) -> Pol(H) (a ``hopf_surjection`` file) both pass
   through it;
+* ``coinvariant_normality`` -- the one normality test: a quantum
+  subgroup is normal when its left and right coinvariants coincide
+  (equivalent to the other usual definitions by S. Wang, *Equivalent
+  notions of normal quantum subgroups, compact quantum groups with
+  properties F and FD, and other applications*, J. Algebra 2014).  Both
+  subgroup formats are judged by it;
 * ``SubgroupMorphism`` -- a surjection pi: l^inf(dual) -> l^inf(subgroup)
-  intertwining the coproducts, together with its support projection and
-  its quotient Hopf structure;
+  intertwining the coproducts, together with its support projection, its
+  quotient Hopf structure and its normality record;
 * ``HomogeneousSpace`` -- the coinvariant subalgebra
-  {x : (pi x id) delta(x) = 1 x x} with its own block decomposition;
+  {x : (pi x id) delta(x) = 1 x x} with its own block decomposition and
+  the ambient supports of its blocks;
 * ``ActionMap`` -- a coaction N -> N x Pol(G) on a direct sum of matrix
   blocks, optionally regrouped into coarser summands;
 * ``OrbitPartition`` -- the orbit relation: summands i, j are related when
@@ -39,6 +46,10 @@ from .wedderburn import WedderburnData, central_support, decompose
 
 
 class MorphismError(CheckError):
+    pass
+
+
+class NormalityError(CheckError):
     pass
 
 
@@ -113,7 +124,9 @@ class SubgroupMorphism:
     subgroup (the kernel of pi is its complementary ideal); ``codomain``
     is the quotient Hopf structure from ``quotient_by_kernel``;
     ``surviving`` lists the ambient blocks that pi keeps, which is also
-    the embedding of the subgroup's irreducibles into the ambient ones.
+    the embedding of the subgroup's irreducibles into the ambient ones;
+    ``coinvariants`` and ``normality`` are the left coinvariant basis and
+    the record of ``coinvariant_normality``.
     """
 
     dqg: DiscreteQG
@@ -121,11 +134,16 @@ class SubgroupMorphism:
     support: AlgElement
     codomain: HopfData
     surviving: list
-    normal: bool
+    coinvariants: np.ndarray
+    normality: Checks
 
     @property
     def rank(self) -> int:
         return self.matrix.shape[0]
+
+    @property
+    def normal(self) -> bool:
+        return self.normality.passed
 
     def __repr__(self):
         return (f"SubgroupMorphism(dim {self.rank} of {self.dqg!r}, "
@@ -177,8 +195,9 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
     support = D.blocks.central_idempotents[surviving[0]]
     for i in surviving[1:]:
         support = support + D.blocks.central_idempotents[i]
-    normal = _is_normal(D.dual_hopf, pi, tol)
-    return SubgroupMorphism(D, pi, support, codomain, surviving, normal)
+    left, _, normality = coinvariant_normality(D.dual_hopf, pi, tol)
+    return SubgroupMorphism(D, pi, support, codomain, surviving, left,
+                            normality)
 
 
 def full_subgroup(D: DiscreteQG, tol=None) -> SubgroupMorphism:
@@ -215,14 +234,22 @@ def _coinvariants(H: HopfData, rho, side: str, tol):
     return nullspace(cond, tol)
 
 
-def _is_normal(H: HopfData, pi, tol) -> bool:
-    """Normality of the subgroup: left and right coinvariants coincide."""
+def coinvariant_normality(H: HopfData, pi, tol=None):
+    """The left and right coinvariant bases of H under the surjection pi,
+    and the normality record: its one residual is the larger of the two
+    distances between their spans, zero exactly when they coincide.
+
+    Spans of different dimensions need no check of their own: an
+    orthonormal basis of the larger one then sits at distance at least
+    1/sqrt(dim) from the smaller.  The record raises ``NormalityError``.
+    """
+    tol = as_tolerance(tol)
     left = _coinvariants(H, pi, "left", tol)
     right = _coinvariants(H, pi, "right", tol)
-    if left.shape[0] != right.shape[0]:
-        return False
-    return tol.is_zero(float(np.max([distance_to_span(right, left),
-                                     distance_to_span(left, right)])))
+    gap = float(np.max([distance_to_span(right, left),
+                        distance_to_span(left, right)]))
+    return left, right, Checks({"coinvariant_distance": gap}, tol,
+                               error=NormalityError)
 
 
 @dataclass
@@ -249,8 +276,14 @@ class HomogeneousSpace:
     def block_unit_in_dual(self, i: int) -> AlgElement:
         return self.wd.central_idempotents[i]
 
-    def embed(self, x) -> AlgElement:
-        return self.wd.embed(x)
+    def block_supports(self, tol=None) -> list:
+        """For each block i, the ambient irreducibles k with 1_k 1_i != 0,
+        as a frozenset."""
+        tol = as_tolerance(tol)
+        ambient = self.dqg.blocks.central_idempotents
+        return [frozenset(k for k, p in enumerate(ambient)
+                          if not (p * self.block_unit_in_dual(i)).is_zero(tol))
+                for i in range(self.size)]
 
     @property
     def trivial_block(self) -> int:
@@ -267,9 +300,10 @@ class HomogeneousSpace:
 
 def homogeneous_space(D: DiscreteQG, m: SubgroupMorphism, tol=None,
                       seed: int = DEFAULT_SEED) -> HomogeneousSpace:
-    """Solve {x : (pi x id) delta(x) = 1 x x} and decompose it."""
+    """Decompose {x : (pi x id) delta(x) = 1 x x}, the left coinvariants
+    the morphism solved when it was built."""
     tol = as_tolerance(tol)
-    basis = _coinvariants(D.dual_hopf, m.matrix, "left", tol)
+    basis = m.coinvariants
     if basis.shape[0] * m.rank != D.dual_algebra.dim:
         raise MorphismError(
             f"coinvariant dimension {basis.shape[0]} does not match "
@@ -523,14 +557,9 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
     """
     tol = as_tolerance(tol)
     m = X.size
-    zs, supports = [], []
-    for i in range(m):
-        one_i = X.block_unit_in_dual(i)
-        zs.append(central_support(D.blocks, one_i, tol))
-        supp = frozenset(
-            k for k, p in enumerate(D.blocks.central_idempotents)
-            if not (p * one_i).is_zero(tol))
-        supports.append(supp)
+    zs = [central_support(D.blocks, X.block_unit_in_dual(i), tol)
+          for i in range(m)]
+    supports = X.block_supports(tol)
 
     sums = []
     for cls in P.classes:

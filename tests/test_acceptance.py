@@ -143,11 +143,13 @@ def test_criterion_7_vergnioux_cross_check(dual_cs3, a3_morphism, dual_kp8,
     disagreements = 0
     for name, D, m in instances:
         V = vergnioux_relation(D, m)
-        if not (V.agree and V.support_positivity_ok):
+        if not (V.agree and V.support_positivity_ok
+                and V.orbit_classes_match):
             disagreements += 1
     _line(7, disagreements == 0,
           "fusion route equals support route entrywise on all four "
-          "subgroup instances")
+          "subgroup instances, and its classes are the orbit classes' "
+          "block supports")
 
 
 def test_criterion_8_dimension_constancy(dual_cs3, a3_morphism, dual_kp8,

@@ -3,16 +3,16 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finiteqg import groups
+from finiteqg import clifford, groups
 from finiteqg.clifford import (NormalityError, kac_constancy_check,
-                               normality_defect, quotient_subgroup,
-                               restriction_table, vergnioux_relation)
+                               quotient_subgroup, restriction_table,
+                               vergnioux_relation)
 from finiteqg.core import Tolerance, distance_to_span, orthonormal_rows
 from finiteqg.duality import block_presentation, dualize, mult_unitary
-from finiteqg.hopf import group_algebra
-from finiteqg.orbits import (MorphismError, full_subgroup,
-                             homogeneous_action, homogeneous_space, relation,
-                             trivial_subgroup)
+from finiteqg.hopf import function_algebra, group_algebra
+from finiteqg.orbits import (MorphismError, coinvariant_normality,
+                             full_subgroup, homogeneous_action,
+                             homogeneous_space, relation, trivial_subgroup)
 
 
 def a3_restriction_oracle():
@@ -78,9 +78,71 @@ def test_non_normal_subgroup_rejected(s3, hopf_cs3, dual_cs3):
     rho = np.zeros((2, 6))
     rho[0, s3.identity] = 1.0
     rho[1, t] = 1.0
-    assert normality_defect(dual_cs3, rho) > 1e-3
+    _, _, normality = coinvariant_normality(hopf_cs3, rho)
+    assert normality.residuals["coinvariant_distance"] > 1e-3
     with pytest.raises(NormalityError):
         quotient_subgroup(hopf_cs3, dual_cs3, rho)
+
+
+def _subgroups(G):
+    """Every subgroup of G as a sorted tuple of element indices: the
+    closures of all pairs of elements under the Cayley table (every
+    subgroup of the groups below is generated by two elements)."""
+    found = set()
+    for a in range(G.order):
+        for b in range(a, G.order):
+            sub = {G.identity, a, b}
+            while len(grown := sub | {int(G.table[x, y]) for x in sub
+                                      for y in sub}) > len(sub):
+                sub = grown
+            found.add(tuple(sorted(sub)))
+    return sorted(found)
+
+
+def _normal_by_table(G, N):
+    members = set(N)
+    return all(int(G.table[G.table[g, n], G.inverse(g)]) in members
+               for g in range(G.order) for n in N)
+
+
+NORMALITY_GROUPS = {"S3": groups.symmetric(3), "Q8": groups.quaternion(),
+                    "Z2xZ4": groups.direct_product(groups.cyclic(2),
+                                                   groups.cyclic(4)),
+                    "S4": groups.symmetric(4)}
+
+
+def test_coinvariant_normality_matches_cayley_table_conjugation(
+        monkeypatch):
+    # restriction of functions C(G) -> C(N) for every subgroup N: the
+    # coinvariant verdict must be "g N g^-1 = N for all g", read off the
+    # multiplication table alone, and far from the threshold on both sides.
+    # quotient_subgroup must raise NormalityError exactly on the non-normal
+    # N; its last step, building the subgroup of the dual from the right
+    # coinvariants, is stubbed, since at N = {e} in S4 that is the full
+    # 24-dimensional dual subgroup, whose generic quotient check alone
+    # takes over a minute
+    monkeypatch.setattr(clifford, "subgroup_from_dual_matrix",
+                        lambda D, K, tol: K)
+    seen = 0
+    for name, G in NORMALITY_GROUPS.items():
+        H = function_algebra(G)
+        D = dualize(H) if name in ("S3", "S4") else None
+        for N in _subgroups(G):
+            rho = np.zeros((len(N), G.order))
+            rho[np.arange(len(N)), list(N)] = 1.0
+            _, _, normality = coinvariant_normality(H, rho)
+            gap = normality.residuals["coinvariant_distance"]
+            normal = _normal_by_table(G, N)
+            assert normality.passed == normal, (name, N)
+            assert gap <= 1e-12 if normal else gap >= 0.5, (name, N, gap)
+            if D is not None and not normal:
+                with pytest.raises(NormalityError):
+                    quotient_subgroup(H, D, rho)
+            elif D is not None:
+                K = quotient_subgroup(H, D, rho)
+                assert K.shape[0] * len(N) == G.order
+            seen += 1
+    assert seen == 6 + 6 + 8 + 30
 
 
 def test_restriction_table_matches_classical_clifford(
@@ -265,6 +327,7 @@ def test_vergnioux_classes_are_closure_classes_on_shipped_pairs(data_dir):
              else quotient_subgroup(H, D, matrix))
         V = vergnioux_relation(D, m)
         assert [tuple(c) for c in V.classes] == _closure_classes(V.support)
+        assert V.orbit_classes_match, (hopf_file, sub_file)
 
 
 def test_seed_invariance_on_shipped_pairs(data_dir):

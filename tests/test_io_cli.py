@@ -1,8 +1,9 @@
 import json
+from dataclasses import replace
 
 import pytest
 
-from finiteqg import cli, groups
+from finiteqg import cli, clifford, groups
 from finiteqg.haar import HaarError
 from finiteqg.hopf import function_algebra
 from finiteqg.io import (SchemaError, hopf_equal, hopf_from_dict,
@@ -129,6 +130,27 @@ def test_cli_vergnioux_instances(capsys):
     # the generalized, non-normal instance runs through the same command
     assert cli.main(["vergnioux", "s3_group_algebra.json",
                      "s3_z2_subgroup.json"]) == 0
+
+
+def test_cli_vergnioux_fails_when_orbit_classes_miss_its_classes(
+        monkeypatch, capsys, tmp_path):
+    # singleton orbit classes on S3/A3 carry the two std blocks to the
+    # class {std} twice, so the link to the fusion classes must fail
+    real = clifford.relation
+
+    def singletons(alpha, tol=None):
+        return replace(real(alpha, tol),
+                       classes=[[i] for i in range(alpha.size)])
+
+    monkeypatch.setattr(clifford, "relation", singletons)
+    p = tmp_path / "report.json"
+    assert cli.main(["vergnioux", "s3_function_algebra.json",
+                     "a3_quotient.json", "--json", str(p)]) == 1
+    capsys.readouterr()
+    checks = {c["name"]: c["passed"]
+              for c in json.loads(p.read_text())["checks"]}
+    assert checks.pop("orbit_classes_match_vergnioux") is False
+    assert all(checks.values())
 
 
 def test_cli_classical_orbits(capsys):
