@@ -21,10 +21,12 @@ one call per stack.  Operator norms are exact C*-norms of a faithful
 representation.  A block algebra, and a tensor product whose factors are
 all block algebras, cuts its coefficients into (Kronecker) blocks through
 one set of index stacks (``_block_gathers``), grouped by block size N.
-Products and norms share that path: the product is a stacked N x N
-matrix product per size (elementwise when N = 1), the norm is the largest
-spectral norm over the blocks (max |x| when N = 1), so no large matrix is
-ever built.  Any other algebra multiplies through its structure
+The stacks depend only on the factors' block dims: they are built once
+per block shape in a process and shared, read-only, by every algebra of
+that shape.  Products and norms share that path: the product is a
+stacked N x N matrix product per size (elementwise when N = 1), the norm
+is the largest spectral norm over the blocks (max |x| when N = 1), so no
+large matrix is ever built.  Any other algebra multiplies through its structure
 constants and takes norms in its dense representation (the left regular
 one for structure-constant algebras, Kronecker products of the factors'
 for tensor products).  Paired stacks (``mul_coeffs``) contract a tensor
@@ -91,6 +93,12 @@ IDENTITY_SLACK = 1e-6
 DEGENERATE_DRAW = 1e-6
 # a counit value, exactly 0 or 1, counts as 1 when within this of 1
 COUNIT_SPLIT = 0.5
+# spectral clusters closer than this many eps (times the spectrum's
+# spread) are refused rather than split
+CLUSTER_REFUSAL_FACTOR = 10
+# a block of a transported central projection counts as nonzero when its
+# Frobenius norm exceeds this many eps (contragredient matching)
+NONZERO_BLOCK_FACTOR = 10
 
 
 @dataclass(frozen=True)
@@ -278,25 +286,23 @@ class BlockAlgebra(Algebra):
             [[0], np.cumsum([n * n for n in block_dims])])
         dim = int(self.offsets[-1])
 
+        # one assignment per block size, through the index stacks:
+        # e^{(k)}_{ii} in the unit, star[index(k, j, i), index(k, i, j)] = 1
+        self._gathers = _block_gathers((self,))
         unit = np.zeros(dim, dtype=complex)
-        star = np.zeros((dim, dim))
-        for k, n in enumerate(block_dims):
-            for i in range(n):
-                unit[self.index(k, i, i)] = 1.0
-                for j in range(n):
-                    star[self.index(k, j, i), self.index(k, i, j)] = 1.0
+        star = np.zeros((dim, dim), dtype=complex)
+        for g in self._gathers:
+            unit[np.diagonal(g, axis1=-2, axis2=-1)] = 1.0
+            star[g.swapaxes(-1, -2), g] = 1.0
 
         self.dim = dim
         self.unit_coeffs = unit
-        self.star_matrix = star.astype(complex)
+        self.star_matrix = star
         self.name = name
         self._mul_tensor = None
         self._rep_tensor = None
-        self._gathers = None
 
     def _block_stacks(self):
-        if self._gathers is None:
-            self._gathers = _block_gathers((self,))
         return self._gathers
 
     # structure tensor is only materialized when a generic consumer asks
@@ -419,10 +425,8 @@ class TensorAlgebra(Algebra):
     @property
     def unit_coeffs(self):
         if self._unit is None:
-            u = self.factors[0].unit_coeffs
-            for f in self.factors[1:]:
-                u = np.kron(u, f.unit_coeffs)
-            self._unit = u
+            self._unit = self.kron_coeffs(
+                *(f.unit_coeffs for f in self.factors))
         return self._unit
 
     @unit_coeffs.setter
@@ -510,9 +514,10 @@ class TensorAlgebra(Algebra):
 
     # -- leg manipulation ---------------------------------------------------
     def kron_coeffs(self, *vecs):
+        # the outer product of vectors is np.kron's, entry by entry
         out = np.asarray(vecs[0], dtype=complex)
         for v in vecs[1:]:
-            out = np.kron(out, v)
+            out = np.multiply.outer(out, v).reshape(-1)
         return out
 
     def reduced(self, without_leg: int):
@@ -534,23 +539,43 @@ class TensorAlgebra(Algebra):
         return "<Tensor " + " x ".join(repr(f) for f in self.factors) + ">"
 
 
+# index stacks of _block_gathers, keyed by the factors' block dims; they
+# are read-only and shared by every algebra of that shape
+_GATHERS = {}
+
+
 def _block_gathers(factors):
     """Index stacks cutting the coefficients of a tensor product of block
     algebras into its Kronecker blocks, one (count, N, N) stack per block
-    size N.  The (k_1, ..., k_m) block has entry ((i_1, ...), (j_1, ...))
-    at the Kronecker index of the matrix units e^{(k_l)}_{i_l j_l}, so
-    every coefficient is gathered exactly once."""
+    size N.  They depend only on the factors' block dims, so they are
+    built once per shape (``_build_gathers``) and shared, read-only."""
+    key = tuple(f.block_dims for f in factors)
+    stacks = _GATHERS.get(key)
+    if stacks is None:
+        stacks = _GATHERS[key] = _build_gathers(key)
+        for g in stacks:
+            g.flags.writeable = False
+    return stacks
+
+
+def _build_gathers(shape):
+    """The stacks of ``_block_gathers`` for factors with the block dims in
+    ``shape``.  The (k_1, ..., k_m) block has entry ((i_1, ...),
+    (j_1, ...)) at the Kronecker index of the matrix units
+    e^{(k_l)}_{i_l j_l}, so every coefficient is gathered exactly once."""
     stacks = {1: np.zeros((1, 1, 1), dtype=np.intp)}
-    for f in factors:
+    for block_dims in shape:
         own = {}
-        for k, n in enumerate(f.block_dims):
+        offset = 0
+        for n in block_dims:
             own.setdefault(n, []).append(
-                int(f.offsets[k]) + np.arange(n * n).reshape(n, n))
+                offset + np.arange(n * n).reshape(n, n))
+            offset += n * n
         grown = {}
         for size, s in stacks.items():
             for n, blocks in own.items():
                 b = np.stack(blocks)
-                g = s[:, None, :, None, :, None] * f.dim \
+                g = s[:, None, :, None, :, None] * offset \
                     + b[None, :, None, :, None, :]
                 grown.setdefault(size * n, []).append(
                     g.reshape(-1, size * n, size * n))

@@ -7,6 +7,7 @@ validated (associativity, identity, inverses) on construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations, product
 
 import numpy as np
@@ -25,14 +26,22 @@ class FiniteGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
+    @cached_property
     def identity(self) -> int:
         # the identity's row of the table is the identity permutation
         row_is_id = (self.table == np.arange(self.order)).all(axis=1)
         return int(np.flatnonzero(row_is_id)[0])
 
+    @cached_property
+    def inverses(self) -> np.ndarray:
+        """inverses[g] is the index of g^-1 (read-only)."""
+        # each row holds the identity exactly once; argmax finds it
+        inv = np.argmax(self.table == self.identity, axis=1)
+        inv.flags.writeable = False
+        return inv
+
     def inverse(self, g: int) -> int:
-        return int(np.flatnonzero(self.table[g] == self.identity)[0])
+        return int(self.inverses[g])
 
     def index_of(self, element) -> int:
         return self.elements.index(element)

@@ -49,6 +49,9 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
     datum and assemble its Gram matrix.
 
     (id x h) delta(x) = h(x) 1 = (h x id) delta(x),  h(1) = 1.
+
+    The Gram matrix h(e_p* e_q) is contracted in the fixed order that
+    ``_gram`` writes out, so no einsum is planned per call.
     """
     tol = as_tolerance(tol)
     A = H.algebra
@@ -59,9 +62,9 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
     # rows indexed by (k, p): sum_q D[p, q, k] h_q - 1_p h_k = 0
     left = D.transpose(2, 0, 1).reshape(d * d, d).copy()
     right = D.transpose(2, 1, 0).reshape(d * d, d).copy()
-    for k in range(d):
-        left[k * d:(k + 1) * d, k] -= one
-        right[k * d:(k + 1) * d, k] -= one
+    ar = np.arange(d)
+    left.reshape(d, d, d)[ar, :, ar] -= one
+    right.reshape(d, d, d)[ar, :, ar] -= one
 
     hom = np.vstack([left, right])
     # uniqueness: the homogeneous invariance system must have a 1-dim kernel
@@ -80,11 +83,7 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
     if not tol.is_zero(residual):
         raise HaarError(f"Haar system residual {residual:.3e} exceeds tolerance")
 
-    # gram[p, q] = h(e_p* e_q); star(e_p) has coefficients star_matrix[:, p]
-    sp = A.star_matrix
-    prod = np.einsum("kab,ap,bq->kpq", A.mul_tensor, sp, np.eye(d),
-                     optimize=True)
-    gram = np.einsum("k,kpq->pq", h, prod)
+    gram = _gram(A, h)
     herm = float(np.linalg.norm(gram - gram.conj().T))
     if not tol.is_zero(herm, float(np.linalg.norm(gram))):
         raise HaarError("Gram matrix is not Hermitian")
@@ -93,6 +92,21 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
         raise HaarError("Haar state is not faithful (Gram not positive)")
 
     return HaarState(H, h, gram, residual)
+
+
+def _gram(A, h):
+    """gram[p, q] = h(e_p* e_q), where star(e_p) has the coefficients
+    star_matrix[:, p].
+
+    The contraction order is fixed: the star goes into the left leg of
+    the structure tensor first, y[p, k, q] = sum_a st[a, p] m[k, a, q], as
+    one (d, d) x (d, d^2) matrix product, the product that the planned
+    ``np.einsum("kab,ap,bq->kpq", m, st, eye)`` runs before it multiplies
+    by the identity, which is exact and left out.  Then h is summed into
+    k."""
+    d = A.dim
+    y = A.star_matrix.T @ A.mul_tensor.transpose(1, 0, 2).reshape(d, d * d)
+    return np.einsum("k,kpq->pq", h, y.reshape(d, d, d).transpose(1, 0, 2))
 
 
 def invariant_state_on_module(alpha: LinMap, h: HaarState, tol=None):

@@ -214,14 +214,12 @@ def function_algebra(group: FiniteGroup, tol=None) -> HopfData:
     n = group.order
     A = BlockAlgebra([1] * n, name=f"C({group.name})")
     D = np.zeros((n * n, n), dtype=complex)
-    for h in range(n):
-        for k in range(n):
-            D[h * n + k, group.table[h, k]] = 1.0
+    # row h * n + k, column hk
+    D[np.arange(n * n), group.table.reshape(-1)] = 1.0
     eps = np.zeros(n, dtype=complex)
     eps[group.identity] = 1.0
     S = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        S[group.inverse(g), g] = 1.0
+    S[group.inverses, np.arange(n)] = 1.0
     H = HopfData(A, LinMap(A, tensor(A, A), D), eps, LinMap(A, A, S),
                  name=f"C({group.name})")
     verify_hopf(H, tol).raise_for_failure(f"{H.name} fails axiom check(s)")
@@ -235,21 +233,17 @@ def group_algebra(group: FiniteGroup, tol=None) -> HopfData:
     structure is assumed here; the Wedderburn machinery discovers it.
     """
     n = group.order
+    ar = np.arange(n)
     m = np.zeros((n, n, n), dtype=complex)
-    for p in range(n):
-        for q in range(n):
-            m[group.table[p, q], p, q] = 1.0
+    m[group.table, ar[:, None], ar] = 1.0
     unit = np.zeros(n, dtype=complex)
     unit[group.identity] = 1.0
     star = np.zeros((n, n), dtype=complex)
-    S = np.zeros((n, n), dtype=complex)
-    for g in range(n):
-        star[group.inverse(g), g] = 1.0
-        S[group.inverse(g), g] = 1.0
+    star[group.inverses, ar] = 1.0
+    S = star.copy()
     A = Algebra(m, unit, star, name=f"C[{group.name}]")
     D = np.zeros((n * n, n), dtype=complex)
-    for g in range(n):
-        D[g * n + g, g] = 1.0
+    D[ar * (n + 1), ar] = 1.0
     H = HopfData(A, LinMap(A, tensor(A, A), D), np.ones(n), LinMap(A, A, S),
                  name=f"C[{group.name}]")
     verify_hopf(H, tol).raise_for_failure(f"{H.name} fails axiom check(s)")

@@ -74,14 +74,13 @@ def _value(re, im, what: str) -> complex:
     return c
 
 
-def _entries(matrix, row_major_pairs=False):
-    out = []
-    m = np.asarray(matrix)
-    for idx in np.ndindex(*m.shape):
-        c = complex(m[idx])
-        if abs(c) > WRITE_CUTOFF:
-            out.append([int(v) for v in idx] + [c.real, c.imag])
-    return out
+def _entries(array):
+    """Sparse entries [index..., re, im] of the entries with |c| above
+    ``WRITE_CUTOFF``, in row-major order of the index."""
+    m = np.asarray(array, dtype=complex)
+    idx = np.nonzero(np.abs(m) > WRITE_CUTOFF)
+    return [[*ix, c.real, c.imag] for ix, c in
+            zip(np.transpose(idx).tolist(), m[idx].tolist())]
 
 
 def hopf_to_dict(H: HopfData) -> dict:
@@ -91,18 +90,11 @@ def hopf_to_dict(H: HopfData) -> dict:
         raise SchemaError("only block-presented Hopf data can be saved; "
                           "use duality.block_presentation first")
     d = A.dim
-    delta = []
-    for k in range(d):
-        col = H.delta.matrix[:, k].reshape(d, d)
-        for i in range(d):
-            for j in range(d):
-                c = complex(col[i, j])
-                if abs(c) > WRITE_CUTOFF:
-                    delta.append([k, i, j, c.real, c.imag])
     return {
         "name": H.name,
         "blocks": [int(n) for n in A.block_dims],
-        "delta": delta,
+        # entry [k, i, j] is the coefficient of e_i x e_j in delta(e_k)
+        "delta": _entries(H.delta.matrix.T.reshape(d, d, d)),
         "counit": _entries(H.counit),
         "antipode": _entries(H.antipode.matrix),
     }

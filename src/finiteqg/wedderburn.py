@@ -36,8 +36,9 @@ from math import isqrt
 import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, LinMap,
-                   Tolerance, CLUSTER_GAP, DEFAULT_SEED, DEGENERATE_DRAW,
-                   as_tolerance, distance_to_span, nullspace, numerical_rank,
+                   Tolerance, CLUSTER_GAP, CLUSTER_REFUSAL_FACTOR,
+                   DEFAULT_SEED, DEGENERATE_DRAW, as_tolerance,
+                   distance_to_span, nullspace, numerical_rank,
                    orthonormal_rows)
 
 
@@ -135,7 +136,7 @@ def _cluster(values, tol: Tolerance):
             clusters[-1].append(v)
     for a, b in zip(clusters, clusters[1:]):
         gap = b[0] - a[-1]
-        if gap < 10 * tol.eps * spread:
+        if gap < CLUSTER_REFUSAL_FACTOR * tol.eps * spread:
             raise SpectralGapError(
                 f"eigenvalue clusters separated by only {gap:.3e}; "
                 "refusing to split", gap)
@@ -375,31 +376,51 @@ def decompose_abstract(algebra: Algebra, gram, tol=None,
     which the plain left regular representation need not be.
     """
     return _decompose_with_rep(
-        algebra, list(np.eye(algebra.dim)),
-        _gns_rep(algebra, gram), tol, seed)
+        algebra, None, _gns_rep(algebra, gram), tol, seed)
 
 
 def _gns_rep(algebra: Algebra, gram):
     """Per-basis-element matrices of the GNS representation of the state
-    with positive-definite Gram matrix ``gram``."""
+    with positive-definite Gram matrix ``gram``: rep[k] = G^(1/2)
+    lambda(e_k) G^(-1/2), lambda the left regular representation.
+
+    The contraction order is fixed, two matrix products over all k at
+    once: first G^(1/2) from the left, then G^(-1/2) from the right, each
+    a (d^2, d) x (d, d) product.  These are the products that
+    ``np.einsum("ab,kbc,cd->kad", ...)`` runs after planning.  The result
+    is a transposed view, as the einsum's is."""
     gram = np.asarray(gram, dtype=complex)
     vals, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
     if vals.min() <= 0:
         raise WedderburnError("Gram matrix is not positive definite")
     gh = (vecs * np.sqrt(vals)) @ vecs.conj().T
     ghi = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    lam = algebra.mul_tensor.transpose(1, 0, 2)  # left regular
-    return np.einsum("ab,kbc,cd->kad", gh, lam, ghi, optimize=True)
+    d = algebra.dim
+    # lambda(e_k)[b, c] = m[b, k, c]; rows (k, c), columns b
+    left = algebra.mul_tensor.transpose(1, 2, 0).reshape(d * d, d) @ gh.T
+    # left[(k, c), a] = (G^(1/2) lambda(e_k))[a, c]; rows (a, k), columns c
+    right = left.reshape(d, d, d).transpose(2, 0, 1).reshape(d * d, d) @ ghi
+    return right.reshape(d, d, d).transpose(1, 0, 2)
+
+
+def _star_rep(rep_tensor, star_matrix):
+    """rep(e_k*) = sum_m st[m, k] rep(e_m) for every k, as one (d, d) x
+    (d, r^2) matrix product: the product that the planned
+    ``np.einsum("mab,mk->kab", rep_tensor, star_matrix)`` runs."""
+    d, r = rep_tensor.shape[0], rep_tensor.shape[-1]
+    return (star_matrix.T @ rep_tensor.reshape(d, r * r)).reshape(d, r, r)
 
 
 def _decompose_with_rep(ambient, gen_coeffs, rep_tensor, tol, seed):
+    """The decomposition of the span of ``gen_coeffs`` (coefficient rows;
+    None for the whole basis, whose matrices are ``rep_tensor`` itself)
+    inside the *-representation ``rep_tensor``."""
     tol = as_tolerance(tol)
     rng = np.random.default_rng(seed)
     d = ambient.dim
 
     # *-representation check: rep(e_k*) == rep(e_k)^dagger
-    star_rep = np.einsum("mab,mk->kab", rep_tensor,
-                         ambient.star_matrix, optimize=True)
+    star_rep = _star_rep(rep_tensor, ambient.star_matrix)
     st_res = float(np.abs(star_rep - rep_tensor.conj().transpose(0, 2, 1)).max())
     if not tol.is_zero(st_res):
         raise WedderburnError(
@@ -410,7 +431,8 @@ def _decompose_with_rep(ambient, gen_coeffs, rep_tensor, tol, seed):
         return np.tensordot(coeffs, rep_tensor, axes=(0, 0))
 
     unit_mat = rep_of(ambient.unit_coeffs)
-    span = _MatrixSpan([rep_of(c) for c in gen_coeffs], unit_mat, tol)
+    span = _MatrixSpan(rep_tensor if gen_coeffs is None
+                       else [rep_of(c) for c in gen_coeffs], unit_mat, tol)
     # require the ambient unit in the span (unital subalgebra)
     if not span.contains(unit_mat):
         raise SpanNotClosedError("span does not contain the unit")
@@ -476,13 +498,14 @@ def reorder_blocks(data: WedderburnData, order):
     block_dims = tuple(data.block_dims[b] for b in order)
     idem = [data.central_idempotents[b] for b in order]
     units = [data.matrix_units[b] for b in order]
-    cols = []
-    for b, n in zip(order, (data.block_dims[b] for b in order)):
-        for i in range(n):
-            for j in range(n):
-                cols.append(data.matrix_units[b][i][j].coeffs)
+    # the iso's columns are the matrix units, block by block; take() keeps
+    # the C layout that np.stack of the columns has (a[:, idx] would not,
+    # and the transported Hopf maps would change in the last bit)
+    offsets = data.block_algebra.offsets
+    cols = np.concatenate([np.arange(offsets[b], offsets[b + 1])
+                           for b in order])
     iso = LinMap(BlockAlgebra(block_dims), data.ambient,
-                 np.stack(cols, axis=1))
+                 data.iso.matrix.take(cols, axis=1))
     return WedderburnData(data.ambient, block_dims, idem, units, iso)
 
 
