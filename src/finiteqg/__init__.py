@@ -23,8 +23,7 @@ from .duality import (DiscreteQG, MultUnitary, RepLabel, block_presentation,
 from .orbits import (ActionMap, HomogeneousSpace, OrbitPartition,
                      SubgroupMorphism, central_supports, ergodicity,
                      full_subgroup, homogeneous_action, homogeneous_space,
-                     relation, subgroup_from_dual_matrix,
-                     subgroup_from_group_likes, trivial_subgroup)
+                     relation, subgroup_from_dual_matrix, trivial_subgroup)
 from .clifford import (ConstancyReport, RestrictionTable, VergniouxRelation,
                        kac_constancy_check, quotient_subgroup,
                        restriction_table, vergnioux_relation)

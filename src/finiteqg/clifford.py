@@ -31,7 +31,7 @@ from .hopf import HopfData
 from .orbits import (HomogeneousSpace, MorphismError, NormalityError,
                      OrbitPartition, SubgroupMorphism, _relation_classes,
                      coinvariant_normality, homogeneous_action,
-                     homogeneous_space, quotient_by_kernel, relation,
+                     homogeneous_space, hopf_surjection_checks, relation,
                      subgroup_from_dual_matrix)
 
 
@@ -41,21 +41,22 @@ def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
     ``rho`` is a verified Hopf *-surjection Pol(G) -> Pol(H); the returned
     morphism is the restriction-of-functionals surjection from l^inf of
     the dual onto l^inf of the dual of the coinvariant subalgebra
-    {a : (id x rho) delta(a) = a x 1}.  Raises ``NormalityError`` when H
+    {a : (id x rho) delta(a) = a x 1}.  ``hopf_surjection_checks`` judges
+    rho first (``MorphismError``); then ``NormalityError`` is raised when H
     is not normal, that is when these differ from the left coinvariants.
+    The quotient Pol(H) has dimension rank(rho), the number of rows.
     """
     tol = as_tolerance(tol)
     rho = np.asarray(rho, dtype=complex)
-    quotient = quotient_by_kernel(H, rho, tol)
+    hopf_surjection_checks(H, rho, tol)
     _, K, normality = coinvariant_normality(H, rho, tol)
     normality.raise_for_failure("subgroup is not normal")
 
     A = H.algebra
-    m = K.shape[0]
-    if m * quotient.dim != A.dim:
+    m, r = K.shape[0], rho.shape[0]
+    if m * r != A.dim:
         raise MorphismError(
-            f"coinvariants have dimension {m}, expected "
-            f"{A.dim}/{quotient.dim}")
+            f"coinvariants have dimension {m}, expected {A.dim}/{r}")
     # the coinvariants must be a Hopf *-subalgebra; K has orthonormal rows,
     # so the rows of kron(K, K) are an orthonormal basis of K x K
     worst = float(np.max([

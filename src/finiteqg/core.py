@@ -23,11 +23,13 @@ all block algebras, cuts its coefficients into (Kronecker) blocks through
 one set of index stacks (``_block_gathers``), grouped by block size N.
 The stacks depend only on the factors' block dims: they are built once
 per block shape in a process and shared, read-only, by every algebra of
-that shape.  Products and norms share that path: the product is a
-stacked N x N matrix product per size (elementwise when N = 1), the norm
-is the largest spectral norm over the blocks (max |x| when N = 1), so no
-large matrix is ever built.  Any other algebra multiplies through its structure
-constants and takes norms in its dense representation (the left regular
+that shape.  Products, adjoints and norms share that path: the product
+is a stacked N x N matrix product per size (elementwise when N = 1), the
+adjoint conjugates each block's transpose, the norm is the largest
+spectral norm over the blocks (max |x| when N = 1), so no large matrix,
+the Kronecker star matrix included, is ever built.  Any other algebra
+multiplies through its structure constants and applies its star matrix,
+and takes norms in its dense representation (the left regular
 one for structure-constant algebras, Kronecker products of the factors'
 for tensor products).  Paired stacks (``mul_coeffs``) contract a tensor
 product one leg at a time and never form x (x) y.  All pairs of two
@@ -215,7 +217,15 @@ class Algebra:
         return (self.rep_coeffs(x) @ np.asarray(y)[..., None])[..., 0]
 
     def star_coeffs(self, x):
-        return np.conj(x) @ self.star_matrix.T
+        gathers = self._block_stacks()
+        if not gathers:
+            return np.conj(x) @ self.star_matrix.T
+        # the adjoint of every block: transpose the gather, conjugate
+        x = np.asarray(x)
+        out = np.empty(x.shape, dtype=complex)
+        for g in gathers:
+            out[..., g] = np.conj(x.take(g.swapaxes(-1, -2), axis=-1))
+        return out
 
     def rep_coeffs(self, x):
         x = np.asarray(x)
@@ -363,13 +373,6 @@ class BlockAlgebra(Algebra):
     def mul_coeffs(self, x, y):
         return _blockwise_mul(x, y, self._block_stacks())
 
-    def star_coeffs(self, x):
-        x = np.asarray(x)
-        out = np.empty(x.shape, dtype=complex)
-        for g in self._block_stacks():
-            out[..., g] = np.conj(x.take(g.swapaxes(-1, -2), axis=-1))
-        return out
-
     @property
     def rep_dim(self) -> int:
         return int(sum(self.block_dims))
@@ -488,9 +491,6 @@ class TensorAlgebra(Algebra):
             z = np.tensordot(z, f.mul_tensor, ([1, m + 1], [1, 2]))
             z = np.moveaxis(z, -1, m)
         return z.reshape(lead + (self.dim,))
-
-    def star_coeffs(self, x):
-        return np.conj(x) @ self.star_matrix.T
 
     @property
     def rep_dim(self) -> int:
@@ -867,9 +867,6 @@ class AlgElement:
         s = self.norm()
         return tol.is_zero(sq.norm(), s * s) and tol.is_zero(sa.norm(), s)
 
-    def blocks(self):
-        return self.parent.block_matrices(self.coeffs)
-
     def __repr__(self):
         return f"AlgElement({self.parent!r}, norm={self.norm():.3g})"
 
@@ -906,10 +903,6 @@ class LinMap:
         self.domain = domain
         self.codomain = codomain
         self.matrix = matrix
-
-    @classmethod
-    def identity(cls, algebra: Algebra) -> "LinMap":
-        return cls(algebra, algebra, np.eye(algebra.dim))
 
     def __call__(self, x):
         if isinstance(x, AlgElement):

@@ -30,12 +30,6 @@ class HaarState:
             x = x.coeffs
         return complex(self.vector @ np.asarray(x, dtype=complex))
 
-    def inner(self, x, y) -> complex:
-        """GNS inner product <x, y> = h(x* y)."""
-        xc = x.coeffs if isinstance(x, AlgElement) else np.asarray(x)
-        yc = y.coeffs if isinstance(y, AlgElement) else np.asarray(y)
-        return complex(np.conj(xc) @ self.gram @ yc)
-
     def min_gram_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.gram).min())
 

@@ -2,11 +2,11 @@
 
 Central objects:
 
-* ``quotient_by_kernel`` -- the quotient Hopf *-algebra of a surjection
-  whose kernel is a Hopf *-ideal.  It is the one quotient construction:
-  a quantum subgroup of the dual (a ``pi`` subgroup file) and a Hopf
-  *-surjection Pol(G) -> Pol(H) (a ``hopf_surjection`` file) both pass
-  through it;
+* ``hopf_surjection_checks`` -- the residuals that a surjection's kernel
+  is a Hopf *-ideal, so that the quotient is a Hopf *-algebra.  It is the
+  one quotient check, and it builds no quotient: a quantum subgroup of
+  the dual (a ``pi`` subgroup file) and a Hopf *-surjection
+  Pol(G) -> Pol(H) (a ``hopf_surjection`` file) both pass through it;
 * ``coinvariant_normality`` -- the one normality test: a quantum
   subgroup is normal when its left and right coinvariants coincide
   (equivalent to the other usual definitions by S. Wang, *Equivalent
@@ -15,7 +15,7 @@ Central objects:
   subgroup formats are judged by it;
 * ``SubgroupMorphism`` -- a surjection pi: l^inf(dual) -> l^inf(subgroup)
   intertwining the coproducts, together with its support projection, its
-  quotient Hopf structure and its normality record;
+  surviving blocks, its surjection record and its normality record;
 * ``HomogeneousSpace`` -- the coinvariant subalgebra
   {x : (pi x id) delta(x) = 1 x x} with its own block decomposition and
   the ambient supports of its blocks;
@@ -36,13 +36,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, Checks,
+from .core import (AlgElement, BlockAlgebra, CheckError, Checks,
                    LinMap, DEFAULT_SEED, Tolerance, as_tolerance, nullspace,
                    numerical_rank, distance_to_span, multiplicative_residual,
                    opnorm, pair_products, tensor)
 from .duality import DiscreteQG, mult_unitary
-from .hopf import HopfData, verify_hopf
-from .wedderburn import WedderburnData, central_support, decompose
+from .hopf import HopfData
+from .wedderburn import WedderburnData, decompose
 
 
 class MorphismError(CheckError):
@@ -53,15 +53,16 @@ class NormalityError(CheckError):
     pass
 
 
-def quotient_by_kernel(H: HopfData, rho, tol=None) -> HopfData:
-    """The quotient Hopf *-algebra of H by the kernel of the matrix rho.
+def hopf_surjection_checks(H: HopfData, rho, tol=None) -> Checks:
+    """The checks that the matrix rho is a Hopf *-surjection of H.
 
     ``rho`` is an r x dim(H) matrix on the basis of H.  It must be
     surjective, and its kernel must be a Hopf *-ideal: a two-sided ideal
     closed under the involution and the antipode, killed by the counit and
-    by (rho x rho) delta.  The quotient structure maps are read through
-    the section pinv(rho) and verified before they are returned.  Every
-    check is judged at eps * (1 + ||rho||^2).
+    by (rho x rho) delta.  The quotient by such an ideal is a Hopf
+    *-algebra, so these residuals are all the quotient needs.  Every check
+    is judged at eps * (1 + ||rho||^2); the record raises
+    ``MorphismError`` before it is returned.
     """
     tol = as_tolerance(tol)
     A = H.algebra
@@ -76,12 +77,11 @@ def quotient_by_kernel(H: HopfData, rho, tol=None) -> HopfData:
     if numerical_rank(sv, tol) != r:
         raise MorphismError("matrix is not surjective")
 
-    section = np.linalg.pinv(rho)
     # a huge rho overflows to an inf scale or residual, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.square(sv[0])
         pipi_delta = np.kron(rho, rho) @ H.delta.matrix
-        delta_q = pipi_delta @ section
+        delta_q = pipi_delta @ np.linalg.pinv(rho)
         res = {"intertwines_coproduct": float(
             opnorm(pipi_delta - delta_q @ rho))}
         ker = nullspace(rho, tol)
@@ -101,18 +101,7 @@ def quotient_by_kernel(H: HopfData, rho, tol=None) -> HopfData:
                 opnorm(rho @ H.antipode.matrix @ ker.T))
     checks = Checks(res, tol, dict.fromkeys(res, scale), MorphismError)
     checks.raise_for_failure("matrix is not a Hopf *-surjection")
-
-    mul_q = np.einsum("rk,kab,ap,bq->rpq", rho, A.mul_tensor,
-                      section, section, optimize=True)
-    A_q = Algebra(mul_q, rho @ A.unit_coeffs,
-                  rho @ A.star_matrix @ np.conj(section), name="quotient")
-    quotient = HopfData(A_q, LinMap(A_q, tensor(A_q, A_q), delta_q),
-                        H.counit @ section,
-                        LinMap(A_q, A_q, rho @ H.antipode.matrix @ section),
-                        name="quotient")
-    verify_hopf(quotient, tol).raise_for_failure(
-        "Hopf quotient fails axiom check(s)")
-    return quotient
+    return checks
 
 
 @dataclass
@@ -121,20 +110,20 @@ class SubgroupMorphism:
 
     ``matrix`` maps block coordinates of l^inf(dual) onto the subgroup's
     coordinates; ``support`` is the central projection carrying the
-    subgroup (the kernel of pi is its complementary ideal); ``codomain``
-    is the quotient Hopf structure from ``quotient_by_kernel``;
-    ``surviving`` lists the ambient blocks that pi keeps, which is also
-    the embedding of the subgroup's irreducibles into the ambient ones;
-    ``coinvariants`` and ``normality`` are the left coinvariant basis and
-    the record of ``coinvariant_normality``.
+    subgroup (the kernel of pi is its complementary ideal); ``surviving``
+    lists the ambient blocks that pi keeps, which is also the embedding of
+    the subgroup's irreducibles into the ambient ones; ``coinvariants`` is
+    the left coinvariant basis.  ``surjection`` is the record of
+    ``hopf_surjection_checks`` (pi is a Hopf *-surjection, so the quotient
+    is never built) and ``normality`` that of ``coinvariant_normality``.
     """
 
     dqg: DiscreteQG
     matrix: np.ndarray
     support: AlgElement
-    codomain: HopfData
     surviving: list
     coinvariants: np.ndarray
+    surjection: Checks
     normality: Checks
 
     @property
@@ -157,8 +146,8 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
     By default the matrix is given on the raw dual basis (the coordinates
     used by subgroup files); pass ``in_block_coords=True`` when the matrix
     already acts on canonical block coordinates.  The kernel of pi must be
-    the sum of the blocks pi kills; the quotient structure and the Hopf
-    *-ideal checks come from ``quotient_by_kernel``.
+    the sum of the blocks pi kills; the Hopf *-ideal checks come from
+    ``hopf_surjection_checks``.
     """
     tol = as_tolerance(tol)
     B = D.dual_algebra
@@ -191,12 +180,12 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
             raise MorphismError(
                 f"pi does not vanish on the complementary ideal ({worst:.3e})")
 
-    codomain = quotient_by_kernel(D.dual_hopf, pi, tol)
+    surjection = hopf_surjection_checks(D.dual_hopf, pi, tol)
     support = D.blocks.central_idempotents[surviving[0]]
     for i in surviving[1:]:
         support = support + D.blocks.central_idempotents[i]
     left, _, normality = coinvariant_normality(D.dual_hopf, pi, tol)
-    return SubgroupMorphism(D, pi, support, codomain, surviving, left,
+    return SubgroupMorphism(D, pi, support, surviving, left, surjection,
                             normality)
 
 
@@ -208,17 +197,6 @@ def full_subgroup(D: DiscreteQG, tol=None) -> SubgroupMorphism:
 def trivial_subgroup(D: DiscreteQG, tol=None) -> SubgroupMorphism:
     return subgroup_from_dual_matrix(D, D.dual_hopf.counit[None, :], tol,
                                      in_block_coords=True)
-
-
-def subgroup_from_group_likes(D: DiscreteQG, elements, tol=None):
-    """Subgroup morphism from a set of group-like elements of Pol(G).
-
-    The rows of pi evaluate dual functionals on the chosen group-likes
-    (which must form a subgroup of the intrinsic group; verification of
-    the morphism axioms happens downstream).
-    """
-    rows = np.stack([e.coeffs for e in elements])
-    return subgroup_from_dual_matrix(D, rows, tol)
 
 
 def _coinvariants(H: HopfData, rho, side: str, tol):
@@ -288,9 +266,8 @@ class HomogeneousSpace:
     @property
     def trivial_block(self) -> int:
         """The block whose unit carries the trivial dual projection."""
-        p0 = self.dqg.block_projection(0)
-        for i in range(self.size):
-            if not (p0 * self.block_unit_in_dual(i)).is_zero():
+        for i, support in enumerate(self.block_supports()):
+            if 0 in support:
                 return i
         raise RuntimeError("no block carries the trivial projection")
 
@@ -433,7 +410,6 @@ class OrbitPartition:
     transitive: bool
     all_factors: bool
     invariance_residual: float
-    supports: list = None
 
     @property
     def is_equivalence(self) -> bool:
@@ -557,9 +533,11 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
     """
     tol = as_tolerance(tol)
     m = X.size
-    zs = [central_support(D.blocks, X.block_unit_in_dual(i), tol)
-          for i in range(m)]
     supports = X.block_supports(tol)
+    # z(1_i) is the sum of the ambient p_k with p_k 1_i != 0, ascending k
+    ambient = D.blocks.central_idempotents
+    zs = [sum((ambient[k] for k in sorted(s)), D.dual_algebra.zero())
+          for s in supports]
 
     sums = []
     for cls in P.classes:

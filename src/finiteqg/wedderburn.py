@@ -74,28 +74,6 @@ class WedderburnData:
     def total_dim(self) -> int:
         return int(sum(n * n for n in self.block_dims))
 
-    def embed(self, x) -> AlgElement:
-        """Element of the canonical block algebra -> ambient element."""
-        coeffs = x.coeffs if isinstance(x, AlgElement) else np.asarray(x)
-        return AlgElement(self.ambient, self.iso.matrix @ coeffs)
-
-    def coords(self, x, tol=None):
-        """Ambient element -> coefficients over the canonical block basis."""
-        tol = as_tolerance(tol)
-        coeffs = x.coeffs if isinstance(x, AlgElement) else np.asarray(x)
-        c, *_ = np.linalg.lstsq(self.iso.matrix, coeffs, rcond=None)
-        res = float(np.linalg.norm(self.iso.matrix @ c - coeffs))
-        if not tol.is_zero(res, float(np.linalg.norm(coeffs))):
-            raise WedderburnError(
-                f"element lies outside the decomposed span (residual {res:.3e})")
-        return c
-
-    def unit(self) -> AlgElement:
-        out = self.central_idempotents[0]
-        for p in self.central_idempotents[1:]:
-            out = out + p
-        return out
-
     def verify(self, tol=None) -> float:
         """Largest residual of the matrix-unit relations, ambient product.
 

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finiteqg import clifford, groups
+from finiteqg import groups
 from finiteqg.clifford import (NormalityError, kac_constancy_check,
                                quotient_subgroup, restriction_table,
                                vergnioux_relation)
@@ -111,18 +111,13 @@ NORMALITY_GROUPS = {"S3": groups.symmetric(3), "Q8": groups.quaternion(),
                     "S4": groups.symmetric(4)}
 
 
-def test_coinvariant_normality_matches_cayley_table_conjugation(
-        monkeypatch):
+def test_coinvariant_normality_matches_cayley_table_conjugation():
     # restriction of functions C(G) -> C(N) for every subgroup N: the
     # coinvariant verdict must be "g N g^-1 = N for all g", read off the
     # multiplication table alone, and far from the threshold on both sides.
     # quotient_subgroup must raise NormalityError exactly on the non-normal
-    # N; its last step, building the subgroup of the dual from the right
-    # coinvariants, is stubbed, since at N = {e} in S4 that is the full
-    # 24-dimensional dual subgroup, whose generic quotient check alone
-    # takes over a minute
-    monkeypatch.setattr(clifford, "subgroup_from_dual_matrix",
-                        lambda D, K, tol: K)
+    # N, and on the normal ones build the subgroup of the dual for real:
+    # at N = {e} in S4 that is the full 24-dimensional dual subgroup
     seen = 0
     for name, G in NORMALITY_GROUPS.items():
         H = function_algebra(G)
@@ -139,8 +134,9 @@ def test_coinvariant_normality_matches_cayley_table_conjugation(
                 with pytest.raises(NormalityError):
                     quotient_subgroup(H, D, rho)
             elif D is not None:
-                K = quotient_subgroup(H, D, rho)
-                assert K.shape[0] * len(N) == G.order
+                m = quotient_subgroup(H, D, rho)
+                assert m.rank * len(N) == G.order
+                assert m.surjection.passed
             seen += 1
     assert seen == 6 + 6 + 8 + 30
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finiteqg import duality, groups
-from finiteqg.core import LinMap
+from finiteqg.core import LinMap, TensorAlgebra
 from finiteqg.duality import (contragredient, corep_of, dualize,
                               mult_unitary, tensor_mult)
 from finiteqg.hopf import function_algebra, group_algebra
@@ -53,6 +53,17 @@ def test_mult_unitary_residuals_all_examples(hopf_cs3, hopf_gs3, kp8_block):
               kp8_block]:
         w = mult_unitary(dualize(H))
         assert w.checks.max_residual() <= 1e-9
+
+
+def test_mult_unitary_builds_no_tensor_star_matrix(monkeypatch):
+    # W* on tensor(B, A), both block algebras, takes the blockwise adjoint:
+    # the Kronecker star matrix of the tensor product is never formed
+    def refuse(T):
+        raise AssertionError(f"star matrix of {T!r} built")
+
+    D = dualize(function_algebra(groups.symmetric(3)))
+    monkeypatch.setattr(TensorAlgebra, "star_matrix", property(refuse))
+    assert mult_unitary(D).checks.passed
 
 
 def test_corep_identity_and_unitarity(dual_cs3, dual_kp8):

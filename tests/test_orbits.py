@@ -7,12 +7,12 @@ from finiteqg import groups
 from finiteqg.classical import action_from_magic, permutation_magic
 from finiteqg.core import BlockAlgebra, CheckError, LinMap, Tolerance, tensor
 from finiteqg.core import distance_to_span, orthonormal_rows
-from finiteqg.duality import mult_unitary
+from finiteqg.duality import dualize, mult_unitary
 from finiteqg.hopf import function_algebra
 from finiteqg.orbits import (ActionMap, MorphismError, _relation_classes,
                              central_supports, ergodicity, full_subgroup,
                              homogeneous_action, homogeneous_space,
-                             quotient_by_kernel, relation,
+                             hopf_surjection_checks, relation,
                              subgroup_from_dual_matrix, trivial_subgroup)
 
 
@@ -180,6 +180,18 @@ def test_ergodic_iff_one_class_on_classical_base(dual_kp8, kp8_morphism):
     assert erg == (len(P.classes) == 1)
 
 
+def test_full_subgroup_of_the_s4_dual_checks_only_the_coproduct():
+    # pi = id on the 24-dimensional dual of C(S4): every one of its 5
+    # blocks survives, the kernel is zero, so the only surjection residual
+    # is the intertwining of the coproducts
+    D = dualize(function_algebra(groups.symmetric(4)))
+    m = full_subgroup(D)
+    assert m.rank == 24
+    assert m.surviving == [0, 1, 2, 3, 4]
+    assert list(m.surjection.residuals) == ["intertwines_coproduct"]
+    assert m.surjection.passed
+
+
 def test_bad_morphism_rejected(dual_cs3):
     # a surjection that does not intertwine the coproducts
     rng = np.random.default_rng(3)
@@ -333,7 +345,7 @@ def test_non_finite_surjection_is_a_morphism_error(hopf_cs3, bad):
     rho = np.eye(hopf_cs3.dim)[:2].astype(complex)
     rho[1, -1] = bad
     with pytest.raises(MorphismError, match="not finite"):
-        quotient_by_kernel(hopf_cs3, rho)
+        hopf_surjection_checks(hopf_cs3, rho)
 
 
 # -- a finite but huge action or surjection fails its checks -----------------
@@ -353,9 +365,9 @@ def test_huge_surjection_fails_as_a_morphism_without_overflow(hopf_cs3, s3):
     # restriction to A3 is a Hopf *-surjection; times 1e160 its checks and
     # the scale ||rho||^2 overflow
     rho = np.eye(hopf_cs3.dim)[groups.alternating_indices(s3)]
-    quotient_by_kernel(hopf_cs3, rho)
+    hopf_surjection_checks(hopf_cs3, rho)
     with pytest.raises(MorphismError, match="not a Hopf \\*-surjection"):
-        quotient_by_kernel(hopf_cs3, 1e160 * rho)
+        hopf_surjection_checks(hopf_cs3, 1e160 * rho)
 
 
 def test_verify_returns_the_judged_record(kp8_block):

@@ -2,9 +2,10 @@
 path against the expressions they replace, compared with np.array_equal:
 the planned einsums, np.kron, the representation of each identity row,
 the per-element inverse search, the looped constructors, np.stack of
-matrix-unit columns, a fresh index-stack build and the looped JSON
-writer.  The instances are the benchmark ladder's groups, the shipped
-inputs and the random groups of test_properties."""
+matrix-unit columns, a fresh index-stack build, the Kronecker star
+matrix of a tensor product and the looped JSON writer.  The instances
+are the benchmark ladder's groups, the shipped inputs and the random
+groups of test_properties."""
 import json
 from functools import lru_cache
 
@@ -290,6 +291,21 @@ def test_block_unit_star_and_gathers_of_every_dual(label):
         fresh = _fresh_gathers(factors)
         assert len(cached) == len(fresh)
         assert all(np.array_equal(a, b) for a, b in zip(cached, fresh))
+
+
+@pytest.mark.parametrize("label", INSTANCES)
+def test_block_star_of_tensor_products_is_the_kronecker_star(label):
+    # tensor(B, B), tensor(B, A) and tensor(B, A, B) with B the block dual
+    # and A the primal algebra: a block one for C(G), generic otherwise
+    H = _instance(label)
+    B = dualize(H).dual_algebra
+    rng = np.random.default_rng(29)
+    for T in [tensor(B, B), tensor(B, H.algebra), tensor(B, H.algebra, B)]:
+        if T.dim > 1024:
+            continue  # its star matrix alone would take more than 16 MB
+        x = rng.standard_normal((3, T.dim)) + 1j * rng.standard_normal(
+            (3, T.dim))
+        assert np.array_equal(T.star_coeffs(x), np.conj(x) @ T.star_matrix.T)
 
 
 def test_equal_block_dims_share_one_read_only_gather_array():
