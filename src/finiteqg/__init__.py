@@ -24,7 +24,7 @@ from .orbits import (ActionMap, HomogeneousSpace, OrbitPartition,
                      SubgroupMorphism, central_supports, ergodicity,
                      full_subgroup, homogeneous_action, homogeneous_space,
                      relation, subgroup_from_dual_matrix, trivial_subgroup)
-from .clifford import (ConstancyReport, RestrictionTable, VergniouxRelation,
+from .clifford import (RestrictionTable, VergniouxRelation,
                        kac_constancy_check, quotient_subgroup,
                        restriction_table, vergnioux_relation)
 from .classical import (MagicAction, action_from_magic, classical_orbits,

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import classical, clifford, io, orbits
-from .core import DEFAULT_SEED, GRAM_MIN_EIG, CheckError, Checks, Tolerance
+from .core import DEFAULT_SEED, CheckError, Checks, Tolerance
 from .duality import dualize, mult_unitary
 from .haar import haar_state
 from .hopf import verify_hopf
@@ -37,30 +37,19 @@ class Run:
         }
         self.tol = tol
 
-    def check(self, name: str, residual: float, scale: float = 1.0,
-              passed=None):
-        ok = (bool(passed) if passed is not None
-              else self.tol.is_zero(float(residual), scale))
-        self.report["checks"].append({
-            "name": name,
-            "residual": float(residual),
-            "tolerance": self.tol.eps,
-            "passed": ok,
-        })
-
     def checks(self, record: Checks, prefix: str = ""):
-        """One check per residual of a record, in name order, as the
-        record judges it."""
+        """One check per residual and flag of a record, in name order, as
+        the record judges it; a flag is written as residual 0.0 or 1.0."""
         bad = record.failures()
-        for name in sorted(record.residuals):
-            self.check(prefix + name, record.residuals[name],
-                       passed=name not in bad)
-
-    def flag(self, name: str, ok: bool):
-        self.report["checks"].append({
-            "name": name, "residual": 0.0 if ok else 1.0,
-            "tolerance": self.tol.eps, "passed": bool(ok),
-        })
+        values = {**record.residuals,
+                  **{k: 0.0 if ok else 1.0 for k, ok in record.flags.items()}}
+        for name in sorted(values):
+            self.report["checks"].append({
+                "name": prefix + name,
+                "residual": float(values[name]),
+                "tolerance": self.tol.eps,
+                "passed": name not in bad,
+            })
 
     def result(self, key, value):
         self.report["results"][key] = value
@@ -117,11 +106,9 @@ def cmd_verify(args, run: Run, tol):
 def cmd_haar(args, run: Run, tol):
     H = _load_verified_hopf(run, resolve(args.hopf), tol)
     h = haar_state(H, tol)
-    run.check("haar_system_residual", h.residual)
-    run.check("gram_positive", 0.0,
-              passed=h.min_gram_eigenvalue() > GRAM_MIN_EIG)
+    run.checks(h.checks)
     run.result("haar_vector", _complex_list(h.vector))
-    run.result("gram_min_eigenvalue", h.min_gram_eigenvalue())
+    run.result("gram_min_eigenvalue", h.min_gram_eigenvalue)
 
 
 def cmd_dual(args, run: Run, tol):
@@ -131,26 +118,27 @@ def cmd_dual(args, run: Run, tol):
     run.result("dual_blocks", [int(n) for n in D.irr_dims])
 
 
-def _load_morphism(run: Run, D, H, sub_path, tol, seed):
+def _load_morphism(run: Run, D, H, sub_path, tol):
     kind, matrix = io.load_subgroup(sub_path, H.dim)
     if kind == "pi":
-        return orbits.subgroup_from_dual_matrix(D, matrix, tol)
-    return clifford.quotient_subgroup(H, D, matrix, tol)
+        m = orbits.subgroup_from_dual_matrix(D, matrix, tol)
+    else:
+        m = clifford.quotient_subgroup(H, D, matrix, tol)
+    run.checks(m.surjection, "surjection:")
+    return m
 
 
 def _orbit_pipeline(run: Run, args, tol):
     H = _load_verified_hopf(run, resolve(args.hopf), tol)
     D = dualize(H, tol, args.seed)
-    m = _load_morphism(run, D, H, resolve(args.subgroup), tol, args.seed)
+    m = _load_morphism(run, D, H, resolve(args.subgroup), tol)
     run.result("subgroup_dim", int(m.rank))
     run.result("subgroup_normal", bool(m.normal))
     X = orbits.homogeneous_space(D, m, tol, args.seed)
     run.result("homogeneous_blocks", [int(n) for n in X.block_dims])
     alpha = orbits.homogeneous_action(D, X, tol)
     P = orbits.relation(alpha, tol)
-    run.flag("relation_symmetric", P.symmetric)
-    run.flag("relation_equivalence", P.is_equivalence)
-    run.check("invariant_projections", P.invariance_residual)
+    run.checks(P.checks)
     run.result("relation", P.relation.astype(int).tolist())
     run.result("classes", [list(map(int, c)) for c in P.classes])
     return D, m, X, alpha, P
@@ -158,22 +146,17 @@ def _orbit_pipeline(run: Run, args, tol):
 
 def cmd_orbits(args, run: Run, tol):
     D, m, X, alpha, P = _orbit_pipeline(run, args, tol)
-    rep = orbits.central_supports(D, X, P, tol)
-    run.check("central_support_class_sums", rep.class_sum_residual)
-    run.check("central_support_orthogonality", rep.orthogonality_residual)
-    run.flag("supports_match_relation", rep.supports_match_relation)
-    run.result("supports", [sorted(map(int, s)) for s in rep.supports])
+    supports, _, checks = orbits.central_supports(D, X, P, tol)
+    run.checks(checks)
+    run.result("supports", [sorted(map(int, s)) for s in supports])
 
 
 def cmd_clifford(args, run: Run, tol):
     D, m, X, alpha, P = _orbit_pipeline(run, args, tol)
     T = clifford.restriction_table(D, X, P, tol)
-    run.flag("one_orbit_per_row", T.one_orbit_per_row)
-    run.flag("dimension_count", T.dimension_count_ok)
-    rep = clifford.kac_constancy_check(D, X, T, P, tol)
-    run.flag("dims_constant_on_classes", rep.dims_constant)
-    run.flag("mults_constant_on_classes", rep.mults_constant)
-    run.check("markov_trace_proportionality", rep.markov_residual)
+    run.checks(T.checks)
+    _, checks = clifford.kac_constancy_check(D, X, T, P, tol)
+    run.checks(checks)
     run.result("irr_dims", [int(n) for n in D.irr_dims])
     run.result("restriction_table", T.mult.tolist())
     if not m.normal:
@@ -184,11 +167,9 @@ def cmd_clifford(args, run: Run, tol):
 def cmd_vergnioux(args, run: Run, tol):
     H = _load_verified_hopf(run, resolve(args.hopf), tol)
     D = dualize(H, tol, args.seed)
-    m = _load_morphism(run, D, H, resolve(args.subgroup), tol, args.seed)
+    m = _load_morphism(run, D, H, resolve(args.subgroup), tol)
     V = clifford.vergnioux_relation(D, m, tol, args.seed)
-    run.flag("fusion_equals_support", V.agree)
-    run.flag("support_projection_positivity", V.support_positivity_ok)
-    run.flag("orbit_classes_match_vergnioux", V.orbit_classes_match)
+    run.checks(V.checks)
     run.result("fusion_route", V.fusion.astype(int).tolist())
     run.result("support_route", V.support.astype(int).tolist())
     run.result("classes", [list(map(int, c)) for c in V.classes])
@@ -201,11 +182,11 @@ def cmd_classical_orbits(args, run: Run, tol):
     run.checks(rep, "magic:")
     rep.raise_for_failure("magic action fails")
     co = classical.classical_orbits(M, tol)
-    run.check("counting_measure_invariance", co.counting_residual)
     h = haar_state(H, tol)
     hv = classical.haar_values(M, h, co.partition, tol)
-    run.check("haar_values_on_class", hv.on_class_residual)
-    run.check("haar_values_off_class", hv.off_class_residual)
+    run.checks(Checks({"counting_measure_invariance": co.counting_residual,
+                       "haar_values_on_class": hv.on_class_residual,
+                       "haar_values_off_class": hv.off_class_residual}, tol))
     run.result("classes", [list(map(int, c)) for c in co.classes])
     run.result("ergodic", bool(co.ergodic))
     run.result("haar_values", np.round(hv.values, 12).tolist())
@@ -272,7 +253,7 @@ def main(argv=None) -> int:
         print(f"check failed: {exc}", file=sys.stderr)
         # the aborted command is a failed check of its own, so the report
         # and the exit code agree
-        run.flag(type(exc).__name__, False)
+        run.checks(Checks({}, tol, flags={type(exc).__name__: False}))
         return run.emit(args.json_path)
     return run.emit(args.json_path)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_SEED, INTEGER_SLACK, CheckError, Tolerance,
+from .core import (DEFAULT_SEED, INTEGER_SLACK, CheckError, Checks,
                    as_tolerance, distance_to_span, pair_products, tensor)
 from .duality import DiscreteQG, tensor_mult
 from .hopf import HopfData
@@ -74,17 +74,16 @@ def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
 @dataclass
 class RestrictionTable:
     """Integer multiplicities of ambient irreducibles over the blocks of a
-    homogeneous space, with the one-orbit-per-row and dimension checks."""
+    homogeneous space, with the flags ``one_orbit_per_row`` and
+    ``dimension_count`` in its record."""
 
     row_labels: list
     col_dims: list
     mult: np.ndarray
-    one_orbit_per_row: bool
-    dimension_count_ok: bool
+    checks: Checks
 
     def __repr__(self):
-        return (f"RestrictionTable({self.mult.tolist()}, "
-                f"one_orbit={self.one_orbit_per_row})")
+        return f"RestrictionTable({self.mult.tolist()})"
 
 
 def restriction_table(D: DiscreteQG, X: HomogeneousSpace,
@@ -120,32 +119,22 @@ def restriction_table(D: DiscreteQG, X: HomogeneousSpace,
         int(mult[k] @ np.array(X.block_dims)) == D.irr_dims[k]
         for k in range(n_rows))
     return RestrictionTable(list(D.irr_labels), list(X.block_dims), mult,
-                            one_orbit, dims_ok)
-
-
-@dataclass
-class ConstancyReport:
-    """Orbit-wise constancy of dimensions and multiplicities, and the
-    trace-proportionality constants of the restriction."""
-
-    dims_constant: bool
-    mults_constant: bool
-    markov_residual: float
-    constants: dict          # (row, class index) -> c with c * m = mult
-    tol: Tolerance
-
-    @property
-    def passed(self) -> bool:
-        return (self.dims_constant and self.mults_constant
-                and self.tol.is_zero(self.markov_residual))
+                            Checks({}, tol, flags={
+                                "one_orbit_per_row": one_orbit,
+                                "dimension_count": dims_ok}))
 
 
 def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
                         table: RestrictionTable, partition: OrbitPartition,
-                        tol=None) -> ConstancyReport:
+                        tol=None):
     """Within each orbit class: equal block dimensions, equal row
     multiplicities, and the compressed trace proportional to the Markov
-    trace e_kl -> delta_kl * dim with a single constant per row."""
+    trace e_kl -> delta_kl * dim with a single constant per row.
+
+    Returns the constants, (row, class index) -> c with c * m = mult, and
+    the record: flags ``dims_constant_on_classes`` and
+    ``mults_constant_on_classes``, residual
+    ``markov_trace_proportionality``."""
     tol = as_tolerance(tol)
     B = D.dual_algebra
     dims = np.array(X.block_dims)
@@ -175,23 +164,26 @@ def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
                         want = c * n if a == b else 0.0
                         devs.append(abs(tr - want))
     # np.max keeps a NaN residual, where max() would drop it
-    return ConstancyReport(dims_ok, mult_ok, float(np.max(devs, initial=0.0)),
-                           constants, tol)
+    return constants, Checks(
+        {"markov_trace_proportionality": float(np.max(devs, initial=0.0))},
+        tol, flags={"dims_constant_on_classes": dims_ok,
+                    "mults_constant_on_classes": mult_ok})
 
 
 @dataclass
 class VergniouxRelation:
     """The subgroup-fusion relation on ambient irreducibles, computed by
-    the fusion route and the support route, with their agreement flag and
-    the link of its classes to the orbit classes."""
+    the fusion, witness and support routes, and its record: the flags
+    ``fusion_equals_support`` (the three routes agree),
+    ``support_projection_positivity`` (delta(1_sub)(1_j x 1) != 0 for
+    every block j) and ``orbit_classes_match_vergnioux`` (the orbit
+    classes' supports are its classes)."""
 
     fusion: np.ndarray
     witness: np.ndarray
     support: np.ndarray
     classes: list
-    agree: bool
-    support_positivity_ok: bool   # delta(1_sub)(1_j x 1) != 0 for all j
-    orbit_classes_match: bool     # orbit classes' supports = classes
+    checks: Checks
 
 
 def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
@@ -262,4 +254,8 @@ def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
             ok = False
 
     return VergniouxRelation(fusion_rel, witness_rel, support_rel, classes,
-                             agree, ok, linked == classes)
+                             Checks({}, tol, flags={
+                                 "fusion_equals_support": agree,
+                                 "support_projection_positivity": ok,
+                                 "orbit_classes_match_vergnioux":
+                                     linked == classes}))

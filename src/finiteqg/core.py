@@ -65,8 +65,12 @@ of singular values above eps * max(1, s_max).  ``nullspace`` or
 Zero tests are relative: ``norm <= eps * (1 + scale)``.  A group of named
 checks is one ``Checks`` record (residuals, per-name scales, the
 tolerance), judged by that rule, where a NaN or inf residual and a
-non-finite scale fail; its ``raise_for_failure`` raises the producer's
-subclass of ``CheckError``, the base of every failed-check exception.
+non-finite scale fail.  A record also carries flags: yes/no decisions
+of its producer (a relation is symmetric, a table has one orbit per
+row), each passing exactly when it is True, whatever the tolerance.
+Its ``raise_for_failure`` names every failed residual and flag and
+raises the producer's subclass of ``CheckError``, the base of every
+failed-check exception.
 """
 from __future__ import annotations
 
@@ -132,22 +136,27 @@ class CheckError(ValueError):
 
 @dataclass
 class Checks:
-    """Named residuals judged at one tolerance.
+    """Named residuals and flags judged at one tolerance.
 
     The residual r of a check with scale s (``scales`` may omit a name,
     whose scale is then 1.0) passes when r <= eps * (1 + s) and s is
-    finite, so a NaN or inf residual and a non-finite scale fail.
-    ``raise_for_failure`` raises ``error``, the class of the producer.
+    finite, so a NaN or inf residual and a non-finite scale fail.  A flag
+    (``flags``, name -> bool) is a decision its producer took, such as
+    "the relation is symmetric": it passes exactly when it is True, and
+    the tolerance never judges it.  ``raise_for_failure`` raises
+    ``error``, the class of the producer.
     """
 
     residuals: dict
     tol: Tolerance
     scales: dict = field(default_factory=dict)
     error: type = CheckError
+    flags: dict = field(default_factory=dict)
 
     def failures(self):
-        return [k for k, r in self.residuals.items()
-                if not self._passes(r, self.scales.get(k, 1.0))]
+        return ([k for k, r in self.residuals.items()
+                 if not self._passes(r, self.scales.get(k, 1.0))]
+                + [k for k, ok in self.flags.items() if not ok])
 
     def _passes(self, residual, scale) -> bool:
         return bool(np.isfinite(scale) and self.tol.is_zero(residual, scale))
@@ -163,7 +172,9 @@ class Checks:
     def raise_for_failure(self, context: str):
         bad = self.failures()
         if bad:
-            detail = ", ".join(f"{k}={self.residuals[k]:.3e}" for k in bad)
+            detail = ", ".join(f"{k}={self.residuals[k]:.3e}"
+                               if k in self.residuals else f"{k}=False"
+                               for k in bad)
             raise self.error(f"{context}: {detail}")
 
 
@@ -519,11 +530,6 @@ class TensorAlgebra(Algebra):
         for v in vecs[1:]:
             out = np.multiply.outer(out, v).reshape(-1)
         return out
-
-    def reduced(self, without_leg: int):
-        """The tensor algebra (or single algebra) with one leg removed."""
-        rest = [f for l, f in enumerate(self.factors) if l != without_leg]
-        return rest[0] if len(rest) == 1 else TensorAlgebra(*rest)
 
     def __eq__(self, other):
         if self is other:

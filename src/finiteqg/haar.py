@@ -13,25 +13,27 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AlgElement, CheckError, GRAM_MIN_EIG, LinMap,
+from .core import (AlgElement, CheckError, Checks, GRAM_MIN_EIG, LinMap,
                    as_tolerance, numerical_rank, opnorm)
 from .hopf import HopfData
 
 
 @dataclass
 class HaarState:
+    """The Haar state h and its checks: the residual of the invariance
+    system (``haar_system_residual``) and the flag ``gram_positive``,
+    the smallest eigenvalue of the Gram matrix above ``GRAM_MIN_EIG``."""
+
     hopf: HopfData
     vector: np.ndarray  # h on the canonical basis
-    gram: np.ndarray    # gram[p, q] = h(e_p* e_q)
-    residual: float
+    gram: np.ndarray    # gram[p, q] = h(e_p* e_q), symmetrized
+    min_gram_eigenvalue: float
+    checks: Checks
 
     def __call__(self, x) -> complex:
         if isinstance(x, AlgElement):
             x = x.coeffs
         return complex(self.vector @ np.asarray(x, dtype=complex))
-
-    def min_gram_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.gram).min())
 
 
 class HaarError(CheckError):
@@ -82,10 +84,13 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
     if not tol.is_zero(herm, float(np.linalg.norm(gram))):
         raise HaarError("Gram matrix is not Hermitian")
     gram = 0.5 * (gram + gram.conj().T)
-    if float(np.linalg.eigvalsh(gram).min()) <= GRAM_MIN_EIG:
+    min_eig = float(np.linalg.eigvalsh(gram).min())
+    if min_eig <= GRAM_MIN_EIG:
         raise HaarError("Haar state is not faithful (Gram not positive)")
 
-    return HaarState(H, h, gram, residual)
+    return HaarState(H, h, gram, min_eig, Checks(
+        {"haar_system_residual": residual}, tol,
+        flags={"gram_positive": min_eig > GRAM_MIN_EIG}))
 
 
 def _gram(A, h):

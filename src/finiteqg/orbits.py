@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (AlgElement, BlockAlgebra, CheckError, Checks,
-                   LinMap, DEFAULT_SEED, Tolerance, as_tolerance, nullspace,
+                   LinMap, DEFAULT_SEED, as_tolerance, nullspace,
                    numerical_rank, distance_to_span, multiplicative_residual,
                    opnorm, pair_products, tensor)
 from .duality import DiscreteQG, mult_unitary
@@ -263,14 +263,6 @@ class HomogeneousSpace:
                           if not (p * self.block_unit_in_dual(i)).is_zero(tol))
                 for i in range(self.size)]
 
-    @property
-    def trivial_block(self) -> int:
-        """The block whose unit carries the trivial dual projection."""
-        for i, support in enumerate(self.block_supports()):
-            if 0 in support:
-                return i
-        raise RuntimeError("no block carries the trivial projection")
-
     def __repr__(self):
         return f"HomogeneousSpace(blocks={list(self.block_dims)})"
 
@@ -329,10 +321,10 @@ class ActionMap:
             idx.extend(range(o, o + n * n))
         return np.array(idx, dtype=int)
 
-    def component_norm(self, j: int, i: int) -> float:
-        """Norm of alpha_{ji}(1_i), the (j, i) component of the action."""
-        y = self.alpha.matrix @ self.summand_projection(i).coeffs
-        Y = y.reshape(self.module.dim, self.hopf.dim)
+    def component_norm(self, j: int, image) -> float:
+        """Norm of the rows of summand j of ``image`` = alpha(x); for
+        x = 1_i it is the (j, i) component alpha_{ji}(1_i) of the action."""
+        Y = image.reshape(self.module.dim, self.hopf.dim)
         cut = np.zeros_like(Y)
         rows = self.summand_indices(j)
         cut[rows, :] = Y[rows, :]
@@ -400,20 +392,13 @@ class ActionMap:
 
 @dataclass
 class OrbitPartition:
-    """The orbit relation of an action, its classes and diagnostics."""
+    """The orbit relation of an action, its classes, the class sums of
+    summand units and the checks of ``relation``."""
 
     relation: np.ndarray
     classes: list
     invariant_projections: list
-    symmetric: bool
-    reflexive: bool
-    transitive: bool
-    all_factors: bool
-    invariance_residual: float
-
-    @property
-    def is_equivalence(self) -> bool:
-        return self.symmetric and self.reflexive and self.transitive
+    checks: Checks
 
     def class_of(self, i: int):
         for c in self.classes:
@@ -441,22 +426,25 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
     """Compute the orbit relation of a verified action.
 
     relation[j, i] is true when the component alpha_{ji}(1_i) is non-zero;
-    classes are those of the equivalence relation it generates; transitivity
-    is asserted only when every summand is a single matrix block.
+    classes are those of the equivalence relation it generates.  The
+    record holds the flags ``relation_symmetric`` (true for any action)
+    and ``relation_equivalence`` (expected when every summand is a single
+    matrix block), and the residual ``invariant_projections``: the largest
+    norm of alpha(p) - p x 1 over the class sums p.
     """
     tol = as_tolerance(tol)
     m = alpha.size
     scale = float(opnorm(alpha.alpha.matrix))
     rel = np.zeros((m, m), dtype=bool)
     for i in range(m):
+        image = alpha.alpha.matrix @ alpha.summand_projection(i).coeffs
         for j in range(m):
-            rel[j, i] = not tol.is_zero(alpha.component_norm(j, i), scale)
+            rel[j, i] = not tol.is_zero(alpha.component_norm(j, image), scale)
 
     symmetric = bool(np.array_equal(rel, rel.T))
     reflexive = bool(np.all(np.diag(rel)))
     sym = rel | rel.T
     transitive = bool(np.all((sym.astype(int) @ sym.astype(int) > 0) <= sym))
-    all_factors = all(len(g) == 1 for g in alpha.summands)
 
     classes = _relation_classes(rel)
 
@@ -471,9 +459,11 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
         target = T.kron_coeffs(p.coeffs, one_a)
         devs.append(T.norm_coeffs(alpha.alpha.matrix @ p.coeffs - target))
     # np.max keeps a NaN residual, where max() would drop it
-    return OrbitPartition(rel, classes, projections, symmetric, reflexive,
-                          transitive, all_factors,
-                          float(np.max(devs, initial=0.0)))
+    checks = Checks(
+        {"invariant_projections": float(np.max(devs, initial=0.0))}, tol,
+        flags={"relation_symmetric": symmetric,
+               "relation_equivalence": symmetric and reflexive and transitive})
+    return OrbitPartition(rel, classes, projections, checks)
 
 
 def homogeneous_action(D: DiscreteQG, X: HomogeneousSpace,
@@ -506,30 +496,18 @@ def homogeneous_action(D: DiscreteQG, X: HomogeneousSpace,
     return alpha
 
 
-@dataclass
-class CentralSupportReport:
-    supports: list                 # frozenset of ambient block indices per i
-    central_supports: list         # z(1_i) as elements of the dual
-    class_sum_residual: float
-    orthogonality_residual: float
-    supports_match_relation: bool
-    tol: Tolerance
-
-    @property
-    def passed(self) -> bool:
-        return (self.tol.is_zero(self.class_sum_residual)
-                and self.tol.is_zero(self.orthogonality_residual)
-                and self.supports_match_relation)
-
-
 def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
-                     tol=None) -> CentralSupportReport:
+                     tol=None):
     """Verify that class sums of block units are ambient central supports.
 
     For each block i of the homogeneous space, z(1_i) computed in the
     ambient dual must equal the sum of the units over the class of i;
     supports of related blocks must coincide, and central supports of
-    unrelated blocks must be orthogonal.
+    unrelated blocks must be orthogonal.  Returns the ambient supports
+    (a frozenset of ambient block indices per block), the z(1_i) as
+    elements of the dual, and the record: residuals
+    ``central_support_class_sums`` and ``central_support_orthogonality``,
+    flag ``supports_match_relation``.
     """
     tol = as_tolerance(tol)
     m = X.size
@@ -557,9 +535,11 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
             if (supports[i] == supports[j]) != bool(same or i == j):
                 match = False
     # np.max keeps a NaN residual, where max() would drop it
-    return CentralSupportReport(supports, zs,
-                                float(np.max(sums, initial=0.0)),
-                                float(np.max(orths, initial=0.0)), match, tol)
+    checks = Checks(
+        {"central_support_class_sums": float(np.max(sums, initial=0.0)),
+         "central_support_orthogonality": float(np.max(orths, initial=0.0))},
+        tol, flags={"supports_match_relation": match})
+    return supports, zs, checks
 
 
 def ergodicity(alpha: ActionMap, tol=None):

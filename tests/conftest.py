@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finiteqg import groups
+from finiteqg.core import Tolerance
 from finiteqg.duality import dualize
 from finiteqg.hopf import function_algebra, group_algebra, kac_paljutkin
 from finiteqg.io import load_hopf, load_subgroup
@@ -64,6 +65,14 @@ def a3_morphism(dual_cs3, s3):
 @pytest.fixture(scope="session")
 def a3_space(dual_cs3, a3_morphism):
     return homogeneous_space(dual_cs3, a3_morphism)
+
+
+@pytest.fixture(scope="session")
+def a3_trivial_block(a3_space):
+    """The block of the A3 space whose unit carries the trivial dual
+    projection."""
+    supports = a3_space.block_supports(Tolerance())
+    return next(i for i, s in enumerate(supports) if 0 in s)
 
 
 @pytest.fixture(scope="session")

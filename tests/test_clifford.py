@@ -142,11 +142,12 @@ def test_coinvariant_normality_matches_cayley_table_conjugation():
 
 
 def test_restriction_table_matches_classical_clifford(
-        dual_cs3, a3_space, a3_partition):
+        dual_cs3, a3_space, a3_partition, a3_trivial_block):
     T = restriction_table(dual_cs3, a3_space, a3_partition)
-    assert T.one_orbit_per_row and T.dimension_count_ok
+    assert T.checks.flags == {"one_orbit_per_row": True,
+                              "dimension_count": True}
     oracle = a3_restriction_oracle()
-    triv = a3_space.trivial_block
+    triv = a3_trivial_block
     pair = sorted(set(range(3)) - {triv})
     # rows 0, 1 are the 1-dim S3 irreducibles (triv first), row 2 is std
     assert T.mult[0, triv] == oracle[("triv", "triv")] == 1
@@ -158,36 +159,39 @@ def test_restriction_table_matches_classical_clifford(
 
 
 def test_trivial_representation_class_is_singleton(dual_cs3, a3_space,
-                                                   a3_partition):
+                                                   a3_partition,
+                                                   a3_trivial_block):
     # the class of the block under the trivial representation has size 1
     T = restriction_table(dual_cs3, a3_space, a3_partition)
     triv_row = T.mult[0]
     support = [i for i in range(a3_space.size) if triv_row[i] > 0]
-    assert support == [a3_space.trivial_block]
+    assert support == [a3_trivial_block]
     assert a3_partition.class_of(support[0]) == [support[0]]
 
 
 def test_constancy_s3_a3(dual_cs3, a3_space, a3_partition):
     T = restriction_table(dual_cs3, a3_space, a3_partition)
-    rep = kac_constancy_check(dual_cs3, a3_space, T, a3_partition)
-    assert rep.passed
-    assert rep.markov_residual <= 1e-9
+    constants, checks = kac_constancy_check(dual_cs3, a3_space, T,
+                                            a3_partition)
+    assert checks.passed
+    assert checks.residuals["markov_trace_proportionality"] <= 1e-9
     # c for std on the conjugate pair: mult 1 = c * dim 1
     pair_ci = next(ci for ci, c in enumerate(a3_partition.classes)
                    if len(c) == 2)
-    assert abs(rep.constants[(2, pair_ci)] - 1.0) < 1e-12
+    assert abs(constants[(2, pair_ci)] - 1.0) < 1e-12
 
 
 def test_constancy_decision_uses_callers_tolerance(dual_cs3, a3_space,
                                                    a3_partition):
     T = restriction_table(dual_cs3, a3_space, a3_partition)
-    loose = kac_constancy_check(dual_cs3, a3_space, T, a3_partition,
-                                Tolerance(1e-6))
+    _, loose = kac_constancy_check(dual_cs3, a3_space, T, a3_partition,
+                                   Tolerance(1e-6))
     assert loose.tol == Tolerance(1e-6)
     # a Markov residual of 1e-7 passes at 1e-6, not at the default 1e-9
-    assert replace(loose, markov_residual=1e-7).passed
-    default = kac_constancy_check(dual_cs3, a3_space, T, a3_partition)
-    assert not replace(default, markov_residual=1e-7).passed
+    small = {"markov_trace_proportionality": 1e-7}
+    assert replace(loose, residuals=small).passed
+    _, default = kac_constancy_check(dual_cs3, a3_space, T, a3_partition)
+    assert not replace(default, residuals=small).passed
 
 
 def test_constancy_all_shipped_instances(dual_cs3, a3_morphism, dual_kp8,
@@ -199,10 +203,11 @@ def test_constancy_all_shipped_instances(dual_cs3, a3_morphism, dual_kp8,
         X = homogeneous_space(D, m)
         P = relation(homogeneous_action(D, X))
         T = restriction_table(D, X, P)
-        assert T.one_orbit_per_row and T.dimension_count_ok
-        rep = kac_constancy_check(D, X, T, P)
-        assert rep.passed
-        for (k, ci), c in rep.constants.items():
+        assert T.checks.flags == {"one_orbit_per_row": True,
+                                  "dimension_count": True}
+        constants, checks = kac_constancy_check(D, X, T, P)
+        assert checks.passed
+        for (k, ci), c in constants.items():
             i = P.classes[ci][0]
             assert abs(c * X.block_dims[i] - T.mult[k, i]) < 1e-9
 
@@ -214,8 +219,8 @@ def test_vergnioux_agreement_all_instances(dual_cs3, a3_morphism, dual_kp8,
                  (dual_cs3, full_subgroup(dual_cs3)),
                  (dual_kp8, kp8_morphism)]:
         V = vergnioux_relation(D, m)
-        assert V.agree
-        assert V.support_positivity_ok
+        assert V.checks.flags["fusion_equals_support"]
+        assert V.checks.flags["support_projection_positivity"]
 
 
 def test_vergnioux_a3_classes(dual_cs3, a3_morphism):
@@ -261,7 +266,7 @@ def test_nonnormal_classical_cosets(s3, hopf_gs3, data_dir):
     t_idx = s3.index_of((1, 0, 2))
     lam = {s3.identity, t_idx}
     V = vergnioux_relation(D, m)
-    assert V.agree
+    assert V.checks.flags["fusion_equals_support"]
     for a in range(6):
         for b in range(6):
             ga, gb = elem_of_block[a], elem_of_block[b]
@@ -272,8 +277,9 @@ def test_nonnormal_classical_cosets(s3, hopf_gs3, data_dir):
     X = homogeneous_space(D, m)
     P = relation(homogeneous_action(D, X))
     T = restriction_table(D, X, P)
-    assert T.one_orbit_per_row and T.dimension_count_ok
-    assert kac_constancy_check(D, X, T, P).passed
+    assert T.checks.flags == {"one_orbit_per_row": True,
+                              "dimension_count": True}
+    assert kac_constancy_check(D, X, T, P)[1].passed
 
 
 # rank 1 onto a 2-dim codomain; and a kernel holding d_0 - d_1, whose
@@ -323,7 +329,8 @@ def test_vergnioux_classes_are_closure_classes_on_shipped_pairs(data_dir):
              else quotient_subgroup(H, D, matrix))
         V = vergnioux_relation(D, m)
         assert [tuple(c) for c in V.classes] == _closure_classes(V.support)
-        assert V.orbit_classes_match, (hopf_file, sub_file)
+        assert V.checks.flags["orbit_classes_match_vergnioux"], (
+            hopf_file, sub_file)
 
 
 def test_seed_invariance_on_shipped_pairs(data_dir):
@@ -357,6 +364,6 @@ def test_nan_matrix_unit_fails_constancy(dual_cs3, a3_space, a3_partition):
     e = units[-1][-1][-1]
     units[-1][-1][-1] = type(e)(e.parent, np.full(e.parent.dim, np.nan))
     X = replace(a3_space, wd=replace(a3_space.wd, matrix_units=units))
-    rep = kac_constancy_check(dual_cs3, X, T, a3_partition)
-    assert np.isnan(rep.markov_residual)
-    assert not rep.passed
+    _, checks = kac_constancy_check(dual_cs3, X, T, a3_partition)
+    assert np.isnan(checks.residuals["markov_trace_proportionality"])
+    assert not checks.passed

@@ -829,6 +829,23 @@ def test_checks_raise_their_producers_error_with_every_failure():
     Checks({"a": 0.0}, Tolerance()).raise_for_failure("never raised")
 
 
+def test_checks_flag_is_never_judged_by_the_tolerance():
+    class ProducerError(CheckError):
+        pass
+
+    # a false flag fails even at eps = 1e3, a true one passes even at
+    # eps = 1e-300; residuals beside them are judged as before
+    c = Checks({"a": 1.0}, Tolerance(1e3), error=ProducerError,
+               flags={"ok": True, "bad": False})
+    assert c.failures() == ["bad"] and not c.passed
+    assert c.max_residual() == 1.0
+    with pytest.raises(ProducerError, match=r"^thing fails: bad=False$"):
+        c.raise_for_failure("thing fails")
+    c = Checks({"a": np.nan}, Tolerance(), flags={"ok": True})
+    assert c.failures() == ["a"]
+    assert Checks({}, Tolerance(1e-300), flags={"ok": True}).passed
+
+
 def test_numerical_rank_cut_is_relative_above_one():
     tol = Tolerance(1e-9)
     s = np.array([[4.0, 3.9e-9, 1e-10], [0.5, 1.1e-9, 0.9e-9],

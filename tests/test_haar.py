@@ -46,7 +46,10 @@ def test_gram_positive_definite_everywhere(hopf_cs3, hopf_gs3, kp8_block):
     for H in [hopf_cs3, hopf_gs3, kp8_block,
               group_algebra(groups.quaternion())]:
         h = haar_state(H)
-        assert h.min_gram_eigenvalue() > 1e-12
+        assert h.min_gram_eigenvalue > 1e-12
+        # the stored value is the smallest eigenvalue of the stored Gram
+        assert h.min_gram_eigenvalue == float(np.linalg.eigvalsh(h.gram).min())
+        assert h.checks.passed and h.checks.flags == {"gram_positive": True}
 
 
 def test_traciality_random_pairs(kp8_block):

@@ -144,13 +144,18 @@ def test_cli_vergnioux_fails_when_orbit_classes_miss_its_classes(
 
     monkeypatch.setattr(clifford, "relation", singletons)
     p = tmp_path / "report.json"
-    assert cli.main(["vergnioux", "s3_function_algebra.json",
-                     "a3_quotient.json", "--json", str(p)]) == 1
-    capsys.readouterr()
-    checks = {c["name"]: c["passed"]
-              for c in json.loads(p.read_text())["checks"]}
-    assert checks.pop("orbit_classes_match_vergnioux") is False
-    assert all(checks.values())
+    # a flag is never judged by the tolerance: it fails as well at 1e-3,
+    # a million times the default (at 1e-2 the Wedderburn split of the
+    # dual already refuses, at 1 the Haar nullity, so the flag is not
+    # reached there)
+    for tol in ([], ["--tol", "1e-3"]):
+        assert cli.main(["vergnioux", "s3_function_algebra.json",
+                         "a3_quotient.json", "--json", str(p), *tol]) == 1
+        capsys.readouterr()
+        checks = {c["name"]: c["passed"]
+                  for c in json.loads(p.read_text())["checks"]}
+        assert checks.pop("orbit_classes_match_vergnioux") is False
+        assert all(checks.values())
 
 
 def test_cli_classical_orbits(capsys):

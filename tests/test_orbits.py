@@ -23,9 +23,9 @@ def test_full_subgroup_space_is_scalars(dual_cs3):
     alpha = homogeneous_action(dual_cs3, X)
     P = relation(alpha)
     assert P.classes == [[0]]
-    rep = central_supports(dual_cs3, X, P)
-    assert rep.passed
-    assert rep.supports[0] == frozenset({0, 1, 2})
+    supports, _, checks = central_supports(dual_cs3, X, P)
+    assert checks.passed
+    assert supports[0] == frozenset({0, 1, 2})
 
 
 def test_trivial_subgroup_space_is_everything(dual_cs3):
@@ -68,47 +68,57 @@ def test_homogeneous_action_is_conjugation(s3, dual_cs3):
         assert T.norm_coeffs(got - want) <= 1e-10
 
 
-def test_a3_orbit_classes(a3_space, a3_partition):
+def test_a3_orbit_classes(a3_space, a3_partition, a3_trivial_block):
     assert a3_space.block_dims == (1, 1, 1)
-    triv = a3_space.trivial_block
+    triv = a3_trivial_block
     assert [triv] in a3_partition.classes
     pair = next(c for c in a3_partition.classes if len(c) == 2)
     assert sorted(pair + [triv]) == [0, 1, 2]
-    assert a3_partition.is_equivalence
-    assert a3_partition.invariance_residual <= 1e-9
+    assert a3_partition.checks.flags["relation_equivalence"]
+    assert a3_partition.checks.residuals["invariant_projections"] <= 1e-9
 
 
-def test_a3_central_supports(dual_cs3, a3_space, a3_partition):
-    rep = central_supports(dual_cs3, a3_space, a3_partition)
-    assert rep.passed
-    assert rep.class_sum_residual <= 1e-9
-    assert rep.orthogonality_residual <= 1e-9
-    triv = a3_space.trivial_block
+def test_a3_central_supports(dual_cs3, a3_space, a3_partition,
+                             a3_trivial_block):
+    supports, zs, checks = central_supports(dual_cs3, a3_space, a3_partition)
+    assert checks.passed
+    assert checks.residuals["central_support_class_sums"] <= 1e-9
+    assert checks.residuals["central_support_orthogonality"] <= 1e-9
+    triv = a3_trivial_block
     # classical restriction table: trivial block sits under {triv, sgn},
     # the conjugate pair under the 2-dim representation
-    assert rep.supports[triv] == frozenset({0, 1})
+    assert supports[triv] == frozenset({0, 1})
     for i in range(3):
         if i != triv:
-            assert rep.supports[i] == frozenset({2})
+            assert supports[i] == frozenset({2})
     # z(1_omega) = 1_omega + 1_omegabar
     pair = next(c for c in a3_partition.classes if len(c) == 2)
     s = a3_space.block_unit_in_dual(pair[0]) \
         + a3_space.block_unit_in_dual(pair[1])
     for i in pair:
-        assert (rep.central_supports[i] - s).norm() <= 1e-9
+        assert (zs[i] - s).norm() <= 1e-9
 
 
 def test_central_support_decision_uses_callers_tolerance(
         dual_cs3, a3_space, a3_partition):
-    loose = central_supports(dual_cs3, a3_space, a3_partition,
-                             Tolerance(1e-6))
+    *_, loose = central_supports(dual_cs3, a3_space, a3_partition,
+                                 Tolerance(1e-6))
     assert loose.tol == Tolerance(1e-6)
     # residuals of 1e-7 pass at 1e-6, not at the default 1e-9
-    for field in ("class_sum_residual", "orthogonality_residual"):
-        assert replace(loose, **{field: 1e-7}).passed
-    default = central_supports(dual_cs3, a3_space, a3_partition)
-    for field in ("class_sum_residual", "orthogonality_residual"):
-        assert not replace(default, **{field: 1e-7}).passed
+    names = ("central_support_class_sums", "central_support_orthogonality")
+    for name in names:
+        assert replace(loose, residuals={**loose.residuals,
+                                         name: 1e-7}).passed
+    *_, default = central_supports(dual_cs3, a3_space, a3_partition)
+    for name in names:
+        assert not replace(default, residuals={**default.residuals,
+                                               name: 1e-7}).passed
+
+
+def _transitive(rel):
+    """Transitivity of the symmetrized relation, straight from its matrix."""
+    sym = (rel | rel.T).astype(int)
+    return bool(np.all((sym @ sym > 0) <= (sym > 0)))
 
 
 def test_flip_grouped_relation_not_transitive():
@@ -119,9 +129,10 @@ def test_flip_grouped_relation_not_transitive():
     M = permutation_magic(H, act)
     alpha = action_from_magic(M, grouping=[[0], [1, 2], [3]])
     P = relation(alpha)
-    assert P.symmetric
-    assert not P.transitive
-    assert not P.all_factors
+    assert P.checks.flags["relation_symmetric"]
+    assert not P.checks.flags["relation_equivalence"]
+    assert not _transitive(P.relation)
+    assert not all(len(g) == 1 for g in alpha.summands)
     want = np.array([[1, 1, 0], [1, 1, 1], [0, 1, 1]], dtype=bool)
     assert np.array_equal(P.relation, want)
 
@@ -133,9 +144,10 @@ def test_flip_singleton_relation_is_equivalence():
     M = permutation_magic(H, act)
     alpha = action_from_magic(M)
     P = relation(alpha)
-    assert P.all_factors and P.is_equivalence
+    assert all(len(g) == 1 for g in alpha.summands)
+    assert P.checks.flags["relation_equivalence"]
     assert P.classes == [[0, 1], [2, 3]]
-    assert P.invariance_residual <= 1e-9
+    assert P.checks.residuals["invariant_projections"] <= 1e-9
 
 
 def test_trivial_group_acts_with_identity_relation():
@@ -146,7 +158,7 @@ def test_trivial_group_acts_with_identity_relation():
     alpha.verify()
     P = relation(alpha)
     assert P.classes == [[0], [1], [2]]
-    assert P.is_equivalence
+    assert P.checks.flags["relation_equivalence"]
 
 
 def test_coproduct_action_is_ergodic(hopf_cs3):
@@ -207,15 +219,17 @@ def test_kp8_subgroup_space(dual_kp8, kp8_morphism):
     assert X.block_dims == (1, 1, 1, 1)
     alpha = homogeneous_action(dual_kp8, X)
     P = relation(alpha)
-    rep = central_supports(dual_kp8, X, P)
-    assert rep.passed
+    *_, checks = central_supports(dual_kp8, X, P)
+    assert checks.passed
 
 
 def test_relation_matches_component_norms(a3_action, a3_partition):
     m = a3_action.size
     for i in range(m):
+        image = (a3_action.alpha.matrix
+                 @ a3_action.summand_projection(i).coeffs)
         for j in range(m):
-            nz = a3_action.component_norm(j, i) > 1e-6
+            nz = a3_action.component_norm(j, image) > 1e-6
             assert nz == bool(a3_partition.relation[j, i])
 
 
@@ -297,8 +311,9 @@ def test_nan_action_fails_invariance_residual(a3_action):
                     LinMap(a3_action.alpha.domain, a3_action.alpha.codomain,
                            am), a3_action.summands)
     P = relation(bad)
-    assert np.isnan(P.invariance_residual)
-    assert not Tolerance().is_zero(P.invariance_residual)
+    assert np.isnan(P.checks.residuals["invariant_projections"])
+    assert not Tolerance().is_zero(P.checks.residuals["invariant_projections"])
+    assert P.checks.failures() == ["invariant_projections"]
 
 
 def _nan_ambient_idempotent(D):
@@ -313,18 +328,18 @@ def _nan_ambient_idempotent(D):
 
 def test_nan_central_support_fails_class_sum(dual_cs3, a3_space,
                                              a3_partition):
-    rep = central_supports(_nan_ambient_idempotent(dual_cs3), a3_space,
-                           a3_partition)
-    assert np.isnan(rep.class_sum_residual)
-    assert not rep.passed
+    *_, checks = central_supports(_nan_ambient_idempotent(dual_cs3),
+                                  a3_space, a3_partition)
+    assert np.isnan(checks.residuals["central_support_class_sums"])
+    assert not checks.passed
 
 
 def test_nan_central_support_fails_orthogonality(dual_cs3, a3_space,
                                                  a3_partition):
-    rep = central_supports(_nan_ambient_idempotent(dual_cs3), a3_space,
-                           a3_partition)
-    assert np.isnan(rep.orthogonality_residual)
-    assert not rep.passed
+    *_, checks = central_supports(_nan_ambient_idempotent(dual_cs3),
+                                  a3_space, a3_partition)
+    assert np.isnan(checks.residuals["central_support_orthogonality"])
+    assert not checks.passed
 
 
 # -- a NaN or inf fails before a rank SVD could raise LinAlgError -----------
