@@ -123,7 +123,8 @@ def _load_morphism(run: Run, D, H, sub_path, tol):
     if kind == "pi":
         m = orbits.subgroup_from_dual_matrix(D, matrix, tol)
     else:
-        m = clifford.quotient_subgroup(H, D, matrix, tol)
+        m, quotient = clifford.quotient_subgroup(H, D, matrix, tol)
+        run.checks(quotient, "quotient:")
     run.checks(m.surjection, "surjection:")
     return m
 

@@ -43,12 +43,18 @@ def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
     the dual onto l^inf of the dual of the coinvariant subalgebra
     {a : (id x rho) delta(a) = a x 1}.  ``hopf_surjection_checks`` judges
     rho first (``MorphismError``); then ``NormalityError`` is raised when H
-    is not normal, that is when these differ from the left coinvariants.
-    The quotient Pol(H) has dimension rank(rho), the number of rows.
+    is not normal, that is when these differ from the left coinvariants,
+    and ``MorphismError`` when they are not a Hopf *-subalgebra.  The
+    quotient Pol(H) has dimension rank(rho), the number of rows.
+
+    Returns the morphism and the record of rho: the residuals of
+    ``hopf_surjection_checks`` at their scales, ``coinvariant_distance``
+    and ``coinvariant_subalgebra`` (how far the coinvariants are from a
+    Hopf *-subalgebra).
     """
     tol = as_tolerance(tol)
     rho = np.asarray(rho, dtype=complex)
-    hopf_surjection_checks(H, rho, tol)
+    surjection = hopf_surjection_checks(H, rho, tol)
     _, K, normality = coinvariant_normality(H, rho, tol)
     normality.raise_for_failure("subgroup is not normal")
 
@@ -68,7 +74,10 @@ def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
         raise MorphismError(
             f"coinvariants fail to be a Hopf subalgebra (residual {worst:.3e})")
 
-    return subgroup_from_dual_matrix(D, K, tol)
+    checks = Checks({**surjection.residuals, **normality.residuals,
+                     "coinvariant_subalgebra": worst}, tol,
+                    surjection.scales, MorphismError)
+    return subgroup_from_dual_matrix(D, K, tol), checks
 
 
 @dataclass
@@ -87,22 +96,20 @@ class RestrictionTable:
 
 
 def restriction_table(D: DiscreteQG, X: HomogeneousSpace,
-                      partition: OrbitPartition = None,
+                      partition: OrbitPartition,
                       tol=None) -> RestrictionTable:
     """Multiplicity of each homogeneous-space block inside each ambient
     irreducible: mult = trace of the ambient block at the space's first
     diagonal matrix unit.  Values must round to integers within
-    ``INTEGER_SLACK``."""
+    ``INTEGER_SLACK``.  The flag ``one_orbit_per_row`` reads the classes
+    of ``partition``, the orbit relation of X."""
     tol = as_tolerance(tol)
-    if partition is None:
-        partition = relation(homogeneous_action(D, X, tol), tol)
     B = D.dual_algebra
     n_rows = len(D.irr_dims)
     n_cols = X.size
     mult = np.zeros((n_rows, n_cols), dtype=int)
     for i in range(n_cols):
-        f11 = X.wd.matrix_units[i][0][0]
-        mats = B.block_matrices(f11.coeffs)
+        mats = B.block_matrices(X.wd.units(i)[0, 0])
         for k in range(n_rows):
             val = complex(np.trace(mats[k]))
             r = int(round(val.real))
@@ -157,10 +164,11 @@ def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
             # trace of the k-block is c * Markov trace on the class corner
             for i in cls:
                 n = int(dims[i])
+                units = X.wd.units(i)
                 for a in range(n):
                     for b in range(n):
-                        f = X.wd.matrix_units[i][a][b]
-                        tr = complex(np.trace(B.block_matrices(f.coeffs)[k]))
+                        tr = complex(np.trace(
+                            B.block_matrices(units[a, b])[k]))
                         want = c * n if a == b else 0.0
                         devs.append(abs(tr - want))
     # np.max keeps a NaN residual, where max() would drop it
@@ -187,8 +195,7 @@ class VergniouxRelation:
 
 
 def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
-                       seed: int = DEFAULT_SEED,
-                       X: HomogeneousSpace = None) -> VergniouxRelation:
+                       seed: int = DEFAULT_SEED) -> VergniouxRelation:
     """sigma ~ tau iff (sigma x tau^c) delta(1_sub) != 0, iff some
     subgroup irreducible gamma has tau inside sigma (x) gamma, iff sigma
     and tau hit a common block of the homogeneous space.
@@ -200,8 +207,7 @@ def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
     tol = as_tolerance(tol)
     B = D.dual_algebra
     n_irr = len(D.irr_dims)
-    if X is None:
-        X = homogeneous_space(D, m, tol, seed)
+    X = homogeneous_space(D, m, tol, seed)
     P = relation(homogeneous_action(D, X, tol), tol)
 
     # support route

@@ -8,8 +8,10 @@ G), which fixes, once and for all, the coordinates that homogeneous
 spaces, orbit relations and fusion computations use.
 
 The multiplicative unitary W = sum_k f_k x a_k over dual bases lives in
-the tensor product (dual block algebra) x (primal algebra); every
-irreducible corepresentation is a block compression of W.
+the tensor product (dual block algebra) x (primal algebra): its legs are
+the rows of ``dual_to_block``, the inverse of the change of basis
+``block_to_dual``, and every irreducible corepresentation is a block of
+them.
 """
 from __future__ import annotations
 
@@ -42,18 +44,18 @@ class DiscreteQG:
     """The dual discrete quantum group of a finite quantum group.
 
     ``dual_hopf`` is the convolution algebra in canonical block form (the
-    trivial representation is block 0); ``pairing[t, k]`` evaluates the
-    t-th dual basis element on the k-th primal basis element, and
-    ``block_to_dual`` converts block coordinates to raw dual-basis
-    coordinates (the coordinates subgroup files are written in).
+    trivial representation is block 0).  ``block_to_dual`` = C converts
+    block coordinates to raw dual-basis coordinates (the coordinates
+    subgroup files are written in); its transpose evaluates the dual
+    basis on the primal one.  ``dual_to_block`` is C^-1, whose row t
+    holds the primal coefficients of the t-th leg of W.
     """
 
     primal: HopfData
     dual_hopf: HopfData
-    blocks: WedderburnData
-    pairing: np.ndarray
     block_to_dual: np.ndarray
-    _w: object = field(default=None, repr=False)
+    # (MultUnitary, eps) of the last mult_unitary; replace() copies omit it
+    _w: object = field(default=None, init=False, repr=False)
 
     @property
     def dual_algebra(self) -> BlockAlgebra:
@@ -72,14 +74,18 @@ class DiscreteQG:
         return RepLabel(0, self.irr_dims[0])
 
     @cached_property
+    def dual_to_block(self) -> np.ndarray:
+        """C^-1 for C = ``block_to_dual``, taken on first use."""
+        return np.linalg.inv(self.block_to_dual)
+
+    @cached_property
     def condition(self) -> float:
         """cond(C) = ||C|| ||C^-1||, spectral norms, of C =
         ``block_to_dual``: an axiom residual of the block dual and the
         same residual of the raw dual differ by at most factors of ||C||
         and ||C^-1||.  Taken on first use, so ``dualize`` does not pay for
         it."""
-        C = self.block_to_dual
-        return float(opnorm(C) * opnorm(np.linalg.inv(C)))
+        return float(opnorm(self.block_to_dual) * opnorm(self.dual_to_block))
 
     def block_projection(self, i: int) -> AlgElement:
         return self.dual_algebra.block_unit(i)
@@ -87,14 +93,6 @@ class DiscreteQG:
     def __repr__(self):
         return (f"DiscreteQG(dual of {self.primal.name or 'G'}, "
                 f"blocks={list(self.irr_dims)})")
-
-
-def _canonical_blocks(B: BlockAlgebra) -> WedderburnData:
-    units = [[[B.matrix_unit(b, i, j) for j in range(n)] for i in range(n)]
-             for b, n in enumerate(B.block_dims)]
-    idem = [B.block_unit(b) for b in range(len(B.block_dims))]
-    return WedderburnData(B, B.block_dims, idem, units,
-                          LinMap(B, B, np.eye(B.dim)))
 
 
 def _transport_hopf(H: HopfData, phi: np.ndarray, B: BlockAlgebra,
@@ -122,7 +120,7 @@ def _transport_hopf(H: HopfData, phi: np.ndarray, B: BlockAlgebra,
 
 
 def _counit_block_first(wd: WedderburnData, counit_values) -> WedderburnData:
-    vals = [abs(complex(counit_values @ p.coeffs)) for p in
+    vals = [abs(complex(counit_values @ p)) for p in
             wd.central_idempotents]
     triv = int(np.argmax(vals))
     if not (abs(vals[triv] - 1.0) < COUNIT_SPLIT
@@ -187,11 +185,9 @@ def dualize(H: HopfData, tol=None, seed: int = DEFAULT_SEED) -> DiscreteQG:
     if wd.total_dim != H.dim:
         raise CheckError("dual block dimensions do not add up")  # unreachable
     C = wd.iso.matrix                      # dual coords of block basis
-    B = wd.block_algebra
-    dual_block = _transport_hopf(raw, C, B, raw.name + "@blocks", tol)
-    return DiscreteQG(primal=H, dual_hopf=dual_block,
-                      blocks=_canonical_blocks(B),
-                      pairing=C.T.copy(), block_to_dual=C)
+    dual_block = _transport_hopf(raw, C, wd.block_algebra,
+                                 raw.name + "@blocks", tol)
+    return DiscreteQG(primal=H, dual_hopf=dual_block, block_to_dual=C)
 
 
 # ---------------------------------------------------------------------------
@@ -215,7 +211,7 @@ def mult_unitary(D: DiscreteQG, tol=None) -> MultUnitary:
     A = D.primal.algebra
     B = D.dual_algebra
     T = tensor(B, A)
-    Ci = np.linalg.inv(D.block_to_dual)
+    Ci = D.dual_to_block
     W = AlgElement(T, Ci.reshape(-1))
     Wst = W.star()
     one = T.kron_coeffs(B.unit_coeffs, A.unit_coeffs)
@@ -236,37 +232,19 @@ def mult_unitary(D: DiscreteQG, tol=None) -> MultUnitary:
 
 
 def corep_of(D: DiscreteQG, label, tol=None):
-    """The irreducible corepresentation (label x id)(W): a unitary matrix
-    with entries in Pol(G) satisfying delta(U_ij) = sum_k U_ik x U_kj."""
-    tol = as_tolerance(tol)
+    """The irreducible corepresentation U = (label x id)(W): a unitary
+    matrix with entries in Pol(G) satisfying delta(U_ij) = sum_k U_ik x
+    U_kj; U_rs is the row of ``dual_to_block`` at e_rs of the block.  Its
+    unitarity and coproduct residuals are entries of the differences that
+    ``mult_unitary`` judges, at the same scale, and no larger than them,
+    so ``mult_unitary`` checks (and raises) for it."""
+    mult_unitary(D, tol)
     i = label.index if isinstance(label, RepLabel) else int(label)
     n = D.irr_dims[i]
     A = D.primal.algebra
     B = D.dual_algebra
-    Ci = np.linalg.inv(D.block_to_dual)
-    U = [[AlgElement(A, Ci[B.index(i, r, s), :]) for s in range(n)]
-         for r in range(n)]
-    residuals = []
-    for r in range(n):
-        for s in range(n):
-            row = sum((U[r][k] * U[s][k].star() for k in range(1, n)),
-                      U[r][0] * U[s][0].star())
-            col = sum((U[k][r].star() * U[k][s] for k in range(1, n)),
-                      U[0][r].star() * U[0][s])
-            target = A.one() if r == s else A.zero()
-            residuals += [(row - target).norm(), (col - target).norm()]
-            dU = D.primal.delta_of(U[r][s])
-            fused = None
-            for k in range(n):
-                term_coeffs = np.kron(U[r][k].coeffs, U[k][s].coeffs)
-                fused = term_coeffs if fused is None else fused + term_coeffs
-            residuals.append(
-                D.primal.square.norm_coeffs(dU.coeffs - fused))
-    # np.max keeps a NaN residual, where max() would drop it
-    worst = float(np.max(residuals))
-    if not tol.is_zero(worst):
-        raise CheckError(f"corepresentation checks fail at {worst:.3e}")
-    return U
+    return [[AlgElement(A, D.dual_to_block[B.index(i, r, s)])
+             for s in range(n)] for r in range(n)]
 
 
 def tensor_mult(D: DiscreteQG, sigma, gamma, tol=None) -> np.ndarray:

@@ -35,7 +35,8 @@ class HopfData:
     counit: np.ndarray
     antipode: LinMap
     name: str = ""
-    _square: object = field(default=None, repr=False)
+    # built on first use; a dataclasses.replace copy starts without it
+    _square: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         d = self.algebra.dim

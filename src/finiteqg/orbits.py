@@ -162,7 +162,7 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
     # an image too large for a float has the norm inf: its block survives
     with np.errstate(over="ignore"):
         for i in range(len(B.block_dims)):
-            img = pi @ D.blocks.central_idempotents[i].coeffs
+            img = pi @ D.block_projection(i).coeffs
             if not tol.is_zero(float(np.linalg.norm(img)), scale):
                 surviving.append(i)
     corner_dim = sum(B.block_dims[i] ** 2 for i in surviving)
@@ -181,9 +181,9 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
                 f"pi does not vanish on the complementary ideal ({worst:.3e})")
 
     surjection = hopf_surjection_checks(D.dual_hopf, pi, tol)
-    support = D.blocks.central_idempotents[surviving[0]]
+    support = D.block_projection(surviving[0])
     for i in surviving[1:]:
-        support = support + D.blocks.central_idempotents[i]
+        support = support + D.block_projection(i)
     left, _, normality = coinvariant_normality(D.dual_hopf, pi, tol)
     return SubgroupMorphism(D, pi, support, surviving, left, surjection,
                             normality)
@@ -232,12 +232,12 @@ def coinvariant_normality(H: HopfData, pi, tol=None):
 
 @dataclass
 class HomogeneousSpace:
-    """The coinvariant subalgebra of the dual under a subgroup morphism."""
+    """The coinvariant subalgebra of the dual under a subgroup morphism:
+    the span of ``morphism.coinvariants`` inside l^inf(dual), with its
+    block decomposition ``wd`` there."""
 
-    dqg: DiscreteQG
     morphism: SubgroupMorphism
-    basis: np.ndarray          # orthonormal rows spanning X inside l8(dual)
-    wd: WedderburnData         # block decomposition inside the dual
+    wd: WedderburnData
 
     @property
     def block_dims(self):
@@ -252,15 +252,16 @@ class HomogeneousSpace:
         return len(self.wd.block_dims)
 
     def block_unit_in_dual(self, i: int) -> AlgElement:
-        return self.wd.central_idempotents[i]
+        return AlgElement(self.wd.ambient, self.wd.central_idempotents[i])
 
     def block_supports(self, tol=None) -> list:
         """For each block i, the ambient irreducibles k with 1_k 1_i != 0,
         as a frozenset."""
         tol = as_tolerance(tol)
-        ambient = self.dqg.blocks.central_idempotents
-        return [frozenset(k for k, p in enumerate(ambient)
-                          if not (p * self.block_unit_in_dual(i)).is_zero(tol))
+        D = self.morphism.dqg
+        return [frozenset(k for k in range(len(D.irr_dims))
+                          if not (D.block_projection(k)
+                                  * self.block_unit_in_dual(i)).is_zero(tol))
                 for i in range(self.size)]
 
     def __repr__(self):
@@ -279,7 +280,7 @@ def homogeneous_space(D: DiscreteQG, m: SubgroupMorphism, tol=None,
             f"dim(dual)/dim(sub) = {D.dual_algebra.dim}/{m.rank}")
     gens = [AlgElement(D.dual_algebra, v) for v in basis]
     wd = decompose(gens, tol, seed)  # raises unless a *-closed unital span
-    return HomogeneousSpace(D, m, basis, wd)
+    return HomogeneousSpace(m, wd)
 
 
 @dataclass
@@ -503,7 +504,9 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
     For each block i of the homogeneous space, z(1_i) computed in the
     ambient dual must equal the sum of the units over the class of i;
     supports of related blocks must coincide, and central supports of
-    unrelated blocks must be orthogonal.  Returns the ambient supports
+    unrelated blocks must be orthogonal.  A block unit with a NaN or inf
+    coefficient decides no support: its z(1_i) is NaN, so both residuals
+    report it.  Returns the ambient supports
     (a frozenset of ambient block indices per block), the z(1_i) as
     elements of the dual, and the record: residuals
     ``central_support_class_sums`` and ``central_support_orthogonality``,
@@ -513,9 +516,11 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
     m = X.size
     supports = X.block_supports(tol)
     # z(1_i) is the sum of the ambient p_k with p_k 1_i != 0, ascending k
-    ambient = D.blocks.central_idempotents
-    zs = [sum((ambient[k] for k in sorted(s)), D.dual_algebra.zero())
-          for s in supports]
+    B = D.dual_algebra
+    zs = [sum((D.block_projection(k) for k in sorted(s)), B.zero())
+          if np.isfinite(X.wd.central_idempotents[i]).all()
+          else AlgElement(B, np.full(B.dim, np.nan))
+          for i, s in enumerate(supports)]
 
     sums = []
     for cls in P.classes:

@@ -23,14 +23,17 @@ dimension > 1, and a corner's orthonormal basis is taken only when it
 is used, which a 1-dimensional corner never is.  Matrix units are built
 from one minimal projection per factor and polar-type couplings
 e11 * x * f; the units of all corners are pulled back to ambient
-coefficients with one least-squares solve.  The span's basis is one
-(m, r, r) array, so the closure check, the centre and the unit relations
-are a few stacked kernel calls per decomposition, not one per basis
-element.
+coefficients with one least-squares solve.  They are the columns of the
+result's one field, the *-isomorphism ``iso`` from the canonical block
+algebra; the block dimensions, the units and the central idempotents
+are read from it.  The span's basis is one (m, r, r) array, so the
+closure check, the centre and the unit relations are a few stacked
+kernel calls per decomposition, not one per basis element.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import isqrt
 
 import numpy as np
@@ -58,45 +61,67 @@ class SpectralGapError(WedderburnError):
 
 @dataclass
 class WedderburnData:
-    """Block decomposition of a *-closed unital span inside an algebra."""
+    """Block decomposition of a *-closed unital span inside an algebra.
 
-    ambient: Algebra
-    block_dims: tuple
-    central_idempotents: list     # AlgElement p_i, one per block
-    matrix_units: list            # matrix_units[b][i][j] -> AlgElement
-    iso: LinMap                   # canonical block algebra -> ambient
+    ``iso`` is the *-isomorphism from the canonical block algebra into the
+    ambient algebra: its columns are the matrix units e^(b)_ij in
+    ``BlockAlgebra`` order, the one stored copy of the decomposition."""
+
+    iso: LinMap
+
+    @property
+    def ambient(self) -> Algebra:
+        return self.iso.codomain
 
     @property
     def block_algebra(self) -> BlockAlgebra:
         return self.iso.domain
 
     @property
+    def block_dims(self) -> tuple:
+        return self.block_algebra.block_dims
+
+    @property
     def total_dim(self) -> int:
-        return int(sum(n * n for n in self.block_dims))
+        return self.block_algebra.dim
+
+    def units(self, b: int) -> np.ndarray:
+        """Block b's matrix units as an (n, n, dim) view of the columns of
+        ``iso``: ``units(b)[i, j]`` holds the coefficients of e^(b)_ij."""
+        offsets = self.block_algebra.offsets
+        n = self.block_dims[b]
+        return self.iso.matrix.T[offsets[b]:offsets[b + 1]].reshape(n, n, -1)
+
+    @cached_property
+    def central_idempotents(self) -> np.ndarray:
+        """The minimal central idempotents p_b = sum_i e^(b)_ii, one row
+        of ambient coefficients per block, each summed in order of i."""
+        return np.array([
+            sum((u[i, i] for i in range(1, len(u))), u[0, 0])
+            for u in map(self.units, range(len(self.block_dims)))])
 
     def verify(self, tol=None) -> float:
         """Largest residual of the matrix-unit relations, ambient product.
 
         Per distinct block size n, one stacked call each covers e_ij* =
-        e_ji, e_ij e_kl = [j = k] e_il over all blocks of that size and all
-        (i, j, k, l), and sum_i e_ii = p."""
+        e_ji and e_ij e_kl = [j = k] e_il over all blocks of that size and
+        all (i, j, k, l), read through the block algebra's index stacks;
+        one more call measures sum_b p_b - 1, that the decomposition is
+        unital."""
         A = self.ambient
+        units = self.iso.matrix.T
         worst = []
-        for n in sorted(set(self.block_dims)):
-            blocks = [b for b, m in enumerate(self.block_dims) if m == n]
-            U = np.array([[[e.coeffs for e in row]
-                           for row in self.matrix_units[b]]
-                          for b in blocks])                  # (b, i, j, :)
+        for g in self.block_algebra._block_stacks():
+            U = units[g]                                     # (b, i, j, :)
             worst.append(A.norm_coeffs(
                 A.star_coeffs(U) - U.swapaxes(1, 2)))
             prods = A.mul_coeffs(U[:, :, :, None, None],
                                  U[:, None, None])        # (b, i, j, k, l, :)
-            diag = np.arange(n)
+            diag = np.arange(g.shape[-1])
             prods[:, :, diag, diag] -= U[:, :, None]
             worst.append(A.norm_coeffs(prods))
-            worst.append(A.norm_coeffs(
-                U[:, diag, diag].sum(axis=1)
-                - [self.central_idempotents[b].coeffs for b in blocks]))
+        worst.append(A.norm_coeffs(
+            self.central_idempotents.sum(axis=0) - A.unit_coeffs))
         # np.max keeps a NaN residual, where max() would drop it
         return float(np.max(worst))
 
@@ -301,14 +326,15 @@ def _minimal_projection(corner: _MatrixSpan, rng, tol):
 
 
 def _factor_matrix_units(corner: _MatrixSpan, rng, tol):
-    """Matrix units of a corner that is a full matrix factor."""
+    """Matrix units of a corner that is a full matrix factor, as one
+    (n, n, r, r) array: entry [i, j] is e_ij."""
     d = corner.dim
     n = isqrt(d)
     if n * n != d:
         raise WedderburnError(
             f"corner of dimension {d} is not a matrix algebra")
     if n == 1:
-        return [[corner.unit]]
+        return corner.unit[None, None]
     e11 = _minimal_projection(corner, rng, tol)
     row = [e11]
     for _ in range(1, n):
@@ -326,8 +352,8 @@ def _factor_matrix_units(corner: _MatrixSpan, rng, tol):
                       / np.real(np.vdot(e11, e11)))
         row.append(best / np.sqrt(gamma))
     # row[j] = e_{1,j+1}; general units e_ij = e_{1i}* e_{1j}
-    units = [[row[i].conj().T @ row[j] for j in range(n)] for i in range(n)]
-    return units
+    row = np.stack(row)
+    return row.conj().swapaxes(1, 2)[:, None] @ row
 
 
 def decompose(gens, tol=None, seed: int = DEFAULT_SEED) -> WedderburnData:
@@ -435,34 +461,15 @@ def _decompose_with_rep(ambient, gen_coeffs, rep_tensor, tol, seed):
     # the units of every corner first, then one pull-back for all of them
     corner_units = [_factor_matrix_units(corner, rng, tol)
                     for corner in corners]
-    coeffs = pull_back(np.stack(
-        [u for units_m in corner_units for row in units_m for u in row]))
-    blocks = []
-    start = 0
-    for units_m in corner_units:
-        n = len(units_m)
-        units = [[AlgElement(ambient, coeffs[start + i * n + j])
-                  for j in range(n)] for i in range(n)]
-        start += n * n
-        p = units[0][0]
-        for i in range(1, n):
-            p = p + units[i][i]
-        key = np.round(
-            np.concatenate([p.coeffs.real, p.coeffs.imag]), 8).tobytes()
-        blocks.append((n, key, p, units))
-    blocks.sort(key=lambda b: (b[0], b[1]))
-
-    block_dims = tuple(b[0] for b in blocks)
-    idempotents = [b[2] for b in blocks]
-    matrix_units = [b[3] for b in blocks]
-    iso_cols = []
-    for b, n in enumerate(block_dims):
-        for i in range(n):
-            for j in range(n):
-                iso_cols.append(matrix_units[b][i][j].coeffs)
-    iso = LinMap(BlockAlgebra(block_dims), ambient, np.stack(iso_cols, axis=1))
-
-    data = WedderburnData(ambient, block_dims, idempotents, matrix_units, iso)
+    coeffs = pull_back(np.concatenate(
+        [units.reshape(-1, *units.shape[2:]) for units in corner_units]))
+    dims = [len(units_m) for units_m in corner_units]
+    raw = WedderburnData(LinMap(BlockAlgebra(dims), ambient, coeffs.T))
+    # blocks by size, ties broken by the rounded idempotent
+    keys = np.round(np.concatenate([raw.central_idempotents.real,
+                                    raw.central_idempotents.imag], axis=1), 8)
+    data = reorder_blocks(raw, sorted(
+        range(len(dims)), key=lambda b: (dims[b], keys[b].tobytes())))
     worst = data.verify(tol)
     if not tol.is_zero(worst):
         raise WedderburnError(
@@ -470,21 +477,18 @@ def _decompose_with_rep(ambient, gen_coeffs, rep_tensor, tol, seed):
     return data
 
 
-def reorder_blocks(data: WedderburnData, order):
+def reorder_blocks(data: WedderburnData, order) -> WedderburnData:
     """WedderburnData with blocks permuted into the given order."""
+    B = data.block_algebra
     order = list(order)
-    block_dims = tuple(data.block_dims[b] for b in order)
-    idem = [data.central_idempotents[b] for b in order]
-    units = [data.matrix_units[b] for b in order]
-    # the iso's columns are the matrix units, block by block; take() keeps
-    # the C layout that np.stack of the columns has (a[:, idx] would not,
-    # and the transported Hopf maps would change in the last bit)
-    offsets = data.block_algebra.offsets
-    cols = np.concatenate([np.arange(offsets[b], offsets[b + 1])
+    # the iso's columns are the matrix units, block by block; take() gives
+    # a C-ordered matrix (a[:, idx] would not, and the transported Hopf
+    # maps would change in the last bit)
+    cols = np.concatenate([np.arange(B.offsets[b], B.offsets[b + 1])
                            for b in order])
-    iso = LinMap(BlockAlgebra(block_dims), data.ambient,
-                 data.iso.matrix.take(cols, axis=1))
-    return WedderburnData(data.ambient, block_dims, idem, units, iso)
+    return WedderburnData(LinMap(
+        BlockAlgebra([B.block_dims[b] for b in order]), data.ambient,
+        data.iso.matrix.take(cols, axis=1)))
 
 
 def central_support(ambient_data: WedderburnData, q: AlgElement,
@@ -499,6 +503,7 @@ def central_support(ambient_data: WedderburnData, q: AlgElement,
         raise CheckError("central_support expects a projection")
     out = q.parent.zero()
     for p in ambient_data.central_idempotents:
+        p = AlgElement(q.parent, p)
         if not (p * q).is_zero(tol):
             out = out + p
     return out

@@ -7,12 +7,14 @@ from finiteqg import groups
 from finiteqg.clifford import (NormalityError, kac_constancy_check,
                                quotient_subgroup, restriction_table,
                                vergnioux_relation)
-from finiteqg.core import Tolerance, distance_to_span, orthonormal_rows
+from finiteqg.core import (LinMap, Tolerance, distance_to_span,
+                           orthonormal_rows)
 from finiteqg.duality import block_presentation, dualize, mult_unitary
 from finiteqg.hopf import function_algebra, group_algebra
 from finiteqg.orbits import (MorphismError, coinvariant_normality,
                              full_subgroup, homogeneous_action,
-                             homogeneous_space, relation, trivial_subgroup)
+                             homogeneous_space, hopf_surjection_checks,
+                             relation, trivial_subgroup)
 
 
 def a3_restriction_oracle():
@@ -37,15 +39,21 @@ def a3_restriction_oracle():
 
 def test_quotient_subgroup_trivial_gives_full(hopf_cs3, dual_cs3):
     # H trivial: rho = counit; Lambda = the whole dual, pi bijective
-    m = quotient_subgroup(hopf_cs3, dual_cs3, hopf_cs3.counit[None, :])
+    m, _ = quotient_subgroup(hopf_cs3, dual_cs3, hopf_cs3.counit[None, :])
     assert m.rank == 6
     X = homogeneous_space(dual_cs3, m)
     assert X.block_dims == (1,)
 
 
 def test_quotient_subgroup_whole_group_gives_trivial(hopf_cs3, dual_cs3):
-    m = quotient_subgroup(hopf_cs3, dual_cs3, np.eye(6))
+    m, checks = quotient_subgroup(hopf_cs3, dual_cs3, np.eye(6))
     assert m.rank == 1
+    # rho = id has no kernel: one surjection residual, and the two
+    # residuals of the coinvariants
+    assert sorted(checks.residuals) == ["coinvariant_distance",
+                                        "coinvariant_subalgebra",
+                                        "intertwines_coproduct"]
+    assert checks.passed
     # pi is the counit of the dual, up to the basis normalization of the
     # one-dimensional codomain
     eps = dual_cs3.dual_hopf.counit
@@ -59,7 +67,7 @@ def test_quotient_subgroup_a3(s3, hopf_cs3, dual_cs3, data_dir):
     rho = np.zeros((3, 6))
     for b, g in enumerate(a3):
         rho[b, g] = 1.0
-    m = quotient_subgroup(hopf_cs3, dual_cs3, rho)
+    m, checks = quotient_subgroup(hopf_cs3, dual_cs3, rho)
     assert m.rank == 2 and m.normal
     # support of the subgroup: central projection of {triv, sgn}
     want = dual_cs3.block_projection(0) + dual_cs3.block_projection(1)
@@ -68,8 +76,19 @@ def test_quotient_subgroup_a3(s3, hopf_cs3, dual_cs3, data_dir):
     X = homogeneous_space(dual_cs3, m)
     Ci = np.linalg.inv(dual_cs3.block_to_dual)
     V = orthonormal_rows((Ci @ rho.T).T)
-    for v in X.basis:
+    for v in X.morphism.coinvariants:
         assert distance_to_span(V, v) <= 1e-9
+    # the record of rho: its own surjection checks, at its own scales, and
+    # the coinvariant residuals, which the morphism's records do not hold
+    surjection = hopf_surjection_checks(hopf_cs3, rho)
+    _, _, normality = coinvariant_normality(hopf_cs3, rho)
+    assert checks.residuals == {
+        **surjection.residuals, **normality.residuals,
+        "coinvariant_subalgebra": checks.residuals["coinvariant_subalgebra"]}
+    assert len(surjection.residuals) == 6
+    assert checks.scales == surjection.scales
+    assert checks.passed
+    assert checks.residuals["coinvariant_subalgebra"] <= 1e-9
 
 
 def test_non_normal_subgroup_rejected(s3, hopf_cs3, dual_cs3):
@@ -134,9 +153,9 @@ def test_coinvariant_normality_matches_cayley_table_conjugation():
                 with pytest.raises(NormalityError):
                     quotient_subgroup(H, D, rho)
             elif D is not None:
-                m = quotient_subgroup(H, D, rho)
+                m, checks = quotient_subgroup(H, D, rho)
                 assert m.rank * len(N) == G.order
-                assert m.surjection.passed
+                assert m.surjection.passed and checks.passed
             seen += 1
     assert seen == 6 + 6 + 8 + 30
 
@@ -326,7 +345,7 @@ def test_vergnioux_classes_are_closure_classes_on_shipped_pairs(data_dir):
         H, D = duals[hopf_file]
         kind, matrix = load_subgroup(data_dir / sub_file, H.dim)
         m = (subgroup_from_dual_matrix(D, matrix) if kind == "pi"
-             else quotient_subgroup(H, D, matrix))
+             else quotient_subgroup(H, D, matrix)[0])
         V = vergnioux_relation(D, m)
         assert [tuple(c) for c in V.classes] == _closure_classes(V.support)
         assert V.checks.flags["orbit_classes_match_vergnioux"], (
@@ -347,7 +366,7 @@ def test_seed_invariance_on_shipped_pairs(data_dir):
             H, D = hopfs[hopf_file], duals[hopf_file]
             kind, matrix = load_subgroup(data_dir / sub_file, H.dim)
             m = (subgroup_from_dual_matrix(D, matrix) if kind == "pi"
-                 else quotient_subgroup(H, D, matrix))
+                 else quotient_subgroup(H, D, matrix)[0])
             X = homogeneous_space(D, m, seed=seed)
             P = relation(homogeneous_action(D, X))
             T = restriction_table(D, X, P)
@@ -359,11 +378,11 @@ def test_nan_matrix_unit_fails_constancy(dual_cs3, a3_space, a3_partition):
     # a library caller hands in a homogeneous space whose last matrix unit
     # is NaN; the Markov residual must report it, not drop it
     T = restriction_table(dual_cs3, a3_space, a3_partition)
-    units = [[list(row) for row in block]
-             for block in a3_space.wd.matrix_units]
-    e = units[-1][-1][-1]
-    units[-1][-1][-1] = type(e)(e.parent, np.full(e.parent.dim, np.nan))
-    X = replace(a3_space, wd=replace(a3_space.wd, matrix_units=units))
+    iso = a3_space.wd.iso
+    units = iso.matrix.copy()
+    units[:, -1] = np.nan
+    X = replace(a3_space, wd=replace(a3_space.wd, iso=LinMap(
+        iso.domain, iso.codomain, units)))
     _, checks = kac_constancy_check(dual_cs3, X, T, a3_partition)
     assert np.isnan(checks.residuals["markov_trace_proportionality"])
     assert not checks.passed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finiteqg import duality, groups
-from finiteqg.core import LinMap, TensorAlgebra
+from finiteqg.core import Algebra, CheckError, LinMap, TensorAlgebra
 from finiteqg.duality import (contragredient, corep_of, dualize,
                               mult_unitary, tensor_mult)
 from finiteqg.hopf import function_algebra, group_algebra
@@ -67,9 +67,26 @@ def test_mult_unitary_builds_no_tensor_star_matrix(monkeypatch):
 
 
 def test_corep_identity_and_unitarity(dual_cs3, dual_kp8):
+    # corep_of's checks are mult_unitary's; here every entry of U U*,
+    # U* U and delta(U_rs) - sum_k U_rk x U_ks is taken on its own
     for D in [dual_cs3, dual_kp8]:
+        A, H = D.primal.algebra, D.primal
         for label in D.irr_labels:
-            corep_of(D, label)  # raises if any check fails
+            U = corep_of(D, label)
+            n = label.dim
+            for r in range(n):
+                for s in range(n):
+                    target = A.one() if r == s else A.zero()
+                    row = sum((U[r][k] * U[s][k].star() for k in range(n)),
+                              A.zero())
+                    col = sum((U[k][r].star() * U[k][s] for k in range(n)),
+                              A.zero())
+                    fused = sum(np.kron(U[r][k].coeffs, U[k][s].coeffs)
+                                for k in range(n))
+                    assert (row - target).norm() <= 1e-9
+                    assert (col - target).norm() <= 1e-9
+                    assert H.square.norm_coeffs(
+                        H.delta_of(U[r][s]).coeffs - fused) <= 1e-9
 
 
 def test_s3_fusion_against_character_table(dual_cs3):
@@ -135,12 +152,13 @@ def test_frobenius_reciprocity(dual_cs3, dual_kp8, hopf_gs3):
 
 
 def test_pairing_is_dual_basis(dual_cs3):
-    # pairing . block_to_dual = identity on block coordinates
-    P, C = dual_cs3.pairing, dual_cs3.block_to_dual
-    assert np.allclose(P, C.T)
+    # the pairing C^T evaluates the dual basis on the primal one, and W's
+    # legs are the rows of C^-1: C W = identity on block coordinates
+    C = dual_cs3.block_to_dual
     W = mult_unitary(dual_cs3).element
     Wm = W.coeffs.reshape(6, 6)
-    assert np.allclose(P.T @ Wm, np.eye(6), atol=1e-12)
+    assert np.array_equal(Wm, dual_cs3.dual_to_block)
+    assert np.allclose(C @ Wm, np.eye(6), atol=1e-12)
 
 
 def _conjugacy_class_count(g):
@@ -190,7 +208,31 @@ def test_dualize_rejects_corrupted_raw_dual(monkeypatch, kp8_block, part):
 
 
 def test_corep_of_propagates_nan(dual_cs3):
+    mult_unitary(dual_cs3)              # the session's dual holds its W
     C = dual_cs3.block_to_dual.copy()
     C[0, 0] = np.nan
-    with pytest.raises(ValueError, match="corepresentation"):
+    with pytest.raises(CheckError, match="multiplicative unitary fails"):
         corep_of(replace(dual_cs3, block_to_dual=C), 2)
+
+
+def test_replaced_dual_drops_the_cached_w(dual_cs3):
+    # a copy with another C must not answer with the W of the original:
+    # with a NaN in C, mult_unitary fails, as for a fresh DiscreteQG
+    mult_unitary(dual_cs3)
+    C = dual_cs3.block_to_dual.copy()
+    C[0, 0] = np.nan
+    with pytest.raises(CheckError, match="multiplicative unitary fails"):
+        mult_unitary(replace(dual_cs3, block_to_dual=C))
+    assert replace(dual_cs3)._w is None
+    fresh = duality.DiscreteQG(dual_cs3.primal, dual_cs3.dual_hopf, C)
+    with pytest.raises(CheckError, match="multiplicative unitary fails"):
+        mult_unitary(fresh)
+
+
+def test_replaced_hopf_data_drops_the_cached_square(hopf_cs3):
+    T = hopf_cs3.square
+    A = hopf_cs3.algebra
+    B = Algebra(A.mul_tensor, A.unit_coeffs, A.star_matrix, name="copy")
+    K = replace(hopf_cs3, algebra=B)
+    assert K.square is not T
+    assert K.square.factors == (B, B)

@@ -43,11 +43,12 @@ def test_a3_space_is_even_group_span(s3, dual_cs3, a3_space):
     Ci = np.linalg.inv(dual_cs3.block_to_dual)
     even = groups.alternating_indices(s3)
     oracle = orthonormal_rows(np.stack([Ci[:, g] for g in even]))
-    assert a3_space.basis.shape[0] == 3
-    for v in a3_space.basis:
+    basis = a3_space.morphism.coinvariants
+    assert basis.shape[0] == 3
+    for v in basis:
         assert distance_to_span(oracle, v) <= 1e-10
     for v in oracle:
-        assert distance_to_span(a3_space.basis, v) <= 1e-10
+        assert distance_to_span(basis, v) <= 1e-10
 
 
 def test_homogeneous_action_is_conjugation(s3, dual_cs3):
@@ -316,28 +317,30 @@ def test_nan_action_fails_invariance_residual(a3_action):
     assert P.checks.failures() == ["invariant_projections"]
 
 
-def _nan_ambient_idempotent(D):
-    """The dual with a NaN in its last minimal central idempotent, as a
-    library caller might build it."""
-    idem = list(D.blocks.central_idempotents)
-    bad = idem[-1].coeffs.copy()
-    bad[-1] = np.nan
-    idem[-1] = type(idem[-1])(idem[-1].parent, bad)
-    return replace(D, blocks=replace(D.blocks, central_idempotents=idem))
+def _nan_block_unit(X):
+    """The homogeneous space with a NaN in the last column of its iso, the
+    last matrix unit of its last block, as a library caller might build
+    it.  The ambient idempotents are exact block units, so a NaN can only
+    come in through the space."""
+    iso = X.wd.iso
+    units = iso.matrix.copy()
+    units[-1, -1] = np.nan
+    return replace(X, wd=replace(X.wd, iso=LinMap(iso.domain, iso.codomain,
+                                                  units)))
 
 
 def test_nan_central_support_fails_class_sum(dual_cs3, a3_space,
                                              a3_partition):
-    *_, checks = central_supports(_nan_ambient_idempotent(dual_cs3),
-                                  a3_space, a3_partition)
+    *_, checks = central_supports(dual_cs3, _nan_block_unit(a3_space),
+                                  a3_partition)
     assert np.isnan(checks.residuals["central_support_class_sums"])
     assert not checks.passed
 
 
 def test_nan_central_support_fails_orthogonality(dual_cs3, a3_space,
                                                  a3_partition):
-    *_, checks = central_supports(_nan_ambient_idempotent(dual_cs3),
-                                  a3_space, a3_partition)
+    *_, checks = central_supports(dual_cs3, _nan_block_unit(a3_space),
+                                  a3_partition)
     assert np.isnan(checks.residuals["central_support_orthogonality"])
     assert not checks.passed
 

@@ -240,12 +240,21 @@ def test_decompose_abstract_equals_the_identity_row_path(label):
 def test_reorder_blocks_takes_the_matrix_unit_columns(label):
     raw = _both_sides(label)[1]
     wd = decompose_abstract(raw.algebra, haar_state(raw).gram)
-    for out in (_counit_block_first(wd, raw.counit),
-                reorder_blocks(wd, range(len(wd.block_dims))[::-1])):
-        cols = [u.coeffs for units in out.matrix_units for row in units
-                for u in row]
-        assert np.array_equal(out.iso.matrix, np.stack(cols, axis=1))
-        assert out.iso.matrix.flags.c_contiguous
+    n = len(wd.block_dims)
+    order = list(range(n))[::-1]
+    out = reorder_blocks(wd, order)
+    # block b of the result is block order[b] of wd, column for column
+    assert out.block_dims == tuple(wd.block_dims[b] for b in order)
+    for b, was in enumerate(order):
+        assert np.array_equal(out.units(b), wd.units(was))
+    # the counit block first is the reorder that moves that block alone
+    triv = _counit_block_first(wd, raw.counit)
+    first = next(b for b in range(n)
+                 if np.array_equal(wd.units(b), triv.units(0)))
+    moved = reorder_blocks(wd, [first] + [b for b in range(n) if b != first])
+    assert np.array_equal(triv.iso.matrix, moved.iso.matrix)
+    assert out.iso.matrix.flags.c_contiguous
+    assert triv.iso.matrix.flags.c_contiguous
 
 
 @pytest.mark.parametrize("label", INSTANCES)

@@ -4,15 +4,16 @@ import numpy as np
 import pytest
 
 from finiteqg import groups, wedderburn
-from finiteqg.core import (BlockAlgebra, nullspace, numerical_rank,
-                           orthonormal_rows)
+from finiteqg.core import (AlgElement, BlockAlgebra, LinMap, nullspace,
+                           numerical_rank, orthonormal_rows)
 from finiteqg.duality import dual_hopf_raw
 from finiteqg.haar import haar_state
 from finiteqg.hopf import group_algebra, kac_paljutkin
 from finiteqg.io import load_hopf
 from finiteqg.core import Tolerance
 from finiteqg.wedderburn import (SpanNotClosedError, SpectralGapError,
-                                 WedderburnError, _central_idempotents,
+                                 WedderburnData, WedderburnError,
+                                 _central_idempotents,
                                  _cluster, _gns_rep, _MatrixSpan,
                                  central_support, decompose,
                                  decompose_abstract)
@@ -23,7 +24,7 @@ def test_diagonal_algebra():
     wd = decompose(A.basis())
     assert wd.block_dims == (1, 1, 1, 1)
     # idempotents are the coordinate projections, in deterministic order
-    got = sorted(tuple(np.round(p.coeffs.real, 8)) for p in
+    got = sorted(tuple(np.round(p.real, 8)) for p in
                  wd.central_idempotents)
     assert got == sorted(tuple(row) for row in np.eye(4))
 
@@ -63,9 +64,7 @@ def test_idempotent_redecomposition(hopf_gs3):
     # decomposing the span of the returned units reproduces the block dims
     # (the group-algebra basis makes the left regular rep a *-rep, so the
     # units can be fed back in as a plain spanning set)
-    units = [wd.matrix_units[b][i][j]
-             for b, n in enumerate(wd.block_dims)
-             for i in range(n) for j in range(n)]
+    units = [AlgElement(wd.ambient, c) for c in wd.iso.matrix.T]
     wd2 = decompose(units)
     assert wd2.block_dims == wd.block_dims
 
@@ -74,12 +73,10 @@ def test_seeded_determinism(kp8):
     gram = haar_state(kp8).gram
     w1 = decompose_abstract(kp8.algebra, gram, seed=123)
     w2 = decompose_abstract(kp8.algebra, gram, seed=123)
-    for a, b in zip(w1.central_idempotents, w2.central_idempotents):
-        assert np.abs(a.coeffs - b.coeffs).max() <= 1e-12
-    for ua, ub in zip(w1.matrix_units, w2.matrix_units):
-        for ra, rb in zip(ua, ub):
-            for ea, eb in zip(ra, rb):
-                assert np.abs(ea.coeffs - eb.coeffs).max() <= 1e-12
+    assert w1.block_dims == w2.block_dims
+    assert np.abs(w1.central_idempotents
+                  - w2.central_idempotents).max() <= 1e-12
+    assert np.abs(w1.iso.matrix - w2.iso.matrix).max() <= 1e-12
 
 
 def test_non_closed_span_rejected():
@@ -92,7 +89,7 @@ def test_non_closed_span_rejected():
 def test_central_support_examples():
     A = BlockAlgebra([1, 2])
     wd = decompose(A.basis())
-    p1 = wd.central_idempotents[1]
+    p1 = A.element(wd.central_idempotents[1])
     assert wd.block_dims == (1, 2)
     # central cover of the central idempotent itself
     z = central_support(wd, p1)
@@ -119,8 +116,8 @@ def test_central_support_of_a3_character_is_std_block(s3, hopf_gs3):
     p_omega = hopf_gs3.algebra.element(coeffs)
     assert p_omega.is_projection()
     z = central_support(wd, p_omega)
-    p_std = next(p for b, p in enumerate(wd.central_idempotents)
-                 if wd.block_dims[b] == 2)
+    p_std = hopf_gs3.algebra.element(wd.central_idempotents[
+        wd.block_dims.index(2)])
     assert (z - p_std).norm() <= 1e-9
 
 
@@ -130,7 +127,8 @@ def test_central_support_dominates(kp8):
     # a random spectral projection of a self-adjoint element
     x = kp8.algebra.random_selfadjoint(rng)
     m = kp8.algebra.rep_coeffs(x.coeffs)
-    q = wd.matrix_units[4][0][0]  # minimal projection in the 2-dim block
+    # minimal projection in the 2-dim block
+    q = kp8.algebra.element(wd.units(4)[0, 0])
     z = central_support(wd, q)
     diff = kp8.algebra.rep_coeffs((z - q).coeffs)
     assert np.linalg.eigvalsh(0.5 * (diff + diff.conj().T)).min() >= -1e-10
@@ -186,14 +184,15 @@ def _center_reference(span):
 
 
 def _verify_reference(wd):
-    """Matrix-unit relations one element pair at a time."""
+    """Matrix-unit relations one element pair at a time, and the sum of
+    all diagonal units against the unit."""
+    A = wd.ambient
     worst = 0.0
+    total = A.zero()
     for b, n in enumerate(wd.block_dims):
-        mu = wd.matrix_units[b]
-        ssum = mu[0][0]
-        for i in range(1, n):
-            ssum = ssum + mu[i][i]
-        worst = max(worst, (ssum - wd.central_idempotents[b]).norm())
+        mu = [[A.element(u) for u in row] for row in wd.units(b)]
+        for i in range(n):
+            total = total + mu[i][i]
         for i in range(n):
             for j in range(n):
                 worst = max(worst, (mu[i][j].star() - mu[j][i]).norm())
@@ -203,7 +202,7 @@ def _verify_reference(wd):
                         if j == k:
                             diff = diff - mu[i][l]
                         worst = max(worst, diff.norm())
-    return worst
+    return max(worst, (total - A.one()).norm())
 
 
 def test_stacked_closure_and_center_match_reference(abstract_case):
@@ -224,10 +223,34 @@ def test_stacked_verify_matches_reference(abstract_case):
 
 def test_corrupted_last_matrix_unit_fails_verify(kp8):
     wd = decompose_abstract(kp8.algebra, haar_state(kp8).gram)
-    units = [[list(row) for row in block] for block in wd.matrix_units]
-    n = wd.block_dims[-1]
-    units[-1][n - 1][n - 1] = 1.001 * units[-1][n - 1][n - 1]
-    assert replace(wd, matrix_units=units).verify() > 1e-4
+    # the last column of the iso is the last diagonal unit e_nn
+    assert replace(wd, iso=_scaled_last_unit(wd.iso)).verify() > 1e-4
+
+
+def _scaled_last_unit(iso, factor=1.001):
+    units = iso.matrix.copy()
+    units[:, -1] *= factor
+    return LinMap(iso.domain, iso.codomain, units)
+
+
+@pytest.mark.parametrize("which", ["kp8", "c6"])
+def test_iso_without_its_last_block_fails_verify(kp8, which):
+    H = kp8 if which == "kp8" else group_algebra(groups.cyclic(6))
+    wd = decompose_abstract(H.algebra, haar_state(H).gram)
+    dims = wd.block_dims[:-1]
+    part = WedderburnData(LinMap(
+        BlockAlgebra(dims), wd.ambient,
+        wd.iso.matrix[:, :wd.block_algebra.offsets[-2]]))
+    # every matrix-unit relation of the blocks that are left holds ...
+    A = part.ambient
+    for b, n in enumerate(dims):
+        U = part.units(b)
+        assert A.norm_coeffs(A.star_coeffs(U) - U.swapaxes(0, 1)) <= 1e-9
+        prods = A.mul_coeffs(U[:, :, None, None], U)
+        prods[:, np.arange(n), np.arange(n)] -= U[:, None]
+        assert A.norm_coeffs(prods) <= 1e-9
+    # ... but their idempotents do not add up to the unit
+    assert part.verify() >= 0.5
 
 
 def test_nan_basis_element_fails_check_closed(hopf_gs3):
@@ -280,15 +303,16 @@ def _per_block_verify_reference(wd):
     """Matrix-unit relations with three stacked calls per block."""
     A = wd.ambient
     worst = []
+    ones = []
     for b, n in enumerate(wd.block_dims):
-        U = np.array([[e.coeffs for e in row] for row in wd.matrix_units[b]])
+        U = np.array(wd.units(b))
         worst.append(A.norm_coeffs(A.star_coeffs(U) - U.transpose(1, 0, 2)))
         prods = A.mul_coeffs(U[:, :, None, None], U)
         diag = np.arange(n)
         prods[:, diag, diag] -= U[:, None]
         worst.append(A.norm_coeffs(prods))
-        worst.append(A.norm_coeffs(U[diag, diag].sum(axis=0)
-                                   - wd.central_idempotents[b].coeffs))
+        ones.append(U[diag, diag].sum(axis=0))
+    worst.append(A.norm_coeffs(np.sum(ones, axis=0) - A.unit_coeffs))
     return float(np.max(worst))
 
 
@@ -308,7 +332,7 @@ def test_verify_stacks_blocks_of_one_size(abstract_case, monkeypatch):
     ref = _per_block_verify_reference(wd)
     calls = _count_norm_calls(monkeypatch, wd.ambient)
     assert abs(wd.verify() - ref) <= 1e-13
-    assert len(calls) == 3 * len(set(wd.block_dims))
+    assert len(calls) == 2 * len(set(wd.block_dims)) + 1
 
 
 def test_verify_of_many_one_dim_blocks_is_three_calls(monkeypatch):
@@ -320,9 +344,7 @@ def test_verify_of_many_one_dim_blocks_is_three_calls(monkeypatch):
     assert abs(wd.verify() - ref) <= 1e-13
     assert len(calls) == 3
     # the last unit of the last block, stacked with five good blocks
-    units = [[list(row) for row in block] for block in wd.matrix_units]
-    units[-1][0][0] = 1.001 * units[-1][0][0]
-    assert replace(wd, matrix_units=units).verify() > 1e-4
+    assert replace(wd, iso=_scaled_last_unit(wd.iso)).verify() > 1e-4
 
 
 # -- one factorization per decision: corner dimensions, stacked membership,

@@ -138,7 +138,7 @@ def write_magic_files():
     assert V.shape[0] == 4, V.shape
     wd = decompose([AlgElement(A, v) for v in V])
     assert wd.block_dims == (1, 1, 1, 1)
-    Q = np.stack([p.coeffs for p in wd.central_idempotents])
+    Q = wd.central_idempotents
     u = [[None] * 4 for _ in range(4)]
     for j in range(4):
         Y = (KB.delta.matrix @ Q[j]).reshape(A.dim, A.dim)
