@@ -101,7 +101,7 @@ def _transport_hopf(H: HopfData, phi: np.ndarray, B: BlockAlgebra,
     tol = as_tolerance(tol)
     phi_i = np.linalg.inv(phi)
     d = len(phi)
-    # np.kron(phi_i, phi_i), entry by entry
+    # the Kronecker product phi_i x phi_i, entry by entry
     pair = np.multiply.outer(phi_i, phi_i).transpose(0, 2, 1, 3).reshape(
         d * d, d * d)
     delta = pair @ H.delta.matrix @ phi
@@ -220,7 +220,8 @@ def mult_unitary(D: DiscreteQG, tol=None) -> MultUnitary:
         "unitarity_left": T.norm_coeffs((Wst * W).coeffs - one),
     }
     T3 = tensor(B, A, A)
-    lhs = np.kron(np.eye(B.dim), D.primal.delta.matrix) @ W.coeffs
+    # (id x delta) W: delta acts on the second leg, the rows of Ci
+    lhs = (Ci @ D.primal.delta.matrix.T).reshape(-1)
     w12 = np.einsum("tk,l->tkl", Ci, A.unit_coeffs).reshape(-1)
     w13 = np.einsum("tl,k->tkl", Ci, A.unit_coeffs).reshape(-1)
     rhs = T3.mul_coeffs(w12, w13)

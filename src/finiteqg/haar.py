@@ -5,7 +5,8 @@ system {left invariance, right invariance, normalization}; the least
 squares residual doubles as a health check on the input.  The Gram matrix
 h(a* b) over the canonical basis realizes the GNS inner product and is
 required to be positive definite (the Haar state of a Hopf C*-algebra is
-faithful).
+faithful).  ``invariant_state_on_module`` averages a coaction with h, after
+the coaction's own ``verify`` has judged it.
 """
 from __future__ import annotations
 
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AlgElement, CheckError, Checks, GRAM_MIN_EIG, LinMap,
-                   as_tolerance, numerical_rank, opnorm)
+from .core import (AlgElement, CheckError, Checks, GRAM_MIN_EIG,
+                   as_tolerance, numerical_rank)
 from .hopf import HopfData
 
 
@@ -108,29 +109,24 @@ def _gram(A, h):
     return np.einsum("k,kpq->pq", h, y.reshape(d, d, d).transpose(1, 0, 2))
 
 
-def invariant_state_on_module(alpha: LinMap, h: HaarState, tol=None):
+def invariant_state_on_module(alpha, h: HaarState, tol=None):
     """The invariant functional x -> scalar part of (id x h) alpha(x).
 
-    ``alpha`` must satisfy the coaction equation
-    (alpha x id) alpha = (id x delta) alpha within tolerance.  When alpha
-    is ergodic the returned covector is the unique alpha-invariant state.
+    ``alpha`` is an ``orbits.ActionMap``: its ``verify`` judges it, and
+    raises, before the average.  When alpha is ergodic the returned
+    covector is the unique alpha-invariant state.
     """
-    tol = as_tolerance(tol)
-    H = h.hopf
-    N = alpha.domain
-    d_n, d_a = N.dim, H.dim
-    if alpha.matrix.shape != (d_n * d_a, d_n):
+    if h.hopf is not alpha.hopf:
+        raise ValueError("h is not the Haar state of alpha's quantum group")
+    N = alpha.module
+    d_n, d_a = N.dim, h.hopf.dim
+    if alpha.alpha.matrix.shape != (d_n * d_a, d_n):
         raise ValueError("alpha is not a map N -> N x Pol(G)")
-
-    lhs = np.kron(alpha.matrix, np.eye(d_a)) @ alpha.matrix
-    rhs = np.kron(np.eye(d_n), H.delta.matrix) @ alpha.matrix
-    res = float(opnorm(lhs - rhs))
-    if not tol.is_zero(res, float(opnorm(lhs))):
-        raise CheckError(f"map is not a coaction (residual {res:.3e})")
+    alpha.verify(tol)
 
     # E = (id x h) alpha, the averaging map onto the fixed-point algebra
     E = np.einsum("njk,j->nk",
-                  alpha.matrix.reshape(d_n, d_a, d_n), h.vector)
+                  alpha.alpha.matrix.reshape(d_n, d_a, d_n), h.vector)
     one = N.unit_coeffs
     weight = np.conj(one) / float((np.conj(one) @ one).real)
     return weight @ E

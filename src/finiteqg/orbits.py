@@ -20,7 +20,8 @@ Central objects:
   {x : (pi x id) delta(x) = 1 x x} with its own block decomposition and
   the ambient supports of its blocks;
 * ``ActionMap`` -- a coaction N -> N x Pol(G) on a direct sum of matrix
-  blocks, optionally regrouped into coarser summands;
+  blocks, optionally regrouped into coarser summands; ``verify`` is the
+  one coaction check;
 * ``OrbitPartition`` -- the orbit relation: summands i, j are related when
   the component of the action between them is non-zero.
 
@@ -29,6 +30,8 @@ when every summand is a single matrix block, and the class sums of block
 units are exactly the invariant projections.  For homogeneous spaces the
 class sums are central supports inside the ambient discrete dual, which
 ``central_supports`` verifies explicitly.
+A map on one tensor leg is a contraction on that leg: no Kronecker
+matrix of a map with an identity or a selection matrix is built.
 """
 from __future__ import annotations
 
@@ -80,7 +83,9 @@ def hopf_surjection_checks(H: HopfData, rho, tol=None) -> Checks:
     # a huge rho overflows to an inf scale or residual, which fails below
     with np.errstate(over="ignore", invalid="ignore"):
         scale = np.square(sv[0])
-        pipi_delta = np.kron(rho, rho) @ H.delta.matrix
+        # (rho x rho) delta, one leg at a time on D3[i, j, k]
+        D3 = H.delta.matrix.reshape(d, d, d)
+        pipi_delta = np.tensordot(rho, rho @ D3, 1).reshape(r * r, d)
         delta_q = pipi_delta @ np.linalg.pinv(rho)
         res = {"intertwines_coproduct": float(
             opnorm(pipi_delta - delta_q @ rho))}
@@ -172,10 +177,10 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
             f"{corner_dim} != rank {r}")
 
     # pi must kill every matrix unit outside the surviving blocks
-    dead = [k for k in range(B.dim)
-            if B.unindex(k)[0] not in surviving]
+    dead = [pi[:, B.offsets[i]:B.offsets[i + 1]]
+            for i in range(len(B.block_dims)) if i not in surviving]
     if dead:
-        worst = float(np.abs(pi[:, dead]).max())
+        worst = float(np.max([np.abs(c).max() for c in dead]))
         if not tol.is_zero(worst, scale):
             raise MorphismError(
                 f"pi does not vanish on the complementary ideal ({worst:.3e})")
@@ -202,14 +207,16 @@ def trivial_subgroup(D: DiscreteQG, tol=None) -> SubgroupMorphism:
 def _coinvariants(H: HopfData, rho, side: str, tol):
     """Coinvariants of H under the surjection rho:
     {x : (rho x id) delta(x) = 1 x x} on the left side,
-    {x : (id x rho) delta(x) = x x 1} on the right side."""
+    {x : (id x rho) delta(x) = x x 1} on the right side.  rho acts on
+    one leg of D3[i, j, k], the coefficient of e_i x e_j in delta(e_k)."""
     eye = np.eye(H.dim)
-    unit_q = (rho @ H.algebra.unit_coeffs)[:, None]
+    D3 = H.delta.matrix.reshape((H.dim,) * 3)
+    unit_q = rho @ H.algebra.unit_coeffs
     if side == "left":
-        cond = np.kron(rho, eye) @ H.delta.matrix - np.kron(unit_q, eye)
+        cond = np.tensordot(rho, D3, 1) - unit_q[:, None, None] * eye
     else:
-        cond = np.kron(eye, rho) @ H.delta.matrix - np.kron(eye, unit_q)
-    return nullspace(cond, tol)
+        cond = rho @ D3 - eye[:, None] * unit_q[:, None]
+    return nullspace(cond.reshape(-1, H.dim), tol)
 
 
 def coinvariant_normality(H: HopfData, pi, tol=None):
@@ -255,14 +262,15 @@ class HomogeneousSpace:
         return AlgElement(self.wd.ambient, self.wd.central_idempotents[i])
 
     def block_supports(self, tol=None) -> list:
-        """For each block i, the ambient irreducibles k with 1_k 1_i != 0,
-        as a frozenset."""
+        """For each block i, as a frozenset, the ambient irreducibles k
+        with 1_k 1_i != 0: block k of 1_i, or every k when 1_i has a NaN
+        or inf coefficient."""
         tol = as_tolerance(tol)
-        D = self.morphism.dqg
-        return [frozenset(k for k in range(len(D.irr_dims))
-                          if not (D.block_projection(k)
-                                  * self.block_unit_in_dual(i)).is_zero(tol))
-                for i in range(self.size)]
+        B = self.morphism.dqg.dual_algebra
+        return [frozenset(k for k, b in enumerate(B.block_matrices(row))
+                          if not (np.isfinite(row).all()
+                                  and tol.is_zero(float(opnorm(b)))))
+                for row in self.wd.central_idempotents]
 
     def __repr__(self):
         return f"HomogeneousSpace(blocks={list(self.block_dims)})"
@@ -281,6 +289,12 @@ def homogeneous_space(D: DiscreteQG, m: SubgroupMorphism, tol=None,
     gens = [AlgElement(D.dual_algebra, v) for v in basis]
     wd = decompose(gens, tol, seed)  # raises unless a *-closed unital span
     return HomogeneousSpace(m, wd)
+
+
+def _block_indices(N: BlockAlgebra, blocks):
+    """The basis indices of the matrix units of the given blocks of N."""
+    return np.concatenate([np.arange(N.offsets[b], N.offsets[b + 1])
+                           for b in blocks])
 
 
 @dataclass
@@ -315,12 +329,7 @@ class ActionMap:
         return out
 
     def summand_indices(self, i: int):
-        idx = []
-        for b in self.summands[i]:
-            n = self.module.block_dims[b]
-            o = int(self.module.offsets[b])
-            idx.extend(range(o, o + n * n))
-        return np.array(idx, dtype=int)
+        return _block_indices(self.module, self.summands[i])
 
     def component_norm(self, j: int, image) -> float:
         """Norm of the rows of summand j of ``image`` = alpha(x); for
@@ -349,7 +358,7 @@ class ActionMap:
             res["unital"] = T.norm_coeffs(am @ N.unit_coeffs - one_t)
             res["multiplicative"] = multiplicative_residual(N, T, am)
             res["star"] = float(opnorm(
-                am @ N.star_matrix - T.star_matrix @ np.conj(am)))
+                am @ N.star_matrix - T.star_coeffs(am.T).T))
             # A3[i, g, k] is the coefficient of e_i x a_g in alpha(e_k):
             # (alpha x id) alpha acts on its first leg, (id x delta) alpha
             # broadcasts over i
@@ -367,23 +376,17 @@ class ActionMap:
 
     def restrict_to_blocks(self, blocks, tol=None) -> "ActionMap":
         """The restriction of the action to an invariant corner sum of
-        blocks (valid when the corresponding projection is invariant)."""
+        blocks: the rows of the kept units' images on the corner's leg.
+        The residual is the norm of the rows that escape the corner."""
         tol = as_tolerance(tol)
         blocks = sorted(blocks)
-        sub = BlockAlgebra([self.module.block_dims[b] for b in blocks])
-        cols = []
-        for b in blocks:
-            n = self.module.block_dims[b]
-            o = int(self.module.offsets[b])
-            cols.extend(range(o, o + n * n))
-        E = np.zeros((self.module.dim, sub.dim), dtype=complex)
-        for new, old in enumerate(cols):
-            E[old, new] = 1.0
-        big = np.kron(E, np.eye(self.hopf.dim))
-        rhs = self.alpha.matrix @ E
-        sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-        res = float(opnorm(big @ sol - rhs))
-        if not tol.is_zero(res, float(opnorm(rhs))):
+        N, d_a = self.module, self.hopf.dim
+        sub = BlockAlgebra([N.block_dims[b] for b in blocks])
+        cols = _block_indices(N, blocks)
+        rhs = self.alpha.matrix[:, cols].reshape(N.dim, d_a, sub.dim)
+        sol = rhs[cols].reshape(sub.dim * d_a, sub.dim)
+        res = float(opnorm(np.delete(rhs, cols, axis=0).reshape(-1, sub.dim)))
+        if not tol.is_zero(res, float(opnorm(rhs.reshape(-1, sub.dim)))):
             raise CheckError("blocks do not carry an invariant corner "
                              f"(residual {res:.3e})")
         return ActionMap(self.hopf, sub,
@@ -470,28 +473,27 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
 def homogeneous_action(D: DiscreteQG, X: HomogeneousSpace,
                        tol=None) -> ActionMap:
     """The action x -> W (x x 1) W* of the quantum group on the
-    homogeneous space, expressed on the space's own block coordinates."""
+    homogeneous space, expressed on the space's own block coordinates:
+    the conjugates of all its matrix units, one stack, solved on the
+    first leg against the embedding E = ``X.wd.iso.matrix`` of X."""
     tol = as_tolerance(tol)
     A = D.primal.algebra
     B = D.dual_algebra
     T = tensor(B, A)
     W = mult_unitary(D, tol).element
-    Wst = W.star()
     Xalg = X.block_algebra
     E = X.wd.iso.matrix
-    big = np.kron(E, np.eye(A.dim))
-    rhs = np.empty((B.dim * A.dim, Xalg.dim), dtype=complex)
-    for k in range(Xalg.dim):
-        x_amb = T.kron_coeffs(E[:, k], A.unit_coeffs)
-        y = T.mul_coeffs(T.mul_coeffs(W.coeffs, x_amb), Wst.coeffs)
-        rhs[:, k] = y
-    sol, *_ = np.linalg.lstsq(big, rhs, rcond=None)
-    res = float(opnorm(big @ sol - rhs))
-    if not tol.is_zero(res, float(opnorm(rhs))):
+    x_amb = (E.T[:, :, None] * A.unit_coeffs).reshape(Xalg.dim, T.dim)
+    conj = T.mul_coeffs(T.mul_coeffs(W.coeffs, x_amb), W.star().coeffs)
+    rhs = conj.T.reshape(B.dim, A.dim * Xalg.dim)
+    sol, *_ = np.linalg.lstsq(E, rhs, rcond=None)
+    res = float(opnorm((E @ sol - rhs).reshape(B.dim * A.dim, Xalg.dim)))
+    if not tol.is_zero(res, float(opnorm(conj.T))):
         raise CheckError(
             f"conjugation escapes the homogeneous space (residual {res:.3e})")
     alpha = ActionMap(D.primal, Xalg,
-                      LinMap(Xalg, tensor(Xalg, A), sol),
+                      LinMap(Xalg, tensor(Xalg, A),
+                             sol.reshape(Xalg.dim * A.dim, Xalg.dim)),
                       [[b] for b in range(len(Xalg.block_dims))])
     alpha.verify(tol)
     return alpha
@@ -504,13 +506,14 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
     For each block i of the homogeneous space, z(1_i) computed in the
     ambient dual must equal the sum of the units over the class of i;
     supports of related blocks must coincide, and central supports of
-    unrelated blocks must be orthogonal.  A block unit with a NaN or inf
-    coefficient decides no support: its z(1_i) is NaN, so both residuals
-    report it.  Returns the ambient supports
-    (a frozenset of ambient block indices per block), the z(1_i) as
-    elements of the dual, and the record: residuals
-    ``central_support_class_sums`` and ``central_support_orthogonality``,
-    flag ``supports_match_relation``.
+    unrelated blocks must be orthogonal: disjoint, as z(1_i) z(1_j) is
+    the sum of the p_k in both supports.  A block unit with a NaN or inf
+    coefficient decides no support: its z(1_i) is NaN and its support
+    every block, so the class sum residual and orthogonality report it.
+    Returns the ambient supports (a frozenset of ambient block indices
+    per block), the z(1_i) as elements of the dual, and the record:
+    residual ``central_support_class_sums``, flags
+    ``central_support_orthogonality`` and ``supports_match_relation``.
     """
     tol = as_tolerance(tol)
     m = X.size
@@ -524,26 +527,23 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
 
     sums = []
     for cls in P.classes:
-        s = X.block_unit_in_dual(cls[0])
-        for j in cls[1:]:
-            s = s + X.block_unit_in_dual(j)
-        for i in cls:
-            sums.append((zs[i] - s).norm())
+        s = sum(map(X.block_unit_in_dual, cls[1:]),
+                X.block_unit_in_dual(cls[0]))
+        sums.extend((zs[i] - s).norm() for i in cls)
 
-    orths = []
-    match = True
+    orthogonal = match = True
     for i in range(m):
         for j in range(m):
             same = P.relation[i, j] or P.relation[j, i]
-            if not same:
-                orths.append((zs[i] * zs[j]).norm())
+            if not same and supports[i] & supports[j]:
+                orthogonal = False
             if (supports[i] == supports[j]) != bool(same or i == j):
                 match = False
     # np.max keeps a NaN residual, where max() would drop it
     checks = Checks(
-        {"central_support_class_sums": float(np.max(sums, initial=0.0)),
-         "central_support_orthogonality": float(np.max(orths, initial=0.0))},
-        tol, flags={"supports_match_relation": match})
+        {"central_support_class_sums": float(np.max(sums, initial=0.0))},
+        tol, flags={"central_support_orthogonality": orthogonal,
+                    "supports_match_relation": match})
     return supports, zs, checks
 
 

@@ -5,6 +5,7 @@ from finiteqg import groups
 from finiteqg.classical import action_from_magic, permutation_magic
 from finiteqg.haar import HaarError, haar_state, invariant_state_on_module
 from finiteqg.hopf import function_algebra, group_algebra
+from finiteqg.orbits import ActionMap
 
 
 def test_haar_z2_uniform():
@@ -64,7 +65,8 @@ def test_traciality_random_pairs(kp8_block):
 def test_invariant_state_of_coproduct_is_haar(hopf_cs3):
     # delta itself is a coaction; its averaged functional is the Haar state
     h = haar_state(hopf_cs3)
-    out = invariant_state_on_module(hopf_cs3.delta, h)
+    alpha = ActionMap(hopf_cs3, hopf_cs3.algebra, hopf_cs3.delta, None)
+    out = invariant_state_on_module(alpha, h)
     assert np.allclose(out, h.vector, atol=1e-12)
 
 
@@ -73,7 +75,7 @@ def test_invariant_state_z3_cycle_uniform():
     H = function_algebra(z3)
     act = np.array([[(g + x) % 3 for x in range(3)] for g in range(3)])
     alpha = action_from_magic(permutation_magic(H, act))
-    out = invariant_state_on_module(alpha.alpha, haar_state(H))
+    out = invariant_state_on_module(alpha, haar_state(H))
     assert np.allclose(out, [1 / 3] * 3, atol=1e-12)
 
 
@@ -84,7 +86,7 @@ def test_invariant_state_on_restricted_conjugation_orbit(
     pair = next(c for c in a3_partition.classes if len(c) == 2)
     sub = a3_action.restrict_to_blocks(pair)
     h = haar_state(dual_cs3.primal)
-    out = invariant_state_on_module(sub.alpha, h)
+    out = invariant_state_on_module(sub, h)
     for b in range(2):
         unit = sub.module.block_unit(b)
         assert abs(complex(out @ unit.coeffs) - 0.5) < 1e-10
@@ -107,5 +109,30 @@ def test_invariant_state_rejects_non_coaction(hopf_cs3):
     rng = np.random.default_rng(7)
     A = hopf_cs3.algebra
     junk = LinMap(A, tensor(A, A), rng.standard_normal((36, 6)))
-    with pytest.raises(ValueError):
-        invariant_state_on_module(junk, haar_state(hopf_cs3))
+    alpha = ActionMap(hopf_cs3, A, junk, None)
+    with pytest.raises(ValueError, match="not a coaction"):
+        invariant_state_on_module(alpha, haar_state(hopf_cs3))
+
+
+def test_invariant_state_judges_the_coaction_at_the_callers_tolerance(
+        hopf_cs3):
+    # delta moved by 1e-7 is a coaction at 1e-6 and not at the default 1e-9
+    from finiteqg.core import LinMap, Tolerance
+    A = hopf_cs3.algebra
+    am = hopf_cs3.delta.matrix.copy()
+    am[0, 0] += 1e-7
+    alpha = ActionMap(hopf_cs3, A, LinMap(A, hopf_cs3.delta.codomain, am),
+                      None)
+    h = haar_state(hopf_cs3)
+    out = invariant_state_on_module(alpha, h, Tolerance(1e-6))
+    assert np.allclose(out, h.vector, atol=1e-6)
+    with pytest.raises(ValueError, match="not a coaction"):
+        invariant_state_on_module(alpha, h)
+
+
+def test_invariant_state_needs_the_haar_state_of_the_actions_group(
+        hopf_cs3, hopf_gs3):
+    # C[S3] has C(S3)'s dimension; its Haar state averages nothing here
+    alpha = ActionMap(hopf_cs3, hopf_cs3.algebra, hopf_cs3.delta, None)
+    with pytest.raises(ValueError, match="Haar state of alpha"):
+        invariant_state_on_module(alpha, haar_state(hopf_gs3))
