@@ -10,14 +10,18 @@ constant 1/|class| on the class.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (_DENSE_STACK_ENTRIES, AlgElement, BlockAlgebra, Checks,
                    LinMap, as_tolerance, tensor)
-from .haar import HaarState
-from .hopf import HopfData
-from .orbits import ActionMap, OrbitPartition, relation
+from .orbits import ActionMap, relation
+
+if TYPE_CHECKING:
+    from .haar import HaarState
+    from .hopf import HopfData
+    from .orbits import OrbitPartition
 
 
 @dataclass

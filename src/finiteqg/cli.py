@@ -16,11 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from . import classical, clifford, io, orbits
+# modules, not names: a command executes only the modules it calls
+from . import classical, clifford, duality, haar, hopf, io, orbits
 from .core import DEFAULT_SEED, CheckError, Checks, Tolerance
-from .duality import dualize, mult_unitary
-from .haar import haar_state
-from .hopf import verify_hopf
 
 
 class Run:
@@ -90,7 +88,7 @@ def _complex_list(vec):
 
 def _load_verified_hopf(run: Run, path, tol):
     H = io.load_hopf(path, tol, verify=False)
-    rep = verify_hopf(H, tol)
+    rep = hopf.verify_hopf(H, tol)
     run.checks(rep, "hopf:")
     rep.raise_for_failure("input fails Hopf axioms")
     return H
@@ -98,14 +96,14 @@ def _load_verified_hopf(run: Run, path, tol):
 
 def cmd_verify(args, run: Run, tol):
     H = io.load_hopf(resolve(args.hopf), tol, verify=False)
-    run.checks(verify_hopf(H, tol))
+    run.checks(hopf.verify_hopf(H, tol))
     run.result("name", H.name)
     run.result("blocks", [int(n) for n in H.algebra.block_dims])
 
 
 def cmd_haar(args, run: Run, tol):
     H = _load_verified_hopf(run, resolve(args.hopf), tol)
-    h = haar_state(H, tol)
+    h = haar.haar_state(H, tol)
     run.checks(h.checks)
     run.result("haar_vector", _complex_list(h.vector))
     run.result("gram_min_eigenvalue", h.min_gram_eigenvalue)
@@ -113,8 +111,8 @@ def cmd_haar(args, run: Run, tol):
 
 def cmd_dual(args, run: Run, tol):
     H = _load_verified_hopf(run, resolve(args.hopf), tol)
-    D = dualize(H, tol, args.seed)
-    run.checks(mult_unitary(D, tol).checks, "mult_unitary:")
+    D = duality.dualize(H, tol, args.seed)
+    run.checks(duality.mult_unitary(D, tol).checks, "mult_unitary:")
     run.result("dual_blocks", [int(n) for n in D.irr_dims])
 
 
@@ -131,7 +129,7 @@ def _load_morphism(run: Run, D, H, sub_path, tol):
 
 def _orbit_pipeline(run: Run, args, tol):
     H = _load_verified_hopf(run, resolve(args.hopf), tol)
-    D = dualize(H, tol, args.seed)
+    D = duality.dualize(H, tol, args.seed)
     m = _load_morphism(run, D, H, resolve(args.subgroup), tol)
     run.result("subgroup_dim", int(m.rank))
     run.result("subgroup_normal", bool(m.normal))
@@ -167,7 +165,7 @@ def cmd_clifford(args, run: Run, tol):
 
 def cmd_vergnioux(args, run: Run, tol):
     H = _load_verified_hopf(run, resolve(args.hopf), tol)
-    D = dualize(H, tol, args.seed)
+    D = duality.dualize(H, tol, args.seed)
     m = _load_morphism(run, D, H, resolve(args.subgroup), tol)
     V = clifford.vergnioux_relation(D, m, tol, args.seed)
     run.checks(V.checks)
@@ -183,7 +181,7 @@ def cmd_classical_orbits(args, run: Run, tol):
     run.checks(rep, "magic:")
     rep.raise_for_failure("magic action fails")
     co = classical.classical_orbits(M, tol)
-    h = haar_state(H, tol)
+    h = haar.haar_state(H, tol)
     hv = classical.haar_values(M, h, co.partition, tol)
     run.checks(Checks({"counting_measure_invariance": co.counting_residual,
                        "haar_values_on_class": hv.on_class_residual,

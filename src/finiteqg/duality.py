@@ -170,23 +170,14 @@ def dual_hopf_raw(H: HopfData) -> HopfData:
 
 def dualize(H: HopfData, tol=None, seed: int = DEFAULT_SEED) -> DiscreteQG:
     """Construct the dual discrete quantum group in canonical block form."""
-    tol = as_tolerance(tol)
     # The raw dual gets no verify_hopf of its own.  The block dual is the
-    # raw dual transported along the *-isomorphism C (decompose_abstract
-    # verifies C's matrix-unit relations, _transport_hopf the involution),
-    # and _transport_hopf verifies the block dual.  An axiom residual of
-    # one is that of the other up to factors of ||C|| and ||C^-1||;
-    # DiscreteQG.condition computes cond(C) on demand (2.0 for kp8.json,
-    # the largest among the shipped instances).
-    raw = dual_hopf_raw(H)
-    h_dual = haar_state(raw, tol)
-    wd = decompose_abstract(raw.algebra, h_dual.gram, tol, seed)
-    wd = _counit_block_first(wd, raw.counit)
-    if wd.total_dim != H.dim:
-        raise CheckError("dual block dimensions do not add up")  # unreachable
-    C = wd.iso.matrix                      # dual coords of block basis
-    dual_block = _transport_hopf(raw, C, wd.block_algebra,
-                                 raw.name + "@blocks", tol)
+    # raw dual transported along the *-isomorphism C, the dual coordinates
+    # of the block basis (decompose_abstract verifies C's matrix-unit
+    # relations, _transport_hopf the involution and then the block dual).
+    # An axiom residual of one is that of the other up to factors of ||C||
+    # and ||C^-1||; DiscreteQG.condition computes cond(C) on demand (2.0
+    # for kp8.json, the largest among the shipped instances).
+    dual_block, C = block_presentation(dual_hopf_raw(H), tol, seed)
     return DiscreteQG(primal=H, dual_hopf=dual_block, block_to_dual=C)
 
 

@@ -11,12 +11,15 @@ the coaction's own ``verify`` has judged it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (AlgElement, CheckError, Checks, GRAM_MIN_EIG,
                    as_tolerance, numerical_rank)
-from .hopf import HopfData
+
+if TYPE_CHECKING:
+    from .hopf import HopfData
 
 
 @dataclass

@@ -13,13 +13,16 @@ S(x*) = S(x)*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, Checks,
                    COUNIT_SPLIT, LinMap, as_tolerance,
                    multiplicative_residual, opnorm, pair_products, tensor)
-from .groups import FiniteGroup
+
+if TYPE_CHECKING:
+    from .groups import FiniteGroup
 
 
 @dataclass

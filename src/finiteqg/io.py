@@ -29,13 +29,17 @@ import cmath
 import json
 import numbers
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import classical
 from .core import (AlgElement, BlockAlgebra, LinMap, as_tolerance, opnorm,
                    tensor)
-from .classical import MagicAction
 from .hopf import HopfData, verify_hopf
+
+if TYPE_CHECKING:
+    from .classical import MagicAction
 
 WRITE_CUTOFF = 1e-14
 
@@ -204,7 +208,7 @@ def magic_from_dict(data: dict, H: HopfData) -> MagicAction:
         raise SchemaError(f"malformed magic data: {exc}") from exc
     u = [[AlgElement(H.algebra, mats[i][j]) for j in range(n)]
          for i in range(n)]
-    return MagicAction(H, n, u)
+    return classical.MagicAction(H, n, u)
 
 
 def load_magic(path, H: HopfData) -> MagicAction:

@@ -36,16 +36,20 @@ matrix of a map with an identity or a selection matrix is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
+from . import duality, wedderburn
 from .core import (AlgElement, BlockAlgebra, CheckError, Checks,
                    LinMap, DEFAULT_SEED, as_tolerance, nullspace,
                    numerical_rank, distance_to_span, multiplicative_residual,
                    opnorm, pair_products, tensor)
-from .duality import DiscreteQG, mult_unitary
-from .hopf import HopfData
-from .wedderburn import WedderburnData, decompose
+
+if TYPE_CHECKING:
+    from .duality import DiscreteQG
+    from .hopf import HopfData
+    from .wedderburn import WedderburnData
 
 
 class MorphismError(CheckError):
@@ -287,7 +291,8 @@ def homogeneous_space(D: DiscreteQG, m: SubgroupMorphism, tol=None,
             f"coinvariant dimension {basis.shape[0]} does not match "
             f"dim(dual)/dim(sub) = {D.dual_algebra.dim}/{m.rank}")
     gens = [AlgElement(D.dual_algebra, v) for v in basis]
-    wd = decompose(gens, tol, seed)  # raises unless a *-closed unital span
+    # raises unless a *-closed unital span
+    wd = wedderburn.decompose(gens, tol, seed)
     return HomogeneousSpace(m, wd)
 
 
@@ -314,6 +319,10 @@ class ActionMap:
     def __post_init__(self):
         if self.summands is None:
             self.summands = [[b] for b in range(len(self.module.block_dims))]
+        empty = [i for i, g in enumerate(self.summands) if len(g) == 0]
+        if empty:
+            raise ValueError(f"summands {empty} are empty: every summand "
+                             "must hold at least one module block")
         got = sorted(b for g in self.summands for b in g)
         if got != list(range(len(self.module.block_dims))):
             raise ValueError("summands must partition the module blocks")
@@ -480,7 +489,7 @@ def homogeneous_action(D: DiscreteQG, X: HomogeneousSpace,
     A = D.primal.algebra
     B = D.dual_algebra
     T = tensor(B, A)
-    W = mult_unitary(D, tol).element
+    W = duality.mult_unitary(D, tol).element
     Xalg = X.block_algebra
     E = X.wd.iso.matrix
     x_amb = (E.T[:, :, None] * A.unit_coeffs).reshape(Xalg.dim, T.dim)

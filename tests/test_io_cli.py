@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import pytest
 
-from finiteqg import cli, clifford, groups
+from finiteqg import cli, clifford, groups, haar
 from finiteqg.haar import HaarError
 from finiteqg.hopf import function_algebra
 from finiteqg.io import (SchemaError, hopf_equal, hopf_from_dict,
@@ -317,7 +317,8 @@ def test_cli_aborted_check_is_reported_as_failed(tmp_path, capsys,
     def not_faithful(*args, **kwargs):
         raise HaarError("Haar state is not faithful (Gram not positive)")
 
-    monkeypatch.setattr(cli, "haar_state", not_faithful)
+    # cli looks the Haar state up in its module
+    monkeypatch.setattr(haar, "haar_state", not_faithful)
     p = tmp_path / "report.json"
     assert cli.main(["haar", "kp8.json", "--json", str(p)]) == 1
     out = capsys.readouterr().out
@@ -334,7 +335,7 @@ def test_cli_lets_an_internal_value_error_through(monkeypatch, capsys):
     def broken(*args, **kwargs):
         raise ValueError("internal bug")
 
-    monkeypatch.setattr(cli, "haar_state", broken)
+    monkeypatch.setattr(haar, "haar_state", broken)
     with pytest.raises(ValueError, match="internal bug"):
         cli.main(["haar", "kp8.json"])
     capsys.readouterr()

@@ -148,6 +148,14 @@ def test_flip_singleton_relation_is_equivalence():
     assert P.checks.residuals["invariant_projections"] <= 1e-9
 
 
+def test_empty_summand_is_refused():
+    # the Z2 flip of two points, with an empty summand between the points
+    H = function_algebra(groups.cyclic(2))
+    flip = action_from_magic(permutation_magic(H, np.array([[0, 1], [1, 0]])))
+    with pytest.raises(ValueError, match=r"summands \[1\] are empty"):
+        ActionMap(H, flip.module, flip.alpha, [[0], [], [1]])
+
+
 def test_trivial_group_acts_with_identity_relation():
     H = function_algebra(groups.trivial())
     N = BlockAlgebra([1, 2, 1])
