@@ -43,17 +43,10 @@ def permutation_magic(H: HopfData, action_table) -> MagicAction:
     order, n = act.shape
     if order != H.dim:
         raise ValueError("action table does not match the group order")
-    u = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            coeffs = np.zeros(H.dim, dtype=complex)
-            for g in range(order):
-                if act[g, j] == i:
-                    coeffs[g] = 1.0
-            row.append(AlgElement(H.algebra, coeffs))
-        u.append(row)
-    return MagicAction(H, n, u)
+    # U[i, j, g] = [g.j = i]
+    U = act.T == np.arange(n)[:, None, None]
+    return MagicAction(H, n, [[AlgElement(H.algebra, c) for c in row]
+                              for row in U])
 
 
 def verify_magic(M: MagicAction, tol=None) -> Checks:
@@ -89,10 +82,9 @@ def action_from_magic(M: MagicAction, grouping=None) -> ActionMap:
     optionally grouped into coarser direct summands."""
     N = BlockAlgebra([1] * M.n)
     A = M.hopf.algebra
-    mat = np.zeros((M.n * A.dim, M.n), dtype=complex)
-    for j in range(M.n):
-        for i in range(M.n):
-            mat[i * A.dim:(i + 1) * A.dim, j] = M.u[i][j].coeffs
+    U = np.array([[x.coeffs for x in row] for row in M.u])    # (i, j, :)
+    # column j is alpha(e_j) = sum_i e_i x u_ij
+    mat = U.transpose(0, 2, 1).reshape(M.n * A.dim, M.n)
     summands = ([[b] for b in range(M.n)] if grouping is None
                 else [sorted(g) for g in grouping])
     return ActionMap(M.hopf, N, LinMap(N, tensor(N, A), mat), summands)
@@ -141,8 +133,8 @@ class HaarValueReport:
                 and tol.is_zero(self.off_class_residual))
 
 
-def haar_values(M: MagicAction, h: HaarState, P: OrbitPartition,
-                tol=None) -> HaarValueReport:
+def haar_values(M: MagicAction, h: HaarState,
+                P: OrbitPartition) -> HaarValueReport:
     """Haar values of the magic entries: 1/|class| on a class, 0 off it."""
     vals = np.zeros((M.n, M.n))
     on_res, off_res = [], []

@@ -182,7 +182,7 @@ def cmd_classical_orbits(args, run: Run, tol):
     rep.raise_for_failure("magic action fails")
     co = classical.classical_orbits(M, tol)
     h = haar.haar_state(H, tol)
-    hv = classical.haar_values(M, h, co.partition, tol)
+    hv = classical.haar_values(M, h, co.partition)
     run.checks(Checks({"counting_measure_invariance": co.counting_residual,
                        "haar_values_on_class": hv.on_class_residual,
                        "haar_values_off_class": hv.off_class_residual}, tol))

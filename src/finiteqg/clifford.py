@@ -25,7 +25,7 @@ import numpy as np
 
 from .core import (DEFAULT_SEED, INTEGER_SLACK, CheckError, Checks,
                    as_tolerance, distance_to_span, pair_products, tensor)
-from .duality import DiscreteQG, tensor_mult
+from .duality import DiscreteQG
 from .hopf import HopfData
 # NormalityError is raised here, through the normality record
 from .orbits import (HomogeneousSpace, MorphismError, NormalityError,
@@ -59,17 +59,20 @@ def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
     normality.raise_for_failure("subgroup is not normal")
 
     A = H.algebra
-    m, r = K.shape[0], rho.shape[0]
-    if m * r != A.dim:
+    (m, d), r = K.shape, rho.shape[0]
+    if m * r != d:
         raise MorphismError(
-            f"coinvariants have dimension {m}, expected {A.dim}/{r}")
+            f"coinvariants have dimension {m}, expected {d}/{r}")
     # the coinvariants must be a Hopf *-subalgebra; K has orthonormal rows,
-    # so the rows of kron(K, K) are an orthonormal basis of K x K
+    # so P = K^H K projects onto their span, and P^T V P projects delta(k),
+    # as the (d, d) matrix V, onto K x K, one leg at a time
+    P = K.conj().T @ K
+    V = (K @ H.delta.matrix.T).reshape(m, d, d)
     worst = float(np.max([
         distance_to_span(K, A.star_coeffs(K)),
         distance_to_span(K, K @ H.antipode.matrix.T),
         distance_to_span(K, pair_products(A, K, K)),
-        distance_to_span(np.kron(K, K), K @ H.delta.matrix.T)]))
+        np.linalg.norm(V - P.T @ V @ P, axis=(-2, -1)).max()]))
     if not tol.is_zero(worst):
         raise MorphismError(
             f"coinvariants fail to be a Hopf subalgebra (residual {worst:.3e})")
@@ -104,27 +107,19 @@ def restriction_table(D: DiscreteQG, X: HomogeneousSpace,
     ``INTEGER_SLACK``.  The flag ``one_orbit_per_row`` reads the classes
     of ``partition``, the orbit relation of X."""
     tol = as_tolerance(tol)
-    B = D.dual_algebra
-    n_rows = len(D.irr_dims)
-    n_cols = X.size
-    mult = np.zeros((n_rows, n_cols), dtype=int)
-    for i in range(n_cols):
-        mats = B.block_matrices(X.wd.units(i)[0, 0])
-        for k in range(n_rows):
-            val = complex(np.trace(mats[k]))
-            r = int(round(val.real))
-            if abs(val - r) > INTEGER_SLACK or r < 0:
-                raise CheckError(
-                    f"restriction multiplicity {val} is not an integer")
-            mult[k, i] = r
+    vals = D.dual_algebra.block_traces(
+        np.stack([X.wd.units(i)[0, 0] for i in range(X.size)])).T
+    mult = np.round(vals.real)
+    bad = ~(np.abs(vals - mult) <= INTEGER_SLACK) | (mult < 0)
+    if bad.any():
+        raise CheckError(
+            f"restriction multiplicity {vals[bad][0]} is not an integer")
+    mult = mult.astype(int)
 
     class_sets = [set(c) for c in partition.classes]
-    one_orbit = all(
-        {i for i in range(n_cols) if mult[k, i] > 0} in class_sets
-        for k in range(n_rows))
-    dims_ok = all(
-        int(mult[k] @ np.array(X.block_dims)) == D.irr_dims[k]
-        for k in range(n_rows))
+    one_orbit = all(set(np.flatnonzero(row).tolist()) in class_sets
+                    for row in mult)
+    dims_ok = np.array_equal(mult @ X.block_dims, D.irr_dims)
     return RestrictionTable(list(D.irr_labels), list(X.block_dims), mult,
                             Checks({}, tol, flags={
                                 "one_orbit_per_row": one_orbit,
@@ -143,8 +138,10 @@ def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
     ``mults_constant_on_classes``, residual
     ``markov_trace_proportionality``."""
     tol = as_tolerance(tol)
-    B = D.dual_algebra
     dims = np.array(X.block_dims)
+    # traces[i][a, b, k]: the trace of ambient block k of e^(i)_ab
+    traces = [D.dual_algebra.block_traces(X.wd.units(i))
+              for i in range(X.size)]
     dims_ok = all(len({int(dims[i]) for i in cls}) == 1
                   for cls in partition.classes)
     mult_ok = True
@@ -153,24 +150,18 @@ def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
     for k in range(len(D.irr_dims)):
         for ci, cls in enumerate(partition.classes):
             vals = {int(table.mult[k, i]) for i in cls}
-            if any(v > 0 for v in vals) and len(vals) != 1:
+            if len(vals) != 1:
                 mult_ok = False
                 continue
-            mval = vals.pop() if len(vals) == 1 else 0
+            mval = vals.pop()
             if mval == 0:
                 continue
             c = mval / float(dims[cls[0]])
             constants[(k, ci)] = c
             # trace of the k-block is c * Markov trace on the class corner
             for i in cls:
-                n = int(dims[i])
-                units = X.wd.units(i)
-                for a in range(n):
-                    for b in range(n):
-                        tr = complex(np.trace(
-                            B.block_matrices(units[a, b])[k]))
-                        want = c * n if a == b else 0.0
-                        devs.append(abs(tr - want))
+                markov = np.where(np.eye(dims[i]), c * int(dims[i]), 0.0)
+                devs.append(np.abs(traces[i][..., k] - markov).max())
     # np.max keeps a NaN residual, where max() would drop it
     return constants, Checks(
         {"markov_trace_proportionality": float(np.max(devs, initial=0.0))},
@@ -212,37 +203,25 @@ def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
 
     # support route
     supports = X.block_supports(tol)
-    support_rel = np.zeros((n_irr, n_irr), dtype=bool)
-    for s in supports:
-        for a in s:
-            for b in s:
-                support_rel[a, b] = True
+    hit = np.array([[k in s for k in range(n_irr)] for s in supports])
+    support_rel = (hit[:, :, None] & hit[:, None]).any(axis=0)
 
-    # fusion route through the support projection of the subgroup
+    # fusion route through the support projection of the subgroup: the
+    # norm of every (sigma, tau) block of z in one reduction
     delta_one = D.dual_hopf.delta.matrix @ m.support.coeffs
-    SM = D.dual_hopf.antipode.matrix
-    y = delta_one.reshape(B.dim, B.dim)
-    z = y @ SM.T  # apply the antipode on the right leg
+    # the antipode applied to the right leg
+    z = delta_one.reshape(B.dim, B.dim) @ D.dual_hopf.antipode.matrix.T
     scale = float(np.linalg.norm(z))
-    fusion_rel = np.zeros((n_irr, n_irr), dtype=bool)
-    for s in range(n_irr):
-        ns = D.irr_dims[s]
-        rows = [B.index(s, i, j) for i in range(ns) for j in range(ns)]
-        for t in range(n_irr):
-            nt = D.irr_dims[t]
-            cols = [B.index(t, i, j) for i in range(nt) for j in range(nt)]
-            blockval = float(np.linalg.norm(z[np.ix_(rows, cols)]))
-            fusion_rel[s, t] = not tol.is_zero(blockval, scale)
+    k = B.unindex(np.arange(B.dim))[0]
+    blocknorms = np.sqrt(np.bincount(
+        (k[:, None] * n_irr + k).ravel(), (np.abs(z) ** 2).ravel(),
+        n_irr * n_irr)).reshape(n_irr, n_irr)
+    fusion_rel = ~tol.is_zero(blocknorms, scale)
 
     # witness route: some subgroup irreducible gamma couples sigma to tau.
     # With left coinvariants and the (pi x sigma) o delta fusion order the
     # subgroup factor sits on the left leg: tau inside gamma (x) sigma.
-    witness_rel = np.zeros((n_irr, n_irr), dtype=bool)
-    for s in range(n_irr):
-        acc = np.zeros(n_irr, dtype=int)
-        for g in m.surviving:
-            acc += tensor_mult(D, g, s, tol)
-        witness_rel[s] = acc > 0
+    witness_rel = D.fusion_table[m.surviving].sum(axis=0) > 0
 
     agree = bool(np.array_equal(fusion_rel, support_rel)
                  and np.array_equal(witness_rel, support_rel))
@@ -252,12 +231,9 @@ def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
 
     # positivity of delta(1_sub) against every block of the space
     T2 = tensor(B, B)
-    ok = True
-    for j in range(X.size):
-        w = T2.mul_coeffs(delta_one, T2.kron_coeffs(
-            X.block_unit_in_dual(j).coeffs, B.unit_coeffs))
-        if tol.is_zero(T2.norm_coeffs(w), scale):
-            ok = False
+    ok = not any(tol.is_zero(T2.norm_coeffs(T2.mul_coeffs(
+        delta_one, T2.kron_coeffs(p, B.unit_coeffs))), scale)
+        for p in X.wd.central_idempotents)
 
     return VergniouxRelation(fusion_rel, witness_rel, support_rel, classes,
                              Checks({}, tol, flags={

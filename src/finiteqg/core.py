@@ -3,7 +3,10 @@
 Everything downstream works with three kinds of algebras:
 
 * ``BlockAlgebra`` -- a direct sum of full matrix blocks with the canonical
-  matrix-unit basis (block-major, row-major inside each block),
+  matrix-unit basis (block-major, row-major inside each block); it alone
+  knows where the entries of a block sit, and other modules read blocks
+  through its accessors ``index``, ``unindex``, ``block_indices``,
+  ``block_matrices``, ``block_traces`` and ``block_unit``,
 * ``Algebra`` -- a general associative *-algebra given by structure
   constants on an arbitrary basis (used e.g. for group algebras in the
   group-element basis, and for convolution duals before their block
@@ -295,7 +298,8 @@ class BlockAlgebra(Algebra):
 
     Basis: matrix units e^{(k)}_{ij}, enumerated block by block, row-major,
     so index(k, i, j) = offset_k + i*n_k + j.  This enumeration is the one
-    fixed convention every file format and every other module refers to.
+    fixed convention every file format refers to; other modules reach it
+    only through the accessors of this class.
     """
 
     def __init__(self, block_dims, name=""):
@@ -330,14 +334,10 @@ class BlockAlgebra(Algebra):
     @property
     def mul_tensor(self):
         if self._mul_tensor is None:
+            # e_ij e_jl = e_il in every block, one assignment per block size
             m = np.zeros((self.dim,) * 3, dtype=complex)
-            for k, n in enumerate(self.block_dims):
-                for i in range(n):
-                    for j in range(n):
-                        for l in range(n):
-                            m[self.index(k, i, l),
-                              self.index(k, i, j),
-                              self.index(k, j, l)] = 1.0
+            for g in self._gathers:
+                m[g[:, :, None, :], g[:, :, :, None], g[:, None, :, :]] = 1.0
             self._mul_tensor = m
         return self._mul_tensor
 
@@ -351,19 +351,35 @@ class BlockAlgebra(Algebra):
             raise IndexError("matrix unit index out of range")
         return int(self.offsets[block]) + row * n + col
 
-    def unindex(self, idx: int):
-        """Inverse of :meth:`index`: basis index -> (block, row, col)."""
-        block = int(np.searchsorted(self.offsets, idx, side="right")) - 1
-        n = self.block_dims[block]
-        r = idx - int(self.offsets[block])
-        return block, r // n, r % n
+    def unindex(self, idx):
+        """Inverse of :meth:`index`: basis index -> (block, row, col); an
+        array of indices gives three arrays."""
+        block = np.searchsorted(self.offsets, idx, side="right") - 1
+        row, col = np.divmod(idx - self.offsets[block],
+                             np.take(self.block_dims, block))
+        return block, row, col
 
-    def block_matrices(self, coeffs):
-        out = []
-        for k, n in enumerate(self.block_dims):
-            o = int(self.offsets[k])
-            out.append(np.asarray(coeffs[o:o + n * n]).reshape(n, n))
-        return out
+    def block_indices(self, blocks):
+        """The basis indices of the matrix units of the given blocks, block
+        after block in the given order."""
+        return np.concatenate([np.arange(self.offsets[b], self.offsets[b + 1])
+                               for b in blocks])
+
+    def block_matrices(self, rows):
+        """Block k of a coefficient row, or of each row of a stack
+        (..., dim): one (..., n_k, n_k) view of ``rows`` per block."""
+        rows = np.asarray(rows)
+        return [rows[..., o:o + n * n].reshape(rows.shape[:-1] + (n, n))
+                for o, n in zip(self.offsets, self.block_dims)]
+
+    def block_traces(self, rows):
+        """The trace of every block of a coefficient row, or of each row of
+        a stack: shape (..., blocks).  Each trace is the same sum of the
+        same diagonal as ``np.trace`` of the block, bit for bit."""
+        rows = np.asarray(rows)
+        return np.stack([rows.take(o + np.arange(n) * (n + 1), axis=-1).sum(-1)
+                         for o, n in zip(self.offsets, self.block_dims)],
+                        axis=-1)
 
     def from_block_matrices(self, mats) -> "AlgElement":
         if len(mats) != len(self.block_dims):
@@ -391,14 +407,13 @@ class BlockAlgebra(Algebra):
     @property
     def rep_tensor(self):
         if self._rep_tensor is None:
+            # e^(k)_ij is the unit matrix at (s_k + i, s_k + j), where block
+            # k starts at row s_k of the block-diagonal representation
             r = self.rep_dim
+            k, i, j = self.unindex(np.arange(self.dim))
+            s = np.cumsum(self.block_dims) - self.block_dims
             t = np.zeros((self.dim, r, r), dtype=complex)
-            start = np.concatenate([[0], np.cumsum(self.block_dims)])
-            for k, n in enumerate(self.block_dims):
-                s = int(start[k])
-                for i in range(n):
-                    for j in range(n):
-                        t[self.index(k, i, j), s + i, s + j] = 1.0
+            t[np.arange(self.dim), s[k] + i, s[k] + j] = 1.0
             self._rep_tensor = t
         return self._rep_tensor
 

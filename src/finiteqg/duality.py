@@ -87,6 +87,29 @@ class DiscreteQG:
         it."""
         return float(opnorm(self.block_to_dual) * opnorm(self.dual_to_block))
 
+    @cached_property
+    def fusion_table(self) -> np.ndarray:
+        """The fusion rules, a read-only integer array: N[sigma, gamma,
+        tau] is the multiplicity of tau inside sigma (x) gamma, the trace
+        of delta_dual(e^tau_00) on the (sigma, gamma) pair of blocks,
+        sum_ij delta_dual(e^tau_00)[(sigma, i, i), (gamma, j, j)].  Taken
+        on first use; ``CheckError`` unless every entry is a non-negative
+        integer within ``INTEGER_SLACK``."""
+        B, m = self.dual_algebra, len(self.irr_dims)
+        # delta_dual(e^tau_00) as a (d, d) matrix per tau, traced on the
+        # right leg and then on the left: axes (tau, gamma, sigma)
+        first = np.stack([b[:, 0, 0] for b in B.block_matrices(
+            self.dual_hopf.delta.matrix)]).reshape(m, B.dim, B.dim)
+        vals = B.block_traces(B.block_traces(first).swapaxes(1, 2)).T
+        table = np.round(vals.real)
+        bad = ~(np.abs(vals - table) <= INTEGER_SLACK) | (table < 0)
+        if bad.any():
+            raise CheckError(f"fusion multiplicity {vals[bad][0]} is not a "
+                             "non-negative integer")
+        table = table.astype(int)
+        table.flags.writeable = False
+        return table
+
     def block_projection(self, i: int) -> AlgElement:
         return self.dual_algebra.block_unit(i)
 
@@ -232,36 +255,17 @@ def corep_of(D: DiscreteQG, label, tol=None):
     so ``mult_unitary`` checks (and raises) for it."""
     mult_unitary(D, tol)
     i = label.index if isinstance(label, RepLabel) else int(label)
-    n = D.irr_dims[i]
-    A = D.primal.algebra
-    B = D.dual_algebra
-    return [[AlgElement(A, D.dual_to_block[B.index(i, r, s)])
-             for s in range(n)] for r in range(n)]
+    legs = D.dual_algebra.block_matrices(D.dual_to_block.T)[i]
+    return [[AlgElement(D.primal.algebra, u) for u in row]
+            for row in np.moveaxis(legs, 0, -1)]
 
 
-def tensor_mult(D: DiscreteQG, sigma, gamma, tol=None) -> np.ndarray:
-    """Multiplicities of each irreducible inside sigma (x) gamma.
-
-    mult(tau) = trace((sigma x gamma) delta_dual(e^tau_11)); values must
-    round to non-negative integers within ``INTEGER_SLACK``.
-    """
-    tol = as_tolerance(tol)
-    B = D.dual_algebra
+def tensor_mult(D: DiscreteQG, sigma, gamma) -> np.ndarray:
+    """Multiplicities of each irreducible inside sigma (x) gamma: the
+    read-only row (sigma, gamma) of ``D.fusion_table``."""
     si = sigma.index if isinstance(sigma, RepLabel) else int(sigma)
     gi = gamma.index if isinstance(gamma, RepLabel) else int(gamma)
-    n_s, n_g = D.irr_dims[si], D.irr_dims[gi]
-    out = np.zeros(len(D.irr_dims), dtype=int)
-    DM = D.dual_hopf.delta.matrix
-    for t, n_t in enumerate(D.irr_dims):
-        col = DM[:, B.index(t, 0, 0)].reshape(B.dim, B.dim)
-        val = sum(col[B.index(si, i, i), B.index(gi, j, j)]
-                  for i in range(n_s) for j in range(n_g))
-        r = int(round(val.real))
-        if abs(val - r) > INTEGER_SLACK or r < 0:
-            raise CheckError(
-                f"fusion multiplicity {val} is not a non-negative integer")
-        out[t] = r
-    return out
+    return D.fusion_table[si, gi]
 
 
 def contragredient(D: DiscreteQG, label, tol=None) -> RepLabel:
@@ -274,16 +278,16 @@ def contragredient(D: DiscreteQG, label, tol=None) -> RepLabel:
     i = label.index if isinstance(label, RepLabel) else int(label)
     n = D.irr_dims[i]
     B = D.dual_algebra
-    SM = D.dual_hopf.antipode.matrix
-    hits = []
-    for j, m in enumerate(D.irr_dims):
-        s_p = SM @ D.block_projection(j).coeffs
-        mat = B.block_matrices(s_p)[i].T
-        if np.linalg.norm(mat) > tol.eps * NONZERO_BLOCK_FACTOR:
-            # equivalent block: the central projection must act as identity
-            if m != n or np.linalg.norm(mat - np.eye(n)) > IDENTITY_SLACK:
-                raise CheckError("contragredient block mismatch")
-            hits.append(j)
+    # block i of S_dual(p_j), transposed, for every central projection p_j
+    images = B.block_traces(D.dual_hopf.antipode.matrix).T
+    mats = B.block_matrices(images)[i].swapaxes(-1, -2)
+    hits = np.flatnonzero(np.linalg.norm(mats, axis=(-2, -1))
+                          > tol.eps * NONZERO_BLOCK_FACTOR).tolist()
+    # an equivalent block: the central projection must act as identity
+    if (any(D.irr_dims[j] != n for j in hits)
+            or np.any(np.linalg.norm(mats[hits] - np.eye(n), axis=(-2, -1))
+                      > IDENTITY_SLACK)):
+        raise CheckError("contragredient block mismatch")
     if len(hits) != 1:
         raise CheckError(f"contragredient matched blocks {hits}")
     return RepLabel(hits[0], n)

@@ -318,12 +318,6 @@ def kac_paljutkin(tol=None) -> HopfData:
         v[index[m]] = 1.0
         return v
 
-    def combo(d):
-        v = np.zeros(n, dtype=complex)
-        for m, c in d.items():
-            v[index[m]] += c
-        return v
-
     xv, yv, zv = mono_vec((1, 0, 0)), mono_vec((0, 1, 0)), mono_vec((0, 0, 1))
     onev = unit
     j0 = 0.5 * (T2.kron_coeffs(onev, onev) + T2.kron_coeffs(onev, xv)

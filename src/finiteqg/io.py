@@ -197,18 +197,16 @@ def magic_from_dict(data: dict, H: HopfData) -> MagicAction:
         n = _integer(data["n"], "point count")
         if n < 1:
             raise SchemaError(f"point count {n} is not positive")
-        mats = [[np.zeros(H.dim, dtype=complex) for _ in range(n)]
-                for _ in range(n)]
+        mats = np.zeros((n, n, H.dim), dtype=complex)
         for i, j, coeffs in data["u"]:
             row, col = _index(i, n, "point"), _index(j, n, "point")
             for k, re, im in coeffs:
-                mats[row][col][_index(k, H.dim, "coefficient")] \
+                mats[row, col, _index(k, H.dim, "coefficient")] \
                     += _value(re, im, "magic")
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed magic data: {exc}") from exc
-    u = [[AlgElement(H.algebra, mats[i][j]) for j in range(n)]
-         for i in range(n)]
-    return classical.MagicAction(H, n, u)
+    return classical.MagicAction(
+        H, n, [[AlgElement(H.algebra, c) for c in row] for row in mats])
 
 
 def load_magic(path, H: HopfData) -> MagicAction:

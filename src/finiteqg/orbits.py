@@ -77,6 +77,9 @@ def hopf_surjection_checks(H: HopfData, rho, tol=None) -> Checks:
     if rho.ndim != 2 or rho.shape[1] != A.dim:
         raise MorphismError("surjection matrix has the wrong shape")
     r, d = rho.shape
+    if r == 0:
+        raise MorphismError("surjection matrix has no rows: no Hopf "
+                            "*-surjection targets the zero algebra")
     # the rank SVD below would raise LinAlgError on a NaN or inf
     if not np.isfinite(rho).all():
         raise MorphismError("surjection matrix is not finite")
@@ -165,15 +168,16 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
     r = pi.shape[0]
     if pi.shape != (r, B.dim):
         raise MorphismError("pi matrix has the wrong shape")
+    if r == 0:
+        raise MorphismError("pi matrix has no rows: no Hopf *-surjection "
+                            "targets the zero algebra")
 
     scale = float(opnorm(pi))
-    surviving = []
-    # an image too large for a float has the norm inf: its block survives
-    with np.errstate(over="ignore"):
-        for i in range(len(B.block_dims)):
-            img = pi @ D.block_projection(i).coeffs
-            if not tol.is_zero(float(np.linalg.norm(img)), scale):
-                surviving.append(i)
+    # pi(p_i) is the trace of block i of each row; an image too large for
+    # a float has the norm inf, and its block survives
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = np.linalg.norm(B.block_traces(pi), axis=0)
+    surviving = np.flatnonzero(~tol.is_zero(norms, scale)).tolist()
     corner_dim = sum(B.block_dims[i] ** 2 for i in surviving)
     if corner_dim != r:
         raise MorphismError(
@@ -181,18 +185,16 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
             f"{corner_dim} != rank {r}")
 
     # pi must kill every matrix unit outside the surviving blocks
-    dead = [pi[:, B.offsets[i]:B.offsets[i + 1]]
-            for i in range(len(B.block_dims)) if i not in surviving]
+    dead = [i for i in range(len(B.block_dims)) if i not in surviving]
     if dead:
-        worst = float(np.max([np.abs(c).max() for c in dead]))
+        worst = float(np.abs(pi[:, B.block_indices(dead)]).max())
         if not tol.is_zero(worst, scale):
             raise MorphismError(
                 f"pi does not vanish on the complementary ideal ({worst:.3e})")
 
     surjection = hopf_surjection_checks(D.dual_hopf, pi, tol)
-    support = D.block_projection(surviving[0])
-    for i in surviving[1:]:
-        support = support + D.block_projection(i)
+    support = sum(map(D.block_projection, surviving[1:]),
+                  D.block_projection(surviving[0]))
     left, _, normality = coinvariant_normality(D.dual_hopf, pi, tol)
     return SubgroupMorphism(D, pi, support, surviving, left, surjection,
                             normality)
@@ -270,11 +272,11 @@ class HomogeneousSpace:
         with 1_k 1_i != 0: block k of 1_i, or every k when 1_i has a NaN
         or inf coefficient."""
         tol = as_tolerance(tol)
-        B = self.morphism.dqg.dual_algebra
-        return [frozenset(k for k, b in enumerate(B.block_matrices(row))
-                          if not (np.isfinite(row).all()
-                                  and tol.is_zero(float(opnorm(b)))))
-                for row in self.wd.central_idempotents]
+        rows = self.wd.central_idempotents
+        blocks = self.morphism.dqg.dual_algebra.block_matrices(rows)
+        zero = np.stack([tol.is_zero(opnorm(b)) for b in blocks], axis=-1)
+        zero &= np.isfinite(rows).all(axis=1, keepdims=True)
+        return [frozenset(np.flatnonzero(~z).tolist()) for z in zero]
 
     def __repr__(self):
         return f"HomogeneousSpace(blocks={list(self.block_dims)})"
@@ -294,12 +296,6 @@ def homogeneous_space(D: DiscreteQG, m: SubgroupMorphism, tol=None,
     # raises unless a *-closed unital span
     wd = wedderburn.decompose(gens, tol, seed)
     return HomogeneousSpace(m, wd)
-
-
-def _block_indices(N: BlockAlgebra, blocks):
-    """The basis indices of the matrix units of the given blocks of N."""
-    return np.concatenate([np.arange(N.offsets[b], N.offsets[b + 1])
-                           for b in blocks])
 
 
 @dataclass
@@ -332,20 +328,16 @@ class ActionMap:
         return len(self.summands)
 
     def summand_projection(self, i: int) -> AlgElement:
-        out = self.module.block_unit(self.summands[i][0])
-        for b in self.summands[i][1:]:
-            out = out + self.module.block_unit(b)
-        return out
-
-    def summand_indices(self, i: int):
-        return _block_indices(self.module, self.summands[i])
+        first, *rest = self.summands[i]
+        return sum(map(self.module.block_unit, rest),
+                   self.module.block_unit(first))
 
     def component_norm(self, j: int, image) -> float:
         """Norm of the rows of summand j of ``image`` = alpha(x); for
         x = 1_i it is the (j, i) component alpha_{ji}(1_i) of the action."""
         Y = image.reshape(self.module.dim, self.hopf.dim)
         cut = np.zeros_like(Y)
-        rows = self.summand_indices(j)
+        rows = self.module.block_indices(self.summands[j])
         cut[rows, :] = Y[rows, :]
         return self.alpha.codomain.norm_coeffs(cut.reshape(-1))
 
@@ -391,7 +383,7 @@ class ActionMap:
         blocks = sorted(blocks)
         N, d_a = self.module, self.hopf.dim
         sub = BlockAlgebra([N.block_dims[b] for b in blocks])
-        cols = _block_indices(N, blocks)
+        cols = N.block_indices(blocks)
         rhs = self.alpha.matrix[:, cols].reshape(N.dim, d_a, sub.dim)
         sol = rhs[cols].reshape(sub.dim * d_a, sub.dim)
         res = float(opnorm(np.delete(rhs, cols, axis=0).reshape(-1, sub.dim)))
@@ -463,14 +455,11 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
 
     T = alpha.alpha.codomain
     one_a = alpha.hopf.algebra.unit_coeffs
-    projections, devs = [], []
-    for cls in classes:
-        p = alpha.summand_projection(cls[0])
-        for i in cls[1:]:
-            p = p + alpha.summand_projection(i)
-        projections.append(p)
-        target = T.kron_coeffs(p.coeffs, one_a)
-        devs.append(T.norm_coeffs(alpha.alpha.matrix @ p.coeffs - target))
+    projections = [sum(map(alpha.summand_projection, cls[1:]),
+                       alpha.summand_projection(cls[0])) for cls in classes]
+    devs = [T.norm_coeffs(alpha.alpha.matrix @ p.coeffs
+                          - T.kron_coeffs(p.coeffs, one_a))
+            for p in projections]
     # np.max keeps a NaN residual, where max() would drop it
     checks = Checks(
         {"invariant_projections": float(np.max(devs, initial=0.0))}, tol,
@@ -540,14 +529,13 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
                 X.block_unit_in_dual(cls[0]))
         sums.extend((zs[i] - s).norm() for i in cls)
 
-    orthogonal = match = True
-    for i in range(m):
-        for j in range(m):
-            same = P.relation[i, j] or P.relation[j, i]
-            if not same and supports[i] & supports[j]:
-                orthogonal = False
-            if (supports[i] == supports[j]) != bool(same or i == j):
-                match = False
+    # hit[i, k]: ambient block k lies in the support of block i
+    hit = np.array([[k in s for k in range(len(B.block_dims))]
+                    for s in supports])
+    same = P.relation | P.relation.T
+    orthogonal = not ((hit[:, None] & hit).any(axis=-1) & ~same).any()
+    match = np.array_equal((hit[:, None] == hit).all(axis=-1),
+                           same | np.eye(m, dtype=bool))
     # np.max keeps a NaN residual, where max() would drop it
     checks = Checks(
         {"central_support_class_sums": float(np.max(sums, initial=0.0))},

@@ -81,26 +81,22 @@ class WedderburnData:
     def block_dims(self) -> tuple:
         return self.block_algebra.block_dims
 
-    @property
-    def total_dim(self) -> int:
-        return self.block_algebra.dim
-
     def units(self, b: int) -> np.ndarray:
         """Block b's matrix units as an (n, n, dim) view of the columns of
         ``iso``: ``units(b)[i, j]`` holds the coefficients of e^(b)_ij."""
-        offsets = self.block_algebra.offsets
-        n = self.block_dims[b]
-        return self.iso.matrix.T[offsets[b]:offsets[b + 1]].reshape(n, n, -1)
+        return np.moveaxis(
+            self.block_algebra.block_matrices(self.iso.matrix)[b], 0, -1)
 
     @cached_property
     def central_idempotents(self) -> np.ndarray:
         """The minimal central idempotents p_b = sum_i e^(b)_ii, one row
         of ambient coefficients per block, each summed in order of i."""
         return np.array([
-            sum((u[i, i] for i in range(1, len(u))), u[0, 0])
-            for u in map(self.units, range(len(self.block_dims)))])
+            sum((u[:, i, i] for i in range(1, n)), u[:, 0, 0])
+            for u, n in zip(self.block_algebra.block_matrices(
+                self.iso.matrix), self.block_dims)])
 
-    def verify(self, tol=None) -> float:
+    def verify(self) -> float:
         """Largest residual of the matrix-unit relations, ambient product.
 
         Per distinct block size n, one stacked call each covers e_ij* =
@@ -260,7 +256,7 @@ class _MatrixSpan:
         return corners
 
 
-def _spectral_projection_top(span: _MatrixSpan, y, rng, tol):
+def _spectral_projection_top(span: _MatrixSpan, y, tol):
     """Isometry onto the top eigenvalue cluster of a self-adjoint y: its
     orthonormal eigenvectors as columns."""
     shifted = y + 2.0 * np.linalg.norm(y, 2) * span.unit
@@ -315,8 +311,7 @@ def _minimal_projection(corner: _MatrixSpan, rng, tol):
             y = span.random_selfadjoint(rng)
             if np.linalg.norm(y, 2) > DEGENERATE_DRAW:
                 break
-        compressed, = span.compress([_spectral_projection_top(
-            span, y, rng, tol)])
+        compressed, = span.compress([_spectral_projection_top(span, y, tol)])
         e = compressed.unit
         if not span.contains(e):
             raise WedderburnError("minimal projection escaped the span")
@@ -470,7 +465,7 @@ def _decompose_with_rep(ambient, gen_coeffs, rep_tensor, tol, seed):
                                     raw.central_idempotents.imag], axis=1), 8)
     data = reorder_blocks(raw, sorted(
         range(len(dims)), key=lambda b: (dims[b], keys[b].tobytes())))
-    worst = data.verify(tol)
+    worst = data.verify()
     if not tol.is_zero(worst):
         raise WedderburnError(
             f"matrix-unit relations fail at residual {worst:.3e}")
@@ -484,11 +479,9 @@ def reorder_blocks(data: WedderburnData, order) -> WedderburnData:
     # the iso's columns are the matrix units, block by block; take() gives
     # a C-ordered matrix (a[:, idx] would not, and the transported Hopf
     # maps would change in the last bit)
-    cols = np.concatenate([np.arange(B.offsets[b], B.offsets[b + 1])
-                           for b in order])
     return WedderburnData(LinMap(
         BlockAlgebra([B.block_dims[b] for b in order]), data.ambient,
-        data.iso.matrix.take(cols, axis=1)))
+        data.iso.matrix.take(B.block_indices(order), axis=1)))
 
 
 def central_support(ambient_data: WedderburnData, q: AlgElement,

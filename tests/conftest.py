@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from finiteqg import groups
+from finiteqg.clifford import quotient_subgroup
 from finiteqg.core import Tolerance
 from finiteqg.duality import dualize
 from finiteqg.hopf import function_algebra, group_algebra, kac_paljutkin
@@ -90,3 +91,34 @@ def kp8_morphism(dual_kp8, data_dir):
     kind, rows = load_subgroup(data_dir / "kp8_subgroup.json", 8)
     assert kind == "pi"
     return subgroup_from_dual_matrix(dual_kp8, rows)
+
+
+SUBGROUP_PAIRS = [("s3_function_algebra.json", "a3_quotient.json"),
+                  ("s3_function_algebra.json", "a3_normal_subgroup.json"),
+                  ("s3_function_algebra.json", "s3_full_subgroup.json"),
+                  ("s3_function_algebra.json", "s3_trivial_subgroup.json"),
+                  ("s3_group_algebra.json", "s3_z2_subgroup.json"),
+                  ("kp8.json", "kp8_subgroup.json")]
+
+
+def subgroup_from_file(H, D, sub_file):
+    """The morphism of a shipped subgroup file, and its rho for a
+    ``hopf_surjection`` file (None for a ``pi`` file)."""
+    kind, matrix = load_subgroup(DATA / sub_file, H.dim)
+    if kind == "pi":
+        return subgroup_from_dual_matrix(D, matrix), None
+    return quotient_subgroup(H, D, matrix)[0], np.asarray(matrix, complex)
+
+
+@pytest.fixture(scope="session")
+def shipped_pairs():
+    """(H, D, morphism, quotient rho or None, space) per shipped pair."""
+    duals, out = {}, {}
+    for hopf_file, sub_file in SUBGROUP_PAIRS:
+        if hopf_file not in duals:
+            H = load_hopf(DATA / hopf_file)
+            duals[hopf_file] = H, dualize(H)
+        H, D = duals[hopf_file]
+        m, rho = subgroup_from_file(H, D, sub_file)
+        out[hopf_file, sub_file] = H, D, m, rho, homogeneous_space(D, m)
+    return out

@@ -220,3 +220,45 @@ def test_verify_magic_row_chunks_match_one_stack(kp8_block, data_dir,
     assert chunked.keys() == whole.keys()
     for k in whole:
         assert abs(chunked[k] - whole[k]) <= 1e-13, k
+
+
+# -- the magic constructors against their loops ------------------------------
+
+def _looped_permutation_magic(H, act):
+    n = act.shape[1]
+    u = np.zeros((n, n, H.dim), dtype=complex)
+    for i in range(n):
+        for j in range(n):
+            for g in range(H.dim):
+                if act[g, j] == i:
+                    u[i, j, g] = 1.0
+    return u
+
+
+def _looped_action_matrix(M):
+    d = M.hopf.algebra.dim
+    mat = np.zeros((M.n * d, M.n), dtype=complex)
+    for j in range(M.n):
+        for i in range(M.n):
+            mat[i * d:(i + 1) * d, j] = M.u[i][j].coeffs
+    return mat
+
+
+def test_magic_constructors_equal_their_loops(kp8_block, data_dir):
+    s3 = groups.symmetric(3)
+    H = function_algebra(s3)
+    # S3 on its own elements by left multiplication, and on 4 points of
+    # which the last is fixed and the first two swapped by odd elements
+    odd = set(range(6)) - set(groups.alternating_indices(s3))
+    tables = [np.asarray(s3.table),
+              np.array([[1, 0, 2, 3] if g in odd else [0, 1, 2, 3]
+                        for g in range(6)])]
+    for act in tables:
+        M = permutation_magic(H, act)
+        got = np.array([[x.coeffs for x in row] for row in M.u])
+        assert np.array_equal(got, _looped_permutation_magic(H, act))
+        assert np.array_equal(action_from_magic(M).alpha.matrix,
+                              _looped_action_matrix(M))
+    M = load_magic(data_dir / "kp8_magic4.json", kp8_block)
+    assert np.array_equal(action_from_magic(M).alpha.matrix,
+                          _looped_action_matrix(M))

@@ -16,6 +16,8 @@ from finiteqg.orbits import (MorphismError, coinvariant_normality,
                              homogeneous_space, hopf_surjection_checks,
                              relation, trivial_subgroup)
 
+from conftest import SUBGROUP_PAIRS
+
 
 def a3_restriction_oracle():
     """Classical character theory: multiplicities of the A3 characters in
@@ -314,6 +316,11 @@ def test_hopf_surjection_must_be_a_hopf_surjection(hopf_cs3, dual_cs3, rho):
         quotient_subgroup(hopf_cs3, dual_cs3, rho)
 
 
+def test_zero_row_quotient_is_a_morphism_error(hopf_cs3, dual_cs3):
+    with pytest.raises(MorphismError, match="no rows"):
+        quotient_subgroup(hopf_cs3, dual_cs3, np.zeros((0, 6)))
+
+
 def _closure_classes(rel):
     """Classes of the equivalence relation generated by rel, from its
     reflexive, symmetric, transitive closure by repeated squaring."""
@@ -324,14 +331,6 @@ def _closure_classes(rel):
             return sorted({tuple(int(i) for i in np.flatnonzero(row))
                            for row in r})
         r = nxt
-
-
-SUBGROUP_PAIRS = [("s3_function_algebra.json", "a3_quotient.json"),
-                  ("s3_function_algebra.json", "a3_normal_subgroup.json"),
-                  ("s3_function_algebra.json", "s3_full_subgroup.json"),
-                  ("s3_function_algebra.json", "s3_trivial_subgroup.json"),
-                  ("s3_group_algebra.json", "s3_z2_subgroup.json"),
-                  ("kp8.json", "kp8_subgroup.json")]
 
 
 def test_vergnioux_classes_are_closure_classes_on_shipped_pairs(data_dir):
@@ -386,3 +385,92 @@ def test_nan_matrix_unit_fails_constancy(dual_cs3, a3_space, a3_partition):
     _, checks = kac_constancy_check(dual_cs3, X, T, a3_partition)
     assert np.isnan(checks.residuals["markov_trace_proportionality"])
     assert not checks.passed
+
+
+# -- the block-coordinate readers against the loops they replace -------------
+
+def _looped_block(B, row, k):
+    """Block k of a coefficient row, entry by entry through ``index``."""
+    n = B.block_dims[k]
+    return np.array([[row[B.index(k, i, j)] for j in range(n)]
+                     for i in range(n)])
+
+
+def _looped_restriction(D, X):
+    B = D.dual_algebra
+    mult = np.zeros((len(D.irr_dims), X.size), dtype=int)
+    for i in range(X.size):
+        for k in range(len(D.irr_dims)):
+            tr = np.trace(_looped_block(B, X.wd.units(i)[0, 0], k))
+            mult[k, i] = int(round(tr.real))
+    return mult
+
+
+def _looped_markov_residual(D, X, T, P):
+    B = D.dual_algebra
+    devs = []
+    for k in range(len(D.irr_dims)):
+        for cls in P.classes:
+            mval = int(T.mult[k, cls[0]])
+            if mval == 0:
+                continue
+            c = mval / float(X.block_dims[cls[0]])
+            for i in cls:
+                n = X.block_dims[i]
+                units = X.wd.units(i)
+                for a in range(n):
+                    for b in range(n):
+                        tr = complex(np.trace(
+                            _looped_block(B, units[a, b], k)))
+                        devs.append(abs(tr - (c * n if a == b else 0.0)))
+    return float(np.max(devs, initial=0.0))
+
+
+def _looped_routes(D, m, supports):
+    """The support, fusion and witness relations of vergnioux_relation,
+    pair by pair; the witness route through the looped trace of
+    delta_dual(e^tau_00) on each pair of diagonals."""
+    B = D.dual_algebra
+    n = len(D.irr_dims)
+    support = np.zeros((n, n), dtype=bool)
+    for s in supports:
+        for a in s:
+            for b in s:
+                support[a, b] = True
+    y = (D.dual_hopf.delta.matrix @ m.support.coeffs).reshape(B.dim, B.dim)
+    z = y @ D.dual_hopf.antipode.matrix.T
+    scale = float(np.linalg.norm(z))
+    fusion = np.zeros((n, n), dtype=bool)
+    witness = np.zeros((n, n), dtype=bool)
+    DM = D.dual_hopf.delta.matrix
+    for s in range(n):
+        rows = [B.index(s, i, j) for i in range(D.irr_dims[s])
+                for j in range(D.irr_dims[s])]
+        for t in range(n):
+            cols = [B.index(t, i, j) for i in range(D.irr_dims[t])
+                    for j in range(D.irr_dims[t])]
+            norm = float(np.linalg.norm(z[np.ix_(rows, cols)]))
+            fusion[s, t] = not Tolerance().is_zero(norm, scale)
+            col = DM[:, B.index(t, 0, 0)].reshape(B.dim, B.dim)
+            witness[s, t] = any(
+                round(sum(col[B.index(g, i, i), B.index(s, j, j)]
+                          for i in range(D.irr_dims[g])
+                          for j in range(D.irr_dims[s])).real) > 0
+                for g in m.surviving)
+    return support, fusion, witness
+
+
+def test_clifford_readers_equal_their_loops(shipped_pairs):
+    for key, (_, D, m, _, X) in shipped_pairs.items():
+        P = relation(homogeneous_action(D, X))
+        T = restriction_table(D, X, P)
+        assert np.array_equal(T.mult, _looped_restriction(D, X)), key
+        _, checks = kac_constancy_check(D, X, T, P)
+        # the same traces, summed as np.trace sums them: the same bits
+        assert (checks.residuals["markov_trace_proportionality"]
+                == _looped_markov_residual(D, X, T, P)), key
+        V = vergnioux_relation(D, m)
+        support, fusion, witness = _looped_routes(D, m, X.block_supports())
+        assert np.array_equal(V.support, support), key
+        assert np.array_equal(V.fusion, fusion), key
+        assert np.array_equal(V.witness, witness), key

@@ -9,6 +9,8 @@ from finiteqg.duality import (contragredient, corep_of, dualize,
                               mult_unitary, tensor_mult)
 from finiteqg.hopf import function_algebra, group_algebra
 
+from test_shortcuts import INSTANCES, _instance
+
 # textbook character table of S3; classes e, 3-cycles, transpositions
 S3_CLASS_SIZES = np.array([1, 2, 3])
 S3_CHARS = {"triv": np.array([1, 1, 1]),
@@ -229,6 +231,19 @@ def test_replaced_dual_drops_the_cached_w(dual_cs3):
         mult_unitary(fresh)
 
 
+def test_replaced_dual_drops_the_cached_fusion_table(dual_kp8):
+    # halving the dual coproduct halves every multiplicity; a copy that
+    # answered with the original's table would not notice
+    assert dual_kp8.fusion_table[4, 4, 0] == 1
+    H = dual_kp8.dual_hopf
+    halved = replace(H, delta=LinMap(H.delta.domain, H.delta.codomain,
+                                     0.5 * H.delta.matrix))
+    assert "fusion_table" not in vars(replace(dual_kp8))
+    with pytest.raises(CheckError, match="fusion multiplicity .* is not a "
+                                         "non-negative integer"):
+        replace(dual_kp8, dual_hopf=halved).fusion_table
+
+
 def test_replaced_hopf_data_drops_the_cached_square(hopf_cs3):
     T = hopf_cs3.square
     A = hopf_cs3.algebra
@@ -236,3 +251,58 @@ def test_replaced_hopf_data_drops_the_cached_square(hopf_cs3):
     K = replace(hopf_cs3, algebra=B)
     assert K.square is not T
     assert K.square.factors == (B, B)
+
+
+# -- the fusion table --------------------------------------------------------
+
+def _looped_fusion(D):
+    """N[sigma, gamma, tau] as the sum over the diagonal pairs of
+    delta_dual(e^tau_00), entry by entry through ``index``."""
+    B, DM = D.dual_algebra, D.dual_hopf.delta.matrix
+    n = len(D.irr_dims)
+    out = np.zeros((n, n, n), dtype=int)
+    for t in range(n):
+        col = DM[:, B.index(t, 0, 0)].reshape(B.dim, B.dim)
+        for s, ns in enumerate(D.irr_dims):
+            for g, ng in enumerate(D.irr_dims):
+                val = sum(col[B.index(s, i, i), B.index(g, j, j)]
+                          for i in range(ns) for j in range(ng))
+                out[s, g, t] = int(round(val.real))
+    return out
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "Z2xZ4"])
+def test_fusion_of_group_algebra_duals_is_the_cayley_table(name):
+    G = {"S3": groups.symmetric(3), "Q8": groups.quaternion(),
+         "Z2xZ4": groups.direct_product(groups.cyclic(2),
+                                        groups.cyclic(4))}[name]
+    D = dualize(group_algebra(G))
+    assert D.irr_dims == (1,) * G.order
+    # block k is the raw-dual idempotent of one group element
+    C = D.block_to_dual
+    element = np.argmax(np.abs(C), axis=0)
+    assert sorted(element) == list(range(G.order))
+    assert np.allclose(C, np.eye(G.order)[:, element], atol=1e-9)
+    block = np.argsort(element)
+    # N[s, g] is the indicator of the block of the product of the elements
+    # of s and g, taken in one order for every pair
+    pairs = list(np.ndindex(G.order, G.order))
+    products = [[block[G.table[element[a], element[b]]] for a, b in pairs],
+                [block[G.table[element[b], element[a]]] for a, b in pairs]]
+    got = D.fusion_table.reshape(-1, G.order)
+    assert any(np.array_equal(got, np.eye(G.order, dtype=int)[p])
+               for p in products)
+
+
+@pytest.mark.parametrize("label", INSTANCES)
+def test_fusion_table_identities(label):
+    D = dualize(_instance(label))
+    N, dims = D.fusion_table, np.array(D.irr_dims)
+    n = len(dims)
+    assert np.array_equal(N, _looped_fusion(D))
+    assert np.array_equal(N @ dims, np.outer(dims, dims))
+    assert np.array_equal(N[:, 0], np.eye(n, dtype=int))
+    contra = [contragredient(D, s).index for s in range(n)]
+    assert np.array_equal(N[:, :, 0], np.eye(n, dtype=int)[contra])
+    assert not N.flags.writeable
+    assert np.array_equal(tensor_mult(D, n - 1, 0), N[n - 1, 0])

@@ -1,7 +1,8 @@
 """Maps on one tensor leg are contractions on that leg.
 
 The orbit pipeline applies a map to one leg of a tensor: (rho x rho) and
-(rho x id) to the coproduct, (id x delta) to W, and the embedding E of a
+(rho x id) to the coproduct, (id x delta) to W, the projection onto the
+coinvariants to both legs of their coproduct, and the embedding E of a
 homogeneous space, or the selection of a corner, to the first leg of an
 action.  None of it builds the Kronecker matrix of a map with an
 identity, which is d times larger than the data.  This file spies on
@@ -13,37 +14,15 @@ import pytest
 
 from finiteqg import groups
 from finiteqg.clifford import quotient_subgroup
-from finiteqg.core import opnorm, tensor
+from finiteqg.core import distance_to_span, opnorm, pair_products, tensor
 from finiteqg.duality import dualize, mult_unitary
 from finiteqg.hopf import function_algebra
-from finiteqg.io import load_hopf, load_subgroup
+from finiteqg.io import load_hopf
 from finiteqg.orbits import (coinvariant_normality, homogeneous_action,
                              homogeneous_space, hopf_surjection_checks,
                              relation, subgroup_from_dual_matrix)
 
-from conftest import DATA
-from test_clifford import SUBGROUP_PAIRS
-
-
-def _subgroup(H, D, sub_file):
-    kind, matrix = load_subgroup(DATA / sub_file, H.dim)
-    if kind == "pi":
-        return subgroup_from_dual_matrix(D, matrix), None
-    return quotient_subgroup(H, D, matrix)[0], np.asarray(matrix, complex)
-
-
-@pytest.fixture(scope="module")
-def shipped_pairs():
-    """(H, D, morphism, quotient rho or None, space) per shipped pair."""
-    duals, out = {}, {}
-    for hopf_file, sub_file in SUBGROUP_PAIRS:
-        if hopf_file not in duals:
-            H = load_hopf(DATA / hopf_file)
-            duals[hopf_file] = H, dualize(H)
-        H, D = duals[hopf_file]
-        m, rho = _subgroup(H, D, sub_file)
-        out[hopf_file, sub_file] = H, D, m, rho, homogeneous_space(D, m)
-    return out
+from conftest import DATA, subgroup_from_file
 
 
 # -- the Kronecker references ---------------------------------------------
@@ -57,6 +36,18 @@ def _coinvariant_conditions_reference(H, rho):
     unit_q = (rho @ H.algebra.unit_coeffs)[:, None]
     return (np.kron(rho, eye) @ H.delta.matrix - np.kron(unit_q, eye),
             np.kron(eye, rho) @ H.delta.matrix - np.kron(eye, unit_q))
+
+
+def _coinvariant_subalgebra_reference(H, rho):
+    """How far the right coinvariants K of rho are from a Hopf
+    *-subalgebra, with K x K spanned by the rows of kron(K, K)."""
+    A = H.algebra
+    K = coinvariant_normality(H, rho)[1]
+    return float(np.max([
+        distance_to_span(K, A.star_coeffs(K)),
+        distance_to_span(K, K @ H.antipode.matrix.T),
+        distance_to_span(K, pair_products(A, K, K)),
+        distance_to_span(np.kron(K, K), K @ H.delta.matrix.T)]))
 
 
 def _homogeneous_action_reference(D, X):
@@ -106,6 +97,15 @@ def test_surjection_and_coinvariants_match_the_kronecker_formulas(
                 assert float(opnorm(cond @ basis.T)) <= 1e-12
                 assert basis.shape[0] == hopf.dim - np.linalg.matrix_rank(
                     cond, tol=1e-9)
+
+
+def test_coinvariant_subalgebra_matches_the_kronecker_formula(
+        shipped_pairs):
+    for (H, D, _, rho, _) in shipped_pairs.values():
+        if rho is not None:
+            _, checks = quotient_subgroup(H, D, rho)
+            assert abs(checks.residuals["coinvariant_subalgebra"]
+                       - _coinvariant_subalgebra_reference(H, rho)) <= 1e-14
 
 
 def test_comultiplication_of_w_matches_the_kronecker_formula(
@@ -177,7 +177,7 @@ def test_leg_maps_build_no_kronecker_matrix(monkeypatch, hopf_file,
                                             sub_file):
     H = load_hopf(DATA / hopf_file)
     D = dualize(H)
-    m, rho = _subgroup(H, D, sub_file)
+    m, rho = subgroup_from_file(H, D, sub_file)
     X = homogeneous_space(D, m)
     assert D._w is None  # so mult_unitary builds W under the spy
     with monkeypatch.context() as patch:
@@ -186,6 +186,8 @@ def test_leg_maps_build_no_kronecker_matrix(monkeypatch, hopf_file,
             if pi is not None:
                 hopf_surjection_checks(hopf, pi)
                 coinvariant_normality(hopf, pi)
+        if rho is not None:
+            quotient_subgroup(H, D, rho)
         mult_unitary(D)
         alpha = homogeneous_action(D, X)
         for cls in relation(alpha).classes:

@@ -374,6 +374,18 @@ def test_non_finite_surjection_is_a_morphism_error(hopf_cs3, bad):
         hopf_surjection_checks(hopf_cs3, rho)
 
 
+# -- no Hopf *-surjection targets the zero algebra ----------------------------
+
+def test_zero_row_pi_is_a_morphism_error(dual_cs3):
+    with pytest.raises(MorphismError, match="no rows"):
+        subgroup_from_dual_matrix(dual_cs3, np.zeros((0, 6)))
+
+
+def test_zero_row_surjection_is_a_morphism_error(hopf_cs3):
+    with pytest.raises(MorphismError, match="no rows"):
+        hopf_surjection_checks(hopf_cs3, np.zeros((0, hopf_cs3.dim)))
+
+
 # -- a finite but huge action or surjection fails its checks -----------------
 
 def test_huge_action_fails_as_a_coaction_without_overflow(kp8_block):

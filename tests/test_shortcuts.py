@@ -2,8 +2,9 @@
 path against the expressions they replace, compared with np.array_equal:
 the planned einsums, np.kron, the representation of each identity row,
 the per-element inverse search, the looped constructors, np.stack of
-matrix-unit columns, a fresh index-stack build, the Kronecker star
-matrix of a tensor product and the looped JSON writer.  The instances
+matrix-unit columns, a fresh index-stack build, the block algebra's
+tensors and block coordinates one matrix unit at a time, the Kronecker
+star matrix of a tensor product and the looped JSON writer.  The instances
 are the benchmark ladder's groups, the shipped inputs and the random
 groups of test_properties."""
 import json
@@ -110,15 +111,33 @@ def _looped_group_algebra(grp):
     return m, star, D
 
 
-def _looped_unit_and_star(B):
+def _looped_block_tensors(B):
+    """The unit, star matrix, structure tensor and representation tensor
+    of a block algebra, one matrix unit at a time."""
     unit = np.zeros(B.dim, dtype=complex)
     star = np.zeros((B.dim, B.dim))
+    mul = np.zeros((B.dim,) * 3, dtype=complex)
+    rep = np.zeros((B.dim, B.rep_dim, B.rep_dim), dtype=complex)
+    start = 0
     for k, n in enumerate(B.block_dims):
         for i in range(n):
             unit[B.index(k, i, i)] = 1.0
             for j in range(n):
                 star[B.index(k, j, i), B.index(k, i, j)] = 1.0
-    return unit, star.astype(complex)
+                rep[B.index(k, i, j), start + i, start + j] = 1.0
+                for m in range(n):
+                    mul[B.index(k, i, m), B.index(k, i, j),
+                        B.index(k, j, m)] = 1.0
+        start += n
+    return unit, star.astype(complex), mul, rep
+
+
+def _assert_block_tensors_equal_their_loops(B):
+    unit, star, mul, rep = _looped_block_tensors(B)
+    assert np.array_equal(B.unit_coeffs, unit)
+    assert np.array_equal(B.star_matrix, star)
+    assert np.array_equal(B.mul_tensor, mul)
+    assert np.array_equal(B.rep_tensor, rep)
 
 
 def _fresh_gathers(factors):
@@ -283,18 +302,41 @@ def test_identity_and_inverses_are_computed_once():
 @pytest.mark.parametrize("dims", [(1,), (3,), (1, 1, 2, 3), (2, 2, 1),
                                   (1,) * 6, (1, 1, 1, 1, 2, 2)])
 def test_block_algebra_unit_and_star_equal_their_loops(dims):
+    _assert_block_tensors_equal_their_loops(BlockAlgebra(dims))
+
+
+@pytest.mark.parametrize("dims", [(1,), (3,), (1, 1, 2, 3), (9, 1, 8),
+                                  (2, 12, 1, 4)])
+def test_block_coordinates_equal_their_loops(dims):
+    # stacks of several shapes and memory layouts, with blocks of at least
+    # 8 rows, where numpy's sums switch to pairwise summation
     B = BlockAlgebra(dims)
-    unit, star = _looped_unit_and_star(B)
-    assert np.array_equal(B.unit_coeffs, unit)
-    assert np.array_equal(B.star_matrix, star)
+    rng = np.random.default_rng(len(dims))
+    flat = rng.standard_normal((B.dim, 24)) + 1j * rng.standard_normal(
+        (B.dim, 24))
+    for rows in [flat.T, flat.T.copy(), flat.T.reshape(4, 6, B.dim),
+                 flat.reshape(B.dim, 4, 6).transpose(1, 2, 0), flat[:, 0]]:
+        mats = B.block_matrices(rows)
+        traces = B.block_traces(rows)
+        for idx in np.ndindex(rows.shape[:-1]):
+            for k, n in enumerate(dims):
+                block = np.array([[rows[idx][B.index(k, i, j)]
+                                   for j in range(n)] for i in range(n)])
+                assert np.array_equal(mats[k][idx], block)
+                assert traces[idx + (k,)] == np.trace(block)
+    order = list(range(len(dims)))[::-1]
+    assert np.array_equal(B.block_indices(order), [
+        B.index(k, i, j) for k in order for i in range(dims[k])
+        for j in range(dims[k])])
+    blocks, rows_, cols = B.unindex(np.arange(B.dim))
+    assert [B.index(*t) for t in zip(blocks, rows_, cols)] == list(
+        range(B.dim))
 
 
 @pytest.mark.parametrize("label", INSTANCES)
 def test_block_unit_star_and_gathers_of_every_dual(label):
     B = dualize(_instance(label)).dual_algebra
-    unit, star = _looped_unit_and_star(B)
-    assert np.array_equal(B.unit_coeffs, unit)
-    assert np.array_equal(B.star_matrix, star)
+    _assert_block_tensors_equal_their_loops(B)
     for factors in [(B,), (B, B), (B, B, B)]:
         cached = _block_gathers(factors)
         fresh = _fresh_gathers(factors)
@@ -402,9 +444,7 @@ def test_shortcuts_on_random_groups(G):
             _check_haar_and_gns(side)
         D = _check_dual(X)
         B = D.dual_algebra
-        unit, star = _looped_unit_and_star(B)
-        assert np.array_equal(B.unit_coeffs, unit)
-        assert np.array_equal(B.star_matrix, star)
+        _assert_block_tensors_equal_their_loops(B)
         for factors in [(B,), (B, B)]:
             assert all(np.array_equal(a, b) for a, b in zip(
                 _block_gathers(factors), _fresh_gathers(factors)))

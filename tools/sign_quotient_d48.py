@@ -5,10 +5,14 @@
 
 Builds C(S4 x Z2), dualizes it and checks W, then builds the quantum
 subgroup of the dual given by the sign of the S4 factor, its homogeneous
-space, the conjugation action on that space and the orbit relation.  It
-prints the time of each stage and the peak RSS.  It exits 1 unless every
-check passes and the orbit classes are as many as the classes of S4 x Z2
-inside the kernel A4 x Z2 (6, counted from the Cayley table).
+space, the conjugation action on that space and the orbit relation; then
+the restriction table, the constancy check, the central supports and the
+Vergnioux relation.  It prints the time of each stage and the peak RSS.
+It exits 1 unless every check passes and the counts match the Cayley
+table: the space has one block per class of the kernel A4 x Z2 (8), of
+total dimension sum n^2 = |A4 x Z2| = 24, and both the orbit classes and
+the Vergnioux classes are as many as the classes of S4 x Z2 inside the
+kernel (6).
 
 Under an address-space cap of about 2.4 GiB (``ulimit -v 2500000``) it
 fails if a stage forms the Kronecker matrix of a map with an identity:
@@ -26,16 +30,20 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from finiteqg import groups  # noqa: E402
+from finiteqg.clifford import (kac_constancy_check,  # noqa: E402
+                               restriction_table, vergnioux_relation)
 from finiteqg.duality import dualize, mult_unitary  # noqa: E402
 from finiteqg.hopf import function_algebra  # noqa: E402
-from finiteqg.orbits import (homogeneous_action, homogeneous_space,  # noqa: E402
-                             relation, subgroup_from_dual_matrix)
+from finiteqg.orbits import (  # noqa: E402
+    central_supports, homogeneous_action, homogeneous_space, relation,
+    subgroup_from_dual_matrix)
 
 
-def classes_inside(G, kernel) -> int:
-    """The number of conjugacy classes of G contained in ``kernel``."""
+def classes_inside(G, kernel, by) -> int:
+    """The number of classes of G under conjugation by the elements
+    ``by`` that lie inside ``kernel``."""
     t, inv = G.table, G.inverses
-    classes = {frozenset(int(t[t[g, x], inv[g]]) for g in range(G.order))
+    classes = {frozenset(int(t[t[g, x], inv[g]]) for g in by)
                for x in range(G.order)}
     return sum(c <= kernel for c in classes)
 
@@ -70,15 +78,31 @@ def main() -> int:
     stage("action")
     P = relation(alpha)
     stage("relation")
+    T = restriction_table(D, X, P)
+    stage("restriction")
+    _, constancy = kac_constancy_check(D, X, T, P)
+    stage("constancy")
+    *_, supports = central_supports(D, X, P)
+    stage("supports")
+    V = vergnioux_relation(D, m)
+    stage("vergnioux")
 
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     for name, seconds in stages.items():
         print(f"{name:<13s} {seconds:7.3f} s")
     print(f"peak RSS      {rss_mb:7.0f} MB")
-    want = classes_inside(G, kernel)
-    print(f"orbit classes {len(P.classes)} (S4xZ2-classes in A4xZ2: {want})")
-    ok = (W.checks.passed and m.surjection.passed and m.normal
-          and P.checks.passed and len(P.classes) == want)
+    blocks = classes_inside(G, kernel, kernel)
+    want = classes_inside(G, kernel, range(G.order))
+    space = sum(n * n for n in X.block_dims)
+    print(f"space blocks  {X.size} of total dimension {space} "
+          f"(A4xZ2-classes: {blocks}, order {len(kernel)})")
+    print(f"orbit classes {len(P.classes)}, Vergnioux classes "
+          f"{len(V.classes)} (S4xZ2-classes in A4xZ2: {want})")
+    records = [W.checks, m.surjection, m.normality, P.checks, T.checks,
+               constancy, supports, V.checks]
+    ok = (all(r.passed for r in records) and X.size == blocks
+          and space == len(kernel) and len(P.classes) == want
+          and len(V.classes) == want)
     print("status:", "ok" if ok else "FAILED")
     return 0 if ok else 1
 
