@@ -24,7 +24,7 @@ if TYPE_CHECKING:
     from .orbits import OrbitPartition
 
 
-@dataclass
+@dataclass(eq=False)
 class MagicAction:
     """A quantum permutation action: n x n magic matrix over Pol(G)."""
 
@@ -90,7 +90,7 @@ def action_from_magic(M: MagicAction, grouping=None) -> ActionMap:
     return ActionMap(M.hopf, N, LinMap(N, tensor(N, A), mat), summands)
 
 
-@dataclass
+@dataclass(eq=False)
 class ClassicalOrbits:
     partition: OrbitPartition
     counting_residual: float
@@ -121,7 +121,7 @@ def classical_orbits(M: MagicAction, tol=None) -> ClassicalOrbits:
                            len(P.classes) == 1)
 
 
-@dataclass
+@dataclass(eq=False)
 class HaarValueReport:
     values: np.ndarray
     on_class_residual: float

@@ -83,7 +83,7 @@ def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
     return subgroup_from_dual_matrix(D, K, tol), checks
 
 
-@dataclass
+@dataclass(eq=False)
 class RestrictionTable:
     """Integer multiplicities of ambient irreducibles over the blocks of a
     homogeneous space, with the flags ``one_orbit_per_row`` and
@@ -169,7 +169,7 @@ def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
                     "mults_constant_on_classes": mult_ok})
 
 
-@dataclass
+@dataclass(eq=False)
 class VergniouxRelation:
     """The subgroup-fusion relation on ambient irreducibles, computed by
     the fusion, witness and support routes, and its record: the flags

@@ -31,11 +31,12 @@ is a stacked N x N matrix product per size (elementwise when N = 1), the
 adjoint conjugates each block's transpose, the norm is the largest
 spectral norm over the blocks (max |x| when N = 1), so no large matrix,
 the Kronecker star matrix included, is ever built.  Any other algebra
-multiplies through its structure constants and applies its star matrix,
-and takes norms in its dense representation (the left regular
-one for structure-constant algebras, Kronecker products of the factors'
-for tensor products).  Paired stacks (``mul_coeffs``) contract a tensor
-product one leg at a time and never form x (x) y.  All pairs of two
+multiplies through its structure constants, applies its star matrix (a
+tensor product applies each factor's to its own leg) and takes norms in
+its dense representation (the left regular one for structure-constant
+algebras, Kronecker products of the factors' for tensor products).
+Paired stacks (``mul_coeffs``) contract a tensor product one leg at a
+time and never form x (x) y.  All pairs of two
 stacks (``pair_products``, entry [p, q] = x[p] y[q]) absorb leg 0 into x
 and leg 1 into y and then take every pair of a block of rows of x with
 one matrix product; the block path takes them blockwise.  The all-pairs
@@ -44,7 +45,9 @@ never returns to the Kronecker layout: the images of the basis are
 gathered into the codomain's blocks once, and the products, the images
 of products and their differences are formed there and handed, block
 by block, to the same norm fold as ``_max_norm``.  Every norm call skips
-all-zero rows without building a matrix.
+all-zero rows without building a matrix.  One function
+(``coaction_residuals``) checks every coaction alpha: N -> N x A, the
+coproduct included as the regular coaction (N = A, alpha = delta).
 
 Every spectral norm, here and in the residuals and scales of the other
 modules, comes from ``opnorm``: the square root of the largest eigenvalue
@@ -448,7 +451,6 @@ class TensorAlgebra(Algebra):
         self.dim = int(np.prod(self.factor_dims))
         self.name = name
         self._unit = None
-        self._star = None
         self._gathers = None
 
     @property
@@ -461,19 +463,6 @@ class TensorAlgebra(Algebra):
     @unit_coeffs.setter
     def unit_coeffs(self, _):
         raise AttributeError("tensor unit is derived")
-
-    @property
-    def star_matrix(self):
-        if self._star is None:
-            st = self.factors[0].star_matrix
-            for f in self.factors[1:]:
-                st = np.kron(st, f.star_matrix)
-            self._star = st
-        return self._star
-
-    @star_matrix.setter
-    def star_matrix(self, _):
-        raise AttributeError("tensor star is derived")
 
     @property
     def block_dims(self):
@@ -517,6 +506,18 @@ class TensorAlgebra(Algebra):
             z = np.tensordot(z, f.mul_tensor, ([1, m + 1], [1, 2]))
             z = np.moveaxis(z, -1, m)
         return z.reshape(lead + (self.dim,))
+
+    def star_coeffs(self, x):
+        if self._block_stacks():
+            return super().star_coeffs(x)
+        # one factor's star matrix per leg, after a batch axis: leg l of
+        # conj(x) is contracted with factor l's star matrix
+        x = np.asarray(x)
+        z = np.conj(x).reshape((-1,) + self.factor_dims)
+        for leg, f in enumerate(self.factors, 1):
+            z = np.moveaxis(np.tensordot(f.star_matrix, z, ([1], [leg])),
+                            0, leg)
+        return z.reshape(x.shape)
 
     @property
     def rep_dim(self) -> int:
@@ -984,6 +985,32 @@ def multiplicative_residual(domain: Algebra, codomain: Algebra,
             - (b[rows, None] * b if b.shape[-1] == 1 else b[rows, None] @ b)
             for b in blocks]))
     return float(np.max(worst))
+
+
+def coaction_residuals(module: Algebra, codomain: Algebra, matrix, delta,
+                       counit) -> dict:
+    """The residuals of the coaction alpha: N -> ``codomain`` = N x A
+    with the given matrix, for the Hopf algebra A with coproduct matrix
+    ``delta`` and counit ``counit``: ``unital`` alpha(1) = 1 x 1,
+    ``multiplicative``, ``star`` alpha(x*) = alpha(x)*, ``coaction``
+    (alpha x id) alpha = (id x delta) alpha and ``counit``
+    (id x eps) alpha = id.  The coproduct is the regular coaction
+    (N = A, alpha = delta).  No Kronecker matrix is built."""
+    am = np.asarray(matrix)
+    d_n = module.dim
+    # A3[i, g, k] is the coefficient of e_i x a_g in alpha(e_k):
+    # (alpha x id) alpha acts on its first leg, (id x delta) alpha
+    # broadcasts over i
+    A3 = am.reshape(d_n, -1, d_n)
+    return {
+        "unital": codomain.norm_coeffs(am @ module.unit_coeffs
+                                       - codomain.unit_coeffs),
+        "multiplicative": multiplicative_residual(module, codomain, am),
+        "star": float(opnorm(am @ module.star_matrix
+                             - codomain.star_coeffs(am.T).T)),
+        "coaction": float(opnorm((am @ am.reshape(d_n, -1)).reshape(-1, d_n)
+                                 - (delta @ A3).reshape(-1, d_n))),
+        "counit": float(opnorm(counit @ A3 - np.eye(d_n)))}
 
 
 def numerical_rank(singular_values, tol=None):

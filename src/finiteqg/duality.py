@@ -39,7 +39,7 @@ class RepLabel:
         return f"irr{self.index}(dim {self.dim})"
 
 
-@dataclass
+@dataclass(eq=False)
 class DiscreteQG:
     """The dual discrete quantum group of a finite quantum group.
 
@@ -208,7 +208,7 @@ def dualize(H: HopfData, tol=None, seed: int = DEFAULT_SEED) -> DiscreteQG:
 # multiplicative unitary and the representation calculus
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class MultUnitary:
     """W = sum_k f_k x a_k in (dual blocks) x Pol(G), with its checks."""
 

@@ -22,7 +22,7 @@ if TYPE_CHECKING:
     from .hopf import HopfData
 
 
-@dataclass
+@dataclass(eq=False)
 class HaarState:
     """The Haar state h and its checks: the residual of the invariance
     system (``haar_system_residual``) and the flag ``gram_positive``,

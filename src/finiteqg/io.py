@@ -163,7 +163,9 @@ def subgroup_from_dict(data: dict, dim: int):
             "subgroup file needs exactly one of 'pi' and 'hopf_surjection'")
     kind = kinds[0]
     try:
-        rows = max(_integer(b, "row index") for b, *_ in data[kind]) + 1
+        # a surjection onto the subgroup's algebra has at most dim rows
+        rows = _index(max(_integer(b, "row index") for b, *_ in data[kind]),
+                      dim, "row") + 1
         m = np.zeros((rows, dim), dtype=complex)
         for b, k, re, im in data[kind]:
             m[_index(b, rows, "row"), _index(k, dim, "column")] \
@@ -197,6 +199,10 @@ def magic_from_dict(data: dict, H: HopfData) -> MagicAction:
         n = _integer(data["n"], "point count")
         if n < 1:
             raise SchemaError(f"point count {n} is not positive")
+        # every row of a magic matrix sums to the unit, so holds an entry
+        if n > len(data["u"]):
+            raise SchemaError(f"point count {n} exceeds the {len(data['u'])}"
+                              " entries: a row of the magic matrix is empty")
         mats = np.zeros((n, n, H.dim), dtype=complex)
         for i, j, coeffs in data["u"]:
             row, col = _index(i, n, "point"), _index(j, n, "point")

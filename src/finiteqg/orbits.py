@@ -21,7 +21,9 @@ Central objects:
   the ambient supports of its blocks;
 * ``ActionMap`` -- a coaction N -> N x Pol(G) on a direct sum of matrix
   blocks, optionally regrouped into coarser summands; ``verify`` is the
-  one coaction check;
+  one coaction check (``core.coaction_residuals``), and
+  ``hopf.verify_hopf`` checks the coproduct with it as the regular
+  coaction of G on itself;
 * ``OrbitPartition`` -- the orbit relation: summands i, j are related when
   the component of the action between them is non-zero.
 
@@ -42,9 +44,9 @@ import numpy as np
 
 from . import duality, wedderburn
 from .core import (AlgElement, BlockAlgebra, CheckError, Checks,
-                   LinMap, DEFAULT_SEED, as_tolerance, nullspace,
-                   numerical_rank, distance_to_span, multiplicative_residual,
-                   opnorm, pair_products, tensor)
+                   LinMap, DEFAULT_SEED, as_tolerance, coaction_residuals,
+                   nullspace, numerical_rank, distance_to_span, opnorm,
+                   pair_products, tensor)
 
 if TYPE_CHECKING:
     from .duality import DiscreteQG
@@ -116,7 +118,7 @@ def hopf_surjection_checks(H: HopfData, rho, tol=None) -> Checks:
     return checks
 
 
-@dataclass
+@dataclass(eq=False)
 class SubgroupMorphism:
     """A quantum subgroup of the discrete dual, given by the surjection pi.
 
@@ -164,10 +166,10 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
     tol = as_tolerance(tol)
     B = D.dual_algebra
     pi_dual = np.asarray(pi_dual, dtype=complex)
+    if pi_dual.ndim != 2 or pi_dual.shape[1] != B.dim:
+        raise MorphismError("pi matrix has the wrong shape")
     pi = pi_dual.copy() if in_block_coords else pi_dual @ D.block_to_dual
     r = pi.shape[0]
-    if pi.shape != (r, B.dim):
-        raise MorphismError("pi matrix has the wrong shape")
     if r == 0:
         raise MorphismError("pi matrix has no rows: no Hopf *-surjection "
                             "targets the zero algebra")
@@ -243,7 +245,7 @@ def coinvariant_normality(H: HopfData, pi, tol=None):
                                error=NormalityError)
 
 
-@dataclass
+@dataclass(eq=False)
 class HomogeneousSpace:
     """The coinvariant subalgebra of the dual under a subgroup morphism:
     the span of ``morphism.coinvariants`` inside l^inf(dual), with its
@@ -298,7 +300,7 @@ def homogeneous_space(D: DiscreteQG, m: SubgroupMorphism, tol=None,
     return HomogeneousSpace(m, wd)
 
 
-@dataclass
+@dataclass(eq=False)
 class ActionMap:
     """A coaction alpha: N -> N x Pol(G) on a multi-matrix algebra N.
 
@@ -343,31 +345,16 @@ class ActionMap:
 
     def verify(self, tol=None) -> Checks:
         """The unit, product, involution, coaction and counit residuals of
-        the action matrix, each at the scale 1 + ||alpha||^2; raises on
-        failure.  Injectivity needs no check of its own: the counit
-        identity (id x eps) alpha = id implies it."""
+        the action matrix (``coaction_residuals``), each at the scale
+        1 + ||alpha||^2; raises on failure.  Injectivity needs no check of
+        its own: the counit identity (id x eps) alpha = id implies it."""
         tol = as_tolerance(tol)
-        A, N = self.hopf, self.module
-        T = self.alpha.codomain
-        am = self.alpha.matrix
-        d_n, d_a = N.dim, A.dim
+        A, am = self.hopf, self.alpha.matrix
         # a NaN, inf or huge action meets inf - inf, 0 * inf or overflow on
         # its way to a NaN or inf residual or scale, which fails below
         with np.errstate(over="ignore", invalid="ignore"):
-            res = {}
-            one_t = T.kron_coeffs(N.unit_coeffs, A.algebra.unit_coeffs)
-            res["unital"] = T.norm_coeffs(am @ N.unit_coeffs - one_t)
-            res["multiplicative"] = multiplicative_residual(N, T, am)
-            res["star"] = float(opnorm(
-                am @ N.star_matrix - T.star_coeffs(am.T).T))
-            # A3[i, g, k] is the coefficient of e_i x a_g in alpha(e_k):
-            # (alpha x id) alpha acts on its first leg, (id x delta) alpha
-            # broadcasts over i
-            A3 = am.reshape(d_n, d_a, d_n)
-            lhs = (am @ am.reshape(d_n, d_a * d_n)).reshape(-1, d_n)
-            rhs = (A.delta.matrix @ A3).reshape(-1, d_n)
-            res["coaction"] = float(opnorm(lhs - rhs))
-            res["counit"] = float(opnorm(A.counit @ A3 - np.eye(d_n)))
+            res = coaction_residuals(self.module, self.alpha.codomain, am,
+                                     A.delta.matrix, A.counit)
             scale = 1.0 + np.square(opnorm(am))
         checks = Checks(res, tol, dict.fromkeys(res, scale))
         checks.raise_for_failure(
@@ -395,7 +382,7 @@ class ActionMap:
                          [[b] for b in range(len(blocks))])
 
 
-@dataclass
+@dataclass(eq=False)
 class OrbitPartition:
     """The orbit relation of an action, its classes, the class sums of
     summand units and the checks of ``relation``."""

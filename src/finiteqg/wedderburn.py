@@ -59,7 +59,7 @@ class SpectralGapError(WedderburnError):
         self.gap = gap
 
 
-@dataclass
+@dataclass(eq=False)
 class WedderburnData:
     """Block decomposition of a *-closed unital span inside an algebra.
 

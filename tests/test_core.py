@@ -1,4 +1,5 @@
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,8 @@ from finiteqg.core import (BlockAlgebra, CheckError, Checks, LinMap,
 from finiteqg.duality import block_presentation, dualize
 from finiteqg.hopf import function_algebra, group_algebra, kac_paljutkin
 from finiteqg import groups
+
+from conftest import kron_star_matrix
 
 
 def test_matrix_unit_calculus():
@@ -303,7 +306,8 @@ def test_stacked_kernels_match_row_by_row_reference(kind, monkeypatch):
     for i, j in np.ndindex(2, 3):
         want = np.einsum("kpq,p,q->k", m, x[i, j], y[i, j])
         assert np.allclose(prod[i, j], want, atol=1e-12)
-        assert np.allclose(star[i, j], alg.star_matrix @ np.conj(x[i, j]),
+        assert np.allclose(star[i, j],
+                           kron_star_matrix(alg) @ np.conj(x[i, j]),
                            atol=1e-13)
     # a single vector broadcasts against a stack
     left = alg.mul_coeffs(x[0, 0], y[1])
@@ -881,3 +885,33 @@ def test_norm_of_a_non_finite_row_warns_on_no_path(kind, bad):
         # the dense path (C[S3], and C[Z3] as a tensor leg among them)
         # returns NaN before it builds a representation
         assert np.isnan(got).all()
+
+
+# -- records compare by identity ---------------------------------------------
+
+def test_records_with_equal_content_compare_by_identity(
+        s3, hopf_cs3, dual_cs3, a3_morphism, a3_space, a3_action,
+        a3_partition):
+    from finiteqg.classical import (classical_orbits, haar_values,
+                                    permutation_magic)
+    from finiteqg.clifford import restriction_table, vergnioux_relation
+    from finiteqg.duality import mult_unitary
+    from finiteqg.haar import haar_state
+
+    h = haar_state(hopf_cs3)
+    M = permutation_magic(hopf_cs3, np.array(s3.elements))
+    co = classical_orbits(M)
+    records = [hopf_cs3, h, dual_cs3, mult_unitary(dual_cs3), a3_space.wd,
+               a3_morphism, a3_space, a3_action, a3_partition,
+               restriction_table(dual_cs3, a3_space, a3_partition),
+               vergnioux_relation(dual_cs3, a3_morphism), M, co,
+               haar_values(M, h, co.partition)]
+    assert len({type(r) for r in records}) == len(records) == 14
+    for r in records:
+        twin = replace(r)
+        assert r == r and r in [twin, r]
+        assert not r == twin and r != twin and twin not in [r]
+    # two Haar states of one H hold equal arrays
+    assert haar_state(hopf_cs3) != h
+    # a DiscreteQG with W cached still equals itself
+    assert dual_cs3._w is not None and dual_cs3 == dual_cs3

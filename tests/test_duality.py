@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from finiteqg import duality, groups
-from finiteqg.core import Algebra, CheckError, LinMap, TensorAlgebra
+from finiteqg.core import Algebra, CheckError, LinMap
 from finiteqg.duality import (contragredient, corep_of, dualize,
                               mult_unitary, tensor_mult)
 from finiteqg.hopf import function_algebra, group_algebra
 
+from conftest import kron_star_matrix
 from test_shortcuts import INSTANCES, _instance
 
 # textbook character table of S3; classes e, 3-cycles, transpositions
@@ -59,13 +60,19 @@ def test_mult_unitary_residuals_all_examples(hopf_cs3, hopf_gs3, kp8_block):
 
 def test_mult_unitary_builds_no_tensor_star_matrix(monkeypatch):
     # W* on tensor(B, A), both block algebras, takes the blockwise adjoint:
-    # the Kronecker star matrix of the tensor product is never formed
-    def refuse(T):
-        raise AssertionError(f"star matrix of {T!r} built")
+    # the Kronecker star matrix of the tensor product is never formed, and
+    # W* is its product with conj(W) bit for bit
+    def refuse(*_):
+        raise AssertionError("np.kron called")
 
     D = dualize(function_algebra(groups.symmetric(3)))
-    monkeypatch.setattr(TensorAlgebra, "star_matrix", property(refuse))
-    assert mult_unitary(D).checks.passed
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "kron", refuse)
+        w = mult_unitary(D)
+        star = w.element.star().coeffs
+    assert w.checks.passed
+    assert np.array_equal(star, kron_star_matrix(w.element.parent)
+                          @ np.conj(w.element.coeffs))
 
 
 def test_corep_identity_and_unitarity(dual_cs3, dual_kp8):

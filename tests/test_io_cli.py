@@ -241,6 +241,33 @@ def test_subgroup_index_out_of_range(tmp_path, capsys, entry):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("row", [6, 10 ** 12])
+def test_subgroup_with_more_rows_than_dim_exits_2(tmp_path, capsys, row):
+    # a surjection of the 6-dim C(S3) has at most 6 rows; refused before
+    # the (row + 1) x 6 matrix is allocated
+    p = tmp_path / "sub.json"
+    p.write_text(json.dumps({"pi": [[row, 0, 1.0, 0.0]]}))
+    with pytest.raises(SchemaError, match="row index"):
+        load_subgroup(p, 6)
+    assert cli.main(["orbits", "s3_function_algebra.json", str(p)]) == 2
+    assert "status" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("n, u", [(10 ** 6, []),
+                                  (2, [[0, 0, [[0, 1.0, 0.0]]]])])
+def test_magic_with_fewer_entries_than_points_exits_2(tmp_path, capsys, n,
+                                                      u):
+    # every row of a magic matrix sums to the unit, so each of the n rows
+    # needs an entry; refused before the n x n x dim array is allocated
+    p = tmp_path / "magic.json"
+    p.write_text(json.dumps({"n": n, "u": u}))
+    with pytest.raises(SchemaError, match="row of the magic matrix is empty"):
+        load_magic(p, function_algebra(groups.cyclic(2)))
+    assert cli.main(["classical-orbits", "z2_function_algebra.json",
+                     str(p)]) == 2
+    assert "status" not in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("entry", [[-1, 0, [[0, 1.0, 0.0]]],
                                    [0, 3, [[0, 1.0, 0.0]]],
                                    [0, 0, [[-3, 1.0, 0.0]]],

@@ -4,25 +4,35 @@ The orbit pipeline applies a map to one leg of a tensor: (rho x rho) and
 (rho x id) to the coproduct, (id x delta) to W, the projection onto the
 coinvariants to both legs of their coproduct, and the embedding E of a
 homogeneous space, or the selection of a corner, to the first leg of an
-action.  None of it builds the Kronecker matrix of a map with an
-identity, which is d times larger than the data.  This file spies on
-``np.kron`` to keep it so, and keeps the Kronecker formulas as the
-references the contractions must match.
+action.  The star of a tensor product applies one factor's star matrix
+per leg.  None of it builds the Kronecker matrix of a map with an
+identity, which is d times larger than the data, nor the Kronecker star
+matrix.  This file spies on ``np.kron`` to keep it so, and keeps the
+Kronecker formulas as the references the contractions must match.  The
+coproduct is checked as the regular coaction, by the one coaction check
+of every action; the formulas ``verify_hopf`` used before are kept here
+as its references.
 """
+import functools
+
 import numpy as np
 import pytest
 
 from finiteqg import groups
 from finiteqg.clifford import quotient_subgroup
-from finiteqg.core import distance_to_span, opnorm, pair_products, tensor
+from finiteqg.core import (BlockAlgebra, coaction_residuals,
+                           distance_to_span, multiplicative_residual, opnorm,
+                           pair_products, tensor)
 from finiteqg.duality import dualize, mult_unitary
-from finiteqg.hopf import function_algebra
+from finiteqg.hopf import (function_algebra, group_algebra, kac_paljutkin,
+                           verify_hopf)
 from finiteqg.io import load_hopf
-from finiteqg.orbits import (coinvariant_normality, homogeneous_action,
-                             homogeneous_space, hopf_surjection_checks,
-                             relation, subgroup_from_dual_matrix)
+from finiteqg.orbits import (ActionMap, coinvariant_normality,
+                             homogeneous_action, homogeneous_space,
+                             hopf_surjection_checks, relation,
+                             subgroup_from_dual_matrix)
 
-from conftest import DATA, subgroup_from_file
+from conftest import DATA, kron_star_matrix, subgroup_from_file
 
 
 # -- the Kronecker references ---------------------------------------------
@@ -151,7 +161,7 @@ def test_action_star_equals_the_kronecker_star(shipped_pairs):
         alpha = homogeneous_action(D, X)
         T, am = alpha.alpha.codomain, alpha.alpha.matrix
         assert np.array_equal(T.star_coeffs(am.T).T,
-                              T.star_matrix @ np.conj(am))
+                              kron_star_matrix(T) @ np.conj(am))
 
 
 def test_block_supports_equal_the_ambient_products(shipped_pairs):
@@ -161,6 +171,105 @@ def test_block_supports_equal_the_ambient_products(shipped_pairs):
                                   * X.block_unit_in_dual(i)).is_zero())
                 for i in range(X.size)]
         assert X.block_supports() == want
+
+
+# -- the coproduct as the regular coaction ---------------------------------
+
+def _square_star_reference(St, DM):
+    """(St x St) conj(DM) for a (d^2, d) matrix DM, one leg at a time on
+    DM.reshape(d, d, d)."""
+    d = St.shape[0]
+    first = np.tensordot(St, np.conj(DM).reshape(d, d, -1), 1)  # (a, j, k)
+    return (St @ first).reshape(d * d, -1)                      # (a, b, k)
+
+
+def _coproduct_reference(H):
+    """The five coproduct residuals by the formulas verify_hopf used
+    before it called the coaction check."""
+    A, T2 = H.algebra, H.square
+    d = A.dim
+    DM, St = H.delta.matrix, A.star_matrix
+    D3 = DM.reshape(d, d, d)
+    one2 = T2.kron_coeffs(A.unit_coeffs, A.unit_coeffs)
+    left = (DM @ DM.reshape(d, d * d)).reshape(d ** 3, d)
+    right = (DM @ D3).reshape(d ** 3, d)
+    return {
+        "delta_unital": T2.norm_coeffs(DM @ A.unit_coeffs - one2),
+        "delta_star": float(opnorm(
+            DM @ St - _square_star_reference(St, DM))),
+        "delta_multiplicative": multiplicative_residual(A, T2, DM),
+        "coassociativity": float(opnorm(left - right)),
+        "counit_right": float(opnorm(H.counit @ D3 - np.eye(d)))}
+
+
+# coaction check -> verify_hopf check
+COPRODUCT_CHECKS = {"unital": "delta_unital", "star": "delta_star",
+                    "multiplicative": "delta_multiplicative",
+                    "coaction": "coassociativity", "counit": "counit_right"}
+
+SHIPPED_HOPF = ["kp8", "q8_group_algebra", "s3_function_algebra",
+                "s3_group_algebra", "z2_function_algebra",
+                "z2_group_algebra", "z3_function_algebra"]
+COACTION_GROUPS = {
+    "S3": lambda: groups.symmetric(3),
+    "Q8": groups.quaternion,
+    "Z4xZ4": lambda: groups.direct_product(groups.cyclic(4), groups.cyclic(4)),
+    "Z2xZ4": lambda: groups.direct_product(groups.cyclic(2), groups.cyclic(4)),
+    "Z12": lambda: groups.cyclic(12),
+    "S3xZ2": lambda: groups.direct_product(groups.symmetric(3),
+                                           groups.cyclic(2))}
+COPRODUCT_CASES = (SHIPPED_HOPF + ["kac_paljutkin()"]
+                   + [f"{kind} {g}" for g in COACTION_GROUPS
+                      for kind in ("C(G)", "C[G]", "dual C(G)")])
+
+
+@functools.lru_cache(maxsize=None)
+def _coproduct_case(label):
+    if label in SHIPPED_HOPF:
+        return load_hopf(DATA / f"{label}.json")
+    if label == "kac_paljutkin()":
+        return kac_paljutkin()
+    kind, name = label.rsplit(" ", 1)
+    G = COACTION_GROUPS[name]()
+    if kind == "C[G]":
+        return group_algebra(G)
+    H = function_algebra(G)
+    return H if kind == "C(G)" else dualize(H).dual_hopf
+
+
+@pytest.mark.parametrize("label", COPRODUCT_CASES)
+def test_coproduct_residuals_are_the_regular_coaction_bit_for_bit(label):
+    H = _coproduct_case(label)
+    A, DM = H.algebra, H.delta.matrix
+    got = verify_hopf(H).residuals
+    want = _coproduct_reference(H)
+    co = coaction_residuals(A, H.square, DM, DM, H.counit)
+    assert co.keys() == COPRODUCT_CHECKS.keys()
+    for name, hopf_name in COPRODUCT_CHECKS.items():
+        assert got[hopf_name] == want[hopf_name] == co[name], name
+    if isinstance(A, BlockAlgebra):
+        # the regular coaction as an action of H on its own algebra
+        assert ActionMap(H, A, H.delta, None).verify().residuals == co
+
+
+@pytest.mark.parametrize("label", COPRODUCT_CASES)
+def test_tensor_star_is_the_kronecker_star(label):
+    H = _coproduct_case(label)
+    A, DM, St = H.algebra, H.delta.matrix, H.algebra.star_matrix
+    # leg by leg as verify_hopf took it before, for every star
+    assert np.array_equal(H.square.star_coeffs(DM.T).T,
+                          _square_star_reference(St, DM))
+    if not set(np.unique(St)) <= {0, 1}:
+        return  # the monomial KP8 star rounds in another order
+    rng = np.random.default_rng(43)
+    squares = [tensor(A, A)] + ([tensor(A, A, A)] if A.dim <= 8 else [])
+    for T in squares:
+        x = rng.standard_normal((3, T.dim)) + 1j * rng.standard_normal(
+            (3, T.dim))
+        assert np.array_equal(T.star_coeffs(x),
+                              np.conj(x) @ kron_star_matrix(T).T)
+    assert np.array_equal(H.square.star_coeffs(DM.T).T,
+                          kron_star_matrix(H.square) @ np.conj(DM))
 
 
 # -- no Kronecker matrix ---------------------------------------------------
@@ -192,6 +301,26 @@ def test_leg_maps_build_no_kronecker_matrix(monkeypatch, hopf_file,
         alpha = homogeneous_action(D, X)
         for cls in relation(alpha).classes:
             alpha.restrict_to_blocks(cls)
+
+
+def test_coaction_checks_build_no_kronecker_matrix(monkeypatch):
+    s3 = groups.symmetric(3)
+    H = group_algebra(s3)
+    D = dualize(H)
+    # the subgroup {e, t} for a transposition t, on the raw dual basis
+    t = next(g for g in range(6) if g != s3.identity and s3.inverses[g] == g)
+    pi = np.zeros((2, 6))
+    pi[0, s3.identity] = pi[1, t] = 1.0
+    with monkeypatch.context() as patch:
+        patch.setattr(np, "kron", _no_kron)
+        verify_hopf(H)
+        verify_hopf(kac_paljutkin())
+        X = homogeneous_space(D, subgroup_from_dual_matrix(D, pi))
+        alpha = homogeneous_action(D, X)
+        # the Pol(G) leg of the action is the generic algebra C[S3]
+        assert not isinstance(alpha.alpha.codomain.factors[1], BlockAlgebra)
+        assert alpha.verify().passed
+        assert len(relation(alpha).classes) == 3
 
 
 # -- C(S4) with the sign quotient --------------------------------------------

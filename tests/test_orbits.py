@@ -302,6 +302,16 @@ def test_pi_must_be_a_hopf_surjection(dual_cs3, craft):
         subgroup_from_dual_matrix(dual_cs3, craft(dual_cs3))
 
 
+@pytest.mark.parametrize("in_block_coords", [False, True])
+@pytest.mark.parametrize("shape", [(2, 5), (2, 7), (6,), (1, 2, 6)])
+def test_pi_of_the_wrong_shape_is_a_morphism_error(dual_cs3, shape,
+                                                   in_block_coords):
+    # checked before the product with block_to_dual, whose width is 6
+    with pytest.raises(MorphismError, match="wrong shape"):
+        subgroup_from_dual_matrix(dual_cs3, np.zeros(shape),
+                                  in_block_coords=in_block_coords)
+
+
 def test_pi_killing_every_central_idempotent_rejected(dual_cs3):
     # no block survives, so there is no support projection to build
     row = np.zeros((1, dual_cs3.dual_algebra.dim))

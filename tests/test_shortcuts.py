@@ -27,7 +27,7 @@ from finiteqg.io import (WRITE_CUTOFF, hopf_to_dict, load_hopf,
 from finiteqg.wedderburn import (_decompose_with_rep, _gns_rep, _star_rep,
                                  decompose_abstract, reorder_blocks)
 
-from conftest import DATA
+from conftest import DATA, kron_star_matrix
 from test_properties import small_groups
 
 LADDER = {
@@ -356,7 +356,8 @@ def test_block_star_of_tensor_products_is_the_kronecker_star(label):
             continue  # its star matrix alone would take more than 16 MB
         x = rng.standard_normal((3, T.dim)) + 1j * rng.standard_normal(
             (3, T.dim))
-        assert np.array_equal(T.star_coeffs(x), np.conj(x) @ T.star_matrix.T)
+        assert np.array_equal(T.star_coeffs(x),
+                              np.conj(x) @ kron_star_matrix(T).T)
 
 
 def test_equal_block_dims_share_one_read_only_gather_array():
