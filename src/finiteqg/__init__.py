@@ -43,8 +43,8 @@ _EXPORTS = {
     "clifford": ("RestrictionTable", "VergniouxRelation",
                  "kac_constancy_check", "quotient_subgroup",
                  "restriction_table", "vergnioux_relation"),
-    "classical": ("MagicAction", "action_from_magic", "classical_orbits",
-                  "haar_values", "permutation_magic", "verify_magic"),
+    "classical": ("classical_orbits", "haar_values", "magic_action",
+                  "magic_entries", "permutation_magic", "verify_magic"),
     "io": ("SchemaError", "load_hopf", "load_magic", "load_subgroup",
            "save_hopf", "save_magic", "save_subgroup"),
 }

@@ -17,7 +17,10 @@ l^inf of the dual (raw dual-basis coordinates) onto the subgroup, or
 Pol(G) -> Pol(H) feeding the normal-subgroup path; a file holds exactly
 one of the two keys.
 
-magic.json: ``{"n": n, "u": [[i, j, [[k, re, im], ...]], ...]}``.
+magic.json: ``{"n": n, "u": [[i, j, [[k, re, im], ...]], ...]}``, the
+entries u_ij of a magic matrix; ``load_magic`` returns the coaction on
+l^inf(n) that they define, an ``orbits.ActionMap`` (see
+:mod:`finiteqg.classical`).
 
 Indices, block sizes and ``n`` are JSON integers; a float or a boolean
 in their place is refused rather than rounded, and so is a boolean in
@@ -34,12 +37,11 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import classical
-from .core import (AlgElement, BlockAlgebra, LinMap, as_tolerance, opnorm,
-                   tensor)
+from .core import BlockAlgebra, LinMap, as_tolerance, opnorm, tensor
 from .hopf import HopfData, verify_hopf
 
 if TYPE_CHECKING:
-    from .classical import MagicAction
+    from .orbits import ActionMap
 
 WRITE_CUTOFF = 1e-14
 
@@ -179,22 +181,23 @@ def load_subgroup(path, dim: int):
     return subgroup_from_dict(_read_json(path), dim)
 
 
-def magic_to_dict(M: MagicAction) -> dict:
+def magic_to_dict(alpha: ActionMap) -> dict:
+    U = classical.magic_entries(alpha)
     u = []
-    for i in range(M.n):
-        for j in range(M.n):
-            coeffs = _entries(M.u[i][j].coeffs)
+    for i, row in enumerate(U):
+        for j, x in enumerate(row):
+            coeffs = _entries(x)
             if coeffs:
                 u.append([i, j, coeffs])
-    return {"n": M.n, "u": u}
+    return {"n": len(U), "u": u}
 
 
-def save_magic(M: MagicAction, path) -> None:
-    Path(path).write_text(json.dumps(magic_to_dict(M), indent=1,
+def save_magic(alpha: ActionMap, path) -> None:
+    Path(path).write_text(json.dumps(magic_to_dict(alpha), indent=1,
                                      sort_keys=True))
 
 
-def magic_from_dict(data: dict, H: HopfData) -> MagicAction:
+def magic_from_dict(data: dict, H: HopfData) -> ActionMap:
     try:
         n = _integer(data["n"], "point count")
         if n < 1:
@@ -211,11 +214,10 @@ def magic_from_dict(data: dict, H: HopfData) -> MagicAction:
                     += _value(re, im, "magic")
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed magic data: {exc}") from exc
-    return classical.MagicAction(
-        H, n, [[AlgElement(H.algebra, c) for c in row] for row in mats])
+    return classical.magic_action(H, mats)
 
 
-def load_magic(path, H: HopfData) -> MagicAction:
+def load_magic(path, H: HopfData) -> ActionMap:
     return magic_from_dict(_read_json(path), H)
 
 

@@ -315,6 +315,9 @@ class ActionMap:
     summands: list
 
     def __post_init__(self):
+        if not isinstance(self.module, BlockAlgebra):
+            raise TypeError("an action needs a BlockAlgebra module, not "
+                            f"{type(self.module).__name__}")
         if self.summands is None:
             self.summands = [[b] for b in range(len(self.module.block_dims))]
         empty = [i for i, g in enumerate(self.summands) if len(g) == 0]
@@ -535,6 +538,9 @@ def ergodicity(alpha: ActionMap, tol=None):
     """Basis of the fixed-point algebra and the ergodicity flag."""
     tol = as_tolerance(tol)
     N, A = alpha.module, alpha.hopf.algebra
-    embed = np.kron(np.eye(N.dim), A.unit_coeffs[:, None])
-    fixed = nullspace(alpha.alpha.matrix - embed, tol)
+    n = N.dim
+    # x -> x (x) 1 subtracted on the reshaped (n, d_a, n) matrix
+    diff = alpha.alpha.matrix.reshape(n, A.dim, n) \
+        - A.unit_coeffs[:, None] * np.eye(n)[:, None, :]
+    fixed = nullspace(diff.reshape(n * A.dim, n), tol)
     return fixed, fixed.shape[0] == 1

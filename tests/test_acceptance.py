@@ -3,13 +3,14 @@
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the lines.
 """
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from finiteqg import groups
-from finiteqg.classical import (action_from_magic, classical_orbits,
-                                haar_values, permutation_magic, verify_magic)
+from finiteqg.classical import (classical_orbits, haar_values,
+                                permutation_magic, verify_magic)
 from finiteqg.clifford import (kac_constancy_check, restriction_table,
                                vergnioux_relation)
 from finiteqg.core import DEFAULT_SEED, Tolerance
@@ -98,8 +99,8 @@ def test_criterion_4_multiplicative_unitary(hopf_cs3, hopf_gs3, kp8_block):
 def test_criterion_5_flip_counterexample():
     H = function_algebra(groups.cyclic(2))
     M = permutation_magic(H, np.array([[0, 1, 2, 3], [1, 0, 3, 2]]))
-    grouped = relation(action_from_magic(M, grouping=[[0], [1, 2], [3]]))
-    singles = relation(action_from_magic(M))
+    grouped = relation(replace(M, summands=[[0], [1, 2], [3]]))
+    singles = relation(M)
     # transitivity straight from the relation matrix
     rel = grouped.relation.astype(int)
     transitive = bool(np.all((rel @ rel > 0) <= grouped.relation))

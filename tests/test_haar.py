@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finiteqg import groups
-from finiteqg.classical import action_from_magic, permutation_magic
+from finiteqg.classical import permutation_magic
 from finiteqg.haar import HaarError, haar_state, invariant_state_on_module
 from finiteqg.hopf import function_algebra, group_algebra
 from finiteqg.orbits import ActionMap
@@ -74,7 +74,7 @@ def test_invariant_state_z3_cycle_uniform():
     z3 = groups.cyclic(3)
     H = function_algebra(z3)
     act = np.array([[(g + x) % 3 for x in range(3)] for g in range(3)])
-    alpha = action_from_magic(permutation_magic(H, act))
+    alpha = permutation_magic(H, act)
     out = invariant_state_on_module(alpha, haar_state(H))
     assert np.allclose(out, [1 / 3] * 3, atol=1e-12)
 

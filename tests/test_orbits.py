@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from finiteqg import groups
-from finiteqg.classical import action_from_magic, permutation_magic
+from finiteqg.classical import permutation_magic
 from finiteqg.core import BlockAlgebra, CheckError, LinMap, Tolerance, tensor
-from finiteqg.core import distance_to_span, orthonormal_rows
+from finiteqg.core import distance_to_span, nullspace, orthonormal_rows
 from finiteqg.duality import dualize, mult_unitary
-from finiteqg.hopf import function_algebra
+from finiteqg.hopf import function_algebra, group_algebra
 from finiteqg.orbits import (ActionMap, MorphismError, _relation_classes,
                              central_supports, ergodicity, full_subgroup,
                              homogeneous_action, homogeneous_space,
@@ -124,8 +124,7 @@ def test_flip_grouped_relation_not_transitive():
     z2 = groups.cyclic(2)
     H = function_algebra(z2)
     act = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
-    M = permutation_magic(H, act)
-    alpha = action_from_magic(M, grouping=[[0], [1, 2], [3]])
+    alpha = replace(permutation_magic(H, act), summands=[[0], [1, 2], [3]])
     P = relation(alpha)
     assert P.checks.flags["relation_symmetric"]
     assert not P.checks.flags["relation_equivalence"]
@@ -139,8 +138,7 @@ def test_flip_singleton_relation_is_equivalence():
     z2 = groups.cyclic(2)
     H = function_algebra(z2)
     act = np.array([[0, 1, 2, 3], [1, 0, 3, 2]])
-    M = permutation_magic(H, act)
-    alpha = action_from_magic(M)
+    alpha = permutation_magic(H, act)
     P = relation(alpha)
     assert all(len(g) == 1 for g in alpha.summands)
     assert P.checks.flags["relation_equivalence"]
@@ -151,7 +149,7 @@ def test_flip_singleton_relation_is_equivalence():
 def test_empty_summand_is_refused():
     # the Z2 flip of two points, with an empty summand between the points
     H = function_algebra(groups.cyclic(2))
-    flip = action_from_magic(permutation_magic(H, np.array([[0, 1], [1, 0]])))
+    flip = permutation_magic(H, np.array([[0, 1], [1, 0]]))
     with pytest.raises(ValueError, match=r"summands \[1\] are empty"):
         ActionMap(H, flip.module, flip.alpha, [[0], [], [1]])
 
@@ -177,14 +175,44 @@ def test_coproduct_action_is_ergodic(hopf_cs3):
 def test_flip_ergodicity():
     z2 = groups.cyclic(2)
     H = function_algebra(z2)
-    M2 = permutation_magic(H, np.array([[0, 1], [1, 0]]))
-    fixed, erg = ergodicity(action_from_magic(M2))
+    fixed, erg = ergodicity(permutation_magic(H, np.array([[0, 1], [1, 0]])))
     assert erg and fixed.shape[0] == 1
-    M4 = permutation_magic(H, np.array([[0, 1, 2, 3], [1, 0, 3, 2]]))
-    alpha = action_from_magic(M4)
+    alpha = permutation_magic(H, np.array([[0, 1, 2, 3], [1, 0, 3, 2]]))
     fixed, erg = ergodicity(alpha)
     assert not erg and fixed.shape[0] == 2
     assert len(relation(alpha).classes) == 2
+
+
+def test_action_on_a_generic_algebra_is_refused():
+    H = group_algebra(groups.symmetric(3))
+    with pytest.raises(TypeError, match="BlockAlgebra"):
+        ActionMap(H, H.algebra, H.delta, None)
+    with pytest.raises(TypeError, match="BlockAlgebra"):
+        ActionMap(H, H.algebra, H.delta, [[0]])
+
+
+def test_ergodicity_fixed_points_equal_the_kronecker_form(
+        hopf_cs3, dual_kp8, kp8_morphism, a3_action):
+    # the fixed points solve alpha(x) = x (x) 1, whose embedding once was
+    # np.kron(eye, unit); the broadcast form gives the same bits
+    z2 = function_algebra(groups.cyclic(2))
+    trivial = function_algebra(groups.trivial())
+    N = BlockAlgebra([1, 2, 1])
+    actions = [
+        ActionMap(hopf_cs3, hopf_cs3.algebra, hopf_cs3.delta, None),
+        permutation_magic(z2, np.array([[0, 1], [1, 0]])),
+        permutation_magic(z2, np.array([[0, 1, 2, 3], [1, 0, 3, 2]])),
+        ActionMap(trivial, N, LinMap(N, tensor(N, trivial.algebra), np.kron(
+            np.eye(N.dim), trivial.algebra.unit_coeffs[:, None])), None),
+        homogeneous_action(dual_kp8, homogeneous_space(dual_kp8,
+                                                       kp8_morphism)),
+        a3_action]
+    for alpha in actions:
+        N, A = alpha.module, alpha.hopf.algebra
+        embed = np.kron(np.eye(N.dim), A.unit_coeffs[:, None])
+        want = nullspace(alpha.alpha.matrix - embed)
+        fixed, _ = ergodicity(alpha)
+        assert np.array_equal(fixed, want)
 
 
 def test_ergodic_iff_one_class_on_classical_base(dual_kp8, kp8_morphism):

@@ -407,9 +407,13 @@ def test_hopf_json_bytes_equal_the_looped_writer():
 def test_subgroup_and_magic_json_bytes_equal_the_looped_writer():
     kp8 = load_hopf(DATA / "kp8.json")
     M = load_magic(DATA / "kp8_magic4.json", kp8)
-    want = {"n": M.n, "u": [[i, j, _looped_entries(M.u[i][j].coeffs)]
-                            for i in range(M.n) for j in range(M.n)
-                            if _looped_entries(M.u[i][j].coeffs)]}
+    n, d = M.module.dim, kp8.dim
+    # alpha(e_j) = sum_i e_i x u_ij: u_ij is rows i*d:(i+1)*d of column j
+    u = [[M.alpha.matrix[i * d:(i + 1) * d, j] for j in range(n)]
+         for i in range(n)]
+    want = {"n": n, "u": [[i, j, _looped_entries(u[i][j])]
+                          for i in range(n) for j in range(n)
+                          if _looped_entries(u[i][j])]}
     assert _dumps(magic_to_dict(M)) == _dumps(want)
     for name in ["s3_z2_subgroup", "kp8_subgroup", "a3_quotient"]:
         dim = 8 if name.startswith("kp8") else 6

@@ -15,7 +15,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from finiteqg import groups
-from finiteqg.classical import (MagicAction, classical_orbits,
+from finiteqg.classical import (classical_orbits, magic_action,
                                 permutation_magic, verify_magic)
 from finiteqg.core import AlgElement, nullspace
 from finiteqg.duality import block_presentation, dualize
@@ -139,14 +139,13 @@ def write_magic_files():
     wd = decompose([AlgElement(A, v) for v in V])
     assert wd.block_dims == (1, 1, 1, 1)
     Q = wd.central_idempotents
-    u = [[None] * 4 for _ in range(4)]
+    # delta(q_j) = sum_i q_i x u_ij: solve on the first leg, u[i, j, :]
+    u = np.zeros((4, 4, A.dim), dtype=complex)
     for j in range(4):
         Y = (KB.delta.matrix @ Q[j]).reshape(A.dim, A.dim)
-        U, res, *_ = np.linalg.lstsq(Q.T, Y, rcond=None)
-        assert np.linalg.norm(Q.T @ U - Y) < 1e-10
-        for i in range(4):
-            u[i][j] = AlgElement(A, U[i])
-    M = MagicAction(KB, 4, u)
+        u[:, j], *_ = np.linalg.lstsq(Q.T, Y, rcond=None)
+        assert np.linalg.norm(Q.T @ u[:, j] - Y) < 1e-10
+    M = magic_action(KB, u)
     verify_magic(M).raise_for_failure("KP8 magic action fails")
     orbits = classical_orbits(M)
     print(f"  kp8 magic: classes={orbits.classes} ergodic={orbits.ergodic}")
