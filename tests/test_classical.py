@@ -7,8 +7,8 @@ from finiteqg import groups
 from finiteqg.classical import (classical_orbits, haar_values, magic_action,
                                 magic_entries, permutation_magic,
                                 verify_magic)
-from finiteqg.core import (AlgElement, BlockAlgebra, Checks, LinMap,
-                           as_tolerance, tensor)
+from finiteqg.core import (AlgElement, BlockAlgebra, CheckError, Checks,
+                           LinMap, as_tolerance, tensor)
 from finiteqg.haar import haar_state
 from finiteqg.hopf import function_algebra, verify_hopf
 from finiteqg.io import load_hopf, load_magic, magic_to_dict
@@ -151,7 +151,6 @@ def test_nan_entry_fails_counting_residual(z3_magic, monkeypatch):
 
 
 def test_classical_orbits_refuses_a_failed_magic_check(z3_magic):
-    from finiteqg.core import CheckError
     with pytest.raises(CheckError, match="magic action fails: .*multipl"):
         classical_orbits(_with_nan(z3_magic, 0, 1))
 
