@@ -24,8 +24,8 @@ import sys
 # library module -> the names it exports at package level
 _EXPORTS = {
     "core": ("AlgElement", "Algebra", "BlockAlgebra", "CheckError", "Checks",
-             "LinMap", "TensorAlgebra", "Tolerance", "DEFAULT_SEED",
-             "is_zero", "kron", "mul", "norm", "tensor"),
+             "LinMap", "TensorAlgebra", "Tolerance", "DEFAULT_SEED", "kron",
+             "tensor"),
     "groups": ("FiniteGroup", "cyclic", "direct_product", "quaternion",
                "symmetric"),
     "hopf": ("HopfAxiomError", "HopfData", "function_algebra",

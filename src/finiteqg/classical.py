@@ -16,8 +16,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (BlockAlgebra, Checks, LinMap, as_tolerance,
-                   coaction_residuals, tensor)
+from .core import BlockAlgebra, Checks, as_tolerance, coaction_residuals
 from .orbits import ActionMap, relation
 
 if TYPE_CHECKING:
@@ -31,10 +30,9 @@ def magic_action(H: HopfData, entries) -> ActionMap:
     stack ``entries`` (u_ij = entries[i, j]), every point a summand."""
     U = np.asarray(entries, dtype=complex)
     n = U.shape[0]
-    N = BlockAlgebra([1] * n)
     # column j is alpha(e_j) = sum_i e_i x u_ij
-    mat = U.transpose(0, 2, 1).reshape(n * H.dim, n)
-    return ActionMap(H, N, LinMap(N, tensor(N, H.algebra), mat), None)
+    return ActionMap(H, BlockAlgebra([1] * n),
+                     U.transpose(0, 2, 1).reshape(n * H.dim, n))
 
 
 def magic_entries(alpha: ActionMap) -> np.ndarray:
@@ -44,7 +42,7 @@ def magic_entries(alpha: ActionMap) -> np.ndarray:
     if alpha.module.block_dims != (1,) * n:
         raise ValueError("a magic matrix needs a classical space: every "
                          "block of the module must be 1 x 1")
-    return alpha.alpha.matrix.reshape(n, alpha.hopf.dim, n).transpose(0, 2, 1)
+    return alpha.matrix.reshape(n, alpha.hopf.dim, n).transpose(0, 2, 1)
 
 
 def permutation_magic(H: HopfData, action_table) -> ActionMap:
@@ -67,8 +65,8 @@ def verify_magic(alpha: ActionMap, tol=None) -> Checks:
     H = alpha.hopf
     # a NaN or inf entry meets inf - inf or 0 * inf on its way to NaN
     with np.errstate(over="ignore", invalid="ignore"):
-        res = coaction_residuals(alpha.module, alpha.alpha.codomain,
-                                 alpha.alpha.matrix, H.delta.matrix, H.counit)
+        res = coaction_residuals(alpha.module, alpha.codomain, alpha.matrix,
+                                 H.delta.matrix, H.counit)
     return Checks(res, as_tolerance(tol))
 
 

@@ -147,7 +147,7 @@ def cmd_orbits(args, run: Run, tol):
     D, m, X, alpha, P = _orbit_pipeline(run, args, tol)
     supports, _, checks = orbits.central_supports(D, X, P, tol)
     run.checks(checks)
-    run.result("supports", [sorted(map(int, s)) for s in supports])
+    run.result("supports", [np.flatnonzero(row).tolist() for row in supports])
 
 
 def cmd_clifford(args, run: Run, tol):
@@ -167,7 +167,9 @@ def cmd_vergnioux(args, run: Run, tol):
     H = _load_verified_hopf(run, resolve(args.hopf), tol)
     D = duality.dualize(H, tol, args.seed)
     m = _load_morphism(run, D, H, resolve(args.subgroup), tol)
-    V = clifford.vergnioux_relation(D, m, tol, args.seed)
+    X = orbits.homogeneous_space(D, m, tol, args.seed)
+    P = orbits.relation(orbits.homogeneous_action(D, X, tol), tol)
+    V = clifford.vergnioux_relation(D, X, P, tol)
     run.checks(V.checks)
     run.result("fusion_route", V.fusion.astype(int).tolist())
     run.result("support_route", V.support.astype(int).tolist())

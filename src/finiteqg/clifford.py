@@ -14,6 +14,9 @@ Two applications of the orbit machinery:
   and its classes are checked against the orbit relation: the union of
   the block supports over each orbit class is one fusion class.
 
+Each reader takes the homogeneous space X and its orbit relation P that
+the caller built once, and builds neither itself.
+
 Normality means that the left and right coinvariants coincide, as
 ``orbits.coinvariant_normality`` tests.
 """
@@ -23,16 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (DEFAULT_SEED, INTEGER_SLACK, CheckError, Checks,
-                   as_tolerance, distance_to_span, pair_products, tensor)
+from .core import (Checks, as_tolerance, distance_to_span,
+                   nonnegative_integers, pair_products, tensor)
 from .duality import DiscreteQG
 from .hopf import HopfData
 # NormalityError is raised here, through the normality record
 from .orbits import (HomogeneousSpace, MorphismError, NormalityError,
-                     OrbitPartition, SubgroupMorphism, _relation_classes,
-                     coinvariant_normality, homogeneous_action,
-                     homogeneous_space, hopf_surjection_checks, relation,
-                     subgroup_from_dual_matrix)
+                     OrbitPartition, _relation_classes, coinvariant_normality,
+                     hopf_surjection_checks, subgroup_from_dual_matrix)
 
 
 def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
@@ -109,12 +110,7 @@ def restriction_table(D: DiscreteQG, X: HomogeneousSpace,
     tol = as_tolerance(tol)
     vals = D.dual_algebra.block_traces(
         np.stack([X.wd.units(i)[0, 0] for i in range(X.size)])).T
-    mult = np.round(vals.real)
-    bad = ~(np.abs(vals - mult) <= INTEGER_SLACK) | (mult < 0)
-    if bad.any():
-        raise CheckError(
-            f"restriction multiplicity {vals[bad][0]} is not an integer")
-    mult = mult.astype(int)
+    mult = nonnegative_integers(vals, "restriction multiplicity")
 
     class_sets = [set(c) for c in partition.classes]
     one_orbit = all(set(np.flatnonzero(row).tolist()) in class_sets
@@ -185,30 +181,28 @@ class VergniouxRelation:
     checks: Checks
 
 
-def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
-                       seed: int = DEFAULT_SEED) -> VergniouxRelation:
+def vergnioux_relation(D: DiscreteQG, X: HomogeneousSpace,
+                       P: OrbitPartition, tol=None) -> VergniouxRelation:
     """sigma ~ tau iff (sigma x tau^c) delta(1_sub) != 0, iff some
     subgroup irreducible gamma has tau inside sigma (x) gamma, iff sigma
-    and tau hit a common block of the homogeneous space.
+    and tau hit a common block of X, the homogeneous space of the
+    subgroup ``X.morphism``.
 
     All three routes are computed and compared entrywise.  The classes
     must also be the orbit classes carried to the ambient side: the union
-    of the block supports over each class of the orbit relation.
+    of the block supports over each class of P, the orbit relation of X.
     """
     tol = as_tolerance(tol)
     B = D.dual_algebra
     n_irr = len(D.irr_dims)
-    X = homogeneous_space(D, m, tol, seed)
-    P = relation(homogeneous_action(D, X, tol), tol)
 
-    # support route
-    supports = X.block_supports(tol)
-    hit = np.array([[k in s for k in range(n_irr)] for s in supports])
+    # support route: hit[i, k] when block i of X meets irreducible k
+    hit = X.block_supports(tol)
     support_rel = (hit[:, :, None] & hit[:, None]).any(axis=0)
 
     # fusion route through the support projection of the subgroup: the
     # norm of every (sigma, tau) block of z in one reduction
-    delta_one = D.dual_hopf.delta.matrix @ m.support.coeffs
+    delta_one = D.dual_hopf.delta.matrix @ X.morphism.support.coeffs
     # the antipode applied to the right leg
     z = delta_one.reshape(B.dim, B.dim) @ D.dual_hopf.antipode.matrix.T
     scale = float(np.linalg.norm(z))
@@ -221,12 +215,12 @@ def vergnioux_relation(D: DiscreteQG, m: SubgroupMorphism, tol=None,
     # witness route: some subgroup irreducible gamma couples sigma to tau.
     # With left coinvariants and the (pi x sigma) o delta fusion order the
     # subgroup factor sits on the left leg: tau inside gamma (x) sigma.
-    witness_rel = D.fusion_table[m.surviving].sum(axis=0) > 0
+    witness_rel = D.fusion_table[X.morphism.surviving].sum(axis=0) > 0
 
     agree = bool(np.array_equal(fusion_rel, support_rel)
                  and np.array_equal(witness_rel, support_rel))
     classes = _relation_classes(support_rel)
-    linked = sorted(sorted(frozenset().union(*(supports[i] for i in cls)))
+    linked = sorted(np.flatnonzero(hit[cls].any(axis=0)).tolist()
                     for cls in P.classes)
 
     # positivity of delta(1_sub) against every block of the space

@@ -140,6 +140,18 @@ class CheckError(ValueError):
     """A numeric check failed."""
 
 
+def nonnegative_integers(values, what: str) -> np.ndarray:
+    """The integer array nearest to ``values``; ``CheckError`` unless
+    every entry lies within ``INTEGER_SLACK`` of a non-negative integer.
+    ``what`` names an entry in the message."""
+    rounded = np.round(values.real)
+    bad = ~(np.abs(values - rounded) <= INTEGER_SLACK) | (rounded < 0)
+    if bad.any():
+        raise CheckError(f"{what} {values[bad][0]} is not a non-negative "
+                         "integer")
+    return rounded.astype(int)
+
+
 @dataclass
 class Checks:
     """Named residuals and flags judged at one tolerance.
@@ -344,10 +356,6 @@ class BlockAlgebra(Algebra):
             self._mul_tensor = m
         return self._mul_tensor
 
-    @mul_tensor.setter
-    def mul_tensor(self, _):
-        raise AttributeError("block structure tensor is derived")
-
     def index(self, block: int, row: int, col: int) -> int:
         n = self.block_dims[block]
         if not (0 <= row < n and 0 <= col < n):
@@ -459,10 +467,6 @@ class TensorAlgebra(Algebra):
             self._unit = self.kron_coeffs(
                 *(f.unit_coeffs for f in self.factors))
         return self._unit
-
-    @unit_coeffs.setter
-    def unit_coeffs(self, _):
-        raise AttributeError("tensor unit is derived")
 
     @property
     def block_dims(self):
@@ -893,18 +897,6 @@ class AlgElement:
         return f"AlgElement({self.parent!r}, norm={self.norm():.3g})"
 
 
-def mul(a: AlgElement, b: AlgElement) -> AlgElement:
-    return a * b
-
-
-def norm(x: AlgElement) -> float:
-    return x.norm()
-
-
-def is_zero(x: AlgElement, tol=None, scale: float = 1.0) -> bool:
-    return x.is_zero(tol, scale)
-
-
 def kron(*elements) -> AlgElement:
     """Tensor product of elements, living in the tensor of the parents."""
     t = tensor(*[e.parent for e in elements])
@@ -932,19 +924,6 @@ class LinMap:
                 raise ValueError("element not in the domain")
             return AlgElement(self.codomain, self.matrix @ x.coeffs)
         return self.matrix @ np.asarray(x, dtype=complex)
-
-    def __matmul__(self, other: "LinMap") -> "LinMap":
-        if other.codomain != self.domain:
-            raise ValueError("maps do not compose")
-        return LinMap(other.domain, self.codomain, self.matrix @ other.matrix)
-
-    def tensor(self, other: "LinMap") -> "LinMap":
-        return LinMap(tensor(self.domain, other.domain),
-                      tensor(self.codomain, other.codomain),
-                      np.kron(self.matrix, other.matrix))
-
-    def distance(self, other: "LinMap") -> float:
-        return float(opnorm(self.matrix - other.matrix))
 
     def __repr__(self):
         return f"LinMap({self.domain!r} -> {self.codomain!r})"

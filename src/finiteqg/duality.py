@@ -22,8 +22,8 @@ import numpy as np
 
 from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, Checks,
                    LinMap, COUNIT_SPLIT, DEFAULT_SEED, IDENTITY_SLACK,
-                   INTEGER_SLACK, NONZERO_BLOCK_FACTOR, as_tolerance, opnorm,
-                   tensor)
+                   NONZERO_BLOCK_FACTOR, as_tolerance, nonnegative_integers,
+                   opnorm, tensor)
 from .haar import haar_state
 from .hopf import HopfData, verify_hopf
 from .wedderburn import WedderburnData, decompose_abstract, reorder_blocks
@@ -101,12 +101,7 @@ class DiscreteQG:
         first = np.stack([b[:, 0, 0] for b in B.block_matrices(
             self.dual_hopf.delta.matrix)]).reshape(m, B.dim, B.dim)
         vals = B.block_traces(B.block_traces(first).swapaxes(1, 2)).T
-        table = np.round(vals.real)
-        bad = ~(np.abs(vals - table) <= INTEGER_SLACK) | (table < 0)
-        if bad.any():
-            raise CheckError(f"fusion multiplicity {vals[bad][0]} is not a "
-                             "non-negative integer")
-        table = table.astype(int)
+        table = nonnegative_integers(vals, "fusion multiplicity")
         table.flags.writeable = False
         return table
 

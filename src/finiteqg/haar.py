@@ -115,21 +115,20 @@ def _gram(A, h):
 def invariant_state_on_module(alpha, h: HaarState, tol=None):
     """The invariant functional x -> scalar part of (id x h) alpha(x).
 
-    ``alpha`` is an ``orbits.ActionMap``: its ``verify`` judges it, and
-    raises, before the average.  When alpha is ergodic the returned
-    covector is the unique alpha-invariant state.
+    ``alpha`` is an ``orbits.ActionMap``, shaped N -> N x Pol(G) when it
+    was built: its ``verify`` judges it, and raises, before the average.
+    When alpha is ergodic the returned covector is the unique
+    alpha-invariant state.
     """
     if h.hopf is not alpha.hopf:
         raise ValueError("h is not the Haar state of alpha's quantum group")
     N = alpha.module
     d_n, d_a = N.dim, h.hopf.dim
-    if alpha.alpha.matrix.shape != (d_n * d_a, d_n):
-        raise ValueError("alpha is not a map N -> N x Pol(G)")
     alpha.verify(tol)
 
     # E = (id x h) alpha, the averaging map onto the fixed-point algebra
     E = np.einsum("njk,j->nk",
-                  alpha.alpha.matrix.reshape(d_n, d_a, d_n), h.vector)
+                  alpha.matrix.reshape(d_n, d_a, d_n), h.vector)
     one = N.unit_coeffs
     weight = np.conj(one) / float((np.conj(one) @ one).real)
     return weight @ E

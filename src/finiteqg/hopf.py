@@ -12,7 +12,7 @@ S(x*) = S(x)*.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,7 +30,8 @@ class HopfData:
     """A finite quantum group: algebra plus Hopf structure maps.
 
     ``delta`` maps the algebra into its tensor square (Kronecker indexing),
-    ``counit`` is a covector, ``antipode`` an algebra endomap.
+    ``counit`` is a covector, ``antipode`` an algebra endomap; both maps
+    are refused unless built on ``algebra`` itself.
     """
 
     algebra: Algebra
@@ -38,16 +39,15 @@ class HopfData:
     counit: np.ndarray
     antipode: LinMap
     name: str = ""
-    # built on first use; a dataclasses.replace copy starts without it
-    _square: object = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        d = self.algebra.dim
-        self.counit = np.asarray(self.counit, dtype=complex).reshape(d)
-        if self.delta.matrix.shape != (d * d, d):
-            raise ValueError("comultiplication has wrong shape")
-        if self.antipode.matrix.shape != (d, d):
-            raise ValueError("antipode has wrong shape")
+        A = self.algebra
+        self.counit = np.asarray(self.counit, dtype=complex).reshape(A.dim)
+        if self.delta.domain != A or self.delta.codomain != tensor(A, A):
+            raise ValueError("comultiplication must map the algebra into "
+                             "its tensor square")
+        if self.antipode.domain != A or self.antipode.codomain != A:
+            raise ValueError("antipode must map the algebra to itself")
 
     @property
     def dim(self) -> int:
@@ -55,9 +55,7 @@ class HopfData:
 
     @property
     def square(self):
-        if self._square is None:
-            self._square = tensor(self.algebra, self.algebra)
-        return self._square
+        return self.delta.codomain
 
     def delta_of(self, x: AlgElement) -> AlgElement:
         return AlgElement(self.square, self.delta.matrix @ x.coeffs)

@@ -18,10 +18,11 @@ Central objects:
   surviving blocks, its surjection record and its normality record;
 * ``HomogeneousSpace`` -- the coinvariant subalgebra
   {x : (pi x id) delta(x) = 1 x x} with its own block decomposition and
-  the ambient supports of its blocks;
+  the ambient supports of its blocks as one boolean table;
 * ``ActionMap`` -- a coaction N -> N x Pol(G) on a direct sum of matrix
-  blocks, optionally regrouped into coarser summands; ``verify`` is the
-  one coaction check (``core.coaction_residuals``), and
+  blocks, held as its (dim N * dim A, dim N) matrix, whose shape it
+  checks once, optionally regrouped into coarser summands; ``verify`` is
+  the one coaction check (``core.coaction_residuals``), and
   ``hopf.verify_hopf`` checks the coproduct with it as the regular
   coaction of G on itself;
 * ``OrbitPartition`` -- the orbit relation: summands i, j are related when
@@ -38,15 +39,16 @@ matrix of a map with an identity or a selection matrix is built.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import duality, wedderburn
 from .core import (AlgElement, BlockAlgebra, CheckError, Checks,
-                   LinMap, DEFAULT_SEED, as_tolerance, coaction_residuals,
-                   nullspace, numerical_rank, distance_to_span, opnorm,
-                   pair_products, tensor)
+                   DEFAULT_SEED, TensorAlgebra, as_tolerance,
+                   coaction_residuals, nullspace, numerical_rank,
+                   distance_to_span, opnorm, pair_products, tensor)
 
 if TYPE_CHECKING:
     from .duality import DiscreteQG
@@ -269,16 +271,16 @@ class HomogeneousSpace:
     def block_unit_in_dual(self, i: int) -> AlgElement:
         return AlgElement(self.wd.ambient, self.wd.central_idempotents[i])
 
-    def block_supports(self, tol=None) -> list:
-        """For each block i, as a frozenset, the ambient irreducibles k
-        with 1_k 1_i != 0: block k of 1_i, or every k when 1_i has a NaN
-        or inf coefficient."""
+    def block_supports(self, tol=None) -> np.ndarray:
+        """The (blocks x irreducibles) boolean table: entry [i, k] is
+        true when the ambient irreducible k has 1_k 1_i != 0, that is when
+        block k of 1_i is non-zero, or for every k when 1_i has a NaN or
+        inf coefficient."""
         tol = as_tolerance(tol)
         rows = self.wd.central_idempotents
         blocks = self.morphism.dqg.dual_algebra.block_matrices(rows)
         zero = np.stack([tol.is_zero(opnorm(b)) for b in blocks], axis=-1)
-        zero &= np.isfinite(rows).all(axis=1, keepdims=True)
-        return [frozenset(np.flatnonzero(~z).tolist()) for z in zero]
+        return ~(zero & np.isfinite(rows).all(axis=1, keepdims=True))
 
     def __repr__(self):
         return f"HomogeneousSpace(blocks={list(self.block_dims)})"
@@ -304,6 +306,8 @@ def homogeneous_space(D: DiscreteQG, m: SubgroupMorphism, tol=None,
 class ActionMap:
     """A coaction alpha: N -> N x Pol(G) on a multi-matrix algebra N.
 
+    Column k of ``matrix`` is alpha(e_k) in ``codomain`` = N x A; a
+    matrix of any shape but (dim N * dim A, dim N) is a ``ValueError``.
     ``summands`` partitions the blocks of N into the direct summands M_i
     the orbit relation refers to; by default every block is its own
     summand (all summands are factors).
@@ -311,13 +315,18 @@ class ActionMap:
 
     hopf: HopfData
     module: BlockAlgebra
-    alpha: LinMap
-    summands: list
+    matrix: np.ndarray
+    summands: list | None = None
 
     def __post_init__(self):
         if not isinstance(self.module, BlockAlgebra):
             raise TypeError("an action needs a BlockAlgebra module, not "
                             f"{type(self.module).__name__}")
+        self.matrix = np.asarray(self.matrix, dtype=complex)
+        want = (self.module.dim * self.hopf.dim, self.module.dim)
+        if self.matrix.shape != want:
+            raise ValueError(f"action matrix has shape {self.matrix.shape}, "
+                             f"expected {want} = (dim N * dim A, dim N)")
         if self.summands is None:
             self.summands = [[b] for b in range(len(self.module.block_dims))]
         empty = [i for i, g in enumerate(self.summands) if len(g) == 0]
@@ -327,6 +336,10 @@ class ActionMap:
         got = sorted(b for g in self.summands for b in g)
         if got != list(range(len(self.module.block_dims))):
             raise ValueError("summands must partition the module blocks")
+
+    @cached_property
+    def codomain(self) -> TensorAlgebra:
+        return tensor(self.module, self.hopf.algebra)
 
     @property
     def size(self) -> int:
@@ -344,7 +357,7 @@ class ActionMap:
         cut = np.zeros_like(Y)
         rows = self.module.block_indices(self.summands[j])
         cut[rows, :] = Y[rows, :]
-        return self.alpha.codomain.norm_coeffs(cut.reshape(-1))
+        return self.codomain.norm_coeffs(cut.reshape(-1))
 
     def verify(self, tol=None) -> Checks:
         """The unit, product, involution, coaction and counit residuals of
@@ -352,11 +365,11 @@ class ActionMap:
         1 + ||alpha||^2; raises on failure.  Injectivity needs no check of
         its own: the counit identity (id x eps) alpha = id implies it."""
         tol = as_tolerance(tol)
-        A, am = self.hopf, self.alpha.matrix
+        A, am = self.hopf, self.matrix
         # a NaN, inf or huge action meets inf - inf, 0 * inf or overflow on
         # its way to a NaN or inf residual or scale, which fails below
         with np.errstate(over="ignore", invalid="ignore"):
-            res = coaction_residuals(self.module, self.alpha.codomain, am,
+            res = coaction_residuals(self.module, self.codomain, am,
                                      A.delta.matrix, A.counit)
             scale = 1.0 + np.square(opnorm(am))
         checks = Checks(res, tol, dict.fromkeys(res, scale))
@@ -374,15 +387,13 @@ class ActionMap:
         N, d_a = self.module, self.hopf.dim
         sub = BlockAlgebra([N.block_dims[b] for b in blocks])
         cols = N.block_indices(blocks)
-        rhs = self.alpha.matrix[:, cols].reshape(N.dim, d_a, sub.dim)
+        rhs = self.matrix[:, cols].reshape(N.dim, d_a, sub.dim)
         sol = rhs[cols].reshape(sub.dim * d_a, sub.dim)
         res = float(opnorm(np.delete(rhs, cols, axis=0).reshape(-1, sub.dim)))
         if not tol.is_zero(res, float(opnorm(rhs.reshape(-1, sub.dim)))):
             raise CheckError("blocks do not carry an invariant corner "
                              f"(residual {res:.3e})")
-        return ActionMap(self.hopf, sub,
-                         LinMap(sub, tensor(sub, self.hopf.algebra), sol),
-                         [[b] for b in range(len(blocks))])
+        return ActionMap(self.hopf, sub, sol)
 
 
 @dataclass(eq=False)
@@ -429,10 +440,10 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
     """
     tol = as_tolerance(tol)
     m = alpha.size
-    scale = float(opnorm(alpha.alpha.matrix))
+    scale = float(opnorm(alpha.matrix))
     rel = np.zeros((m, m), dtype=bool)
     for i in range(m):
-        image = alpha.alpha.matrix @ alpha.summand_projection(i).coeffs
+        image = alpha.matrix @ alpha.summand_projection(i).coeffs
         for j in range(m):
             rel[j, i] = not tol.is_zero(alpha.component_norm(j, image), scale)
 
@@ -443,11 +454,11 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
 
     classes = _relation_classes(rel)
 
-    T = alpha.alpha.codomain
+    T = alpha.codomain
     one_a = alpha.hopf.algebra.unit_coeffs
     projections = [sum(map(alpha.summand_projection, cls[1:]),
                        alpha.summand_projection(cls[0])) for cls in classes]
-    devs = [T.norm_coeffs(alpha.alpha.matrix @ p.coeffs
+    devs = [T.norm_coeffs(alpha.matrix @ p.coeffs
                           - T.kron_coeffs(p.coeffs, one_a))
             for p in projections]
     # np.max keeps a NaN residual, where max() would drop it
@@ -479,10 +490,7 @@ def homogeneous_action(D: DiscreteQG, X: HomogeneousSpace,
     if not tol.is_zero(res, float(opnorm(conj.T))):
         raise CheckError(
             f"conjugation escapes the homogeneous space (residual {res:.3e})")
-    alpha = ActionMap(D.primal, Xalg,
-                      LinMap(Xalg, tensor(Xalg, A),
-                             sol.reshape(Xalg.dim * A.dim, Xalg.dim)),
-                      [[b] for b in range(len(Xalg.block_dims))])
+    alpha = ActionMap(D.primal, Xalg, sol.reshape(Xalg.dim * A.dim, Xalg.dim))
     alpha.verify(tol)
     return alpha
 
@@ -498,20 +506,21 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
     the sum of the p_k in both supports.  A block unit with a NaN or inf
     coefficient decides no support: its z(1_i) is NaN and its support
     every block, so the class sum residual and orthogonality report it.
-    Returns the ambient supports (a frozenset of ambient block indices
-    per block), the z(1_i) as elements of the dual, and the record:
-    residual ``central_support_class_sums``, flags
+    Returns the ambient supports (``X.block_supports``, the (blocks x
+    irreducibles) boolean table), the z(1_i) as elements of the dual, and
+    the record: residual ``central_support_class_sums``, flags
     ``central_support_orthogonality`` and ``supports_match_relation``.
     """
     tol = as_tolerance(tol)
     m = X.size
-    supports = X.block_supports(tol)
+    # hit[i, k]: ambient block k lies in the support of block i
+    hit = X.block_supports(tol)
     # z(1_i) is the sum of the ambient p_k with p_k 1_i != 0, ascending k
     B = D.dual_algebra
-    zs = [sum((D.block_projection(k) for k in sorted(s)), B.zero())
+    zs = [sum(map(D.block_projection, np.flatnonzero(row)), B.zero())
           if np.isfinite(X.wd.central_idempotents[i]).all()
           else AlgElement(B, np.full(B.dim, np.nan))
-          for i, s in enumerate(supports)]
+          for i, row in enumerate(hit)]
 
     sums = []
     for cls in P.classes:
@@ -519,9 +528,6 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
                 X.block_unit_in_dual(cls[0]))
         sums.extend((zs[i] - s).norm() for i in cls)
 
-    # hit[i, k]: ambient block k lies in the support of block i
-    hit = np.array([[k in s for k in range(len(B.block_dims))]
-                    for s in supports])
     same = P.relation | P.relation.T
     orthogonal = not ((hit[:, None] & hit).any(axis=-1) & ~same).any()
     match = np.array_equal((hit[:, None] == hit).all(axis=-1),
@@ -531,7 +537,7 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
         {"central_support_class_sums": float(np.max(sums, initial=0.0))},
         tol, flags={"central_support_orthogonality": orthogonal,
                     "supports_match_relation": match})
-    return supports, zs, checks
+    return hit, zs, checks
 
 
 def ergodicity(alpha: ActionMap, tol=None):
@@ -540,7 +546,7 @@ def ergodicity(alpha: ActionMap, tol=None):
     N, A = alpha.module, alpha.hopf.algebra
     n = N.dim
     # x -> x (x) 1 subtracted on the reshaped (n, d_a, n) matrix
-    diff = alpha.alpha.matrix.reshape(n, A.dim, n) \
+    diff = alpha.matrix.reshape(n, A.dim, n) \
         - A.unit_coeffs[:, None] * np.eye(n)[:, None, :]
     fixed = nullspace(diff.reshape(n * A.dim, n), tol)
     return fixed, fixed.shape[0] == 1

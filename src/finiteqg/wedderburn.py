@@ -432,9 +432,7 @@ def _decompose_with_rep(ambient, gen_coeffs, rep_tensor, tol, seed):
     unit_mat = rep_of(ambient.unit_coeffs)
     span = _MatrixSpan(rep_tensor if gen_coeffs is None
                        else [rep_of(c) for c in gen_coeffs], unit_mat, tol)
-    # require the ambient unit in the span (unital subalgebra)
-    if not span.contains(unit_mat):
-        raise SpanNotClosedError("span does not contain the unit")
+    # raises unless a unital *-subalgebra
     span.check_closed()
 
     corners = _central_idempotents(span, rng, tol)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from finiteqg import groups
-from finiteqg.clifford import quotient_subgroup
+from finiteqg.clifford import quotient_subgroup, vergnioux_relation
 from finiteqg.core import Tolerance
 from finiteqg.duality import dualize
 from finiteqg.hopf import function_algebra, group_algebra, kac_paljutkin
@@ -23,6 +23,13 @@ def kron_star_matrix(alg):
     for f in rest:
         st = np.kron(st, f.star_matrix)
     return st
+
+
+def vergnioux_of(D, m):
+    """``vergnioux_relation`` on the homogeneous space of the subgroup m
+    and its orbit relation, built as the vergnioux command builds them."""
+    X = homogeneous_space(D, m)
+    return vergnioux_relation(D, X, relation(homogeneous_action(D, X)))
 
 
 @pytest.fixture(scope="session")
@@ -83,7 +90,7 @@ def a3_trivial_block(a3_space):
     """The block of the A3 space whose unit carries the trivial dual
     projection."""
     supports = a3_space.block_supports(Tolerance())
-    return next(i for i, s in enumerate(supports) if 0 in s)
+    return int(np.flatnonzero(supports[:, 0])[0])
 
 
 @pytest.fixture(scope="session")

@@ -11,8 +11,7 @@ import pytest
 from finiteqg import groups
 from finiteqg.classical import (classical_orbits, haar_values,
                                 permutation_magic, verify_magic)
-from finiteqg.clifford import (kac_constancy_check, restriction_table,
-                               vergnioux_relation)
+from finiteqg.clifford import kac_constancy_check, restriction_table
 from finiteqg.core import DEFAULT_SEED, Tolerance
 from finiteqg.duality import dualize, mult_unitary
 from finiteqg.haar import haar_state
@@ -22,6 +21,8 @@ from finiteqg.orbits import (central_supports, full_subgroup,
                              homogeneous_action, homogeneous_space, relation,
                              trivial_subgroup)
 from finiteqg.wedderburn import decompose_abstract
+
+from conftest import vergnioux_of
 
 _MODULE_T0 = time.perf_counter()
 
@@ -123,7 +124,7 @@ def test_criterion_6_quantum_clifford(dual_cs3, a3_morphism):
     P = relation(alpha)
     ok = X.block_dims == (1, 1, 1)
     triv = next(i for i, s in enumerate(X.block_supports(Tolerance(TOL)))
-                if 0 in s)
+                if s[0])
     pair = sorted(set(range(3)) - {triv})
     ok &= P.classes == sorted([[triv], pair])
     T = restriction_table(dual_cs3, X, P)
@@ -151,7 +152,7 @@ def test_criterion_7_vergnioux_cross_check(dual_cs3, a3_morphism, dual_kp8,
                  ("KP8 order-2", dual_kp8, kp8_morphism)]
     disagreements = 0
     for name, D, m in instances:
-        V = vergnioux_relation(D, m)
+        V = vergnioux_of(D, m)
         if not (V.checks.flags["fusion_equals_support"]
                 and V.checks.flags["support_projection_positivity"]
                 and V.checks.flags["orbit_classes_match_vergnioux"]):

@@ -7,7 +7,7 @@ from finiteqg import groups
 from finiteqg.clifford import (NormalityError, kac_constancy_check,
                                quotient_subgroup, restriction_table,
                                vergnioux_relation)
-from finiteqg.core import (LinMap, Tolerance, distance_to_span,
+from finiteqg.core import (CheckError, LinMap, Tolerance, distance_to_span,
                            orthonormal_rows)
 from finiteqg.duality import block_presentation, dualize, mult_unitary
 from finiteqg.hopf import function_algebra, group_algebra
@@ -16,7 +16,7 @@ from finiteqg.orbits import (MorphismError, coinvariant_normality,
                              homogeneous_space, hopf_surjection_checks,
                              relation, trivial_subgroup)
 
-from conftest import SUBGROUP_PAIRS
+from conftest import SUBGROUP_PAIRS, vergnioux_of
 
 
 def a3_restriction_oracle():
@@ -239,24 +239,24 @@ def test_vergnioux_agreement_all_instances(dual_cs3, a3_morphism, dual_kp8,
                  (dual_cs3, trivial_subgroup(dual_cs3)),
                  (dual_cs3, full_subgroup(dual_cs3)),
                  (dual_kp8, kp8_morphism)]:
-        V = vergnioux_relation(D, m)
+        V = vergnioux_of(D, m)
         assert V.checks.flags["fusion_equals_support"]
         assert V.checks.flags["support_projection_positivity"]
 
 
 def test_vergnioux_a3_classes(dual_cs3, a3_morphism):
-    V = vergnioux_relation(dual_cs3, a3_morphism)
+    V = vergnioux_of(dual_cs3, a3_morphism)
     assert V.classes == [[0, 1], [2]]  # {triv, sgn} and {std}
 
 
 def test_vergnioux_full_subgroup_total(dual_cs3):
-    V = vergnioux_relation(dual_cs3, full_subgroup(dual_cs3))
+    V = vergnioux_of(dual_cs3, full_subgroup(dual_cs3))
     assert np.all(V.support)
     assert V.classes == [[0, 1, 2]]
 
 
 def test_vergnioux_trivial_subgroup_equality(dual_cs3):
-    V = vergnioux_relation(dual_cs3, trivial_subgroup(dual_cs3))
+    V = vergnioux_of(dual_cs3, trivial_subgroup(dual_cs3))
     assert np.array_equal(V.support, np.eye(3, dtype=bool))
 
 
@@ -286,7 +286,7 @@ def test_nonnormal_classical_cosets(s3, hopf_gs3, data_dir):
 
     t_idx = s3.index_of((1, 0, 2))
     lam = {s3.identity, t_idx}
-    V = vergnioux_relation(D, m)
+    V = vergnioux_of(D, m)
     assert V.checks.flags["fusion_equals_support"]
     for a in range(6):
         for b in range(6):
@@ -345,7 +345,7 @@ def test_vergnioux_classes_are_closure_classes_on_shipped_pairs(data_dir):
         kind, matrix = load_subgroup(data_dir / sub_file, H.dim)
         m = (subgroup_from_dual_matrix(D, matrix) if kind == "pi"
              else quotient_subgroup(H, D, matrix)[0])
-        V = vergnioux_relation(D, m)
+        V = vergnioux_of(D, m)
         assert [tuple(c) for c in V.classes] == _closure_classes(V.support)
         assert V.checks.flags["orbit_classes_match_vergnioux"], (
             hopf_file, sub_file)
@@ -385,6 +385,19 @@ def test_nan_matrix_unit_fails_constancy(dual_cs3, a3_space, a3_partition):
     _, checks = kac_constancy_check(dual_cs3, X, T, a3_partition)
     assert np.isnan(checks.residuals["markov_trace_proportionality"])
     assert not checks.passed
+
+
+@pytest.mark.parametrize("factor, value", [(0.5, r"0\.5"), (-1.0, r"-1")])
+def test_restriction_table_refuses_a_non_integer_multiplicity(
+        dual_cs3, a3_space, a3_partition, factor, value):
+    # scaled matrix units trace to a half or a negative multiplicity
+    iso = a3_space.wd.iso
+    X = replace(a3_space, wd=replace(a3_space.wd, iso=LinMap(
+        iso.domain, iso.codomain, factor * iso.matrix)))
+    with pytest.raises(CheckError, match=f"restriction multiplicity .*"
+                                         f"{value}.* is not a non-negative "
+                                         "integer"):
+        restriction_table(dual_cs3, X, a3_partition)
 
 
 # -- the block-coordinate readers against the loops they replace -------------
@@ -433,9 +446,9 @@ def _looped_routes(D, m, supports):
     B = D.dual_algebra
     n = len(D.irr_dims)
     support = np.zeros((n, n), dtype=bool)
-    for s in supports:
-        for a in s:
-            for b in s:
+    for row in supports:
+        for a in np.flatnonzero(row):
+            for b in np.flatnonzero(row):
                 support[a, b] = True
     y = (D.dual_hopf.delta.matrix @ m.support.coeffs).reshape(B.dim, B.dim)
     z = y @ D.dual_hopf.antipode.matrix.T
@@ -469,7 +482,7 @@ def test_clifford_readers_equal_their_loops(shipped_pairs):
         # the same traces, summed as np.trace sums them: the same bits
         assert (checks.residuals["markov_trace_proportionality"]
                 == _looped_markov_residual(D, X, T, P)), key
-        V = vergnioux_relation(D, m)
+        V = vergnioux_relation(D, X, P)
         support, fusion, witness = _looped_routes(D, m, X.block_supports())
         assert np.array_equal(V.support, support), key
         assert np.array_equal(V.fusion, fusion), key

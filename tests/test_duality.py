@@ -251,13 +251,16 @@ def test_replaced_dual_drops_the_cached_fusion_table(dual_kp8):
         replace(dual_kp8, dual_hopf=halved).fusion_table
 
 
-def test_replaced_hopf_data_drops_the_cached_square(hopf_cs3):
-    T = hopf_cs3.square
+def test_hopf_data_refuses_maps_of_a_foreign_algebra(hopf_cs3):
+    # the square is the coproduct's codomain, so a copy on another algebra
+    # would carry maps that do not act on it
+    assert hopf_cs3.square is hopf_cs3.delta.codomain
     A = hopf_cs3.algebra
     B = Algebra(A.mul_tensor, A.unit_coeffs, A.star_matrix, name="copy")
-    K = replace(hopf_cs3, algebra=B)
-    assert K.square is not T
-    assert K.square.factors == (B, B)
+    with pytest.raises(ValueError, match="comultiplication must map"):
+        replace(hopf_cs3, algebra=B)
+    with pytest.raises(ValueError, match="antipode must map"):
+        replace(hopf_cs3, antipode=LinMap(B, B, hopf_cs3.antipode.matrix))
 
 
 # -- the fusion table --------------------------------------------------------

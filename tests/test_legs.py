@@ -85,7 +85,7 @@ def _restrict_reference(alpha, blocks):
     E = np.zeros((N.dim, len(cols)), dtype=complex)
     E[cols, np.arange(len(cols))] = 1.0
     big = np.kron(E, np.eye(alpha.hopf.dim))
-    sol, *_ = np.linalg.lstsq(big, alpha.alpha.matrix @ E, rcond=None)
+    sol, *_ = np.linalg.lstsq(big, alpha.matrix @ E, rcond=None)
     return sol
 
 
@@ -138,10 +138,10 @@ def test_action_and_restriction_match_the_kronecker_solves(shipped_pairs):
         alpha = homogeneous_action(D, X)
         want, res = _homogeneous_action_reference(D, X)
         assert res <= 1e-12, key
-        assert np.max(np.abs(alpha.alpha.matrix - want)) <= 1e-12, key
+        assert np.max(np.abs(alpha.matrix - want)) <= 1e-12, key
         for cls in relation(alpha).classes:
             sub = alpha.restrict_to_blocks(cls)
-            got = sub.alpha.matrix
+            got = sub.matrix
             assert np.max(np.abs(got - _restrict_reference(alpha, cls)),
                           initial=0.0) <= 1e-12, (key, cls)
             assert sub.module.block_dims == tuple(
@@ -159,18 +159,18 @@ def test_restriction_to_a_corner_that_is_not_invariant_fails(
 def test_action_star_equals_the_kronecker_star(shipped_pairs):
     for (_, D, _, _, X) in shipped_pairs.values():
         alpha = homogeneous_action(D, X)
-        T, am = alpha.alpha.codomain, alpha.alpha.matrix
+        T, am = alpha.codomain, alpha.matrix
         assert np.array_equal(T.star_coeffs(am.T).T,
                               kron_star_matrix(T) @ np.conj(am))
 
 
 def test_block_supports_equal_the_ambient_products(shipped_pairs):
     for (_, D, _, _, X) in shipped_pairs.values():
-        want = [frozenset(k for k in range(len(D.irr_dims))
-                          if not (D.block_projection(k)
-                                  * X.block_unit_in_dual(i)).is_zero())
+        want = [[not (D.block_projection(k)
+                      * X.block_unit_in_dual(i)).is_zero()
+                 for k in range(len(D.irr_dims))]
                 for i in range(X.size)]
-        assert X.block_supports() == want
+        assert np.array_equal(X.block_supports(), want)
 
 
 # -- the coproduct as the regular coaction ---------------------------------
@@ -249,7 +249,7 @@ def test_coproduct_residuals_are_the_regular_coaction_bit_for_bit(label):
         assert got[hopf_name] == want[hopf_name] == co[name], name
     if isinstance(A, BlockAlgebra):
         # the regular coaction as an action of H on its own algebra
-        assert ActionMap(H, A, H.delta, None).verify().residuals == co
+        assert ActionMap(H, A, H.delta.matrix).verify().residuals == co
 
 
 @pytest.mark.parametrize("label", COPRODUCT_CASES)
@@ -318,7 +318,7 @@ def test_coaction_checks_build_no_kronecker_matrix(monkeypatch):
         X = homogeneous_space(D, subgroup_from_dual_matrix(D, pi))
         alpha = homogeneous_action(D, X)
         # the Pol(G) leg of the action is the generic algebra C[S3]
-        assert not isinstance(alpha.alpha.codomain.factors[1], BlockAlgebra)
+        assert not isinstance(alpha.codomain.factors[1], BlockAlgebra)
         assert alpha.verify().passed
         assert len(relation(alpha).classes) == 3
 

@@ -409,7 +409,7 @@ def test_subgroup_and_magic_json_bytes_equal_the_looped_writer():
     M = load_magic(DATA / "kp8_magic4.json", kp8)
     n, d = M.module.dim, kp8.dim
     # alpha(e_j) = sum_i e_i x u_ij: u_ij is rows i*d:(i+1)*d of column j
-    u = [[M.alpha.matrix[i * d:(i + 1) * d, j] for j in range(n)]
+    u = [[M.matrix[i * d:(i + 1) * d, j] for j in range(n)]
          for i in range(n)]
     want = {"n": n, "u": [[i, j, _looped_entries(u[i][j])]
                           for i in range(n) for j in range(n)

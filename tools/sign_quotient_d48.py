@@ -7,7 +7,8 @@ Builds C(S4 x Z2), dualizes it and checks W, then builds the quantum
 subgroup of the dual given by the sign of the S4 factor, its homogeneous
 space, the conjugation action on that space and the orbit relation; then
 the restriction table, the constancy check, the central supports and the
-Vergnioux relation.  It prints the time of each stage and the peak RSS.
+Vergnioux relation, which reads the space and the orbit relation of the
+stages before it.  It prints the time of each stage and the peak RSS.
 It exits 1 unless every check passes and the counts match the Cayley
 table: the space has one block per class of the kernel A4 x Z2 (8), of
 total dimension sum n^2 = |A4 x Z2| = 24, and both the orbit classes and
@@ -84,7 +85,7 @@ def main() -> int:
     stage("constancy")
     *_, supports = central_supports(D, X, P)
     stage("supports")
-    V = vergnioux_relation(D, m)
+    V = vergnioux_relation(D, X, P)
     stage("vergnioux")
 
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
