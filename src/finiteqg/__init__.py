@@ -33,9 +33,8 @@ _EXPORTS = {
     "haar": ("HaarState", "haar_state", "invariant_state_on_module"),
     "wedderburn": ("WedderburnData", "WedderburnError", "central_support",
                    "decompose", "decompose_abstract"),
-    "duality": ("DiscreteQG", "MultUnitary", "RepLabel", "block_presentation",
-                "contragredient", "corep_of", "dualize", "mult_unitary",
-                "tensor_mult"),
+    "duality": ("DiscreteQG", "block_presentation", "contragredient",
+                "corep_of", "dualize", "mult_unitary", "tensor_mult"),
     "orbits": ("ActionMap", "HomogeneousSpace", "OrbitPartition",
                "SubgroupMorphism", "central_supports", "ergodicity",
                "full_subgroup", "homogeneous_action", "homogeneous_space",

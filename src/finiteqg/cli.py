@@ -112,7 +112,7 @@ def cmd_haar(args, run: Run, tol):
 def cmd_dual(args, run: Run, tol):
     H = _load_verified_hopf(run, resolve(args.hopf), tol)
     D = duality.dualize(H, tol, args.seed)
-    run.checks(duality.mult_unitary(D, tol).checks, "mult_unitary:")
+    run.checks(duality.mult_unitary(D, tol), "mult_unitary:")
     run.result("dual_blocks", [int(n) for n in D.irr_dims])
 
 
@@ -127,31 +127,33 @@ def _load_morphism(run: Run, D, H, sub_path, tol):
     return m
 
 
-def _orbit_pipeline(run: Run, args, tol):
+def _orbit_pipeline(run: Run, args, tol, result):
+    """The stages of orbits, clifford and vergnioux, up to the orbit
+    relation P with its checks; ``result`` receives each orbit result as
+    soon as it is known (vergnioux drops them)."""
     H = _load_verified_hopf(run, resolve(args.hopf), tol)
     D = duality.dualize(H, tol, args.seed)
     m = _load_morphism(run, D, H, resolve(args.subgroup), tol)
-    run.result("subgroup_dim", int(m.rank))
-    run.result("subgroup_normal", bool(m.normal))
+    result("subgroup_dim", int(m.rank))
+    result("subgroup_normal", bool(m.normal))
     X = orbits.homogeneous_space(D, m, tol, args.seed)
-    run.result("homogeneous_blocks", [int(n) for n in X.block_dims])
-    alpha = orbits.homogeneous_action(D, X, tol)
-    P = orbits.relation(alpha, tol)
+    result("homogeneous_blocks", [int(n) for n in X.block_dims])
+    P = orbits.relation(orbits.homogeneous_action(D, X, tol), tol)
     run.checks(P.checks)
-    run.result("relation", P.relation.astype(int).tolist())
-    run.result("classes", [list(map(int, c)) for c in P.classes])
-    return D, m, X, alpha, P
+    result("relation", P.relation.astype(int).tolist())
+    result("classes", [list(map(int, c)) for c in P.classes])
+    return D, m, X, P
 
 
 def cmd_orbits(args, run: Run, tol):
-    D, m, X, alpha, P = _orbit_pipeline(run, args, tol)
+    D, m, X, P = _orbit_pipeline(run, args, tol, run.result)
     supports, _, checks = orbits.central_supports(D, X, P, tol)
     run.checks(checks)
     run.result("supports", [np.flatnonzero(row).tolist() for row in supports])
 
 
 def cmd_clifford(args, run: Run, tol):
-    D, m, X, alpha, P = _orbit_pipeline(run, args, tol)
+    D, m, X, P = _orbit_pipeline(run, args, tol, run.result)
     T = clifford.restriction_table(D, X, P, tol)
     run.checks(T.checks)
     _, checks = clifford.kac_constancy_check(D, X, T, P, tol)
@@ -164,11 +166,7 @@ def cmd_clifford(args, run: Run, tol):
 
 
 def cmd_vergnioux(args, run: Run, tol):
-    H = _load_verified_hopf(run, resolve(args.hopf), tol)
-    D = duality.dualize(H, tol, args.seed)
-    m = _load_morphism(run, D, H, resolve(args.subgroup), tol)
-    X = orbits.homogeneous_space(D, m, tol, args.seed)
-    P = orbits.relation(orbits.homogeneous_action(D, X, tol), tol)
+    D, _, X, P = _orbit_pipeline(run, args, tol, lambda *_: None)
     V = clifford.vergnioux_relation(D, X, P, tol)
     run.checks(V.checks)
     run.result("fusion_route", V.fusion.astype(int).tolist())

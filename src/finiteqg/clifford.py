@@ -88,10 +88,9 @@ def quotient_subgroup(H: HopfData, D: DiscreteQG, rho, tol=None):
 class RestrictionTable:
     """Integer multiplicities of ambient irreducibles over the blocks of a
     homogeneous space, with the flags ``one_orbit_per_row`` and
-    ``dimension_count`` in its record."""
+    ``dimension_count`` in its record: mult[k, i] is the multiplicity of
+    block i of the space inside irreducible k."""
 
-    row_labels: list
-    col_dims: list
     mult: np.ndarray
     checks: Checks
 
@@ -116,10 +115,8 @@ def restriction_table(D: DiscreteQG, X: HomogeneousSpace,
     one_orbit = all(set(np.flatnonzero(row).tolist()) in class_sets
                     for row in mult)
     dims_ok = np.array_equal(mult @ X.block_dims, D.irr_dims)
-    return RestrictionTable(list(D.irr_labels), list(X.block_dims), mult,
-                            Checks({}, tol, flags={
-                                "one_orbit_per_row": one_orbit,
-                                "dimension_count": dims_ok}))
+    return RestrictionTable(mult, Checks({}, tol, flags={
+        "one_orbit_per_row": one_orbit, "dimension_count": dims_ok}))
 
 
 def kac_constancy_check(D: DiscreteQG, X: HomogeneousSpace,
@@ -202,7 +199,7 @@ def vergnioux_relation(D: DiscreteQG, X: HomogeneousSpace,
 
     # fusion route through the support projection of the subgroup: the
     # norm of every (sigma, tau) block of z in one reduction
-    delta_one = D.dual_hopf.delta.matrix @ X.morphism.support.coeffs
+    delta_one = D.dual_hopf.delta.matrix @ X.morphism.support
     # the antipode applied to the right leg
     z = delta_one.reshape(B.dim, B.dim) @ D.dual_hopf.antipode.matrix.T
     scale = float(np.linalg.norm(z))

@@ -3,15 +3,18 @@
 Given a finite quantum group by its function algebra A = Pol(G), the dual
 discrete side is the convolution algebra on the dual basis: products are
 transposed comultiplications and vice versa.  The dual is brought into
-canonical block form (its blocks are the irreducible representations of
-G), which fixes, once and for all, the coordinates that homogeneous
-spaces, orbit relations and fusion computations use.
+canonical block form, which fixes, once and for all, the coordinates that
+homogeneous spaces, orbit relations and fusion computations use.  An
+irreducible representation of G is a block of the dual (a minimal central
+projection) and is named by its block index, the trivial one being 0:
+``corep_of``, ``tensor_mult`` and ``contragredient`` take and return
+block indices.
 
 The multiplicative unitary W = sum_k f_k x a_k over dual bases lives in
-the tensor product (dual block algebra) x (primal algebra): its legs are
-the rows of ``dual_to_block``, the inverse of the change of basis
-``block_to_dual``, and every irreducible corepresentation is a block of
-them.
+the tensor product (dual block algebra) x (primal algebra): its
+coefficients are ``dual_to_block.reshape(-1)``, the inverse of the change
+of basis ``block_to_dual``, so every irreducible corepresentation is a
+block of its legs.  ``mult_unitary`` checks W and returns the record.
 """
 from __future__ import annotations
 
@@ -20,23 +23,13 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, Checks,
+from .core import (Algebra, BlockAlgebra, CheckError, Checks,
                    LinMap, COUNIT_SPLIT, DEFAULT_SEED, IDENTITY_SLACK,
                    NONZERO_BLOCK_FACTOR, as_tolerance, nonnegative_integers,
                    opnorm, tensor)
 from .haar import haar_state
 from .hopf import HopfData, verify_hopf
 from .wedderburn import WedderburnData, decompose_abstract, reorder_blocks
-
-
-@dataclass(frozen=True)
-class RepLabel:
-    """An irreducible representation of the quantum group: a dual block."""
-    index: int
-    dim: int
-
-    def __repr__(self):
-        return f"irr{self.index}(dim {self.dim})"
 
 
 @dataclass(eq=False)
@@ -54,7 +47,7 @@ class DiscreteQG:
     primal: HopfData
     dual_hopf: HopfData
     block_to_dual: np.ndarray
-    # (MultUnitary, eps) of the last mult_unitary; replace() copies omit it
+    # (record, eps) of the last mult_unitary; replace() copies omit it
     _w: object = field(default=None, init=False, repr=False)
 
     @property
@@ -64,14 +57,6 @@ class DiscreteQG:
     @property
     def irr_dims(self):
         return self.dual_algebra.block_dims
-
-    @property
-    def irr_labels(self):
-        return [RepLabel(i, n) for i, n in enumerate(self.irr_dims)]
-
-    @property
-    def trivial(self) -> RepLabel:
-        return RepLabel(0, self.irr_dims[0])
 
     @cached_property
     def dual_to_block(self) -> np.ndarray:
@@ -104,9 +89,6 @@ class DiscreteQG:
         table = nonnegative_integers(vals, "fusion multiplicity")
         table.flags.writeable = False
         return table
-
-    def block_projection(self, i: int) -> AlgElement:
-        return self.dual_algebra.block_unit(i)
 
     def __repr__(self):
         return (f"DiscreteQG(dual of {self.primal.name or 'G'}, "
@@ -203,17 +185,11 @@ def dualize(H: HopfData, tol=None, seed: int = DEFAULT_SEED) -> DiscreteQG:
 # multiplicative unitary and the representation calculus
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class MultUnitary:
-    """W = sum_k f_k x a_k in (dual blocks) x Pol(G), with its checks."""
-
-    element: AlgElement
-    checks: Checks
-
-
-def mult_unitary(D: DiscreteQG, tol=None) -> MultUnitary:
-    """Build W from the dual bases and verify its defining identities:
-    unitarity and (id x delta)W = W12 W13."""
+def mult_unitary(D: DiscreteQG, tol=None) -> Checks:
+    """Verify the defining identities of W = sum_k f_k x a_k, whose
+    coefficients in tensor(dual blocks, A) are ``D.dual_to_block``
+    flattened: unitarity and (id x delta)W = W12 W13.  Returns the
+    record, raising on failure; it is cached on ``D`` per tolerance."""
     tol = as_tolerance(tol)
     if D._w is not None and D._w[1] == tol.eps:
         return D._w[0]
@@ -221,12 +197,12 @@ def mult_unitary(D: DiscreteQG, tol=None) -> MultUnitary:
     B = D.dual_algebra
     T = tensor(B, A)
     Ci = D.dual_to_block
-    W = AlgElement(T, Ci.reshape(-1))
-    Wst = W.star()
+    w = Ci.reshape(-1)
+    w_star = T.star_coeffs(w)
     one = T.kron_coeffs(B.unit_coeffs, A.unit_coeffs)
     res = {
-        "unitarity_right": T.norm_coeffs((W * Wst).coeffs - one),
-        "unitarity_left": T.norm_coeffs((Wst * W).coeffs - one),
+        "unitarity_right": T.norm_coeffs(T.mul_coeffs(w, w_star) - one),
+        "unitarity_left": T.norm_coeffs(T.mul_coeffs(w_star, w) - one),
     }
     T3 = tensor(B, A, A)
     # (id x delta) W: delta acts on the second leg, the rows of Ci
@@ -235,42 +211,37 @@ def mult_unitary(D: DiscreteQG, tol=None) -> MultUnitary:
     w13 = np.einsum("tl,k->tkl", Ci, A.unit_coeffs).reshape(-1)
     rhs = T3.mul_coeffs(w12, w13)
     res["comultiplication"] = T3.norm_coeffs(lhs - rhs)
-    out = MultUnitary(W, Checks(res, tol))
-    out.checks.raise_for_failure("multiplicative unitary fails")
-    D._w = (out, tol.eps)
-    return out
+    checks = Checks(res, tol)
+    checks.raise_for_failure("multiplicative unitary fails")
+    D._w = (checks, tol.eps)
+    return checks
 
 
-def corep_of(D: DiscreteQG, label, tol=None):
-    """The irreducible corepresentation U = (label x id)(W): a unitary
-    matrix with entries in Pol(G) satisfying delta(U_ij) = sum_k U_ik x
-    U_kj; U_rs is the row of ``dual_to_block`` at e_rs of the block.  Its
-    unitarity and coproduct residuals are entries of the differences that
-    ``mult_unitary`` judges, at the same scale, and no larger than them,
-    so ``mult_unitary`` checks (and raises) for it."""
+def corep_of(D: DiscreteQG, i: int, tol=None) -> np.ndarray:
+    """The corepresentation U = (p_i x id)(W) of irreducible i, an
+    (n, n, dim A) array: U[r, s], the row of ``dual_to_block`` at e_rs of
+    block i, holds the Pol(G) coefficients of U_rs.  Its unitarity and
+    coproduct residuals are entries of W's, at the same scale, so
+    ``mult_unitary`` checks (and raises) for it."""
     mult_unitary(D, tol)
-    i = label.index if isinstance(label, RepLabel) else int(label)
     legs = D.dual_algebra.block_matrices(D.dual_to_block.T)[i]
-    return [[AlgElement(D.primal.algebra, u) for u in row]
-            for row in np.moveaxis(legs, 0, -1)]
+    return np.moveaxis(legs, 0, -1)
 
 
-def tensor_mult(D: DiscreteQG, sigma, gamma) -> np.ndarray:
+def tensor_mult(D: DiscreteQG, sigma: int, gamma: int) -> np.ndarray:
     """Multiplicities of each irreducible inside sigma (x) gamma: the
     read-only row (sigma, gamma) of ``D.fusion_table``."""
-    si = sigma.index if isinstance(sigma, RepLabel) else int(sigma)
-    gi = gamma.index if isinstance(gamma, RepLabel) else int(gamma)
-    return D.fusion_table[si, gi]
+    return D.fusion_table[sigma, gamma]
 
 
-def contragredient(D: DiscreteQG, label, tol=None) -> RepLabel:
-    """The contragredient irreducible: transpose after the dual antipode.
+def contragredient(D: DiscreteQG, i: int, tol=None) -> int:
+    """The contragredient of irreducible i: transpose after the dual
+    antipode.
 
     pi^c = transpose . pi . S_dual is an irreducible *-representation; the
-    returned label is the block it is equivalent to.
+    returned index is the block it is equivalent to.
     """
     tol = as_tolerance(tol)
-    i = label.index if isinstance(label, RepLabel) else int(label)
     n = D.irr_dims[i]
     B = D.dual_algebra
     # block i of S_dual(p_j), transposed, for every central projection p_j
@@ -285,4 +256,4 @@ def contragredient(D: DiscreteQG, label, tol=None) -> RepLabel:
         raise CheckError("contragredient block mismatch")
     if len(hits) != 1:
         raise CheckError(f"contragredient matched blocks {hits}")
-    return RepLabel(hits[0], n)
+    return hits[0]

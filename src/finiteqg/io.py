@@ -22,15 +22,21 @@ entries u_ij of a magic matrix; ``load_magic`` returns the coaction on
 l^inf(n) that they define, an ``orbits.ActionMap`` (see
 :mod:`finiteqg.classical`).
 
-Indices, block sizes and ``n`` are JSON integers; a float or a boolean
-in their place is refused rather than rounded, and so is a boolean in
-place of a coefficient.
+One reader, ``_sparse``, turns each sparse list into a dense array:
+every index is checked against its axis, every coefficient must be
+finite, and repeated indices add up in file order.  Indices, block sizes
+and ``n`` are JSON integers; a float or a boolean in their place is
+refused rather than rounded, and so is a boolean in place of a
+coefficient.  An array larger than the machine's physical memory (16
+bytes an entry) is refused before it is allocated.
 """
 from __future__ import annotations
 
 import cmath
 import json
+import math
 import numbers
+import os
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -52,8 +58,9 @@ class SchemaError(ValueError):
 
 def _integer(value, what: str) -> int:
     """A file integer: int() would truncate 0.7 to 0, read true as 1 and
-    parse the string "3"."""
-    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+    parse the string "3".  A JSON integer is an int, checked first."""
+    if type(value) is not int and (not isinstance(value, numbers.Integral)
+                                   or isinstance(value, bool)):
         raise SchemaError(f"{what} {value!r} is not an integer")
     return int(value)
 
@@ -78,6 +85,28 @@ def _value(re, im, what: str) -> complex:
     if not cmath.isfinite(c):
         raise SchemaError(f"{what} coefficient {c} is not finite")
     return c
+
+
+def _physical_memory() -> int:
+    """The bytes of physical memory of this machine."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _sparse(entries, shape, axes, what: str) -> np.ndarray:
+    """The dense complex array of the sparse ``entries`` [i_1, ..., i_k,
+    re, im]; index i_a is checked against shape[a] and named axes[a].
+    The shape is checked against physical memory first."""
+    if math.prod(shape) * 16 > _physical_memory():
+        raise SchemaError(f"{what} array of shape {shape} does not fit "
+                          "into physical memory")
+    out, k = np.zeros(shape, dtype=complex), len(shape)
+    for e in entries:
+        if len(e) != k + 2:
+            raise SchemaError(f"{what} entry {e!r} is not {k} indices and "
+                              "a coefficient [re, im]")
+        out[tuple(map(_index, e, shape, axes))] += _value(e[k], e[k + 1],
+                                                          what)
+    return out
 
 
 def _entries(array):
@@ -112,19 +141,15 @@ def hopf_from_dict(data: dict, tol=None, verify: bool = True) -> HopfData:
         if not isinstance(data["blocks"], list):
             raise SchemaError("blocks must be a list of block sizes")
         blocks = [_integer(n, "block size") for n in data["blocks"]]
+        d = sum(n * n for n in blocks)
+        # entry [k, i, j] is the coefficient of e_i x e_j in delta(e_k),
+        # copied to C order (a transposed view changes transported bits)
+        delta = _sparse(data["delta"], (d, d, d), ("delta",) * 3,
+                        "delta").reshape(d, d * d).T.copy()
         A = BlockAlgebra(blocks, name=str(data.get("name", "")))
-        d = A.dim
-        delta = np.zeros((d * d, d), dtype=complex)
-        for k, i, j, re, im in data["delta"]:
-            delta[_index(i, d, "delta") * d + _index(j, d, "delta"),
-                  _index(k, d, "delta")] += _value(re, im, "delta")
-        counit = np.zeros(d, dtype=complex)
-        for k, re, im in data["counit"]:
-            counit[_index(k, d, "counit")] += _value(re, im, "counit")
-        antipode = np.zeros((d, d), dtype=complex)
-        for i, k, re, im in data["antipode"]:
-            antipode[_index(i, d, "antipode"),
-                     _index(k, d, "antipode")] += _value(re, im, "antipode")
+        counit = _sparse(data["counit"], (d,), ("counit",), "counit")
+        antipode = _sparse(data["antipode"], (d, d), ("antipode",) * 2,
+                           "antipode")
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed hopf data: {exc}") from exc
     H = HopfData(A, LinMap(A, tensor(A, A), delta), counit,
@@ -141,8 +166,7 @@ def save_hopf(H: HopfData, path) -> None:
 
 
 def load_hopf(path, tol=None, verify: bool = True) -> HopfData:
-    data = _read_json(path)
-    return hopf_from_dict(data, tol, verify)
+    return hopf_from_dict(_read_json(path), tol, verify)
 
 
 def subgroup_to_dict(matrix, kind: str = "pi") -> dict:
@@ -168,10 +192,7 @@ def subgroup_from_dict(data: dict, dim: int):
         # a surjection onto the subgroup's algebra has at most dim rows
         rows = _index(max(_integer(b, "row index") for b, *_ in data[kind]),
                       dim, "row") + 1
-        m = np.zeros((rows, dim), dtype=complex)
-        for b, k, re, im in data[kind]:
-            m[_index(b, rows, "row"), _index(k, dim, "column")] \
-                += _value(re, im, "subgroup")
+        m = _sparse(data[kind], (rows, dim), ("row", "column"), "subgroup")
     except (TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed subgroup data: {exc}") from exc
     return kind, m
@@ -206,12 +227,13 @@ def magic_from_dict(data: dict, H: HopfData) -> ActionMap:
         if n > len(data["u"]):
             raise SchemaError(f"point count {n} exceeds the {len(data['u'])}"
                               " entries: a row of the magic matrix is empty")
-        mats = np.zeros((n, n, H.dim), dtype=complex)
+        # the points of an entry are checked even when it has no terms
+        entries = []
         for i, j, coeffs in data["u"]:
-            row, col = _index(i, n, "point"), _index(j, n, "point")
-            for k, re, im in coeffs:
-                mats[row, col, _index(k, H.dim, "coefficient")] \
-                    += _value(re, im, "magic")
+            ij = _index(i, n, "point"), _index(j, n, "point")
+            entries.extend([*ij, *c] for c in coeffs)
+        mats = _sparse(entries, (n, n, H.dim),
+                       ("point", "point", "coefficient"), "magic")
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed magic data: {exc}") from exc
     return classical.magic_action(H, mats)

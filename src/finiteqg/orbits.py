@@ -32,7 +32,8 @@ The relation is symmetric for any action; it is an equivalence relation
 when every summand is a single matrix block, and the class sums of block
 units are exactly the invariant projections.  For homogeneous spaces the
 class sums are central supports inside the ambient discrete dual, which
-``central_supports`` verifies explicitly.
+``central_supports`` verifies explicitly.  Every projection is returned
+as its coefficient row, and every block is named by its index.
 A map on one tensor leg is a contraction on that leg: no Kronecker
 matrix of a map with an identity or a selection matrix is built.
 """
@@ -125,18 +126,19 @@ class SubgroupMorphism:
     """A quantum subgroup of the discrete dual, given by the surjection pi.
 
     ``matrix`` maps block coordinates of l^inf(dual) onto the subgroup's
-    coordinates; ``support`` is the central projection carrying the
-    subgroup (the kernel of pi is its complementary ideal); ``surviving``
-    lists the ambient blocks that pi keeps, which is also the embedding of
-    the subgroup's irreducibles into the ambient ones; ``coinvariants`` is
-    the left coinvariant basis.  ``surjection`` is the record of
-    ``hopf_surjection_checks`` (pi is a Hopf *-surjection, so the quotient
-    is never built) and ``normality`` that of ``coinvariant_normality``.
+    coordinates; ``support`` is the coefficient row of the central
+    projection carrying the subgroup (the kernel of pi is its
+    complementary ideal); ``surviving`` lists the ambient blocks that pi
+    keeps, which is also the embedding of the subgroup's irreducibles
+    into the ambient ones; ``coinvariants`` is the left coinvariant
+    basis.  ``surjection`` is the record of ``hopf_surjection_checks``
+    (pi is a Hopf *-surjection, so the quotient is never built) and
+    ``normality`` that of ``coinvariant_normality``.
     """
 
     dqg: DiscreteQG
     matrix: np.ndarray
-    support: AlgElement
+    support: np.ndarray
     surviving: list
     coinvariants: np.ndarray
     surjection: Checks
@@ -197,8 +199,7 @@ def subgroup_from_dual_matrix(D: DiscreteQG, pi_dual, tol=None,
                 f"pi does not vanish on the complementary ideal ({worst:.3e})")
 
     surjection = hopf_surjection_checks(D.dual_hopf, pi, tol)
-    support = sum(map(D.block_projection, surviving[1:]),
-                  D.block_projection(surviving[0]))
+    support = _unit_rows(B, [surviving])[0]
     left, _, normality = coinvariant_normality(D.dual_hopf, pi, tol)
     return SubgroupMorphism(D, pi, support, surviving, left, surjection,
                             normality)
@@ -261,15 +262,8 @@ class HomogeneousSpace:
         return self.wd.block_dims
 
     @property
-    def block_algebra(self) -> BlockAlgebra:
-        return self.wd.block_algebra
-
-    @property
     def size(self) -> int:
         return len(self.wd.block_dims)
-
-    def block_unit_in_dual(self, i: int) -> AlgElement:
-        return AlgElement(self.wd.ambient, self.wd.central_idempotents[i])
 
     def block_supports(self, tol=None) -> np.ndarray:
         """The (blocks x irreducibles) boolean table: entry [i, k] is
@@ -345,11 +339,6 @@ class ActionMap:
     def size(self) -> int:
         return len(self.summands)
 
-    def summand_projection(self, i: int) -> AlgElement:
-        first, *rest = self.summands[i]
-        return sum(map(self.module.block_unit, rest),
-                   self.module.block_unit(first))
-
     def component_norm(self, j: int, image) -> float:
         """Norm of the rows of summand j of ``image`` = alpha(x); for
         x = 1_i it is the (j, i) component alpha_{ji}(1_i) of the action."""
@@ -399,21 +388,24 @@ class ActionMap:
 @dataclass(eq=False)
 class OrbitPartition:
     """The orbit relation of an action, its classes, the class sums of
-    summand units and the checks of ``relation``."""
+    summand units (one coefficient row each) and its record."""
 
     relation: np.ndarray
     classes: list
-    invariant_projections: list
+    invariant_projections: np.ndarray
     checks: Checks
-
-    def class_of(self, i: int):
-        for c in self.classes:
-            if i in c:
-                return c
-        raise KeyError(i)
 
     def __repr__(self):
         return f"OrbitPartition(classes={self.classes})"
+
+
+def _unit_rows(N: BlockAlgebra, groups) -> np.ndarray:
+    """Row r is the unit of N cut to the blocks in groups[r], the sum of
+    their block units (exactly: every coefficient is 0 or 1)."""
+    member = np.zeros((len(groups), len(N.block_dims)), dtype=bool)
+    for r, g in enumerate(groups):
+        member[r, g] = True
+    return member[:, N.unindex(np.arange(N.dim))[0]] * N.unit_coeffs
 
 
 def _relation_classes(rel: np.ndarray) -> list:
@@ -441,9 +433,10 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
     tol = as_tolerance(tol)
     m = alpha.size
     scale = float(opnorm(alpha.matrix))
+    units = _unit_rows(alpha.module, alpha.summands)
     rel = np.zeros((m, m), dtype=bool)
     for i in range(m):
-        image = alpha.matrix @ alpha.summand_projection(i).coeffs
+        image = alpha.matrix @ units[i]
         for j in range(m):
             rel[j, i] = not tol.is_zero(alpha.component_norm(j, image), scale)
 
@@ -456,10 +449,8 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
 
     T = alpha.codomain
     one_a = alpha.hopf.algebra.unit_coeffs
-    projections = [sum(map(alpha.summand_projection, cls[1:]),
-                       alpha.summand_projection(cls[0])) for cls in classes]
-    devs = [T.norm_coeffs(alpha.matrix @ p.coeffs
-                          - T.kron_coeffs(p.coeffs, one_a))
+    projections = np.stack([units[cls].sum(axis=0) for cls in classes])
+    devs = [T.norm_coeffs(alpha.matrix @ p - T.kron_coeffs(p, one_a))
             for p in projections]
     # np.max keeps a NaN residual, where max() would drop it
     checks = Checks(
@@ -479,11 +470,12 @@ def homogeneous_action(D: DiscreteQG, X: HomogeneousSpace,
     A = D.primal.algebra
     B = D.dual_algebra
     T = tensor(B, A)
-    W = duality.mult_unitary(D, tol).element
-    Xalg = X.block_algebra
+    duality.mult_unitary(D, tol)
+    w = D.dual_to_block.reshape(-1)
+    Xalg = X.wd.block_algebra
     E = X.wd.iso.matrix
     x_amb = (E.T[:, :, None] * A.unit_coeffs).reshape(Xalg.dim, T.dim)
-    conj = T.mul_coeffs(T.mul_coeffs(W.coeffs, x_amb), W.star().coeffs)
+    conj = T.mul_coeffs(T.mul_coeffs(w, x_amb), T.star_coeffs(w))
     rhs = conj.T.reshape(B.dim, A.dim * Xalg.dim)
     sol, *_ = np.linalg.lstsq(E, rhs, rcond=None)
     res = float(opnorm((E @ sol - rhs).reshape(B.dim * A.dim, Xalg.dim)))
@@ -507,26 +499,23 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
     coefficient decides no support: its z(1_i) is NaN and its support
     every block, so the class sum residual and orthogonality report it.
     Returns the ambient supports (``X.block_supports``, the (blocks x
-    irreducibles) boolean table), the z(1_i) as elements of the dual, and
-    the record: residual ``central_support_class_sums``, flags
-    ``central_support_orthogonality`` and ``supports_match_relation``.
+    irreducibles) boolean table), the z(1_i) as the (blocks x dim)
+    coefficient array in the dual, and the record: residual
+    ``central_support_class_sums``, flags ``central_support_orthogonality``
+    and ``supports_match_relation``.
     """
     tol = as_tolerance(tol)
     m = X.size
     # hit[i, k]: ambient block k lies in the support of block i
     hit = X.block_supports(tol)
-    # z(1_i) is the sum of the ambient p_k with p_k 1_i != 0, ascending k
+    # z(1_i) is the sum of the ambient p_k with p_k 1_i != 0
     B = D.dual_algebra
-    zs = [sum(map(D.block_projection, np.flatnonzero(row)), B.zero())
-          if np.isfinite(X.wd.central_idempotents[i]).all()
-          else AlgElement(B, np.full(B.dim, np.nan))
-          for i, row in enumerate(hit)]
+    units = X.wd.central_idempotents
+    zs = np.where(np.isfinite(units).all(axis=1, keepdims=True),
+                  _unit_rows(B, [np.flatnonzero(r) for r in hit]), np.nan)
 
-    sums = []
-    for cls in P.classes:
-        s = sum(map(X.block_unit_in_dual, cls[1:]),
-                X.block_unit_in_dual(cls[0]))
-        sums.extend((zs[i] - s).norm() for i in cls)
+    sums = [B.norm_coeffs(zs[i] - units[cls].sum(axis=0))
+            for cls in P.classes for i in cls]
 
     same = P.relation | P.relation.T
     orthogonal = not ((hit[:, None] & hit).any(axis=-1) & ~same).any()

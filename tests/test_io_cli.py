@@ -4,12 +4,14 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from finiteqg import cli, groups, haar, orbits
+from finiteqg import cli, groups, haar, io, orbits
 from finiteqg.haar import HaarError
 from finiteqg.hopf import function_algebra
 from finiteqg.io import (SchemaError, hopf_equal, hopf_from_dict,
                          hopf_to_dict, load_hopf, load_magic, load_subgroup,
                          magic_from_dict, magic_to_dict, save_hopf)
+
+from conftest import SUBGROUP_PAIRS
 
 HOPF_FILES = ["z2_function_algebra.json", "z3_function_algebra.json",
               "s3_function_algebra.json", "z2_group_algebra.json",
@@ -486,3 +488,101 @@ def test_magic_point_count_must_be_positive(tmp_path, capsys, n):
     assert cli.main(["classical-orbits", "z2_function_algebra.json",
                      str(p)]) == 2
     assert "status" not in capsys.readouterr().out
+
+
+def _small_memory(monkeypatch, nbytes):
+    monkeypatch.setattr(io, "_physical_memory", lambda: nbytes)
+
+
+def test_oversize_magic_file_is_refused_before_allocation(
+        tmp_path, capsys, monkeypatch):
+    # 300 points with one entry per row pass the row count; the dense
+    # (300, 300, 2) array takes 2.88 MB, more than the 1 MB reported
+    n = 300
+    p = tmp_path / "magic.json"
+    p.write_text(json.dumps({"n": n, "u": [[i, i, [[0, 1.0, 0.0]]]
+                                           for i in range(n)]}))
+    _small_memory(monkeypatch, 10 ** 6)
+    with pytest.raises(SchemaError, match="physical memory"):
+        load_magic(p, function_algebra(groups.cyclic(2)))
+    assert cli.main(["classical-orbits", "z2_function_algebra.json",
+                     str(p)]) == 2
+    assert "status" not in capsys.readouterr().out
+
+
+def test_oversize_hopf_file_is_refused_before_the_algebra(
+        tmp_path, capsys, monkeypatch):
+    # one 12 x 12 block: d = 144 and the coproduct takes 144^3 * 16 bytes
+    p = tmp_path / "hopf.json"
+    p.write_text(json.dumps({"name": "big", "blocks": [12], "delta": [],
+                             "counit": [], "antipode": []}))
+    _small_memory(monkeypatch, 144 ** 3 * 16 - 1)
+
+    def refuse(*_, **__):
+        raise AssertionError("BlockAlgebra built before the size check")
+
+    monkeypatch.setattr(io, "BlockAlgebra", refuse)
+    with pytest.raises(SchemaError, match="physical memory"):
+        load_hopf(p)
+    assert cli.main(["verify", str(p)]) == 2
+    assert "status" not in capsys.readouterr().out
+
+
+def test_memory_bound_is_the_dense_array_size(data_dir, monkeypatch):
+    # the z3 cycle needs a (3, 3, 3) array, 432 bytes: the bound is that
+    # size exactly, measured against the reported physical memory
+    H = function_algebra(groups.cyclic(3))
+    _small_memory(monkeypatch, 432)
+    assert load_magic(data_dir / "z3_cycle.json", H).matrix.shape == (9, 3)
+    _small_memory(monkeypatch, 431)
+    with pytest.raises(SchemaError, match="physical memory"):
+        load_magic(data_dir / "z3_cycle.json", H)
+
+
+def test_sparse_entries_need_one_index_per_axis(data_dir):
+    data = json.loads((data_dir / "z3_cycle.json").read_text())
+    data["u"][0][2].append([0, 0, 1.0, 0.0])
+    with pytest.raises(SchemaError, match="indices"):
+        magic_from_dict(data, function_algebra(groups.cyclic(3)))
+    hopf = hopf_to_dict(function_algebra(groups.cyclic(2)))
+    hopf["delta"].append([0, 0, 1.0, 0.0])
+    with pytest.raises(SchemaError, match="indices"):
+        hopf_from_dict(hopf)
+
+
+def test_magic_point_of_an_entry_without_terms_is_checked(data_dir):
+    data = json.loads((data_dir / "z3_cycle.json").read_text())
+    data["u"].append([3, 0, []])
+    with pytest.raises(SchemaError, match="point index 3"):
+        magic_from_dict(data, function_algebra(groups.cyclic(3)))
+
+
+def test_repeated_sparse_entries_add_up_in_file_order():
+    # 0.1 + 0.2 + 0.3 in file order differs from 0.1 + (0.2 + 0.3)
+    data = hopf_to_dict(function_algebra(groups.cyclic(2)))
+    data["counit"] = [[0, 0.1, 0.0], [0, 0.2, 0.0], [0, 0.3, 0.0]]
+    H = hopf_from_dict(data, verify=False)
+    assert H.counit[0] == complex((0.1 + 0.2) + 0.3)
+    assert (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+
+
+@pytest.mark.parametrize("hopf_file, sub_file", SUBGROUP_PAIRS)
+def test_vergnioux_report_holds_the_orbit_relation_record(
+        tmp_path, capsys, hopf_file, sub_file):
+    # vergnioux runs the orbit pipeline of orbits, so its report holds the
+    # record of the orbit relation P, with the residuals of orbits' report
+    reports = {}
+    for command in ("orbits", "vergnioux"):
+        p = tmp_path / f"{command}.json"
+        assert cli.main([command, hopf_file, sub_file, "--json",
+                         str(p)]) == 0
+        reports[command] = json.loads(p.read_text())
+    capsys.readouterr()
+    names = ("invariant_projections", "relation_equivalence",
+             "relation_symmetric")
+    got, want = ({c["name"]: c for c in reports[k]["checks"]
+                  if c["name"] in names} for k in ("vergnioux", "orbits"))
+    assert got == want and sorted(got) == sorted(names)
+    assert all(c["passed"] for c in got.values())
+    assert sorted(reports["vergnioux"]["results"]) == [
+        "classes", "fusion_route", "support_route"]

@@ -56,12 +56,13 @@ def test_homogeneous_action_is_conjugation(s3, dual_cs3):
     B = dual_cs3.dual_algebra
     A = dual_cs3.primal.algebra
     T = tensor(B, A)
-    W = mult_unitary(dual_cs3).element
+    mult_unitary(dual_cs3)
+    w = dual_cs3.dual_to_block.reshape(-1)
     Ci = np.linalg.inv(dual_cs3.block_to_dual)
     inv = {g: s3.inverse(g) for g in range(6)}
     for h in range(6):
         x = T.kron_coeffs(Ci[:, h], A.unit_coeffs)
-        got = T.mul_coeffs(T.mul_coeffs(W.coeffs, x), W.star().coeffs)
+        got = T.mul_coeffs(T.mul_coeffs(w, x), T.star_coeffs(w))
         want = np.zeros(T.dim, dtype=complex)
         for g in range(6):
             ghg = s3.table[s3.table[g, h], inv[g]]
@@ -94,10 +95,10 @@ def test_a3_central_supports(dual_cs3, a3_space, a3_partition,
             assert np.flatnonzero(supports[i]).tolist() == [2]
     # z(1_omega) = 1_omega + 1_omegabar
     pair = next(c for c in a3_partition.classes if len(c) == 2)
-    s = a3_space.block_unit_in_dual(pair[0]) \
-        + a3_space.block_unit_in_dual(pair[1])
+    s = a3_space.wd.central_idempotents[pair[0]] \
+        + a3_space.wd.central_idempotents[pair[1]]
     for i in pair:
-        assert (zs[i] - s).norm() <= 1e-9
+        assert dual_cs3.dual_algebra.norm_coeffs(zs[i] - s) <= 1e-9
 
 
 def test_central_support_decision_uses_callers_tolerance(
@@ -271,8 +272,9 @@ def test_kp8_subgroup_space(dual_kp8, kp8_morphism):
 def test_relation_matches_component_norms(a3_action, a3_partition):
     m = a3_action.size
     for i in range(m):
-        image = (a3_action.matrix
-                 @ a3_action.summand_projection(i).coeffs)
+        unit = sum(a3_action.module.block_unit(b).coeffs
+                   for b in a3_action.summands[i])
+        image = a3_action.matrix @ unit
         for j in range(m):
             nz = a3_action.component_norm(j, image) > 1e-6
             assert nz == bool(a3_partition.relation[j, i])

@@ -69,7 +69,7 @@ def main() -> int:
     stage("construct")
     D = dualize(H)
     stage("dualize")
-    W = mult_unitary(D)
+    unitary = mult_unitary(D)
     stage("mult_unitary")
     m = subgroup_from_dual_matrix(D, np.stack([np.ones(G.order), sign]))
     stage("subgroup")
@@ -99,7 +99,7 @@ def main() -> int:
           f"(A4xZ2-classes: {blocks}, order {len(kernel)})")
     print(f"orbit classes {len(P.classes)}, Vergnioux classes "
           f"{len(V.classes)} (S4xZ2-classes in A4xZ2: {want})")
-    records = [W.checks, m.surjection, m.normality, P.checks, T.checks,
+    records = [unitary, m.surjection, m.normality, P.checks, T.checks,
                constancy, supports, V.checks]
     ok = (all(r.passed for r in records) and X.size == blocks
           and space == len(kernel) and len(P.classes) == want
