@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Checks, as_tolerance, distance_to_span,
-                   nonnegative_integers, pair_products, tensor)
+                   nonnegative_integers, pair_products, row_norms, tensor)
 from .duality import DiscreteQG
 from .hopf import HopfData
 # NormalityError is raised here, through the normality record
@@ -222,9 +222,9 @@ def vergnioux_relation(D: DiscreteQG, X: HomogeneousSpace,
 
     # positivity of delta(1_sub) against every block of the space
     T2 = tensor(B, B)
-    ok = not any(tol.is_zero(T2.norm_coeffs(T2.mul_coeffs(
-        delta_one, T2.kron_coeffs(p, B.unit_coeffs))), scale)
-        for p in X.wd.central_idempotents)
+    cut = X.wd.central_idempotents[:, :, None] * B.unit_coeffs
+    ok = not tol.is_zero(row_norms(T2, T2.mul_coeffs(
+        delta_one, cut.reshape(len(cut), -1))), scale).any()
 
     return VergniouxRelation(fusion_rel, witness_rel, support_rel, classes,
                              Checks({}, tol, flags={

@@ -16,56 +16,44 @@ Everything downstream works with three kinds of algebras:
   product of linear maps is literally ``np.kron``.
 
 Elements are immutable coefficient vectors over the algebra's basis.
-The coefficient kernels ``mul_coeffs``, ``star_coeffs``, ``rep_coeffs``
-and ``norm_coeffs`` also take stacks: inputs of shape ``(..., dim)``
-broadcast against each other, and ``norm_coeffs`` of a stack is the
-largest norm over its rows, so an axiom check over many basis pairs is
-one call per stack.  Operator norms are exact C*-norms of a faithful
-representation.  A block algebra, and a tensor product whose factors are
-all block algebras, cuts its coefficients into (Kronecker) blocks through
-one set of index stacks (``_block_gathers``), grouped by block size N.
-The stacks depend only on the factors' block dims: they are built once
-per block shape in a process and shared, read-only, by every algebra of
-that shape.  Products, adjoints and norms share that path: the product
-is a stacked N x N matrix product per size (elementwise when N = 1), the
-adjoint conjugates each block's transpose, the norm is the largest
-spectral norm over the blocks (max |x| when N = 1), so no large matrix,
-the Kronecker star matrix included, is ever built.  Any other algebra
-multiplies through its structure constants, applies its star matrix (a
-tensor product applies each factor's to its own leg) and takes norms in
-its dense representation (the left regular one for structure-constant
-algebras, Kronecker products of the factors' for tensor products).
-Paired stacks (``mul_coeffs``) contract a tensor product one leg at a
-time and never form x (x) y.  All pairs of two
-stacks (``pair_products``, entry [p, q] = x[p] y[q]) absorb leg 0 into x
-and leg 1 into y and then take every pair of a block of rows of x with
-one matrix product; the block path takes them blockwise.  The all-pairs
-residual of a map into a block codomain (``multiplicative_residual``)
-never returns to the Kronecker layout: the images of the basis are
-gathered into the codomain's blocks once, and the products, the images
-of products and their differences are formed there and handed, block
-by block, to the same norm fold as ``_max_norm``.  Every norm call skips
-all-zero rows without building a matrix.  One function
-(``coaction_residuals``) checks every coaction alpha: N -> N x A, the
-coproduct included as the regular coaction (N = A, alpha = delta).
+The kernels ``mul_coeffs``, ``star_coeffs``, ``rep_coeffs`` and
+``norm_coeffs`` also take stacks (..., dim) that broadcast;
+``norm_coeffs`` of a stack is the largest norm over its rows and
+``row_norms`` gives each row's.  Operator norms are exact C*-norms of a
+faithful representation.  A block algebra, and a tensor product of
+block algebras, cuts its coefficients into (Kronecker) blocks through
+index stacks (``_block_gathers``, one per block size N, built once per
+block shape), and its products, adjoints and norms are blockwise
+(elementwise and max |x| when N = 1), so no large matrix is built.  Any
+other algebra multiplies through its structure constants (one tensor
+leg at a time), applies its star matrix leg by leg and takes norms in
+its dense representation.  All pairs of two stacks (``pair_products``)
+take every pair of a block of rows of x with one matrix product.  The
+all-pairs residual of a map from a block algebra into a block codomain
+(``multiplicative_residual``) gathers the images of the basis into the
+codomain's blocks once, takes f(e_p e_q) as a gather of them through
+the domain's table of basis products (``product_index``: e_p e_q is one
+basis element or 0) and hands the residual blocks to the norm fold of
+``_max_norm``.  One function (``coaction_residuals``) checks every
+coaction alpha: N -> N x A, the coproduct included as the regular
+coaction (N = A, alpha = delta).
 
-Every spectral norm, here and in the residuals and scales of the other
-modules, comes from ``opnorm``: the square root of the largest eigenvalue
-of a Gram matrix taken on the matrix's smaller side, after scaling by the
-largest entry.  The largest norm of a stack (``_largest_opnorm``, on the
-block and the dense path alike) calls ``opnorm`` only on the matrices
-whose scale-safe Frobenius norm reaches a running lower bound on the
-maximum.  Its value is always a computed norm, and it is the exhaustive
-maximum bit for bit while each stack fits one of ``opnorm``'s Gram
-slices (``_DENSE_STACK_ENTRIES`` entries; a larger one may round
-differently in the last bits once pruned).  A NaN or inf coefficient
-gives a NaN norm on every path (inf on a 1 x 1 block), never a
-``LinAlgError`` or a warning.  SVDs are taken only where a rank is decided
-(``nullspace``, ``orthonormal_rows``, the Haar nullity, the corner
-dimensions of the Wedderburn split, the surjectivity of a quotient map),
-and for the spectral shifts inside the Wedderburn split, whose results
-the matrix units depend on.  Every rank is ``numerical_rank``: the number
-of singular values above eps * max(1, s_max).  ``nullspace`` or
+Every spectral norm, here and in the other modules, comes from
+``opnorms``: for each matrix, its largest |entry| s times the square
+root of the largest eigenvalue of the Gram matrix of the matrix / s on
+its smaller side.  It takes several stacks of any shapes, and all their
+Gram matrices of one size share one ``eigvalsh`` call, so a check
+record is one spectral call; ``opnorm`` is its one-stack case.  The
+largest norm of a stack (``_largest_opnorm``) computes only the norms
+whose scale-safe Frobenius bound reaches a running lower bound, and is
+the exhaustive maximum bit for bit while each stack fits one Gram slice
+(``_DENSE_STACK_ENTRIES`` entries).  A NaN or inf coefficient gives a
+NaN norm (inf on a 1 x 1 block), never a ``LinAlgError`` or a warning.
+SVDs are taken only where a rank is decided (``nullspace``,
+``orthonormal_rows``, the Haar nullity, the Wedderburn corners, the
+surjectivity of a quotient map) and for the spectral shifts of the
+Wedderburn split.  Every rank is ``numerical_rank``: the number of
+singular values above eps * max(1, s_max).  ``nullspace`` or
 ``orthonormal_rows`` of a matrix with a NaN raises ``LinAlgError``.
 
 Zero tests are relative: ``norm <= eps * (1 + scale)``.  A group of named
@@ -81,6 +69,7 @@ failed-check exception.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -355,6 +344,16 @@ class BlockAlgebra(Algebra):
                 m[g[:, :, None, :], g[:, :, :, None], g[:, None, :, :]] = 1.0
             self._mul_tensor = m
         return self._mul_tensor
+
+    @cached_property
+    def product_index(self) -> np.ndarray:
+        """The read-only table of basis products, filled as ``mul_tensor``
+        is: e_p e_q is the basis element [p, q], or 0 where it is dim."""
+        index = np.full((self.dim, self.dim), self.dim)
+        for g in self._gathers:
+            index[g[:, :, :, None], g[:, None, :, :]] = g[:, :, None, :]
+        index.flags.writeable = False
+        return index
 
     def index(self, block: int, row: int, col: int) -> int:
         n = self.block_dims[block]
@@ -700,31 +699,53 @@ def _generic_pair_products(alg, y):
 
 
 def opnorm(stack):
-    """Spectral norm of each matrix in a ``(..., a, b)`` stack.
-
-    The norm of a matrix is s * sqrt(lambda_max(G)), where s is its
-    largest |entry| and G the Gram matrix of the matrix divided by s, taken
-    on its smaller side; the scaling keeps G clear of underflow and
-    overflow.  A matrix with a NaN or inf entry gives NaN, an all-zero
-    matrix 0.0, both without a decomposition.  Returns an array of shape
-    ``stack.shape[:-2]`` (a numpy float for a single matrix)."""
-    m = np.asarray(stack)
-    s = np.abs(m).max(axis=(-2, -1), initial=0.0)
-    live = np.isfinite(s) & (s > 0)
-    if live.all():
-        return s * _unit_opnorm(m, s)
-    out = np.where(np.isfinite(s), 0.0, np.nan)
-    if live.any():
-        out[live] = s[live] * _unit_opnorm(m[live], s[live])
-    return out[()]
+    """Spectral norm of each matrix in a ``(..., a, b)`` stack: an array
+    of shape ``stack.shape[:-2]`` (a numpy float for a single matrix),
+    ``opnorms`` of the one stack."""
+    return opnorms([stack])[0]
 
 
-def _unit_opnorm(m, s):
-    """sqrt(lambda_max) of the smaller Gram matrix of each m / s, whose
-    largest |entry| is 1, so that lambda_max >= 1.  The Gram matrix is
-    summed over slices of the longer side of at most about
-    ``_DENSE_STACK_ENTRIES`` entries, so no full-size scaled or conjugated
-    copy of the stack is held."""
+def opnorms(stacks, grams=()):
+    """The spectral norms of each (..., a, b) stack of a list, then
+    s * sqrt(lambda_max(G)) of each pair (s, G) of ``grams`` (G None when
+    s is 0, NaN or inf: 0.0, NaN, NaN).  A matrix's norm is s times the
+    root of lambda_max(G), for s its largest |entry| and G the Gram matrix
+    of the matrix / s on its smaller side (``_gram``); a NaN or inf entry
+    gives NaN and a zero matrix 0.0, with no decomposition.  Each stack's
+    Gram matrices are formed as for that stack alone, and all of one size
+    and dtype share one ``eigvalsh`` call, so every value is that of
+    ``opnorm`` of its stack, bit for bit."""
+    items, sizes, tops, out = [], {}, {}, []
+    for m in map(np.asarray, stacks):
+        s = np.abs(m).max(axis=(-2, -1), initial=0.0)
+        live = np.isfinite(s) & (s > 0)
+        n = np.count_nonzero(live)
+        key = ... if n == live.size else live
+        items.append((s, key, _gram(m[key], s[key]) if n else None))
+    items += [(s, ..., g) for s, g in grams]
+    for g in (g for *_, g in items if g is not None):
+        sizes.setdefault((g.shape[-1], g.dtype), []).append(g)
+    for gs in sizes.values():
+        top = np.sqrt(np.linalg.eigvalsh(np.concatenate(
+            [g.reshape((-1,) + g.shape[-2:]) for g in gs]))[:, -1])
+        for g in gs:
+            k = g.size // g.shape[-1] ** 2
+            tops[id(g)], top = top[:k].reshape(g.shape[:-2]), top[k:]
+    for s, key, g in items:
+        whole = key is ... and g is not None
+        v = s * tops[id(g)] if whole else np.where(np.isfinite(s), 0.0,
+                                                   np.nan)
+        if g is not None and not whole:
+            v[key] = s[key] * tops[id(g)]
+        out.append(v if whole else v[()])
+    return out
+
+
+def _gram(m, s):
+    """The smaller Gram matrix of each m / s, whose largest |entry| is 1,
+    so that lambda_max >= 1, summed over slices of the longer side of at
+    most about ``_DENSE_STACK_ENTRIES`` entries, so no full-size scaled or
+    conjugated copy of the stack is held."""
     s = s[..., None, None]
     tall = m.shape[-2] >= m.shape[-1]
     length = m.shape[-2] if tall else m.shape[-1]
@@ -737,18 +758,31 @@ def _unit_opnorm(m, s):
             gram = xh @ x if tall else x @ xh
         else:
             gram += xh @ x if tall else x @ xh
-    return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    return gram
+
+
+def row_norms(alg, x):
+    """The norm of each row of a coefficient stack (..., dim), each the
+    value ``norm_coeffs`` of the row alone gives: on the block path the
+    largest over the row's blocks, all blocks in one ``opnorms`` call and
+    nothing pruned; else that of its dense representation, row by row."""
+    x = np.asarray(x)
+    rows = x.reshape(-1, x.shape[-1])
+    if not (gathers := alg._block_stacks()):
+        return np.array([_max_norm(alg, r) for r in rows]).reshape(
+            x.shape[:-1])
+    blocks = [rows.take(g, axis=-1) for g in gathers]
+    norms = [np.abs(b[..., 0, 0]) for b in blocks if b.shape[-1] == 1]
+    norms += opnorms([b for b in blocks if b.shape[-1] > 1])
+    return np.hstack(norms).max(axis=1).reshape(x.shape[:-1])
 
 
 def _max_norm(alg, x) -> float:
-    """Largest operator norm over the rows of a coefficient stack.
-
-    All-zero rows are dropped first.  On the block path it is the largest
-    ``opnorm`` over the blocks named by ``_block_gathers`` (max |x| when
-    N = 1); otherwise over the rows' dense representations, a bounded
-    number of entries at a time.  Either way ``_largest_opnorm`` computes
-    only the norms that can be the largest.  NaN propagates instead of
-    losing a max comparison."""
+    """Largest operator norm over the rows of a coefficient stack, all-zero
+    rows dropped first: over the blocks of ``_block_gathers`` on the block
+    path (max |x| when N = 1), else over the rows' dense representations,
+    a bounded number of entries at a time.  ``_largest_opnorm`` computes
+    only the norms that can be the largest; NaN propagates."""
     x = np.asarray(x)
     rows = x.reshape(-1, x.shape[-1])
     if len(rows) > 1:
@@ -785,18 +819,14 @@ _PRUNE_GUARD = 1e-12
 
 def _largest_opnorm(stacks, best):
     """max(best, largest ``opnorm`` over the matrices of the (..., a, b)
-    stacks), computing only the norms that can reach it.
-
-    Every matrix M with largest |entry| s has s <= ||M|| <= ||M||_F and
-    ||M||_F / sqrt(n) <= ||M|| (n its smaller side).  So the largest of
-    those lower bounds and ``best`` bounds the result from below; one
-    ``opnorm`` call per stack takes the matrices whose Frobenius norm
-    reaches that bound (less ``_PRUNE_GUARD``), and each computed norm
-    raises it for the next stack.  Every other matrix has a smaller norm
-    than one that is computed.  The result is always ``best`` or a
-    computed ``opnorm``; a NaN ``best`` or a non-finite entry gives NaN.
-    Only the matrices above the bound so far are kept between the
-    passes, never a copy of every stack."""
+    stacks), computing only the norms that can reach it: a matrix M with
+    largest |entry| s has s <= ||M|| <= ||M||_F and ||M||_F / sqrt(n) <=
+    ||M|| (n its smaller side), so one ``opnorm`` call per stack takes
+    the matrices whose Frobenius norm reaches the largest lower bound so
+    far (less ``_PRUNE_GUARD``), and each computed norm raises it for the
+    next.  The result is ``best`` or a computed ``opnorm``; a NaN
+    ``best`` or a non-finite entry gives NaN.  Only the matrices above
+    the bound are kept between the passes."""
     if np.isnan(best):
         return np.nan
     cands = []
@@ -935,34 +965,33 @@ def multiplicative_residual(domain: Algebra, codomain: Algebra,
                             matrix) -> float:
     """Largest norm of f(e_p e_q) - f(e_p) f(e_q) over all basis pairs of
     the domain, for the linear map f with the given matrix, NaN if any
-    norm is NaN.  The work is done one block of rows p at a time
-    (``_pair_rows``), and every pair is kept.
-
-    A codomain with a block path gathers each f(e_p) into its blocks once;
-    the products f(e_p) f(e_q), the images f(e_p e_q) and their difference
-    are formed block by block, and the residual blocks go straight to the
-    norm fold of ``_max_norm``.  Any other codomain takes the products
-    from ``pair_products`` and one norm call per block of rows.  A NaN or
-    inf in the matrix gives NaN before any product, as the products would
-    (inf times 0), but without a floating-point warning."""
+    norm is NaN, one block of rows p at a time (``_pair_rows``).  A block
+    algebra into a block codomain gathers each f(e_p) into the codomain's
+    blocks once, takes f(e_p e_q) as a gather of those through
+    ``product_index`` and hands the residual blocks to the norm fold of
+    ``_max_norm``; other algebras take the products from
+    ``pair_products`` and one norm call per block of rows.  A NaN or inf
+    in the matrix gives NaN before any product, without a warning."""
     cols = np.asarray(matrix).T
     if not np.isfinite(cols).all():
         return np.nan
-    eye = np.eye(domain.dim)
     gathers = codomain._block_stacks()
     worst = [0.0]
-    if not gathers:
+    if not (gathers and isinstance(domain, BlockAlgebra)):
+        eye = np.eye(domain.dim)
         for rows, prods in _pair_blocks(codomain, cols, cols):
             images = domain.mul_coeffs(eye[rows, None], eye) @ cols
             worst.append(codomain.norm_coeffs(images - prods))
         return float(np.max(worst))
-    blocks = [cols.take(g, axis=-1) for g in gathers]   # (d, count, N, N)
+    # a (d + 1, count, N, N) stack z per size: f(e_p) at row p, f(0) at d
+    padded = np.concatenate([cols, np.zeros((1, cols.shape[1]))])
+    blocks = [(z, z[:-1]) for z in (padded.take(g, axis=-1) for g in gathers)]
+    index = domain.product_index
     for rows in _pair_rows(codomain, len(cols), len(cols)):
-        table = domain.mul_coeffs(eye[rows, None], eye)  # (p, q, k)
         worst.append(_largest_block_norm([
-            np.tensordot(table, b, 1)
-            - (b[rows, None] * b if b.shape[-1] == 1 else b[rows, None] @ b)
-            for b in blocks]))
+            z[index[rows]] - (b[rows, None] * b if b.shape[-1] == 1
+                              else b[rows, None] @ b)
+            for z, b in blocks]))
     return float(np.max(worst))
 
 
@@ -975,21 +1004,29 @@ def coaction_residuals(module: Algebra, codomain: Algebra, matrix, delta,
     (alpha x id) alpha = (id x delta) alpha and ``counit``
     (id x eps) alpha = id.  The coproduct is the regular coaction
     (N = A, alpha = delta).  No Kronecker matrix is built."""
+    res, maps = coaction_maps(module, codomain, matrix, delta, counit)
+    return {**res, **dict(zip(maps, map(float, opnorms(maps.values()))))}
+
+
+def coaction_maps(module: Algebra, codomain: Algebra, matrix, delta,
+                  counit):
+    """The ``unital`` and ``multiplicative`` residuals of
+    ``coaction_residuals``, and the maps whose operator norms are its
+    other three."""
     am = np.asarray(matrix)
     d_n = module.dim
     # A3[i, g, k] is the coefficient of e_i x a_g in alpha(e_k):
     # (alpha x id) alpha acts on its first leg, (id x delta) alpha
     # broadcasts over i
     A3 = am.reshape(d_n, -1, d_n)
-    return {
-        "unital": codomain.norm_coeffs(am @ module.unit_coeffs
-                                       - codomain.unit_coeffs),
-        "multiplicative": multiplicative_residual(module, codomain, am),
-        "star": float(opnorm(am @ module.star_matrix
-                             - codomain.star_coeffs(am.T).T)),
-        "coaction": float(opnorm((am @ am.reshape(d_n, -1)).reshape(-1, d_n)
-                                 - (delta @ A3).reshape(-1, d_n))),
-        "counit": float(opnorm(counit @ A3 - np.eye(d_n)))}
+    unital = codomain.norm_coeffs(am @ module.unit_coeffs
+                                  - codomain.unit_coeffs)
+    return ({"unital": unital, "multiplicative": multiplicative_residual(
+        module, codomain, am)}, {
+        "star": am @ module.star_matrix - codomain.star_coeffs(am.T).T,
+        "coaction": (am @ am.reshape(d_n, -1)).reshape(-1, d_n)
+        - (delta @ A3).reshape(-1, d_n),
+        "counit": counit @ A3 - np.eye(d_n)})
 
 
 def numerical_rank(singular_values, tol=None):

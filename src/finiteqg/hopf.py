@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import (Algebra, BlockAlgebra, CheckError, Checks,
-                   COUNIT_SPLIT, LinMap, as_tolerance, coaction_residuals,
-                   opnorm, pair_products, tensor)
+                   COUNIT_SPLIT, LinMap, as_tolerance, coaction_maps,
+                   opnorms, pair_products, tensor)
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -60,8 +60,8 @@ class HopfData:
     def is_cocommutative(self, tol=None) -> bool:
         d, dm = self.dim, self.delta.matrix
         flipped = dm.reshape(d, d, d).transpose(1, 0, 2).reshape(d * d, d)
-        res = float(opnorm(dm - flipped))
-        return as_tolerance(tol).is_zero(res, float(opnorm(dm)))
+        return as_tolerance(tol).is_zero(*map(float, opnorms([dm - flipped,
+                                                              dm])))
 
     def __repr__(self):
         return f"HopfData({self.name or self.algebra!r}, dim={self.dim})"
@@ -77,16 +77,16 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
 
     The coproduct is the regular coaction of G on itself, so its unital,
     star, multiplicative, coassociativity and right counit residuals come
-    from ``coaction_residuals(A, A x A, delta, delta, eps)``, the one
-    coaction check that ``orbits.ActionMap.verify`` runs on every action;
-    only the scales are this function's.  The involution, the left counit
-    and the antipode are checked here: map identities in operator norm on
-    coefficient space, and the antimultiplicativity of the involution on
-    all basis pairs (``pair_products``).  Composites with delta contract
+    from ``coaction_maps(A, A x A, delta, delta, eps)``, the one coaction
+    check (``coaction_residuals``); only the scales are this function's.
+    The involution, the left counit and the antipode are checked here:
+    map identities in operator norm on coefficient space, and the
+    antimultiplicativity of the involution on all basis pairs
+    (``pair_products``).  Composites with delta contract
     ``DM.reshape(d, d, d)`` leg-wise instead of building ``np.kron``.
     The scale of coassociativity, the norm of the d^3 x d composite
     (delta x id) delta, comes from its d x d Gram matrix
-    (``_composite_norm``).
+    (``_composite_gram``); all norms with d columns are one ``opnorms`` call.
     """
     tol = as_tolerance(tol)
     A = H.algebra
@@ -102,24 +102,23 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
     target = np.outer(A.unit_coeffs, H.counit)
     s_left = (SM @ first).reshape(d * d, d)   # (S x id) delta
     s_right = (SM @ D3).reshape(d * d, d)     # (id x S) delta
-    # every d x d map identity, and the scales St and S, in one stacked
-    # norm call; S(x*) = S(x)*  <=>  S St = St conj(S)
-    (star_inv, counit_left, antipode_left, antipode_right, antipode_inv,
-     antipode_star, op_st, op_s) = map(float, opnorm(np.stack([
-         St @ np.conj(St) - eye,
-         (H.counit @ first).reshape(d, d) - eye,
-         mm @ s_left - target,
-         mm @ s_right - target,
-         SM @ SM - eye,
-         SM @ St - St @ np.conj(SM),
-         St, SM])))
-    op_dm = float(opnorm(DM))
     # entry [p, q] of the stacks: (e_p e_q)* - e_q* e_p*
     stars = St.T
     lhs = A.star_coeffs(pair_products(A, eye, eye))
     rhs = pair_products(A, stars, stars).swapaxes(0, 1)
-    co = coaction_residuals(A, H.square, DM, DM, H.counit)
-    op_mm = float(opnorm(mm)) * op_dm
+    co, maps = coaction_maps(A, H.square, DM, DM, H.counit)
+    # the d x d map identities, St and S (S(x*) = S(x)*  <=>  S St =
+    # St conj(S)), delta, the product, the coaction maps, the composite
+    eight, *norms = opnorms([np.stack([
+        St @ np.conj(St) - eye, (H.counit @ first).reshape(d, d) - eye,
+        mm @ s_left - target, mm @ s_right - target, SM @ SM - eye,
+        SM @ St - St @ np.conj(SM), St, SM]), DM, mm, *maps.values()],
+        [_composite_gram(DM)])
+    (star_inv, counit_left, antipode_left, antipode_right, antipode_inv,
+     antipode_star, op_st, op_s) = map(float, eight)
+    op_dm, op_m, *co_norms, composite = map(float, norms)
+    co.update(zip(maps, co_norms))
+    op_mm = op_m * op_dm
     res = {"star_involutive": star_inv,
            "star_antimultiplicative": A.norm_coeffs(lhs - rhs),
            "delta_unital": co["unital"], "delta_star": co["star"],
@@ -131,28 +130,23 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
            "antipode_star": antipode_star}
     sca = {"star_involutive": op_st ** 2, "delta_star": op_dm,
            "delta_multiplicative": op_dm ** 2,
-           "coassociativity": _composite_norm(DM),
+           "coassociativity": composite,
            "counit_left": op_dm, "counit_right": op_dm,
            "antipode_left": op_mm, "antipode_right": op_mm,
            "antipode_involutive": op_s ** 2, "antipode_star": op_s}
     return Checks(res, tol, sca, HopfAxiomError)
 
 
-def _composite_norm(DM) -> float:
-    """Operator norm of (delta x id) delta from its d x d Gram matrix
-    DM^H (P x 1) DM, P = DM^H DM, without forming the d^3 x d composite.
-    DM is first divided by its largest |entry| s, as ``opnorm`` scales,
-    so the norm is s^2 sqrt(lambda_max); NaN if an entry is NaN or inf."""
+def _composite_gram(DM):
+    """The pair (s^2, G) of ``opnorms`` for the norm of (delta x id) delta:
+    G = DM^H (P x 1) DM, P = DM^H DM, for DM / s (s its largest |entry|,
+    as ``opnorm`` scales), so the d^3 x d composite is never formed."""
     s = np.abs(DM).max(initial=0.0)
-    if not np.isfinite(s):
-        return np.nan
-    if s == 0.0:
-        return 0.0
-    d = DM.shape[1]
-    u = DM / s
+    if not (np.isfinite(s) and s > 0):
+        return s * s, None
+    d, u = DM.shape[1], DM / s
     uh = u.conj().T
-    gram = uh @ ((uh @ u) @ u.reshape(d, d * d)).reshape(d * d, d)
-    return float(s * s * np.sqrt(np.linalg.eigvalsh(gram)[-1]))
+    return s * s, uh @ ((uh @ u) @ u.reshape(d, d * d)).reshape(d * d, d)
 
 
 # ---------------------------------------------------------------------------

@@ -43,7 +43,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import classical
-from .core import BlockAlgebra, LinMap, as_tolerance, opnorm, tensor
+from .core import BlockAlgebra, LinMap, as_tolerance, opnorms, tensor
 from .hopf import HopfData, verify_hopf
 
 if TYPE_CHECKING:
@@ -259,7 +259,7 @@ def hopf_equal(H1: HopfData, H2: HopfData, tol=None) -> bool:
     if getattr(H1.algebra, "block_dims", None) != getattr(
             H2.algebra, "block_dims", None):
         return False
-    return (tol.is_zero(float(opnorm(H1.delta.matrix - H2.delta.matrix)))
-            and tol.is_zero(float(np.linalg.norm(H1.counit - H2.counit)))
-            and tol.is_zero(float(
-                opnorm(H1.antipode.matrix - H2.antipode.matrix))))
+    delta, antipode = opnorms([H1.delta.matrix - H2.delta.matrix,
+                               H1.antipode.matrix - H2.antipode.matrix])
+    return (tol.is_zero(float(delta)) and tol.is_zero(float(antipode))
+            and tol.is_zero(float(np.linalg.norm(H1.counit - H2.counit))))

@@ -20,13 +20,12 @@ Central objects:
   {x : (pi x id) delta(x) = 1 x x} with its own block decomposition and
   the ambient supports of its blocks as one boolean table;
 * ``ActionMap`` -- a coaction N -> N x Pol(G) on a direct sum of matrix
-  blocks, held as its (dim N * dim A, dim N) matrix, whose shape it
-  checks once, optionally regrouped into coarser summands; ``verify`` is
-  the one coaction check (``core.coaction_residuals``), and
-  ``hopf.verify_hopf`` checks the coproduct with it as the regular
-  coaction of G on itself;
+  blocks, held as its read-only (dim N * dim A, dim N) matrix, optionally
+  regrouped into coarser summands; its ``residuals`` are the one coaction
+  check (``core.coaction_residuals``), computed once per action;
 * ``OrbitPartition`` -- the orbit relation: summands i, j are related when
-  the component of the action between them is non-zero.
+  the component of the action between them is non-zero.  All components
+  are one table, from the block norms of the m images alpha(1_i).
 
 The relation is symmetric for any action; it is an equivalence relation
 when every summand is a single matrix block, and the class sums of block
@@ -49,7 +48,8 @@ from . import duality, wedderburn
 from .core import (AlgElement, BlockAlgebra, CheckError, Checks,
                    DEFAULT_SEED, TensorAlgebra, as_tolerance,
                    coaction_residuals, nullspace, numerical_rank,
-                   distance_to_span, opnorm, pair_products, tensor)
+                   distance_to_span, opnorm, opnorms, pair_products,
+                   row_norms, tensor)
 
 if TYPE_CHECKING:
     from .duality import DiscreteQG
@@ -273,7 +273,7 @@ class HomogeneousSpace:
         tol = as_tolerance(tol)
         rows = self.wd.central_idempotents
         blocks = self.morphism.dqg.dual_algebra.block_matrices(rows)
-        zero = np.stack([tol.is_zero(opnorm(b)) for b in blocks], axis=-1)
+        zero = tol.is_zero(np.stack(opnorms(blocks), axis=-1))
         return ~(zero & np.isfinite(rows).all(axis=1, keepdims=True))
 
     def __repr__(self):
@@ -316,7 +316,9 @@ class ActionMap:
         if not isinstance(self.module, BlockAlgebra):
             raise TypeError("an action needs a BlockAlgebra module, not "
                             f"{type(self.module).__name__}")
-        self.matrix = np.asarray(self.matrix, dtype=complex)
+        # read-only, so that the cached residuals cannot go stale
+        self.matrix = np.array(self.matrix, dtype=complex)
+        self.matrix.flags.writeable = False
         want = (self.module.dim * self.hopf.dim, self.module.dim)
         if self.matrix.shape != want:
             raise ValueError(f"action matrix has shape {self.matrix.shape}, "
@@ -339,31 +341,27 @@ class ActionMap:
     def size(self) -> int:
         return len(self.summands)
 
-    def component_norm(self, j: int, image) -> float:
-        """Norm of the rows of summand j of ``image`` = alpha(x); for
-        x = 1_i it is the (j, i) component alpha_{ji}(1_i) of the action."""
-        Y = image.reshape(self.module.dim, self.hopf.dim)
-        cut = np.zeros_like(Y)
-        rows = self.module.block_indices(self.summands[j])
-        cut[rows, :] = Y[rows, :]
-        return self.codomain.norm_coeffs(cut.reshape(-1))
+    @cached_property
+    def residuals(self) -> dict:
+        """The unit, product, involution, coaction and counit residuals of
+        the action matrix (``coaction_residuals``), computed once.  A NaN,
+        inf or huge action meets inf - inf, 0 * inf or overflow on its way
+        to a NaN or inf residual or scale, which fails its check."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            return coaction_residuals(self.module, self.codomain, self.matrix,
+                                      self.hopf.delta.matrix,
+                                      self.hopf.counit)
 
     def verify(self, tol=None) -> Checks:
-        """The unit, product, involution, coaction and counit residuals of
-        the action matrix (``coaction_residuals``), each at the scale
-        1 + ||alpha||^2; raises on failure.  Injectivity needs no check of
-        its own: the counit identity (id x eps) alpha = id implies it."""
-        tol = as_tolerance(tol)
-        A, am = self.hopf, self.matrix
-        # a NaN, inf or huge action meets inf - inf, 0 * inf or overflow on
-        # its way to a NaN or inf residual or scale, which fails below
+        """The record of ``residuals``, each at the scale 1 + ||alpha||^2;
+        raises on failure.  Injectivity needs no check of its own: the
+        counit identity (id x eps) alpha = id implies it."""
         with np.errstate(over="ignore", invalid="ignore"):
-            res = coaction_residuals(self.module, self.codomain, am,
-                                     A.delta.matrix, A.counit)
-            scale = 1.0 + np.square(opnorm(am))
-        checks = Checks(res, tol, dict.fromkeys(res, scale))
+            scale = 1.0 + np.square(opnorm(self.matrix))
+        checks = Checks(dict(self.residuals), as_tolerance(tol),
+                        dict.fromkeys(self.residuals, scale))
         checks.raise_for_failure(
-            "not a coaction" if np.isfinite(am).all()
+            "not a coaction" if np.isfinite(self.matrix).all()
             else "not a coaction: the action matrix is not finite")
         return checks
 
@@ -378,8 +376,9 @@ class ActionMap:
         cols = N.block_indices(blocks)
         rhs = self.matrix[:, cols].reshape(N.dim, d_a, sub.dim)
         sol = rhs[cols].reshape(sub.dim * d_a, sub.dim)
-        res = float(opnorm(np.delete(rhs, cols, axis=0).reshape(-1, sub.dim)))
-        if not tol.is_zero(res, float(opnorm(rhs.reshape(-1, sub.dim)))):
+        res, scale = map(float, opnorms([np.delete(rhs, cols, axis=0).reshape(
+            -1, sub.dim), rhs.reshape(-1, sub.dim)]))
+        if not tol.is_zero(res, scale):
             raise CheckError("blocks do not carry an invariant corner "
                              f"(residual {res:.3e})")
         return ActionMap(self.hopf, sub, sol)
@@ -431,14 +430,19 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
     norm of alpha(p) - p x 1 over the class sums p.
     """
     tol = as_tolerance(tol)
-    m = alpha.size
+    N, A, m = alpha.module, alpha.hopf.algebra, alpha.size
     scale = float(opnorm(alpha.matrix))
-    units = _unit_rows(alpha.module, alpha.summands)
-    rel = np.zeros((m, m), dtype=bool)
-    for i in range(m):
-        image = alpha.matrix @ units[i]
-        for j in range(m):
-            rel[j, i] = not tol.is_zero(alpha.component_norm(j, image), scale)
+    units = _unit_rows(N, alpha.summands)
+    images = np.stack([alpha.matrix @ u for u in units]).reshape(m, N.dim, -1)
+    # norms[i, k] of the rows of image i in block k of N, in M_{n_k} x A,
+    # one call per block size; alpha_{ji}(1_i) has their max over summand j
+    norms = np.empty((m, len(N.block_dims)))
+    for n in set(N.block_dims):
+        ks = np.flatnonzero(np.equal(N.block_dims, n))
+        norms[:, ks] = row_norms(tensor(BlockAlgebra([n]), A), images[
+            :, N.block_indices(ks)].reshape(m, len(ks), -1))
+    rel = ~tol.is_zero(np.stack([norms[:, g].max(axis=1)
+                                 for g in alpha.summands]), scale)
 
     symmetric = bool(np.array_equal(rel, rel.T))
     reflexive = bool(np.all(np.diag(rel)))
@@ -448,13 +452,11 @@ def relation(alpha: ActionMap, tol=None) -> OrbitPartition:
     classes = _relation_classes(rel)
 
     T = alpha.codomain
-    one_a = alpha.hopf.algebra.unit_coeffs
     projections = np.stack([units[cls].sum(axis=0) for cls in classes])
-    devs = [T.norm_coeffs(alpha.matrix @ p - T.kron_coeffs(p, one_a))
-            for p in projections]
-    # np.max keeps a NaN residual, where max() would drop it
+    devs = np.stack([alpha.matrix @ p - T.kron_coeffs(p, A.unit_coeffs)
+                     for p in projections])
     checks = Checks(
-        {"invariant_projections": float(np.max(devs, initial=0.0))}, tol,
+        {"invariant_projections": float(T.norm_coeffs(devs))}, tol,
         flags={"relation_symmetric": symmetric,
                "relation_equivalence": symmetric and reflexive and transitive})
     return OrbitPartition(rel, classes, projections, checks)
@@ -514,16 +516,15 @@ def central_supports(D: DiscreteQG, X: HomogeneousSpace, P: OrbitPartition,
     zs = np.where(np.isfinite(units).all(axis=1, keepdims=True),
                   _unit_rows(B, [np.flatnonzero(r) for r in hit]), np.nan)
 
-    sums = [B.norm_coeffs(zs[i] - units[cls].sum(axis=0))
-            for cls in P.classes for i in cls]
+    sums = np.stack([zs[i] - units[cls].sum(axis=0)
+                     for cls in P.classes for i in cls])
 
     same = P.relation | P.relation.T
     orthogonal = not ((hit[:, None] & hit).any(axis=-1) & ~same).any()
     match = np.array_equal((hit[:, None] == hit).all(axis=-1),
                            same | np.eye(m, dtype=bool))
-    # np.max keeps a NaN residual, where max() would drop it
     checks = Checks(
-        {"central_support_class_sums": float(np.max(sums, initial=0.0))},
+        {"central_support_class_sums": float(B.norm_coeffs(sums))},
         tol, flags={"central_support_orthogonality": orthogonal,
                     "supports_match_relation": match})
     return hit, zs, checks

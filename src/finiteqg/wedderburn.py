@@ -42,7 +42,7 @@ from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, LinMap,
                    Tolerance, CLUSTER_GAP, CLUSTER_REFUSAL_FACTOR,
                    DEFAULT_SEED, DEGENERATE_DRAW, as_tolerance,
                    distance_to_span, nullspace, numerical_rank,
-                   orthonormal_rows)
+                   orthonormal_rows, row_norms)
 
 
 class WedderburnError(CheckError):
@@ -99,27 +99,22 @@ class WedderburnData:
     def verify(self) -> float:
         """Largest residual of the matrix-unit relations, ambient product.
 
-        Per distinct block size n, one stacked call each covers e_ij* =
-        e_ji and e_ij e_kl = [j = k] e_il over all blocks of that size and
-        all (i, j, k, l), read through the block algebra's index stacks;
-        one more call measures sum_b p_b - 1, that the decomposition is
-        unital."""
+        One norm call takes the rows of e_ij* - e_ji and e_ij e_kl -
+        [j = k] e_il, over all blocks and all (i, j, k, l), stacked per
+        block size through the block algebra's index stacks, and one more
+        row, sum_b p_b - 1, that the decomposition is unital."""
         A = self.ambient
         units = self.iso.matrix.T
-        worst = []
+        rows = [self.central_idempotents.sum(axis=0) - A.unit_coeffs]
         for g in self.block_algebra._block_stacks():
             U = units[g]                                     # (b, i, j, :)
-            worst.append(A.norm_coeffs(
-                A.star_coeffs(U) - U.swapaxes(1, 2)))
             prods = A.mul_coeffs(U[:, :, :, None, None],
                                  U[:, None, None])        # (b, i, j, k, l, :)
             diag = np.arange(g.shape[-1])
             prods[:, :, diag, diag] -= U[:, :, None]
-            worst.append(A.norm_coeffs(prods))
-        worst.append(A.norm_coeffs(
-            self.central_idempotents.sum(axis=0) - A.unit_coeffs))
-        # np.max keeps a NaN residual, where max() would drop it
-        return float(np.max(worst))
+            rows += [A.star_coeffs(U) - U.swapaxes(1, 2), prods]
+        return float(A.norm_coeffs(np.concatenate(
+            [r.reshape(-1, A.dim) for r in rows])))
 
 
 def _cluster(values, tol: Tolerance):
@@ -492,9 +487,6 @@ def central_support(ambient_data: WedderburnData, q: AlgElement,
     tol = as_tolerance(tol)
     if not q.is_projection(tol):
         raise CheckError("central_support expects a projection")
-    out = q.parent.zero()
-    for p in ambient_data.central_idempotents:
-        p = AlgElement(q.parent, p)
-        if not (p * q).is_zero(tol):
-            out = out + p
-    return out
+    A, P = q.parent, ambient_data.central_idempotents
+    hit = ~tol.is_zero(row_norms(A, A.mul_coeffs(P, q.coeffs)))
+    return AlgElement(A, P[hit].sum(axis=0))

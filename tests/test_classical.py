@@ -320,3 +320,51 @@ def test_magic_constructors_equal_their_loops(kp8_block, data_dir):
     M = load_magic(data_dir / "kp8_magic4.json", kp8_block)
     assert np.array_equal(M.matrix, _looped_action_matrix(u))
     assert np.array_equal(magic_entries(M), u)
+
+
+# -- one coaction check per action --------------------------------------------
+
+def test_classical_orbits_command_checks_the_action_once(monkeypatch,
+                                                         capsys):
+    import sys
+    from finiteqg import cli, core
+    calls = []
+    coaction_residuals = core.coaction_residuals
+
+    def counted(*args):
+        calls.append(args[0].dim)
+        return coaction_residuals(*args)
+    # every module that binds the name, wherever a caller reaches it from
+    for mod in list(sys.modules.values()):
+        if (getattr(mod, "__name__", "").startswith("finiteqg")
+                and getattr(mod, "coaction_residuals", None)
+                is coaction_residuals):
+            monkeypatch.setattr(mod, "coaction_residuals", counted)
+    assert cli.main(["classical-orbits", "kp8.json", "kp8_magic4.json"]) == 0
+    capsys.readouterr()
+    assert calls == [4]
+
+
+def test_an_action_computes_its_residuals_once(z3_magic, monkeypatch):
+    from finiteqg import orbits
+    alpha = magic_action(z3_magic.hopf, magic_entries(z3_magic))
+    calls = []
+    coaction_residuals = orbits.coaction_residuals
+
+    def counted(*args):
+        calls.append(1)
+        return coaction_residuals(*args)
+    monkeypatch.setattr(orbits, "coaction_residuals", counted)
+    first = verify_magic(alpha, 1e-12)
+    assert alpha.verify().residuals == first.residuals
+    classical_orbits(alpha)
+    assert len(calls) == 1
+    # the record judges the cached residuals at its own tolerance, and a
+    # record's dict is its own
+    first.residuals["unital"] = 1.0
+    assert verify_magic(alpha).residuals["unital"] == 0.0
+    # the matrix, and so the cached residuals, cannot change
+    with pytest.raises(ValueError, match="read-only"):
+        alpha.matrix[0, 0] = 2.0
+    with pytest.raises(ValueError, match="read-only"):
+        magic_entries(alpha)[0, 0, 0] = 2.0

@@ -628,6 +628,185 @@ def test_every_norm_path_gives_nan_not_linalgerror():
     assert np.isnan(core.opnorm(np.eye(B.dim) - bad))
 
 
+# -- opnorms: several stacks, one eigvalsh call per Gram size ----------------
+
+def _opnorm_reference(stack):
+    """``opnorm`` of one stack with its own Gram slices and its own
+    ``eigvalsh`` call, as it was computed before ``opnorms``."""
+    m = np.asarray(stack)
+    s = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    live = np.isfinite(s) & (s > 0)
+
+    def unit(m, s):
+        s = s[..., None, None]
+        tall = m.shape[-2] >= m.shape[-1]
+        length = m.shape[-2] if tall else m.shape[-1]
+        step = max(1, core._DENSE_STACK_ENTRIES // (m.size // length))
+        gram = None
+        for i in range(0, length, step):
+            x = (m[..., i:i + step, :] if tall else m[..., i:i + step]) / s
+            xh = x.conj().swapaxes(-1, -2)
+            part = xh @ x if tall else x @ xh
+            gram = part if gram is None else gram + part
+        return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    if live.all():
+        return s * unit(m, s)
+    out = np.where(np.isfinite(s), 0.0, np.nan)
+    if live.any():
+        out[live] = s[live] * unit(m[live], s[live])
+    return out[()]
+
+
+def _opnorms_cases():
+    rng = np.random.default_rng(97)
+
+    def c(*shape):
+        return (rng.standard_normal(shape)
+                + 1j * rng.standard_normal(shape)) / 3.0
+    mixed = c(5, 4, 4)
+    mixed[1] = 0.0
+    mixed[2, 0, 3] = np.nan
+    mixed[3, 1, 1] = np.inf
+    nan, inf = c(4, 4), c(4, 4)
+    nan[0, 0], inf[3, 2] = np.nan, -np.inf
+    return [np.zeros((4, 4)), nan, inf, mixed, c(4, 9), c(9, 4),
+            c(3, 2, 7), c(3, 7, 2), rng.standard_normal((4, 4)), c(1, 1),
+            c(6, 4, 4)]
+
+
+def _same(got, want):
+    return (np.shape(got) == np.shape(want) and type(got) is type(want)
+            and np.asarray(got).tobytes() == np.asarray(want).tobytes())
+
+
+@pytest.mark.parametrize("entries", [None, 20])
+def test_opnorms_equal_the_per_stack_opnorm_bit_for_bit(entries,
+                                                        monkeypatch):
+    # zero, NaN, inf, mixed, wide, tall and real stacks in one call; with
+    # 20 entries a Gram slice holds a few rows, so every stack takes several
+    if entries is not None:
+        monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", entries)
+    cases = _opnorms_cases()
+    want = [_opnorm_reference(m) for m in cases]
+    got = core.opnorms(cases)
+    assert len(got) == len(cases)
+    for g, w, m in zip(got, want, cases):
+        assert _same(g, w), m.shape
+        assert _same(core.opnorm(m), w)
+
+
+def test_opnorms_share_one_eigvalsh_call_per_gram_size(monkeypatch):
+    cases = _opnorms_cases()
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape[-1])
+        return eigvalsh(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    core.opnorms(cases)
+    # Gram sizes 4 (complex and real), 2 and 1: one call each
+    assert sorted(calls) == [1, 2, 4, 4]
+
+
+def test_opnorms_of_gram_pairs():
+    rng = np.random.default_rng(101)
+    x = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
+    gram = x.conj().T @ x
+    top = np.sqrt(np.linalg.eigvalsh(gram)[-1])
+    s = np.float64(2.5)
+    got = core.opnorms([x], [(s, gram), (np.float64(0.0), None),
+                             (np.float64(np.nan), None),
+                             (np.float64(np.inf), None)])
+    assert _same(got[0], _opnorm_reference(x))
+    assert got[1] == s * top
+    assert got[2] == 0.0 and np.isnan(got[3]) and np.isnan(got[4])
+    # an empty stack has no norms, where opnorm once divided by zero
+    assert core.opnorm(np.zeros((0, 4, 4))).shape == (0,)
+
+
+# -- gathered basis products: product_index against the dense table ---------
+
+@functools.lru_cache(maxsize=None)
+def _gather_cases():
+    """(domain, codomain, matrix) of the coproduct of every shipped Hopf
+    algebra and of its block dual, of C(G) and the block dual of C[G] for
+    the ladder groups, and of the kp8 and Z3 magic actions."""
+    from finiteqg.io import load_hopf, load_magic
+    from conftest import DATA
+    hopfs = {}
+    for path in sorted(DATA.glob("*_algebra.json")) + [DATA / "kp8.json"]:
+        hopfs[path.stem] = H = load_hopf(path)
+        hopfs["dual " + path.stem] = dualize(H).dual_hopf
+    for name, g in [("Z4xZ4", groups.direct_product(groups.cyclic(4),
+                                                   groups.cyclic(4))),
+                    ("Z12", groups.cyclic(12)), ("Q8", groups.quaternion()),
+                    ("S3xZ2", groups.direct_product(groups.symmetric(3),
+                                                    groups.cyclic(2)))]:
+        hopfs[f"C({name})"] = function_algebra(g)
+        hopfs[f"dual C[{name}]"] = dualize(group_algebra(g)).dual_hopf
+    cases = {k: (H.algebra, H.square, H.delta.matrix)
+             for k, H in hopfs.items()}
+    for hopf, magic in [("kp8", "kp8_magic4"),
+                        ("z3_function_algebra", "z3_cycle")]:
+        M = load_magic(DATA / f"{magic}.json", hopfs[hopf])
+        cases[magic] = M.module, M.codomain, M.matrix
+    return cases
+
+
+def _dense_table_residual(domain, codomain, matrix):
+    """The block-path residual with f(e_p e_q) contracted from the dense
+    (p, q, k) table of basis products, as before ``product_index``."""
+    cols = np.asarray(matrix).T
+    if not np.isfinite(cols).all():
+        return np.nan
+    eye = np.eye(domain.dim)
+    blocks = [cols.take(g, axis=-1) for g in codomain._block_stacks()]
+    worst = [0.0]
+    for rows in core._pair_rows(codomain, len(cols), len(cols)):
+        table = domain.mul_coeffs(eye[rows, None], eye)
+        worst.append(core._largest_block_norm([
+            np.tensordot(table, b, 1)
+            - (b[rows, None] * b if b.shape[-1] == 1 else b[rows, None] @ b)
+            for b in blocks]))
+    return float(np.max(worst))
+
+
+@pytest.mark.parametrize("kind", sorted(_gather_cases()))
+def test_gathered_products_equal_the_dense_table_bit_for_bit(kind):
+    domain, codomain, matrix = _gather_cases()[kind]
+    assert isinstance(domain, BlockAlgebra) and codomain._block_stacks()
+    cols = matrix.T
+    eye = np.eye(domain.dim)
+    want = np.tensordot(domain.mul_coeffs(eye[:, None], eye), cols, 1)
+    got = np.concatenate([cols, np.zeros((1, cols.shape[1]))])[
+        domain.product_index]
+    assert got.tobytes() == want.tobytes()
+    rng = np.random.default_rng(107)
+    for noise in (0.0, 1e-7):
+        m = matrix + noise * (rng.standard_normal(matrix.shape)
+                              + 1j * rng.standard_normal(matrix.shape))
+        got = core.multiplicative_residual(domain, codomain, m)
+        assert got == _dense_table_residual(domain, codomain, m)
+        assert (got > noise) if noise else (got <= 1e-12)
+    for bad in (np.nan, np.inf):
+        m = matrix.copy()
+        m[-1, 0] = bad
+        with np.errstate(all="raise"):
+            assert np.isnan(core.multiplicative_residual(domain, codomain, m))
+
+
+def test_product_index_is_the_basis_product_table():
+    A = BlockAlgebra([2, 1, 3, 1, 2])
+    index = A.product_index
+    assert not index.flags.writeable
+    eye = np.eye(A.dim)
+    table = A.mul_coeffs(eye[:, None], eye)
+    want = np.where(table.any(axis=-1), table.argmax(axis=-1), A.dim)
+    assert np.array_equal(index, want)
+    assert A.product_index is index
+
+
 # -- pruned largest norm: _max_norm against opnorm of every block -------------
 
 def _exhaustive_max_norm(alg, x):

@@ -268,6 +268,10 @@ LADDER_GROUPS = {
 }
 
 
+def _composite_norm(DM):
+    return float(core.opnorms([], [hopf._composite_gram(DM)])[0])
+
+
 @pytest.mark.parametrize("name", sorted(LADDER_GROUPS))
 @pytest.mark.parametrize("ctor", [function_algebra, group_algebra])
 def test_coassociativity_scale_is_the_norm_of_the_composite(name, ctor):
@@ -279,9 +283,9 @@ def test_coassociativity_scale_is_the_norm_of_the_composite(name, ctor):
     assert abs(got - want) <= 1e-12 * want
     # a scaled delta moves the scale quadratically, at any magnitude
     for c in (1e-150, 1e150):
-        assert abs(hopf._composite_norm(c * DM) - c * c * want) \
+        assert abs(_composite_norm(c * DM) - c * c * want) \
             <= 1e-12 * c * c * want
-    assert hopf._composite_norm(0.0 * DM) == 0.0
+    assert _composite_norm(0.0 * DM) == 0.0
 
 
 def test_coassociativity_scale_of_a_complex_matrix():
@@ -289,7 +293,7 @@ def test_coassociativity_scale_of_a_complex_matrix():
     d = 5
     DM = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
     want = float(core.opnorm((DM @ DM.reshape(d, d * d)).reshape(d ** 3, d)))
-    assert abs(hopf._composite_norm(DM) - want) <= 1e-12 * want
+    assert abs(_composite_norm(DM) - want) <= 1e-12 * want
 
 
 def test_a_nan_delta_fails_coassociativity(kp8_block):
@@ -303,3 +307,87 @@ def test_a_nan_delta_fails_coassociativity(kp8_block):
     assert np.isnan(checks.residuals["coassociativity"])
     assert "coassociativity" in checks.failures()
     assert "delta_multiplicative" in checks.failures()
+
+
+# -- one spectral call per record: verify_hopf against per-norm calls -------
+
+def _verify_hopf_reference(H):
+    """The residuals and scales of ``verify_hopf`` with one ``opnorm`` call
+    per map, ``coaction_residuals`` for the coproduct and the composite's
+    own eigenvalue call."""
+    A, d = H.algebra, H.dim
+    DM, SM, St = H.delta.matrix, H.antipode.matrix, A.star_matrix
+    eye = np.eye(d)
+    D3, first = DM.reshape(d, d, d), DM.reshape(d, d * d)
+    mm = A.mul_tensor.reshape(d, d * d)
+    target = np.outer(A.unit_coeffs, H.counit)
+    (star_inv, counit_left, antipode_left, antipode_right, antipode_inv,
+     antipode_star, op_st, op_s) = map(float, core.opnorm(np.stack([
+         St @ np.conj(St) - eye, (H.counit @ first).reshape(d, d) - eye,
+         mm @ (SM @ first).reshape(d * d, d) - target,
+         mm @ (SM @ D3).reshape(d * d, d) - target, SM @ SM - eye,
+         SM @ St - St @ np.conj(SM), St, SM])))
+    op_dm = float(core.opnorm(DM))
+    op_mm = float(core.opnorm(mm)) * op_dm
+    lhs = A.star_coeffs(core.pair_products(A, eye, eye))
+    rhs = core.pair_products(A, St.T, St.T).swapaxes(0, 1)
+    co = core.coaction_residuals(A, H.square, DM, DM, H.counit)
+    s = np.abs(DM).max()
+    u = DM / s
+    uh = u.conj().T
+    gram = uh @ ((uh @ u) @ u.reshape(d, d * d)).reshape(d * d, d)
+    res = {"star_involutive": star_inv,
+           "star_antimultiplicative": A.norm_coeffs(lhs - rhs),
+           "delta_unital": co["unital"], "delta_star": co["star"],
+           "delta_multiplicative": co["multiplicative"],
+           "coassociativity": co["coaction"],
+           "counit_left": counit_left, "counit_right": co["counit"],
+           "antipode_left": antipode_left, "antipode_right": antipode_right,
+           "antipode_involutive": antipode_inv,
+           "antipode_star": antipode_star}
+    sca = {"star_involutive": op_st ** 2, "delta_star": op_dm,
+           "delta_multiplicative": op_dm ** 2,
+           "coassociativity": float(
+               s * s * np.sqrt(np.linalg.eigvalsh(gram)[-1])),
+           "counit_left": op_dm, "counit_right": op_dm,
+           "antipode_left": op_mm, "antipode_right": op_mm,
+           "antipode_involutive": op_s ** 2, "antipode_star": op_s}
+    return res, sca
+
+
+@functools.lru_cache(maxsize=None)
+def _record_cases():
+    from finiteqg.io import load_hopf
+    from conftest import DATA
+    cases = {}
+    for path in sorted(DATA.glob("*_algebra.json")) + [DATA / "kp8.json"]:
+        cases[path.stem] = H = load_hopf(path)
+        cases["dual " + path.stem] = dualize(H).dual_hopf
+    for name, g in LADDER_GROUPS.items():
+        cases[f"C({name})"] = function_algebra(g())
+        cases[f"C[{name}]"] = group_algebra(g())
+    cases["kp8 monomials"] = kac_paljutkin()
+    rng = np.random.default_rng(109)
+    H = cases["kp8"]
+    noisy = H.delta.matrix + 1e-7 * rng.standard_normal(H.delta.matrix.shape)
+    cases["kp8, noisy delta"] = HopfData(
+        H.algebra, LinMap(H.algebra, H.square, noisy), H.counit, H.antipode)
+    return cases
+
+
+@pytest.mark.parametrize("name", sorted(_record_cases()))
+def test_verify_hopf_equals_per_norm_calls_bit_for_bit(name, monkeypatch):
+    H = _record_cases()[name]
+    res, sca = _verify_hopf_reference(H)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    checks = verify_hopf(H)
+    assert checks.residuals == res and checks.scales == sca
+    # the Gram matrices with d columns share one call; a block algebra's
+    # residual norms with blocks of size N > 1 add one per size
+    assert sum(shape[-1] == H.dim for shape in calls) == 1

@@ -5,10 +5,11 @@ import pytest
 
 from finiteqg import groups
 from finiteqg.classical import permutation_magic
-from finiteqg.core import BlockAlgebra, CheckError, LinMap, Tolerance, tensor
+from finiteqg.core import (BlockAlgebra, CheckError, LinMap, Tolerance,
+                           opnorm, tensor)
 from finiteqg.core import distance_to_span, nullspace, orthonormal_rows
 from finiteqg.duality import dualize, mult_unitary
-from finiteqg.hopf import function_algebra, group_algebra
+from finiteqg.hopf import function_algebra, group_algebra, kac_paljutkin
 from finiteqg.orbits import (ActionMap, MorphismError, _relation_classes,
                              central_supports, ergodicity, full_subgroup,
                              homogeneous_action, homogeneous_space,
@@ -269,15 +270,71 @@ def test_kp8_subgroup_space(dual_kp8, kp8_morphism):
     assert checks.passed
 
 
-def test_relation_matches_component_norms(a3_action, a3_partition):
-    m = a3_action.size
+def _component_norm_reference(alpha, j, image):
+    """Norm of the rows of summand j of ``image`` = alpha(x), the rest cut
+    to zero, in the codomain; for x = 1_i it is the (j, i) component
+    alpha_{ji}(1_i) of the action, one pair at a time."""
+    Y = image.reshape(alpha.module.dim, alpha.hopf.dim)
+    cut = np.zeros_like(Y)
+    rows = alpha.module.block_indices(alpha.summands[j])
+    cut[rows, :] = Y[rows, :]
+    return alpha.codomain.norm_coeffs(cut.reshape(-1))
+
+
+def _relation_reference(alpha, tol):
+    m = alpha.size
+    scale = float(opnorm(alpha.matrix))
+    norms = np.zeros((m, m))
     for i in range(m):
-        unit = sum(a3_action.module.block_unit(b).coeffs
-                   for b in a3_action.summands[i])
-        image = a3_action.matrix @ unit
+        unit = sum(alpha.module.block_unit(b).coeffs
+                   for b in alpha.summands[i])
+        image = alpha.matrix @ unit
         for j in range(m):
-            nz = a3_action.component_norm(j, image) > 1e-6
-            assert nz == bool(a3_partition.relation[j, i])
+            norms[j, i] = _component_norm_reference(alpha, j, image)
+    return ~Tolerance(tol).is_zero(norms, scale), norms, scale
+
+
+def _relation_cases(shipped_pairs, data_dir):
+    """Every shipped subgroup pair's action, each shipped magic action,
+    an action with a generic codomain (the dual of C[S3] acting on
+    itself, a C[S3] leg) and one with a summand of two blocks."""
+    from finiteqg.io import load_hopf, load_magic
+    cases = {f"{h} {s}": homogeneous_action(D, X)
+             for (h, s), (_, D, _, _, X) in shipped_pairs.items()}
+    for hopf, magic in [("kp8", "kp8_magic4"),
+                        ("z3_function_algebra", "z3_cycle"),
+                        ("z2_function_algebra", "z2_double_flip")]:
+        cases[magic] = load_magic(data_dir / f"{magic}.json",
+                                  load_hopf(data_dir / f"{hopf}.json"))
+    for name, H in [("C[S3]", group_algebra(groups.symmetric(3))),
+                    ("kp8 monomials", kac_paljutkin())]:
+        D = dualize(H)
+        alpha = homogeneous_action(D, homogeneous_space(D,
+                                                        trivial_subgroup(D)))
+        assert not alpha.codomain._block_stacks()
+        k = len(alpha.module.block_dims)
+        cases[f"generic {name}"] = alpha
+        cases[f"generic {name}, two summands"] = replace(
+            alpha, summands=[[0, k - 1], list(range(1, k - 1))])
+    return cases
+
+
+def test_relation_matches_component_norms(a3_action, a3_partition,
+                                          shipped_pairs, data_dir):
+    cases = _relation_cases(shipped_pairs, data_dir)
+    cases["a3"] = a3_action
+    assert relation(a3_action).relation.tolist() \
+        == a3_partition.relation.tolist()
+    for name, alpha in cases.items():
+        want, norms, scale = _relation_reference(alpha, 1e-9)
+        assert np.array_equal(relation(alpha).relation, want), name
+        # a threshold just above and just below every non-zero component
+        for c in np.unique(norms[norms > 1e-6]):
+            for eps in (c / (1 + scale) * (1 - 1e-9),
+                        c / (1 + scale) * (1 + 1e-9)):
+                want = _relation_reference(alpha, eps)[0]
+                assert np.array_equal(relation(alpha, eps).relation,
+                                      want), (name, eps)
 
 
 def _action_reference(alpha):

@@ -7,7 +7,11 @@
 Each pair runs ``perfbench/run.py --workload W --seconds S`` once in the
 PARENT checkout and once in the CHANGE checkout, on the same fresh random
 seed; the side that runs first alternates from pair to pair.  Every run
-is printed as it ends.  Then, for each end-to-end metric of
+is printed as it ends, with the number of rounds it ran, read from its
+``<workload> rounds = N`` lines; a pair whose two sides ran different
+numbers of rounds is marked, since its ``round_s`` values then summarize
+different samples (a 30 s ``cli`` run holds only one or two rounds).
+Then, for each end-to-end metric of
 ``BENCHMARK.json``, the summary gives each side's median and quartiles,
 the number of pairs the change wins (ties count for neither side) and
 the ratio of the medians, change over parent.  The verdict ``gain``
@@ -20,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import secrets
 import statistics
 import subprocess
@@ -28,6 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 SIDES = ("parent", "change")
+ROUNDS = re.compile(r"^(\w+) rounds = (\d+) ", re.MULTILINE)
 
 
 def better_is_lower() -> dict:
@@ -46,7 +52,13 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float):
         raise SystemExit(f"bench_pairs: run in {checkout} exited "
                          f"{out.returncode}")
     result = json.loads(lines[-1])
-    return result, {k: m["value"] for k, m in result["metrics"].items()}
+    rounds = {w: int(n) for w, n in ROUNDS.findall(out.stdout)}
+    return (result, {k: m["value"] for k, m in result["metrics"].items()},
+            rounds)
+
+
+def rounds_text(rounds: dict) -> str:
+    return "  ".join(f"{w} rounds {n}" for w, n in rounds.items())
 
 
 def quartiles(values):
@@ -97,22 +109,30 @@ def main(argv=None) -> int:
     lower = better_is_lower()
     checkouts = {"parent": args.parent.resolve(),
                  "change": args.change.resolve()}
-    pairs, status = [], 0
+    pairs, uneven, status = [], [], 0
     for i in range(args.pairs):
         seed = secrets.randbelow(2 ** 31)
         order = SIDES if i % 2 == 0 else SIDES[::-1]
-        pair = {}
+        pair, rounds = {}, {}
         for side in order:
-            result, pair[side] = run_once(checkouts[side], args.workload,
-                                          seed, args.seconds)
+            result, pair[side], rounds[side] = run_once(
+                checkouts[side], args.workload, seed, args.seconds)
             if not result["correct"] or result["failed"]:
                 status = 1
             print(f"pair {i + 1} seed {seed} {side}: "
                   f"{result['failed']}/{result['attempted']} failed  "
+                  f"{rounds_text(rounds[side])}  "
                   + "  ".join(f"{k} {v:.6g}" for k, v in pair[side].items()),
                   flush=True)
+        if rounds["parent"] != rounds["change"]:
+            uneven.append(i + 1)
+            print(f"pair {i + 1}: the sides ran different numbers of rounds "
+                  f"(parent {rounds_text(rounds['parent'])}, change "
+                  f"{rounds_text(rounds['change'])})", flush=True)
         pairs.append(pair)
     print("\n".join(summarize(pairs, lower)))
+    print(f"pairs whose sides ran different numbers of rounds: "
+          f"{len(uneven)}/{len(pairs)}" + (f" {uneven}" if uneven else ""))
     return status
 
 
