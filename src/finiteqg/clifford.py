@@ -222,9 +222,9 @@ def vergnioux_relation(D: DiscreteQG, X: HomogeneousSpace,
 
     # positivity of delta(1_sub) against every block of the space
     T2 = tensor(B, B)
-    cut = X.wd.central_idempotents[:, :, None] * B.unit_coeffs
+    p_one = X.wd.central_idempotents[:, :, None] * B.unit_coeffs  # p x 1
     ok = not tol.is_zero(row_norms(T2, T2.mul_coeffs(
-        delta_one, cut.reshape(len(cut), -1))), scale).any()
+        delta_one, p_one.reshape(len(p_one), -1))), scale).any()
 
     return VergniouxRelation(fusion_rel, witness_rel, support_rel, classes,
                              Checks({}, tol, flags={

@@ -60,8 +60,8 @@ class HopfData:
     def is_cocommutative(self, tol=None) -> bool:
         d, dm = self.dim, self.delta.matrix
         flipped = dm.reshape(d, d, d).transpose(1, 0, 2).reshape(d * d, d)
-        return as_tolerance(tol).is_zero(*map(float, opnorms([dm - flipped,
-                                                              dm])))
+        res, scale = map(float, opnorms([dm - flipped, dm]))
+        return as_tolerance(tol).is_zero(res, scale)
 
     def __repr__(self):
         return f"HopfData({self.name or self.algebra!r}, dim={self.dim})"
