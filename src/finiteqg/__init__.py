@@ -23,16 +23,15 @@ import sys
 
 # library module -> the names it exports at package level
 _EXPORTS = {
-    "core": ("AlgElement", "Algebra", "BlockAlgebra", "CheckError", "Checks",
-             "LinMap", "TensorAlgebra", "Tolerance", "DEFAULT_SEED", "kron",
-             "tensor"),
+    "core": ("Algebra", "BlockAlgebra", "CheckError", "Checks", "LinMap",
+             "TensorAlgebra", "Tolerance", "DEFAULT_SEED", "tensor"),
     "groups": ("FiniteGroup", "cyclic", "direct_product", "quaternion",
                "symmetric"),
     "hopf": ("HopfAxiomError", "HopfData", "function_algebra",
              "group_algebra", "kac_paljutkin", "verify_hopf"),
     "haar": ("HaarState", "haar_state", "invariant_state_on_module"),
-    "wedderburn": ("WedderburnData", "WedderburnError", "central_support",
-                   "decompose", "decompose_abstract"),
+    "wedderburn": ("WedderburnData", "WedderburnError", "decompose",
+                   "decompose_abstract"),
     "duality": ("DiscreteQG", "block_presentation", "contragredient",
                 "corep_of", "dualize", "mult_unitary", "tensor_mult"),
     "orbits": ("ActionMap", "HomogeneousSpace", "OrbitPartition",

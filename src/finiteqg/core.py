@@ -4,9 +4,10 @@ Everything downstream works with three kinds of algebras:
 
 * ``BlockAlgebra`` -- a direct sum of full matrix blocks with the canonical
   matrix-unit basis (block-major, row-major inside each block); it alone
-  knows where the entries of a block sit, and other modules read blocks
-  through its accessors ``index``, ``unindex``, ``block_indices``,
-  ``block_matrices``, ``block_traces`` and ``block_unit``,
+  knows where the entries of a block sit: other modules read the blocks
+  of coefficient rows through its accessors ``index``, ``unindex``,
+  ``block_indices``, ``block_matrices`` and ``block_traces``, and build
+  rows from blocks with ``block_unit`` and ``from_block_matrices``,
 * ``Algebra`` -- a general associative *-algebra given by structure
   constants on an arbitrary basis (used e.g. for group algebras in the
   group-element basis, and for convolution duals before their block
@@ -15,19 +16,19 @@ Everything downstream works with three kinds of algebras:
   the Kronecker (pair-index) convention, so that the matrix of a tensor
   product of linear maps is literally ``np.kron``.
 
-Elements are immutable coefficient vectors over the algebra's basis.
-The kernels ``mul_coeffs``, ``star_coeffs``, ``rep_coeffs`` and
-``norm_coeffs`` also take stacks (..., dim) that broadcast;
-``norm_coeffs`` of a stack is the largest norm over its rows and
-``row_norms`` gives each row's.  Operator norms are exact C*-norms of a
-faithful representation.  A block algebra, and a tensor product of
-block algebras, cuts its coefficients into (Kronecker) blocks through
-index stacks (``_block_gathers``, one per block size N, built once per
-block shape), and its products, adjoints and norms are blockwise
-(elementwise and max |x| when N = 1), so no large matrix is built.  Any
-other algebra multiplies through its structure constants (one tensor
-leg at a time), applies its star matrix leg by leg and takes norms in
-its dense representation.  All pairs of two stacks (``pair_products``)
+An element is a coefficient row over the algebra's basis.  The kernels
+``mul_coeffs``, ``star_coeffs``, ``rep_coeffs`` and ``norm_coeffs`` take
+rows and stacks of rows (..., dim) that broadcast; ``norm_coeffs`` of a
+stack is the largest norm over its rows and ``row_norms`` gives each
+row's.  Operator norms are exact C*-norms of a faithful representation.
+A block algebra, and a tensor product of block algebras, cuts its
+coefficients into (Kronecker) blocks through index stacks
+(``_block_gathers``, one per block size N, built once per block shape),
+and its products, adjoints and norms are blockwise (elementwise and
+max |x| when N = 1), so no large matrix is built.  Any other algebra
+multiplies through its structure constants (one tensor leg at a time),
+applies its star matrix leg by leg and takes norms in its dense
+representation.  All pairs of two stacks (``pair_products``)
 take every pair of a block of rows of x with one matrix product.  The
 all-pairs residual of a map from a block algebra into a block codomain
 (``multiplicative_residual``) gathers the images of the basis into the
@@ -254,32 +255,6 @@ class Algebra:
     def norm_coeffs(self, x) -> float:
         return _max_norm(self, x)
 
-    # -- element constructors ----------------------------------------------
-    def element(self, coeffs) -> "AlgElement":
-        return AlgElement(self, coeffs)
-
-    def basis_element(self, k: int) -> "AlgElement":
-        v = np.zeros(self.dim, dtype=complex)
-        v[k] = 1.0
-        return AlgElement(self, v)
-
-    def basis(self):
-        return [self.basis_element(k) for k in range(self.dim)]
-
-    def one(self) -> "AlgElement":
-        return AlgElement(self, self.unit_coeffs)
-
-    def zero(self) -> "AlgElement":
-        return AlgElement(self, np.zeros(self.dim, dtype=complex))
-
-    def random_element(self, rng) -> "AlgElement":
-        v = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        return AlgElement(self, v)
-
-    def random_selfadjoint(self, rng) -> "AlgElement":
-        x = self.random_element(rng)
-        return 0.5 * (x + x.star())
-
     def is_commutative(self, tol=None) -> bool:
         m = self.mul_tensor
         # row p * dim + q holds e_p e_q - e_q e_p
@@ -315,24 +290,29 @@ class BlockAlgebra(Algebra):
             [[0], np.cumsum([n * n for n in block_dims])])
         dim = int(self.offsets[-1])
 
-        # one assignment per block size, through the index stacks:
-        # e^{(k)}_{ii} in the unit, star[index(k, j, i), index(k, i, j)] = 1
+        # e^{(k)}_{ii} in the unit, one assignment per block size
         self._gathers = _block_gathers((self,))
         unit = np.zeros(dim, dtype=complex)
-        star = np.zeros((dim, dim), dtype=complex)
         for g in self._gathers:
             unit[np.diagonal(g, axis1=-2, axis2=-1)] = 1.0
-            star[g.swapaxes(-1, -2), g] = 1.0
 
         self.dim = dim
         self.unit_coeffs = unit
-        self.star_matrix = star
         self.name = name
         self._mul_tensor = None
         self._rep_tensor = None
 
     def _block_stacks(self):
         return self._gathers
+
+    @cached_property
+    def star_matrix(self):
+        """star[index(k, j, i), index(k, i, j)] = 1, one assignment per
+        block size; built on first use."""
+        star = np.zeros((self.dim, self.dim), dtype=complex)
+        for g in self._gathers:
+            star[g.swapaxes(-1, -2), g] = 1.0
+        return star
 
     # structure tensor is only materialized when a generic consumer asks
     @property
@@ -356,6 +336,8 @@ class BlockAlgebra(Algebra):
         return index
 
     def index(self, block: int, row: int, col: int) -> int:
+        if not 0 <= block < len(self.block_dims):
+            raise IndexError("block index out of range")
         n = self.block_dims[block]
         if not (0 <= row < n and 0 <= col < n):
             raise IndexError("matrix unit index out of range")
@@ -364,6 +346,9 @@ class BlockAlgebra(Algebra):
     def unindex(self, idx):
         """Inverse of :meth:`index`: basis index -> (block, row, col); an
         array of indices gives three arrays."""
+        checked = np.asarray(idx)
+        if np.any((checked < 0) | (checked >= self.dim)):
+            raise IndexError("basis index out of range")
         block = np.searchsorted(self.offsets, idx, side="right") - 1
         row, col = np.divmod(idx - self.offsets[block],
                              np.take(self.block_dims, block))
@@ -391,21 +376,19 @@ class BlockAlgebra(Algebra):
                          for o, n in zip(self.offsets, self.block_dims)],
                         axis=-1)
 
-    def from_block_matrices(self, mats) -> "AlgElement":
+    def from_block_matrices(self, mats):
+        """The coefficient row whose block k is ``mats[k]``."""
         if len(mats) != len(self.block_dims):
             raise ValueError("wrong number of blocks")
-        coeffs = np.concatenate(
+        return np.concatenate(
             [np.asarray(m, dtype=complex).reshape(-1) for m in mats])
-        return AlgElement(self, coeffs)
 
-    def block_unit(self, k: int) -> "AlgElement":
-        n = self.block_dims[k]
-        coeffs = np.zeros(self.dim, dtype=complex)
-        coeffs[int(self.offsets[k]) + np.arange(n) * (n + 1)] = 1.0
-        return AlgElement(self, coeffs)
-
-    def matrix_unit(self, block: int, row: int, col: int) -> "AlgElement":
-        return self.basis_element(self.index(block, row, col))
+    def block_unit(self, k: int):
+        """The coefficient row of the unit of block k."""
+        start, n = self.index(k, 0, 0), self.block_dims[k]
+        row = np.zeros(self.dim, dtype=complex)
+        row[start + np.arange(n) * (n + 1)] = 1.0
+        return row
 
     def mul_coeffs(self, x, y):
         return _blockwise_mul(x, y, self._block_stacks())
@@ -439,8 +422,8 @@ class TensorAlgebra(Algebra):
     """Tensor product of algebras, coefficients in Kronecker convention.
 
     The coefficient of e_{p_1} x ... x e_{p_k} sits at the flat index
-    ravel(p_1, ..., p_k); consequently ``kron`` of coefficient vectors and
-    ``np.kron`` of linear-map matrices realize the tensor product.  Nested
+    ravel(p_1, ..., p_k); consequently ``kron_coeffs`` of coefficient rows
+    and ``np.kron`` of linear-map matrices realize the tensor product.  Nested
     tensor factors are flattened, so A x (B x C) and (A x B) x C coincide.
     """
 
@@ -868,71 +851,6 @@ def tensor(*algebras) -> TensorAlgebra:
     return TensorAlgebra(*algebras)
 
 
-class AlgElement:
-    """An element of an algebra: an immutable coefficient vector."""
-
-    __slots__ = ("parent", "coeffs")
-
-    def __init__(self, parent: Algebra, coeffs):
-        coeffs = np.array(coeffs, dtype=complex).reshape(parent.dim)
-        coeffs.flags.writeable = False
-        object.__setattr__(self, "parent", parent)
-        object.__setattr__(self, "coeffs", coeffs)
-
-    def __setattr__(self, *_):
-        raise AttributeError("AlgElement is immutable")
-
-    def _check(self, other):
-        if self.parent != other.parent:
-            raise ValueError("elements live in different algebras")
-
-    def __mul__(self, other):
-        if isinstance(other, AlgElement):
-            self._check(other)
-            return AlgElement(self.parent,
-                              self.parent.mul_coeffs(self.coeffs, other.coeffs))
-        return AlgElement(self.parent, self.coeffs * complex(other))
-
-    def __rmul__(self, scalar):
-        return AlgElement(self.parent, complex(scalar) * self.coeffs)
-
-    def __add__(self, other):
-        self._check(other)
-        return AlgElement(self.parent, self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        self._check(other)
-        return AlgElement(self.parent, self.coeffs - other.coeffs)
-
-    def __neg__(self):
-        return AlgElement(self.parent, -self.coeffs)
-
-    def star(self) -> "AlgElement":
-        return AlgElement(self.parent, self.parent.star_coeffs(self.coeffs))
-
-    def norm(self) -> float:
-        return self.parent.norm_coeffs(self.coeffs)
-
-    def is_zero(self, tol=None, scale: float = 1.0) -> bool:
-        return as_tolerance(tol).is_zero(self.norm(), scale)
-
-    def is_projection(self, tol=None) -> bool:
-        tol = as_tolerance(tol)
-        sq = self * self - self
-        sa = self.star() - self
-        s = self.norm()
-        return tol.is_zero(sq.norm(), s * s) and tol.is_zero(sa.norm(), s)
-
-    def __repr__(self):
-        return f"AlgElement({self.parent!r}, norm={self.norm():.3g})"
-
-
-def kron(*elements) -> AlgElement:
-    """Tensor product of elements, living in the tensor of the parents."""
-    t = tensor(*[e.parent for e in elements])
-    return AlgElement(t, t.kron_coeffs(*[e.coeffs for e in elements]))
-
-
 class LinMap:
     """Linear map between algebras, stored as a matrix over their bases."""
 
@@ -949,10 +867,6 @@ class LinMap:
         self.matrix = matrix
 
     def __call__(self, x):
-        if isinstance(x, AlgElement):
-            if x.parent != self.domain:
-                raise ValueError("element not in the domain")
-            return AlgElement(self.codomain, self.matrix @ x.coeffs)
         return self.matrix @ np.asarray(x, dtype=complex)
 
     def __repr__(self):

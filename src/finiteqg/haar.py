@@ -15,8 +15,8 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (AlgElement, CheckError, Checks, GRAM_MIN_EIG,
-                   as_tolerance, numerical_rank)
+from .core import (CheckError, Checks, GRAM_MIN_EIG, as_tolerance,
+                   numerical_rank)
 
 if TYPE_CHECKING:
     from .hopf import HopfData
@@ -35,8 +35,6 @@ class HaarState:
     checks: Checks
 
     def __call__(self, x) -> complex:
-        if isinstance(x, AlgElement):
-            x = x.coeffs
         return complex(self.vector @ np.asarray(x, dtype=complex))
 
 

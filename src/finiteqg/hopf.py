@@ -43,7 +43,8 @@ class HopfData:
     def __post_init__(self):
         A = self.algebra
         self.counit = np.asarray(self.counit, dtype=complex).reshape(A.dim)
-        if self.delta.domain != A or self.delta.codomain != tensor(A, A):
+        if (self.delta.domain != A
+                or getattr(self.delta.codomain, "factors", None) != (A, A)):
             raise ValueError("comultiplication must map the algebra into "
                              "its tensor square")
         if self.antipode.domain != A or self.antipode.codomain != A:
@@ -297,7 +298,7 @@ def kac_paljutkin(tol=None) -> HopfData:
 
 
 def group_like_elements(H: HopfData, tol=None):
-    """Basis elements g with delta(g) = g x g and eps(g) = 1.
+    """The basis indices k with delta(e_k) = e_k x e_k and eps(e_k) = 1.
 
     Scans the basis only, which recovers the full intrinsic group for
     group algebras and for the monomial Kac-Paljutkin presentation; the
@@ -307,9 +308,10 @@ def group_like_elements(H: HopfData, tol=None):
     out = []
     T2 = H.square
     for k in range(H.dim):
-        g = H.algebra.basis_element(k)
-        gg = T2.kron_coeffs(g.coeffs, g.coeffs)
-        if (tol.is_zero(T2.norm_coeffs(H.delta.matrix @ g.coeffs - gg))
-                and abs(H.counit @ g.coeffs - 1.0) < COUNIT_SPLIT):
-            out.append(g)
+        # e_k x e_k has its one coefficient at the Kronecker index (k, k)
+        gg = np.zeros(T2.dim, dtype=complex)
+        gg[k * H.dim + k] = 1.0
+        if (tol.is_zero(T2.norm_coeffs(H.delta.matrix[:, k] - gg))
+                and abs(H.counit[k] - 1.0) < COUNIT_SPLIT):
+            out.append(k)
     return out

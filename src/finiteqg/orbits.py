@@ -45,11 +45,10 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import duality, wedderburn
-from .core import (AlgElement, BlockAlgebra, CheckError, Checks,
-                   DEFAULT_SEED, TensorAlgebra, as_tolerance,
-                   coaction_residuals, nullspace, numerical_rank,
-                   distance_to_span, opnorm, opnorms, pair_products,
-                   row_norms, tensor)
+from .core import (BlockAlgebra, CheckError, Checks, DEFAULT_SEED,
+                   TensorAlgebra, as_tolerance, coaction_residuals,
+                   nullspace, numerical_rank, distance_to_span, opnorm,
+                   opnorms, pair_products, row_norms, tensor)
 
 if TYPE_CHECKING:
     from .duality import DiscreteQG
@@ -290,9 +289,8 @@ def homogeneous_space(D: DiscreteQG, m: SubgroupMorphism, tol=None,
         raise MorphismError(
             f"coinvariant dimension {basis.shape[0]} does not match "
             f"dim(dual)/dim(sub) = {D.dual_algebra.dim}/{m.rank}")
-    gens = [AlgElement(D.dual_algebra, v) for v in basis]
     # raises unless a *-closed unital span
-    wd = wedderburn.decompose(gens, tol, seed)
+    wd = wedderburn.decompose(D.dual_algebra, basis, tol, seed)
     return HomogeneousSpace(m, wd)
 
 

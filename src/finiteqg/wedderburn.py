@@ -38,11 +38,11 @@ from math import isqrt
 
 import numpy as np
 
-from .core import (AlgElement, Algebra, BlockAlgebra, CheckError, LinMap,
+from .core import (Algebra, BlockAlgebra, CheckError, LinMap,
                    Tolerance, CLUSTER_GAP, CLUSTER_REFUSAL_FACTOR,
                    DEFAULT_SEED, DEGENERATE_DRAW, as_tolerance,
                    distance_to_span, nullspace, numerical_rank,
-                   orthonormal_rows, row_norms)
+                   orthonormal_rows)
 
 
 class WedderburnError(CheckError):
@@ -346,19 +346,20 @@ def _factor_matrix_units(corner: _MatrixSpan, rng, tol):
     return row.conj().swapaxes(1, 2)[:, None] @ row
 
 
-def decompose(gens, tol=None, seed: int = DEFAULT_SEED) -> WedderburnData:
-    """Decompose the *-closed unital subalgebra spanned by ``gens``.
+def decompose(algebra: Algebra, rows, tol=None,
+              seed: int = DEFAULT_SEED) -> WedderburnData:
+    """Decompose the *-closed unital subalgebra of ``algebra`` spanned by
+    ``rows``.
 
-    ``gens`` is a non-empty list of elements of one algebra; the span must
-    be closed under products and adjoints and contain a unit.  The result
-    is deterministic for a fixed seed.
+    ``rows`` is a non-empty (m, dim) array of generator coefficient rows;
+    the span must be closed under products and adjoints and contain a
+    unit.  The result is deterministic for a fixed seed.
     """
-    if not gens:
+    rows = np.asarray(rows, dtype=complex)
+    if len(rows) == 0:
         raise ValueError("need at least one generator")
-    ambient = gens[0].parent
     return _decompose_with_rep(
-        ambient, [g.coeffs for g in gens],
-        np.stack(ambient.rep_tensor), tol, seed)
+        algebra, rows, np.stack(algebra.rep_tensor), tol, seed)
 
 
 def decompose_abstract(algebra: Algebra, gram, tol=None,
@@ -475,18 +476,3 @@ def reorder_blocks(data: WedderburnData, order) -> WedderburnData:
     return WedderburnData(LinMap(
         BlockAlgebra([B.block_dims[b] for b in order]), data.ambient,
         data.iso.matrix.take(B.block_indices(order), axis=1)))
-
-
-def central_support(ambient_data: WedderburnData, q: AlgElement,
-                    tol=None) -> AlgElement:
-    """Smallest central projection dominating the projection q.
-
-    ``ambient_data`` describes the ambient block structure; the result is
-    the sum of the minimal central idempotents that q touches.
-    """
-    tol = as_tolerance(tol)
-    if not q.is_projection(tol):
-        raise CheckError("central_support expects a projection")
-    A, P = q.parent, ambient_data.central_idempotents
-    hit = ~tol.is_zero(row_norms(A, A.mul_coeffs(P, q.coeffs)))
-    return AlgElement(A, P[hit].sum(axis=0))

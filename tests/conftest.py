@@ -25,6 +25,17 @@ def kron_star_matrix(alg):
     return st
 
 
+def random_row(alg, rng):
+    """A random complex coefficient row of ``alg``: real parts, then
+    imaginary parts, from the standard normal."""
+    return rng.standard_normal(alg.dim) + 1j * rng.standard_normal(alg.dim)
+
+
+def basis_row(alg, k):
+    """The coefficient row of the basis element e_k of ``alg``."""
+    return np.eye(alg.dim, dtype=complex)[k]
+
+
 def vergnioux_of(D, m):
     """``vergnioux_relation`` on the homogeneous space of the subgroup m
     and its orbit relation, built as the vergnioux command builds them."""

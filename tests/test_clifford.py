@@ -74,7 +74,7 @@ def test_quotient_subgroup_a3(s3, hopf_cs3, dual_cs3, data_dir):
     # support of the subgroup: central projection of {triv, sgn}
     B = dual_cs3.dual_algebra
     want = B.block_unit(0) + B.block_unit(1)
-    assert B.norm_coeffs(m.support - want.coeffs) <= 1e-9
+    assert B.norm_coeffs(m.support - want) <= 1e-9
     # embedded dual of H equals the homogeneous space (normal case)
     X = homogeneous_space(dual_cs3, m)
     Ci = np.linalg.inv(dual_cs3.block_to_dual)

@@ -83,20 +83,18 @@ def test_corep_identity_and_unitarity(dual_cs3, dual_kp8):
         for i, n in enumerate(D.irr_dims):
             coeffs = corep_of(D, i)
             assert coeffs.shape == (n, n, A.dim)
-            U = [[A.element(u) for u in row] for row in coeffs]
+            U = np.ascontiguousarray(coeffs, dtype=complex)
+            mul, star = A.mul_coeffs, A.star_coeffs
             for r in range(n):
                 for s in range(n):
-                    target = A.one() if r == s else A.zero()
-                    row = sum((U[r][k] * U[s][k].star() for k in range(n)),
-                              A.zero())
-                    col = sum((U[k][r].star() * U[k][s] for k in range(n)),
-                              A.zero())
-                    fused = sum(np.kron(U[r][k].coeffs, U[k][s].coeffs)
-                                for k in range(n))
-                    assert (row - target).norm() <= 1e-9
-                    assert (col - target).norm() <= 1e-9
+                    target = A.unit_coeffs * (r == s)
+                    row = sum(mul(U[r][k], star(U[s][k])) for k in range(n))
+                    col = sum(mul(star(U[k][r]), U[k][s]) for k in range(n))
+                    fused = sum(np.kron(U[r][k], U[k][s]) for k in range(n))
+                    assert A.norm_coeffs(row - target) <= 1e-9
+                    assert A.norm_coeffs(col - target) <= 1e-9
                     assert H.square.norm_coeffs(
-                        H.delta.matrix @ U[r][s].coeffs - fused) <= 1e-9
+                        H.delta.matrix @ U[r][s] - fused) <= 1e-9
 
 
 def test_s3_fusion_against_character_table(dual_cs3):

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from finiteqg import core, groups, hopf
-from finiteqg.core import Algebra, LinMap, tensor
+from finiteqg.core import Algebra, BlockAlgebra, LinMap, tensor
 from finiteqg.hopf import (HopfAxiomError, HopfData, function_algebra,
                            group_algebra, group_like_elements, kac_paljutkin,
                            verify_hopf)
 from finiteqg.io import hopf_from_dict, hopf_to_dict
 from finiteqg.duality import block_presentation, dualize
+
+from conftest import random_row
 
 
 def test_function_algebra_z2_delta():
@@ -59,14 +61,15 @@ def test_commutativity_cocommutativity(hopf_cs3, hopf_gs3):
 
 def test_kac_properties_random(kp8):
     # S^2 = id and S(x*) = S(x)* on random elements
+    A, S = kp8.algebra, kp8.antipode
     rng = np.random.default_rng(5)
     for _ in range(5):
-        x = kp8.algebra.random_element(rng)
-        ssx = kp8.antipode(kp8.antipode(x))
-        assert (ssx - x).norm() <= 1e-12 * (1 + x.norm())
-        lhs = kp8.antipode(x.star())
-        rhs = kp8.antipode(x).star()
-        assert (lhs - rhs).norm() <= 1e-12 * (1 + x.norm())
+        x = random_row(A, rng)
+        scale = 1 + A.norm_coeffs(x)
+        assert A.norm_coeffs(S(S(x)) - x) <= 1e-12 * scale
+        lhs = S(A.star_coeffs(x))
+        rhs = A.star_coeffs(S(x))
+        assert A.norm_coeffs(lhs - rhs) <= 1e-12 * scale
 
 
 def test_kp8_neither_commutative_nor_cocommutative(kp8):
@@ -77,6 +80,33 @@ def test_kp8_neither_commutative_nor_cocommutative(kp8):
 def test_kp8_group_likes(kp8):
     gl = group_like_elements(kp8)
     assert len(gl) == 4  # Klein four-group inside the monomial basis
+    # the indices of the group-likes: delta(e_k) = e_k x e_k, eps(e_k) = 1
+    d = kp8.dim
+    for k in gl:
+        want = np.zeros(d * d)
+        want[k * d + k] = 1.0
+        assert np.abs(kp8.delta.matrix[:, k] - want).max() <= 1e-12
+        assert abs(kp8.counit[k] - 1.0) <= 1e-12
+
+
+def test_hopf_data_refuses_maps_on_other_algebras(kp8_block):
+    H = kp8_block
+    A = H.algebra
+    B = BlockAlgebra(A.block_dims)
+    d = A.dim
+    # a coproduct into A x B with B a copy of A, one into A x A x A, and
+    # an antipode onto another algebra
+    with pytest.raises(ValueError, match="tensor square"):
+        HopfData(A, LinMap(A, tensor(A, B), H.delta.matrix), H.counit,
+                 H.antipode)
+    with pytest.raises(ValueError, match="tensor square"):
+        HopfData(A, LinMap(A, tensor(A, A, A), np.zeros((d ** 3, d))),
+                 H.counit, H.antipode)
+    with pytest.raises(ValueError, match="antipode"):
+        HopfData(A, H.delta, H.counit, LinMap(A, B, H.antipode.matrix))
+    # the same maps on A itself are accepted
+    HopfData(A, LinMap(A, tensor(A, A), H.delta.matrix), H.counit,
+             H.antipode)
 
 
 def test_group_table_validation():

@@ -20,7 +20,7 @@ import pytest
 
 from finiteqg import groups
 from finiteqg.clifford import quotient_subgroup
-from finiteqg.core import (BlockAlgebra, coaction_residuals,
+from finiteqg.core import (BlockAlgebra, Tolerance, coaction_residuals,
                            distance_to_span, multiplicative_residual, opnorm,
                            pair_products, tensor)
 from finiteqg.duality import dualize, mult_unitary
@@ -169,8 +169,8 @@ def test_action_star_equals_the_kronecker_star(shipped_pairs):
 def test_block_supports_equal_the_ambient_products(shipped_pairs):
     for (_, D, _, _, X) in shipped_pairs.values():
         B = D.dual_algebra
-        want = [[not (B.block_unit(k)
-                      * B.element(X.wd.central_idempotents[i])).is_zero()
+        want = [[not Tolerance().is_zero(B.norm_coeffs(B.mul_coeffs(
+                     B.block_unit(k), X.wd.central_idempotents[i])))
                  for k in range(len(D.irr_dims))]
                 for i in range(X.size)]
         assert np.array_equal(X.block_supports(), want)

@@ -286,8 +286,7 @@ def _relation_reference(alpha, tol):
     scale = float(opnorm(alpha.matrix))
     norms = np.zeros((m, m))
     for i in range(m):
-        unit = sum(alpha.module.block_unit(b).coeffs
-                   for b in alpha.summands[i])
+        unit = sum(alpha.module.block_unit(b) for b in alpha.summands[i])
         image = alpha.matrix @ unit
         for j in range(m):
             norms[j, i] = _component_norm_reference(alpha, j, image)

@@ -17,7 +17,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 from finiteqg import groups
 from finiteqg.classical import (classical_orbits, magic_action,
                                 permutation_magic, verify_magic)
-from finiteqg.core import AlgElement, nullspace
+from finiteqg.core import Tolerance, nullspace
 from finiteqg.duality import block_presentation, dualize
 from finiteqg.hopf import (function_algebra, group_algebra,
                            group_like_elements, kac_paljutkin)
@@ -95,10 +95,12 @@ def write_kp8_subgroup(phi):
     D = dualize(KB)
     phi_i = np.linalg.inv(phi)
     chosen = None
-    for g in gl:
-        if (g - K.algebra.one()).is_zero():
+    for k in gl:
+        g = np.eye(K.dim)[k]
+        if Tolerance().is_zero(K.algebra.norm_coeffs(
+                g - K.algebra.unit_coeffs)):
             continue
-        rows = np.stack([KB.algebra.unit_coeffs, phi_i @ g.coeffs])
+        rows = np.stack([KB.algebra.unit_coeffs, phi_i @ g])
         m = subgroup_from_dual_matrix(D, rows)
         print(f"  kp8 group-like candidate: normal={m.normal}")
         if m.normal and chosen is None:
@@ -136,7 +138,7 @@ def write_magic_files():
     cond = np.kron(chi[None, :], np.eye(A.dim)) @ KB.delta.matrix - np.eye(A.dim)
     V = nullspace(cond)
     assert V.shape[0] == 4, V.shape
-    wd = decompose([AlgElement(A, v) for v in V])
+    wd = decompose(A, V)
     assert wd.block_dims == (1, 1, 1, 1)
     Q = wd.central_idempotents
     # delta(q_j) = sum_i q_i x u_ij: solve on the first leg, u[i, j, :]
