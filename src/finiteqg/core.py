@@ -37,7 +37,8 @@ the domain's table of basis products (``product_index``: e_p e_q is one
 basis element or 0) and hands the residual blocks to the norm fold of
 ``_max_norm``.  One function (``coaction_residuals``) checks every
 coaction alpha: N -> N x A, the coproduct included as the regular
-coaction (N = A, alpha = delta).
+coaction (N = A, alpha = delta).  ``associativity_residual`` checks a
+structure-constant product on all basis triples.
 
 Every spectral norm, here and in the other modules, comes from
 ``opnorms``: for each matrix, its largest |entry| s times the square
@@ -356,7 +357,13 @@ class BlockAlgebra(Algebra):
 
     def block_indices(self, blocks):
         """The basis indices of the matrix units of the given blocks, block
-        after block in the given order."""
+        after block in the given order; ``IndexError`` for a block outside
+        ``range(len(block_dims))``, ``ValueError`` for a repeated one."""
+        blocks = list(blocks)
+        if not all(0 <= b < len(self.block_dims) for b in blocks):
+            raise IndexError("block index out of range")
+        if len(set(blocks)) != len(blocks):
+            raise ValueError("repeated block")
         return np.concatenate([np.arange(self.offsets[b], self.offsets[b + 1])
                                for b in blocks])
 
@@ -377,11 +384,14 @@ class BlockAlgebra(Algebra):
                         axis=-1)
 
     def from_block_matrices(self, mats):
-        """The coefficient row whose block k is ``mats[k]``."""
-        if len(mats) != len(self.block_dims):
-            raise ValueError("wrong number of blocks")
-        return np.concatenate(
-            [np.asarray(m, dtype=complex).reshape(-1) for m in mats])
+        """The coefficient row whose block k is ``mats[k]``, an n_k x n_k
+        matrix."""
+        mats = [np.asarray(m, dtype=complex) for m in mats]
+        shapes = [m.shape for m in mats]
+        if shapes != [(n, n) for n in self.block_dims]:
+            raise ValueError(f"blocks of shapes {shapes} for block dims "
+                             f"{list(self.block_dims)}")
+        return np.concatenate([m.reshape(-1) for m in mats])
 
     def block_unit(self, k: int):
         """The coefficient row of the unit of block k."""
@@ -906,6 +916,21 @@ def multiplicative_residual(domain: Algebra, codomain: Algebra,
             z[index[rows]] - (b[rows, None] * b if b.shape[-1] == 1
                               else b[rows, None] @ b)
             for z, b in blocks]))
+    return float(np.max(worst))
+
+
+def associativity_residual(alg: Algebra) -> float:
+    """Largest norm of (e_p e_q) e_r - e_p (e_q e_r) over all basis
+    triples, NaN if any norm is NaN: two ``tensordot``s of the structure
+    tensor m[k, p, q] per block of rows p, under ``_pair_rows``' budget."""
+    m, d = alg.mul_tensor, alg.dim
+    worst = [0.0]
+    for rows in _pair_rows(alg, d, d * d):
+        mp = m[:, rows]
+        # entry [p, q, r, s]: coefficient s of (e_p e_q) e_r, e_p (e_q e_r)
+        left = np.tensordot(mp, m, (0, 1)).transpose(0, 1, 3, 2)
+        right = np.tensordot(mp, m, (2, 0)).transpose(1, 2, 3, 0)
+        worst.append(alg.norm_coeffs(left - right))
     return float(np.max(worst))
 
 

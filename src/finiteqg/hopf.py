@@ -18,8 +18,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import (Algebra, BlockAlgebra, CheckError, Checks,
-                   COUNIT_SPLIT, LinMap, as_tolerance, coaction_maps,
-                   opnorms, pair_products, tensor)
+                   COUNIT_SPLIT, LinMap, as_tolerance, associativity_residual,
+                   coaction_maps, opnorms, pair_products, tensor)
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -88,6 +88,10 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
     The scale of coassociativity, the norm of the d^3 x d composite
     (delta x id) delta, comes from its d x d Gram matrix
     (``_composite_gram``); all norms with d columns are one ``opnorms`` call.
+    An algebra that is not a ``BlockAlgebra`` (associative and unital by
+    construction) adds ``associativity`` (``associativity_residual``) at
+    scale ||m||^2 and ``unit``, 1 e_p = e_p = e_p 1 in operator norm, at
+    ||m||, for m the product as a d x d^2 matrix.
     """
     tol = as_tolerance(tol)
     A = H.algebra
@@ -99,7 +103,8 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
     # leg broadcasts over i
     D3 = DM.reshape(d, d, d)
     first = DM.reshape(d, d * d)
-    mm = A.mul_tensor.reshape(d, d * d)
+    m = A.mul_tensor
+    mm = m.reshape(d, d * d)
     target = np.outer(A.unit_coeffs, H.counit)
     s_left = (SM @ first).reshape(d * d, d)   # (S x id) delta
     s_right = (SM @ D3).reshape(d * d, d)     # (id x S) delta
@@ -108,15 +113,20 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
     lhs = A.star_coeffs(pair_products(A, eye, eye))
     rhs = pair_products(A, stars, stars).swapaxes(0, 1)
     co, maps = coaction_maps(A, H.square, DM, DM, H.counit)
+    generic = not isinstance(A, BlockAlgebra)
+    # left and right multiplication by the unit, as d x d matrices
+    units = [np.tensordot(A.unit_coeffs, m, (0, 1)) - eye,
+             m @ A.unit_coeffs - eye] if generic else []
     # the d x d map identities, St and S (S(x*) = S(x)*  <=>  S St =
-    # St conj(S)), delta, the product, the coaction maps, the composite
-    eight, *norms = opnorms([np.stack([
+    # St conj(S)), the unit's, delta, the product, the coaction maps, the
+    # composite
+    square, *norms = opnorms([np.stack([
         St @ np.conj(St) - eye, (H.counit @ first).reshape(d, d) - eye,
         mm @ s_left - target, mm @ s_right - target, SM @ SM - eye,
-        SM @ St - St @ np.conj(SM), St, SM]), DM, mm, *maps.values()],
-        [_composite_gram(DM)])
+        SM @ St - St @ np.conj(SM), St, SM, *units]), DM, mm,
+        *maps.values()], [_composite_gram(DM)])
     (star_inv, counit_left, antipode_left, antipode_right, antipode_inv,
-     antipode_star, op_st, op_s) = map(float, eight)
+     antipode_star, op_st, op_s, *unit) = map(float, square)
     op_dm, op_m, *co_norms, composite = map(float, norms)
     co.update(zip(maps, co_norms))
     op_mm = op_m * op_dm
@@ -135,6 +145,10 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
            "counit_left": op_dm, "counit_right": op_dm,
            "antipode_left": op_mm, "antipode_right": op_mm,
            "antipode_involutive": op_s ** 2, "antipode_star": op_s}
+    if generic:
+        res.update(associativity=associativity_residual(A),
+                   unit=float(np.max(unit)))
+        sca.update(associativity=op_m ** 2, unit=op_m)
     return Checks(res, tol, sca, HopfAxiomError)
 
 
@@ -154,12 +168,10 @@ def _composite_gram(DM):
 # constructors for the shipped families
 # ---------------------------------------------------------------------------
 
-def function_algebra(group: FiniteGroup, tol=None) -> HopfData:
-    """Functions on a finite group: C^G with delta dual to the product.
-
+def _function_hopf(group: FiniteGroup) -> HopfData:
+    """The unverified Hopf data of C(G): functions on a finite group,
     delta(d_g) = sum_{hk=g} d_h x d_k, eps(d_g) = [g = e],
-    S(d_g) = d_{g^{-1}}.
-    """
+    S(d_g) = d_{g^{-1}}."""
     n = group.order
     A = BlockAlgebra([1] * n, name=f"C({group.name})")
     D = np.zeros((n * n, n), dtype=complex)
@@ -169,34 +181,46 @@ def function_algebra(group: FiniteGroup, tol=None) -> HopfData:
     eps[group.identity] = 1.0
     S = np.zeros((n, n), dtype=complex)
     S[group.inverses, np.arange(n)] = 1.0
-    H = HopfData(A, LinMap(A, tensor(A, A), D), eps, LinMap(A, A, S),
-                 name=f"C({group.name})")
+    return HopfData(A, LinMap(A, tensor(A, A), D), eps, LinMap(A, A, S),
+                    name=A.name)
+
+
+def function_algebra(group: FiniteGroup, tol=None) -> HopfData:
+    """Functions on a finite group: C^G with delta dual to the product."""
+    H = _function_hopf(group)
     verify_hopf(H, tol).raise_for_failure(f"{H.name} fails axiom check(s)")
     return H
 
 
 def group_algebra(group: FiniteGroup, tol=None) -> HopfData:
-    """The group algebra C[G] in its group-element basis.
-
-    delta(g) = g x g, eps(g) = 1, S(g) = g^{-1}, g* = g^{-1}.  No block
-    structure is assumed here; the Wedderburn machinery discovers it.
-    """
-    n = group.order
-    ar = np.arange(n)
-    m = np.zeros((n, n, n), dtype=complex)
-    m[group.table, ar[:, None], ar] = 1.0
-    unit = np.zeros(n, dtype=complex)
-    unit[group.identity] = 1.0
-    star = np.zeros((n, n), dtype=complex)
-    star[group.inverses, ar] = 1.0
-    S = star.copy()
-    A = Algebra(m, unit, star, name=f"C[{group.name}]")
-    D = np.zeros((n * n, n), dtype=complex)
-    D[ar * (n + 1), ar] = 1.0
-    H = HopfData(A, LinMap(A, tensor(A, A), D), np.ones(n), LinMap(A, A, S),
-                 name=f"C[{group.name}]")
+    """The group algebra C[G] in its group-element basis, the raw dual of
+    C(G): delta(g) = g x g, eps(g) = 1, S(g) = g* = g^{-1}.  No block
+    structure is assumed; the Wedderburn machinery discovers it."""
+    H = dual_hopf_raw(_function_hopf(group))
+    H.algebra.name = H.name = f"C[{group.name}]"
     verify_hopf(H, tol).raise_for_failure(f"{H.name} fails axiom check(s)")
     return H
+
+
+def dual_hopf_raw(H: HopfData) -> HopfData:
+    """The dual Hopf *-algebra on the raw dual basis f_k, <f_k, a_l> = d_kl.
+
+    Convolution product (f g)(a) = (f x g)(delta a); coproduct dual to the
+    product; counit = evaluation at 1; antipode = transpose of S;
+    involution f*(a) = conj(f(S(a)*)).  Unverified.
+    """
+    A, n = H.algebra, H.dim
+    DM = H.delta.matrix.reshape(n, n, n)          # [p, q, k]
+    mul_dual = DM.transpose(2, 0, 1).copy()       # f_p f_q = sum_k D[p,q,k] f_k
+    unit_dual = H.counit.copy()
+    star_dual = (np.conj(A.star_matrix) @ H.antipode.matrix).T
+    Ad = Algebra(mul_dual, unit_dual, star_dual,
+                 name=f"dual({H.name})" if H.name else "dual")
+    delta_dual = A.mul_tensor.transpose(1, 2, 0).reshape(n * n, n).copy()
+    counit_dual = A.unit_coeffs.copy()
+    antipode_dual = H.antipode.matrix.T.copy()
+    return HopfData(Ad, LinMap(Ad, tensor(Ad, Ad), delta_dual), counit_dual,
+                    LinMap(Ad, Ad, antipode_dual), name=Ad.name)
 
 
 # ---------------------------------------------------------------------------

@@ -370,8 +370,8 @@ class ActionMap:
         tol = as_tolerance(tol)
         blocks = sorted(blocks)
         N, d_a = self.module, self.hopf.dim
-        sub = BlockAlgebra([N.block_dims[b] for b in blocks])
         cols = N.block_indices(blocks)
+        sub = BlockAlgebra([N.block_dims[b] for b in blocks])
         rhs = self.matrix[:, cols].reshape(N.dim, d_a, sub.dim)
         sol = rhs[cols].reshape(sub.dim * d_a, sub.dim)
         res, scale = map(float, opnorms([np.delete(rhs, cols, axis=0).reshape(

@@ -2,12 +2,16 @@
 C*-algebras: minimal central idempotents, block dimensions and explicit
 matrix units.
 
-The input is a spanning set of a *-closed unital subalgebra.  All the
-linear algebra happens inside a faithful *-representation of the ambient
-algebra (the block representation for block algebras, the left regular
-representation for group-like bases, a GNS representation for abstract
-algebras with a given tracial Gram matrix); results are pulled back to
-ambient coefficients and re-verified against the ambient product.
+The input is a spanning set of a *-closed unital subalgebra: a span of
+generators is checked for closure (``decompose``), while the whole
+algebra of ``decompose_abstract`` must be associative, which makes the
+span of its representation closed (for ``dualize``'s raw dual that is
+the verified input's coassociativity).  All the linear algebra happens
+inside a faithful *-representation of the ambient algebra (the block
+representation for block algebras, the left regular representation for
+group-like bases, a GNS representation for abstract algebras with a
+given tracial Gram matrix); results are pulled back to ambient
+coefficients and re-verified against the ambient product.
 
 The splitting is randomized but seeded.  The centre Z is computed once,
 as the kernel of all commutators with the span.  Seeded random
@@ -27,8 +31,9 @@ coefficients with one least-squares solve.  They are the columns of the
 result's one field, the *-isomorphism ``iso`` from the canonical block
 algebra; the block dimensions, the units and the central idempotents
 are read from it.  The span's basis is one (m, r, r) array, so the
-closure check, the centre and the unit relations are a few stacked
-kernel calls per decomposition, not one per basis element.
+closure check of a generator span, the centre and the unit relations
+are a few stacked kernel calls per decomposition, not one per basis
+element.
 """
 from __future__ import annotations
 
@@ -368,7 +373,10 @@ def decompose_abstract(algebra: Algebra, gram, tol=None,
 
     ``gram`` is the positive-definite matrix of the state's inner product
     h(e_p* e_q); the GNS representation it induces is a *-representation,
-    which the plain left regular representation need not be.
+    which the plain left regular representation need not be.  The algebra
+    must be associative (for ``dualize``'s raw dual, the verified input's
+    coassociativity): no closure check runs, and the matrix-unit relations
+    of ``WedderburnData.verify`` judge the result.
     """
     return _decompose_with_rep(
         algebra, None, _gns_rep(algebra, gram), tol, seed)
@@ -428,8 +436,10 @@ def _decompose_with_rep(ambient, gen_coeffs, rep_tensor, tol, seed):
     unit_mat = rep_of(ambient.unit_coeffs)
     span = _MatrixSpan(rep_tensor if gen_coeffs is None
                        else [rep_of(c) for c in gen_coeffs], unit_mat, tol)
-    # raises unless a unital *-subalgebra
-    span.check_closed()
+    # a span of generators need not be closed; that of every rep(e_k) is
+    # closed exactly when the algebra is associative
+    if gen_coeffs is not None:
+        span.check_closed()
 
     corners = _central_idempotents(span, rng, tol)
     rep_flat = rep_tensor.reshape(d, -1).T  # columns = flattened rep basis

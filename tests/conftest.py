@@ -3,9 +3,10 @@ import pytest
 
 from finiteqg import groups
 from finiteqg.clifford import quotient_subgroup, vergnioux_relation
-from finiteqg.core import Tolerance
+from finiteqg.core import BlockAlgebra, LinMap, Tolerance, tensor
 from finiteqg.duality import dualize
-from finiteqg.hopf import function_algebra, group_algebra, kac_paljutkin
+from finiteqg.hopf import (HopfData, function_algebra, group_algebra,
+                           kac_paljutkin)
 from finiteqg.io import load_hopf, load_subgroup
 from finiteqg.orbits import (homogeneous_action, homogeneous_space, relation,
                              subgroup_from_dual_matrix)
@@ -34,6 +35,28 @@ def random_row(alg, rng):
 def basis_row(alg, k):
     """The coefficient row of the basis element e_k of ``alg``."""
     return np.eye(alg.dim, dtype=complex)[k]
+
+
+# the Cayley table of an order-6 loop: two-sided inverses LOOP_INVERSES
+# and (xy)^-1 = y^-1 x^-1, but (xy)z != x(yz)
+LOOP_TABLE = np.array([[0, 1, 2, 3, 4, 5], [1, 0, 3, 2, 5, 4],
+                       [2, 4, 0, 5, 3, 1], [3, 5, 4, 1, 0, 2],
+                       [4, 2, 5, 0, 1, 3], [5, 3, 1, 4, 2, 0]])
+LOOP_INVERSES = [0, 1, 2, 4, 3, 5]
+
+
+def loop_functions():
+    """C(L6), built from the loop's table as ``function_algebra`` builds
+    C(G) from a group's, and not verified: its coproduct is not
+    coassociative, since the loop's product is not associative."""
+    n = len(LOOP_TABLE)
+    A = BlockAlgebra([1] * n)
+    D = np.zeros((n * n, n), dtype=complex)
+    D[np.arange(n * n), LOOP_TABLE.reshape(-1)] = 1.0
+    S = np.zeros((n, n), dtype=complex)
+    S[LOOP_INVERSES, np.arange(n)] = 1.0
+    return HopfData(A, LinMap(A, tensor(A, A), D), np.eye(n)[0],
+                    LinMap(A, A, S), name="C(L6)")
 
 
 def vergnioux_of(D, m):

@@ -54,6 +54,24 @@ def test_index_and_unindex_refuse_out_of_range():
     assert [int(v) for v in A.unindex(A.dim - 1)] == [1, 1, 1]
 
 
+def test_block_arguments_are_refused_out_of_range_or_malformed():
+    A = BlockAlgebra([1, 2])
+    # a negative block must not wrap around to another block or to none
+    for blocks in ([-1], [2], [0, -2]):
+        with pytest.raises(IndexError, match="block index"):
+            A.block_indices(blocks)
+    with pytest.raises(ValueError, match="repeated block"):
+        A.block_indices([1, 0, 1])
+    assert A.block_indices(np.array([1, 0])).tolist() == [1, 2, 3, 4, 0]
+    # every block must be n_k x n_k: swapped blocks are not a row
+    for mats in ([np.eye(2), [[7]]], [[[1]], np.eye(4)], [[[1]]],
+                 [[[1]], np.eye(2), [[1]]], [[1], np.eye(2)]):
+        with pytest.raises(ValueError, match="blocks of shapes"):
+            A.from_block_matrices(mats)
+    assert A.from_block_matrices([[[7]], np.eye(2)]).tolist() == [7, 1, 0,
+                                                                  0, 1]
+
+
 def test_block_star_matrix_is_built_on_first_use():
     A = BlockAlgebra([1, 2])
     assert "star_matrix" not in A.__dict__

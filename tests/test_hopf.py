@@ -2,16 +2,18 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from finiteqg import core, groups, hopf
 from finiteqg.core import Algebra, BlockAlgebra, LinMap, tensor
-from finiteqg.hopf import (HopfAxiomError, HopfData, function_algebra,
-                           group_algebra, group_like_elements, kac_paljutkin,
-                           verify_hopf)
+from finiteqg.hopf import (HopfAxiomError, HopfData, dual_hopf_raw,
+                           function_algebra, group_algebra,
+                           group_like_elements, kac_paljutkin, verify_hopf)
 from finiteqg.io import hopf_from_dict, hopf_to_dict
 from finiteqg.duality import block_presentation, dualize
 
-from conftest import random_row
+from conftest import loop_functions, random_row
+from test_properties import FACTORS, _factor, small_groups
 
 
 def test_function_algebra_z2_delta():
@@ -382,6 +384,17 @@ def _verify_hopf_reference(H):
            "counit_left": op_dm, "counit_right": op_dm,
            "antipode_left": op_mm, "antipode_right": op_mm,
            "antipode_involutive": op_s ** 2, "antipode_star": op_s}
+    if not isinstance(A, BlockAlgebra):
+        # every triple and both unit identities, one norm call each
+        m, u = A.mul_tensor, A.unit_coeffs
+        res["associativity"] = A.norm_coeffs(
+            np.einsum("kpq,skr->pqrs", m, m)
+            - np.einsum("kqr,spk->pqrs", m, m))
+        res["unit"] = float(np.max([
+            core.opnorm(np.tensordot(u, m, (0, 1)) - eye),
+            core.opnorm(m @ u - eye)]))
+        op_m = float(core.opnorm(mm))
+        sca["associativity"], sca["unit"] = op_m ** 2, op_m
     return res, sca
 
 
@@ -421,3 +434,91 @@ def test_verify_hopf_equals_per_norm_calls_bit_for_bit(name, monkeypatch):
     # the Gram matrices with d columns share one call; a block algebra's
     # residual norms with blocks of size N > 1 add one per size
     assert sum(shape[-1] == H.dim for shape in calls) == 1
+
+
+# -- C[G] is the raw dual of C(G): against the table-built construction -----
+
+def _table_group_algebra(group):
+    """C[G] written straight from the Cayley table: m[gh, g, h] = 1,
+    unit e, g* = S(g) = g^-1, delta(g) = g x g, eps(g) = 1."""
+    n = group.order
+    ar = np.arange(n)
+    m = np.zeros((n, n, n), dtype=complex)
+    m[group.table, ar[:, None], ar] = 1.0
+    unit = np.zeros(n, dtype=complex)
+    unit[group.identity] = 1.0
+    star = np.zeros((n, n), dtype=complex)
+    star[group.inverses, ar] = 1.0
+    A = Algebra(m, unit, star, name=f"C[{group.name}]")
+    D = np.zeros((n * n, n), dtype=complex)
+    D[ar * (n + 1), ar] = 1.0
+    return HopfData(A, LinMap(A, tensor(A, A), D), np.ones(n),
+                    LinMap(A, A, star.copy()), name=f"C[{group.name}]")
+
+
+def _assert_same_group_algebra(group):
+    got, want = group_algebra(group), _table_group_algebra(group)
+    pairs = [(got.algebra.mul_tensor, want.algebra.mul_tensor),
+             (got.algebra.unit_coeffs, want.algebra.unit_coeffs),
+             (got.algebra.star_matrix, want.algebra.star_matrix),
+             (got.delta.matrix, want.delta.matrix),
+             (got.counit, want.counit),
+             (got.antipode.matrix, want.antipode.matrix)]
+    for a, b in pairs:
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert a.tobytes() == b.tobytes()
+    assert got.name == got.algebra.name == want.name == want.algebra.name
+    g, w = verify_hopf(got), verify_hopf(want)
+    assert g.residuals == w.residuals and g.scales == w.scales
+
+
+@pytest.mark.parametrize("name", [f for f, _ in FACTORS]
+                         + ["S4", "S3xZ2", "Z4xZ4"])
+def test_group_algebra_is_the_table_construction(name):
+    extra = {"S4": lambda: groups.symmetric(4),
+             "S3xZ2": lambda: groups.direct_product(groups.symmetric(3),
+                                                    groups.cyclic(2)),
+             "Z4xZ4": lambda: groups.direct_product(groups.cyclic(4),
+                                                    groups.cyclic(4))}
+    _assert_same_group_algebra(extra[name]() if name in extra
+                               else _factor(name))
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(small_groups())
+def test_group_algebra_is_the_table_construction_on_random_groups(G):
+    _assert_same_group_algebra(G)
+
+
+# -- one-axiom mutants from the order-6 loop ---------------------------------
+
+def test_loop_functions_fail_coassociativity_alone():
+    checks = verify_hopf(loop_functions())
+    assert checks.failures() == ["coassociativity"]
+    assert checks.residuals["coassociativity"] > 6.0
+
+
+def test_loop_algebra_fails_associativity_alone():
+    # C[L6], the raw dual of C(L6): the product is the loop's, and the
+    # coproduct g x g is coassociative
+    checks = verify_hopf(dual_hopf_raw(loop_functions()))
+    assert checks.failures() == ["associativity"]
+    assert checks.residuals["associativity"] == 2.0
+    assert checks.scales["associativity"] == checks.scales["unit"] ** 2
+
+
+def test_a_shifted_unit_fails_the_unit_residual(hopf_gs3):
+    # 1 + e_1 as the unit: 1 e_p = e_p fails on both sides
+    A = hopf_gs3.algebra
+    B = Algebra(A.mul_tensor, A.unit_coeffs + np.eye(A.dim)[1],
+                A.star_matrix)
+    H = HopfData(B, LinMap(B, tensor(B, B), hopf_gs3.delta.matrix),
+                 hopf_gs3.counit, LinMap(B, B, hopf_gs3.antipode.matrix))
+    checks = verify_hopf(H)
+    assert "unit" in checks.failures()
+    assert checks.residuals["unit"] == 1.0
+
+
+def test_block_algebras_skip_associativity_and_unit(kp8_block, hopf_cs3):
+    for H in (kp8_block, hopf_cs3):
+        assert not {"associativity", "unit"} & set(verify_hopf(H).residuals)

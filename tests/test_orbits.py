@@ -148,6 +148,18 @@ def test_flip_singleton_relation_is_equivalence():
     assert P.checks.residuals["invariant_projections"] <= 1e-9
 
 
+def test_restriction_refuses_negative_and_repeated_blocks():
+    # the Z2 flip of four points: a negative block must not wrap around,
+    # and a repeated block must not double a corner
+    H = function_algebra(groups.cyclic(2))
+    alpha = permutation_magic(H, np.array([[0, 1, 2, 3], [1, 0, 3, 2]]))
+    with pytest.raises(IndexError, match="block index out of range"):
+        alpha.restrict_to_blocks([-4, -3])
+    with pytest.raises(ValueError, match="repeated block"):
+        alpha.restrict_to_blocks([0, 0, 1, 1])
+    assert alpha.restrict_to_blocks([3, 2]).module.block_dims == (1, 1)
+
+
 def test_empty_summand_is_refused():
     # the Z2 flip of two points, with an empty summand between the points
     H = function_algebra(groups.cyclic(2))

@@ -6,9 +6,9 @@ import pytest
 from finiteqg import groups, wedderburn
 from finiteqg.core import (BlockAlgebra, LinMap, nullspace, numerical_rank,
                            orthonormal_rows)
-from finiteqg.duality import dual_hopf_raw
+from finiteqg.duality import dual_hopf_raw, dualize
 from finiteqg.haar import haar_state
-from finiteqg.hopf import group_algebra, kac_paljutkin
+from finiteqg.hopf import HopfAxiomError, group_algebra, kac_paljutkin
 from finiteqg.io import load_hopf
 from finiteqg.core import Tolerance
 from finiteqg.wedderburn import (SpanNotClosedError, SpectralGapError,
@@ -16,6 +16,8 @@ from finiteqg.wedderburn import (SpanNotClosedError, SpectralGapError,
                                  _central_idempotents,
                                  _cluster, _gns_rep, _MatrixSpan,
                                  decompose, decompose_abstract)
+
+from conftest import loop_functions
 
 
 def test_diagonal_algebra():
@@ -81,6 +83,30 @@ def test_non_closed_span_rejected():
     # a single off-diagonal matrix unit spans nothing multiplicative
     with pytest.raises(SpanNotClosedError):
         decompose(A, [np.eye(A.dim)[A.index(0, 0, 1)], A.unit_coeffs])
+
+
+def test_only_a_generator_span_is_checked_for_closure(monkeypatch,
+                                                     data_dir):
+    # the whole algebra of decompose_abstract is closed when associative,
+    # so dualize runs no closure check; a span of generators still does
+    def refuse(self):
+        raise SpanNotClosedError("closure check ran")
+    monkeypatch.setattr(_MatrixSpan, "check_closed", refuse)
+    paths = sorted(data_dir.glob("*_algebra.json")) + [data_dir / "kp8.json"]
+    for path in paths:
+        assert dualize(load_hopf(path)).irr_dims[0] == 1, path.name
+    with pytest.raises(SpanNotClosedError, match="closure check ran"):
+        decompose(BlockAlgebra([1, 2]), np.eye(5))
+
+
+def test_loop_inputs_are_refused_without_the_closure_check():
+    # C(L6): its raw dual C[L6] is not associative, and its regular
+    # representation is no *-representation for the Haar Gram matrix
+    with pytest.raises(WedderburnError, match=r"not a \*-representation"):
+        dualize(loop_functions())
+    # C[L6] itself: its dual's coproduct is not coassociative
+    with pytest.raises(HopfAxiomError, match="coassociativity"):
+        dualize(dual_hopf_raw(loop_functions()))
 
 
 def test_decompose_refuses_no_generators():

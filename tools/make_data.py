@@ -135,7 +135,9 @@ def write_magic_files():
     A = KB.algebra
     chi = np.zeros(A.dim)
     chi[A.index(1, 0, 0)] = 1.0  # a nontrivial 1-dim block character
-    cond = np.kron(chi[None, :], np.eye(A.dim)) @ KB.delta.matrix - np.eye(A.dim)
+    # (chi x id) delta - id, chi contracted with the first leg
+    d = A.dim
+    cond = np.tensordot(chi, KB.delta.matrix.reshape(d, d, d), 1) - np.eye(d)
     V = nullspace(cond)
     assert V.shape[0] == 4, V.shape
     wd = decompose(A, V)
