@@ -1,44 +1,52 @@
 """Dense complex linear algebra over finite-dimensional *-algebras.
 
-Everything downstream works with three kinds of algebras:
+One kernel set, two layouts.  Every algebra is a tensor product of its
+legs, ``factors``: a plain or block algebra is its own one leg, and a
+tensor product holds the flattened legs of its factors.  A leg is
 
-* ``BlockAlgebra`` -- a direct sum of full matrix blocks with the canonical
-  matrix-unit basis (block-major, row-major inside each block); it alone
-  knows where the entries of a block sit: other modules read the blocks
-  of coefficient rows through its accessors ``index``, ``unindex``,
+* an ``Algebra`` -- a general associative *-algebra given by structure
+  constants on an arbitrary basis (group algebras in the group-element
+  basis, raw convolution duals, KP8 in its monomial presentation), or
+* a ``BlockAlgebra`` -- a direct sum of full matrix blocks with the
+  canonical matrix-unit basis (block-major, row-major inside each block);
+  it alone knows where the entries of a block sit: other modules read the
+  blocks of coefficient rows through its accessors ``index``, ``unindex``,
   ``block_indices``, ``block_matrices`` and ``block_traces``, and build
-  rows from blocks with ``block_unit`` and ``from_block_matrices``,
-* ``Algebra`` -- a general associative *-algebra given by structure
-  constants on an arbitrary basis (used e.g. for group algebras in the
-  group-element basis, and for convolution duals before their block
-  structure has been computed),
-* ``TensorAlgebra`` -- tensor products of the above, with coefficients in
-  the Kronecker (pair-index) convention, so that the matrix of a tensor
-  product of linear maps is literally ``np.kron``.
+  rows from blocks with ``block_unit`` and ``from_block_matrices``.
+
+``TensorAlgebra`` is the Kronecker layout of the legs (pair-index
+coefficients, so that the matrix of a tensor product of linear maps is
+literally ``np.kron``); ``BlockAlgebra`` is the block layout.  Neither
+has kernels of its own.
 
 An element is a coefficient row over the algebra's basis.  The kernels
-``mul_coeffs``, ``star_coeffs``, ``rep_coeffs`` and ``norm_coeffs`` take
-rows and stacks of rows (..., dim) that broadcast; ``norm_coeffs`` of a
-stack is the largest norm over its rows and ``row_norms`` gives each
-row's.  Operator norms are exact C*-norms of a faithful representation.
-A block algebra, and a tensor product of block algebras, cuts its
-coefficients into (Kronecker) blocks through index stacks
-(``_block_gathers``, one per block size N, built once per block shape),
-and its products, adjoints and norms are blockwise (elementwise and
-max |x| when N = 1), so no large matrix is built.  Any other algebra
-multiplies through its structure constants (one tensor leg at a time),
-applies its star matrix leg by leg and takes norms in its dense
-representation.  All pairs of two stacks (``pair_products``)
-take every pair of a block of rows of x with one matrix product.  The
-all-pairs residual of a map from a block algebra into a block codomain
-(``multiplicative_residual``) gathers the images of the basis into the
-codomain's blocks once, takes f(e_p e_q) as a gather of them through
-the domain's table of basis products (``product_index``: e_p e_q is one
-basis element or 0) and hands the residual blocks to the norm fold of
-``_max_norm``.  One function (``coaction_residuals``) checks every
-coaction alpha: N -> N x A, the coproduct included as the regular
-coaction (N = A, alpha = delta).  ``associativity_residual`` checks a
-structure-constant product on all basis triples.
+``mul_coeffs``, ``star_coeffs``, ``rep_coeffs`` and ``norm_coeffs`` are
+defined once, on ``Algebra``, and take rows and stacks of rows
+(..., dim) that broadcast; ``norm_coeffs`` of a stack is the largest norm
+over its rows and ``row_norms`` gives each row's.  Operator norms are
+exact C*-norms of a faithful representation.  When every leg is a block
+algebra, the coefficients are cut into (Kronecker) blocks through index
+stacks (``_block_stacks``: ``_block_gathers``, one per block size N,
+built once per block shape), and products, adjoints and norms are
+blockwise (elementwise and max |x| when N = 1), so no large matrix is
+built.  Otherwise the product contracts one leg's structure constants at
+a time, the adjoint applies one leg's star matrix at a time, and norms
+are taken in the legs' joint dense representation; a one-leg algebra
+takes the left regular representation, its star matrix and its
+representation tensor directly.  Two algebras are equal when they have
+the same legs, so a plain or block algebra equals only itself.
+
+All pairs of two stacks (``pair_products``) take every pair of a block
+of rows of x with one matrix product.  The all-pairs residual of a map
+from a block algebra into a block codomain (``multiplicative_residual``)
+gathers the images of the basis into the codomain's blocks once, takes
+f(e_p e_q) as a gather of them through the domain's table of basis
+products (``product_index``: e_p e_q is one basis element or 0) and
+hands the residual blocks to the norm fold of ``_max_norm``.  One
+function (``coaction_residuals``) checks every coaction alpha: N -> N x
+A, the coproduct included as the regular coaction (N = A, alpha =
+delta).  ``associativity_residual`` checks a structure-constant product
+on all basis triples.
 
 Every spectral norm, here and in the other modules, comes from
 ``opnorms``: for each matrix, its largest |entry| s times the square
@@ -193,6 +201,10 @@ class Algebra:
     The product is encoded by the structure tensor ``m[k, p, q]`` with
     e_p e_q = sum_k m[k, p, q] e_k, the involution by a matrix ``st`` with
     (x*)_coeffs = st @ conj(x_coeffs).
+
+    Every algebra is a tensor product of ``factors``, its legs: a plain or
+    block algebra is its own one leg.  The kernels are defined here once,
+    over the legs, and the subclasses only lay out the coefficients.
     """
 
     def __init__(self, mul_tensor, unit, star_matrix, name=""):
@@ -204,14 +216,25 @@ class Algebra:
         self.unit_coeffs = np.asarray(unit, dtype=complex).reshape(self.dim)
         self.star_matrix = np.asarray(star_matrix, dtype=complex)
         self.name = name
-        self._rep_tensor = None
+        self._gathers = None
+
+    @property
+    def factors(self) -> tuple:
+        """The tensor legs, none of them a tensor product."""
+        return (self,)
+
+    @property
+    def factor_dims(self) -> tuple:
+        return tuple(f.dim for f in self.factors)
 
     # -- representation used for operator norms ---------------------------
-    @property
+    @cached_property
     def rep_dim(self) -> int:
-        return self.dim
+        if len(self.factors) == 1:
+            return self.dim
+        return int(np.prod([f.rep_dim for f in self.factors]))
 
-    @property
+    @cached_property
     def rep_tensor(self):
         """Per-basis-element matrices of a faithful representation.
 
@@ -221,37 +244,73 @@ class Algebra:
         (true for group algebras), and a faithful submultiplicative norm
         otherwise.
         """
-        if self._rep_tensor is None:
-            # lambda(e_k)[r, q] = m[r, k, q]
-            self._rep_tensor = np.ascontiguousarray(
-                self.mul_tensor.transpose(1, 0, 2))
-        return self._rep_tensor
+        # lambda(e_k)[r, q] = m[r, k, q]
+        return np.ascontiguousarray(self.mul_tensor.transpose(1, 0, 2))
 
     def _block_stacks(self):
-        """Index stacks of the block path; empty for a generic algebra."""
-        return ()
+        """The index stacks of the block path (``_block_gathers``) when
+        every leg is a block algebra, else empty; built on first use."""
+        if self._gathers is None:
+            self._gathers = (_block_gathers(self.factors) if all(
+                isinstance(f, BlockAlgebra) for f in self.factors) else ())
+        return self._gathers
 
     # -- coefficient-level operations (stacks broadcast over ...) ---------
     def mul_coeffs(self, x, y):
-        # x y = lambda(x) y in the left regular representation
-        return (self.rep_coeffs(x) @ np.asarray(y)[..., None])[..., 0]
+        if gathers := self._block_stacks():
+            return _blockwise_mul(x, y, gathers)
+        if len(self.factors) == 1:
+            # x y = lambda(x) y in the left regular representation
+            return (self.rep_coeffs(x) @ np.asarray(y)[..., None])[..., 0]
+        x, y = np.broadcast_arrays(np.asarray(x), np.asarray(y))
+        lead, dims, m = x.shape[:-1], self.factor_dims, len(self.factors)
+        # leg by leg with a leading batch axis b, so x (x) y is never
+        # formed: after leg l the axes of z are (b, p_{l+1}, ..., r_0, ...,
+        # r_l, q_{l+1}, ...), and leg l+1 contracts p_{l+1}, q_{l+1}
+        # against its factor's m[r, p, q]
+        xs = x.reshape(-1, dims[0], self.dim // dims[0])
+        ys = y.reshape(xs.shape)
+        n, rest = xs.shape[0], xs.shape[2]
+        z = np.tensordot(xs, self.factors[0].mul_tensor, ([1], [1]))
+        z = np.matmul(z.reshape(n, rest * dims[0], dims[0]), ys)
+        z = z.reshape((n,) + dims[1:] + (dims[0],) + dims[1:])
+        for f in self.factors[1:]:
+            z = np.tensordot(z, f.mul_tensor, ([1, m + 1], [1, 2]))
+            z = np.moveaxis(z, -1, m)
+        return z.reshape(lead + (self.dim,))
 
     def star_coeffs(self, x):
-        gathers = self._block_stacks()
-        if not gathers:
-            return np.conj(x) @ self.star_matrix.T
-        # the adjoint of every block: transpose the gather, conjugate
         x = np.asarray(x)
-        out = np.empty(x.shape, dtype=complex)
-        for g in gathers:
-            out[..., g] = np.conj(x.take(g.swapaxes(-1, -2), axis=-1))
-        return out
+        if gathers := self._block_stacks():
+            # the adjoint of every block: transpose the gather, conjugate
+            out = np.empty(x.shape, dtype=complex)
+            for g in gathers:
+                out[..., g] = np.conj(x.take(g.swapaxes(-1, -2), axis=-1))
+            return out
+        if len(self.factors) == 1:
+            return np.conj(x) @ self.star_matrix.T
+        # one leg's star matrix per leg, after a batch axis: leg l of
+        # conj(x) is contracted with leg l's star matrix
+        z = np.conj(x).reshape((-1,) + self.factor_dims)
+        for leg, f in enumerate(self.factors, 1):
+            z = np.moveaxis(np.tensordot(f.star_matrix, z, ([1], [leg])),
+                            0, leg)
+        return z.reshape(x.shape)
 
     def rep_coeffs(self, x):
         x = np.asarray(x)
-        r = self.rep_dim
-        return (x @ self.rep_tensor.reshape(self.dim, r * r)).reshape(
-            x.shape[:-1] + (r, r))
+        r, m = self.rep_dim, len(self.factors)
+        if m == 1:
+            return (x @ self.rep_tensor.reshape(self.dim, r * r)).reshape(
+                x.shape[:-1] + (r, r))
+        # leg by leg after a batch axis; the axes end as
+        # (b, a_0, b_0, ..., a_{m-1}, b_{m-1})
+        z = x.reshape((-1,) + self.factor_dims)
+        for f in self.factors:
+            z = np.tensordot(z, f.rep_tensor, ([1], [0]))
+        z = z.transpose([0] + list(range(1, 2 * m + 1, 2))
+                        + list(range(2, 2 * m + 1, 2)))
+        return z.reshape(x.shape[:-1] + (r, r))
 
     def norm_coeffs(self, x) -> float:
         return _max_norm(self, x)
@@ -262,11 +321,14 @@ class Algebra:
         commutators = (m - m.transpose(0, 2, 1)).reshape(self.dim, -1).T
         return as_tolerance(tol).is_zero(self.norm_coeffs(commutators))
 
+    # legs compare by identity, so an algebra equals only itself and a
+    # tensor product equals one with the same legs
     def __eq__(self, other):
-        return self is other
+        return self is other or (isinstance(other, Algebra) and list(
+            map(id, self.factors)) == list(map(id, other.factors)))
 
     def __hash__(self):
-        return id(self)
+        return hash(tuple(map(id, self.factors)))
 
     def __repr__(self):
         label = self.name or self.__class__.__name__
@@ -289,49 +351,47 @@ class BlockAlgebra(Algebra):
         self.block_dims = tuple(block_dims)
         self.offsets = np.concatenate(
             [[0], np.cumsum([n * n for n in block_dims])])
-        dim = int(self.offsets[-1])
-
-        # e^{(k)}_{ii} in the unit, one assignment per block size
-        self._gathers = _block_gathers((self,))
-        unit = np.zeros(dim, dtype=complex)
-        for g in self._gathers:
-            unit[np.diagonal(g, axis1=-2, axis2=-1)] = 1.0
-
-        self.dim = dim
-        self.unit_coeffs = unit
+        self.dim = int(self.offsets[-1])
         self.name = name
-        self._mul_tensor = None
-        self._rep_tensor = None
+        self._gathers = None
 
-    def _block_stacks(self):
-        return self._gathers
+    # the benchmark's span recorder wraps these two from each algebra
+    # class's own __dict__
+    mul_coeffs = Algebra.mul_coeffs
+    norm_coeffs = Algebra.norm_coeffs
+
+    @cached_property
+    def unit_coeffs(self):
+        """e^{(k)}_{ii} in every block, one assignment per block size."""
+        unit = np.zeros(self.dim, dtype=complex)
+        for g in self._block_stacks():
+            unit[np.diagonal(g, axis1=-2, axis2=-1)] = 1.0
+        return unit
 
     @cached_property
     def star_matrix(self):
         """star[index(k, j, i), index(k, i, j)] = 1, one assignment per
         block size; built on first use."""
         star = np.zeros((self.dim, self.dim), dtype=complex)
-        for g in self._gathers:
+        for g in self._block_stacks():
             star[g.swapaxes(-1, -2), g] = 1.0
         return star
 
-    # structure tensor is only materialized when a generic consumer asks
-    @property
+    @cached_property
     def mul_tensor(self):
-        if self._mul_tensor is None:
-            # e_ij e_jl = e_il in every block, one assignment per block size
-            m = np.zeros((self.dim,) * 3, dtype=complex)
-            for g in self._gathers:
-                m[g[:, :, None, :], g[:, :, :, None], g[:, None, :, :]] = 1.0
-            self._mul_tensor = m
-        return self._mul_tensor
+        """The structure tensor, built only when a generic consumer asks:
+        e_ij e_jl = e_il in every block, one assignment per block size."""
+        m = np.zeros((self.dim,) * 3, dtype=complex)
+        for g in self._block_stacks():
+            m[g[:, :, None, :], g[:, :, :, None], g[:, None, :, :]] = 1.0
+        return m
 
     @cached_property
     def product_index(self) -> np.ndarray:
         """The read-only table of basis products, filled as ``mul_tensor``
         is: e_p e_q is the basis element [p, q], or 0 where it is dim."""
         index = np.full((self.dim, self.dim), self.dim)
-        for g in self._gathers:
+        for g in self._block_stacks():
             index[g[:, :, :, None], g[:, None, :, :]] = g[:, :, None, :]
         index.flags.writeable = False
         return index
@@ -364,8 +424,9 @@ class BlockAlgebra(Algebra):
             raise IndexError("block index out of range")
         if len(set(blocks)) != len(blocks):
             raise ValueError("repeated block")
-        return np.concatenate([np.arange(self.offsets[b], self.offsets[b + 1])
-                               for b in blocks])
+        # np.arange(0) keeps the indices of no blocks an integer array
+        return np.concatenate([np.arange(0)] + [
+            np.arange(self.offsets[b], self.offsets[b + 1]) for b in blocks])
 
     def block_matrices(self, rows):
         """Block k of a coefficient row, or of each row of a stack
@@ -400,28 +461,20 @@ class BlockAlgebra(Algebra):
         row[start + np.arange(n) * (n + 1)] = 1.0
         return row
 
-    def mul_coeffs(self, x, y):
-        return _blockwise_mul(x, y, self._block_stacks())
-
     @property
     def rep_dim(self) -> int:
         return int(sum(self.block_dims))
 
-    @property
+    @cached_property
     def rep_tensor(self):
-        if self._rep_tensor is None:
-            # e^(k)_ij is the unit matrix at (s_k + i, s_k + j), where block
-            # k starts at row s_k of the block-diagonal representation
-            r = self.rep_dim
-            k, i, j = self.unindex(np.arange(self.dim))
-            s = np.cumsum(self.block_dims) - self.block_dims
-            t = np.zeros((self.dim, r, r), dtype=complex)
-            t[np.arange(self.dim), s[k] + i, s[k] + j] = 1.0
-            self._rep_tensor = t
-        return self._rep_tensor
-
-    def norm_coeffs(self, x) -> float:
-        return _max_norm(self, x)
+        # e^(k)_ij is the unit matrix at (s_k + i, s_k + j), where block
+        # k starts at row s_k of the block-diagonal representation
+        r = self.rep_dim
+        k, i, j = self.unindex(np.arange(self.dim))
+        s = np.cumsum(self.block_dims) - self.block_dims
+        t = np.zeros((self.dim, r, r), dtype=complex)
+        t[np.arange(self.dim), s[k] + i, s[k] + j] = 1.0
+        return t
 
     def __repr__(self):
         label = self.name or "BlockAlgebra"
@@ -438,27 +491,26 @@ class TensorAlgebra(Algebra):
     """
 
     def __init__(self, *factors, name=""):
-        flat = []
-        for f in factors:
-            if isinstance(f, TensorAlgebra):
-                flat.extend(f.factors)
-            else:
-                flat.append(f)
-        if len(flat) < 2:
+        legs = tuple(leg for f in factors for leg in f.factors)
+        if len(legs) < 2:
             raise ValueError("need at least two tensor factors")
-        self.factors = tuple(flat)
-        self.factor_dims = tuple(f.dim for f in flat)
-        self.dim = int(np.prod(self.factor_dims))
+        self._legs = legs
+        self.dim = int(np.prod([f.dim for f in legs]))
         self.name = name
-        self._unit = None
         self._gathers = None
 
+    # the benchmark's span recorder wraps these two from each algebra
+    # class's own __dict__
+    mul_coeffs = Algebra.mul_coeffs
+    norm_coeffs = Algebra.norm_coeffs
+
     @property
+    def factors(self) -> tuple:
+        return self._legs
+
+    @cached_property
     def unit_coeffs(self):
-        if self._unit is None:
-            self._unit = self.kron_coeffs(
-                *(f.unit_coeffs for f in self.factors))
-        return self._unit
+        return self.kron_coeffs(*(f.unit_coeffs for f in self.factors))
 
     @property
     def block_dims(self):
@@ -469,89 +521,17 @@ class TensorAlgebra(Algebra):
         """
         dims = [1]
         for f in self.factors:
-            if not hasattr(f, "block_dims"):
+            if not isinstance(f, BlockAlgebra):
                 raise AttributeError("factor without block structure")
             dims = [d * n for d in dims for n in f.block_dims]
         return tuple(dims)
 
-    def _block_stacks(self):
-        if self._gathers is None:
-            self._gathers = (
-                _block_gathers(self.factors)
-                if all(isinstance(f, BlockAlgebra) for f in self.factors)
-                else ())
-        return self._gathers
-
-    def mul_coeffs(self, x, y):
-        gathers = self._block_stacks()
-        if gathers:
-            return _blockwise_mul(x, y, gathers)
-        x, y = np.broadcast_arrays(np.asarray(x), np.asarray(y))
-        lead, dims, m = x.shape[:-1], self.factor_dims, len(self.factors)
-        # leg by leg with a leading batch axis b, so x (x) y is never
-        # formed: after leg l the axes of z are (b, p_{l+1}, ..., r_0, ...,
-        # r_l, q_{l+1}, ...), and leg l+1 contracts p_{l+1}, q_{l+1}
-        # against its factor's m[r, p, q]
-        xs = x.reshape(-1, dims[0], self.dim // dims[0])
-        ys = y.reshape(xs.shape)
-        n, rest = xs.shape[0], xs.shape[2]
-        z = np.tensordot(xs, self.factors[0].mul_tensor, ([1], [1]))
-        z = np.matmul(z.reshape(n, rest * dims[0], dims[0]), ys)
-        z = z.reshape((n,) + dims[1:] + (dims[0],) + dims[1:])
-        for f in self.factors[1:]:
-            z = np.tensordot(z, f.mul_tensor, ([1, m + 1], [1, 2]))
-            z = np.moveaxis(z, -1, m)
-        return z.reshape(lead + (self.dim,))
-
-    def star_coeffs(self, x):
-        if self._block_stacks():
-            return super().star_coeffs(x)
-        # one factor's star matrix per leg, after a batch axis: leg l of
-        # conj(x) is contracted with factor l's star matrix
-        x = np.asarray(x)
-        z = np.conj(x).reshape((-1,) + self.factor_dims)
-        for leg, f in enumerate(self.factors, 1):
-            z = np.moveaxis(np.tensordot(f.star_matrix, z, ([1], [leg])),
-                            0, leg)
-        return z.reshape(x.shape)
-
-    @property
-    def rep_dim(self) -> int:
-        return int(np.prod([f.rep_dim for f in self.factors]))
-
-    def rep_coeffs(self, x):
-        # leg by leg after a batch axis; the axes end as
-        # (b, a_0, b_0, ..., a_{m-1}, b_{m-1})
-        x = np.asarray(x)
-        z = x.reshape((-1,) + self.factor_dims)
-        for f in self.factors:
-            z = np.tensordot(z, f.rep_tensor, ([1], [0]))
-        m = len(self.factors)
-        z = z.transpose([0] + list(range(1, 2 * m + 1, 2))
-                        + list(range(2, 2 * m + 1, 2)))
-        r = self.rep_dim
-        return z.reshape(x.shape[:-1] + (r, r))
-
-    def norm_coeffs(self, x) -> float:
-        return _max_norm(self, x)
-
-    # -- leg manipulation ---------------------------------------------------
     def kron_coeffs(self, *vecs):
         # the outer product of vectors is np.kron's, entry by entry
         out = np.asarray(vecs[0], dtype=complex)
         for v in vecs[1:]:
             out = np.multiply.outer(out, v).reshape(-1)
         return out
-
-    def __eq__(self, other):
-        if self is other:
-            return True
-        return (isinstance(other, TensorAlgebra)
-                and len(self.factors) == len(other.factors)
-                and all(a == b for a, b in zip(self.factors, other.factors)))
-
-    def __hash__(self):
-        return hash(tuple(id(f) for f in self.factors))
 
     def __repr__(self):
         return "<Tensor " + " x ".join(repr(f) for f in self.factors) + ">"
@@ -660,8 +640,8 @@ def _pair_rows(alg, nx, ny):
 
 def _generic_pair_products(alg, y):
     """The all-pairs product against the fixed rows y, as a function of
-    the left rows, for a plain algebra (a tensor product with a trivial
-    second leg) or a two-leg tensor product A (x) B of dimensions (a, b).
+    the left rows, for an algebra of two legs A (x) B (its ``factors``)
+    of dimensions (a, b), or of one leg A, taken as A (x) C with b = 1.
 
     x[p] y[q] has coefficient sum m_A[r, i, k] m_B[s, j, l] x[p, i, j]
     y[q, k, l] at (r, s).  Leg 1 is absorbed into y once,
@@ -669,14 +649,14 @@ def _generic_pair_products(alg, y):
     block of x, S[(p, r), (j, k)] = sum_i m_A[r, i, k] x[p, i, j].  Then
     S @ U^T holds every pair of the block: one matrix product of about
     (rows a) (a b) (len(y) b) multiply-adds."""
-    if isinstance(alg, TensorAlgebra):
-        if len(alg.factors) != 2:
-            raise ValueError(
-                "pair products need a block algebra, a plain algebra or a "
-                f"two-leg tensor product, not {len(alg.factors)} legs")
-        (a, b), (ma, mb) = alg.factor_dims, (f.mul_tensor for f in alg.factors)
-    else:
-        a, b, ma, mb = alg.dim, 1, alg.mul_tensor, np.ones((1, 1, 1))
+    legs = [f.mul_tensor for f in alg.factors]
+    if len(legs) > 2:
+        raise ValueError(
+            "pair products need a block algebra, a plain algebra or a "
+            f"two-leg tensor product, not {len(legs)} legs")
+    # a one-leg algebra takes a trivial second leg
+    ma, mb = (legs + [np.ones((1, 1, 1))])[:2]
+    a, b = len(ma), len(mb)
     # (s j, l) @ (q; l, k) lands in the (q, s, j, k) layout, no copy
     u = (mb.reshape(b * b, b) @ y.reshape(-1, a, b).transpose(0, 2, 1)
          ).reshape(-1, b * a)

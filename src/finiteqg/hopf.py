@@ -44,7 +44,7 @@ class HopfData:
         A = self.algebra
         self.counit = np.asarray(self.counit, dtype=complex).reshape(A.dim)
         if (self.delta.domain != A
-                or getattr(self.delta.codomain, "factors", None) != (A, A)):
+                or self.delta.codomain.factors != (A, A)):
             raise ValueError("comultiplication must map the algebra into "
                              "its tensor square")
         if self.antipode.domain != A or self.antipode.codomain != A:

@@ -369,6 +369,9 @@ class ActionMap:
         The residual is the norm of the rows that escape the corner."""
         tol = as_tolerance(tol)
         blocks = sorted(blocks)
+        if not blocks:
+            raise ValueError("no blocks to restrict to: the block list is "
+                             "empty")
         N, d_a = self.module, self.hopf.dim
         cols = N.block_indices(blocks)
         sub = BlockAlgebra([N.block_dims[b] for b in blocks])

@@ -19,7 +19,7 @@ DATA = Path(__file__).resolve().parents[1] / "src" / "finiteqg" / "data"
 def kron_star_matrix(alg):
     """The star matrix of an algebra, of a tensor product the np.kron of
     its factors' star matrices: the reference for the leg-wise star."""
-    first, *rest = getattr(alg, "factors", (alg,))
+    first, *rest = alg.factors
     st = first.star_matrix
     for f in rest:
         st = np.kron(st, f.star_matrix)

@@ -63,6 +63,9 @@ def test_block_arguments_are_refused_out_of_range_or_malformed():
     with pytest.raises(ValueError, match="repeated block"):
         A.block_indices([1, 0, 1])
     assert A.block_indices(np.array([1, 0])).tolist() == [1, 2, 3, 4, 0]
+    # no blocks have no indices, as an integer index array
+    none = A.block_indices([])
+    assert none.shape == (0,) and none.dtype.kind == "i"
     # every block must be n_k x n_k: swapped blocks are not a row
     for mats in ([np.eye(2), [[7]]], [[[1]], np.eye(4)], [[[1]]],
                  [[[1]], np.eye(2), [[1]]], [[1], np.eye(2)]):
@@ -82,6 +85,34 @@ def test_block_star_matrix_is_built_on_first_use():
         want[A.index(k, j, i), p] = 1.0
     assert np.array_equal(A.star_matrix, want)
     assert A.__dict__["star_matrix"] is A.star_matrix
+
+
+def test_every_algebra_is_a_tensor_product_of_its_legs():
+    G = group_algebra(groups.symmetric(3)).algebra
+    A = BlockAlgebra([1, 2])
+    # a plain or block algebra is its own one leg
+    assert G.factors == (G,) and A.factors == (A,)
+    assert G.factor_dims == (6,) and A.factor_dims == (5,)
+    # a tensor product equals one with the same legs, as a dict key too
+    t1, t2 = tensor(A, G), tensor(A, G)
+    assert t1 == t2 and hash(t1) == hash(t2)
+    assert {t1: "key"}[t2] == "key"
+    assert t1 != tensor(G, A) and t1 != tensor(A, BlockAlgebra([1, 2]))
+    # any other algebra equals only itself
+    assert A == A and A != BlockAlgebra([1, 2]) and A != "A"
+    assert all(t1 != alg and alg != t1 for alg in (A, G))
+    assert tensor(A, A) != BlockAlgebra([1, 2, 2, 4])
+
+
+def test_algebra_kernels_are_defined_once():
+    # the subclasses only alias the two kernels the span recorder of the
+    # benchmark wraps per class
+    for cls in (core.BlockAlgebra, core.TensorAlgebra):
+        assert cls.mul_coeffs is core.Algebra.mul_coeffs
+        assert cls.norm_coeffs is core.Algebra.norm_coeffs
+        for name in ("star_coeffs", "rep_coeffs", "_block_stacks", "__eq__",
+                     "__hash__"):
+            assert name not in vars(cls)
 
 
 def test_group_algebra_mul_matches_cayley_bruteforce():
@@ -104,6 +135,10 @@ def test_tensor_block_structure():
     assert t.block_dims == (6,)
     t2 = tensor(BlockAlgebra([1, 1]), BlockAlgebra([1, 1]))
     assert t2.block_dims == (1, 1, 1, 1)
+    # a generic leg has no blocks, so neither has the product
+    G = group_algebra(groups.cyclic(2)).algebra
+    with pytest.raises(AttributeError, match="without block structure"):
+        tensor(BlockAlgebra([1, 2]), G).block_dims
 
 
 def test_kron_leg_independence():
@@ -189,6 +224,9 @@ def test_triple_tensor_flattening():
     t1 = tensor(tensor(A, A), A)
     t2 = tensor(A, tensor(A, A))
     assert t1 == t2
+    B, C = BlockAlgebra([2]), group_algebra(groups.cyclic(2)).algebra
+    assert tensor(A, tensor(B, C)).factors == (A, B, C)
+    assert tensor(tensor(A, B), C).factors == (A, B, C)
     rng = np.random.default_rng(4)
     x = rng.standard_normal(t1.dim)
     y = rng.standard_normal(t1.dim)
@@ -298,7 +336,7 @@ def test_nullspace_of_wide_and_tall_matrices(shape, rank):
 def _structure_tensor(alg):
     """Reference structure tensor; for a tensor product, the Kronecker
     combination of the factors' tensors."""
-    if not hasattr(alg, "factors"):
+    if len(alg.factors) == 1:
         return alg.mul_tensor
     m = np.ones((1, 1, 1))
     for f in alg.factors:
@@ -309,7 +347,7 @@ def _structure_tensor(alg):
 
 def _dense_norm(alg, x):
     """Reference operator norm of one coefficient row."""
-    if hasattr(alg, "factors"):
+    if len(alg.factors) > 1:
         rep = _kron_rep(alg, x)
     else:
         rep = np.einsum("kab,k->ab", alg.rep_tensor, x)

@@ -96,14 +96,18 @@ def test_hopf_data_refuses_maps_on_other_algebras(kp8_block):
     A = H.algebra
     B = BlockAlgebra(A.block_dims)
     d = A.dim
-    # a coproduct into A x B with B a copy of A, one into A x A x A, and
-    # an antipode onto another algebra
+    # a coproduct into A x B with B a copy of A, one into A x A x A, one
+    # into a plain algebra of dimension d^2, and an antipode onto another
+    # algebra
     with pytest.raises(ValueError, match="tensor square"):
         HopfData(A, LinMap(A, tensor(A, B), H.delta.matrix), H.counit,
                  H.antipode)
     with pytest.raises(ValueError, match="tensor square"):
         HopfData(A, LinMap(A, tensor(A, A, A), np.zeros((d ** 3, d))),
                  H.counit, H.antipode)
+    flat = Algebra(np.zeros((d * d,) * 3), np.zeros(d * d), np.eye(d * d))
+    with pytest.raises(ValueError, match="tensor square"):
+        HopfData(A, LinMap(A, flat, H.delta.matrix), H.counit, H.antipode)
     with pytest.raises(ValueError, match="antipode"):
         HopfData(A, H.delta, H.counit, LinMap(A, B, H.antipode.matrix))
     # the same maps on A itself are accepted

@@ -157,6 +157,10 @@ def test_restriction_refuses_negative_and_repeated_blocks():
         alpha.restrict_to_blocks([-4, -3])
     with pytest.raises(ValueError, match="repeated block"):
         alpha.restrict_to_blocks([0, 0, 1, 1])
+    # an empty block list is named, not taken for an empty block algebra
+    assert alpha.module.block_indices([]).tolist() == []
+    with pytest.raises(ValueError, match="block list is empty"):
+        alpha.restrict_to_blocks([])
     assert alpha.restrict_to_blocks([3, 2]).module.block_dims == (1, 1)
 
 
