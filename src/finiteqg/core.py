@@ -92,14 +92,15 @@ DEFAULT_SEED = 0xC11FF04D
 _DENSE_STACK_ENTRIES = 1 << 20
 
 # Fixed thresholds of decisions that the caller's tolerance does not set.
+# The three of the Wedderburn split are read by wedderburn._spectral_split
+# and its _cluster, the one site of every draw and cluster decision.
 # relative eigenvalue gap used to form spectral clusters
 CLUSTER_GAP = 1e-6
 # faithfulness threshold for the smallest Haar Gram eigenvalue
 GRAM_MIN_EIG = 1e-12
-# a multiplicity, the trace of a projection, counts as an integer this close
+# a multiplicity, the trace of a projection, counts as an integer this
+# close (fusion multiplicities, and so contragredients, rest on it)
 INTEGER_SLACK = 1e-6
-# a block counts as the identity within this Frobenius distance of it
-IDENTITY_SLACK = 1e-6
 # a random self-adjoint draw whose spectral norm is below this is redrawn
 DEGENERATE_DRAW = 1e-6
 # a counit value, exactly 0 or 1, counts as 1 when within this of 1
@@ -107,9 +108,6 @@ COUNIT_SPLIT = 0.5
 # spectral clusters closer than this many eps (times the spectrum's
 # spread) are refused rather than split
 CLUSTER_REFUSAL_FACTOR = 10
-# a block of a transported central projection counts as nonzero when its
-# Frobenius norm exceeds this many eps (contragredient matching)
-NONZERO_BLOCK_FACTOR = 10
 
 
 @dataclass(frozen=True)

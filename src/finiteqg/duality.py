@@ -24,8 +24,8 @@ from functools import cached_property
 import numpy as np
 
 from .core import (BlockAlgebra, CheckError, Checks, LinMap, COUNIT_SPLIT,
-                   DEFAULT_SEED, IDENTITY_SLACK, NONZERO_BLOCK_FACTOR,
-                   as_tolerance, nonnegative_integers, opnorm, tensor)
+                   DEFAULT_SEED, as_tolerance, nonnegative_integers, opnorm,
+                   tensor)
 from .haar import haar_state
 from .hopf import HopfData, dual_hopf_raw, verify_hopf
 from .wedderburn import WedderburnData, decompose_abstract, reorder_blocks
@@ -196,12 +196,22 @@ def mult_unitary(D: DiscreteQG, tol=None) -> Checks:
     return checks
 
 
+def _check_irreducibles(D: DiscreteQG, *indices) -> None:
+    """``IndexError`` unless every index names an irreducible of D, a
+    block in range(len(D.irr_dims)); a negative index is not wrapped."""
+    for i in indices:
+        if i not in range(len(D.irr_dims)):
+            raise IndexError(f"irreducible index {i} is out of range: the "
+                             f"dual has {len(D.irr_dims)} irreducibles")
+
+
 def corep_of(D: DiscreteQG, i: int, tol=None) -> np.ndarray:
     """The corepresentation U = (p_i x id)(W) of irreducible i, an
     (n, n, dim A) array: U[r, s], the row of ``dual_to_block`` at e_rs of
     block i, holds the Pol(G) coefficients of U_rs.  Its unitarity and
     coproduct residuals are entries of W's, at the same scale, so
     ``mult_unitary`` checks (and raises) for it."""
+    _check_irreducibles(D, i)
     mult_unitary(D, tol)
     legs = D.dual_algebra.block_matrices(D.dual_to_block.T)[i]
     return np.moveaxis(legs, 0, -1)
@@ -210,29 +220,20 @@ def corep_of(D: DiscreteQG, i: int, tol=None) -> np.ndarray:
 def tensor_mult(D: DiscreteQG, sigma: int, gamma: int) -> np.ndarray:
     """Multiplicities of each irreducible inside sigma (x) gamma: the
     read-only row (sigma, gamma) of ``D.fusion_table``."""
+    _check_irreducibles(D, sigma, gamma)
     return D.fusion_table[sigma, gamma]
 
 
-def contragredient(D: DiscreteQG, i: int, tol=None) -> int:
-    """The contragredient of irreducible i: transpose after the dual
-    antipode.
-
-    pi^c = transpose . pi . S_dual is an irreducible *-representation; the
-    returned index is the block it is equivalent to.
-    """
-    tol = as_tolerance(tol)
-    n = D.irr_dims[i]
-    B = D.dual_algebra
-    # block i of S_dual(p_j), transposed, for every central projection p_j
-    images = B.block_traces(D.dual_hopf.antipode.matrix).T
-    mats = B.block_matrices(images)[i].swapaxes(-1, -2)
-    hits = np.flatnonzero(np.linalg.norm(mats, axis=(-2, -1))
-                          > tol.eps * NONZERO_BLOCK_FACTOR).tolist()
-    # an equivalent block: the central projection must act as identity
-    if (any(D.irr_dims[j] != n for j in hits)
-            or np.any(np.linalg.norm(mats[hits] - np.eye(n), axis=(-2, -1))
-                      > IDENTITY_SLACK)):
-        raise CheckError("contragredient block mismatch")
-    if len(hits) != 1:
-        raise CheckError(f"contragredient matched blocks {hits}")
+def contragredient(D: DiscreteQG, i: int) -> int:
+    """The contragredient of irreducible i, read from the fusion table:
+    the trivial irreducible 0 occurs in i (x) j exactly when j is the
+    contragredient of i, and then once.  ``CheckError`` unless N[i, :, 0]
+    has one nonzero entry, a 1 at a block of i's dimension."""
+    _check_irreducibles(D, i)
+    column = D.fusion_table[i, :, 0]
+    hits = np.flatnonzero(column).tolist()
+    if (len(hits) != 1 or column[hits[0]] != 1
+            or D.irr_dims[hits[0]] != D.irr_dims[i]):
+        raise CheckError(f"no contragredient of {i} in the fusion table: "
+                         f"N[{i}, :, 0] = {column.tolist()}")
     return hits[0]

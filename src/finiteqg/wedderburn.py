@@ -13,11 +13,16 @@ group-like bases, a GNS representation for abstract algebras with a
 given tracial Gram matrix); results are pulled back to ambient
 coefficients and re-verified against the ambient product.
 
-The splitting is randomized but seeded.  The centre Z is computed once,
-as the kernel of all commutators with the span.  Seeded random
-self-adjoint central elements are drawn until one has exactly dim Z
-spectral clusters; its spectral projections are then dim Z orthogonal
-central projections, so by counting they are the minimal ones.  Each
+The splitting is randomized but seeded, and one split,
+``_spectral_split``, serves the centre and the corners: it draws a
+random self-adjoint element, redraws a degenerate one, clusters its
+spectrum under one rule and returns an isometry per cluster, refusing
+after 32 draws.  The centre Z is computed once, as the kernel of all
+commutators with the span.  Central draws are redrawn until one has
+exactly dim Z spectral clusters; its spectral projections are then dim Z
+orthogonal central projections, so by counting they are the minimal
+ones.  A factor corner's minimal projection is the top cluster of a
+draw inside it, split again until it is one-dimensional.  Each
 corner p * span * p is cut by the isometry V (p = V V^H) of eigenvectors
 that the spectral decomposition already holds.  Its dimension is the
 numerical rank of {V^H b V} u {I_t}, which has the singular values of
@@ -47,7 +52,7 @@ from .core import (Algebra, BlockAlgebra, CheckError, LinMap,
                    Tolerance, CLUSTER_GAP, CLUSTER_REFUSAL_FACTOR,
                    DEFAULT_SEED, DEGENERATE_DRAW, as_tolerance,
                    distance_to_span, nullspace, numerical_rank,
-                   orthonormal_rows)
+                   orthonormal_rows, project_onto_rows)
 
 
 class WedderburnError(CheckError):
@@ -142,11 +147,6 @@ def _cluster(values, tol: Tolerance):
     return [(c[0], c[-1]) for c in clusters]
 
 
-def _members(vals, lo, hi, spread):
-    slack = 0.5 * CLUSTER_GAP * spread
-    return (vals >= lo - slack) & (vals <= hi + slack)
-
-
 class _MatrixSpan:
     """A *-closed span of r x r matrices with its own unit.  ``basis`` is
     an orthonormal basis as one (m, r, r) array, taken on first use;
@@ -187,7 +187,7 @@ class _MatrixSpan:
         """Whether m, or every matrix of a stack of them, lies in the span
         (relative distance test)."""
         v = m.reshape(-1, self.r * self.r)
-        proj = (v @ self.basis_flat.conj().T) @ self.basis_flat
+        proj = project_onto_rows(self.basis_flat, v)
         return bool(np.all(self.tol.is_zero(
             np.linalg.norm(v - proj, axis=-1), np.linalg.norm(v, axis=-1))))
 
@@ -220,11 +220,6 @@ class _MatrixSpan:
         return nullspace(comm.transpose(1, 2, 3, 0).reshape(-1, self.dim),
                          self.tol)
 
-    def random_selfadjoint(self, rng):
-        c = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
-        m = np.tensordot(c, self.basis, axes=(0, 0))
-        return 0.5 * (m + m.conj().T)
-
     def compress(self, isometries):
         """The corners p * span * p, one new _MatrixSpan with unit
         p = V V^H for each r x t isometry V of the list.  A corner's
@@ -256,62 +251,58 @@ class _MatrixSpan:
         return corners
 
 
-def _spectral_projection_top(span: _MatrixSpan, y, tol):
-    """Isometry onto the top eigenvalue cluster of a self-adjoint y: its
-    orthonormal eigenvectors as columns."""
-    shifted = y + 2.0 * np.linalg.norm(y, 2) * span.unit
-    vals, vecs = np.linalg.eigh(shifted)
-    spread = max(1.0, float(np.abs(vals).max()))
-    clusters = _cluster(vals[np.abs(vals) > CLUSTER_GAP * spread], tol)
-    lo, hi = clusters[-1]
-    return vecs[:, _members(vals, lo, hi, spread)]
+def _spectral_split(span: _MatrixSpan, rng, tol, centre=None):
+    """Isometries onto the eigenvalue clusters of a seeded random
+    self-adjoint element y of the span, lowest cluster first: orthonormal
+    eigenvectors as columns.  y is the Hermitian part of complex-normal
+    coefficients over the span's basis or, given ``centre`` (coefficient
+    rows of the centre), over the centre, where it must have dim Z
+    clusters.  A draw with ||y|| below ``DEGENERATE_DRAW`` or too few
+    central clusters is redrawn; after 32 draws the split is refused."""
+    k = span.dim if centre is None else len(centre)
+    for _ in range(32):
+        # complex coefficients: the Hermitian part of the complex span is
+        # the full real space of self-adjoint elements
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        y = np.tensordot(c if centre is None else c @ centre, span.basis,
+                         axes=(0, 0))
+        y = 0.5 * (y + y.conj().T)
+        ny = float(np.linalg.norm(y, 2))
+        if ny < DEGENERATE_DRAW:
+            continue
+        # the shift lifts the spectrum on the unit's range to [ny, 3 ny];
+        # the eigenvalues off it stay at zero and are masked out
+        vals, vecs = np.linalg.eigh(y + 2.0 * ny * span.unit)
+        nonzero = vals > ny * 0.5
+        clusters = _cluster(vals[nonzero], tol)
+        # k orthogonal central projections in a k-dimensional centre are
+        # the minimal ones; fewer clusters means a degenerate draw
+        if centre is None or len(clusters) == k:
+            slack = 0.5 * CLUSTER_GAP * max(1.0, float(np.abs(vals).max()))
+            return [vecs[:, (vals >= lo - slack) & (vals <= hi + slack)
+                         & nonzero] for lo, hi in clusters]
+    raise WedderburnError(
+        f"32 random self-adjoint draws failed to split a {k}-dimensional "
+        + ("span" if centre is None else "center into minimal projections"))
 
 
 def _central_idempotents(span: _MatrixSpan, rng, tol):
     """The corners cut out by the minimal central idempotents."""
     zc = span.center_basis()
-    k = zc.shape[0]
-    if k <= 1:
+    if zc.shape[0] <= 1:
         return [span]
-    for _ in range(32):
-        # complex coefficients: the Hermitian part of the complex span is
-        # the full real space of self-adjoint central elements
-        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        z = np.tensordot(c @ zc, span.basis, axes=(0, 0))
-        z = 0.5 * (z + z.conj().T)
-        nz = float(np.linalg.norm(z, 2))
-        if nz < DEGENERATE_DRAW:
-            continue
-        shifted = z + 2.0 * nz * span.unit
-        vals, vecs = np.linalg.eigh(shifted)
-        spread = max(1.0, float(np.abs(vals).max()))
-        nonzero = vals > nz * 0.5
-        clusters = _cluster(vals[nonzero], tol)
-        # k orthogonal central projections in a k-dimensional centre are
-        # the minimal ones; fewer clusters means a degenerate draw
-        if len(clusters) == k:
-            break
-    else:
-        raise WedderburnError(
-            "central elements failed to split a "
-            f"{k}-dimensional center into minimal projections")
-    corners = span.compress(
-        [vecs[:, _members(vals, lo, hi, spread) & nonzero]
-         for lo, hi in clusters])
+    corners = span.compress(_spectral_split(span, rng, tol, zc))
     if not span.contains(np.stack([c.unit for c in corners])):
         raise WedderburnError("spectral projection escaped the span")
     return corners
 
 
 def _minimal_projection(corner: _MatrixSpan, rng, tol):
-    """A minimal projection inside a factor corner."""
+    """A minimal projection inside a factor corner: the top spectral
+    cluster, split again until it is one-dimensional."""
     span = corner
     while True:
-        for _ in range(16):
-            y = span.random_selfadjoint(rng)
-            if np.linalg.norm(y, 2) > DEGENERATE_DRAW:
-                break
-        compressed, = span.compress([_spectral_projection_top(span, y, tol)])
+        compressed, = span.compress(_spectral_split(span, rng, tol)[-1:])
         e = compressed.unit
         if not span.contains(e):
             raise WedderburnError("minimal projection escaped the span")

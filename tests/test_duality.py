@@ -127,6 +127,52 @@ def test_kp8_two_dim_fusion(dual_kp8):
     assert np.array_equal(tensor_mult(dual_kp8, 4, 4), [1, 1, 1, 1, 0])
 
 
+def _antipode_contragredients(D):
+    """The contragredient of every irreducible by the dual antipode, not
+    by the fusion table: pi^c = transpose . pi . S_dual is equivalent to
+    block j exactly when block i of S_dual(p_j), transposed, is the
+    identity; at every other j it is zero."""
+    B = D.dual_algebra
+    images = B.block_traces(D.dual_hopf.antipode.matrix).T  # S_dual(p_j)
+    out = []
+    for i, n in enumerate(D.irr_dims):
+        mats = B.block_matrices(images)[i].swapaxes(-1, -2)
+        hits = np.flatnonzero(np.linalg.norm(mats, axis=(-2, -1)) > 1e-8)
+        assert len(hits) == 1 and D.irr_dims[hits[0]] == n
+        assert np.linalg.norm(mats[hits[0]] - np.eye(n)) <= 1e-6
+        out.append(int(hits[0]))
+    return out
+
+
+@pytest.mark.parametrize("block, column", [
+    (2, [0, 0, 0]),   # no hit
+    (0, [1, 1, 0]),   # two hits
+    (2, [0, 1, 0]),   # a hit of another dimension
+    (0, [2, 0, 0]),   # a hit of multiplicity 2
+])
+def test_contragredient_refuses_a_doctored_fusion_table(dual_cs3, block,
+                                                        column):
+    D = replace(dual_cs3)
+    N = np.array(dual_cs3.fusion_table)
+    N[block, :, 0] = column
+    D.fusion_table = N
+    assert contragredient(dual_cs3, block) == block
+    with pytest.raises(CheckError, match="no contragredient"):
+        contragredient(D, block)
+
+
+@pytest.mark.parametrize("i", [-1, 3])
+def test_irreducible_indices_are_refused_not_wrapped(dual_cs3, i):
+    calls = [lambda: contragredient(dual_cs3, i),
+             lambda: corep_of(dual_cs3, i),
+             lambda: tensor_mult(dual_cs3, i, 0),
+             lambda: tensor_mult(dual_cs3, 0, i)]
+    for call in calls:
+        with pytest.raises(IndexError,
+                           match=rf"^irreducible index {i} is out of range"):
+            call()
+
+
 def test_contragredient_involution(dual_cs3, dual_kp8):
     for D in [dual_cs3, dual_kp8]:
         for i in range(len(D.irr_dims)):
@@ -317,6 +363,7 @@ def test_fusion_table_identities(label):
     assert np.array_equal(N @ dims, np.outer(dims, dims))
     assert np.array_equal(N[:, 0], np.eye(n, dtype=int))
     contra = [contragredient(D, s) for s in range(n)]
+    assert contra == _antipode_contragredients(D)
     assert np.array_equal(N[:, :, 0], np.eye(n, dtype=int)[contra])
     assert not N.flags.writeable
     assert np.array_equal(tensor_mult(D, n - 1, 0), N[n - 1, 0])

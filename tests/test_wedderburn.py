@@ -15,6 +15,7 @@ from finiteqg.wedderburn import (SpanNotClosedError, SpectralGapError,
                                  WedderburnData, WedderburnError,
                                  _central_idempotents,
                                  _cluster, _gns_rep, _MatrixSpan,
+                                 _minimal_projection,
                                  decompose, decompose_abstract)
 
 from conftest import loop_functions
@@ -282,6 +283,32 @@ def test_degenerate_first_draw_is_retried():
     assert np.abs(total - np.eye(A.rep_dim)).max() <= 1e-12
 
 
+class _ZeroDraws:
+    """A generator whose every draw is zero, so that every random
+    self-adjoint element is degenerate.  Records the size of every draw."""
+
+    def __init__(self):
+        self.sizes = []
+
+    def standard_normal(self, size):
+        self.sizes.append(size)
+        return np.zeros(size)
+
+
+@pytest.mark.parametrize("blocks, split", [
+    ([1, 1, 2], _central_idempotents),  # the centre's split
+    ([2], _minimal_projection),         # a factor corner's split
+])
+def test_degenerate_draws_are_refused_after_32(blocks, split):
+    A = BlockAlgebra(blocks)
+    span = _MatrixSpan(list(A.rep_tensor), np.eye(A.rep_dim), Tolerance())
+    rng = _ZeroDraws()
+    with pytest.raises(WedderburnError, match="32 random self-adjoint"):
+        split(span, rng, Tolerance())
+    # one real and one imaginary part per draw
+    assert len(rng.sizes) == 2 * 32
+
+
 def _per_block_verify_reference(wd):
     """Matrix-unit relations with three stacked calls per block."""
     A = wd.ambient
@@ -445,16 +472,17 @@ def test_perturbed_spectral_projection_escapes_the_span(kp8, monkeypatch):
     # drop one eigenvector from the first cluster with several: that one
     # projection is no longer in the span, the others are
     span = _gns_span(kp8.algebra, haar_state(kp8).gram)
-    members = wedderburn._members
+    split = wedderburn._spectral_split
     dropped = []
 
-    def drop_one(vals, lo, hi, spread):
-        sel = members(vals, lo, hi, spread)
-        if not dropped and sel.sum() > 1:
-            sel[np.flatnonzero(sel)[-1]] = False
-            dropped.append(1)
-        return sel
-    monkeypatch.setattr(wedderburn, "_members", drop_one)
+    def drop_one(*args, **kwargs):
+        isometries = split(*args, **kwargs)
+        for i, v in enumerate(isometries):
+            if not dropped and v.shape[1] > 1:
+                isometries[i] = v[:, :-1]
+                dropped.append(i)
+        return isometries
+    monkeypatch.setattr(wedderburn, "_spectral_split", drop_one)
     with pytest.raises(WedderburnError, match="escaped the span"):
         _central_idempotents(span, np.random.default_rng(3), Tolerance())
     assert dropped
