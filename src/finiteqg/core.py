@@ -49,15 +49,13 @@ delta).  ``associativity_residual`` checks a structure-constant product
 on all basis triples.
 
 Every spectral norm, here and in the other modules, comes from
-``opnorms``: for each matrix, its largest |entry| s times the square
-root of the largest eigenvalue of the Gram matrix of the matrix / s on
-its smaller side.  It takes several stacks of any shapes, and all their
-Gram matrices of one size share one ``eigvalsh`` call, so a check
-record is one spectral call; ``opnorm`` is its one-stack case.  The
-largest norm of a stack (``_largest_opnorm``) computes only the norms
-whose scale-safe Frobenius bound reaches a running lower bound, and is
-the exhaustive maximum bit for bit while each stack fits one Gram slice
-(``_DENSE_STACK_ENTRIES`` entries).  A NaN or inf coefficient gives a
+``opnorm`` of a stack: for each matrix, its largest |entry| s times the
+square root of the largest eigenvalue of the Gram matrix of the matrix
+/ s on its smaller side, taken by ``gram_norm``, the one eigenvalue
+call.  The largest norm of a stack (``_largest_opnorm``) computes only
+the norms whose scale-safe Frobenius bound reaches a running lower
+bound, and is the exhaustive maximum bit for bit while each stack fits
+one Gram slice (``_DENSE_STACK_ENTRIES`` entries).  A NaN or inf coefficient gives a
 NaN norm (inf on a 1 x 1 block), never a ``LinAlgError`` or a warning.
 SVDs are taken only where a rank is decided (``nullspace``,
 ``orthonormal_rows``, the Haar nullity, the Wedderburn corners, the
@@ -671,45 +669,27 @@ def _generic_pair_products(alg, y):
 
 def opnorm(stack):
     """Spectral norm of each matrix in a ``(..., a, b)`` stack: an array
-    of shape ``stack.shape[:-2]`` (a numpy float for a single matrix),
-    ``opnorms`` of the one stack."""
-    return opnorms([stack])[0]
+    of shape ``stack.shape[:-2]`` (a numpy float for a single matrix).  A
+    matrix's norm is ``gram_norm`` of s, its largest |entry|, and the Gram
+    matrix of the matrix / s on its smaller side (``_gram``); a NaN or inf
+    entry gives NaN and a zero matrix 0.0, with no decomposition, and an
+    empty stack an empty array.  Only a stack with a zero or non-finite
+    matrix takes a masked copy."""
+    m = np.asarray(stack)
+    s = np.abs(m).max(axis=(-2, -1), initial=0.0)
+    live = np.isfinite(s) & (s > 0)
+    if live.size and live.all():
+        return gram_norm(s, _gram(m, s))
+    out = np.where(np.isfinite(s), 0.0, np.nan)
+    if live.any():
+        out[live] = gram_norm(s[live], _gram(m[live], s[live]))
+    return out[()]
 
 
-def opnorms(stacks, grams=()):
-    """The spectral norms of each (..., a, b) stack of a list, then
-    s * sqrt(lambda_max(G)) of each pair (s, G) of ``grams`` (G None when
-    s is 0, NaN or inf: 0.0, NaN, NaN).  A matrix's norm is s times the
-    root of lambda_max(G), for s its largest |entry| and G the Gram matrix
-    of the matrix / s on its smaller side (``_gram``); a NaN or inf entry
-    gives NaN and a zero matrix 0.0, with no decomposition.  Each stack's
-    Gram matrices are formed as for that stack alone, and all of one size
-    and dtype share one ``eigvalsh`` call, so every value is that of
-    ``opnorm`` of its stack, bit for bit."""
-    items, sizes, tops, out = [], {}, {}, []
-    for m in map(np.asarray, stacks):
-        s = np.abs(m).max(axis=(-2, -1), initial=0.0)
-        live = np.isfinite(s) & (s > 0)
-        n = np.count_nonzero(live)
-        key = ... if n == live.size else live
-        items.append((s, key, _gram(m[key], s[key]) if n else None))
-    items += [(s, ..., g) for s, g in grams]
-    for g in (g for *_, g in items if g is not None):
-        sizes.setdefault((g.shape[-1], g.dtype), []).append(g)
-    for gs in sizes.values():
-        top = np.sqrt(np.linalg.eigvalsh(np.concatenate(
-            [g.reshape((-1,) + g.shape[-2:]) for g in gs]))[:, -1])
-        for g in gs:
-            k = g.size // g.shape[-1] ** 2
-            tops[id(g)], top = top[:k].reshape(g.shape[:-2]), top[k:]
-    for s, key, g in items:
-        whole = key is ... and g is not None
-        v = s * tops[id(g)] if whole else np.where(np.isfinite(s), 0.0,
-                                                   np.nan)
-        if g is not None and not whole:
-            v[key] = s[key] * tops[id(g)]
-        out.append(v if whole else v[()])
-    return out
+def gram_norm(s, gram):
+    """s * sqrt(lambda_max) of each Gram matrix of a (..., n, n) stack:
+    the one eigenvalue call of every spectral norm."""
+    return s * np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
 
 
 def _gram(m, s):
@@ -735,7 +715,7 @@ def _gram(m, s):
 def row_norms(alg, x):
     """The norm of each row of a coefficient stack (..., dim), each the
     value ``norm_coeffs`` of the row alone gives: on the block path the
-    largest over the row's blocks, all blocks in one ``opnorms`` call and
+    largest over the row's blocks, one ``opnorm`` call per block size and
     nothing pruned; else that of its dense representation, row by row."""
     x = np.asarray(x)
     rows = x.reshape(-1, x.shape[-1])
@@ -743,8 +723,8 @@ def row_norms(alg, x):
         return np.array([_max_norm(alg, r) for r in rows]).reshape(
             x.shape[:-1])
     blocks = [rows.take(g, axis=-1) for g in gathers]
-    norms = [np.abs(b[..., 0, 0]) for b in blocks if b.shape[-1] == 1]
-    norms += opnorms([b for b in blocks if b.shape[-1] > 1])
+    norms = [np.abs(b[..., 0, 0]) if b.shape[-1] == 1 else opnorm(b)
+             for b in blocks]
     return np.hstack(norms).max(axis=1).reshape(x.shape[:-1])
 
 
@@ -921,29 +901,21 @@ def coaction_residuals(module: Algebra, codomain: Algebra, matrix, delta,
     (alpha x id) alpha = (id x delta) alpha and ``counit``
     (id x eps) alpha = id.  The coproduct is the regular coaction
     (N = A, alpha = delta).  No Kronecker matrix is built."""
-    res, maps = coaction_maps(module, codomain, matrix, delta, counit)
-    return {**res, **dict(zip(maps, map(float, opnorms(maps.values()))))}
-
-
-def coaction_maps(module: Algebra, codomain: Algebra, matrix, delta,
-                  counit):
-    """The ``unital`` and ``multiplicative`` residuals of
-    ``coaction_residuals``, and the maps whose operator norms are its
-    other three."""
     am = np.asarray(matrix)
     d_n = module.dim
     # A3[i, g, k] is the coefficient of e_i x a_g in alpha(e_k):
     # (alpha x id) alpha acts on its first leg, (id x delta) alpha
     # broadcasts over i
     A3 = am.reshape(d_n, -1, d_n)
-    unital = codomain.norm_coeffs(am @ module.unit_coeffs
-                                  - codomain.unit_coeffs)
-    return ({"unital": unital, "multiplicative": multiplicative_residual(
-        module, codomain, am)}, {
-        "star": am @ module.star_matrix - codomain.star_coeffs(am.T).T,
-        "coaction": (am @ am.reshape(d_n, -1)).reshape(-1, d_n)
-        - (delta @ A3).reshape(-1, d_n),
-        "counit": counit @ A3 - np.eye(d_n)})
+    res = {"unital": codomain.norm_coeffs(am @ module.unit_coeffs
+                                          - codomain.unit_coeffs),
+           "multiplicative": multiplicative_residual(module, codomain, am)}
+    res["star"] = float(opnorm(am @ module.star_matrix
+                               - codomain.star_coeffs(am.T).T))
+    res["coaction"] = float(opnorm((am @ am.reshape(d_n, -1)).reshape(
+        -1, d_n) - (delta @ A3).reshape(-1, d_n)))
+    res["counit"] = float(opnorm(counit @ A3 - np.eye(d_n)))
+    return res
 
 
 def numerical_rank(singular_values, tol=None):

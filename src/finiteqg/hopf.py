@@ -19,7 +19,8 @@ import numpy as np
 
 from .core import (Algebra, BlockAlgebra, CheckError, Checks,
                    COUNIT_SPLIT, LinMap, as_tolerance, associativity_residual,
-                   coaction_maps, opnorms, pair_products, tensor)
+                   coaction_residuals, gram_norm, opnorm, pair_products,
+                   tensor)
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -61,8 +62,8 @@ class HopfData:
     def is_cocommutative(self, tol=None) -> bool:
         d, dm = self.dim, self.delta.matrix
         flipped = dm.reshape(d, d, d).transpose(1, 0, 2).reshape(d * d, d)
-        res, scale = map(float, opnorms([dm - flipped, dm]))
-        return as_tolerance(tol).is_zero(res, scale)
+        return as_tolerance(tol).is_zero(float(opnorm(dm - flipped)),
+                                         float(opnorm(dm)))
 
     def __repr__(self):
         return f"HopfData({self.name or self.algebra!r}, dim={self.dim})"
@@ -78,16 +79,16 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
 
     The coproduct is the regular coaction of G on itself, so its unital,
     star, multiplicative, coassociativity and right counit residuals come
-    from ``coaction_maps(A, A x A, delta, delta, eps)``, the one coaction
-    check (``coaction_residuals``); only the scales are this function's.
-    The involution, the left counit and the antipode are checked here:
-    map identities in operator norm on coefficient space, and the
-    antimultiplicativity of the involution on all basis pairs
-    (``pair_products``).  Composites with delta contract
+    from ``coaction_residuals(A, A x A, delta, delta, eps)``, the one
+    coaction check; only the scales are this function's.  The
+    involution, the left counit and the antipode are checked here: map
+    identities in operator norm on coefficient space (one ``opnorm`` of
+    their d x d stack), and the antimultiplicativity of the involution on
+    all basis pairs (``pair_products``).  Composites with delta contract
     ``DM.reshape(d, d, d)`` leg-wise instead of building ``np.kron``.
     The scale of coassociativity, the norm of the d^3 x d composite
     (delta x id) delta, comes from its d x d Gram matrix
-    (``_composite_gram``); all norms with d columns are one ``opnorms`` call.
+    (``_composite_norm``).
     An algebra that is not a ``BlockAlgebra`` (associative and unital by
     construction) adds ``associativity`` (``associativity_residual``) at
     scale ||m||^2 and ``unit``, 1 e_p = e_p = e_p 1 in operator norm, at
@@ -112,23 +113,19 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
     stars = St.T
     lhs = A.star_coeffs(pair_products(A, eye, eye))
     rhs = pair_products(A, stars, stars).swapaxes(0, 1)
-    co, maps = coaction_maps(A, H.square, DM, DM, H.counit)
+    co = coaction_residuals(A, H.square, DM, DM, H.counit)
     generic = not isinstance(A, BlockAlgebra)
     # left and right multiplication by the unit, as d x d matrices
     units = [np.tensordot(A.unit_coeffs, m, (0, 1)) - eye,
              m @ A.unit_coeffs - eye] if generic else []
     # the d x d map identities, St and S (S(x*) = S(x)*  <=>  S St =
-    # St conj(S)), the unit's, delta, the product, the coaction maps, the
-    # composite
-    square, *norms = opnorms([np.stack([
-        St @ np.conj(St) - eye, (H.counit @ first).reshape(d, d) - eye,
-        mm @ s_left - target, mm @ s_right - target, SM @ SM - eye,
-        SM @ St - St @ np.conj(SM), St, SM, *units]), DM, mm,
-        *maps.values()], [_composite_gram(DM)])
+    # St conj(S)) and the unit's
     (star_inv, counit_left, antipode_left, antipode_right, antipode_inv,
-     antipode_star, op_st, op_s, *unit) = map(float, square)
-    op_dm, op_m, *co_norms, composite = map(float, norms)
-    co.update(zip(maps, co_norms))
+     antipode_star, op_st, op_s, *unit) = map(float, opnorm(np.stack([
+         St @ np.conj(St) - eye, (H.counit @ first).reshape(d, d) - eye,
+         mm @ s_left - target, mm @ s_right - target, SM @ SM - eye,
+         SM @ St - St @ np.conj(SM), St, SM, *units])))
+    op_dm, op_m = float(opnorm(DM)), float(opnorm(mm))
     op_mm = op_m * op_dm
     res = {"star_involutive": star_inv,
            "star_antimultiplicative": A.norm_coeffs(lhs - rhs),
@@ -141,7 +138,7 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
            "antipode_star": antipode_star}
     sca = {"star_involutive": op_st ** 2, "delta_star": op_dm,
            "delta_multiplicative": op_dm ** 2,
-           "coassociativity": composite,
+           "coassociativity": _composite_norm(DM),
            "counit_left": op_dm, "counit_right": op_dm,
            "antipode_left": op_mm, "antipode_right": op_mm,
            "antipode_involutive": op_s ** 2, "antipode_star": op_s}
@@ -152,16 +149,18 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
     return Checks(res, tol, sca, HopfAxiomError)
 
 
-def _composite_gram(DM):
-    """The pair (s^2, G) of ``opnorms`` for the norm of (delta x id) delta:
-    G = DM^H (P x 1) DM, P = DM^H DM, for DM / s (s its largest |entry|,
-    as ``opnorm`` scales), so the d^3 x d composite is never formed."""
+def _composite_norm(DM) -> float:
+    """The norm of (delta x id) delta, ``gram_norm`` of s^2 and G = DM^H
+    (P x 1) DM, P = DM^H DM, for DM / s (s its largest |entry|, as
+    ``opnorm`` scales), so the d^3 x d composite is never formed: 0.0 for
+    a zero DM, NaN for a NaN or inf entry."""
     s = np.abs(DM).max(initial=0.0)
     if not (np.isfinite(s) and s > 0):
-        return s * s, None
+        return 0.0 if s == 0 else np.nan
     d, u = DM.shape[1], DM / s
     uh = u.conj().T
-    return s * s, uh @ ((uh @ u) @ u.reshape(d, d * d)).reshape(d * d, d)
+    return float(gram_norm(s * s, uh @ ((uh @ u) @ u.reshape(d, d * d))
+                           .reshape(d * d, d)))
 
 
 # ---------------------------------------------------------------------------

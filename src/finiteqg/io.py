@@ -27,8 +27,11 @@ every index is checked against its axis, every coefficient must be
 finite, and repeated indices add up in file order.  Indices, block sizes
 and ``n`` are JSON integers; a float or a boolean in their place is
 refused rather than rounded, and so is a boolean in place of a
-coefficient.  An array larger than the machine's physical memory (16
-bytes an entry) is refused before it is allocated.
+coefficient; a hopf file's ``name`` is a JSON string, or absent.  An
+array larger than the machine's physical memory (16 bytes an entry) is
+refused before it is allocated, and so is a path that cannot be read,
+such as a directory, a file that is not UTF-8 or one whose JSON value
+is not an object.
 """
 from __future__ import annotations
 
@@ -43,7 +46,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import classical
-from .core import BlockAlgebra, LinMap, as_tolerance, opnorms, tensor
+from .core import BlockAlgebra, LinMap, as_tolerance, opnorm, tensor
 from .hopf import HopfData, verify_hopf
 
 if TYPE_CHECKING:
@@ -146,14 +149,17 @@ def hopf_from_dict(data: dict, tol=None, verify: bool = True) -> HopfData:
         # copied to C order (a transposed view changes transported bits)
         delta = _sparse(data["delta"], (d, d, d), ("delta",) * 3,
                         "delta").reshape(d, d * d).T.copy()
-        A = BlockAlgebra(blocks, name=str(data.get("name", "")))
+        name = data.get("name", "")
+        if not isinstance(name, str):
+            raise SchemaError(f"name must be a string, not {name!r}")
+        A = BlockAlgebra(blocks, name=name)
         counit = _sparse(data["counit"], (d,), ("counit",), "counit")
         antipode = _sparse(data["antipode"], (d, d), ("antipode",) * 2,
                            "antipode")
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise SchemaError(f"malformed hopf data: {exc}") from exc
     H = HopfData(A, LinMap(A, tensor(A, A), delta), counit,
-                 LinMap(A, A, antipode), name=str(data.get("name", "")))
+                 LinMap(A, A, antipode), name=name)
     if verify:
         verify_hopf(H, tol).raise_for_failure(
             f"{H.name or 'hopf file'} fails axiom check(s)")
@@ -248,9 +254,16 @@ def _read_json(path) -> dict:
     if not p.exists():
         raise SchemaError(f"no such file: {p}")
     try:
-        return json.loads(p.read_text())
+        data = json.loads(p.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{p} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        # a directory, an unreadable file or bytes that are not UTF-8
+        raise SchemaError(f"cannot read {p}: {exc}") from exc
+    # every format is one object; the readers index it by key
+    if not isinstance(data, dict):
+        raise SchemaError(f"{p} holds no JSON object")
+    return data
 
 
 def hopf_equal(H1: HopfData, H2: HopfData, tol=None) -> bool:
@@ -259,7 +272,7 @@ def hopf_equal(H1: HopfData, H2: HopfData, tol=None) -> bool:
     if getattr(H1.algebra, "block_dims", None) != getattr(
             H2.algebra, "block_dims", None):
         return False
-    delta, antipode = opnorms([H1.delta.matrix - H2.delta.matrix,
-                               H1.antipode.matrix - H2.antipode.matrix])
+    delta = opnorm(H1.delta.matrix - H2.delta.matrix)
+    antipode = opnorm(H1.antipode.matrix - H2.antipode.matrix)
     return (tol.is_zero(float(delta)) and tol.is_zero(float(antipode))
             and tol.is_zero(float(np.linalg.norm(H1.counit - H2.counit))))

@@ -48,7 +48,7 @@ from . import duality, wedderburn
 from .core import (BlockAlgebra, CheckError, Checks, DEFAULT_SEED,
                    TensorAlgebra, as_tolerance, coaction_residuals,
                    nullspace, numerical_rank, distance_to_span, opnorm,
-                   opnorms, pair_products, row_norms, tensor)
+                   pair_products, row_norms, tensor)
 
 if TYPE_CHECKING:
     from .duality import DiscreteQG
@@ -272,7 +272,7 @@ class HomogeneousSpace:
         tol = as_tolerance(tol)
         rows = self.wd.central_idempotents
         blocks = self.morphism.dqg.dual_algebra.block_matrices(rows)
-        zero = tol.is_zero(np.stack(opnorms(blocks), axis=-1))
+        zero = tol.is_zero(np.stack([opnorm(b) for b in blocks], axis=-1))
         return ~(zero & np.isfinite(rows).all(axis=1, keepdims=True))
 
     def __repr__(self):
@@ -377,8 +377,8 @@ class ActionMap:
         sub = BlockAlgebra([N.block_dims[b] for b in blocks])
         rhs = self.matrix[:, cols].reshape(N.dim, d_a, sub.dim)
         sol = rhs[cols].reshape(sub.dim * d_a, sub.dim)
-        res, scale = map(float, opnorms([np.delete(rhs, cols, axis=0).reshape(
-            -1, sub.dim), rhs.reshape(-1, sub.dim)]))
+        res = float(opnorm(np.delete(rhs, cols, axis=0).reshape(-1, sub.dim)))
+        scale = float(opnorm(rhs.reshape(-1, sub.dim)))
         if not tol.is_zero(res, scale):
             raise CheckError("blocks do not carry an invariant corner "
                              f"(residual {res:.3e})")

@@ -704,11 +704,11 @@ def test_every_norm_path_gives_nan_not_linalgerror():
     assert np.isnan(core.opnorm(np.eye(B.dim) - bad))
 
 
-# -- opnorms: several stacks, one eigvalsh call per Gram size ----------------
+# -- opnorm: one Gram matrix and one eigvalsh call per stack ----------------
 
 def _opnorm_reference(stack):
-    """``opnorm`` of one stack with its own Gram slices and its own
-    ``eigvalsh`` call, as it was computed before ``opnorms``."""
+    """``opnorm`` of one stack, written out: its own Gram slices and its
+    own ``eigvalsh`` call; an empty stack has no norms."""
     m = np.asarray(stack)
     s = np.abs(m).max(axis=(-2, -1), initial=0.0)
     live = np.isfinite(s) & (s > 0)
@@ -725,7 +725,7 @@ def _opnorm_reference(stack):
             part = xh @ x if tall else x @ xh
             gram = part if gram is None else gram + part
         return np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
-    if live.all():
+    if live.size and live.all():
         return s * unit(m, s)
     out = np.where(np.isfinite(s), 0.0, np.nan)
     if live.any():
@@ -733,7 +733,7 @@ def _opnorm_reference(stack):
     return out[()]
 
 
-def _opnorms_cases():
+def _opnorm_cases():
     rng = np.random.default_rng(97)
 
     def c(*shape):
@@ -747,7 +747,7 @@ def _opnorms_cases():
     nan[0, 0], inf[3, 2] = np.nan, -np.inf
     return [np.zeros((4, 4)), nan, inf, mixed, c(4, 9), c(9, 4),
             c(3, 2, 7), c(3, 7, 2), rng.standard_normal((4, 4)), c(1, 1),
-            c(6, 4, 4)]
+            c(6, 4, 4), np.zeros((0, 3, 3))]
 
 
 def _same(got, want):
@@ -758,47 +758,39 @@ def _same(got, want):
 @pytest.mark.parametrize("entries", [None, 20])
 def test_opnorms_equal_the_per_stack_opnorm_bit_for_bit(entries,
                                                         monkeypatch):
-    # zero, NaN, inf, mixed, wide, tall and real stacks in one call; with
-    # 20 entries a Gram slice holds a few rows, so every stack takes several
+    # zero, NaN, inf, mixed, wide, tall, real and empty stacks; with 20
+    # entries a Gram slice holds a few rows, so every stack takes several
     if entries is not None:
         monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", entries)
-    cases = _opnorms_cases()
-    want = [_opnorm_reference(m) for m in cases]
-    got = core.opnorms(cases)
-    assert len(got) == len(cases)
-    for g, w, m in zip(got, want, cases):
-        assert _same(g, w), m.shape
-        assert _same(core.opnorm(m), w)
-
-
-def test_opnorms_share_one_eigvalsh_call_per_gram_size(monkeypatch):
-    cases = _opnorms_cases()
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-
-    def counted(a):
-        calls.append(a.shape[-1])
-        return eigvalsh(a)
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
-    core.opnorms(cases)
-    # Gram sizes 4 (complex and real), 2 and 1: one call each
-    assert sorted(calls) == [1, 2, 4, 4]
+    for m in _opnorm_cases():
+        assert _same(core.opnorm(m), _opnorm_reference(m)), m.shape
+    # an empty stack has no norms, where opnorm once divided by zero
+    assert core.opnorm(np.zeros((0, 3, 3))).shape == (0,)
 
 
 def test_opnorms_of_gram_pairs():
+    from finiteqg import hopf
     rng = np.random.default_rng(101)
     x = rng.standard_normal((7, 3)) + 1j * rng.standard_normal((7, 3))
     gram = x.conj().T @ x
     top = np.sqrt(np.linalg.eigvalsh(gram)[-1])
     s = np.float64(2.5)
-    got = core.opnorms([x], [(s, gram), (np.float64(0.0), None),
-                             (np.float64(np.nan), None),
-                             (np.float64(np.inf), None)])
-    assert _same(got[0], _opnorm_reference(x))
-    assert got[1] == s * top
-    assert got[2] == 0.0 and np.isnan(got[3]) and np.isnan(got[4])
-    # an empty stack has no norms, where opnorm once divided by zero
-    assert core.opnorm(np.zeros((0, 4, 4))).shape == (0,)
+    assert core.gram_norm(s, gram) == s * top
+    # the composite norm of (delta x id) delta: s^2 sqrt(lambda_max) of
+    # the Gram matrix of DM / s, a known d x d matrix
+    d = 3
+    DM = rng.standard_normal((d * d, d)) + 1j * rng.standard_normal((d * d, d))
+    s = np.abs(DM).max()
+    u = DM / s
+    uh = u.conj().T
+    gram = uh @ ((uh @ u) @ u.reshape(d, d * d)).reshape(d * d, d)
+    assert hopf._composite_norm(DM) == s * s * np.sqrt(
+        np.linalg.eigvalsh(gram)[-1])
+    assert hopf._composite_norm(0.0 * DM) == 0.0
+    for bad in (np.nan, np.inf):
+        broken = DM.copy()
+        broken[4, 1] = bad
+        assert np.isnan(hopf._composite_norm(broken))
 
 
 # -- gathered basis products: product_index against the dense table ---------

@@ -422,9 +422,13 @@ def _bool_coefficient(data):
     data["counit"][0][1] = True         # read as 1.0
 
 
+def _null_name(data):
+    data["name"] = None                 # read as the name "None"
+
+
 @pytest.mark.parametrize("edit", [_float_counit_index, _bool_delta_index,
                                   _string_blocks, _float_block,
-                                  _bool_coefficient])
+                                  _bool_coefficient, _null_name])
 def test_hopf_file_is_not_reinterpreted(edit):
     data = hopf_to_dict(function_algebra(groups.cyclic(2)))
     edit(data)
@@ -471,12 +475,36 @@ def test_cli_reinterpretable_input_exit_two(tmp_path, data_dir, capsys):
     magic["n"] = 3.0
     magic_path = tmp_path / "magic.json"
     magic_path.write_text(json.dumps(magic))
+    named = hopf_to_dict(function_algebra(groups.cyclic(2)))
+    named["name"] = None
+    named_path = tmp_path / "named.json"
+    named_path.write_text(json.dumps(named))
     assert cli.main(["verify", str(hopf_path)]) == 2
+    assert cli.main(["verify", str(named_path)]) == 2
     assert cli.main(["orbits", "s3_function_algebra.json",
                      str(sub_path)]) == 2
     assert cli.main(["classical-orbits", "z3_function_algebra.json",
                      str(magic_path)]) == 2
     assert "status" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "{dir}"], ["orbits", "s3_function_algebra.json", "{dir}"],
+    ["classical-orbits", "z3_function_algebra.json", "{dir}"],
+    ["verify", "{latin1}"],
+    ["orbits", "s3_function_algebra.json", "{null}"]],
+    ids=["hopf_directory", "subgroup_directory", "magic_directory",
+         "non_utf8_file", "subgroup_json_null"])
+def test_cli_unreadable_input_exit_two(tmp_path, capsys, argv):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"name": "caf\xe9"}')
+    null = tmp_path / "null.json"
+    null.write_text("null")
+    args = [a.format(dir=tmp_path, latin1=latin1, null=null) for a in argv]
+    assert cli.main(args) == 2
+    captured = capsys.readouterr()
+    assert "status" not in captured.out
+    assert captured.err.startswith("input error: ")
 
 
 @pytest.mark.parametrize("n", [0, -1])
