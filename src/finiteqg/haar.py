@@ -1,8 +1,8 @@
 """Haar states of finite quantum groups and the GNS inner product.
 
-The Haar state is found as the unique solution of the stacked linear
-system {left invariance, right invariance, normalization}; the least
-squares residual doubles as a health check on the input.  The Gram matrix
+The Haar state is read off the regular trace and judged by the stacked
+linear system {left invariance, right invariance, normalization}, whose
+residual doubles as a health check on the input.  The Gram matrix
 h(a* b) over the canonical basis realizes the GNS inner product and is
 required to be positive definite (the Haar state of a Hopf C*-algebra is
 faithful).  ``invariant_state_on_module`` averages a coaction with h, after
@@ -43,13 +43,15 @@ class HaarError(CheckError):
 
 
 def haar_state(H: HopfData, tol=None) -> HaarState:
-    """Solve the invariance system for the Haar state of a verified Hopf
-    datum and assemble its Gram matrix.
+    """Read the Haar state of a verified Hopf datum off the regular trace,
+    h(e_p) = sum_k m[k, p, k] / d (every finite quantum group is semisimple
+    and cosemisimple), judge it by the invariance system
 
-    (id x h) delta(x) = h(x) 1 = (h x id) delta(x),  h(1) = 1.
+    (id x h) delta(x) = h(x) 1 = (h x id) delta(x),  h(1) = 1,
 
-    The Gram matrix h(e_p* e_q) is contracted in the fixed order that
-    ``_gram`` writes out, so no einsum is planned per call.
+    and assemble its Gram matrix.  The homogeneous system must have a
+    1-dim kernel.  The Gram matrix h(e_p* e_q) is contracted in the fixed
+    order that ``_gram`` writes out, so no einsum is planned per call.
     """
     tol = as_tolerance(tol)
     A = H.algebra
@@ -73,13 +75,8 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
             f"invariance system has {nullity}-dimensional solution space; "
             "input is not a (verified) finite quantum group")
 
-    system = np.vstack([hom, one[None, :]])
-    rhs = np.zeros(2 * d * d + 1, dtype=complex)
-    rhs[-1] = 1.0
-    h, *_ = np.linalg.lstsq(system, rhs, rcond=None)
-    residual = float(np.linalg.norm(system @ h - rhs))
-    if not tol.is_zero(residual):
-        raise HaarError(f"Haar system residual {residual:.3e} exceeds tolerance")
+    h = np.einsum("kpk->p", A.mul_tensor) / d
+    residual = float(np.linalg.norm(np.append(hom @ h, one @ h - 1.0)))
 
     gram = _gram(A, h)
     herm = float(np.linalg.norm(gram - gram.conj().T))
@@ -87,12 +84,10 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
         raise HaarError("Gram matrix is not Hermitian")
     gram = 0.5 * (gram + gram.conj().T)
     min_eig = float(np.linalg.eigvalsh(gram).min())
-    if min_eig <= GRAM_MIN_EIG:
-        raise HaarError("Haar state is not faithful (Gram not positive)")
-
-    return HaarState(H, h, gram, min_eig, Checks(
-        {"haar_system_residual": residual}, tol,
-        flags={"gram_positive": min_eig > GRAM_MIN_EIG}))
+    checks = Checks({"haar_system_residual": residual}, tol, error=HaarError,
+                    flags={"gram_positive": min_eig > GRAM_MIN_EIG})
+    checks.raise_for_failure("not the Haar state")
+    return HaarState(H, h, gram, min_eig, checks)
 
 
 def _gram(A, h):

@@ -22,16 +22,17 @@ entries u_ij of a magic matrix; ``load_magic`` returns the coaction on
 l^inf(n) that they define, an ``orbits.ActionMap`` (see
 :mod:`finiteqg.classical`).
 
-One reader, ``_sparse``, turns each sparse list into a dense array:
-every index is checked against its axis, every coefficient must be
-finite, and repeated indices add up in file order.  Indices, block sizes
-and ``n`` are JSON integers; a float or a boolean in their place is
-refused rather than rounded, and so is a boolean in place of a
-coefficient; a hopf file's ``name`` is a JSON string, or absent.  An
-array larger than the machine's physical memory (16 bytes an entry) is
-refused before it is allocated, and so is a path that cannot be read,
-such as a directory, a file that is not UTF-8 or one whose JSON value
-is not an object.
+One reader, ``_sparse``, turns each sparse list into a dense array: the
+list and each magic coefficient list must be JSON lists (an object would
+iterate as its keys), every index is checked against its axis, every
+coefficient must be finite, and repeated indices add up in file order.
+Indices, block sizes and ``n`` are JSON integers; a float or a boolean
+in their place is refused rather than rounded, and so is a boolean in
+place of a coefficient; a hopf file's ``name`` is a JSON string, or
+absent.  An array larger than the machine's physical memory (16 bytes an
+entry) is refused before it is allocated, and so is a path that cannot
+be read, such as a directory, a file that is not UTF-8 or one whose JSON
+value is not an object.
 """
 from __future__ import annotations
 
@@ -99,6 +100,8 @@ def _sparse(entries, shape, axes, what: str) -> np.ndarray:
     """The dense complex array of the sparse ``entries`` [i_1, ..., i_k,
     re, im]; index i_a is checked against shape[a] and named axes[a].
     The shape is checked against physical memory first."""
+    if not isinstance(entries, list):
+        raise SchemaError(f"{what} entries must be a list")
     if math.prod(shape) * 16 > _physical_memory():
         raise SchemaError(f"{what} array of shape {shape} does not fit "
                           "into physical memory")
@@ -237,6 +240,8 @@ def magic_from_dict(data: dict, H: HopfData) -> ActionMap:
         entries = []
         for i, j, coeffs in data["u"]:
             ij = _index(i, n, "point"), _index(j, n, "point")
+            if not isinstance(coeffs, list):
+                raise SchemaError("magic coefficients must be a list")
             entries.extend([*ij, *c] for c in coeffs)
         mats = _sparse(entries, (n, n, H.dim),
                        ("point", "point", "coefficient"), "magic")

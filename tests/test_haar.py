@@ -3,11 +3,15 @@ import pytest
 
 from finiteqg import groups
 from finiteqg.classical import permutation_magic
+from finiteqg.core import Algebra, LinMap, Tolerance, tensor
+from finiteqg.duality import dualize
 from finiteqg.haar import HaarError, haar_state, invariant_state_on_module
-from finiteqg.hopf import function_algebra, group_algebra
+from finiteqg.hopf import (HopfData, function_algebra, group_algebra,
+                           kac_paljutkin)
+from finiteqg.io import load_hopf
 from finiteqg.orbits import ActionMap
 
-from conftest import random_row
+from conftest import DATA, random_row
 
 
 def test_haar_z2_uniform():
@@ -96,9 +100,75 @@ def test_invariant_state_on_restricted_conjugation_orbit(
         assert abs(complex(out @ unit) - 0.5) < 1e-10
 
 
+def _solved_haar(H):
+    """The reference: h as the least-squares solution of the stacked
+    system {left invariance, right invariance, h(1) = 1}, and its
+    residual."""
+    d = H.dim
+    D = H.delta.matrix.reshape(d, d, d)
+    one = H.algebra.unit_coeffs
+    left = D.transpose(2, 0, 1).reshape(d * d, d).copy()
+    right = D.transpose(2, 1, 0).reshape(d * d, d).copy()
+    ar = np.arange(d)
+    left.reshape(d, d, d)[ar, :, ar] -= one
+    right.reshape(d, d, d)[ar, :, ar] -= one
+    system = np.vstack([left, right, one[None, :]])
+    rhs = np.zeros(2 * d * d + 1, dtype=complex)
+    rhs[-1] = 1.0
+    h, *_ = np.linalg.lstsq(system, rhs, rcond=None)
+    return h, float(np.linalg.norm(system @ h - rhs))
+
+
+def _haar_cases():
+    # the groups of test_properties up to order 8, with C(G), C[G] and
+    # the block duals of both; Kac-Paljutkin raw, block and its dual
+    gs = [groups.cyclic(n) for n in range(2, 9)] + [
+        groups.symmetric(3), groups.quaternion(),
+        groups.direct_product(groups.cyclic(2), groups.cyclic(2)),
+        groups.direct_product(groups.cyclic(2), groups.cyclic(4)),
+        groups.direct_product(groups.direct_product(
+            groups.cyclic(2), groups.cyclic(2)), groups.cyclic(2))]
+    for G in gs:
+        for H in (function_algebra(G), group_algebra(G)):
+            yield H
+            yield dualize(H).dual_hopf
+    yield kac_paljutkin()
+    kp8 = load_hopf(DATA / "kp8.json")
+    yield kp8
+    yield dualize(kp8).dual_hopf
+
+
+def test_trace_haar_state_equals_the_solved_one():
+    for H in _haar_cases():
+        h = haar_state(H)
+        ref, residual = _solved_haar(H)
+        assert np.abs(h.vector - ref).max() <= 1e-12, H.name
+        assert Tolerance().is_zero(residual), H.name
+        assert h.checks.passed, H.name
+
+
+def test_haar_judges_the_product(s3, hopf_gs3):
+    # C[S3] with m[k, p, k] += 0.3 for k, p != e is no longer a group
+    # algebra, but delta is untouched: _solved_haar reads only delta, the
+    # unit and h(1) = 1 and passes delta_e at residual 0.0, while the
+    # trace state reads the product and fails the invariance system
+    A = hopf_gs3.algebra
+    others = [g for g in range(s3.order) if g != s3.identity]
+    m = A.mul_tensor.copy()
+    for k in others:
+        m[k, others, k] += 0.3
+    B = Algebra(m, A.unit_coeffs, A.star_matrix, name="broken")
+    bad = HopfData(B, LinMap(B, tensor(B, B), hopf_gs3.delta.matrix),
+                   hopf_gs3.counit, LinMap(B, B, hopf_gs3.antipode.matrix),
+                   name="broken")
+    ref, residual = _solved_haar(bad)
+    assert residual == 0.0
+    assert np.allclose(ref, np.eye(s3.order)[s3.identity])
+    with pytest.raises(HaarError, match="haar_system_residual="):
+        haar_state(bad)
+
+
 def test_haar_rejects_broken_input(hopf_cs3):
-    from finiteqg.core import LinMap, tensor
-    from finiteqg.hopf import HopfData
     A = hopf_cs3.algebra
     bad_delta = hopf_cs3.delta.matrix.copy()
     bad_delta[0, 0] += 0.3

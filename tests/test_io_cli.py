@@ -400,6 +400,23 @@ def test_cli_huge_subgroup_matrix_is_a_failed_morphism(tmp_path, data_dir,
     assert all(c["passed"] for c in checks[:-1])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("key, entry", [
+    ("antipode", [0, 0, 1e160, 0]), ("delta", [0, 0, 0, 1e308, 1e308]),
+    ("counit", [0, 1e308, 1e308])], ids=["antipode", "delta", "counit"])
+def test_cli_huge_hopf_entry_is_a_failed_axiom_check(tmp_path, data_dir,
+                                                     capsys, key, entry):
+    # squared as Python floats the first two scales would raise
+    # OverflowError; the third overflows in a norm
+    data = json.loads((data_dir / "s3_function_algebra.json").read_text())
+    data[key].append(entry)
+    p = tmp_path / "huge.json"
+    p.write_text(json.dumps(data))
+    for command in ("verify", "haar"):
+        assert cli.main([command, str(p)]) == 1
+        assert "status: CHECKS FAILED" in capsys.readouterr().out
+
+
 # each edit makes a file that int() or complex() would silently reinterpret
 def _float_counit_index(data):
     data["counit"][0][0] = 0.7          # read as index 0
@@ -426,9 +443,25 @@ def _null_name(data):
     data["name"] = None                 # read as the name "None"
 
 
+def _object_delta(data):
+    data["delta"] = {}                  # read as no entries
+
+
+def _object_counit(data):
+    data["counit"] = {}                 # read as no entries
+
+
+def _object_antipode(data):
+    data["antipode"] = {}               # read as no entries
+
+
+OBJECT_ENTRIES = [_object_delta, _object_counit, _object_antipode]
+
+
 @pytest.mark.parametrize("edit", [_float_counit_index, _bool_delta_index,
                                   _string_blocks, _float_block,
-                                  _bool_coefficient, _null_name])
+                                  _bool_coefficient, _null_name,
+                                  *OBJECT_ENTRIES])
 def test_hopf_file_is_not_reinterpreted(edit):
     data = hopf_to_dict(function_algebra(groups.cyclic(2)))
     edit(data)
@@ -449,13 +482,15 @@ def test_subgroup_file_is_not_reinterpreted(tmp_path, data):
 
 
 @pytest.mark.parametrize("edit", ["float_point", "bool_coefficient_index",
-                                  "float_count"])
+                                  "object_coefficients", "float_count"])
 def test_magic_file_is_not_reinterpreted(data_dir, edit):
     data = json.loads((data_dir / "z3_cycle.json").read_text())
     if edit == "float_point":
         data["u"][0][1] = 0.0
     elif edit == "bool_coefficient_index":
         data["u"][1][2][0][0] = True
+    elif edit == "object_coefficients":
+        data["u"][0][2] = {}            # read as no terms
     else:
         data["n"] = 3.0
     with pytest.raises(SchemaError):
@@ -481,10 +516,22 @@ def test_cli_reinterpretable_input_exit_two(tmp_path, data_dir, capsys):
     named_path.write_text(json.dumps(named))
     assert cli.main(["verify", str(hopf_path)]) == 2
     assert cli.main(["verify", str(named_path)]) == 2
+    for edit in OBJECT_ENTRIES:
+        data = hopf_to_dict(function_algebra(groups.cyclic(2)))
+        edit(data)
+        path = tmp_path / f"{edit.__name__}.json"
+        path.write_text(json.dumps(data))
+        assert cli.main(["verify", str(path)]) == 2
     assert cli.main(["orbits", "s3_function_algebra.json",
                      str(sub_path)]) == 2
     assert cli.main(["classical-orbits", "z3_function_algebra.json",
                      str(magic_path)]) == 2
+    terms = json.loads((data_dir / "z3_cycle.json").read_text())
+    terms["u"][0][2] = {}
+    terms_path = tmp_path / "terms.json"
+    terms_path.write_text(json.dumps(terms))
+    assert cli.main(["classical-orbits", "z3_function_algebra.json",
+                     str(terms_path)]) == 2
     assert "status" not in capsys.readouterr().out
 
 

@@ -9,7 +9,8 @@ from finiteqg.core import (BlockAlgebra, CheckError, LinMap, Tolerance,
                            opnorm, tensor)
 from finiteqg.core import distance_to_span, nullspace, orthonormal_rows
 from finiteqg.duality import dualize, mult_unitary
-from finiteqg.hopf import function_algebra, group_algebra, kac_paljutkin
+from finiteqg.hopf import (function_algebra, group_algebra, kac_paljutkin,
+                           verify_hopf)
 from finiteqg.orbits import (ActionMap, MorphismError, _relation_classes,
                              central_supports, ergodicity, full_subgroup,
                              homogeneous_action, homogeneous_space,
@@ -517,6 +518,24 @@ def test_huge_action_fails_as_a_coaction_without_overflow(kp8_block):
     alpha = ActionMap(kp8_block, N, 1e160 * kp8_block.delta.matrix)
     with pytest.raises(CheckError, match="^not a coaction: unital="):
         alpha.verify()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_huge_hopf_entry_fails_its_axiom_check_without_overflow(hopf_cs3):
+    # the scales ||S||^2 and ||delta||^2 overflow to inf; squared as
+    # Python floats they would raise OverflowError
+    A = hopf_cs3.algebra
+    S, DM = hopf_cs3.antipode.matrix.copy(), hopf_cs3.delta.matrix.copy()
+    S[0, 0] += 1e160
+    DM[0, 0] += 1e308 + 1e308j
+    for bad, check in [
+            (replace(hopf_cs3, antipode=LinMap(A, A, S)),
+             "antipode_involutive"),
+            (replace(hopf_cs3, delta=LinMap(A, hopf_cs3.square, DM)),
+             "delta_multiplicative")]:
+        checks = verify_hopf(bad)
+        assert not np.isfinite(checks.scales[check])
+        assert check in checks.failures()
 
 
 def test_huge_surjection_fails_as_a_morphism_without_overflow(hopf_cs3, s3):
