@@ -23,17 +23,22 @@ An element is a coefficient row over the algebra's basis.  The kernels
 ``mul_coeffs``, ``star_coeffs``, ``rep_coeffs`` and ``norm_coeffs`` are
 defined once, on ``Algebra``, and take rows and stacks of rows
 (..., dim) that broadcast; ``norm_coeffs`` of a stack is the largest norm
-over its rows and ``row_norms`` gives each row's.  Operator norms are
-exact C*-norms of a faithful representation.  When every leg is a block
-algebra, the coefficients are cut into (Kronecker) blocks through index
-stacks (``_block_stacks``: ``_block_gathers``, one per block size N,
-built once per block shape), and products, adjoints and norms are
-blockwise (elementwise and max |x| when N = 1), so no large matrix is
-built.  Otherwise the product contracts one leg's structure constants at
-a time, the adjoint applies one leg's star matrix at a time, and norms
-are taken in the legs' joint dense representation; a one-leg algebra
-takes the left regular representation, its star matrix and its
-representation tensor directly.  Two algebras are equal when they have
+over its rows and ``row_norms`` gives each row's.  Every kernel has two
+paths.  When every leg is a block algebra, the coefficients are cut into
+(Kronecker) blocks through index stacks (``_block_stacks``:
+``_block_gathers``, one per block size N, built once per block shape),
+and products, adjoints and norms are blockwise (elementwise and max |x|
+when N = 1), so no large matrix is built; the norm is then the C*-norm.
+Otherwise, a plain algebra being a tensor product of one leg, the
+product contracts one leg's structure constants at a time, the adjoint
+applies one leg's star matrix at a time, and the norm is the operator
+norm in the legs' joint dense representation, the Kronecker product of
+each leg's ``rep_tensor``.  On a generic leg that is the left regular
+representation in the leg's own basis: a faithful submultiplicative
+norm, the C*-norm only when the basis is orthonormal for a trace (group
+algebras in the group-element basis); on a sample of elements of the raw
+duals of kp8.json, s3_group_algebra.json and q8_group_algebra.json it is
+up to 1.41 times the C*-norm.  Two algebras are equal when they have
 the same legs, so a plain or block algebra equals only itself.
 
 All pairs of two stacks (``pair_products``) take every pair of a block
@@ -42,20 +47,22 @@ from a block algebra into a block codomain (``multiplicative_residual``)
 gathers the images of the basis into the codomain's blocks once, takes
 f(e_p e_q) as a gather of them through the domain's table of basis
 products (``product_index``: e_p e_q is one basis element or 0) and
-hands the residual blocks to the norm fold of ``_max_norm``.  One
-function (``coaction_residuals``) checks every coaction alpha: N -> N x
-A, the coproduct included as the regular coaction (N = A, alpha =
-delta).  ``associativity_residual`` checks a structure-constant product
-on all basis triples.
+hands the residual blocks to ``_largest_opnorm``, as ``_max_norm`` hands
+its blocks.  One function (``coaction_residuals``) checks every coaction
+alpha: N -> N x A, the coproduct included as the regular coaction (N =
+A, alpha = delta).  ``associativity_residual`` checks a
+structure-constant product on all basis triples.
 
 Every spectral norm, here and in the other modules, comes from
 ``opnorm`` of a stack: for each matrix, its largest |entry| s times the
 square root of the largest eigenvalue of the Gram matrix of the matrix
 / s on its smaller side, taken by ``gram_norm``, the one eigenvalue
-call.  The largest norm of a stack (``_largest_opnorm``) computes only
-the norms whose scale-safe Frobenius bound reaches a running lower
-bound, and is the exhaustive maximum bit for bit while each stack fits
-one Gram slice (``_DENSE_STACK_ENTRIES`` entries).  A NaN or inf coefficient gives a
+call.  The largest norm over stacks of matrices (``_largest_opnorm``,
+the one norm fold of both paths) takes a 1 x 1 stack's norms as max |x|
+and, of the other stacks, computes only the norms whose scale-safe
+Frobenius bound reaches a running lower bound; it is the exhaustive
+maximum bit for bit while each stack fits one Gram slice
+(``_DENSE_STACK_ENTRIES`` entries).  A NaN or inf coefficient gives a
 NaN norm (inf on a 1 x 1 block), never a ``LinAlgError`` or a warning.
 SVDs are taken only where a rank is decided (``nullspace``,
 ``orthonormal_rows``, the Haar nullity, the Wedderburn corners, the
@@ -224,11 +231,9 @@ class Algebra:
         return tuple(f.dim for f in self.factors)
 
     # -- representation used for operator norms ---------------------------
-    @cached_property
+    @property
     def rep_dim(self) -> int:
-        if len(self.factors) == 1:
-            return self.dim
-        return int(np.prod([f.rep_dim for f in self.factors]))
+        return self.dim
 
     @cached_property
     def rep_tensor(self):
@@ -255,21 +260,18 @@ class Algebra:
     def mul_coeffs(self, x, y):
         if gathers := self._block_stacks():
             return _blockwise_mul(x, y, gathers)
-        if len(self.factors) == 1:
-            # x y = lambda(x) y in the left regular representation
-            return (self.rep_coeffs(x) @ np.asarray(y)[..., None])[..., 0]
-        x, y = np.broadcast_arrays(np.asarray(x), np.asarray(y))
-        lead, dims, m = x.shape[:-1], self.factor_dims, len(self.factors)
+        x, y, dims = np.asarray(x), np.asarray(y), self.factor_dims
+        d0, rest, m = dims[0], self.dim // dims[0], len(dims)
         # leg by leg with a leading batch axis b, so x (x) y is never
-        # formed: after leg l the axes of z are (b, p_{l+1}, ..., r_0, ...,
-        # r_l, q_{l+1}, ...), and leg l+1 contracts p_{l+1}, q_{l+1}
-        # against its factor's m[r, p, q]
-        xs = x.reshape(-1, dims[0], self.dim // dims[0])
-        ys = y.reshape(xs.shape)
-        n, rest = xs.shape[0], xs.shape[2]
-        z = np.tensordot(xs, self.factors[0].mul_tensor, ([1], [1]))
-        z = np.matmul(z.reshape(n, rest * dims[0], dims[0]), ys)
-        z = z.reshape((n,) + dims[1:] + (dims[0],) + dims[1:])
+        # formed: leg 0 meets x before x and y broadcast; after leg l the
+        # axes of z are (b, p_{l+1}, ..., r_0, ..., r_l, q_{l+1}, ...), and
+        # leg l+1 contracts p_{l+1}, q_{l+1} against its factor's m[r, p, q]
+        z = np.tensordot(x.reshape(x.shape[:-1] + (d0, rest)),
+                         self.factors[0].mul_tensor, ([-2], [1]))
+        z = np.matmul(z.reshape(z.shape[:-3] + (rest * d0, d0)),
+                      y.reshape(y.shape[:-1] + (d0, rest)))
+        lead = z.shape[:-2]
+        z = z.reshape((-1,) + dims[1:] + (d0,) + dims[1:])
         for f in self.factors[1:]:
             z = np.tensordot(z, f.mul_tensor, ([1, m + 1], [1, 2]))
             z = np.moveaxis(z, -1, m)
@@ -283,8 +285,6 @@ class Algebra:
             for g in gathers:
                 out[..., g] = np.conj(x.take(g.swapaxes(-1, -2), axis=-1))
             return out
-        if len(self.factors) == 1:
-            return np.conj(x) @ self.star_matrix.T
         # one leg's star matrix per leg, after a batch axis: leg l of
         # conj(x) is contracted with leg l's star matrix
         z = np.conj(x).reshape((-1,) + self.factor_dims)
@@ -296,9 +296,6 @@ class Algebra:
     def rep_coeffs(self, x):
         x = np.asarray(x)
         r, m = self.rep_dim, len(self.factors)
-        if m == 1:
-            return (x @ self.rep_tensor.reshape(self.dim, r * r)).reshape(
-                x.shape[:-1] + (r, r))
         # leg by leg after a batch axis; the axes end as
         # (b, a_0, b_0, ..., a_{m-1}, b_{m-1})
         z = x.reshape((-1,) + self.factor_dims)
@@ -507,6 +504,10 @@ class TensorAlgebra(Algebra):
     @cached_property
     def unit_coeffs(self):
         return self.kron_coeffs(*(f.unit_coeffs for f in self.factors))
+
+    @cached_property
+    def rep_dim(self) -> int:
+        return int(np.prod([f.rep_dim for f in self.factors]))
 
     @property
     def block_dims(self):
@@ -742,7 +743,8 @@ def _max_norm(alg, x) -> float:
         return 0.0
     gathers = alg._block_stacks()
     if gathers:
-        return _largest_block_norm([rows.take(g, axis=-1) for g in gathers])
+        return float(_largest_opnorm([rows.take(g, axis=-1) for g in gathers],
+                                     -np.inf))
     # a representation of an inf coefficient would meet 0 * inf
     if not np.isfinite(rows).all():
         return np.nan
@@ -753,16 +755,6 @@ def _max_norm(alg, x) -> float:
     return float(best)
 
 
-def _largest_block_norm(blocks) -> float:
-    """Largest spectral norm over stacks of (..., N, N) blocks, one stack
-    per block size: max |x| over the 1 x 1 stacks, then
-    ``_largest_opnorm`` over the others."""
-    best = np.max([np.abs(b).max() for b in blocks if b.shape[-1] == 1],
-                  initial=-np.inf)
-    return float(_largest_opnorm([b for b in blocks if b.shape[-1] > 1],
-                                 best))
-
-
 # relative slack of the pruning test in _largest_opnorm: a Frobenius bound
 # and an opnorm of equal exact value may round a few ulps apart
 _PRUNE_GUARD = 1e-12
@@ -770,20 +762,26 @@ _PRUNE_GUARD = 1e-12
 
 def _largest_opnorm(stacks, best):
     """max(best, largest ``opnorm`` over the matrices of the (..., a, b)
-    stacks), computing only the norms that can reach it: a matrix M with
+    stacks), computing only the norms that can reach it.  The norm of a
+    1 x 1 matrix is its |entry|, so those stacks give max |x| first (a
+    NaN kept, an inf kept as inf).  Of the others, a matrix M with
     largest |entry| s has s <= ||M|| <= ||M||_F and ||M||_F / sqrt(n) <=
     ||M|| (n its smaller side), so one ``opnorm`` call per stack takes
     the matrices whose Frobenius norm reaches the largest lower bound so
     far (less ``_PRUNE_GUARD``), and each computed norm raises it for the
-    next.  The result is ``best`` or a computed ``opnorm``; a NaN
-    ``best`` or a non-finite entry gives NaN.  Only the matrices above
-    the bound are kept between the passes."""
+    next.  The result is ``best``, a max |x| or a computed ``opnorm``; a
+    NaN ``best`` or a non-finite entry of a larger matrix gives NaN.
+    Only the matrices above the bound are kept between the passes."""
+    stacks = [m.reshape((-1,) + m.shape[-2:]) for m in stacks]
+    best = np.max([best] + [np.abs(m).max() for m in stacks
+                            if m.shape[-2:] == (1, 1)])
     if np.isnan(best):
         return np.nan
     cands = []
     lower = best
     for m in stacks:
-        m = m.reshape((-1,) + m.shape[-2:])
+        if m.shape[-2:] == (1, 1):
+            continue
         bounds = _entry_and_frobenius(m)
         if bounds is None:
             return np.nan
@@ -850,10 +848,11 @@ def multiplicative_residual(domain: Algebra, codomain: Algebra,
     norm is NaN, one block of rows p at a time (``_pair_rows``).  A block
     algebra into a block codomain gathers each f(e_p) into the codomain's
     blocks once, takes f(e_p e_q) as a gather of those through
-    ``product_index`` and hands the residual blocks to the norm fold of
-    ``_max_norm``; other algebras take the products from
-    ``pair_products`` and one norm call per block of rows.  A NaN or inf
-    in the matrix gives NaN before any product, without a warning."""
+    ``product_index`` and hands the residual blocks to
+    ``_largest_opnorm``, the norm fold of ``_max_norm``; other algebras
+    take the products from ``pair_products`` and one norm call per block
+    of rows.  A NaN or inf in the matrix gives NaN before any product,
+    without a warning."""
     cols = np.asarray(matrix).T
     if not np.isfinite(cols).all():
         return np.nan
@@ -870,10 +869,10 @@ def multiplicative_residual(domain: Algebra, codomain: Algebra,
     blocks = [(z, z[:-1]) for z in (padded.take(g, axis=-1) for g in gathers)]
     index = domain.product_index
     for rows in _pair_rows(codomain, len(cols), len(cols)):
-        worst.append(_largest_block_norm([
+        worst.append(_largest_opnorm([
             z[index[rows]] - (b[rows, None] * b if b.shape[-1] == 1
                               else b[rows, None] @ b)
-            for z, b in blocks]))
+            for z, b in blocks], -np.inf))
     return float(np.max(worst))
 
 

@@ -197,9 +197,13 @@ def mult_unitary(D: DiscreteQG, tol=None) -> Checks:
 
 
 def _check_irreducibles(D: DiscreteQG, *indices) -> None:
-    """``IndexError`` unless every index names an irreducible of D, a
-    block in range(len(D.irr_dims)); a negative index is not wrapped."""
+    """``TypeError`` unless every index is an integer (a Python or numpy
+    integer, not a bool, which numpy would read as a mask), then
+    ``IndexError`` unless it names an irreducible of D, a block in
+    range(len(D.irr_dims)); a negative index is not wrapped."""
     for i in indices:
+        if isinstance(i, bool) or not isinstance(i, (int, np.integer)):
+            raise TypeError(f"irreducible index {i!r} is not an integer")
         if i not in range(len(D.irr_dims)):
             raise IndexError(f"irreducible index {i} is out of range: the "
                              f"dual has {len(D.irr_dims)} irreducibles")

@@ -49,7 +49,8 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
 
     (id x h) delta(x) = h(x) 1 = (h x id) delta(x),  h(1) = 1,
 
-    and assemble its Gram matrix.  The homogeneous system must have a
+    and assemble its Gram matrix.  A NaN or inf in the coproduct, unit,
+    product or star is refused first; the homogeneous system must have a
     1-dim kernel.  The Gram matrix h(e_p* e_q) is contracted in the fixed
     order that ``_gram`` writes out, so no einsum is planned per call.
     """
@@ -58,6 +59,12 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
     d = A.dim
     D = H.delta.matrix.reshape(d, d, d)  # D[p, q, k]: pair (p,q) of delta(e_k)
     one = A.unit_coeffs
+    parts = {"coproduct": D, "unit": one, "product": A.mul_tensor,
+             "star": A.star_matrix}
+    bad = [name for name, part in parts.items() if not np.isfinite(part).all()]
+    if bad:
+        raise HaarError(f"non-finite {', '.join(bad)}: input is not a "
+                        "(verified) finite quantum group")
 
     # rows indexed by (k, p): sum_q D[p, q, k] h_q - 1_p h_k = 0
     left = D.transpose(2, 0, 1).reshape(d * d, d).copy()

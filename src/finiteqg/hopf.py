@@ -214,7 +214,10 @@ def dual_hopf_raw(H: HopfData) -> HopfData:
     DM = H.delta.matrix.reshape(n, n, n)          # [p, q, k]
     mul_dual = DM.transpose(2, 0, 1).copy()       # f_p f_q = sum_k D[p,q,k] f_k
     unit_dual = H.counit.copy()
-    star_dual = (np.conj(A.star_matrix) @ H.antipode.matrix).T
+    # an unverified NaN or inf antipode gives a non-finite star, which
+    # haar_state refuses, not a warning here
+    with np.errstate(invalid="ignore", over="ignore"):
+        star_dual = (np.conj(A.star_matrix) @ H.antipode.matrix).T
     Ad = Algebra(mul_dual, unit_dual, star_dual,
                  name=f"dual({H.name})" if H.name else "dual")
     delta_dual = A.mul_tensor.transpose(1, 2, 0).reshape(n * n, n).copy()

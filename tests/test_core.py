@@ -9,10 +9,13 @@ from finiteqg.core import (BlockAlgebra, CheckError, Checks, Tolerance,
                            nullspace, numerical_rank, orthonormal_rows,
                            tensor)
 from finiteqg.duality import block_presentation, dualize
-from finiteqg.hopf import function_algebra, group_algebra, kac_paljutkin
+from finiteqg.hopf import (dual_hopf_raw, function_algebra, group_algebra,
+                           kac_paljutkin)
+from finiteqg.io import load_hopf
 from finiteqg import groups
 
-from conftest import basis_row, kron_star_matrix, random_row
+from conftest import DATA, basis_row, kron_star_matrix, random_row
+from test_properties import FACTORS, _factor
 
 
 def test_matrix_unit_calculus():
@@ -833,10 +836,10 @@ def _dense_table_residual(domain, codomain, matrix):
     worst = [0.0]
     for rows in core._pair_rows(codomain, len(cols), len(cols)):
         table = domain.mul_coeffs(eye[rows, None], eye)
-        worst.append(core._largest_block_norm([
+        worst.append(core._largest_opnorm([
             np.tensordot(table, b, 1)
             - (b[rows, None] * b if b.shape[-1] == 1 else b[rows, None] @ b)
-            for b in blocks]))
+            for b in blocks], -np.inf))
     return float(np.max(worst))
 
 
@@ -1037,6 +1040,115 @@ def test_pruning_skips_blocks_that_cannot_hold_the_maximum(monkeypatch):
     # one call for the 3 x 3 blocks, on the dominant block alone; the
     # 2 x 2 blocks are all below its largest entry and take no call
     assert seen == [1]
+
+
+# -- a plain algebra is a one-leg tensor product ------------------------------
+# The kernels once had a branch for one leg; its expressions and the former
+# norm fold of block stacks are kept here as references for the leg-wise
+# kernels and for _largest_opnorm.
+
+def _one_leg_rep(alg, x):
+    r = alg.rep_dim
+    return (x @ alg.rep_tensor.reshape(alg.dim, r * r)).reshape(
+        x.shape[:-1] + (r, r))
+
+
+def _one_leg_mul(alg, x, y):
+    return (_one_leg_rep(alg, x) @ np.asarray(y)[..., None])[..., 0]
+
+
+def _one_leg_star(alg, x):
+    return np.conj(x) @ alg.star_matrix.T
+
+
+def _largest_block_norm(blocks):
+    best = np.max([np.abs(b).max() for b in blocks if b.shape[-1] == 1],
+                  initial=-np.inf)
+    return float(core._largest_opnorm([b for b in blocks if b.shape[-1] > 1],
+                                      best))
+
+
+def _plain_algebras():
+    """Raw C[G] for the factor groups of the property tests up to order
+    8, Kac-Paljutkin in its monomial basis and the raw duals of the
+    shipped Hopf files, all of them block algebras."""
+    algs = {f"C[{name}]": group_algebra(_factor(name)).algebra
+            for name, n in FACTORS if n <= 8}
+    algs["kp8"] = kac_paljutkin().algebra
+    for path in sorted(DATA.glob("*_algebra.json")) + [DATA / "kp8.json"]:
+        algs[f"raw dual {path.stem}"] = dual_hopf_raw(load_hopf(path)).algebra
+    return algs
+
+
+PLAIN_ALGEBRAS = _plain_algebras()
+
+
+def _one_leg_cases(alg, rng):
+    """(x, y, exact) for a row, a stack of rows with a zero, a NaN and an
+    inf row, a row against that stack, and the broadcast stacks of
+    WedderburnData.verify, U[:, :, :, None, None] against U[:, None, None]
+    for a (blocks, n, n, dim) stack U.  ``exact`` names the kernels whose
+    leg-wise code makes the same BLAS calls as the one-leg expression."""
+    rows = _random_rows(alg, rng, 6) / 3.0
+    rows[1] = 0.0
+    rows[3, 0] = np.nan
+    rows[4, -1] = np.inf
+    u = _random_rows(alg, rng, 8).reshape(2, 2, 2, alg.dim) / 3.0
+    return [(rows[0], rows[5], {"mul", "star", "rep"}),
+            (rows, rows[::-1], {"mul", "rep"}),
+            (rows[2], rows, {"mul", "star", "rep"}),
+            (u[:, :, :, None, None], u[:, None, None], set())]
+
+
+@pytest.mark.parametrize("kind", sorted(PLAIN_ALGEBRAS))
+def test_leg_wise_kernels_equal_the_one_leg_expressions(kind):
+    """Bit for bit where both sides make the same BLAS calls.  Elsewhere
+    they round apart by an ulp or two: the leg-wise star multiplies by
+    the star matrix from the left, a transposed product, and the one-leg
+    expressions take the rows of a stack of shape (..., 1, dim) one
+    matrix-vector product at a time, where the leg-wise code takes one
+    matrix product."""
+    alg = PLAIN_ALGEBRAS[kind]
+    assert type(alg) is core.Algebra and alg.factors == (alg,)
+    assert alg.rep_dim == alg.dim
+    for x, y, exact in _one_leg_cases(alg, np.random.default_rng(53)):
+        # the non-finite rows meet 0 * inf and inf - inf on both sides
+        with np.errstate(invalid="ignore", over="ignore"):
+            pairs = {"mul": (alg.mul_coeffs(x, y), _one_leg_mul(alg, x, y)),
+                     "star": (alg.star_coeffs(x), _one_leg_star(alg, x)),
+                     "rep": (alg.rep_coeffs(x), _one_leg_rep(alg, x))}
+        for name, (got, want) in pairs.items():
+            assert got.shape == want.shape
+            if name in exact:
+                assert got.tobytes() == want.tobytes(), name
+                continue
+            finite = np.isfinite(want)
+            assert np.array_equal(np.isfinite(got), finite), name
+            scale = np.abs(np.where(finite, want, 0.0)).max()
+            assert np.abs(got[finite] - want[finite]).max(initial=0.0) \
+                <= 4 * np.finfo(float).eps * scale, name
+
+
+@pytest.mark.parametrize("kind", sorted(
+    k for k, make in PRUNE_ALGEBRAS.items() if make()._block_stacks()))
+def test_norm_fold_equals_the_block_norm_reference(kind):
+    alg = PRUNE_ALGEBRAS[kind]()
+    gathers = alg._block_stacks()
+    rng = np.random.default_rng(59)
+    x = _random_rows(alg, rng, 5)
+    x[1] = 0.0
+    cases = [x, x[:1], x[1:2]]
+    for bad in (np.nan, np.inf):
+        for at in (0, alg.dim - 1):
+            y = x.copy()
+            y[3, at] = bad
+            cases.append(y)
+    for rows in cases:
+        blocks = [rows.take(g, axis=-1) for g in gathers]
+        with np.errstate(all="raise"):
+            got = core._largest_opnorm(blocks, -np.inf)
+        want = _largest_block_norm(blocks)
+        assert got == want or (np.isnan(got) and np.isnan(want)), (got, want)
 
 
 # -- the check record and the rank rule ---------------------------------------

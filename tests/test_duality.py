@@ -173,6 +173,31 @@ def test_irreducible_indices_are_refused_not_wrapped(dual_cs3, i):
             call()
 
 
+@pytest.mark.parametrize("i", [True, False, np.True_, 1.0, np.float64(0),
+                               "1", None])
+def test_irreducible_indices_must_be_integers(dual_kp8, i):
+    # numpy would read a bool as a mask, and a float index fails in list
+    # indexing with a bare TypeError
+    calls = [lambda: contragredient(dual_kp8, i),
+             lambda: corep_of(dual_kp8, i),
+             lambda: tensor_mult(dual_kp8, i, 0),
+             lambda: tensor_mult(dual_kp8, 0, i)]
+    for call in calls:
+        with pytest.raises(TypeError,
+                           match=r"^irreducible index .* is not an integer"):
+            call()
+
+
+def test_numpy_integer_indices_are_accepted(dual_kp8):
+    n = len(dual_kp8.irr_dims)
+    for i in (np.int64(n - 1), np.int32(n - 1), np.uint8(n - 1)):
+        assert np.array_equal(tensor_mult(dual_kp8, i, np.int8(0)),
+                              tensor_mult(dual_kp8, n - 1, 0))
+        assert contragredient(dual_kp8, i) == contragredient(dual_kp8, n - 1)
+        assert corep_of(dual_kp8, i).shape == corep_of(dual_kp8,
+                                                       n - 1).shape
+
+
 def test_contragredient_involution(dual_cs3, dual_kp8):
     for D in [dual_cs3, dual_kp8]:
         for i in range(len(D.irr_dims)):

@@ -1,7 +1,9 @@
+import warnings
+
 import numpy as np
 import pytest
 
-from finiteqg import groups
+from finiteqg import groups, hopf
 from finiteqg.classical import permutation_magic
 from finiteqg.core import Algebra, LinMap, Tolerance, tensor
 from finiteqg.duality import dualize
@@ -176,6 +178,26 @@ def test_haar_rejects_broken_input(hopf_cs3):
                    hopf_cs3.antipode, name="broken")
     with pytest.raises(HaarError):
         haar_state(bad)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("part", ["delta", "antipode", "counit"])
+def test_non_finite_unverified_data_is_refused_by_name(part, bad, capfd):
+    # C(S3) with one non-finite entry, never run through verify_hopf: the
+    # raw dual takes its product from delta, its star from the antipode
+    # and its unit from the counit
+    H = hopf._function_hopf(groups.symmetric(3))
+    if part == "counit":
+        H.counit[0] = bad
+    else:
+        getattr(H, part).matrix[0, 0] = bad
+    calls = [dualize] + ([haar_state] if part == "delta" else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(HaarError, match="^non-finite "):
+                call(H)
+    assert capfd.readouterr() == ("", "")
 
 
 def test_invariant_state_rejects_non_coaction(hopf_cs3):
