@@ -27,8 +27,8 @@ over its rows and ``row_norms`` gives each row's.  Every kernel has two
 paths.  When every leg is a block algebra, the coefficients are cut into
 (Kronecker) blocks through index stacks (``_block_stacks``:
 ``_block_gathers``, one per block size N, built once per block shape),
-and products, adjoints and norms are blockwise (elementwise and max |x|
-when N = 1), so no large matrix is built; the norm is then the C*-norm.
+and products, adjoints and norms are blockwise, so no large matrix is
+built; the norm is then the C*-norm.
 Otherwise, a plain algebra being a tensor product of one leg, the
 product contracts one leg's structure constants at a time, the adjoint
 applies one leg's star matrix at a time, and the norm is the operator
@@ -57,13 +57,15 @@ Every spectral norm, here and in the other modules, comes from
 ``opnorm`` of a stack: for each matrix, its largest |entry| s times the
 square root of the largest eigenvalue of the Gram matrix of the matrix
 / s on its smaller side, taken by ``gram_norm``, the one eigenvalue
-call.  The largest norm over stacks of matrices (``_largest_opnorm``,
-the one norm fold of both paths) takes a 1 x 1 stack's norms as max |x|
-and, of the other stacks, computes only the norms whose scale-safe
-Frobenius bound reaches a running lower bound; it is the exhaustive
-maximum bit for bit while each stack fits one Gram slice
-(``_DENSE_STACK_ENTRIES`` entries).  A NaN or inf coefficient gives a
-NaN norm (inf on a 1 x 1 block), never a ``LinAlgError`` or a warning.
+call.  An N x N block has one product rule and one norm rule
+(``_block_products``, ``block_norms``): elementwise and |entry| when
+N = 1, else ``@`` and ``opnorm``.  The one norm fold of both paths,
+``_largest_opnorm``, takes the ``block_norms`` of 1 x 1 stacks and, of
+the others, only the norms whose scale-safe Frobenius bound reaches a
+running lower bound: the exhaustive maximum bit for bit while each
+stack fits one Gram slice.  ``row_norms`` takes ``block_norms`` of the
+stacks the fold reads.  A NaN or inf coefficient gives a NaN norm (inf
+on a 1 x 1 block), never a ``LinAlgError`` or a warning.
 SVDs are taken only where a rank is decided (``nullspace``,
 ``orthonormal_rows``, the Haar nullity, the Wedderburn corners, the
 surjectivity of a quotient map) and for the spectral shifts of the
@@ -509,20 +511,6 @@ class TensorAlgebra(Algebra):
     def rep_dim(self) -> int:
         return int(np.prod([f.rep_dim for f in self.factors]))
 
-    @property
-    def block_dims(self):
-        """Blocks of the tensor product, in factor-major order.
-
-        Only defined when every factor carries a block structure; the
-        (k_1, ..., k_m) block has dimension n_{k_1} * ... * n_{k_m}.
-        """
-        dims = [1]
-        for f in self.factors:
-            if not isinstance(f, BlockAlgebra):
-                raise AttributeError("factor without block structure")
-            dims = [d * n for d in dims for n in f.block_dims]
-        return tuple(dims)
-
     def kron_coeffs(self, *vecs):
         # the outer product of vectors is np.kron's, entry by entry
         out = np.asarray(vecs[0], dtype=complex)
@@ -578,17 +566,20 @@ def _build_gathers(shape):
     return tuple(stacks.values())
 
 
+def _block_products(x, y):
+    """Products of two (..., N, N) block stacks: elementwise if N = 1."""
+    return x * y if x.shape[-1] == 1 else x @ y
+
+
 def _blockwise_mul(x, y, gathers):
     """Products of coefficient stacks, block by block: ``out[..., g] =
-    x[..., g] @ y[..., g]`` for each index stack g of ``_block_gathers``,
-    elementwise when N = 1."""
+    _block_products(x[..., g], y[..., g])`` for each g of the gathers."""
     x, y = np.asarray(x), np.asarray(y)
     shape = (x.shape if x.shape == y.shape
              else np.broadcast_shapes(x.shape, y.shape))
     out = np.empty(shape, dtype=complex)
     for g in gathers:
-        xg, yg = x.take(g, axis=-1), y.take(g, axis=-1)
-        out[..., g] = xg * yg if g.shape[-1] == 1 else xg @ yg
+        out[..., g] = _block_products(x.take(g, axis=-1), y.take(g, axis=-1))
     return out
 
 
@@ -687,6 +678,11 @@ def opnorm(stack):
     return out[()]
 
 
+def block_norms(m):
+    """The norm of each block of a (..., N, N) stack: |entry| if N = 1."""
+    return np.abs(m[..., 0, 0]) if m.shape[-1] == 1 else opnorm(m)
+
+
 def gram_norm(s, gram):
     """s * sqrt(lambda_max) of each Gram matrix of a (..., n, n) stack:
     the one eigenvalue call of every spectral norm."""
@@ -714,27 +710,28 @@ def _gram(m, s):
 
 
 def row_norms(alg, x):
-    """The norm of each row of a coefficient stack (..., dim), each the
-    value ``norm_coeffs`` of the row alone gives: on the block path the
-    largest over the row's blocks, one ``opnorm`` call per block size and
-    nothing pruned; else that of its dense representation, row by row."""
+    """Each row's norm of a coefficient stack (..., dim), as ``norm_coeffs``
+    of the row gives it while a stack fits one Gram slice: ``block_norms``
+    of the stacks ``_max_norm`` folds; NaN for a non-finite dense row."""
     x = np.asarray(x)
     rows = x.reshape(-1, x.shape[-1])
-    if not (gathers := alg._block_stacks()):
-        return np.array([_max_norm(alg, r) for r in rows]).reshape(
-            x.shape[:-1])
-    blocks = [rows.take(g, axis=-1) for g in gathers]
-    norms = [np.abs(b[..., 0, 0]) if b.shape[-1] == 1 else opnorm(b)
-             for b in blocks]
-    return np.hstack(norms).max(axis=1).reshape(x.shape[:-1])
+    if gathers := alg._block_stacks():
+        norms = [block_norms(rows.take(g, axis=-1)) for g in gathers]
+        return np.hstack(norms).max(axis=1).reshape(x.shape[:-1])
+    # a representation of an inf coefficient would meet 0 * inf
+    finite = np.isfinite(rows).all(axis=1)
+    norms = [block_norms(m) for m in _rep_stacks(alg, np.where(
+        finite[:, None], rows, 0.0))]
+    return np.where(finite, np.concatenate(norms), np.nan).reshape(
+        x.shape[:-1])
 
 
 def _max_norm(alg, x) -> float:
     """Largest operator norm over the rows of a coefficient stack, all-zero
     rows dropped first: over the blocks of ``_block_gathers`` on the block
-    path (max |x| when N = 1), else over the rows' dense representations,
-    a bounded number of entries at a time.  ``_largest_opnorm`` computes
-    only the norms that can be the largest; NaN propagates."""
+    path, else over the rows' dense representations (``_rep_stacks``).
+    ``_largest_opnorm`` computes only the norms that can be the largest;
+    NaN propagates."""
     x = np.asarray(x)
     rows = x.reshape(-1, x.shape[-1])
     if len(rows) > 1:
@@ -748,11 +745,18 @@ def _max_norm(alg, x) -> float:
     # a representation of an inf coefficient would meet 0 * inf
     if not np.isfinite(rows).all():
         return np.nan
-    step = max(1, _DENSE_STACK_ENTRIES // alg.rep_dim ** 2)
     best = -np.inf
-    for i in range(0, len(rows), step):
-        best = _largest_opnorm([alg.rep_coeffs(rows[i:i + step])], best)
+    for m in _rep_stacks(alg, rows):
+        best = _largest_opnorm([m], best)
     return float(best)
+
+
+def _rep_stacks(alg, rows):
+    """Dense representations of a (k, dim) stack's rows, one Gram slice of
+    at most ``_DENSE_STACK_ENTRIES`` entries (one row at least) at a time."""
+    step = max(1, _DENSE_STACK_ENTRIES // alg.rep_dim ** 2)
+    for i in range(0, len(rows), step):
+        yield alg.rep_coeffs(rows[i:i + step])
 
 
 # relative slack of the pruning test in _largest_opnorm: a Frobenius bound
@@ -762,9 +766,9 @@ _PRUNE_GUARD = 1e-12
 
 def _largest_opnorm(stacks, best):
     """max(best, largest ``opnorm`` over the matrices of the (..., a, b)
-    stacks), computing only the norms that can reach it.  The norm of a
-    1 x 1 matrix is its |entry|, so those stacks give max |x| first (a
-    NaN kept, an inf kept as inf).  Of the others, a matrix M with
+    stacks), computing only the norms that can reach it.  The 1 x 1
+    stacks give their largest ``block_norms`` first, max |x| (a NaN
+    kept, an inf kept as inf).  Of the others, a matrix M with
     largest |entry| s has s <= ||M|| <= ||M||_F and ||M||_F / sqrt(n) <=
     ||M|| (n its smaller side), so one ``opnorm`` call per stack takes
     the matrices whose Frobenius norm reaches the largest lower bound so
@@ -773,7 +777,7 @@ def _largest_opnorm(stacks, best):
     NaN ``best`` or a non-finite entry of a larger matrix gives NaN.
     Only the matrices above the bound are kept between the passes."""
     stacks = [m.reshape((-1,) + m.shape[-2:]) for m in stacks]
-    best = np.max([best] + [np.abs(m).max() for m in stacks
+    best = np.max([best] + [block_norms(m).max() for m in stacks
                             if m.shape[-2:] == (1, 1)])
     if np.isnan(best):
         return np.nan
@@ -870,8 +874,7 @@ def multiplicative_residual(domain: Algebra, codomain: Algebra,
     index = domain.product_index
     for rows in _pair_rows(codomain, len(cols), len(cols)):
         worst.append(_largest_opnorm([
-            z[index[rows]] - (b[rows, None] * b if b.shape[-1] == 1
-                              else b[rows, None] @ b)
+            z[index[rows]] - _block_products(b[rows, None], b)
             for z, b in blocks], -np.inf))
     return float(np.max(worst))
 

@@ -20,7 +20,7 @@ import numpy as np
 from .core import (Algebra, BlockAlgebra, CheckError, Checks,
                    COUNIT_SPLIT, LinMap, as_tolerance, associativity_residual,
                    coaction_residuals, gram_norm, opnorm, pair_products,
-                   tensor)
+                   row_norms, tensor)
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -333,13 +333,9 @@ def group_like_elements(H: HopfData, tol=None):
     general search goes through the dual's characters instead.
     """
     tol = as_tolerance(tol)
-    out = []
-    T2 = H.square
-    for k in range(H.dim):
-        # e_k x e_k has its one coefficient at the Kronecker index (k, k)
-        gg = np.zeros(T2.dim, dtype=complex)
-        gg[k * H.dim + k] = 1.0
-        if (tol.is_zero(T2.norm_coeffs(H.delta.matrix[:, k] - gg))
-                and abs(H.counit[k] - 1.0) < COUNIT_SPLIT):
-            out.append(k)
-    return out
+    k = np.arange(H.dim)
+    # delta(e_k) - e_k x e_k, where e_k x e_k is 1 at index (k, k)
+    rows = H.delta.matrix.T.copy()
+    rows[k, k * (H.dim + 1)] -= 1.0
+    return k[tol.is_zero(row_norms(H.square, rows))
+             & (abs(H.counit - 1.0) < COUNIT_SPLIT)].tolist()

@@ -46,9 +46,9 @@ import numpy as np
 
 from . import duality, wedderburn
 from .core import (BlockAlgebra, CheckError, Checks, DEFAULT_SEED,
-                   TensorAlgebra, as_tolerance, coaction_residuals,
-                   nullspace, numerical_rank, distance_to_span, opnorm,
-                   pair_products, row_norms, tensor)
+                   TensorAlgebra, as_tolerance, block_norms,
+                   coaction_residuals, distance_to_span, nullspace,
+                   numerical_rank, opnorm, pair_products, row_norms, tensor)
 
 if TYPE_CHECKING:
     from .duality import DiscreteQG
@@ -267,12 +267,12 @@ class HomogeneousSpace:
     def block_supports(self, tol=None) -> np.ndarray:
         """The (blocks x irreducibles) boolean table: entry [i, k] is
         true when the ambient irreducible k has 1_k 1_i != 0, that is when
-        block k of 1_i is non-zero, or for every k when 1_i has a NaN or
-        inf coefficient."""
+        block k of 1_i has a non-zero ``block_norms``, or for every k when
+        1_i has a NaN or inf coefficient."""
         tol = as_tolerance(tol)
         rows = self.wd.central_idempotents
         blocks = self.morphism.dqg.dual_algebra.block_matrices(rows)
-        zero = tol.is_zero(np.stack([opnorm(b) for b in blocks], axis=-1))
+        zero = tol.is_zero(np.stack([block_norms(b) for b in blocks], axis=-1))
         return ~(zero & np.isfinite(rows).all(axis=1, keepdims=True))
 
     def __repr__(self):

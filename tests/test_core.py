@@ -1,4 +1,5 @@
 import functools
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -131,17 +132,6 @@ def test_group_algebra_mul_matches_cayley_bruteforce():
             h = basis_row(A, s3.index_of(q))
             want = basis_row(A, s3.index_of(prod))
             assert A.norm_coeffs(A.mul_coeffs(g, h) - want) < 1e-14
-
-
-def test_tensor_block_structure():
-    t = tensor(BlockAlgebra([2]), BlockAlgebra([3]))
-    assert t.block_dims == (6,)
-    t2 = tensor(BlockAlgebra([1, 1]), BlockAlgebra([1, 1]))
-    assert t2.block_dims == (1, 1, 1, 1)
-    # a generic leg has no blocks, so neither has the product
-    G = group_algebra(groups.cyclic(2)).algebra
-    with pytest.raises(AttributeError, match="without block structure"):
-        tensor(BlockAlgebra([1, 2]), G).block_dims
 
 
 def test_kron_leg_independence():
@@ -1021,6 +1011,47 @@ def test_pruned_norm_under_forced_dense_chunking(kind, monkeypatch):
     _assert_same_norm(alg, x)
     x[3] *= 50.0
     _assert_same_norm(alg, x)
+
+
+def _cs3():
+    return group_algebra(groups.symmetric(3)).algebra
+
+
+ROW_NORM_ALGEBRAS = {
+    **PRUNE_ALGEBRAS,
+    "block x C[S3]": lambda: tensor(BlockAlgebra([1, 2]), _cs3()),
+    "C[S3] x block": lambda: tensor(_cs3(), BlockAlgebra([1, 2])),
+    "C[S3] x C[S3]": lambda: tensor(_cs3(), _cs3()),
+    # a 1 x 1 dense representation takes the |entry| rule
+    "C[Z1]": lambda: group_algebra(groups.cyclic(1)).algebra,
+}
+
+
+@pytest.mark.parametrize("kind, entries", [
+    (kind, entries) for kind, make in sorted(ROW_NORM_ALGEBRAS.items())
+    for entries in (None, 1, "two rows") if entries != "two rows"
+    or not make()._block_stacks()])
+def test_row_norms_equal_the_norm_of_each_row(kind, entries, monkeypatch):
+    """Bit for bit (a NaN as a NaN), on stacks with a zero, a NaN, a +inf
+    and a -inf row and a non-finite entry on the first and on the last
+    block.  Off the block path the dense representations come in one
+    chunk, one row per chunk, or two rows per chunk; on it, where the
+    budget only slices ``opnorm``'s Gram sums, one row per slice."""
+    alg = ROW_NORM_ALGEBRAS[kind]()
+    if entries is not None:
+        monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", 1 if entries == 1
+                            else 2 * alg.rep_dim ** 2)
+    x = _random_rows(alg, np.random.default_rng(61), 10)
+    x[2] *= 1e3
+    x[3] = 0.0
+    x[4, 0], x[5, 0], x[6, -1], x[7, -1] = np.nan, np.inf, -np.inf, np.inf
+    x[8, -1] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = core.row_norms(alg, x.reshape(2, 5, alg.dim))
+        want = np.array([alg.norm_coeffs(r) for r in x]).reshape(2, 5)
+    assert np.array_equal(got, want, equal_nan=True), (got, want)
+    assert np.isfinite(got).sum() == 5
 
 
 def test_pruning_skips_blocks_that_cannot_hold_the_maximum(monkeypatch):
