@@ -1,4 +1,5 @@
-"""Dense complex linear algebra over finite-dimensional *-algebras.
+"""Dense real and complex linear algebra over finite-dimensional
+*-algebras.
 
 One kernel set, two layouts.  Every algebra is a tensor product of its
 legs, ``factors``: a plain or block algebra is its own one leg, and a
@@ -72,6 +73,20 @@ surjectivity of a quotient map) and for the spectral shifts of the
 Wedderburn split.  Every rank is ``numerical_rank``: the number of
 singular values above eps * max(1, s_max).  ``nullspace`` or
 ``orthonormal_rows`` of a matrix with a NaN raises ``LinAlgError``.
+
+One field rule (``as_field``) sets the type of every stored structure
+array: float64 when every imaginary part is exactly zero, complex128
+otherwise.  ``Algebra`` passes its structure tensor, unit and star
+through it, ``LinMap`` its matrix and ``hopf.HopfData`` its counit, and
+``BlockAlgebra`` builds its 0/1 arrays real, so the structure constants
+of C(G), C[G] and KP8 are multiplied with real BLAS.  Every kernel sizes
+its output by its operands (``np.result_type``), so a real and a complex
+operand give a complex result.  The sites whose bits feed a decision or
+a written file stay complex: the Wedderburn split (``nullspace``,
+``orthonormal_rows`` and wedderburn's ``_gns_rep`` and ``decompose``),
+the entries ``io`` writes, and ``gram_norm``, which takes each Gram
+matrix as complex, so that a norm of exact data has the same bits in
+either field.
 
 Zero tests are relative: ``norm <= eps * (1 + scale)``.  A group of named
 checks is one ``Checks`` record (residuals, per-name scales, the
@@ -156,6 +171,19 @@ def nonnegative_integers(values, what: str) -> np.ndarray:
     return rounded.astype(int)
 
 
+def as_field(a) -> np.ndarray:
+    """``a`` as float64 when every imaginary part is exactly zero, else
+    as complex128: the field rule of every stored structure array.  A real
+    part taken from a complex array is copied to C order, since a strided
+    operand can take another BLAS path and round differently."""
+    a = np.asarray(a)
+    if not np.iscomplexobj(a):
+        return a.astype(float, copy=False)
+    if a.imag.any():
+        return a.astype(complex, copy=False)
+    return np.ascontiguousarray(a.real)
+
+
 @dataclass
 class Checks:
     """Named residuals and flags judged at one tolerance.
@@ -213,13 +241,13 @@ class Algebra:
     """
 
     def __init__(self, mul_tensor, unit, star_matrix, name=""):
-        mul_tensor = np.asarray(mul_tensor, dtype=complex)
+        mul_tensor = as_field(mul_tensor)
         self.dim = mul_tensor.shape[0]
         if mul_tensor.shape != (self.dim,) * 3:
             raise ValueError("structure tensor must be cubic")
         self.mul_tensor = mul_tensor
-        self.unit_coeffs = np.asarray(unit, dtype=complex).reshape(self.dim)
-        self.star_matrix = np.asarray(star_matrix, dtype=complex)
+        self.unit_coeffs = as_field(unit).reshape(self.dim)
+        self.star_matrix = as_field(star_matrix)
         self.name = name
         self._gathers = None
 
@@ -283,16 +311,18 @@ class Algebra:
         x = np.asarray(x)
         if gathers := self._block_stacks():
             # the adjoint of every block: transpose the gather, conjugate
-            out = np.empty(x.shape, dtype=complex)
+            out = np.empty(x.shape, dtype=x.dtype)
             for g in gathers:
                 out[..., g] = np.conj(x.take(g.swapaxes(-1, -2), axis=-1))
             return out
         # one leg's star matrix per leg, after a batch axis: leg l of
-        # conj(x) is contracted with leg l's star matrix
+        # conj(x), moved last, times the transposed star matrix, as the
+        # product conj(x) @ st.T of one leg promotes a real st
         z = np.conj(x).reshape((-1,) + self.factor_dims)
         for leg, f in enumerate(self.factors, 1):
-            z = np.moveaxis(np.tensordot(f.star_matrix, z, ([1], [leg])),
-                            0, leg)
+            z = np.moveaxis(z, leg, -1)
+            z = np.moveaxis((z.reshape(-1, f.dim) @ f.star_matrix.T)
+                            .reshape(z.shape), -1, leg)
         return z.reshape(x.shape)
 
     def rep_coeffs(self, x):
@@ -358,7 +388,7 @@ class BlockAlgebra(Algebra):
     @cached_property
     def unit_coeffs(self):
         """e^{(k)}_{ii} in every block, one assignment per block size."""
-        unit = np.zeros(self.dim, dtype=complex)
+        unit = np.zeros(self.dim)
         for g in self._block_stacks():
             unit[np.diagonal(g, axis1=-2, axis2=-1)] = 1.0
         return unit
@@ -367,7 +397,7 @@ class BlockAlgebra(Algebra):
     def star_matrix(self):
         """star[index(k, j, i), index(k, i, j)] = 1, one assignment per
         block size; built on first use."""
-        star = np.zeros((self.dim, self.dim), dtype=complex)
+        star = np.zeros((self.dim, self.dim))
         for g in self._block_stacks():
             star[g.swapaxes(-1, -2), g] = 1.0
         return star
@@ -376,7 +406,7 @@ class BlockAlgebra(Algebra):
     def mul_tensor(self):
         """The structure tensor, built only when a generic consumer asks:
         e_ij e_jl = e_il in every block, one assignment per block size."""
-        m = np.zeros((self.dim,) * 3, dtype=complex)
+        m = np.zeros((self.dim,) * 3)
         for g in self._block_stacks():
             m[g[:, :, None, :], g[:, :, :, None], g[:, None, :, :]] = 1.0
         return m
@@ -467,7 +497,7 @@ class BlockAlgebra(Algebra):
         r = self.rep_dim
         k, i, j = self.unindex(np.arange(self.dim))
         s = np.cumsum(self.block_dims) - self.block_dims
-        t = np.zeros((self.dim, r, r), dtype=complex)
+        t = np.zeros((self.dim, r, r))
         t[np.arange(self.dim), s[k] + i, s[k] + j] = 1.0
         return t
 
@@ -513,7 +543,7 @@ class TensorAlgebra(Algebra):
 
     def kron_coeffs(self, *vecs):
         # the outer product of vectors is np.kron's, entry by entry
-        out = np.asarray(vecs[0], dtype=complex)
+        out = np.asarray(vecs[0])
         for v in vecs[1:]:
             out = np.multiply.outer(out, v).reshape(-1)
         return out
@@ -577,7 +607,7 @@ def _blockwise_mul(x, y, gathers):
     x, y = np.asarray(x), np.asarray(y)
     shape = (x.shape if x.shape == y.shape
              else np.broadcast_shapes(x.shape, y.shape))
-    out = np.empty(shape, dtype=complex)
+    out = np.empty(shape, dtype=np.result_type(x, y))
     for g in gathers:
         out[..., g] = _block_products(x.take(g, axis=-1), y.take(g, axis=-1))
     return out
@@ -594,7 +624,10 @@ def pair_products(alg, x, y):
     leg take all pairs of a block with one matrix product.  Any other
     algebra raises ``ValueError``."""
     x, y = np.asarray(x), np.asarray(y)
-    out = np.empty((len(x), len(y), alg.dim), dtype=complex)
+    # the generic products also read every leg's structure constants
+    legs = () if alg._block_stacks() else alg.factors
+    out = np.empty((len(x), len(y), alg.dim),
+                   dtype=np.result_type(x, y, *(f.mul_tensor for f in legs)))
     for rows, block in _pair_blocks(alg, x, y):
         out[rows] = block
     return out
@@ -685,8 +718,11 @@ def block_norms(m):
 
 def gram_norm(s, gram):
     """s * sqrt(lambda_max) of each Gram matrix of a (..., n, n) stack:
-    the one eigenvalue call of every spectral norm."""
-    return s * np.sqrt(np.linalg.eigvalsh(gram)[..., -1])
+    the one eigenvalue call of every spectral norm.  It takes the Gram
+    matrix as complex whatever its field, so that a norm of real data
+    keeps the bits it has as complex data."""
+    return s * np.sqrt(np.linalg.eigvalsh(np.asarray(gram, dtype=complex))
+                       [..., -1])
 
 
 def _gram(m, s):
@@ -711,12 +747,19 @@ def _gram(m, s):
 
 def row_norms(alg, x):
     """Each row's norm of a coefficient stack (..., dim), as ``norm_coeffs``
-    of the row gives it while a stack fits one Gram slice: ``block_norms``
-    of the stacks ``_max_norm`` folds; NaN for a non-finite dense row."""
+    of the row gives it: ``block_norms`` of the stacks ``_max_norm``
+    folds, over chunks of rows of at most ``_DENSE_STACK_ENTRIES`` entries
+    per block size (one row at least), as ``_rep_stacks`` chunks the dense
+    path; NaN for a non-finite dense row."""
     x = np.asarray(x)
     rows = x.reshape(-1, x.shape[-1])
     if gathers := alg._block_stacks():
-        norms = [block_norms(rows.take(g, axis=-1)) for g in gathers]
+        norms = []
+        for g in gathers:
+            step = max(1, _DENSE_STACK_ENTRIES // g.size)
+            norms.append(np.concatenate([
+                block_norms(rows[i:i + step].take(g, axis=-1))
+                for i in range(0, max(len(rows), 1), step)]))
         return np.hstack(norms).max(axis=1).reshape(x.shape[:-1])
     # a representation of an inf coefficient would meet 0 * inf
     finite = np.isfinite(rows).all(axis=1)
@@ -827,7 +870,7 @@ class LinMap:
     __slots__ = ("domain", "codomain", "matrix")
 
     def __init__(self, domain: Algebra, codomain: Algebra, matrix):
-        matrix = np.asarray(matrix, dtype=complex)
+        matrix = as_field(matrix)
         if matrix.shape != (codomain.dim, domain.dim):
             raise ValueError(
                 f"map matrix has shape {matrix.shape}, expected "
@@ -837,7 +880,7 @@ class LinMap:
         self.matrix = matrix
 
     def __call__(self, x):
-        return self.matrix @ np.asarray(x, dtype=complex)
+        return self.matrix @ np.asarray(x)
 
     def __repr__(self):
         return f"LinMap({self.domain!r} -> {self.codomain!r})"

@@ -67,8 +67,9 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
                         "(verified) finite quantum group")
 
     # rows indexed by (k, p): sum_q D[p, q, k] h_q - 1_p h_k = 0
-    left = D.transpose(2, 0, 1).reshape(d * d, d).copy()
-    right = D.transpose(2, 1, 0).reshape(d * d, d).copy()
+    field = np.result_type(D, one)
+    left = D.transpose(2, 0, 1).reshape(d * d, d).astype(field)
+    right = D.transpose(2, 1, 0).reshape(d * d, d).astype(field)
     ar = np.arange(d)
     left.reshape(d, d, d)[ar, :, ar] -= one
     right.reshape(d, d, d)[ar, :, ar] -= one

@@ -18,9 +18,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .core import (Algebra, BlockAlgebra, CheckError, Checks,
-                   COUNIT_SPLIT, LinMap, as_tolerance, associativity_residual,
-                   coaction_residuals, gram_norm, opnorm, pair_products,
-                   row_norms, tensor)
+                   COUNIT_SPLIT, LinMap, as_field, as_tolerance,
+                   associativity_residual, coaction_residuals, gram_norm,
+                   opnorm, pair_products, row_norms, tensor)
 
 if TYPE_CHECKING:
     from .groups import FiniteGroup
@@ -43,7 +43,7 @@ class HopfData:
 
     def __post_init__(self):
         A = self.algebra
-        self.counit = np.asarray(self.counit, dtype=complex).reshape(A.dim)
+        self.counit = as_field(self.counit).reshape(A.dim)
         if (self.delta.domain != A
                 or self.delta.codomain.factors != (A, A)):
             raise ValueError("comultiplication must map the algebra into "
@@ -175,12 +175,12 @@ def _function_hopf(group: FiniteGroup) -> HopfData:
     S(d_g) = d_{g^{-1}}."""
     n = group.order
     A = BlockAlgebra([1] * n, name=f"C({group.name})")
-    D = np.zeros((n * n, n), dtype=complex)
+    D = np.zeros((n * n, n))
     # row h * n + k, column hk
     D[np.arange(n * n), group.table.reshape(-1)] = 1.0
-    eps = np.zeros(n, dtype=complex)
+    eps = np.zeros(n)
     eps[group.identity] = 1.0
-    S = np.zeros((n, n), dtype=complex)
+    S = np.zeros((n, n))
     S[group.inverses, np.arange(n)] = 1.0
     return HopfData(A, LinMap(A, tensor(A, A), D), eps, LinMap(A, A, S),
                     name=A.name)
@@ -265,16 +265,16 @@ def kac_paljutkin(tol=None) -> HopfData:
     index = {m: k for k, m in enumerate(monos)}
     n = 8
 
-    mt = np.zeros((n, n, n), dtype=complex)
+    mt = np.zeros((n, n, n))
     for p, m1 in enumerate(monos):
         for q, m2 in enumerate(monos):
             for m, c in _kp_mono_mul(m1, m2).items():
                 mt[index[m], p, q] += c
-    unit = np.zeros(n, dtype=complex)
+    unit = np.zeros(n)
     unit[index[(0, 0, 0)]] = 1.0
 
     # star: antimultiplicative, fixes x, y; z* = z^2 * z
-    star = np.zeros((n, n), dtype=complex)
+    star = np.zeros((n, n))
     q_elem = {(0, 0, 0): 0.5, (1, 0, 0): 0.5, (0, 1, 0): 0.5, (1, 1, 0): -0.5}
     for p, (a, b, c) in enumerate(monos):
         if c == 0:
@@ -287,7 +287,7 @@ def kac_paljutkin(tol=None) -> HopfData:
     T2 = tensor(A, A)
 
     def mono_vec(m):
-        v = np.zeros(n, dtype=complex)
+        v = np.zeros(n)
         v[index[m]] = 1.0
         return v
 
@@ -299,16 +299,18 @@ def kac_paljutkin(tol=None) -> HopfData:
     dy = T2.kron_coeffs(yv, yv)
     dz = T2.mul_coeffs(j0, T2.kron_coeffs(zv, zv))
 
-    D = np.zeros((n * n, n), dtype=complex)
-    for p, (a, b, c) in enumerate(monos):
+    # column p is delta of monomial p, in the field of the products
+    cols = []
+    for a, b, c in monos:
         v = T2.kron_coeffs(onev, onev)
         for gen, on in ((dx, a), (dy, b), (dz, c)):
             if on:
                 v = T2.mul_coeffs(v, gen)
-        D[:, p] = v
+        cols.append(v)
+    D = np.stack(cols, axis=1)
 
     # S: antihomomorphism fixing the generators
-    S = np.zeros((n, n), dtype=complex)
+    S = np.zeros((n, n))
     for p, (a, b, c) in enumerate(monos):
         if c == 0:
             S[index[(a, b, 0)], p] = 1.0
@@ -316,7 +318,7 @@ def kac_paljutkin(tol=None) -> HopfData:
             # S(x^a y^b z) = z y^b x^a = x^b y^a z
             S[index[(b, a, 1)], p] = 1.0
 
-    eps = np.ones(n, dtype=complex)
+    eps = np.ones(n)
     H = HopfData(A, LinMap(A, T2, D), eps, LinMap(A, A, S), name="KP8")
     verify_hopf(H, tol).raise_for_failure(
         "KP8 construction fails axiom check(s)")

@@ -25,7 +25,8 @@ l^inf(n) that they define, an ``orbits.ActionMap`` (see
 One reader, ``_sparse``, turns each sparse list into a dense array: the
 list and each magic coefficient list must be JSON lists (an object would
 iterate as its keys), every index is checked against its axis, every
-coefficient must be finite, and repeated indices add up in file order.
+coefficient must be finite (an integer too large for a float is not),
+and repeated indices add up in file order.
 Indices, block sizes and ``n`` are JSON integers; a float or a boolean
 in their place is refused rather than rounded, and so is a boolean in
 place of a coefficient; a hopf file's ``name`` is a JSON string, or
@@ -80,12 +81,17 @@ def _index(value, bound: int, what: str) -> int:
 
 def _value(re, im, what: str) -> complex:
     """A file coefficient; NaN or infinity would only surface later as a
-    failed numeric check instead of as malformed input, and complex()
-    would read true as 1."""
+    failed numeric check instead of as malformed input, complex() would
+    read true as 1, and it raises ``OverflowError`` for a JSON integer too
+    large for a float."""
     if isinstance(re, bool) or isinstance(im, bool):
         raise SchemaError(f"{what} coefficient [{re!r}, {im!r}] is not a "
                           "pair of numbers")
-    c = complex(re, im)
+    try:
+        c = complex(re, im)
+    except OverflowError:
+        raise SchemaError(f"{what} coefficient overflows a float: it is "
+                          "not finite") from None
     if not cmath.isfinite(c):
         raise SchemaError(f"{what} coefficient {c} is not finite")
     return c

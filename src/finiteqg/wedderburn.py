@@ -354,8 +354,9 @@ def decompose(algebra: Algebra, rows, tol=None,
     rows = np.asarray(rows, dtype=complex)
     if len(rows) == 0:
         raise ValueError("need at least one generator")
+    # the split's entries are complex whatever the algebra's field
     return _decompose_with_rep(
-        algebra, rows, np.stack(algebra.rep_tensor), tol, seed)
+        algebra, rows, np.array(algebra.rep_tensor, dtype=complex), tol, seed)
 
 
 def decompose_abstract(algebra: Algebra, gram, tol=None,
@@ -390,8 +391,10 @@ def _gns_rep(algebra: Algebra, gram):
     gh = (vecs * np.sqrt(vals)) @ vecs.conj().T
     ghi = (vecs / np.sqrt(vals)) @ vecs.conj().T
     d = algebra.dim
-    # lambda(e_k)[b, c] = m[b, k, c]; rows (k, c), columns b
-    left = algebra.mul_tensor.transpose(1, 2, 0).reshape(d * d, d) @ gh.T
+    # lambda(e_k)[b, c] = m[b, k, c]; rows (k, c), columns b, complex
+    # whatever the algebra's field
+    m = algebra.mul_tensor.astype(complex, copy=False)
+    left = m.transpose(1, 2, 0).reshape(d * d, d) @ gh.T
     # left[(k, c), a] = (G^(1/2) lambda(e_k))[a, c]; rows (a, k), columns c
     right = left.reshape(d, d, d).transpose(2, 0, 1).reshape(d * d, d) @ ghi
     return right.reshape(d, d, d).transpose(1, 0, 2)

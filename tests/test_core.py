@@ -1030,16 +1030,19 @@ ROW_NORM_ALGEBRAS = {
 @pytest.mark.parametrize("kind, entries", [
     (kind, entries) for kind, make in sorted(ROW_NORM_ALGEBRAS.items())
     for entries in (None, 1, "two rows") if entries != "two rows"
-    or not make()._block_stacks()])
+    or not make()._block_stacks()] + [("block", 18)])
 def test_row_norms_equal_the_norm_of_each_row(kind, entries, monkeypatch):
     """Bit for bit (a NaN as a NaN), on stacks with a zero, a NaN, a +inf
     and a -inf row and a non-finite entry on the first and on the last
     block.  Off the block path the dense representations come in one
-    chunk, one row per chunk, or two rows per chunk; on it, where the
-    budget only slices ``opnorm``'s Gram sums, one row per slice."""
+    chunk, one row per chunk, or two rows per chunk; on it the rows come
+    in one chunk, one row per chunk with one row per Gram slice, or, at
+    a budget of 18 entries, four rows per chunk, whose 2 x 2 blocks would
+    be sliced in the Gram sums of a stack of all ten."""
     alg = ROW_NORM_ALGEBRAS[kind]()
     if entries is not None:
-        monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", 1 if entries == 1
+        monkeypatch.setattr(core, "_DENSE_STACK_ENTRIES", entries
+                            if isinstance(entries, int)
                             else 2 * alg.rep_dim ** 2)
     x = _random_rows(alg, np.random.default_rng(61), 10)
     x[2] *= 1e3

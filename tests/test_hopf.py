@@ -196,7 +196,8 @@ def test_verify_hopf_matches_per_pair_reference(which, kp8, hopf_gs3,
 def test_corrupted_last_pair_fails_pair_checks(hopf_gs3, kp8_block):
     # the pair (d - 1, d - 1) is the last row of every stacked check
     A, d = hopf_gs3.algebra, hopf_gs3.dim
-    m = A.mul_tensor.copy()
+    # a complex copy, since the real structure constants are stored real
+    m = A.mul_tensor.astype(complex)
     m[0, d - 1, d - 1] += 0.25j
     A2 = Algebra(m, A.unit_coeffs, A.star_matrix)
     H2 = HopfData(A2, LinMap(A2, tensor(A2, A2), hopf_gs3.delta.matrix),

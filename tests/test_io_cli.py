@@ -340,6 +340,39 @@ def test_magic_non_finite_coefficient(tmp_path, data_dir, capsys, value):
     capsys.readouterr()
 
 
+# a JSON integer too large for a float, written out in digits
+HUGE = 10 ** 400
+
+
+@pytest.mark.parametrize("kind", ["hopf", "subgroup", "magic"])
+def test_coefficient_overflowing_a_float_exits_2(tmp_path, data_dir, capsys,
+                                                 kind):
+    p = tmp_path / f"{kind}.json"
+    if kind == "hopf":
+        data = json.loads((data_dir / "z2_function_algebra.json").read_text())
+        data["counit"][0][1] = HUGE
+        argv = ["verify", str(p)]
+    elif kind == "subgroup":
+        data = {"pi": [[0, 0, 1.0, 0.0], [0, 1, 0.0, HUGE]]}
+        argv = ["orbits", "s3_function_algebra.json", str(p)]
+    else:
+        data = json.loads((data_dir / "z3_cycle.json").read_text())
+        data["u"][0][2][0][1] = HUGE
+        argv = ["classical-orbits", "z3_function_algebra.json", str(p)]
+    p.write_text(json.dumps(data))
+    assert str(HUGE) in p.read_text()
+    with pytest.raises(SchemaError, match="not finite"):
+        if kind == "hopf":
+            load_hopf(p)
+        elif kind == "subgroup":
+            load_subgroup(p, 6)
+        else:
+            load_magic(p, function_algebra(groups.cyclic(3)))
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert "not finite" in out + err and "Traceback" not in err
+
+
 def test_cli_aborted_check_is_reported_as_failed(tmp_path, capsys,
                                                  monkeypatch):
     def not_faithful(*args, **kwargs):

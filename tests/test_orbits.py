@@ -525,7 +525,9 @@ def test_huge_hopf_entry_fails_its_axiom_check_without_overflow(hopf_cs3):
     # the scales ||S||^2 and ||delta||^2 overflow to inf; squared as
     # Python floats they would raise OverflowError
     A = hopf_cs3.algebra
-    S, DM = hopf_cs3.antipode.matrix.copy(), hopf_cs3.delta.matrix.copy()
+    # a complex copy of the coproduct, which is stored real
+    S, DM = hopf_cs3.antipode.matrix.copy(), hopf_cs3.delta.matrix.astype(
+        complex)
     S[0, 0] += 1e160
     DM[0, 0] += 1e308 + 1e308j
     for bad, check in [
