@@ -29,18 +29,16 @@ paths.  When every leg is a block algebra, the coefficients are cut into
 (Kronecker) blocks through index stacks (``_block_stacks``:
 ``_block_gathers``, one per block size N, built once per block shape),
 and products, adjoints and norms are blockwise, so no large matrix is
-built; the norm is then the C*-norm.
-Otherwise, a plain algebra being a tensor product of one leg, the
-product contracts one leg's structure constants at a time, the adjoint
-applies one leg's star matrix at a time, and the norm is the operator
-norm in the legs' joint dense representation, the Kronecker product of
-each leg's ``rep_tensor``.  On a generic leg that is the left regular
-representation in the leg's own basis: a faithful submultiplicative
-norm, the C*-norm only when the basis is orthonormal for a trace (group
-algebras in the group-element basis); on a sample of elements of the raw
-duals of kp8.json, s3_group_algebra.json and q8_group_algebra.json it is
-up to 1.41 times the C*-norm.  Two algebras are equal when they have
-the same legs, so a plain or block algebra equals only itself.
+built.  Otherwise, a plain algebra being a tensor product of one leg,
+the product contracts one leg's structure constants at a time, the
+adjoint applies one leg's star matrix at a time, and the norm is the
+operator norm in the Kronecker product of each leg's ``rep_tensor``.  A
+generic leg's ``rep_tensor`` is the GNS representation of its
+normalised regular trace (``trace``, ``trace_gram``), built once; it is
+all NaN unless the trace passes the one positivity rule
+(``trace_positive``).  Every norm is therefore the C*-norm.  Two
+algebras are equal when they have the same legs, so a plain or block
+algebra equals only itself.
 
 All pairs of two stacks (``pair_products``) take every pair of a block
 of rows of x with one matrix product.  The all-pairs residual of a map
@@ -55,10 +53,11 @@ A, alpha = delta).  ``associativity_residual`` checks a
 structure-constant product on all basis triples.
 
 Every spectral norm, here and in the other modules, comes from
-``opnorm`` of a stack: for each matrix, its largest |entry| s times the
-square root of the largest eigenvalue of the Gram matrix of the matrix
-/ s on its smaller side, taken by ``gram_norm``, the one eigenvalue
-call.  An N x N block has one product rule and one norm rule
+``opnorm`` of a stack, except the draw-size test ``np.linalg.norm(y, 2)``
+of wedderburn's ``_spectral_split``: for each matrix, its largest
+|entry| s times the square root of the largest eigenvalue of the Gram
+matrix of the matrix / s on its smaller side, taken by ``gram_norm``,
+the one eigenvalue call.  An N x N block has one product rule and one norm rule
 (``_block_products``, ``block_norms``): elementwise and |entry| when
 N = 1, else ``@`` and ``opnorm``.  The one norm fold of both paths,
 ``_largest_opnorm``, takes the ``block_norms`` of 1 x 1 stacks and, of
@@ -83,10 +82,10 @@ of C(G), C[G] and KP8 are multiplied with real BLAS.  Every kernel sizes
 its output by its operands (``np.result_type``), so a real and a complex
 operand give a complex result.  The sites whose bits feed a decision or
 a written file stay complex: the Wedderburn split (``nullspace``,
-``orthonormal_rows`` and wedderburn's ``_gns_rep`` and ``decompose``),
-the entries ``io`` writes, and ``gram_norm``, which takes each Gram
-matrix as complex, so that a norm of exact data has the same bits in
-either field.
+``orthonormal_rows``, the GNS build of ``rep_tensor`` and wedderburn's
+``decompose``), the entries ``io`` writes, and ``gram_norm``, which
+takes each Gram matrix as complex, so that a norm of exact data has the
+same bits in either field.
 
 Zero tests are relative: ``norm <= eps * (1 + scale)``.  A group of named
 checks is one ``Checks`` record (residuals, per-name scales, the
@@ -118,7 +117,8 @@ _DENSE_STACK_ENTRIES = 1 << 20
 # and its _cluster, the one site of every draw and cluster decision.
 # relative eigenvalue gap used to form spectral clusters
 CLUSTER_GAP = 1e-6
-# faithfulness threshold for the smallest Haar Gram eigenvalue
+# faithfulness threshold for the smallest eigenvalue of the Gram matrix of
+# the regular trace (Algebra.trace_positive)
 GRAM_MIN_EIG = 1e-12
 # a multiplicity, the trace of a projection, counts as an integer this
 # close (fusion multiplicities, and so contragredients, rest on it)
@@ -260,23 +260,75 @@ class Algebra:
     def factor_dims(self) -> tuple:
         return tuple(f.dim for f in self.factors)
 
-    # -- representation used for operator norms ---------------------------
+    # -- the regular trace and the representation used for operator norms --
     @property
     def rep_dim(self) -> int:
         return self.dim
 
     @cached_property
-    def rep_tensor(self):
-        """Per-basis-element matrices of a faithful representation.
+    def trace(self):
+        """The normalised regular trace tau(e_p) = sum_k m[k, p, k] / d,
+        the trace of the left regular representation of e_p over d: a
+        faithful tracial state of every finite-dimensional C*-algebra."""
+        return np.einsum("kpk->p", self.mul_tensor) / self.dim
 
-        For a plain structure-constant algebra this is the left regular
-        representation; it computes the exact C*-norm whenever the basis is
-        orthonormal for a tracial form compatible with the involution
-        (true for group algebras), and a faithful submultiplicative norm
-        otherwise.
-        """
-        # lambda(e_k)[r, q] = m[r, k, q]
-        return np.ascontiguousarray(self.mul_tensor.transpose(1, 0, 2))
+    @cached_property
+    def trace_gram(self):
+        """gram[p, q] = tau(e_p* e_q), where star(e_p) has the coefficients
+        star_matrix[:, p], in the field of the structure constants.
+
+        The contraction order is fixed: the star goes into the left leg of
+        the structure tensor first, y[p, k, q] = sum_a st[a, p] m[k, a, q],
+        as one (d, d) x (d, d^2) matrix product, the product that the
+        planned ``np.einsum("kab,ap,bq->kpq", m, st, eye)`` runs before it
+        multiplies by the identity, which is exact and left out.  Then tau
+        is summed into k."""
+        d = self.dim
+        lam = self.mul_tensor.transpose(1, 0, 2).reshape(d, d * d)
+        y = (self.star_matrix.T @ lam).reshape(d, d, d).transpose(1, 0, 2)
+        return np.einsum("k,kpq->pq", self.trace, y)
+
+    @cached_property
+    def trace_spectrum(self):
+        """The eigenvalues (ascending) and eigenvectors of the symmetrised
+        ``trace_gram``, taken as complex; all-NaN eigenvalues and no
+        eigenvectors for a Gram matrix with a NaN or inf."""
+        gram = np.asarray(self.trace_gram, dtype=complex)
+        if not np.isfinite(gram).all():
+            return np.full(self.dim, np.nan), None
+        return np.linalg.eigh(0.5 * (gram + gram.conj().T))
+
+    @property
+    def trace_positive(self) -> bool:
+        """The positivity rule of tau: the smallest eigenvalue of its Gram
+        matrix is above ``GRAM_MIN_EIG`` (False for a non-finite Gram)."""
+        return bool(self.trace_spectrum[0].min() > GRAM_MIN_EIG)
+
+    @cached_property
+    def rep_tensor(self):
+        """Per-basis-element matrices of the GNS representation of tau:
+        rep[k] = G^(1/2) lambda(e_k) G^(-1/2), with G the ``trace_gram``
+        and lambda(e_k)[b, c] = m[b, k, c] the left regular representation.
+        It is a faithful *-representation, so its operator norm is the
+        C*-norm; where G = I (group algebras in the group-element basis)
+        it is lambda bit for bit.  All NaN unless ``trace_positive``.
+
+        The contraction order is fixed, two matrix products over all k at
+        once: first G^(1/2) from the left, then G^(-1/2) from the right,
+        each a (d^2, d) x (d, d) product, the products that
+        ``np.einsum("ab,kbc,cd->kad", ...)`` runs after planning."""
+        d = self.dim
+        if not self.trace_positive:
+            return np.full((d, d, d), np.nan)
+        vals, vecs = self.trace_spectrum
+        gh = (vecs * np.sqrt(vals)) @ vecs.conj().T
+        ghi = (vecs / np.sqrt(vals)) @ vecs.conj().T
+        # rows (k, c), columns b; a real product is promoted to complex
+        left = self.mul_tensor.transpose(1, 2, 0).reshape(d * d, d) @ gh.T
+        # left[(k, c), a] = (G^(1/2) lambda(e_k))[a, c]; rows (a, k),
+        # columns c
+        right = left.reshape(d, d, d).transpose(2, 0, 1).reshape(d * d, d)
+        return as_field((right @ ghi).reshape(d, d, d).transpose(1, 0, 2))
 
     def _block_stacks(self):
         """The index stacks of the block path (``_block_gathers``) when
@@ -796,9 +848,10 @@ def _max_norm(alg, x) -> float:
 
 def _rep_stacks(alg, rows):
     """Dense representations of a (k, dim) stack's rows, one Gram slice of
-    at most ``_DENSE_STACK_ENTRIES`` entries (one row at least) at a time."""
+    at most ``_DENSE_STACK_ENTRIES`` entries (one row at least) at a time;
+    one empty stack for no rows."""
     step = max(1, _DENSE_STACK_ENTRIES // alg.rep_dim ** 2)
-    for i in range(0, len(rows), step):
+    for i in range(0, max(len(rows), 1), step):
         yield alg.rep_coeffs(rows[i:i + step])
 
 

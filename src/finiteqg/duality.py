@@ -137,8 +137,10 @@ def block_presentation(H: HopfData, tol=None, seed: int = DEFAULT_SEED):
     a deterministic tie-break.
     """
     tol = as_tolerance(tol)
-    h = haar_state(H, tol)
-    wd = decompose_abstract(H.algebra, h.gram, tol, seed)
+    # the Haar state judges H, its trace's positivity included, before
+    # the split reads the GNS representation of that trace
+    haar_state(H, tol)
+    wd = decompose_abstract(H.algebra, tol, seed)
     wd = _counit_block_first(wd, H.counit)
     phi = wd.iso.matrix
     name = H.name + "@blocks" if H.name else "blocks"

@@ -15,8 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .core import (CheckError, Checks, GRAM_MIN_EIG, as_tolerance,
-                   numerical_rank)
+from .core import CheckError, Checks, as_tolerance, numerical_rank
 
 if TYPE_CHECKING:
     from .hopf import HopfData
@@ -26,7 +25,8 @@ if TYPE_CHECKING:
 class HaarState:
     """The Haar state h and its checks: the residual of the invariance
     system (``haar_system_residual``) and the flag ``gram_positive``,
-    the smallest eigenvalue of the Gram matrix above ``GRAM_MIN_EIG``."""
+    the algebra's ``trace_positive``: the smallest eigenvalue of the Gram
+    matrix above ``GRAM_MIN_EIG``."""
 
     hopf: HopfData
     vector: np.ndarray  # h on the canonical basis
@@ -49,10 +49,10 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
 
     (id x h) delta(x) = h(x) 1 = (h x id) delta(x),  h(1) = 1,
 
-    and assemble its Gram matrix.  A NaN or inf in the coproduct, unit,
+    and read its Gram matrix, the algebra's ``trace_gram``, and the
+    algebra's positivity rule.  A NaN or inf in the coproduct, unit,
     product or star is refused first; the homogeneous system must have a
-    1-dim kernel.  The Gram matrix h(e_p* e_q) is contracted in the fixed
-    order that ``_gram`` writes out, so no einsum is planned per call.
+    1-dim kernel.
     """
     tol = as_tolerance(tol)
     A = H.algebra
@@ -83,34 +83,18 @@ def haar_state(H: HopfData, tol=None) -> HaarState:
             f"invariance system has {nullity}-dimensional solution space; "
             "input is not a (verified) finite quantum group")
 
-    h = np.einsum("kpk->p", A.mul_tensor) / d
+    h = A.trace
     residual = float(np.linalg.norm(np.append(hom @ h, one @ h - 1.0)))
 
-    gram = _gram(A, h)
+    gram = A.trace_gram
     herm = float(np.linalg.norm(gram - gram.conj().T))
     if not tol.is_zero(herm, float(np.linalg.norm(gram))):
         raise HaarError("Gram matrix is not Hermitian")
     gram = 0.5 * (gram + gram.conj().T)
-    min_eig = float(np.linalg.eigvalsh(gram).min())
     checks = Checks({"haar_system_residual": residual}, tol, error=HaarError,
-                    flags={"gram_positive": min_eig > GRAM_MIN_EIG})
+                    flags={"gram_positive": A.trace_positive})
     checks.raise_for_failure("not the Haar state")
-    return HaarState(H, h, gram, min_eig, checks)
-
-
-def _gram(A, h):
-    """gram[p, q] = h(e_p* e_q), where star(e_p) has the coefficients
-    star_matrix[:, p].
-
-    The contraction order is fixed: the star goes into the left leg of
-    the structure tensor first, y[p, k, q] = sum_a st[a, p] m[k, a, q], as
-    one (d, d) x (d, d^2) matrix product, the product that the planned
-    ``np.einsum("kab,ap,bq->kpq", m, st, eye)`` runs before it multiplies
-    by the identity, which is exact and left out.  Then h is summed into
-    k."""
-    d = A.dim
-    y = A.star_matrix.T @ A.mul_tensor.transpose(1, 0, 2).reshape(d, d * d)
-    return np.einsum("k,kpq->pq", h, y.reshape(d, d, d).transpose(1, 0, 2))
+    return HaarState(H, h, gram, float(A.trace_spectrum[0].min()), checks)
 
 
 def invariant_state_on_module(alpha, h: HaarState, tol=None):

@@ -94,7 +94,9 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
     An algebra that is not a ``BlockAlgebra`` (associative and unital by
     construction) adds ``associativity`` (``associativity_residual``) at
     scale ||m||^2 and ``unit``, 1 e_p = e_p = e_p 1 in operator norm, at
-    ||m||, for m the product as a d x d^2 matrix.
+    ||m||, for m the product as a d x d^2 matrix, and the flag
+    ``trace_positive``, the algebra's positivity rule for its regular
+    trace: when it fails, every norm on the algebra is NaN and fails.
     """
     tol = as_tolerance(tol)
     A = H.algebra
@@ -144,11 +146,12 @@ def verify_hopf(H: HopfData, tol=None) -> Checks:
            "counit_left": op_dm, "counit_right": op_dm,
            "antipode_left": op_mm, "antipode_right": op_mm,
            "antipode_involutive": np.square(op_s), "antipode_star": op_s}
+    flags = {"trace_positive": A.trace_positive} if generic else {}
     if generic:
         res.update(associativity=associativity_residual(A),
                    unit=float(np.max(unit)))
         sca.update(associativity=np.square(op_m), unit=op_m)
-    return Checks(res, tol, sca, HopfAxiomError)
+    return Checks(res, tol, sca, HopfAxiomError, flags)
 
 
 def _composite_norm(DM) -> float:

@@ -7,10 +7,9 @@ generators is checked for closure (``decompose``), while the whole
 algebra of ``decompose_abstract`` must be associative, which makes the
 span of its representation closed (for ``dualize``'s raw dual that is
 the verified input's coassociativity).  All the linear algebra happens
-inside a faithful *-representation of the ambient algebra (the block
-representation for block algebras, the left regular representation for
-group-like bases, a GNS representation for abstract algebras with a
-given tracial Gram matrix); results are pulled back to ambient
+inside the ambient algebra's faithful *-representation ``rep_tensor``
+(the block representation for block algebras, the GNS representation of
+the regular trace for the others); results are pulled back to ambient
 coefficients and re-verified against the ambient product.
 
 The splitting is randomized but seeded, and one split,
@@ -354,50 +353,18 @@ def decompose(algebra: Algebra, rows, tol=None,
     rows = np.asarray(rows, dtype=complex)
     if len(rows) == 0:
         raise ValueError("need at least one generator")
-    # the split's entries are complex whatever the algebra's field
-    return _decompose_with_rep(
-        algebra, rows, np.array(algebra.rep_tensor, dtype=complex), tol, seed)
+    return _decompose_with_rep(algebra, rows, tol, seed)
 
 
-def decompose_abstract(algebra: Algebra, gram, tol=None,
+def decompose_abstract(algebra: Algebra, tol=None,
                        seed: int = DEFAULT_SEED) -> WedderburnData:
-    """Decompose a whole abstract *-algebra using a faithful tracial state.
+    """Decompose a whole abstract *-algebra.
 
-    ``gram`` is the positive-definite matrix of the state's inner product
-    h(e_p* e_q); the GNS representation it induces is a *-representation,
-    which the plain left regular representation need not be.  The algebra
-    must be associative (for ``dualize``'s raw dual, the verified input's
-    coassociativity): no closure check runs, and the matrix-unit relations
-    of ``WedderburnData.verify`` judge the result.
+    The algebra must be associative (for ``dualize``'s raw dual, the
+    verified input's coassociativity): no closure check runs, and the
+    matrix-unit relations of ``WedderburnData.verify`` judge the result.
     """
-    return _decompose_with_rep(
-        algebra, None, _gns_rep(algebra, gram), tol, seed)
-
-
-def _gns_rep(algebra: Algebra, gram):
-    """Per-basis-element matrices of the GNS representation of the state
-    with positive-definite Gram matrix ``gram``: rep[k] = G^(1/2)
-    lambda(e_k) G^(-1/2), lambda the left regular representation.
-
-    The contraction order is fixed, two matrix products over all k at
-    once: first G^(1/2) from the left, then G^(-1/2) from the right, each
-    a (d^2, d) x (d, d) product.  These are the products that
-    ``np.einsum("ab,kbc,cd->kad", ...)`` runs after planning.  The result
-    is a transposed view, as the einsum's is."""
-    gram = np.asarray(gram, dtype=complex)
-    vals, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
-    if vals.min() <= 0:
-        raise WedderburnError("Gram matrix is not positive definite")
-    gh = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    ghi = (vecs / np.sqrt(vals)) @ vecs.conj().T
-    d = algebra.dim
-    # lambda(e_k)[b, c] = m[b, k, c]; rows (k, c), columns b, complex
-    # whatever the algebra's field
-    m = algebra.mul_tensor.astype(complex, copy=False)
-    left = m.transpose(1, 2, 0).reshape(d * d, d) @ gh.T
-    # left[(k, c), a] = (G^(1/2) lambda(e_k))[a, c]; rows (a, k), columns c
-    right = left.reshape(d, d, d).transpose(2, 0, 1).reshape(d * d, d) @ ghi
-    return right.reshape(d, d, d).transpose(1, 0, 2)
+    return _decompose_with_rep(algebra, None, tol, seed)
 
 
 def _star_rep(rep_tensor, star_matrix):
@@ -408,21 +375,22 @@ def _star_rep(rep_tensor, star_matrix):
     return (star_matrix.T @ rep_tensor.reshape(d, r * r)).reshape(d, r, r)
 
 
-def _decompose_with_rep(ambient, gen_coeffs, rep_tensor, tol, seed):
+def _decompose_with_rep(ambient, gen_coeffs, tol, seed):
     """The decomposition of the span of ``gen_coeffs`` (coefficient rows;
-    None for the whole basis, whose matrices are ``rep_tensor`` itself)
-    inside the *-representation ``rep_tensor``."""
+    None for the whole basis, whose matrices are the representation
+    itself) inside the ambient algebra's *-representation ``rep_tensor``,
+    whose entries the split takes as complex whatever its field."""
     tol = as_tolerance(tol)
     rng = np.random.default_rng(seed)
     d = ambient.dim
+    rep_tensor = np.asarray(ambient.rep_tensor, dtype=complex)
 
     # *-representation check: rep(e_k*) == rep(e_k)^dagger
     star_rep = _star_rep(rep_tensor, ambient.star_matrix)
     st_res = float(np.abs(star_rep - rep_tensor.conj().transpose(0, 2, 1)).max())
     if not tol.is_zero(st_res):
-        raise WedderburnError(
-            "representation is not a *-representation; supply a tracial "
-            f"Gram matrix (residual {st_res:.3e})")
+        raise WedderburnError("representation is not a *-representation "
+                              f"(residual {st_res:.3e})")
 
     def rep_of(coeffs):
         return np.tensordot(coeffs, rep_tensor, axes=(0, 0))

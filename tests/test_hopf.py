@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -499,7 +500,45 @@ def test_loop_algebra_fails_associativity_alone():
     checks = verify_hopf(dual_hopf_raw(loop_functions()))
     assert checks.failures() == ["associativity"]
     assert checks.residuals["associativity"] == 2.0
+    # the loop's trace Gram is exactly I, so the flag passes
+    assert checks.flags == {"trace_positive": True}
     assert checks.scales["associativity"] == checks.scales["unit"] ** 2
+
+
+def _with_product_and_star(K, mul_tensor, star_matrix):
+    """K's Hopf maps on a new algebra with the given product and star."""
+    A = K.algebra
+    B = Algebra(mul_tensor, A.unit_coeffs, star_matrix)
+    return HopfData(B, LinMap(B, tensor(B, B), K.delta.matrix), K.counit,
+                    LinMap(B, B, K.antipode.matrix))
+
+
+@pytest.mark.parametrize("mutant", ["negated star", "NaN product"])
+def test_a_trace_that_is_not_positive_fails_a_flag_not_a_traceback(
+        hopf_gs3, mutant):
+    # C[S3] with -star has the trace Gram -I; a NaN constant a NaN Gram.
+    # The representation is then all NaN, so every norm of a nonzero row
+    # is NaN and fails, with no LinAlgError and no warning
+    A = hopf_gs3.algebra
+    m = A.mul_tensor.copy()
+    if mutant == "NaN product":
+        m[0, 1, 2] = np.nan
+    st = -A.star_matrix if mutant == "negated star" else A.star_matrix
+    H = _with_product_and_star(hopf_gs3, m, st)
+    B = H.algebra
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        checks = verify_hopf(H)
+        assert np.isnan(B.norm_coeffs(B.unit_coeffs))
+    assert checks.flags == {"trace_positive": False}
+    assert "trace_positive" in checks.failures()
+    assert np.isnan(B.rep_tensor).all()
+    if mutant == "negated star":
+        assert np.array_equal(B.trace_gram, -np.eye(B.dim))
+        assert checks.failures() == ["star_antimultiplicative", "delta_star",
+                                     "trace_positive"]
+    with pytest.raises(HopfAxiomError, match="trace_positive=False"):
+        checks.raise_for_failure("mutant")
 
 
 def test_a_shifted_unit_fails_the_unit_residual(hopf_gs3):

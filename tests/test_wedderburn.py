@@ -7,14 +7,13 @@ from finiteqg import groups, wedderburn
 from finiteqg.core import (BlockAlgebra, LinMap, nullspace, numerical_rank,
                            orthonormal_rows)
 from finiteqg.duality import dual_hopf_raw, dualize
-from finiteqg.haar import haar_state
 from finiteqg.hopf import HopfAxiomError, group_algebra, kac_paljutkin
 from finiteqg.io import load_hopf
 from finiteqg.core import Tolerance
 from finiteqg.wedderburn import (SpanNotClosedError, SpectralGapError,
                                  WedderburnData, WedderburnError,
                                  _central_idempotents,
-                                 _cluster, _gns_rep, _MatrixSpan,
+                                 _cluster, _MatrixSpan,
                                  _minimal_projection,
                                  decompose, decompose_abstract)
 
@@ -33,19 +32,19 @@ def test_diagonal_algebra():
 
 def test_group_algebra_z2_blocks():
     H = group_algebra(groups.cyclic(2))
-    wd = decompose_abstract(H.algebra, haar_state(H).gram)
+    wd = decompose_abstract(H.algebra)
     assert wd.block_dims == (1, 1)
 
 
 def test_group_algebra_s3_blocks(hopf_gs3):
-    wd = decompose_abstract(hopf_gs3.algebra, haar_state(hopf_gs3).gram)
+    wd = decompose_abstract(hopf_gs3.algebra)
     assert wd.block_dims == (1, 1, 2)  # classical character theory of S3
     assert wd.verify() <= 1e-9
 
 
 def test_group_algebra_q8_blocks():
     H = group_algebra(groups.quaternion())
-    wd = decompose_abstract(H.algebra, haar_state(H).gram)
+    wd = decompose_abstract(H.algebra)
     assert wd.block_dims == (1, 1, 1, 1, 2)
 
 
@@ -56,12 +55,12 @@ def test_subalgebra_a3_inside_s3(s3, hopf_gs3):
 
 
 def test_matrix_unit_relations_residual(kp8):
-    wd = decompose_abstract(kp8.algebra, haar_state(kp8).gram)
+    wd = decompose_abstract(kp8.algebra)
     assert wd.verify() <= 1e-9
 
 
 def test_idempotent_redecomposition(hopf_gs3):
-    wd = decompose_abstract(hopf_gs3.algebra, haar_state(hopf_gs3).gram)
+    wd = decompose_abstract(hopf_gs3.algebra)
     # decomposing the span of the returned units reproduces the block dims
     # (the group-algebra basis makes the left regular rep a *-rep, so the
     # units can be fed back in as a plain spanning set)
@@ -70,9 +69,8 @@ def test_idempotent_redecomposition(hopf_gs3):
 
 
 def test_seeded_determinism(kp8):
-    gram = haar_state(kp8).gram
-    w1 = decompose_abstract(kp8.algebra, gram, seed=123)
-    w2 = decompose_abstract(kp8.algebra, gram, seed=123)
+    w1 = decompose_abstract(kp8.algebra, seed=123)
+    w2 = decompose_abstract(kp8.algebra, seed=123)
     assert w1.block_dims == w2.block_dims
     assert np.abs(w1.central_idempotents
                   - w2.central_idempotents).max() <= 1e-12
@@ -136,12 +134,11 @@ ABSTRACT = {"kp8": kac_paljutkin,
 
 @pytest.fixture(scope="module", params=sorted(ABSTRACT))
 def abstract_case(request):
-    H = ABSTRACT[request.param]()
-    return H.algebra, haar_state(H).gram
+    return ABSTRACT[request.param]().algebra
 
 
-def _gns_span(algebra, gram):
-    rep = _gns_rep(algebra, gram)
+def _gns_span(algebra):
+    rep = algebra.rep_tensor
     unit = np.tensordot(algebra.unit_coeffs, rep, axes=(0, 0))
     return _MatrixSpan(list(rep), unit, Tolerance())
 
@@ -190,7 +187,7 @@ def _verify_reference(wd):
 
 
 def test_stacked_closure_and_center_match_reference(abstract_case):
-    span = _gns_span(*abstract_case)
+    span = _gns_span(abstract_case)
     assert abs(span.check_closed() - _closure_reference(span)) <= 1e-13
     zc, ref = span.center_basis(), _center_reference(span)
     assert zc.shape == ref.shape
@@ -199,14 +196,14 @@ def test_stacked_closure_and_center_match_reference(abstract_case):
 
 
 def test_stacked_verify_matches_reference(abstract_case):
-    wd = decompose_abstract(*abstract_case)
+    wd = decompose_abstract(abstract_case)
     got = wd.verify()
     assert got <= 1e-9
     assert abs(got - _verify_reference(wd)) <= 1e-13
 
 
 def test_corrupted_last_matrix_unit_fails_verify(kp8):
-    wd = decompose_abstract(kp8.algebra, haar_state(kp8).gram)
+    wd = decompose_abstract(kp8.algebra)
     # the last column of the iso is the last diagonal unit e_nn
     assert replace(wd, iso=_scaled_last_unit(wd.iso)).verify() > 1e-4
 
@@ -220,7 +217,7 @@ def _scaled_last_unit(iso, factor=1.001):
 @pytest.mark.parametrize("which", ["kp8", "c6"])
 def test_iso_without_its_last_block_fails_verify(kp8, which):
     H = kp8 if which == "kp8" else group_algebra(groups.cyclic(6))
-    wd = decompose_abstract(H.algebra, haar_state(H).gram)
+    wd = decompose_abstract(H.algebra)
     dims = wd.block_dims[:-1]
     part = WedderburnData(LinMap(
         BlockAlgebra(dims), wd.ambient,
@@ -238,7 +235,7 @@ def test_iso_without_its_last_block_fails_verify(kp8, which):
 
 
 def test_nan_basis_element_fails_check_closed(hopf_gs3):
-    span = _gns_span(hopf_gs3.algebra, haar_state(hopf_gs3).gram)
+    span = _gns_span(hopf_gs3.algebra)
     span.basis[-1, 0, 0] = np.nan     # a view: basis_flat changes too
     # the closure residual itself is NaN, not only the unit check
     with pytest.raises(SpanNotClosedError, match=r"\*-closed algebra"):
@@ -338,7 +335,7 @@ def _count_norm_calls(monkeypatch, algebra):
 
 
 def test_verify_stacks_blocks_of_one_size(abstract_case, monkeypatch):
-    wd = decompose_abstract(*abstract_case)
+    wd = decompose_abstract(abstract_case)
     ref = _per_block_verify_reference(wd)
     calls = _count_norm_calls(monkeypatch, wd.ambient)
     assert abs(wd.verify() - ref) <= 1e-13
@@ -348,7 +345,7 @@ def test_verify_stacks_blocks_of_one_size(abstract_case, monkeypatch):
 
 def test_verify_of_many_one_dim_blocks_is_one_call(monkeypatch):
     H = group_algebra(groups.cyclic(6))
-    wd = decompose_abstract(H.algebra, haar_state(H).gram)
+    wd = decompose_abstract(H.algebra)
     assert wd.block_dims == (1,) * 6
     ref = _per_block_verify_reference(wd)
     calls = _count_norm_calls(monkeypatch, wd.ambient)
@@ -362,13 +359,13 @@ def test_verify_of_many_one_dim_blocks_is_one_call(monkeypatch):
 #    one pull-back -----------------------------------------------------------
 
 def _shipped_abstract_cases(data_dir):
-    """(algebra, Gram matrix) of every shipped Hopf algebra and of its raw
-    dual: the two decompositions block_presentation and dualize make."""
+    """The algebra of every shipped Hopf algebra and of its raw dual: the
+    two decompositions block_presentation and dualize make."""
     for path in sorted(data_dir.glob("*_algebra.json")) + [
             data_dir / "kp8.json"]:
         H = load_hopf(path)
         for K in (H, dual_hopf_raw(H)):
-            yield path.stem, K.algebra, haar_state(K).gram
+            yield K.algebra
 
 
 def test_corner_dimensions_from_singular_values_match_bases(data_dir,
@@ -382,8 +379,8 @@ def test_corner_dimensions_from_singular_values_match_bases(data_dir,
             seen.append((c.dim, len(orthonormal_rows(c._rows, c.tol))))
         return corners
     monkeypatch.setattr(_MatrixSpan, "compress", checked)
-    for _, algebra, gram in _shipped_abstract_cases(data_dir):
-        decompose_abstract(algebra, gram)
+    for algebra in _shipped_abstract_cases(data_dir):
+        decompose_abstract(algebra)
     assert all(dim == rows for dim, rows in seen)
     dims = {dim for dim, _ in seen}
     assert 1 in dims and max(dims) > 1
@@ -458,7 +455,7 @@ def _off_span(span, rng):
 
 @pytest.mark.parametrize("at", [0, -1])
 def test_stacked_membership_sees_one_projection_off_the_span(kp8, at):
-    span = _gns_span(kp8.algebra, haar_state(kp8).gram)
+    span = _gns_span(kp8.algebra)
     corners = _central_idempotents(span, np.random.default_rng(3),
                                    Tolerance())
     ps = np.stack([c.unit for c in corners])
@@ -471,7 +468,7 @@ def test_stacked_membership_sees_one_projection_off_the_span(kp8, at):
 def test_perturbed_spectral_projection_escapes_the_span(kp8, monkeypatch):
     # drop one eigenvector from the first cluster with several: that one
     # projection is no longer in the span, the others are
-    span = _gns_span(kp8.algebra, haar_state(kp8).gram)
+    span = _gns_span(kp8.algebra)
     split = wedderburn._spectral_split
     dropped = []
 
@@ -505,5 +502,5 @@ def test_one_corrupted_unit_fails_the_single_pull_back(kp8, monkeypatch,
         return units
     monkeypatch.setattr(wedderburn, "_factor_matrix_units", corrupt)
     with pytest.raises(WedderburnError, match="pull-back failed"):
-        decompose_abstract(kp8.algebra, haar_state(kp8).gram)
+        decompose_abstract(kp8.algebra)
     assert len(built) == 5
